@@ -11,9 +11,12 @@ This equals the decomposition-search chaos degree of the diagonal
 density built from the occupation under the stochastic-channel
 embedding, which the test suite exercises as a cross-module identity.
 
-Largest Lyapunov exponents come from the analytic Jacobian along the
-same orbit: the mean of ln|f'| in one dimension, iterated
-Jacobian-vector products with renormalization in two.
+Each map has one form: a per-point `step` and a `jacobian` evaluated
+once on the whole orbit array. Orbits are iterated point by point and
+checked against the domain box afterwards, in one vectorised pass.
+Largest Lyapunov exponents come from that Jacobian along the same
+orbit: the mean of ln|f'| in one dimension, iterated Jacobian-vector
+products with renormalization in two.
 """
 
 from __future__ import annotations
@@ -37,48 +40,46 @@ DEFAULT_BINS = 100
 DEFAULT_EPS_ZERO = 1e-3
 DEFAULT_EPS_CONST = 1e-3
 DEFAULT_WINDOW = 5
+MAX_SWEEP_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
 class MapSystem:
     """A parameterized iterated map on a rectangular domain box.
 
-    `step` takes (point tuple, parameter) and returns the next point
-    tuple. `jacobian` returns the derivative at a point: a float in one
-    dimension, a 2x2 nested tuple in two. The optional scalar_* and
-    vector_jacobian fields are fast paths used by the orbit loops when
-    present; they must agree with their tuple counterparts.
+    `step(point, a)` returns the next point: a float in one dimension,
+    a tuple of floats in two. `jacobian(orbit, a)` takes a whole
+    (samples, dim) orbit array and returns the derivatives along it as
+    an array broadcastable to (samples, dim, dim).
     """
 
     name: str
-    dim: int
-    step: Callable
     box: tuple[tuple[float, float], ...]
     default_x0: tuple[float, ...]
     default_param: float
-    jacobian: Callable | None = None
-    scalar_step: Callable | None = None
-    vector_jacobian: Callable | None = None
+    step: Callable
+    jacobian: Callable
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"only 1- and 2-dimensional maps are supported, got {self.dim}")
-        if len(self.box) != self.dim or len(self.default_x0) != self.dim:
-            raise ValueError("box and default_x0 must match the map dimension")
+        if len(self.default_x0) != self.dim:
+            raise ValueError("default_x0 must match the box dimension")
+
+    @property
+    def dim(self) -> int:
+        return len(self.box)
 
 
 def logistic_map() -> MapSystem:
     """x -> a x (1 - x) on [0, 1]."""
     return MapSystem(
         name="logistic",
-        dim=1,
-        step=lambda p, a: (a * p[0] * (1.0 - p[0]),),
         box=((0.0, 1.0),),
         default_x0=(0.3,),
         default_param=3.8,
-        jacobian=lambda p, a: a * (1.0 - 2.0 * p[0]),
-        scalar_step=lambda x, a: a * x * (1.0 - x),
-        vector_jacobian=lambda xs, a: a * (1.0 - 2.0 * xs),
+        step=lambda x, a: a * x * (1.0 - x),
+        jacobian=lambda orbit, a: (a * (1.0 - 2.0 * orbit))[:, :, None],
     )
 
 
@@ -96,31 +97,33 @@ def baker_map() -> MapSystem:
     """
     return MapSystem(
         name="baker",
-        dim=2,
-        step=_baker_step,
         box=((0.0, 1.0), (0.0, 1.0)),
         default_x0=(0.3, 0.3),
         default_param=0.0,
-        jacobian=lambda p, a: ((2.0, 0.0), (0.0, 0.5)),
+        step=_baker_step,
+        jacobian=lambda orbit, a: np.array([[2.0, 0.0], [0.0, 0.5]]),
     )
 
 
 def tinkerbell_map(b: float = -0.6013, c: float = 2.0, d: float = 0.5) -> MapSystem:
     """Tinkerbell map with the swept parameter in the first coordinate."""
+
+    def step(p, a):
+        x, y = p
+        return (x * x - y * y + a * x + b * y, 2.0 * x * y + c * x + d * y)
+
+    def jacobian(orbit, a):
+        x, y = orbit[:, 0], orbit[:, 1]
+        return np.stack([2.0 * x + a, -2.0 * y + b, 2.0 * y + c, 2.0 * x + d],
+                        axis=1).reshape(-1, 2, 2)
+
     return MapSystem(
         name="tinkerbell",
-        dim=2,
-        step=lambda p, a: (
-            p[0] * p[0] - p[1] * p[1] + a * p[0] + b * p[1],
-            2.0 * p[0] * p[1] + c * p[0] + d * p[1],
-        ),
         box=((-2.0, 2.0), (-2.0, 2.0)),
         default_x0=(-0.72, -0.64),
         default_param=0.9,
-        jacobian=lambda p, a: (
-            (2.0 * p[0] + a, -2.0 * p[1] + b),
-            (2.0 * p[1] + c, 2.0 * p[0] + d),
-        ),
+        step=step,
+        jacobian=jacobian,
     )
 
 
@@ -166,44 +169,27 @@ def _resolve(system: MapSystem, cfg: OrbitConfig) -> tuple[tuple[float, ...], fl
 def iterate_orbit(system: MapSystem, cfg: OrbitConfig) -> np.ndarray:
     """Post-transient orbit as an array of shape (samples, dim).
 
-    Every step is checked against the domain box; leaving it raises
-    OrbitEscape rather than clipping, since clipped points would
-    silently corrupt the transition statistics.
+    The whole orbit, transient included, is checked against the domain
+    box once it has been iterated; leaving the box (or turning NaN)
+    raises OrbitEscape at the first such step rather than clipping,
+    since clipped points would silently corrupt the transition
+    statistics.
     """
     x0, a = _resolve(system, cfg)
-    if system.dim == 1 and system.scalar_step is not None:
-        return _iterate_scalar(system, x0[0], a, cfg.transient, cfg.samples)
-
-    los = tuple(lo for lo, _ in system.box)
-    his = tuple(hi for _, hi in system.box)
     step = system.step
-    point = x0
-    out = np.empty((cfg.samples, system.dim), dtype=float)
-    for t in range(cfg.transient + cfg.samples):
+    point = x0[0] if system.dim == 1 else x0
+    points = []
+    append = points.append
+    for _ in range(cfg.transient + cfg.samples):
         point = step(point, a)
-        for v, lo, hi in zip(point, los, his):
-            if not lo <= v <= hi:
-                raise OrbitEscape(point, system.box, t)
-        if t >= cfg.transient:
-            out[t - cfg.transient] = point
-    return out
-
-
-def _iterate_scalar(system: MapSystem, x: float, a: float,
-                    transient: int, samples: int) -> np.ndarray:
-    lo, hi = system.box[0]
-    f = system.scalar_step
-    for t in range(transient):
-        x = f(x, a)
-        if not lo <= x <= hi:
-            raise OrbitEscape((x,), system.box, t)
-    out = np.empty(samples, dtype=float)
-    for t in range(samples):
-        x = f(x, a)
-        if not lo <= x <= hi:
-            raise OrbitEscape((x,), system.box, transient + t)
-        out[t] = x
-    return out.reshape(-1, 1)
+        append(point)
+    orbit = np.array(points, dtype=float).reshape(-1, system.dim)
+    los, his = np.array(system.box, dtype=float).T
+    escaped = np.flatnonzero(~((orbit >= los) & (orbit <= his)).all(axis=1))
+    if escaped.size:
+        t = int(escaped[0])
+        raise OrbitEscape(orbit[t], system.box, t)
+    return orbit[cfg.transient:]
 
 
 @dataclass(frozen=True)
@@ -325,22 +311,17 @@ def orbit_chaos_degree(system: MapSystem, cfg: OrbitConfig | None = None,
 
 
 def _lyapunov_from_orbit(system: MapSystem, orbit: np.ndarray, a: float) -> float:
-    if system.jacobian is None:
-        raise ValueError(f"map {system.name!r} has no jacobian")
-    if system.dim == 1:
-        if system.vector_jacobian is not None:
-            derivs = np.abs(np.asarray(system.vector_jacobian(orbit[:, 0], a), dtype=float))
-        else:
-            derivs = np.abs(np.array([system.jacobian((x,), a) for x in orbit[:, 0]]))
+    n, dim = orbit.shape
+    jac = np.broadcast_to(np.asarray(system.jacobian(orbit, a), dtype=float), (n, dim, dim))
+    if dim == 1:
+        derivs = np.abs(jac.reshape(n))
         if np.any(derivs == 0.0):
             return -math.inf
         return float(np.mean(np.log(derivs)))
 
-    jac = system.jacobian
     v0, v1 = 1.0, 0.0
     acc = 0.0
-    for x, y in orbit:
-        (j00, j01), (j10, j11) = jac((x, y), a)
+    for j00, j01, j10, j11 in jac.reshape(n, 4).tolist():
         w0 = j00 * v0 + j01 * v1
         w1 = j10 * v0 + j11 * v1
         norm = math.hypot(w0, w1)
@@ -348,7 +329,7 @@ def _lyapunov_from_orbit(system: MapSystem, orbit: np.ndarray, a: float) -> floa
             return -math.inf
         acc += math.log(norm)
         v0, v1 = w0 / norm, w1 / norm
-    return acc / orbit.shape[0]
+    return acc / n
 
 
 def lyapunov_exponent(system: MapSystem, cfg: OrbitConfig | None = None) -> float:
@@ -398,17 +379,24 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     are dispatched to a process pool when `workers` exceeds 1 (built-in
     maps only: worker processes rebuild the map by name; a custom
     system falls back to the sequential path). Results are ordered by
-    parameter and identical at any worker count.
+    parameter and identical at any worker count. Non-finite grid bounds
+    and grids of more than MAX_SWEEP_ROWS rows raise ValueError before
+    any row is built.
     """
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"sweep start, stop and step must be finite, got {start}, {stop}, {step}")
     if step <= 0:
         raise ValueError("step must be positive")
     if stop < start:
         raise ValueError("stop must not precede start")
     if window < 1:
         raise ValueError("window must be at least 1")
+    span = (stop - start) / step
+    count = int(math.floor(span + 1e-9)) + 1 if math.isfinite(span) else math.inf
+    if count > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep grid has {count} rows, more than the limit of {MAX_SWEEP_ROWS}")
     cfg = cfg or OrbitConfig()
     part = partition or Partition(system.box)
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
     params = [start + k * step for k in range(count)]
 
     if workers > 1 and BUILTIN_MAPS.get(system.name) is system:

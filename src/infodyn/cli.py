@@ -174,6 +174,9 @@ def cmd_value(args) -> int:
         unknown = set(spec) - allowed
         if unknown:
             raise ValueError(f"unknown fields in batch config: {sorted(unknown)}")
+        for key in ("dim", "pairs", "seed", "kraus_terms"):
+            if key in spec and not jsonio.is_integer(spec[key]):
+                raise ValueError(f"{key} must be an integer, got {spec[key]!r}")
         dim = spec.get("dim", dim)
         pairs = spec.get("pairs", pairs)
         seed = spec.get("seed", seed)

@@ -2,11 +2,13 @@
 
 A complex number is a two-element array [re, im]; a matrix is a
 row-major array of rows of those. Plain numbers are accepted on input
-wherever a complex entry is expected.
+wherever a complex entry is expected. JSON booleans are never numbers,
+and NaN or infinite entries (which `json.load` accepts) are rejected.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import Any
 
@@ -30,14 +32,26 @@ def complex_to_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def is_integer(value) -> bool:
+    """True for a JSON integer; booleans do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return is_integer(value) or isinstance(value, float)
+
+
 def json_to_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
-    ):
-        return complex(value[0], value[1])
-    raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
+    if _is_real(value):
+        parts = (value,)
+    elif isinstance(value, list) and len(value) == 2 and all(_is_real(v) for v in value):
+        parts = value
+    else:
+        raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
+    z = complex(*parts)
+    if not cmath.isfinite(z):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return z
 
 
 def matrix_to_json(matrix) -> list[list[list[float]]]:
@@ -145,14 +159,14 @@ def parse_experiment(obj: dict):
         if key not in obj:
             raise ValueError(f"experiment file is missing {key!r}")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not is_integer(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     bell = BellSystem(parse_basis(obj["basis"], n))
     gamma0 = parse_state(obj["gamma"])
 
     rho_field = obj["rho"]
     steps = obj.get("steps")
-    if steps is not None and (not isinstance(steps, int) or steps < 0):
+    if steps is not None and (not is_integer(steps) or steps < 0):
         raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     # Nesting depth separates one matrix from a sequence: entries are
     # [re, im] pairs in the canonical format, so a single matrix nests
@@ -173,7 +187,7 @@ def parse_experiment(obj: dict):
         signals = [single] * (1 if steps is None else steps)
 
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
+    if not is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     policy_field = obj["policy"]
     if policy_field == "sample":
@@ -184,8 +198,8 @@ def parse_experiment(obj: dict):
         _reject_unknown(policy_field, {"fixed"}, "policy")
         pair = policy_field.get("fixed")
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, int) for v in pair)):
-            raise ValueError("fixed policy must be {'fixed': [i, j]}")
+                or not all(is_integer(v) for v in pair)):
+            raise ValueError(f"fixed policy must be {{'fixed': [i, j]}} with integers, got {pair!r}")
         policy = FixedPolicy(pair[0], pair[1])
     else:
         raise ValueError(f"policy must be 'sample', 'argmax', or {{'fixed': [i, j]}}, got {policy_field!r}")

@@ -34,6 +34,7 @@ from .hilbert import (
 )
 
 BASIS_TOL = 1e-12
+ARGMAX_TIE_TOL = 1e-12
 
 
 class SignalBasis:
@@ -284,7 +285,12 @@ class SamplePolicy:
 
 @dataclass(frozen=True)
 class ArgmaxPolicy:
-    """Always take the most probable outcome (lowest (i, j) on ties)."""
+    """Always take the most probable outcome.
+
+    Outcomes within ARGMAX_TIE_TOL of the maximum probability count as
+    tied, and the lowest flat (i, j) among them wins, so rounding noise
+    between mathematically equal probabilities never decides.
+    """
 
 
 @dataclass(frozen=True)
@@ -350,7 +356,7 @@ def recognize_sequence(gamma0, signals, bell: BellSystem, policy) -> Recognition
                     f"fixed outcome ({i}, {j}) has probability {p:.3e} at step {t}"
                 )
         elif isinstance(policy, ArgmaxPolicy):
-            flat = int(np.argmax(probs))
+            flat = int(np.argmax(probs >= probs.max() - ARGMAX_TIE_TOL))
             i, j = divmod(flat, n)
             p = float(probs[i, j])
         elif rng is not None:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from infodyn.classical import (
     BUILTIN_MAPS,
+    MAX_SWEEP_ROWS,
     MapSystem,
     OrbitConfig,
     Partition,
@@ -25,14 +28,11 @@ LN2 = float(np.log(2))
 def constant_map(c=0.5):
     return MapSystem(
         name="constant",
-        dim=1,
-        step=lambda p, a: np.array([c]),
         box=((0.0, 1.0),),
         default_x0=(0.3,),
         default_param=0.0,
-        jacobian=lambda p, a: np.array([[0.0]]),
-        scalar_step=lambda x, a: c,
-        vector_jacobian=lambda xs, a: np.zeros_like(xs),
+        step=lambda x, a: c,
+        jacobian=lambda orbit, a: np.zeros((1, 1)),
     )
 
 
@@ -61,15 +61,93 @@ def test_constant_map_orbit():
 def test_orbit_escape_raises_with_context():
     runaway = MapSystem(
         name="runaway",
-        dim=1,
-        step=lambda p, a: (p[0] * 2.0 + 1.0,),
         box=((0.0, 1.0),),
         default_x0=(0.1,),
         default_param=0.0,
+        step=lambda x, a: x * 2.0 + 1.0,
+        jacobian=lambda orbit, a: np.full((1, 1), 2.0),
     )
     with pytest.raises(OrbitEscape) as err:
         iterate_orbit(runaway, OrbitConfig(transient=0, samples=50))
     assert err.value.box == ((0.0, 1.0),)
+
+
+@pytest.mark.parametrize("system, cfg, step_index, point", [
+    # logistic escapes at step 2: inside the transient, then inside the samples
+    (logistic_map(), OrbitConfig(transient=5, samples=10, param=4.1), 2, (1.0246441621512388,)),
+    (logistic_map(), OrbitConfig(transient=0, samples=10, param=4.1), 2, (1.0246441621512388,)),
+    (tinkerbell_map(), OrbitConfig(transient=1000, samples=100, param=0.93), 78,
+     (0.0022719351093366674, -2.084811428779471)),
+])
+def test_orbit_escape_reports_first_escaping_step(system, cfg, step_index, point):
+    with pytest.raises(OrbitEscape) as err:
+        iterate_orbit(system, cfg)
+    assert err.value.step_index == step_index
+    assert err.value.point == point
+
+
+def test_orbit_nan_counts_as_escape():
+    nan_map = MapSystem(
+        name="nan",
+        box=((0.0, 1.0),),
+        default_x0=(0.5,),
+        default_param=0.0,
+        step=lambda x, a: x if x < 0.5 else float("nan"),
+        jacobian=lambda orbit, a: np.ones((1, 1)),
+    )
+    with pytest.raises(OrbitEscape) as err:
+        iterate_orbit(nan_map, OrbitConfig(transient=3, samples=10))
+    assert err.value.step_index == 0
+    assert np.isnan(err.value.point[0])
+
+
+def test_map_dimension_derives_from_box():
+    assert logistic_map().dim == 1
+    assert baker_map().dim == 2
+    assert tinkerbell_map().dim == 2
+
+
+def test_custom_map_from_step_and_jacobian_matches_builtin_logistic():
+    def step(x, a):
+        return a * x * (1.0 - x)
+
+    def jacobian(orbit, a):
+        return (a * (1.0 - 2.0 * orbit)).reshape(-1, 1, 1)
+
+    custom = MapSystem(
+        name="custom-logistic",
+        box=((0.0, 1.0),),
+        default_x0=(0.3,),
+        default_param=3.8,
+        step=step,
+        jacobian=jacobian,
+    )
+    for a in (3.2, 3.7, 4.0):
+        cfg = OrbitConfig(transient=200, samples=5000, param=a)
+        assert np.array_equal(iterate_orbit(custom, cfg), iterate_orbit(logistic_map(), cfg))
+        assert lyapunov_exponent(custom, cfg) == lyapunov_exponent(logistic_map(), cfg)
+
+
+def test_tinkerbell_matches_per_step_reference():
+    # Reference: the per-point step and Jacobian in plain Python floats,
+    # with the renormalised tangent recurrence; the array path must give
+    # the same bits.
+    a, b, c, d = 0.9, -0.6013, 2.0, 0.5
+    x, y = -0.72, -0.64
+    points = []
+    for _ in range(100 + 2000):
+        x, y = x * x - y * y + a * x + b * y, 2.0 * x * y + c * x + d * y
+        points.append((x, y))
+    v0, v1, acc = 1.0, 0.0, 0.0
+    for x, y in points[100:]:
+        w0 = (2.0 * x + a) * v0 + (-2.0 * y + b) * v1
+        w1 = (2.0 * y + c) * v0 + (2.0 * x + d) * v1
+        norm = math.hypot(w0, w1)
+        acc += math.log(norm)
+        v0, v1 = w0 / norm, w1 / norm
+    cfg = OrbitConfig(transient=100, samples=2000, param=a)
+    assert iterate_orbit(tinkerbell_map(), cfg).tolist() == [list(p) for p in points[100:]]
+    assert lyapunov_exponent(tinkerbell_map(), cfg) == acc / 2000
 
 
 def test_orbit_rejects_x0_outside_box():
@@ -227,14 +305,11 @@ def test_sweep_on_custom_map_named_like_builtin_stays_custom():
     # the builtin inside the worker pool.
     fake = MapSystem(
         name="logistic",
-        dim=1,
-        step=lambda p, a: (0.25,),
         box=((0.0, 1.0),),
         default_x0=(0.3,),
         default_param=0.0,
-        jacobian=lambda p, a: 0.0,
-        scalar_step=lambda x, a: 0.25,
-        vector_jacobian=lambda xs, a: np.zeros_like(xs),
+        step=lambda x, a: 0.25,
+        jacobian=lambda orbit, a: np.zeros_like(orbit)[:, :, None],
     )
     rows = sweep(
         fake, 3.0, 3.1, 0.1,
@@ -244,3 +319,23 @@ def test_sweep_on_custom_map_named_like_builtin_stays_custom():
     )
     assert all(row.chaos_degree == 0 for row in rows)
     assert all(row.lyapunov == -np.inf for row in rows)
+
+
+@pytest.mark.parametrize("start, stop, step", [
+    (3.0, float("inf"), 0.1),
+    (float("-inf"), 4.0, 0.1),
+    (float("nan"), 4.0, 0.1),
+    (3.0, 4.0, float("nan")),
+    (3.0, 4.0, float("inf")),
+])
+def test_sweep_rejects_non_finite_grid(start, stop, step):
+    with pytest.raises(ValueError, match="finite"):
+        sweep(logistic_map(), start, stop, step, OrbitConfig(transient=0, samples=10))
+
+
+def test_sweep_refuses_grid_above_row_cap_before_building_it():
+    with pytest.raises(ValueError, match=r"1000000000001 rows"):
+        sweep(logistic_map(), 3.0, 4.0, 1e-12, OrbitConfig(transient=0, samples=10))
+    huge = 3.0 + MAX_SWEEP_ROWS * 0.5
+    with pytest.raises(ValueError, match=f"{MAX_SWEEP_ROWS + 1} rows"):
+        sweep(logistic_map(), 3.0, huge, 0.5, OrbitConfig(transient=0, samples=10))

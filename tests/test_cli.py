@@ -258,3 +258,58 @@ def test_missing_subcommand_is_usage_error():
 
 def test_help_exits_clean():
     assert main(["--help"]) == 0
+
+
+def assert_usage_error(argv, capsys, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[[NaN, 0], [0, 1]]", "nan"),
+    ("[[[0.5, Infinity], 0], [0, 0.5]]", "[0.5, inf]"),
+    ("[[true, false], [false, false]]", "True"),
+])
+def test_quantum_ecd_rejects_non_finite_and_boolean_entries(tmp_path, capsys, text, message):
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    channel = channel_file(tmp_path, {"kind": "stochastic", "P": [[0.5, 0.5], [0.5, 0.5]]})
+    assert_usage_error(["quantum-ecd", "--state", str(state), "--channel", channel],
+                       capsys, f"got {message}")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", True, "n must be a positive integer, got True"),
+    ("steps", True, "steps must be a nonnegative integer, got True"),
+    ("seed", False, "seed must be an integer, got False"),
+    ("policy", {"fixed": [0, True]}, "got [0, True]"),
+])
+def test_recognize_rejects_boolean_integer_fields(tmp_path, capsys, field, value, message):
+    payload = {"n": 2, "basis": "fourier", "rho": [[0.5, 0.0], [0.0, 0.5]],
+               "gamma": [[1.0, 0.0], [0.0, 0.0]], "policy": "sample", "seed": 1, "steps": 2}
+    payload[field] = value
+    experiment = write_json(tmp_path / "experiment.json", payload)
+    assert_usage_error(["recognize", "--experiment", experiment], capsys, message)
+
+
+@pytest.mark.parametrize("field", ["dim", "pairs", "seed", "kraus_terms"])
+def test_value_batch_rejects_boolean_integer_fields(tmp_path, capsys, field):
+    spec = {"dim": 2, "pairs": 2, "seed": 0, "kraus_terms": 2}
+    spec[field] = True
+    batch = write_json(tmp_path / "batch.json", spec)
+    assert_usage_error(["value", "--batch", batch], capsys, f"{field} must be an integer, got True")
+
+
+@pytest.mark.parametrize("bound", ["--to=inf", "--from=-inf", "--step=nan"])
+def test_sweep_rejects_non_finite_grid(capsys, bound):
+    grid = {"--from": "--from=3.0", "--to": "--to=3.1", "--step": "--step=0.1"}
+    grid[bound.split("=")[0]] = bound
+    argv = ["ecd-sweep", "--map", "logistic", *grid.values(), "--samples", "10", "--transient", "0"]
+    assert_usage_error(argv, capsys, "must be finite")
+
+
+def test_sweep_rejects_oversized_grid(capsys):
+    assert_usage_error(
+        ["ecd-sweep", "--map", "logistic", "--from", "3", "--to", "4", "--step", "1e-12"],
+        capsys, "sweep grid has 1000000000001 rows",
+    )

@@ -147,3 +147,26 @@ def test_parse_experiment_rejects_unknown_fields():
 def test_dump_json_is_canonical():
     text = dump_json({"b": 1, "a": [1.5, 2]})
     assert text == '{\n  "a": [\n    1.5,\n    2\n  ],\n  "b": 1\n}\n'
+
+
+@pytest.mark.parametrize("value, shown", [
+    (True, "True"),
+    ([1.0, False], "False"),
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+    ([0.5, float("-inf")], "-inf"),
+])
+def test_json_to_complex_rejects_booleans_and_non_finite(value, shown):
+    with pytest.raises(ValueError, match=shown):
+        json_to_complex(value)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"n": True},
+    {"steps": True},
+    {"seed": False, "policy": "sample"},
+    {"policy": {"fixed": [True, 0]}},
+])
+def test_parse_experiment_integer_fields_reject_booleans(overrides):
+    with pytest.raises(ValueError):
+        parse_experiment(experiment_payload(**overrides))

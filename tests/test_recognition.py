@@ -11,6 +11,7 @@ from infodyn.hilbert import (
     von_neumann_entropy,
 )
 from infodyn.recognition import (
+    ARGMAX_TIE_TOL,
     ArgmaxPolicy,
     BellSystem,
     FixedPolicy,
@@ -240,6 +241,23 @@ def test_recognize_full_storage_demo():
     assert von_neumann_entropy(hist.final_memory) <= 1e-12
     for step in hist.steps:
         assert von_neumann_entropy(step.memory) <= 1e-12
+
+
+def test_argmax_breaks_rounding_noise_ties_by_lowest_outcome():
+    # Under the Fourier basis p(i, j) does not depend on i, but the
+    # computed values differ by about 1e-17; every step must pick i = 0.
+    rng = np.random.default_rng(0)
+    bell = fourier_bell(5)
+    rho, gamma = random_density(5, rng), random_density(5, rng)
+    hist = recognize_sequence(gamma, [rho] * 4, bell, ArgmaxPolicy())
+    memory = gamma
+    for step in hist.steps:
+        probs = outcome_probabilities(rho, memory, bell)
+        assert np.ptp(probs, axis=0).max() <= ARGMAX_TIE_TOL
+        assert step.i == 0
+        assert step.j == int(np.argmax(probs[0] >= probs.max() - ARGMAX_TIE_TOL))
+        assert step.probability >= probs.max() - ARGMAX_TIE_TOL
+        memory = step.memory
 
 
 def test_recognize_sampling_is_seed_deterministic():
