@@ -43,11 +43,14 @@ class SchurWeight:
     def __post_init__(self):
         m = _square(self.matrix, "weight")
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > 1e-8:
-            raise ValueError(f"weight is not self-adjoint: deviation {herm:.3e}")
+        if not herm <= 1e-8:  # NaN fails this too
+            raise ValueError(
+                "weight has a non-finite entry" if np.isnan(herm)
+                else f"weight is not self-adjoint: deviation {herm:.3e}"
+            )
         m = 0.5 * (m + m.conj().T)
         lam = np.linalg.eigvalsh(m)
-        if float(lam[0]) < -1e-10:
+        if not float(lam[0]) >= -1e-10:
             raise ValueError(f"weight has negative eigenvalue {float(lam[0]):.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -246,10 +249,15 @@ def kraus_channel(operators) -> Channel:
             raise DimensionMismatch("Kraus operators must share one square shape")
     total = sum(a.conj().T @ a for a in ops)
     gap = total - np.eye(n)
+    dev = float(np.max(np.abs(gap)))
+    # eigvalsh returns finite garbage for a non-finite matrix, so the
+    # deviation, not the top eigenvalue, is where a bad entry shows.
+    if not np.isfinite(dev):
+        raise ValueError("Kraus operators have a non-finite entry")
     top = float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T))[-1])
-    if top > 1e-10:
+    if not top <= 1e-10:
         raise ValueError(f"Kraus sum exceeds identity by {top:.3e}")
-    tp = float(np.max(np.abs(gap))) <= 1e-10
+    tp = dev <= 1e-10
     return Channel("kraus", n, is_linear=True, is_trace_preserving=tp, data=ops)
 
 
@@ -267,8 +275,11 @@ def unitary_channel(u) -> Channel:
     um = _square(u, "unitary")
     n = um.shape[0]
     dev = float(np.max(np.abs(um.conj().T @ um - np.eye(n))))
-    if dev > UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary: deviation {dev:.3e}")
+    if not dev <= UNITARY_TOL:  # NaN fails this too
+        raise ValueError(
+            "unitary has a non-finite entry" if np.isnan(dev)
+            else f"matrix is not unitary: deviation {dev:.3e}"
+        )
     return Channel("unitary", n, is_linear=True, is_trace_preserving=True, data=um)
 
 
@@ -290,10 +301,13 @@ def stochastic_channel(p) -> Channel:
     pm = np.asarray(p, dtype=float)
     if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
         raise ValueError(f"stochastic matrix must be square, got shape {pm.shape}")
-    if np.any(pm < -1e-14):
-        raise ValueError("stochastic matrix entries must be nonnegative")
+    if not np.all(pm >= -1e-14):  # NaN fails this too
+        raise ValueError(
+            "stochastic matrix has a non-finite entry" if np.isnan(pm).any()
+            else "stochastic matrix entries must be nonnegative"
+        )
     rows = pm.sum(axis=1)
-    if float(np.max(np.abs(rows - 1.0))) > 1e-10:
+    if not float(np.max(np.abs(rows - 1.0))) <= 1e-10:
         raise ValueError("stochastic matrix rows must sum to 1")
     pm = np.clip(pm, 0.0, None)
     pm.setflags(write=False)

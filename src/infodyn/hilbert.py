@@ -175,17 +175,22 @@ class DensityOperator:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
+        # Every comparison below is written so that NaN fails it: a
+        # non-finite entry makes the self-adjointness deviation NaN.
         herm_err = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if herm_err > HERMITIAN_TOL:
-            raise ValueError(f"matrix is not self-adjoint: deviation {herm_err:.3e}")
+        if not herm_err <= HERMITIAN_TOL:
+            raise ValueError(
+                "matrix has a non-finite entry" if np.isnan(herm_err)
+                else f"matrix is not self-adjoint: deviation {herm_err:.3e}"
+            )
         m = 0.5 * (m + m.conj().T)
 
         tr = float(m.trace().real)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr!r}")
 
         lam, vec = np.linalg.eigh(m)
-        if float(lam[0]) < EIGENVALUE_FLOOR:
+        if not float(lam[0]) >= EIGENVALUE_FLOOR:
             raise ValueError(
                 f"matrix is not positive semidefinite: eigenvalue {float(lam[0]):.3e}"
             )

@@ -8,13 +8,29 @@ vector, measures the first two factors jointly; conditioning on an
 outcome (i, j) and tracing the measured factors leaves the updated
 memory state.
 
-Three algebraically equal routes to that update are implemented
-independently and kept apart on purpose: a contraction of the measured
-operator (`update_direct`), a rank-one expansion over the spectra of
-signal and memory (`update_spectral`), and a composition of an
-entrywise conditioning, a shift, and a second conditioning
-(`update_composed`). Their agreement is a test target, so none of them
-may borrow another's arithmetic.
+Production path. Because the entangled memory is supported on the
+diagonal of its doubled space, the measurement reduces to a closed form
+in the entries of the signal rho, the memory gamma and the basis row
+b_i, with indices taken mod n:
+
+    p(i, j)      = sum_s gamma_ss |b_i(s + j)|^2 rho_{s+j, s+j}
+    gamma'(i, j) = (gamma o M_ij) / p(i, j)
+    M_ij[s, t]   = conj(b_i(s + j)) rho_{s+j, t+j} b_i(t + j)
+
+where o is the entrywise product. `outcome_probabilities` evaluates the
+first line for all n^2 outcomes at once (a gather over the cyclic index
+and a product with diag gamma), and `recognize_sequence` applies the
+second, so a step costs O(n^3) arithmetic plus one eigendecomposition of
+the new n x n memory; the n^2 x n^2 entangled register is never built.
+
+Test oracles. Three algebraically equal routes to the update are
+implemented independently and kept apart on purpose: a contraction of
+the measured operator (`update_direct`), a rank-one expansion over the
+spectra of signal and memory (`update_spectral`), and a composition of
+an entrywise conditioning, a shift, and a second conditioning
+(`update_composed`). Their agreement with each other and with the
+closed form is a test target, so none of them may borrow another's
+arithmetic or the closed form's.
 """
 
 from __future__ import annotations
@@ -53,8 +69,11 @@ class SignalBasis:
             raise ValueError(f"basis must be a square matrix of rows, got {v.shape}")
         gram = v.conj() @ v.T
         err = float(np.max(np.abs(gram - np.eye(v.shape[0]))))
-        if err > BASIS_TOL:
-            raise ValueError(f"rows are not orthonormal: Gram error {err:.3e}")
+        if not err <= BASIS_TOL:  # NaN fails this too
+            raise ValueError(
+                "basis has a non-finite entry" if np.isnan(err)
+                else f"rows are not orthonormal: Gram error {err:.3e}"
+            )
         mags = np.abs(v)
         uniform = bool(np.max(mags.max(axis=1) - mags.min(axis=1)) <= BASIS_TOL)
         v = v.copy()
@@ -190,22 +209,38 @@ def measured_operator(i: int, j: int, rho, gamma, bell: BellSystem) -> np.ndarra
     return f @ joint @ f
 
 
+def _closed_form_probabilities(r: DensityOperator, g: DensityOperator,
+                               bell: BellSystem) -> np.ndarray:
+    """p(i, j) = sum_s gamma_ss |b_i(s + j)|^2 rho_{s+j, s+j} for all outcomes.
+
+    With m = s + j the sum is a matrix product of |b_i(m)|^2 rho_mm with
+    the circulant of diag gamma gathered over the cyclic index.
+    """
+    m = np.arange(bell.n)
+    circulant = np.diagonal(g.matrix).real[(m[:, None] - m[None, :]) % bell.n]  # [m, j]: s = m - j
+    weights = np.abs(bell.basis.vectors) ** 2 * np.diagonal(r.matrix).real  # [i, m]
+    # Diagonals of states clamped to PSD can dip a rounding step below 0.
+    return np.maximum(weights @ circulant, 0.0)
+
+
+def _closed_form_block(i: int, j: int, r: DensityOperator, g: DensityOperator,
+                       bell: BellSystem) -> np.ndarray:
+    """Unnormalized post-outcome memory gamma o M_ij; its trace is p(i, j)."""
+    k = (np.arange(bell.n) + j) % bell.n
+    c = bell.basis.vectors[i, k]
+    return g.matrix * (c.conj()[:, None] * r.matrix[np.ix_(k, k)] * c[None, :])
+
+
 def outcome_probability(i: int, j: int, rho, gamma, bell: BellSystem) -> float:
     """Probability of outcome (i, j); the full distribution sums to 1."""
     r, g = _check_inputs(rho, gamma, bell, i, j)
-    p = float(np.trace(_conditioned_block(i, j, r, g, bell)).real)
-    return max(p, 0.0)
+    return float(_closed_form_probabilities(r, g, bell)[i, j])
 
 
 def outcome_probabilities(rho, gamma, bell: BellSystem) -> np.ndarray:
     """All n^2 outcome probabilities as an (i, j)-indexed array."""
     r, g = _check_inputs(rho, gamma, bell, 0, 0)
-    n = bell.n
-    out = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = max(float(np.trace(_conditioned_block(i, j, r, g, bell)).real), 0.0)
-    return out
+    return _closed_form_probabilities(r, g, bell)
 
 
 def update_direct(i: int, j: int, rho, gamma, bell: BellSystem) -> DensityOperator:
@@ -345,6 +380,7 @@ def recognize_sequence(gamma0, signals, bell: BellSystem, policy) -> Recognition
     n = bell.n
     steps: list[RecognitionStep] = []
     for t, signal in enumerate(signals):
+        signal = as_density(signal)
         probs = outcome_probabilities(signal, memory, bell)
         if isinstance(policy, FixedPolicy):
             i, j = policy.i, policy.j
@@ -368,6 +404,12 @@ def recognize_sequence(gamma0, signals, bell: BellSystem, policy) -> Recognition
             p = float(probs[i, j])
         else:
             raise TypeError(f"unknown policy {policy!r}")
-        memory = update_direct(i, j, signal, memory, bell)
+        block = _closed_form_block(i, j, signal, memory, bell)
+        tr = float(np.trace(block).real)
+        if tr <= PROBABILITY_FLOOR:
+            raise ZeroProbabilityOutcome(
+                f"outcome ({i}, {j}) has probability {tr:.3e} at step {t}"
+            )
+        memory = DensityOperator(block / tr)
         steps.append(RecognitionStep(t=t, i=i, j=j, probability=p, memory=memory))
     return RecognitionHistory(initial_memory=as_density(gamma0), steps=steps)

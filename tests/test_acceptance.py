@@ -121,6 +121,10 @@ def test_criterion_4_recognition_three_forms():
     worst_gap = 0.0
     worst_prob = 0.0
     worst_gram = 0.0
+    # The production step (closed-form probabilities, recognize_sequence
+    # update) against the three routes and the spectral image weight.
+    worst_closed_prob = 0.0
+    worst_closed_gap = 0.0
     for n in (2, 3, 5, 8):
         bell = rec.BellSystem(rec.SignalBasis.fourier(n))
         worst_gram = max(worst_gram, bell.gram_error())
@@ -129,6 +133,9 @@ def test_criterion_4_recognition_three_forms():
             gamma = infodyn.random_density(n, rng)
             probs = rec.outcome_probabilities(rho, gamma, bell)
             worst_prob = max(worst_prob, abs(float(probs.sum()) - 1.0))
+            rd, gd = rho.spectral(), gamma.spectral()
+            products = np.kron(rd.vectors, gd.vectors)  # column (k, l) is g_k (x) h_l
+            pair_weights = np.kron(rd.weights, gd.weights)
             for i in range(n):
                 for j in range(n):
                     a = rec.update_direct(i, j, rho, gamma, bell).matrix
@@ -139,13 +146,29 @@ def test_criterion_4_recognition_three_forms():
                         float(np.max(np.abs(a - b))),
                         float(np.max(np.abs(a - c))),
                     )
+                    images = rec.transfer_operator(bell, i, j) @ products
+                    image_weight = float(np.sum(np.abs(images) ** 2, axis=0) @ pair_weights)
+                    step = rec.recognize_sequence(gamma, [rho], bell, rec.FixedPolicy(i, j)).steps[0]
+                    worst_closed_prob = max(
+                        worst_closed_prob,
+                        abs(float(probs[i, j]) - image_weight),
+                        abs(step.probability - image_weight),
+                    )
+                    worst_closed_gap = max(
+                        worst_closed_gap,
+                        *(float(np.max(np.abs(step.memory.matrix - m))) for m in (a, b, c)),
+                    )
     elapsed = time.perf_counter() - t0
-    ok = worst_gap <= 1e-10 and worst_prob <= 1e-12 and worst_gram <= 1e-12 and elapsed <= 30.0
+    ok = (worst_gap <= 1e-10 and worst_prob <= 1e-12 and worst_gram <= 1e-12
+          and worst_closed_prob <= 1e-10 and worst_closed_gap <= 1e-10 and elapsed <= 30.0)
     report(4, ok, f"route gap<={worst_gap:.2e}, prob sum err<={worst_prob:.2e}, "
-                  f"gram err<={worst_gram:.2e}, {elapsed:.1f}s")
+                  f"gram err<={worst_gram:.2e}, closed-form prob err<={worst_closed_prob:.2e}, "
+                  f"closed-form update gap<={worst_closed_gap:.2e}, {elapsed:.1f}s")
     assert worst_gap <= 1e-10
     assert worst_prob <= 1e-12
     assert worst_gram <= 1e-12
+    assert worst_closed_prob <= 1e-10
+    assert worst_closed_gap <= 1e-10
     assert elapsed <= 30.0
 
 

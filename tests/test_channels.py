@@ -26,6 +26,7 @@ from infodyn.hilbert import (
     random_unitary,
     von_neumann_entropy,
 )
+from infodyn.recognition import SignalBasis
 
 RNG = np.random.default_rng(77)
 
@@ -159,6 +160,26 @@ def test_stochastic_diagonal_action_is_row_vector_product():
 def test_stochastic_rejects_bad_rows():
     with pytest.raises(ValueError):
         stochastic_channel(np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, entries", [
+    (DensityOperator, [[NAN, 0.0], [0.0, 0.5]]),
+    (DensityOperator, [[0.5, NAN], [NAN, 0.5]]),
+    (DensityOperator, [[float("inf"), 0.0], [0.0, 0.5]]),
+    (SignalBasis, [[1.0, 0.0], [NAN, 1.0]]),
+    (SchurWeight, [[1.0, NAN], [NAN, 1.0]]),
+    (schur_channel, [[NAN, 0.0], [0.0, 1.0]]),
+    (lambda m: kraus_channel([np.array(m)]), [[1.0, 0.0], [0.0, NAN]]),
+    (unitary_channel, [[1.0, 0.0], [0.0, NAN]]),
+    (stochastic_channel, [[NAN, 1.0], [0.0, 1.0]]),
+], ids=["density-diagonal", "density-offdiagonal", "density-inf", "basis", "weight",
+        "schur", "kraus", "unitary", "stochastic"])
+def test_constructors_reject_non_finite_entries(build, entries):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entry"):
+        build(entries)
 
 
 def test_depolarizing_full_strength_outputs_maximally_mixed():

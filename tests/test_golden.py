@@ -2,12 +2,13 @@
 
 Each case runs `infodyn.cli.main` and compares its exit code, stdout,
 stderr and any `--plot` file with the files under tests/golden/. A
-stream that is empty has no file. Rewrite the files after an intended
-output change with
+stream that is empty has no file. After an intended output change,
+rewrite the files of the cases it affects, named as in CASES, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py recognize_argmax recognize_sample
 
-and explain the diff in CHANGES.md.
+and explain the diff in CHANGES.md. With no case names every fixture is
+rewritten and files of cases no longer in CASES are deleted.
 """
 
 from __future__ import annotations
@@ -104,15 +105,22 @@ def test_golden(name, tmp_path):
         assert blob == expected[suffix], f"{name}.{suffix} differs from its golden file"
 
 
-def regenerate():
+def regenerate(names) -> int:
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        print(f"unknown case(s) {', '.join(unknown)}; cases are {', '.join(sorted(CASES))}",
+              file=sys.stderr)
+        return 2
     GOLDEN.mkdir(exist_ok=True)
-    for stale in GOLDEN.iterdir():
-        stale.unlink()
+    stale = GOLDEN.iterdir() if not names else (p for n in names for p in GOLDEN.glob(f"{n}.*"))
+    for path in list(stale):
+        path.unlink()
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
+        for name in sorted(names or CASES):
             for suffix, blob in run_case(name, Path(tmp)).items():
                 (GOLDEN / f"{name}.{suffix}").write_bytes(blob)
+    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    sys.exit(regenerate(sys.argv[1:]))

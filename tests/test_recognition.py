@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from infodyn import recognition
 from infodyn.exceptions import DimensionMismatch, OutsideDomain, ZeroProbabilityOutcome
 from infodyn.hilbert import (
     DensityOperator,
     partial_trace,
     random_density,
+    random_unitary,
     von_neumann_entropy,
 )
 from infodyn.recognition import (
@@ -107,20 +109,29 @@ def test_probabilities_uniform_for_maximally_mixed_pair():
 
 def test_probability_matches_spectral_norm_formula():
     # Independent evaluation: weight alpha_k beta_l on the norm of the
-    # compressed product vector, summed over both spectra.
-    n = 3
-    bell = fourier_bell(n)
-    rho, gamma = random_density(n, RNG), random_density(n, RNG)
-    rd, gd = rho.spectral(), gamma.spectral()
-    for i in range(n):
-        for j in range(n):
-            op = transfer_operator(bell, i, j)
-            total = 0.0
-            for k in range(n):
-                for l in range(n):
-                    image = op @ np.kron(rd.vectors[:, k], gd.vectors[:, l])
-                    total += rd.weights[k] * gd.weights[l] * float(np.vdot(image, image).real)
-            assert outcome_probability(i, j, rho, gamma, bell) == pytest.approx(total, abs=1e-12)
+    # compressed product vector, summed over both spectra (the total
+    # image weight of update_spectral).
+    for n in (2, 3, 5, 8):
+        states = [(random_density(n, RNG), random_density(n, RNG)),
+                  (random_density(n, RNG, rank=1), random_density(n, RNG, rank=max(n - 1, 1))),
+                  (random_density(n, RNG, rank=max(n // 2, 1)), random_density(n, RNG, rank=1))]
+        bases = [SignalBasis.fourier(n), SignalBasis.standard(n),
+                 SignalBasis(random_unitary(n, RNG).T)]
+        for basis in bases:
+            bell = BellSystem(basis)
+            for rho, gamma in states:
+                rd, gd = rho.spectral(), gamma.spectral()
+                probs = outcome_probabilities(rho, gamma, bell)
+                for i in range(n):
+                    for j in range(n):
+                        op = transfer_operator(bell, i, j)
+                        total = 0.0
+                        for k in range(n):
+                            for l in range(n):
+                                image = op @ np.kron(rd.vectors[:, k], gd.vectors[:, l])
+                                total += rd.weights[k] * gd.weights[l] * float(np.vdot(image, image).real)
+                        assert probs[i, j] == pytest.approx(total, abs=1e-12)
+                        assert outcome_probability(i, j, rho, gamma, bell) == pytest.approx(total, abs=1e-12)
 
 
 def test_measured_operator_traces_to_probability():
@@ -217,6 +228,64 @@ def test_update_rejects_out_of_range_outcome():
     rho = random_density(2, RNG)
     with pytest.raises(ValueError):
         update_direct(2, 0, rho, rho, bell)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [SignalBasis.fourier(5), SignalBasis(random_unitary(4, np.random.default_rng(4)).T)],
+    ids=["fourier5", "custom4"],
+)
+def test_recognize_step_matches_every_update_route(basis):
+    bell = BellSystem(basis)
+    n = bell.n
+    rng = np.random.default_rng(7)
+    gamma = random_density(n, rng)
+    signals = [random_density(n, rng, rank=1 + t % n) for t in range(20)]
+    hist = recognize_sequence(gamma, signals, bell, SamplePolicy(seed=3))
+    assert len(hist.steps) == 20
+    composed = 0
+    memory = gamma
+    for signal, step in zip(signals, hist.steps):
+        i, j = step.i, step.j
+        assert step.probability == pytest.approx(
+            outcome_probabilities(signal, memory, bell)[i, j], abs=1e-15)
+        for route in (update_direct, update_spectral):
+            ref = route(i, j, signal, memory, bell).matrix
+            assert np.max(np.abs(step.memory.matrix - ref)) <= 1e-12
+        try:
+            ref = update_composed(i, j, signal, memory, bell).matrix
+        except OutsideDomain:
+            pass
+        else:
+            composed += 1
+            assert np.max(np.abs(step.memory.matrix - ref)) <= 1e-12
+        memory = step.memory
+    assert composed > 0
+
+
+def test_production_path_never_builds_the_entangled_register(monkeypatch):
+    def refuse(gamma):
+        raise AssertionError("entangle called on the production path")
+
+    monkeypatch.setattr(recognition, "entangle", refuse)
+    bell = fourier_bell(4)
+    gamma = random_density(4, RNG)
+    signals = [random_density(4, RNG) for _ in range(3)]
+    probs = outcome_probabilities(signals[0], gamma, bell)
+    assert probs.sum() == pytest.approx(1, abs=1e-12)
+    for policy in (ArgmaxPolicy(), SamplePolicy(seed=1), FixedPolicy(1, 2)):
+        assert len(recognize_sequence(gamma, signals, bell, policy).steps) == 3
+    with pytest.raises(AssertionError):
+        update_direct(0, 0, signals[0], gamma, bell)
+
+
+def test_recognize_fixed_zero_probability_names_the_step():
+    # Step 0 moves the memory onto e_1; at step 1 the signal has no
+    # weight on e_0, so outcome (0, 1) of the standard basis is impossible.
+    bell = BellSystem(SignalBasis.standard(2))
+    signals = [DensityOperator(np.diag([1.0, 0.0])), DensityOperator(np.diag([0.0, 1.0]))]
+    with pytest.raises(ZeroProbabilityOutcome, match=r"fixed outcome \(0, 1\) .* at step 1"):
+        recognize_sequence(DensityOperator.maximally_mixed(2), signals, bell, FixedPolicy(0, 1))
 
 
 def test_recognize_empty_sequence():
