@@ -1,13 +1,15 @@
 """Channels on finite-dimensional state spaces.
 
-Four concrete families cover everything the rest of the package needs:
-Kraus-sum channels, entrywise (Schur) damping by a positive weight
-matrix and its trace-normalized variant, unitary conjugation, and the
-classical row-stochastic push-forward embedded on diagonal densities.
+Four concrete families of linear channels cover everything the rest of
+the package needs: Kraus-sum channels, entrywise (Schur) damping by a
+positive weight matrix, unitary conjugation, and the classical
+row-stochastic push-forward embedded on diagonal densities.
 
-The normalized variant divides by the trace of the damped output, so it
-is nonlinear and partial: inputs whose damped trace vanishes are outside
-its domain and raise :class:`~infodyn.exceptions.OutsideDomain`.
+Trace-normalized damping, which conditions a state on a weight, is not
+a channel: it divides by the trace of the damped output, so it is
+nonlinear and partial. It lives in :func:`schur_channel_apply`, whose
+inputs with vanishing damped trace raise
+:class:`~infodyn.exceptions.OutsideDomain`.
 """
 
 from __future__ import annotations
@@ -134,8 +136,12 @@ class BranchDilation:
         if h.ndim != 1:
             raise ValueError(f"h must be a vector, got shape {h.shape}")
         mags = np.abs(h)
-        if float(mags.max(initial=0.0)) > 1.0 + 1e-12:
-            raise ValueError("h must satisfy |h(k)| <= 1 for all k")
+        top = float(mags.max(initial=0.0))
+        if not top <= 1.0 + 1e-12:  # NaN fails this too
+            raise ValueError(
+                "h has a non-finite entry" if not np.isfinite(top)
+                else "h must satisfy |h(k)| <= 1 for all k"
+            )
         if float(np.linalg.norm(h)) == 0.0:
             raise ValueError("h must be nonzero")
         n = h.shape[0]
@@ -183,21 +189,19 @@ class BranchDilation:
 
 
 class Channel:
-    """A map from states to states, tagged by construction kind.
+    """A linear map from states to states, tagged by construction kind.
 
-    Kinds: "kraus", "schur", "schur_normalized", "unitary", "stochastic".
-    All kinds except "schur_normalized" are linear; "schur" is the only
-    kind that may fail to preserve trace. `apply` returns a
-    DensityOperator for trace-preserving or normalized kinds and a raw
-    positive matrix for an unnormalized "schur" channel.
+    Kinds: "kraus", "schur", "unitary", "stochastic". "schur" is the
+    only kind that may fail to preserve trace. `apply` returns a
+    DensityOperator for trace-preserving kinds and a raw positive
+    matrix for a "schur" channel that does not preserve trace.
     """
 
-    __slots__ = ("kind", "dim", "is_linear", "is_trace_preserving", "_data")
+    __slots__ = ("kind", "dim", "is_trace_preserving", "_data")
 
-    def __init__(self, kind, dim, is_linear, is_trace_preserving, data):
+    def __init__(self, kind, dim, is_trace_preserving, data):
         self.kind = kind
         self.dim = int(dim)
-        self.is_linear = bool(is_linear)
         self.is_trace_preserving = bool(is_trace_preserving)
         self._data = data
 
@@ -205,9 +209,7 @@ class Channel:
         return f"Channel(kind={self.kind!r}, dim={self.dim})"
 
     def apply_matrix(self, m) -> np.ndarray:
-        """Linear action on an arbitrary matrix; rejects nonlinear kinds."""
-        if not self.is_linear:
-            raise ValueError("normalized channels have no linear matrix action")
+        """Linear action on an arbitrary matrix."""
         x = _square(m, "operand")
         if x.shape[0] != self.dim:
             raise DimensionMismatch(f"channel dim {self.dim} vs operand {x.shape[0]}")
@@ -227,8 +229,6 @@ class Channel:
 
     def apply(self, rho):
         """Action on a state. See class docstring for the return type."""
-        if self.kind == "schur_normalized":
-            return schur_channel_apply(self._data, as_density(rho))
         out = self.apply_matrix(as_density(rho).matrix)
         if self.is_trace_preserving:
             return DensityOperator(out)
@@ -258,17 +258,14 @@ def kraus_channel(operators) -> Channel:
     if not top <= 1e-10:
         raise ValueError(f"Kraus sum exceeds identity by {top:.3e}")
     tp = dev <= 1e-10
-    return Channel("kraus", n, is_linear=True, is_trace_preserving=tp, data=ops)
+    return Channel("kraus", n, is_trace_preserving=tp, data=ops)
 
 
-def schur_channel(weight, normalized: bool = False) -> Channel:
+def schur_channel(weight) -> Channel:
     w = as_weight(weight)
-    if normalized:
-        return Channel("schur_normalized", w.n, is_linear=False,
-                       is_trace_preserving=True, data=w)
     diag = np.diagonal(w.matrix).real
     tp = bool(np.max(np.abs(diag - 1.0)) <= 1e-12)
-    return Channel("schur", w.n, is_linear=True, is_trace_preserving=tp, data=w)
+    return Channel("schur", w.n, is_trace_preserving=tp, data=w)
 
 
 def unitary_channel(u) -> Channel:
@@ -280,7 +277,7 @@ def unitary_channel(u) -> Channel:
             "unitary has a non-finite entry" if np.isnan(dev)
             else f"matrix is not unitary: deviation {dev:.3e}"
         )
-    return Channel("unitary", n, is_linear=True, is_trace_preserving=True, data=um)
+    return Channel("unitary", n, is_trace_preserving=True, data=um)
 
 
 def identity_channel(n: int) -> Channel:
@@ -311,8 +308,7 @@ def stochastic_channel(p) -> Channel:
         raise ValueError("stochastic matrix rows must sum to 1")
     pm = np.clip(pm, 0.0, None)
     pm.setflags(write=False)
-    return Channel("stochastic", pm.shape[0], is_linear=True,
-                   is_trace_preserving=True, data=pm)
+    return Channel("stochastic", pm.shape[0], is_trace_preserving=True, data=pm)
 
 
 def depolarizing_channel(n: int, p: float = 1.0) -> Channel:
@@ -359,8 +355,6 @@ class CompletePositivityReport:
 def choi_matrix(channel, dim: int | None = None) -> np.ndarray:
     """Choi matrix assembled column by column from matrix units."""
     if isinstance(channel, Channel):
-        if not channel.is_linear:
-            raise ValueError("Choi matrix is defined only for linear channels")
         n = channel.dim
         action = channel.apply_matrix
     else:

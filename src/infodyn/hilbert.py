@@ -229,13 +229,6 @@ class DensityOperator:
         return cls(np.outer(v, v.conj()))
 
     @classmethod
-    def from_probabilities(cls, p) -> "DensityOperator":
-        w = np.asarray(p, dtype=float)
-        if w.ndim != 1 or np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("probabilities must be a nonnegative vector with positive sum")
-        return cls(np.diag(w / w.sum()).astype(complex))
-
-    @classmethod
     def maximally_mixed(cls, n: int) -> "DensityOperator":
         return cls(np.eye(n, dtype=complex) / n)
 
@@ -258,10 +251,6 @@ def as_density(obj) -> DensityOperator:
     if isinstance(obj, DensityOperator):
         return obj
     return DensityOperator(obj)
-
-
-def spectral_decompose(rho) -> SchattenDecomposition:
-    return as_density(rho).spectral()
 
 
 def _entropy_of_spectrum(lam: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from .recognition import (
     SignalBasis,
 )
 
-CHANNEL_KINDS = ("ktau", "ktau_hat", "unitary", "kraus", "stochastic")
+CHANNEL_KINDS = ("ktau", "unitary", "kraus", "stochastic")
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -108,14 +108,12 @@ def parse_channel(obj: dict) -> Channel:
     kind = obj.get("kind")
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}, got {kind!r}")
-    if kind in ("ktau", "ktau_hat", "unitary"):
+    if kind in ("ktau", "unitary"):
         _reject_unknown(obj, {"kind", "matrix"}, "channel")
         if "matrix" not in obj:
             raise ValueError(f"channel kind {kind!r} requires a matrix")
         m = json_to_matrix(obj["matrix"])
-        if kind == "unitary":
-            return unitary_channel(m)
-        return schur_channel(m, normalized=(kind == "ktau_hat"))
+        return unitary_channel(m) if kind == "unitary" else schur_channel(m)
     if kind == "kraus":
         _reject_unknown(obj, {"kind", "kraus_ops"}, "channel")
         ops = obj.get("kraus_ops")

@@ -10,10 +10,11 @@ sum p_k channel(E_k) = channel(rho), which pins their sum to the output
 entropy; one search therefore serves both quantities.
 
 A non-degenerate spectrum has a unique decomposition and both values
-are exact. A degenerate spectrum is handled by a seeded random search
-over intra-eigenspace rotations: the reported chaos degree is an upper
-bound on the infimum and the transmitted value a lower bound on the
-supremum.
+are exact. A degenerate spectrum, with eigenvalues closer than
+`hilbert.DEGENERACY_GAP`, is handled by a random search over
+intra-eigenspace rotations, all drawn from one generator seeded by the
+configured seed: the reported chaos degree is an upper bound on the
+infimum and the transmitted value a lower bound on the supremum.
 
 All values are in nats; report serialization accepts a display base.
 """
@@ -28,8 +29,10 @@ import numpy as np
 from .channels import Channel, identity_channel, random_kraus_channel
 from .exceptions import DimensionMismatch
 from .hilbert import (
+    DEGENERACY_GAP,
     DensityOperator,
     SchattenDecomposition,
+    _entropy_of_spectrum,
     as_density,
     random_density,
     random_unitary,
@@ -48,17 +51,14 @@ def complexity(rho) -> float:
 
 @dataclass(frozen=True)
 class ComplexityConfig:
-    """Budget and tolerances for the decomposition search."""
+    """Budget and seed for the decomposition search."""
 
     restarts: int = 1000
     seed: int = 0
-    eps_degenerate: float = 1e-9
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.eps_degenerate <= 0:
-            raise ValueError("eps_degenerate must be positive")
 
 
 DEFAULT_CONFIG = ComplexityConfig()
@@ -68,8 +68,8 @@ DEFAULT_CONFIG = ComplexityConfig()
 class ChaosDegreeReport:
     """Chaos degree, transmitted complexity, and search statistics.
 
-    `best` and `worst` are the extreme chaos-degree values seen during
-    the search; for a unique decomposition they coincide with the value.
+    `worst` is the largest chaos-degree value seen during the search;
+    for a unique decomposition it equals the chaos degree.
     """
 
     chaos_degree: float
@@ -78,7 +78,6 @@ class ChaosDegreeReport:
     degenerate: bool
     restarts: int
     seed: int
-    best: float
     worst: float
     decomposition: SchattenDecomposition
 
@@ -91,50 +90,47 @@ class ChaosDegreeReport:
             "degenerate": self.degenerate,
             "restarts": self.restarts,
             "seed": self.seed,
-            "best": self.best * scale,
             "worst": self.worst * scale,
             "log_base": log_base,
         }
 
 
-def _matrix_entropy(m: np.ndarray) -> float:
-    lam = np.linalg.eigvalsh(m)
-    lam = lam[lam > 0]
-    return float(-np.sum(lam * np.log(lam)) + 0.0)
-
-
-def _eigenvalue_blocks(lam: np.ndarray, eps: float) -> list[tuple[int, int]]:
-    """Contiguous index ranges of (near-)equal eigenvalues, descending order."""
-    blocks, start = [], 0
-    for i in range(1, lam.size):
-        if lam[i - 1] - lam[i] > eps:
-            blocks.append((start, i))
-            start = i
-    blocks.append((start, lam.size))
-    return blocks
-
-
 def _decomposition_candidates(rho: DensityOperator, config: ComplexityConfig):
     """Yield (weights, vectors) decompositions: the eigenbasis first, then
-    seeded random rotations inside each degenerate eigenspace."""
+    random rotations inside each degenerate eigenspace, every restart
+    drawn from one generator seeded by `config.seed`."""
     lam, vec = rho.eigenvalues, rho.eigenvectors
     yield lam, vec
-    blocks = [b for b in _eigenvalue_blocks(lam, config.eps_degenerate) if b[1] - b[0] > 1]
+    # Eigenvalues are sorted descending; a block of (near-)equal values
+    # ends wherever the next one is more than the degeneracy gap below.
+    cuts = [0, *(np.flatnonzero(-np.diff(lam) > DEGENERACY_GAP) + 1), lam.size]
+    blocks = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
     if not blocks:
         return
-    for r in range(config.restarts):
-        rng = np.random.default_rng(config.seed + r)
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.restarts):
         rotated = np.array(vec)
         for lo, hi in blocks:
             rotated[:, lo:hi] = vec[:, lo:hi] @ random_unitary(hi - lo, rng)
         yield lam, rotated
 
 
-def _require_tp_linear(channel: Channel):
+def _transmitted(lam: np.ndarray, vec: np.ndarray, channel: Channel,
+                 sigma: DensityOperator) -> float:
+    """sum_k lam_k S(channel(E_k) || sigma) over the pieces of one decomposition."""
+    total = 0.0
+    for k in range(lam.size):
+        if lam[k] <= WEIGHT_FLOOR:
+            continue
+        v = vec[:, k]
+        image = DensityOperator(channel.apply_matrix(np.outer(v, v.conj())))
+        total += float(lam[k]) * relative_entropy(image, sigma)
+    return total
+
+
+def _require_trace_preserving(channel: Channel):
     if not isinstance(channel, Channel):
         raise TypeError("expected a Channel")
-    if not channel.is_linear:
-        raise ValueError("decomposition metrics require a linear channel")
     if not channel.is_trace_preserving:
         raise ValueError("decomposition metrics require a trace-preserving channel")
 
@@ -148,7 +144,7 @@ def chaos_degree(rho, channel: Channel, config: ComplexityConfig | None = None) 
     """
     cfg = config or DEFAULT_CONFIG
     state = as_density(rho)
-    _require_tp_linear(channel)
+    _require_trace_preserving(channel)
     if state.n != channel.dim:
         raise DimensionMismatch(f"state dim {state.n} vs channel dim {channel.dim}")
 
@@ -166,29 +162,20 @@ def chaos_degree(rho, channel: Channel, config: ComplexityConfig | None = None) 
                 continue
             v = vec[:, k]
             image = channel.apply_matrix(np.outer(v, v.conj()))
-            total += float(lam[k]) * _matrix_entropy(image)
+            total += float(lam[k]) * _entropy_of_spectrum(np.linalg.eigvalsh(image))
         evaluated += 1
         if total < best_val:
             best_val, best_vec = total, vec
         worst_val = max(worst_val, total)
 
-    transmitted = 0.0
     lam = state.eigenvalues
-    for k in range(lam.size):
-        if lam[k] <= WEIGHT_FLOOR:
-            continue
-        v = best_vec[:, k]
-        image = DensityOperator(channel.apply_matrix(np.outer(v, v.conj())))
-        transmitted += float(lam[k]) * relative_entropy(image, sigma)
-
     return ChaosDegreeReport(
         chaos_degree=best_val,
-        transmitted=transmitted,
+        transmitted=_transmitted(lam, best_vec, channel, sigma),
         output_entropy=s_out,
         degenerate=state.degenerate,
         restarts=evaluated,
         seed=cfg.seed,
-        best=best_val,
         worst=worst_val,
         decomposition=SchattenDecomposition(
             weights=lam, vectors=best_vec, unique=not state.degenerate
@@ -226,8 +213,11 @@ def _check_purpose(q, dim: int) -> np.ndarray:
     if m.shape != (dim, dim):
         raise DimensionMismatch(f"purpose operator shape {m.shape}, expected {(dim, dim)}")
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > 1e-10:
-        raise ValueError(f"purpose operator is not self-adjoint: deviation {dev:.3e}")
+    if not dev <= 1e-10:  # NaN fails this too
+        raise ValueError(
+            "purpose operator has a non-finite entry" if np.isnan(dev)
+            else f"purpose operator is not self-adjoint: deviation {dev:.3e}"
+        )
     return m
 
 
@@ -416,14 +406,7 @@ def axiom_suite(dim: int, trials: int, seed: int,
             out = channel.apply(probe)
             ceiling = complexity(probe)
             for lam, vec in _decomposition_candidates(probe, probe_cfg):
-                sampled = 0.0
-                for k in range(lam.size):
-                    if lam[k] <= WEIGHT_FLOOR:
-                        continue
-                    v = vec[:, k]
-                    img = DensityOperator(channel.apply_matrix(np.outer(v, v.conj())))
-                    sampled += float(lam[k]) * relative_entropy(img, out)
-                worst_bound = max(worst_bound, sampled - ceiling)
+                worst_bound = max(worst_bound, _transmitted(lam, vec, channel, out) - ceiling)
 
         ident = identity_channel(dim)
         worst_identity = max(worst_identity, abs(

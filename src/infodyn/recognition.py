@@ -108,21 +108,14 @@ class BellSystem:
     shift labels the offset between the slots. Together they form an
     orthonormal basis of the doubled space, so the associated
     projections resolve the identity and outcome probabilities are a
-    complete distribution.
+    complete distribution. Only the basis is stored; each vector is
+    built when asked for.
     """
 
-    __slots__ = ("basis", "vectors")
+    __slots__ = ("basis",)
 
     def __init__(self, basis: SignalBasis):
-        n = basis.n
-        xi = np.zeros((n, n, n * n), dtype=complex)
-        rows = np.arange(n)
-        for l in range(n):
-            flat = rows * n + (rows - l) % n
-            xi[:, l, flat] = basis.vectors
-        xi.setflags(write=False)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "vectors", xi)
 
     def __setattr__(self, name, value):
         raise AttributeError("BellSystem is immutable")
@@ -132,20 +125,28 @@ class BellSystem:
         return self.basis.n
 
     def vector(self, i: int, j: int) -> np.ndarray:
-        return self.vectors[i, j]
+        n = self.n
+        rows = np.arange(n)
+        v = np.zeros(n * n, dtype=complex)
+        v[rows * n + (rows - j) % n] = self.basis.vectors[i]
+        return v
 
     def projection(self, i: int, j: int) -> np.ndarray:
-        v = self.vectors[i, j]
+        v = self.vector(i, j)
         return np.outer(v, v.conj())
 
+    def _family(self) -> np.ndarray:
+        """All n^2 vectors as rows, built one by one, (i, j) row-major."""
+        return np.array([self.vector(i, j) for i in range(self.n) for j in range(self.n)])
+
     def gram_error(self) -> float:
-        n = self.n
-        flat = self.vectors.reshape(n * n, n * n)
+        flat = self._family()
         gram = flat.conj() @ flat.T
-        return float(np.max(np.abs(gram - np.eye(n * n))))
+        return float(np.max(np.abs(gram - np.eye(self.n * self.n))))
 
     def completeness_error(self) -> float:
-        total = np.einsum("ijx,ijy->xy", self.vectors, self.vectors.conj())
+        flat = self._family()
+        total = flat.T @ flat.conj()
         return float(np.max(np.abs(total - np.eye(self.n * self.n))))
 
 
@@ -192,7 +193,7 @@ def _conditioned_block(i: int, j: int, rho: DensityOperator, gamma: DensityOpera
     factors of the full sandwiched operator.
     """
     n = bell.n
-    xi = bell.vectors[i, j].reshape(n, n)
+    xi = bell.vector(i, j).reshape(n, n)
     ent = entangle(gamma).matrix.reshape(n, n, n, n)
     return np.einsum("ab,ac,bsdt,cd->st", xi.conj(), rho.matrix, ent, xi, optimize=True)
 

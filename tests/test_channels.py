@@ -76,10 +76,10 @@ def test_schur_value_independent_of_spectral_representation():
 
 def test_normalized_schur_keeps_unimodular_weight_unitary():
     h = np.exp(1j * RNG.uniform(0, 2 * np.pi, size=3))
-    ch = schur_channel(SchurWeight(np.outer(h, h.conj())), normalized=True)
     rho = random_density(3, RNG)
+    out = schur_channel_apply(SchurWeight(np.outer(h, h.conj())), rho)
     direct = np.diag(h) @ rho.matrix @ np.diag(h).conj().T
-    assert np.allclose(ch(rho).matrix, direct, atol=1e-12)
+    assert np.allclose(out.matrix, direct, atol=1e-12)
 
 
 def test_normalized_schur_identity_weight_gives_diagonal():
@@ -175,8 +175,10 @@ NAN = float("nan")
     (lambda m: kraus_channel([np.array(m)]), [[1.0, 0.0], [0.0, NAN]]),
     (unitary_channel, [[1.0, 0.0], [0.0, NAN]]),
     (stochastic_channel, [[NAN, 1.0], [0.0, 1.0]]),
+    (BranchDilation, [NAN, 0.5]),
+    (BranchDilation, [0.5, float("inf")]),
 ], ids=["density-diagonal", "density-offdiagonal", "density-inf", "basis", "weight",
-        "schur", "kraus", "unitary", "stochastic"])
+        "schur", "kraus", "unitary", "stochastic", "dilation", "dilation-inf"])
 def test_constructors_reject_non_finite_entries(build, entries):
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entry"):
         build(entries)

@@ -108,7 +108,7 @@ def test_quantum_ecd_degenerate_reports_restarts(tmp_path):
     report = json.loads(out.read_text())
     assert report["degenerate"] is True
     assert report["restarts"] == 41
-    assert report["best"] <= report["worst"]
+    assert report["D"] <= report["worst"]
 
 
 def test_quantum_ecd_log_base_scales_report(tmp_path):

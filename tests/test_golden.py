@@ -52,6 +52,7 @@ INPUTS = {
             [0.25, 0.25, 0.25, 0.25],
         ],
     },
+    "ktau_hat_channel.json": {"kind": "ktau_hat", "matrix": [[0.25] * 4] * 4},
     "recognize_argmax.json": {**RECOGNITION, "policy": "argmax"},
     "recognize_sample.json": {**RECOGNITION, "policy": "sample", "seed": 11},
 }
@@ -70,6 +71,8 @@ CASES = {
                               "--step", "0.1"], 3),
     "quantum_ecd": (["quantum-ecd", "--state", "{degenerate_state.json}",
                      "--channel", "{stochastic_channel.json}", "--restarts", "20"], 0),
+    "quantum_ecd_ktau_hat": (["quantum-ecd", "--state", "{degenerate_state.json}",
+                              "--channel", "{ktau_hat_channel.json}"], 2),
     "recognize_argmax": (["recognize", "--experiment", "{recognize_argmax.json}"], 0),
     "recognize_sample": (["recognize", "--experiment", "{recognize_sample.json}"], 0),
     "axioms": (["axioms", "--dim", "2", "--trials", "2"], 0),

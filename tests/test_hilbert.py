@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from infodyn.hilbert import (
     DensityOperator,
     IndexGroup,
+    as_density,
     diag_embedding,
     inner_product,
     mult_operator,
@@ -15,7 +16,6 @@ from infodyn.hilbert import (
     random_unitary,
     relative_entropy,
     shift_unitary,
-    spectral_decompose,
     tensor,
     von_neumann_entropy,
 )
@@ -167,7 +167,7 @@ def test_unitary_conjugation_preserves_spectrum():
 
 
 def test_spectral_decompose_accepts_bare_matrix():
-    dec = spectral_decompose(np.diag([0.75, 0.25]))
+    dec = as_density(np.diag([0.75, 0.25])).spectral()
     assert np.allclose(dec.weights, [0.75, 0.25])
 
 

@@ -51,7 +51,6 @@ def test_parse_state_rejects_unknown_keys():
     [
         ("unitary", {"matrix": [[0.0, 1.0], [1.0, 0.0]]}),
         ("ktau", {"matrix": [[0.5, 0.5], [0.5, 0.5]]}),
-        ("ktau_hat", {"matrix": [[0.5, 0.0], [0.0, 0.5]]}),
         ("kraus", {"kraus_ops": [[[1.0, 0.0], [0.0, 1.0]]]}),
         ("stochastic", {"P": [[0.5, 0.5], [0.0, 1.0]]}),
     ],
@@ -64,6 +63,9 @@ def test_parse_channel_kinds(kind, payload):
 def test_parse_channel_rejects_unknown_kind():
     with pytest.raises(ValueError):
         parse_channel({"kind": "mystery", "matrix": [[1.0]]})
+    # Trace-normalized damping is nonlinear, so it is not a channel kind.
+    with pytest.raises(ValueError, match="channel kind must be one of"):
+        parse_channel({"kind": "ktau_hat", "matrix": [[0.5, 0.0], [0.0, 0.5]]})
 
 
 def test_parse_channel_rejects_complex_stochastic():

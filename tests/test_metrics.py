@@ -29,6 +29,7 @@ from infodyn.metrics import (
     transmitted_complexity,
     value_of_information,
 )
+from infodyn.metrics import _decomposition_candidates
 
 RNG = np.random.default_rng(99)
 FAST = ComplexityConfig(restarts=50, seed=0)
@@ -123,9 +124,22 @@ def test_chaos_degree_degenerate_search_improves_on_base():
     )
     assert rep.degenerate
     assert rep.restarts == 2001
-    assert rep.worst >= rep.best
+    assert rep.worst >= rep.chaos_degree
     assert rep.chaos_degree <= 0.05
-    assert rep.best == rep.chaos_degree
+
+
+def test_candidate_rotations_of_neighbouring_seeds_are_disjoint():
+    # Each seed starts its own stream, so no rotation drawn under one
+    # seed reappears under the next.
+    state = DensityOperator.maximally_mixed(3)
+
+    def rotations(seed):
+        candidates = _decomposition_candidates(state, ComplexityConfig(restarts=100, seed=seed))
+        return [vec for _, vec in list(candidates)[1:]]
+
+    first, second = rotations(0), rotations(1)
+    assert len(first) == len(second) == 100
+    assert not any(np.allclose(a, b) for a in first for b in second)
 
 
 def test_chaos_degree_bounded_by_output_entropy():
@@ -234,6 +248,14 @@ def test_value_rejects_non_selfadjoint_purpose():
     q = np.zeros((4, 4))
     q[0, 1] = 1.0
     with pytest.raises(ValueError):
+        value_of_information(rho, gamma, identity_channel(4), q)
+
+
+def test_value_rejects_non_finite_purpose():
+    rho, gamma = random_density(2, RNG), random_density(2, RNG)
+    q = np.eye(4)
+    q[1, 1] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entry"):
         value_of_information(rho, gamma, identity_channel(4), q)
 
 

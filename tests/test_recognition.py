@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ def test_bell_vectors_resolve_identity(n):
     bell = fourier_bell(n)
     assert bell.gram_error() <= 1e-12
     assert bell.completeness_error() <= 1e-12
+
+
+def test_bell_system_builds_vectors_on_demand():
+    # The n^2 vectors of length n^2 would take 268 MB at n = 64.
+    tracemalloc.start()
+    try:
+        bell = fourier_bell(64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    v = bell.vector(3, 5)
+    m = np.arange(64)
+    assert np.array_equal(v[m * 64 + (m - 5) % 64], bell.basis.vectors[3])
+    assert np.count_nonzero(v) == 64
 
 
 def test_bell_projections_are_rank_one():
