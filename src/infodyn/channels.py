@@ -5,6 +5,11 @@ the package needs: Kraus-sum channels, entrywise (Schur) damping by a
 positive weight matrix, unitary conjugation, and the classical
 row-stochastic push-forward embedded on diagonal densities.
 
+A `Channel` acts on one matrix or on a stack (..., n, n) of them, and
+`Channel.image_spectra` evaluates the images of a stack of pure states
+through the small Gram matrices of their Kraus vectors; the chaos-degree
+search in :mod:`infodyn.metrics` rests on that kernel.
+
 Trace-normalized damping, which conditions a state on a weight, is not
 a channel: it divides by the trace of the damped output, so it is
 nonlinear and partial. It lives in :func:`schur_channel_apply`, whose
@@ -195,25 +200,50 @@ class Channel:
     only kind that may fail to preserve trace. `apply` returns a
     DensityOperator for trace-preserving kinds and a raw positive
     matrix for a "schur" channel that does not preserve trace.
+
+    `apply_matrix` acts on one matrix or on a stack of them.
+    `image_spectra` gives the spectrum of the image of each pure state
+    of a stack without forming the n x n images: the image of |v><v| is
+    W W* for W = [A_1 v ... A_r v] and a Kraus form {A_k} of the channel,
+    so it shares its nonzero spectrum with the Gram matrix W* W.
     """
 
-    __slots__ = ("kind", "dim", "is_trace_preserving", "_data")
+    __slots__ = ("kind", "dim", "is_trace_preserving", "image_width", "_data", "_factor")
 
     def __init__(self, kind, dim, is_trace_preserving, data):
         self.kind = kind
         self.dim = int(dim)
         self.is_trace_preserving = bool(is_trace_preserving)
         self._data = data
+        # The Kraus form that `image_spectra` applies to a row vector v:
+        # v @ factor lists A_1 v, ..., A_r v (kraus, unitary), and
+        # v * factor does the same for the diagonal A_k of a Schur weight.
+        # `image_width` is r, the number of columns of W per vector; a
+        # stochastic channel forms no W and returns n probabilities.
+        if kind == "kraus":
+            self._factor = data.transpose(2, 0, 1).reshape(self.dim, -1)
+            self.image_width = data.shape[0]
+        elif kind == "unitary":
+            self._factor, self.image_width = data.T, 1
+        elif kind == "schur":
+            self._factor = np.array([np.sqrt(g) * h for g, h in data.spectral_terms()],
+                                    dtype=complex).reshape(-1, self.dim)
+            self.image_width = self._factor.shape[0]
+        else:
+            self._factor, self.image_width = None, self.dim
 
     def __repr__(self):
         return f"Channel(kind={self.kind!r}, dim={self.dim})"
 
     def apply_matrix(self, m) -> np.ndarray:
-        """Linear action on an arbitrary matrix."""
-        x = _square(m, "operand")
-        if x.shape[0] != self.dim:
-            raise DimensionMismatch(f"channel dim {self.dim} vs operand {x.shape[0]}")
+        """Linear action on a matrix, or on each matrix of a stack (..., n, n)."""
+        x = np.asarray(m, dtype=complex)
+        if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+            raise ValueError(f"operand must be a square matrix or a stack of them, got shape {x.shape}")
+        if x.shape[-1] != self.dim:
+            raise DimensionMismatch(f"channel dim {self.dim} vs operand {x.shape[-1]}")
         if self.kind == "kraus":
+            # One term at a time, so a stack never holds r products at once.
             out = np.zeros_like(x)
             for a in self._data:
                 out = out + a @ x @ a.conj().T
@@ -224,8 +254,36 @@ class Channel:
             u = self._data
             return u @ x @ u.conj().T
         if self.kind == "stochastic":
-            return np.diag(np.diagonal(x) @ self._data.astype(complex))
+            out = np.zeros_like(x)
+            idx = np.arange(self.dim)
+            out[..., idx, idx] = np.diagonal(x, axis1=-2, axis2=-1) @ self._data.astype(complex)
+            return out
         raise AssertionError(f"unhandled kind {self.kind}")
+
+    def image_spectra(self, vectors) -> np.ndarray:
+        """Spectrum of channel(|v><v|) for each row v of `vectors` (..., n).
+
+        Returns (..., r): the eigenvalues of the smaller of the Gram
+        matrices W* W (r x r) and W W* (n x n), whose nonzero parts agree;
+        r is the number of Kraus operators (kraus), 1 (unitary) or the
+        rank of the weight (schur). A stochastic channel's image is the
+        diagonal distribution |v|^2 P, returned as is.
+        """
+        v = np.asarray(vectors, dtype=complex)
+        if v.ndim < 1 or v.shape[-1] != self.dim:
+            raise DimensionMismatch(f"channel dim {self.dim} vs vectors of shape {v.shape}")
+        if self.kind == "stochastic":
+            return (np.abs(v) ** 2) @ self._data
+        if self.kind == "schur":
+            w = v[..., None, :] * self._factor
+        else:
+            w = (v @ self._factor).reshape(v.shape[:-1] + (self.image_width, self.dim))
+        # w[..., k, :] is A_k v.
+        if w.shape[-2] <= self.dim:
+            gram = w.conj() @ np.swapaxes(w, -1, -2)
+        else:
+            gram = np.swapaxes(w, -1, -2) @ w.conj()
+        return np.linalg.eigvalsh(gram)
 
     def apply(self, rho):
         """Action on a state. See class docstring for the return type."""
@@ -236,7 +294,6 @@ class Channel:
 
     def __call__(self, rho):
         return self.apply(rho)
-
 
 def kraus_channel(operators) -> Channel:
     """Channel from a Kraus family; requires sum A*A <= identity."""
@@ -258,7 +315,9 @@ def kraus_channel(operators) -> Channel:
     if not top <= 1e-10:
         raise ValueError(f"Kraus sum exceeds identity by {top:.3e}")
     tp = dev <= 1e-10
-    return Channel("kraus", n, is_trace_preserving=tp, data=ops)
+    stacked = np.stack(ops)
+    stacked.setflags(write=False)
+    return Channel("kraus", n, is_trace_preserving=tp, data=stacked)
 
 
 def schur_channel(weight) -> Channel:

@@ -25,6 +25,11 @@ class OrbitEscape(InfodynError):
             f"orbit left the domain box at step {step_index}: point={self.point}, box={box}"
         )
 
+    def __reduce__(self):
+        # A process pool pickles a worker's exception; rebuilding it from
+        # the message alone would not match this signature.
+        return type(self), (self.point, self.box, self.step_index)
+
 
 class OutsideDomain(InfodynError):
     """A conditioning map was applied to a state outside its domain.

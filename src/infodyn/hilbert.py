@@ -160,6 +160,46 @@ class SchattenDecomposition:
         return (self.vectors * self.weights) @ self.vectors.conj().T
 
 
+def _density_spectra(matrices):
+    """Checked spectral data of a density matrix or a stack (..., n, n) of them.
+
+    Every matrix must be self-adjoint and positive semidefinite with unit
+    trace, within HERMITIAN_TOL, TRACE_TOL and EIGENVALUE_FLOOR; the error
+    names the worst matrix's deviation. Eigenvalues in [EIGENVALUE_FLOOR, 0)
+    are clamped to zero and each spectrum is renormalized to unit sum.
+    Returns (symmetrized matrices, traces, eigenvalues sorted descending,
+    matching eigenvector columns).
+    """
+    m = np.asarray(matrices, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"density operator must be square, got shape {m.shape}")
+    adjoint = m.conj().swapaxes(-1, -2)
+    # Every comparison below is written so that NaN fails it: a
+    # non-finite entry makes the self-adjointness deviation NaN.
+    herm_err = float(np.abs(m - adjoint).max()) if m.size else 0.0
+    if not herm_err <= HERMITIAN_TOL:
+        raise ValueError(
+            "matrix has a non-finite entry" if np.isnan(herm_err)
+            else f"matrix is not self-adjoint: deviation {herm_err:.3e}"
+        )
+    m = 0.5 * (m + adjoint)
+
+    tr = m.trace(axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0)
+    if not (off <= TRACE_TOL).all():
+        raise ValueError(f"trace must be 1, got {float(tr.flat[np.argmax(off)])!r}")
+
+    lam, vec = np.linalg.eigh(m)
+    low = float(lam[..., 0].min())
+    if not low >= EIGENVALUE_FLOOR:
+        raise ValueError(f"matrix is not positive semidefinite: eigenvalue {low:.3e}")
+    lam = np.clip(lam, 0.0, None)
+    lam = lam / lam.sum(axis=-1, keepdims=True)
+    # eigh sorts ascending and clamping keeps the order, so reversed
+    # (contiguous) copies are sorted descending.
+    return m, tr, lam[..., ::-1].copy(), vec[..., ::-1].copy()
+
+
 class DensityOperator:
     """Positive unit-trace operator with cached spectral data.
 
@@ -175,32 +215,7 @@ class DensityOperator:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
-        # Every comparison below is written so that NaN fails it: a
-        # non-finite entry makes the self-adjointness deviation NaN.
-        herm_err = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if not herm_err <= HERMITIAN_TOL:
-            raise ValueError(
-                "matrix has a non-finite entry" if np.isnan(herm_err)
-                else f"matrix is not self-adjoint: deviation {herm_err:.3e}"
-            )
-        m = 0.5 * (m + m.conj().T)
-
-        tr = float(m.trace().real)
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {tr!r}")
-
-        lam, vec = np.linalg.eigh(m)
-        if not float(lam[0]) >= EIGENVALUE_FLOOR:
-            raise ValueError(
-                f"matrix is not positive semidefinite: eigenvalue {float(lam[0]):.3e}"
-            )
-        lam = np.clip(lam, 0.0, None)
-        lam = lam / lam.sum()
-
-        order = np.argsort(lam)[::-1]
-        lam = lam[order]
-        vec = vec[:, order]
-
+        m, tr, lam, vec = _density_spectra(m)
         gaps = -np.diff(lam)
         degenerate = bool(lam.size > 1 and float(gaps.min()) <= DEGENERACY_GAP)
 
@@ -253,16 +268,35 @@ def as_density(obj) -> DensityOperator:
     return DensityOperator(obj)
 
 
-def _entropy_of_spectrum(lam: np.ndarray) -> float:
-    pos = lam[lam > 0]
-    # 0 ln 0 = 0 by continuity, so zero eigenvalues simply drop out.
-    # Adding 0.0 turns the -0.0 of a pure spectrum into plain 0.0.
-    return float(-np.sum(pos * np.log(pos)) + 0.0)
+def _entropy_of_spectrum(lam) -> np.ndarray:
+    """-sum lam ln lam over the last axis of a spectrum or a stack of them."""
+    lam = np.asarray(lam)
+    # 0 ln 0 = 0 by continuity: a zero (or rounding-negative) eigenvalue
+    # meets ln 1 and adds a zero term. Adding 0.0 turns the -0.0 of a
+    # pure spectrum into plain 0.0.
+    return -np.sum(lam * np.log(np.where(lam > 0, lam, 1.0)), axis=-1) + 0.0
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -Tr(rho ln rho) in nats."""
-    return _entropy_of_spectrum(as_density(rho).eigenvalues)
+    return float(_entropy_of_spectrum(as_density(rho).eigenvalues))
+
+
+def _relative_entropies(lam, u, mu, v) -> np.ndarray:
+    """S(rho || sigma) for each rho of a stack against one sigma.
+
+    rho is given by its spectrum `lam` (..., n) and eigenvector columns
+    `u` (..., n, n), sigma by `mu` (n,) and `v` (n, n). A rho whose
+    weight outside the support of sigma exceeds 1e-10 gets +inf.
+    """
+    overlap = np.abs(np.swapaxes(u.conj(), -1, -2) @ v) ** 2
+    null = mu <= SUPPORT_TOL
+    second = np.sum(lam * (overlap[..., ~null] @ np.log(mu[~null])), axis=-1)
+    out = -_entropy_of_spectrum(lam) - second
+    if np.any(null):
+        escaped = np.sum(lam * overlap[..., null].sum(axis=-1), axis=-1)
+        out = np.where(escaped > 1e-10, np.inf, out)
+    return out
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -274,21 +308,7 @@ def relative_entropy(rho, sigma) -> float:
     r, s = as_density(rho), as_density(sigma)
     if r.n != s.n:
         raise DimensionMismatch(f"dimensions differ: {r.n} vs {s.n}")
-    lam, u = r.eigenvalues, r.eigenvectors
-    mu, v = s.eigenvalues, s.eigenvectors
-
-    overlap = np.abs(u.conj().T @ v) ** 2
-    null = mu <= SUPPORT_TOL
-    if np.any(null):
-        escaped = float(lam @ overlap[:, null].sum(axis=1))
-        if escaped > 1e-10:
-            return float("inf")
-
-    live = lam > 0
-    first = float(np.sum(lam[live] * np.log(lam[live])))
-    cols = ~null
-    second = float(lam @ (overlap[:, cols] @ np.log(mu[cols])))
-    return first - second
+    return float(_relative_entropies(r.eigenvalues, r.eigenvectors, s.eigenvalues, s.eigenvectors))
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

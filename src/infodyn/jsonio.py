@@ -25,6 +25,10 @@ from .recognition import (
 )
 
 CHANNEL_KINDS = ("ktau", "unitary", "kraus", "stochastic")
+# Largest `steps` of an experiment file. A step costs about 0.2 ms and
+# keeps about 1 KB of history at n = 3 (about 1 ms and 131 KB at
+# n = 64), so the cap bounds a run at tens of seconds at small n.
+MAX_RECOGNITION_STEPS = 100_000
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -67,16 +71,6 @@ def json_to_matrix(rows) -> np.ndarray:
     if any(len(row) != width for row in data):
         raise ValueError("matrix rows have inconsistent lengths")
     return np.asarray(data, dtype=complex)
-
-
-def vector_to_json(vector) -> list[list[float]]:
-    return [complex_to_json(z) for z in np.asarray(vector, dtype=complex)]
-
-
-def json_to_vector(values) -> np.ndarray:
-    if not isinstance(values, list) or not values:
-        raise ValueError("vector must be a non-empty array")
-    return np.asarray([json_to_complex(v) for v in values], dtype=complex)
 
 
 def _nesting_depth(x) -> int:
@@ -166,6 +160,10 @@ def parse_experiment(obj: dict):
     steps = obj.get("steps")
     if steps is not None and (not is_integer(steps) or steps < 0):
         raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
+    if steps is not None and steps > MAX_RECOGNITION_STEPS:
+        raise ValueError(
+            f"steps={steps} exceeds the limit MAX_RECOGNITION_STEPS={MAX_RECOGNITION_STEPS}"
+        )
     # Nesting depth separates one matrix from a sequence: entries are
     # [re, im] pairs in the canonical format, so a single matrix nests
     # three levels and a sequence of matrices four. Depth-two input is

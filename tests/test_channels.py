@@ -18,7 +18,7 @@ from infodyn.channels import (
     stochastic_channel,
     unitary_channel,
 )
-from infodyn.exceptions import OutsideDomain
+from infodyn.exceptions import DimensionMismatch, OutsideDomain
 from infodyn.hilbert import (
     DensityOperator,
     random_density,
@@ -267,3 +267,66 @@ def test_channel_dimension_guard():
 
     with pytest.raises(DimensionMismatch):
         identity_channel(2)(random_density(3, RNG))
+
+
+def _stack_cases():
+    """(id, channel) for every kind, with the Gram matrix on both sides of n."""
+    rng = np.random.default_rng(5)
+    n = 4
+    u = random_unitary(n, rng)
+    g = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    unit_rows = g / np.linalg.norm(g, axis=1, keepdims=True)
+    damping = schur_channel(0.5 * (g @ g.conj().T))
+    assert not damping.is_trace_preserving
+    return [
+        ("kraus", random_kraus_channel(n, 3, rng)),
+        # Two proportional operators: a rank-one family written with r = 2.
+        ("kraus-rank-deficient", kraus_channel([np.sqrt(0.3) * u, np.sqrt(0.7) * u])),
+        # r = 16 > n: the spectrum comes from the n x n side.
+        ("kraus-wide", depolarizing_channel(n, 0.6)),
+        ("unitary", unitary_channel(u)),
+        ("schur", schur_channel(unit_rows @ unit_rows.conj().T)),
+        ("schur-not-trace-preserving", damping),
+        ("stochastic", stochastic_channel(rng.dirichlet(np.ones(n), size=n))),
+    ]
+
+
+STACK_CASES = _stack_cases()
+
+
+def _padded_descending(lam, size):
+    lam = np.sort(np.asarray(lam).real)[::-1]
+    return np.pad(lam, (0, size - lam.size))
+
+
+@pytest.mark.parametrize("channel", [c for _, c in STACK_CASES],
+                         ids=[name for name, _ in STACK_CASES])
+def test_image_spectra_match_spectrum_of_the_image(channel):
+    rng = np.random.default_rng(8)
+    vecs = rng.normal(size=(2, 3, channel.dim)) + 1j * rng.normal(size=(2, 3, channel.dim))
+    vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+    spectra = channel.image_spectra(vecs)
+    assert spectra.shape[:2] == (2, 3)
+    for idx in np.ndindex(2, 3):
+        v = vecs[idx]
+        reference = np.linalg.eigvalsh(channel.apply_matrix(np.outer(v, v.conj())))
+        size = max(reference.size, spectra[idx].size)
+        assert np.max(np.abs(_padded_descending(spectra[idx], size)
+                             - _padded_descending(reference, size))) <= 1e-12
+
+
+@pytest.mark.parametrize("channel", [c for _, c in STACK_CASES],
+                         ids=[name for name, _ in STACK_CASES])
+def test_stacked_apply_matrix_matches_per_matrix_loop(channel):
+    rng = np.random.default_rng(9)
+    n = channel.dim
+    stack = rng.normal(size=(3, 2, n, n)) + 1j * rng.normal(size=(3, 2, n, n))
+    out = channel.apply_matrix(stack)
+    assert out.shape == stack.shape
+    loop = np.array([[channel.apply_matrix(m) for m in row] for row in stack])
+    assert np.max(np.abs(out - loop)) <= 1e-14
+
+
+def test_image_spectra_dimension_guard():
+    with pytest.raises(DimensionMismatch):
+        identity_channel(3).image_spectra(np.ones((2, 4)))

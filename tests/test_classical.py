@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -70,6 +71,17 @@ def test_orbit_escape_raises_with_context():
     with pytest.raises(OrbitEscape) as err:
         iterate_orbit(runaway, OrbitConfig(transient=0, samples=50))
     assert err.value.box == ((0.0, 1.0),)
+
+
+def test_orbit_escape_survives_pickling():
+    # A process pool sends a worker's exception back pickled.
+    err = OrbitEscape((1.0246441621512388,), ((0.0, 1.0),), 2)
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is OrbitEscape
+    assert copy.point == err.point
+    assert copy.box == err.box
+    assert copy.step_index == err.step_index
+    assert str(copy) == str(err)
 
 
 @pytest.mark.parametrize("system, cfg, step_index, point", [

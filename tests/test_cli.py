@@ -4,7 +4,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from infodyn.cli import main
-from infodyn.jsonio import dump_json
+from infodyn.jsonio import MAX_RECOGNITION_STEPS, dump_json
+from infodyn.metrics import MAX_RESTARTS
 
 
 def write_json(path, obj):
@@ -290,6 +291,26 @@ def test_recognize_rejects_boolean_integer_fields(tmp_path, capsys, field, value
     payload[field] = value
     experiment = write_json(tmp_path / "experiment.json", payload)
     assert_usage_error(["recognize", "--experiment", experiment], capsys, message)
+
+
+def test_quantum_ecd_restarts_cap(tmp_path, capsys):
+    state = state_file(tmp_path, [[0.7, 0.0], [0.0, 0.3]])
+    channel = channel_file(tmp_path, {"kind": "unitary", "matrix": [[1.0, 0.0], [0.0, 1.0]]})
+    argv = ["quantum-ecd", "--state", state, "--channel", channel, "--restarts"]
+    # At the cap the call runs; a non-degenerate state evaluates one candidate.
+    assert main(argv + [str(MAX_RESTARTS), "--out", str(tmp_path / "r.json")]) == 0
+    assert_usage_error(argv + [str(MAX_RESTARTS + 1)], capsys,
+                       f"restarts={MAX_RESTARTS + 1} exceeds the limit MAX_RESTARTS={MAX_RESTARTS}")
+
+
+def test_recognize_steps_cap_fails_before_allocating(tmp_path, capsys):
+    # A list of 10**12 references would need about 8 TB.
+    exp = recognition_experiment(tmp_path, steps=10**12)
+    assert_usage_error(["recognize", "--experiment", exp], capsys,
+                       f"steps=1000000000000 exceeds the limit "
+                       f"MAX_RECOGNITION_STEPS={MAX_RECOGNITION_STEPS}")
+    exp = recognition_experiment(tmp_path, steps=MAX_RECOGNITION_STEPS + 1)
+    assert_usage_error(["recognize", "--experiment", exp], capsys, "MAX_RECOGNITION_STEPS")
 
 
 @pytest.mark.parametrize("field", ["dim", "pairs", "seed", "kraus_terms"])

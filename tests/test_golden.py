@@ -69,6 +69,8 @@ CASES = {
                              "--step", "0.5", "--bins", "8", "--x0", "0.3,0.4"], 0),
     "sweep_escape": (SWEEP + ["--map", "logistic", "--from", "4.0", "--to", "4.2",
                               "--step", "0.1"], 3),
+    "sweep_escape_w2": (SWEEP + ["--map", "logistic", "--from", "4.0", "--to", "4.2",
+                                 "--step", "0.1", "--workers", "2"], 3),
     "quantum_ecd": (["quantum-ecd", "--state", "{degenerate_state.json}",
                      "--channel", "{stochastic_channel.json}", "--restarts", "20"], 0),
     "quantum_ecd_ktau_hat": (["quantum-ecd", "--state", "{degenerate_state.json}",

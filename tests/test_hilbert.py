@@ -243,3 +243,32 @@ def test_relative_entropy_joint_convexity_corner(seed):
     a, b = random_density(3, rng), random_density(3, rng)
     tnorm = np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)))
     assert relative_entropy(a, b) >= 0.5 * tnorm**2 - 1e-9
+
+
+def test_density_spectra_of_a_stack_match_each_density_operator():
+    # One validation helper serves DensityOperator and stacked callers;
+    # over a stack it must give each matrix's own spectral data.
+    from infodyn.hilbert import _density_spectra
+
+    rng = np.random.default_rng(31)
+    mats = [random_density(4, rng).matrix for _ in range(5)]
+    mats.append(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+    _, _, lam, vec = _density_spectra(np.stack(mats))
+    for m, l, v in zip(mats, lam, vec):
+        rho = DensityOperator(m)
+        assert np.array_equal(l, rho.eigenvalues)
+        assert np.array_equal(v, rho.eigenvectors)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.diag([1.2, -0.2]), "not positive semidefinite"),
+    (np.diag([0.7, 0.2]), r"trace must be 1, got 0\.8999"),
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), "not self-adjoint"),
+    (np.array([[np.nan, 0.0], [0.0, 0.5]]), "non-finite"),
+])
+def test_density_spectra_refuses_any_bad_matrix_of_a_stack(bad, message):
+    from infodyn.hilbert import _density_spectra
+
+    good = np.diag([0.5, 0.5]).astype(complex)
+    with pytest.raises(ValueError, match=message):
+        _density_spectra(np.stack([good, bad.astype(complex), good]))

@@ -29,7 +29,10 @@ from infodyn.metrics import (
     transmitted_complexity,
     value_of_information,
 )
-from infodyn.metrics import _decomposition_candidates
+from infodyn import metrics
+from infodyn.channels import Channel, schur_channel
+from infodyn.hilbert import relative_entropy
+from infodyn.metrics import _decompositions, _transmitted
 
 RNG = np.random.default_rng(99)
 FAST = ComplexityConfig(restarts=50, seed=0)
@@ -134,12 +137,127 @@ def test_candidate_rotations_of_neighbouring_seeds_are_disjoint():
     state = DensityOperator.maximally_mixed(3)
 
     def rotations(seed):
-        candidates = _decomposition_candidates(state, ComplexityConfig(restarts=100, seed=seed))
-        return [vec for _, vec in list(candidates)[1:]]
+        chunks = _decompositions(state, ComplexityConfig(restarts=100, seed=seed))
+        return [vec for _, stack in list(chunks)[1:] for vec in stack]
 
     first, second = rotations(0), rotations(1)
     assert len(first) == len(second) == 100
     assert not any(np.allclose(a, b) for a in first for b in second)
+
+
+def two_block_state():
+    """n = 6 with a 3-fold and a 2-fold eigenvalue in a random basis."""
+    rng = np.random.default_rng(17)
+    u = random_unitary(6, rng)
+    spectrum = np.array([0.25, 0.25, 0.25, 0.1, 0.1, 0.05])
+    return DensityOperator((u * spectrum) @ u.conj().T)
+
+
+def search_channels():
+    rng = np.random.default_rng(23)
+    g = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return [
+        random_kraus_channel(6, 2, rng),
+        unitary_channel(random_unitary(6, rng)),
+        schur_channel(g @ g.conj().T),
+        stochastic_channel(rng.dirichlet(np.ones(6), size=6)),
+    ]
+
+
+def per_candidate_search(state, channel, restarts, seed):
+    """The search one candidate and one piece at a time: one Haar
+    unitary per block per restart from one generator, one n x n image
+    and eigvalsh per piece, relative entropies through DensityOperator."""
+    lam, vec = state.eigenvalues, state.eigenvectors
+    cuts = [0, *(np.flatnonzero(-np.diff(lam) > 1e-9) + 1), lam.size]
+    blocks = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+    rng = np.random.default_rng(seed)
+
+    def value(v):
+        total = 0.0
+        for k in range(lam.size):
+            if lam[k] > 1e-15:
+                img = channel.apply_matrix(np.outer(v[:, k], v[:, k].conj()))
+                w = np.linalg.eigvalsh(img)
+                w = w[w > 0]
+                total += lam[k] * float(-np.sum(w * np.log(w)))
+        return total
+
+    values, candidates = [value(vec)], [vec]
+    for _ in range(restarts):
+        rotated = np.array(vec)
+        for lo, hi in blocks:
+            rotated[:, lo:hi] = vec[:, lo:hi] @ random_unitary(hi - lo, rng)
+        values.append(value(rotated))
+        candidates.append(rotated)
+    best = candidates[int(np.argmin(values))]
+    sigma = channel.apply(state)
+    transmitted = sum(
+        lam[k] * relative_entropy(DensityOperator(
+            channel.apply_matrix(np.outer(best[:, k], best[:, k].conj()))), sigma)
+        for k in range(lam.size) if lam[k] > 1e-15
+    )
+    return min(values), max(values), transmitted
+
+
+@pytest.mark.parametrize("channel", search_channels(), ids=lambda c: c.kind)
+def test_batched_search_matches_per_candidate_loop(channel):
+    state = two_block_state()
+    rep = chaos_degree(state, channel, ComplexityConfig(restarts=60, seed=4))
+    d_ref, worst_ref, t_ref = per_candidate_search(state, channel, 60, 4)
+    assert rep.restarts == 61
+    assert rep.chaos_degree == pytest.approx(d_ref, abs=1e-12)
+    assert rep.worst == pytest.approx(worst_ref, abs=1e-12)
+    assert rep.transmitted == pytest.approx(t_ref, abs=1e-12)
+    assert abs(rep.chaos_degree + rep.transmitted - rep.output_entropy) <= 1e-8
+
+
+@pytest.mark.parametrize("channel", search_channels(), ids=lambda c: c.kind)
+def test_chaos_degree_report_does_not_depend_on_chunk_size(channel, monkeypatch):
+    state = two_block_state()
+    cfg = ComplexityConfig(restarts=50, seed=9)
+
+    def report(budget):
+        monkeypatch.setattr(metrics, "CHUNK_BYTES", budget)
+        rep = chaos_degree(state, channel, cfg)
+        return (rep.chaos_degree, rep.transmitted, rep.output_entropy, rep.worst,
+                rep.restarts, rep.decomposition.vectors.tobytes())
+
+    # One candidate per chunk, several uneven chunks, and one chunk.
+    reports = [report(1), report(20_000), report(1 << 30)]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0][4] == 51
+
+
+def test_transmitted_is_infinite_on_a_support_escape():
+    # sigma has no weight on the third basis vector. The second
+    # decomposition puts a live piece there; the first stays inside.
+    sigma = DensityOperator(np.diag([0.5, 0.5, 0.0]))
+    lam = np.array([0.6, 0.4, 0.0])
+    inside = np.eye(3, dtype=complex)
+    escaping = inside[:, [0, 2, 1]]
+    values = _transmitted(lam, np.stack([inside, escaping]), identity_channel(3), sigma)
+    expect = sum(lam[k] * relative_entropy(DensityOperator(np.diag(inside[:, k].real)), sigma)
+                 for k in range(2))
+    assert values[0] == pytest.approx(expect, abs=1e-12)
+    assert values[1] == np.inf
+
+
+@pytest.mark.parametrize("image, message", [
+    (np.diag([1.2, -0.2]), "not positive semidefinite"),
+    (np.diag([0.7, 0.2]), "trace must be 1"),
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), "not self-adjoint"),
+])
+def test_transmitted_validates_every_image(monkeypatch, image, message):
+    # A channel whose images are not density operators must be refused,
+    # as DensityOperator would refuse each one.
+    monkeypatch.setattr(Channel, "apply_matrix",
+                        lambda self, m: np.broadcast_to(image.astype(complex), np.shape(m)))
+    ch = identity_channel(2)
+    with pytest.raises(ValueError, match=message):
+        _transmitted(np.array([0.5, 0.5]), np.eye(2, dtype=complex), ch,
+                     DensityOperator.maximally_mixed(2))
 
 
 def test_chaos_degree_bounded_by_output_entropy():
