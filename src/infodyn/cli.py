@@ -4,11 +4,15 @@ Subcommands: ecd-sweep, quantum-ecd, recognize, axioms, value. Every
 subcommand is deterministic for fixed flags and seed at any worker
 count. Exit codes: 0 success, 2 usage or parse failure, 3 orbit
 escape, 4 dimension mismatch, 5 probability-domain failure.
+`recognize` streams its lines, so a run that fails part way leaves the
+completed steps' lines written before it exits with the failure's code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
@@ -22,12 +26,28 @@ EXIT_USAGE = 2
 EXIT_DYNAMICS = 3
 EXIT_DIMENSION = 4
 EXIT_DOMAIN = 5
+# Steps that `recognize` encodes and writes together. Encoding each step
+# as it is computed ran 40-step n = 3 calls 10-20 % slower than encoding
+# them all at the end, because the numpy and JSON work alternate; blocks
+# of this size cost a few percent and keep memory independent of the
+# run's length.
+RECOGNIZE_BLOCK_STEPS = 32
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _parse_log_base(text: str) -> float:
     if text == "e":
         return math.e
-    base = float(text)
+    base = _finite_float(text)
     if base <= 1.0:
         raise argparse.ArgumentTypeError("log base must exceed 1")
     return base
@@ -40,14 +60,17 @@ def _parse_x0(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad initial point {text!r}") from exc
 
 
-def _write_text(path: str | None, text: str):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Text stream for an output flag: stdout for None or "-", else the file."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infodyn",
@@ -64,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--transient", type=int, default=classical.DEFAULT_TRANSIENT)
     sweep.add_argument("--samples", type=int, default=classical.DEFAULT_SAMPLES)
     sweep.add_argument("--x0", type=_parse_x0, default=None)
-    sweep.add_argument("--eps-zero", type=float, default=classical.DEFAULT_EPS_ZERO)
-    sweep.add_argument("--eps-const", type=float, default=classical.DEFAULT_EPS_CONST)
+    sweep.add_argument("--eps-zero", type=_finite_float, default=classical.DEFAULT_EPS_ZERO)
+    sweep.add_argument("--eps-const", type=_finite_float, default=classical.DEFAULT_EPS_CONST)
     sweep.add_argument("--window", type=int, default=classical.DEFAULT_WINDOW)
     sweep.add_argument("--workers", type=int, default=None,
                        help="parallel orbit workers (default: INFODYN_THREADS or 1)")
@@ -120,7 +143,8 @@ def cmd_ecd_sweep(args) -> int:
         eps_zero=args.eps_zero, eps_const=args.eps_const,
         window=args.window, workers=workers,
     )
-    _write_text(args.out, classical.sweep_to_csv(rows))
+    with _output(args.out) as out:
+        out.write(classical.sweep_to_csv(rows))
     if args.plot is not None:
         svg = svgplot.line_plot(
             [row.param for row in rows],
@@ -129,7 +153,8 @@ def cmd_ecd_sweep(args) -> int:
             xlabel="a",
             ylabel="D, lyapunov",
         )
-        _write_text(args.plot, svg)
+        with _output(args.plot) as out:
+            out.write(svg)
     return EXIT_OK
 
 
@@ -138,7 +163,8 @@ def cmd_quantum_ecd(args) -> int:
     channel = jsonio.parse_channel(jsonio.load_json(args.channel))
     cfg = metrics.ComplexityConfig(restarts=args.restarts, seed=args.seed)
     report = metrics.chaos_degree(state, channel, cfg)
-    _write_text(args.out, jsonio.dump_json(report.to_json(log_base=args.log_base)))
+    with _output(args.out) as out:
+        out.write(jsonio.dump_json(report.to_json(log_base=args.log_base)))
     return EXIT_OK
 
 
@@ -146,52 +172,50 @@ def cmd_recognize(args) -> int:
     gamma0, signals, bell, policy = jsonio.parse_experiment(
         jsonio.load_json(args.experiment)
     )
-    history = recognize_sequence(gamma0, signals, bell, policy)
-    lines = "".join(
-        json.dumps(step.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-        for step in history.steps
-    )
-    _write_text(args.out, lines)
+    steps = recognize_sequence(gamma0, signals, bell, policy)
+    with _output(args.out) as out:
+        block = []
+        try:
+            for step in steps:
+                block.append(step)
+                if len(block) == RECOGNIZE_BLOCK_STEPS:
+                    out.write(_json_lines(block))
+                    block.clear()
+        finally:
+            # On a failing step the lines of the steps before it still go out.
+            out.write(_json_lines(block))
     return EXIT_OK
+
+
+def _json_lines(steps) -> str:
+    return "".join(
+        json.dumps(step.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        for step in steps
+    )
 
 
 def cmd_axioms(args) -> int:
     results = metrics.axiom_suite(args.dim, args.trials, args.seed)
     payload = {name: result.to_json() for name, result in results.items()}
     payload["all_passed"] = all(r.passed for r in results.values())
-    _write_text(args.out, jsonio.dump_json(payload))
+    with _output(args.out) as out:
+        out.write(jsonio.dump_json(payload))
     return EXIT_OK
 
 
 def cmd_value(args) -> int:
-    dim, pairs, seed = args.dim, args.pairs, args.seed
-    kraus_terms, identical = 2, False
+    params = {"dim": args.dim, "pairs": args.pairs, "seed": args.seed}
     if args.batch is not None:
-        spec = jsonio.load_json(args.batch)
-        if not isinstance(spec, dict):
-            raise ValueError("batch config must be a JSON object")
-        allowed = {"dim", "pairs", "seed", "kraus_terms", "identical_channels"}
-        unknown = set(spec) - allowed
-        if unknown:
-            raise ValueError(f"unknown fields in batch config: {sorted(unknown)}")
-        for key in ("dim", "pairs", "seed", "kraus_terms"):
-            if key in spec and not jsonio.is_integer(spec[key]):
-                raise ValueError(f"{key} must be an integer, got {spec[key]!r}")
-        dim = spec.get("dim", dim)
-        pairs = spec.get("pairs", pairs)
-        seed = spec.get("seed", seed)
-        kraus_terms = spec.get("kraus_terms", kraus_terms)
-        identical = spec.get("identical_channels", identical)
-    outcomes, rate = metrics.conjecture_batch(
-        dim, pairs, seed, kraus_terms=kraus_terms, identical_channels=identical
-    )
+        params.update(jsonio.parse_value_batch(jsonio.load_json(args.batch)))
+    outcomes, rate = metrics.conjecture_batch(**params)
     payload = {
         "pairs": [o.to_json() for o in outcomes],
         "agreement_rate": rate,
-        "dim": dim,
-        "seed": seed,
+        "dim": params["dim"],
+        "seed": params["seed"],
     }
-    _write_text(args.out, jsonio.dump_json(payload))
+    with _output(args.out) as out:
+        out.write(jsonio.dump_json(payload))
     return EXIT_OK
 
 

@@ -1,14 +1,17 @@
-"""JSON wire formats for states, channels, and experiment files.
+"""JSON wire formats for states, channels, experiment and batch files.
 
 A complex number is a two-element array [re, im]; a matrix is a
 row-major array of rows of those. Plain numbers are accepted on input
 wherever a complex entry is expected. JSON booleans are never numbers,
 and NaN or infinite entries (which `json.load` accepts) are rejected.
+An experiment's signals come back as an iterable that is consumed once:
+a single `rho` is repeated lazily, so `steps` costs no memory.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 from typing import Any
 
@@ -25,9 +28,11 @@ from .recognition import (
 )
 
 CHANNEL_KINDS = ("ktau", "unitary", "kraus", "stochastic")
-# Largest `steps` of an experiment file. A step costs about 0.2 ms and
-# keeps about 1 KB of history at n = 3 (about 1 ms and 131 KB at
-# n = 64), so the cap bounds a run at tens of seconds at small n.
+# Largest `steps` of an experiment file. Steps are streamed, so memory
+# does not grow with it; the cap bounds run time only. A step costs
+# about 0.13 ms at n = 3 and 0.6-1.6 ms at n = 64 (2-core x86-64 host
+# whose speed swings about 2x, one BLAS thread), so a run stays under
+# about 15 s at n = 3 and 3 min at n = 64.
 MAX_RECOGNITION_STEPS = 100_000
 
 
@@ -140,9 +145,10 @@ def parse_basis(obj, n: int) -> SignalBasis:
 def parse_experiment(obj: dict):
     """Recognition experiment file.
 
-    Returns (gamma0, signals, bell, policy). `rho` may be one matrix
-    (repeated `steps` times) or a list of matrices (whose length must
-    match `steps` when both are present).
+    Returns (gamma0, signals, bell, policy). `rho` may be one matrix,
+    repeated `steps` times (default 1) by a lazy iterator, or a list of
+    matrices, returned as a list whose length must match `steps` when
+    both are present. `steps` above MAX_RECOGNITION_STEPS is rejected.
     """
     if not isinstance(obj, dict):
         raise ValueError("experiment file must be a JSON object")
@@ -180,7 +186,7 @@ def parse_experiment(obj: dict):
             raise ValueError(f"steps={steps} but rho lists {len(signals)} states")
     else:
         single = parse_state(rho_field)
-        signals = [single] * (1 if steps is None else steps)
+        signals = itertools.repeat(single, 1 if steps is None else steps)
 
     seed = obj.get("seed", 0)
     if not is_integer(seed):
@@ -200,6 +206,25 @@ def parse_experiment(obj: dict):
     else:
         raise ValueError(f"policy must be 'sample', 'argmax', or {{'fixed': [i, j]}}, got {policy_field!r}")
     return gamma0, signals, bell, policy
+
+
+def parse_value_batch(obj) -> dict:
+    """`value --batch` file: any of dim, pairs, seed, kraus_terms, identical_channels.
+
+    Returns the fields given, as keyword arguments of
+    `metrics.conjecture_batch`; their ranges are checked there.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("batch config must be a JSON object")
+    _reject_unknown(obj, {"dim", "pairs", "seed", "kraus_terms", "identical_channels"},
+                    "batch config")
+    for key in ("dim", "pairs", "seed", "kraus_terms"):
+        if key in obj and not is_integer(obj[key]):
+            raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
+    flag = obj.get("identical_channels", False)
+    if not isinstance(flag, bool):
+        raise ValueError(f"identical_channels must be a boolean, got {flag!r}")
+    return obj
 
 
 def load_json(path: str) -> Any:

@@ -58,6 +58,17 @@ ORDER_TOL = 1e-10
 # 63 us at n = 16 (one 8-fold block, Kraus rank 2; 2-core x86-64 host,
 # one BLAS thread), so the cap bounds a search at about a minute there.
 MAX_RESTARTS = 1_000_000
+# Largest `axiom_suite` trial count. A trial costs about 4 ms at dim 2
+# and 12 ms at dim 8 (same host), so the cap bounds a suite at about
+# 40 s at dim 2 and 2 min at dim 8.
+MAX_AXIOM_TRIALS = 10_000
+# Largest `conjecture_batch` pair count and dimension. A pair works on
+# the dim^2-dimensional joint space: it costs about 2 ms at dim 2 and 3,
+# 5 ms at dim 4, 40 ms at dim 6, 200 ms at dim 8 and 3.3 s at dim 12
+# (same host), so the caps bound a batch at about 20 s at dim 2 and keep
+# one pair under a second.
+MAX_VALUE_PAIRS = 10_000
+MAX_VALUE_DIM = 8
 # Working memory of one chunk of search candidates. A chunk holds as
 # many candidates as fit; the candidate stream and the report do not
 # depend on the chunk size.
@@ -405,8 +416,12 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
     """Run the ordering check on random instances; returns outcomes and rate."""
     if dim < 2:
         raise ValueError("dim must be at least 2")
+    if dim > MAX_VALUE_DIM:
+        raise ValueError(f"dim={dim} exceeds the limit MAX_VALUE_DIM={MAX_VALUE_DIM}")
     if pairs < 1:
         raise ValueError("pairs must be positive")
+    if pairs > MAX_VALUE_PAIRS:
+        raise ValueError(f"pairs={pairs} exceeds the limit MAX_VALUE_PAIRS={MAX_VALUE_PAIRS}")
     rng = np.random.default_rng(seed)
     outcomes = []
     for _ in range(pairs):
@@ -453,6 +468,8 @@ def axiom_suite(dim: int, trials: int, seed: int,
         raise ValueError(f"dim must be in [2, 8], got {dim}")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if trials > MAX_AXIOM_TRIALS:
+        raise ValueError(f"trials={trials} exceeds the limit MAX_AXIOM_TRIALS={MAX_AXIOM_TRIALS}")
     rng = np.random.default_rng(seed)
     cfg = config or ComplexityConfig(restarts=20, seed=seed)
 

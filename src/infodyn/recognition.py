@@ -22,6 +22,9 @@ first line for all n^2 outcomes at once (a gather over the cyclic index
 and a product with diag gamma), and `recognize_sequence` applies the
 second, so a step costs O(n^3) arithmetic plus one eigendecomposition of
 the new n x n memory; the n^2 x n^2 entangled register is never built.
+A trajectory is a stream: `recognize_sequence` returns an iterator of
+steps, each computed on demand from the previous memory alone, so
+nothing grows with the number of steps.
 
 Test oracles. Three algebraically equal routes to the update are
 implemented independently and kept apart on purpose: a contraction of
@@ -35,6 +38,7 @@ arithmetic or the closed form's.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,35 +362,40 @@ class RecognitionStep:
         }
 
 
-@dataclass(frozen=True)
-class RecognitionHistory:
-    initial_memory: DensityOperator
-    steps: list[RecognitionStep]
-
-    @property
-    def final_memory(self) -> DensityOperator:
-        return self.steps[-1].memory if self.steps else self.initial_memory
-
-
-def recognize_sequence(gamma0, signals, bell: BellSystem, policy) -> RecognitionHistory:
+def recognize_sequence(gamma0, signals, bell: BellSystem, policy) -> Iterator[RecognitionStep]:
     """Iterate the memory update over a sequence of signal states.
 
     Each step measures the current signal against the current memory,
     picks an outcome per the policy, and replaces the memory with the
-    conditioned post-outcome state. Sampling is reproducible: one
+    conditioned post-outcome state. The memory's dimension, the policy
+    type and a fixed outcome's range are checked here, at the call; the
+    returned iterator then computes each step when it is asked for and
+    holds only the current memory, so a trajectory of any length runs in
+    constant memory and `signals` may itself be a lazy iterable. A step
+    whose outcome has probability zero raises when it is reached, after
+    the earlier steps have been yielded. Sampling is reproducible: one
     generator is seeded up front and consumes one draw per step.
     """
     memory = as_density(gamma0)
-    rng = np.random.default_rng(policy.seed) if isinstance(policy, SamplePolicy) else None
     n = bell.n
-    steps: list[RecognitionStep] = []
+    if memory.n != n:
+        raise DimensionMismatch(f"memory dim {memory.n} must equal system dim {n}")
+    if isinstance(policy, FixedPolicy):
+        if not (0 <= policy.i < n and 0 <= policy.j < n):
+            raise ValueError(f"fixed outcome ({policy.i}, {policy.j}) out of range for n={n}")
+    elif not isinstance(policy, (SamplePolicy, ArgmaxPolicy)):
+        raise TypeError(f"unknown policy {policy!r}")
+    return _steps(memory, signals, bell, policy)
+
+
+def _steps(memory: DensityOperator, signals, bell: BellSystem, policy) -> Iterator[RecognitionStep]:
+    n = bell.n
+    rng = np.random.default_rng(policy.seed) if isinstance(policy, SamplePolicy) else None
     for t, signal in enumerate(signals):
         signal = as_density(signal)
         probs = outcome_probabilities(signal, memory, bell)
         if isinstance(policy, FixedPolicy):
             i, j = policy.i, policy.j
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"fixed outcome ({i}, {j}) out of range for n={n}")
             p = float(probs[i, j])
             if p <= PROBABILITY_FLOOR:
                 raise ZeroProbabilityOutcome(
@@ -396,15 +405,13 @@ def recognize_sequence(gamma0, signals, bell: BellSystem, policy) -> Recognition
             flat = int(np.argmax(probs >= probs.max() - ARGMAX_TIE_TOL))
             i, j = divmod(flat, n)
             p = float(probs[i, j])
-        elif rng is not None:
+        else:
             flat_probs = probs.reshape(-1)
             cumulative = np.cumsum(flat_probs)
             draw = rng.random() * cumulative[-1]
             flat = min(int(np.searchsorted(cumulative, draw, side="right")), n * n - 1)
             i, j = divmod(flat, n)
             p = float(probs[i, j])
-        else:
-            raise TypeError(f"unknown policy {policy!r}")
         block = _closed_form_block(i, j, signal, memory, bell)
         tr = float(np.trace(block).real)
         if tr <= PROBABILITY_FLOOR:
@@ -412,5 +419,4 @@ def recognize_sequence(gamma0, signals, bell: BellSystem, policy) -> Recognition
                 f"outcome ({i}, {j}) has probability {tr:.3e} at step {t}"
             )
         memory = DensityOperator(block / tr)
-        steps.append(RecognitionStep(t=t, i=i, j=j, probability=p, memory=memory))
-    return RecognitionHistory(initial_memory=as_density(gamma0), steps=steps)
+        yield RecognitionStep(t=t, i=i, j=j, probability=p, memory=memory)

@@ -148,7 +148,7 @@ def test_criterion_4_recognition_three_forms():
                     )
                     images = rec.transfer_operator(bell, i, j) @ products
                     image_weight = float(np.sum(np.abs(images) ** 2, axis=0) @ pair_weights)
-                    step = rec.recognize_sequence(gamma, [rho], bell, rec.FixedPolicy(i, j)).steps[0]
+                    step = next(iter(rec.recognize_sequence(gamma, [rho], bell, rec.FixedPolicy(i, j))))
                     worst_closed_prob = max(
                         worst_closed_prob,
                         abs(float(probs[i, j]) - image_weight),

@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from infodyn.cli import main
-from infodyn.jsonio import MAX_RECOGNITION_STEPS, dump_json
-from infodyn.metrics import MAX_RESTARTS
+from infodyn.hilbert import random_density
+from infodyn.jsonio import MAX_RECOGNITION_STEPS, dump_json, matrix_to_json
+from infodyn.metrics import MAX_AXIOM_TRIALS, MAX_RESTARTS, MAX_VALUE_DIM, MAX_VALUE_PAIRS
 
 
 def write_json(path, obj):
@@ -206,6 +209,47 @@ def test_recognize_zero_probability_outcome_exit_code(tmp_path):
     assert main(["recognize", "--experiment", exp]) == 5
 
 
+@pytest.mark.parametrize("failing_step", [0, 32, 40])
+def test_recognize_failure_keeps_the_lines_of_completed_steps(tmp_path, capsys, failing_step):
+    # In the standard basis, outcome (0, 1) moves the memory onto e_1 and
+    # then has the probability of e_0 in the signal: 1 until the last
+    # signal, which has none.
+    signals = [{"matrix": [[1.0, 0.0], [0.0, 0.0]]}] * failing_step
+    signals.append({"matrix": [[0.0, 0.0], [0.0, 1.0]]})
+    exp = recognition_experiment(tmp_path, basis="standard", rho=signals,
+                                 policy={"fixed": [0, 1]}, steps=failing_step + 1)
+    out = tmp_path / "steps.jsonl"
+    assert main(["recognize", "--experiment", exp, "--out", str(out)]) == 5
+    assert f"at step {failing_step}" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert [json.loads(line)["t"] for line in lines] == list(range(failing_step))
+
+
+def test_recognize_output_memory_does_not_grow_with_steps(tmp_path):
+    rng = np.random.default_rng(16)
+    out = tmp_path / "steps.jsonl"
+
+    def peak_traced_bytes(steps):
+        exp = recognition_experiment(
+            tmp_path, n=16, policy="sample", seed=1, steps=steps,
+            rho=matrix_to_json(random_density(16, rng).matrix),
+            gamma=matrix_to_json(random_density(16, rng).matrix),
+        )
+        tracemalloc.start()
+        try:
+            assert main(["recognize", "--experiment", exp, "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # One-time allocations (the cached parser, numpy's lazy set-up) land in
+    # a first call, which is left out of the comparison.
+    peak_traced_bytes(1)
+    long_run, short_run = peak_traced_bytes(2000), peak_traced_bytes(200)
+    assert len(out.read_text().splitlines()) == 200
+    assert long_run <= 1.5 * short_run, (long_run, short_run)
+
+
 def test_recognize_unknown_field_is_usage_error(tmp_path):
     exp = recognition_experiment(tmp_path)
     payload = json.loads((tmp_path / "experiment.json").read_text())
@@ -334,3 +378,41 @@ def test_sweep_rejects_oversized_grid(capsys):
         ["ecd-sweep", "--map", "logistic", "--from", "3", "--to", "4", "--step", "1e-12"],
         capsys, "sweep grid has 1000000000001 rows",
     )
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--log-base", "nan"], "--log-base"),
+    (["--log-base", "inf"], "--log-base"),
+    (SWEEP_FAST + ["--eps-zero", "nan"], "--eps-zero"),
+    (SWEEP_FAST + ["--eps-const", "inf"], "--eps-const"),
+])
+def test_non_finite_float_flags_are_usage_errors(tmp_path, capsys, argv, flag):
+    if argv[0] == "--log-base":
+        state = state_file(tmp_path, [[0.5, 0.0], [0.0, 0.5]])
+        channel = channel_file(tmp_path, {"kind": "stochastic", "P": [[0.5, 0.5], [0.5, 0.5]]})
+        argv = ["quantum-ecd", "--state", state, "--channel", channel] + argv
+    assert_usage_error(argv, capsys, f"argument {flag}: must be finite, got '{argv[-1]}'")
+
+
+def test_axioms_trials_cap(capsys):
+    assert_usage_error(["axioms", "--dim", "2", "--trials", str(MAX_AXIOM_TRIALS + 1)], capsys,
+                       f"trials={MAX_AXIOM_TRIALS + 1} exceeds the limit "
+                       f"MAX_AXIOM_TRIALS={MAX_AXIOM_TRIALS}")
+
+
+def test_value_pairs_cap(capsys):
+    assert_usage_error(["value", "--pairs", str(MAX_VALUE_PAIRS + 1)], capsys,
+                       f"pairs={MAX_VALUE_PAIRS + 1} exceeds the limit "
+                       f"MAX_VALUE_PAIRS={MAX_VALUE_PAIRS}")
+
+
+def test_value_dim_cap(tmp_path, capsys):
+    assert main(["value", "--dim", str(MAX_VALUE_DIM), "--pairs", "1",
+                 "--out", str(tmp_path / "v.json")]) == 0
+    message = f"dim={MAX_VALUE_DIM + 1} exceeds the limit MAX_VALUE_DIM={MAX_VALUE_DIM}"
+    assert_usage_error(["value", "--dim", str(MAX_VALUE_DIM + 1)], capsys, message)
+    # A batch file's dim meets the same limit; dim 100 would need a
+    # 10**4-dimensional channel.
+    batch = write_json(tmp_path / "batch.json", {"dim": 100, "pairs": 1})
+    assert_usage_error(["value", "--batch", batch], capsys,
+                       f"dim=100 exceeds the limit MAX_VALUE_DIM={MAX_VALUE_DIM}")

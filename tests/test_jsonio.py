@@ -12,6 +12,7 @@ from infodyn.jsonio import (
     parse_channel,
     parse_experiment,
     parse_state,
+    parse_value_batch,
 )
 from infodyn.recognition import ArgmaxPolicy, FixedPolicy, SamplePolicy
 
@@ -99,6 +100,7 @@ def experiment_payload(**overrides):
 
 def test_parse_experiment_single_state_repeats():
     gamma0, signals, bell, policy = parse_experiment(experiment_payload())
+    signals = list(signals)
     assert len(signals) == 3
     assert bell.n == 2
     assert isinstance(policy, ArgmaxPolicy)
@@ -172,3 +174,15 @@ def test_json_to_complex_rejects_booleans_and_non_finite(value, shown):
 def test_parse_experiment_integer_fields_reject_booleans(overrides):
     with pytest.raises(ValueError):
         parse_experiment(experiment_payload(**overrides))
+
+
+def test_parse_value_batch_returns_the_given_fields():
+    spec = {"dim": 3, "pairs": 4, "kraus_terms": 2, "identical_channels": True}
+    assert parse_value_batch(spec) == spec
+    assert parse_value_batch({}) == {}
+
+
+@pytest.mark.parametrize("value", [1, "no", None])
+def test_parse_value_batch_identical_channels_must_be_boolean(value):
+    with pytest.raises(ValueError, match=f"identical_channels must be a boolean, got {value!r}"):
+        parse_value_batch({"identical_channels": value})

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -257,11 +258,11 @@ def test_recognize_step_matches_every_update_route(basis):
     rng = np.random.default_rng(7)
     gamma = random_density(n, rng)
     signals = [random_density(n, rng, rank=1 + t % n) for t in range(20)]
-    hist = recognize_sequence(gamma, signals, bell, SamplePolicy(seed=3))
-    assert len(hist.steps) == 20
+    steps = list(recognize_sequence(gamma, signals, bell, SamplePolicy(seed=3)))
+    assert len(steps) == 20
     composed = 0
     memory = gamma
-    for signal, step in zip(signals, hist.steps):
+    for signal, step in zip(signals, steps):
         i, j = step.i, step.j
         assert step.probability == pytest.approx(
             outcome_probabilities(signal, memory, bell)[i, j], abs=1e-15)
@@ -290,7 +291,7 @@ def test_production_path_never_builds_the_entangled_register(monkeypatch):
     probs = outcome_probabilities(signals[0], gamma, bell)
     assert probs.sum() == pytest.approx(1, abs=1e-12)
     for policy in (ArgmaxPolicy(), SamplePolicy(seed=1), FixedPolicy(1, 2)):
-        assert len(recognize_sequence(gamma, signals, bell, policy).steps) == 3
+        assert len(list(recognize_sequence(gamma, signals, bell, policy))) == 3
     with pytest.raises(AssertionError):
         update_direct(0, 0, signals[0], gamma, bell)
 
@@ -301,30 +302,29 @@ def test_recognize_fixed_zero_probability_names_the_step():
     bell = BellSystem(SignalBasis.standard(2))
     signals = [DensityOperator(np.diag([1.0, 0.0])), DensityOperator(np.diag([0.0, 1.0]))]
     with pytest.raises(ZeroProbabilityOutcome, match=r"fixed outcome \(0, 1\) .* at step 1"):
-        recognize_sequence(DensityOperator.maximally_mixed(2), signals, bell, FixedPolicy(0, 1))
+        list(recognize_sequence(DensityOperator.maximally_mixed(2), signals, bell, FixedPolicy(0, 1)))
 
 
 def test_recognize_empty_sequence():
     bell = fourier_bell(2)
     gamma = random_density(2, RNG)
-    hist = recognize_sequence(gamma, [], bell, ArgmaxPolicy())
-    assert len(hist.steps) == 0
-    assert np.allclose(hist.final_memory.matrix, gamma.matrix)
+    steps = list(recognize_sequence(gamma, [], bell, ArgmaxPolicy()))
+    assert len(steps) == 0
 
 
 def test_recognize_full_storage_demo():
     # Repeated identical signals drive the memory to a pure basis state
     # and keep it there.
     bell = fourier_bell(2)
-    hist = recognize_sequence(
+    steps = list(recognize_sequence(
         DensityOperator.maximally_mixed(2),
         [DensityOperator.from_pure([1, 0])] * 5,
         bell,
         ArgmaxPolicy(),
-    )
-    assert len(hist.steps) == 5
-    assert von_neumann_entropy(hist.final_memory) <= 1e-12
-    for step in hist.steps:
+    ))
+    assert len(steps) == 5
+    assert von_neumann_entropy(steps[-1].memory) <= 1e-12
+    for step in steps:
         assert von_neumann_entropy(step.memory) <= 1e-12
 
 
@@ -334,9 +334,9 @@ def test_argmax_breaks_rounding_noise_ties_by_lowest_outcome():
     rng = np.random.default_rng(0)
     bell = fourier_bell(5)
     rho, gamma = random_density(5, rng), random_density(5, rng)
-    hist = recognize_sequence(gamma, [rho] * 4, bell, ArgmaxPolicy())
+    steps = list(recognize_sequence(gamma, [rho] * 4, bell, ArgmaxPolicy()))
     memory = gamma
-    for step in hist.steps:
+    for step in steps:
         probs = outcome_probabilities(rho, memory, bell)
         assert np.ptp(probs, axis=0).max() <= ARGMAX_TIE_TOL
         assert step.i == 0
@@ -349,18 +349,19 @@ def test_recognize_sampling_is_seed_deterministic():
     bell = fourier_bell(3)
     gamma = random_density(3, RNG)
     signals = [random_density(3, RNG) for _ in range(4)]
-    a = recognize_sequence(gamma, signals, bell, SamplePolicy(seed=9))
-    b = recognize_sequence(gamma, signals, bell, SamplePolicy(seed=9))
-    assert [(s.i, s.j) for s in a.steps] == [(s.i, s.j) for s in b.steps]
-    for sa, sb in zip(a.steps, b.steps):
+    a = list(recognize_sequence(gamma, signals, bell, SamplePolicy(seed=9)))
+    b = list(recognize_sequence(gamma, signals, bell, SamplePolicy(seed=9)))
+    assert [(s.i, s.j) for s in a] == [(s.i, s.j) for s in b]
+    for sa, sb in zip(a, b):
         assert np.array_equal(sa.memory.matrix, sb.memory.matrix)
 
 
 def test_recognize_fixed_policy_follows_requested_outcome():
     bell = fourier_bell(2)
     gamma = DensityOperator.maximally_mixed(2)
-    hist = recognize_sequence(gamma, [DensityOperator.from_pure([1, 0])], bell, FixedPolicy(1, 1))
-    assert (hist.steps[0].i, hist.steps[0].j) == (1, 1)
+    steps = list(recognize_sequence(gamma, [DensityOperator.from_pure([1, 0])], bell,
+                                    FixedPolicy(1, 1)))
+    assert (steps[0].i, steps[0].j) == (1, 1)
 
 
 def test_recognize_fixed_policy_rejects_out_of_range():
@@ -370,14 +371,60 @@ def test_recognize_fixed_policy_rejects_out_of_range():
         recognize_sequence(gamma, [gamma], bell, FixedPolicy(5, 0))
 
 
+@pytest.mark.parametrize("gamma_dim, policy, error", [
+    (2, FixedPolicy(5, 0), ValueError),
+    (2, FixedPolicy(0, -1), ValueError),
+    (2, "argmax", TypeError),
+    (3, ArgmaxPolicy(), DimensionMismatch),
+])
+def test_recognize_checks_policy_and_memory_at_the_call(gamma_dim, policy, error):
+    # No signal is ever consumed, so each check must run before the first step.
+    with pytest.raises(error):
+        recognize_sequence(DensityOperator.maximally_mixed(gamma_dim), [], fourier_bell(2), policy)
+
+
+def test_recognize_yields_the_steps_before_a_failing_one():
+    bell = BellSystem(SignalBasis.standard(2))
+    signals = [DensityOperator(np.diag([1.0, 0.0]))] * 3 + [DensityOperator(np.diag([0.0, 1.0]))]
+    steps = recognize_sequence(DensityOperator.maximally_mixed(2), signals, bell, FixedPolicy(0, 1))
+    assert [next(steps).t for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(ZeroProbabilityOutcome, match="at step 3"):
+        next(steps)
+
+
+def peak_traced_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_memory_does_not_grow_with_its_length():
+    bell = fourier_bell(16)
+    rng = np.random.default_rng(16)
+    rho, gamma = random_density(16, rng), random_density(16, rng)
+
+    def consume(count):
+        signals = itertools.repeat(rho, count)
+        for _ in recognize_sequence(gamma, signals, bell, SamplePolicy(seed=1)):
+            pass
+
+    consume(1)  # numpy's one-time set-up is not growth with the step count
+    long_run = peak_traced_bytes(lambda: consume(2000))
+    short_run = peak_traced_bytes(lambda: consume(200))
+    assert long_run <= 1.5 * short_run, (long_run, short_run)
+
+
 def test_recognition_step_serializes():
     bell = fourier_bell(2)
-    hist = recognize_sequence(
+    steps = list(recognize_sequence(
         DensityOperator.maximally_mixed(2),
         [DensityOperator.from_pure([1, 0])],
         bell,
         ArgmaxPolicy(),
-    )
-    payload = hist.steps[0].to_json()
+    ))
+    payload = steps[0].to_json()
     assert set(payload) == {"t", "i", "j", "probability", "gamma", "entropy_of_gamma"}
     json.dumps(payload)  # round-trippable without custom encoders
