@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionMismatch, OutsideDomain
-from .hilbert import DensityOperator, as_density, mult_operator, shift_unitary
+from .hilbert import DensityOperator, _check_deviation, as_density, mult_operator, shift_unitary
 
 PROBABILITY_FLOOR = 1e-12
 UNITARY_TOL = 1e-10
@@ -49,12 +49,7 @@ class SchurWeight:
 
     def __post_init__(self):
         m = _square(self.matrix, "weight")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if not herm <= 1e-8:  # NaN fails this too
-            raise ValueError(
-                "weight has a non-finite entry" if np.isnan(herm)
-                else f"weight is not self-adjoint: deviation {herm:.3e}"
-            )
+        _check_deviation(m - m.conj().T, 1e-8, "weight", "weight is not self-adjoint: deviation")
         m = 0.5 * (m + m.conj().T)
         lam = np.linalg.eigvalsh(m)
         if not float(lam[0]) >= -1e-10:
@@ -196,10 +191,13 @@ class BranchDilation:
 class Channel:
     """A linear map from states to states, tagged by construction kind.
 
-    Kinds: "kraus", "schur", "unitary", "stochastic". "schur" is the
-    only kind that may fail to preserve trace. `apply` returns a
-    DensityOperator for trace-preserving kinds and a raw positive
-    matrix for a "schur" channel that does not preserve trace.
+    Kinds: "kraus", "schur", "unitary", "stochastic". A "kraus" channel
+    with sum A*A below the identity, or a "schur" channel whose weight
+    has a diagonal entry other than 1, does not preserve trace. `apply`
+    returns a DensityOperator for a trace-preserving channel and a raw
+    positive matrix otherwise. A unitary channel is the rank-one Kraus
+    form {U}: "kraus" and "unitary" channels both hold a Kraus stack
+    (r, n, n) and share one arithmetic.
 
     `apply_matrix` acts on one matrix or on a stack of them.
     `image_spectra` gives the spectrum of the image of each pure state
@@ -220,17 +218,15 @@ class Channel:
         # v * factor does the same for the diagonal A_k of a Schur weight.
         # `image_width` is r, the number of columns of W per vector; a
         # stochastic channel forms no W and returns n probabilities.
-        if kind == "kraus":
-            self._factor = data.transpose(2, 0, 1).reshape(self.dim, -1)
-            self.image_width = data.shape[0]
-        elif kind == "unitary":
-            self._factor, self.image_width = data.T, 1
-        elif kind == "schur":
+        if kind == "schur":
             self._factor = np.array([np.sqrt(g) * h for g, h in data.spectral_terms()],
                                     dtype=complex).reshape(-1, self.dim)
             self.image_width = self._factor.shape[0]
-        else:
+        elif kind == "stochastic":
             self._factor, self.image_width = None, self.dim
+        else:
+            self._factor = data.transpose(2, 0, 1).reshape(self.dim, -1)
+            self.image_width = data.shape[0]
 
     def __repr__(self):
         return f"Channel(kind={self.kind!r}, dim={self.dim})"
@@ -242,23 +238,17 @@ class Channel:
             raise ValueError(f"operand must be a square matrix or a stack of them, got shape {x.shape}")
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"channel dim {self.dim} vs operand {x.shape[-1]}")
-        if self.kind == "kraus":
-            # One term at a time, so a stack never holds r products at once.
-            out = np.zeros_like(x)
-            for a in self._data:
-                out = out + a @ x @ a.conj().T
-            return out
         if self.kind == "schur":
             return self._data.matrix * x
-        if self.kind == "unitary":
-            u = self._data
-            return u @ x @ u.conj().T
+        out = np.zeros_like(x)
         if self.kind == "stochastic":
-            out = np.zeros_like(x)
             idx = np.arange(self.dim)
             out[..., idx, idx] = np.diagonal(x, axis1=-2, axis2=-1) @ self._data.astype(complex)
             return out
-        raise AssertionError(f"unhandled kind {self.kind}")
+        # One Kraus term at a time, so a stack never holds r products at once.
+        for a in self._data:
+            out = out + a @ x @ a.conj().T
+        return out
 
     def image_spectra(self, vectors) -> np.ndarray:
         """Spectrum of channel(|v><v|) for each row v of `vectors` (..., n).
@@ -328,15 +318,12 @@ def schur_channel(weight) -> Channel:
 
 
 def unitary_channel(u) -> Channel:
+    """Conjugation by a unitary, stored as its one-operator Kraus form."""
     um = _square(u, "unitary")
     n = um.shape[0]
-    dev = float(np.max(np.abs(um.conj().T @ um - np.eye(n))))
-    if not dev <= UNITARY_TOL:  # NaN fails this too
-        raise ValueError(
-            "unitary has a non-finite entry" if np.isnan(dev)
-            else f"matrix is not unitary: deviation {dev:.3e}"
-        )
-    return Channel("unitary", n, is_trace_preserving=True, data=um)
+    _check_deviation(um.conj().T @ um - np.eye(n), UNITARY_TOL, "unitary",
+                     "matrix is not unitary: deviation")
+    return Channel("unitary", n, is_trace_preserving=True, data=um[None])
 
 
 def identity_channel(n: int) -> Channel:

@@ -22,7 +22,6 @@ products with renormalization in two.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -234,14 +233,16 @@ class EmpiricalChannel:
     """One-step transition statistics of a binned orbit.
 
     `cells` lists every visited cell code (as source or destination).
-    `occupation` is the source-occupation distribution: dest-only cells
-    carry weight zero, and their transition rows (never observed) are
-    filled with a self-loop purely to keep the matrix stochastic; they
-    contribute nothing to any entropy sum.
+    `source_counts` is the integer number of transitions leaving each
+    cell, summing to the orbit length minus one; both the occupation
+    distribution and the row totals of the pair counts are read from it.
+    Dest-only cells have count zero, and their transition rows (never
+    observed) are filled with a self-loop purely to keep the matrix
+    stochastic; they contribute nothing to any entropy sum.
     """
 
     cells: np.ndarray
-    occupation: np.ndarray
+    source_counts: np.ndarray
     pair_positions: np.ndarray  # (m, 2) positions into `cells`
     pair_counts: np.ndarray
 
@@ -249,26 +250,27 @@ class EmpiricalChannel:
     def size(self) -> int:
         return int(self.cells.size)
 
+    @property
+    def occupation(self) -> np.ndarray:
+        """Source-occupation distribution over `cells`."""
+        return self.source_counts / self.source_counts.sum()
+
     def transition_matrix(self) -> np.ndarray:
         n = self.size
         p = np.zeros((n, n), dtype=float)
         src = self.pair_positions[:, 0]
         dst = self.pair_positions[:, 1]
         p[src, dst] = self.pair_counts
-        totals = p.sum(axis=1)
-        silent = totals == 0
-        p[silent, :] = 0.0
-        p[np.where(silent)[0], np.where(silent)[0]] = 1.0
-        totals[silent] = 1.0
-        return p / totals[:, None]
+        silent = self.source_counts == 0
+        p[silent, silent] = 1.0
+        return p / np.where(silent, 1, self.source_counts)[:, None]
 
     def conditional_entropy(self) -> float:
         """-sum_ij p_ij ln(p_ij / p_i), directly from the pair counts."""
         counts = self.pair_counts.astype(float)
         total = counts.sum()
-        row_totals = np.zeros(self.size, dtype=float)
-        np.add.at(row_totals, self.pair_positions[:, 0], counts)
-        return float(np.sum((counts / total) * np.log(row_totals[self.pair_positions[:, 0]] / counts)))
+        row_totals = self.source_counts[self.pair_positions[:, 0]]
+        return float(np.sum((counts / total) * np.log(row_totals / counts)))
 
     def as_state_and_channel(self) -> tuple[DensityOperator, Channel]:
         """Diagonal density and stochastic channel over the visited cells."""
@@ -290,12 +292,9 @@ def empirical_channel(orbit, partition: Partition) -> EmpiricalChannel:
     pair_positions = np.stack(
         [unique_pairs // cells.size, unique_pairs % cells.size], axis=1
     )
-    occupation = np.zeros(cells.size, dtype=float)
-    np.add.at(occupation, src, 1.0)
-    occupation /= src.size
     return EmpiricalChannel(
         cells=cells,
-        occupation=occupation,
+        source_counts=np.bincount(src, minlength=cells.size),
         pair_positions=pair_positions,
         pair_counts=counts,
     )
@@ -420,17 +419,6 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
         )
         rows.append(SweepRow(a, d_values[i], metrics[i][1], label))
     return rows
-
-
-def default_workers() -> int:
-    """Worker count from the INFODYN_THREADS environment variable, else 1."""
-    raw = os.environ.get("INFODYN_THREADS", "")
-    if not raw:
-        return 1
-    value = int(raw)
-    if value < 1:
-        raise ValueError("INFODYN_THREADS must be a positive integer")
-    return value
 
 
 def sweep_to_csv(rows) -> str:

@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--eps-zero", type=_finite_float, default=classical.DEFAULT_EPS_ZERO)
     sweep.add_argument("--eps-const", type=_finite_float, default=classical.DEFAULT_EPS_CONST)
     sweep.add_argument("--window", type=int, default=classical.DEFAULT_WINDOW)
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="parallel orbit workers (default: INFODYN_THREADS or 1)")
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="parallel orbit workers (default 1)")
     sweep.add_argument("--out", default=None, help="CSV path (default stdout)")
     sweep.add_argument("--plot", default=None, help="optional SVG path")
     sweep.set_defaults(func=cmd_ecd_sweep)
@@ -135,13 +135,12 @@ def cmd_ecd_sweep(args) -> int:
         x0=args.x0, transient=args.transient, samples=args.samples
     )
     partition = classical.Partition(system.box, args.bins)
-    workers = classical.default_workers() if args.workers is None else args.workers
-    if workers < 1:
+    if args.workers < 1:
         raise ValueError("workers must be positive")
     rows = classical.sweep(
         system, args.start, args.stop, args.step, cfg, partition,
         eps_zero=args.eps_zero, eps_const=args.eps_const,
-        window=args.window, workers=workers,
+        window=args.window, workers=args.workers,
     )
     with _output(args.out) as out:
         out.write(classical.sweep_to_csv(rows))

@@ -7,6 +7,11 @@ are immutable after construction and every function is pure.
 
 Entropies use the natural logarithm. Base conversion is a display
 concern and lives with the report types, not here.
+
+Two private helpers serve the whole package: `_check_deviation`, the
+one tolerance check that a matrix equals its adjoint or the identity
+(a NaN deviation fails it as "<subject> has a non-finite entry"), and
+`_haar_unitaries`, the Haar sampler of `random_unitary` and the search.
 """
 
 from __future__ import annotations
@@ -160,6 +165,21 @@ class SchattenDecomposition:
         return (self.vectors * self.weights) @ self.vectors.conj().T
 
 
+def _check_deviation(diff, tol: float, subject: str, complaint: str) -> None:
+    """Raise ValueError unless every entry of `diff` is within `tol` in modulus.
+
+    A NaN deviation fails the comparison too; it comes from a non-finite
+    entry of the checked matrix and is reported as "<subject> has a
+    non-finite entry". Any other failure is "<complaint> <deviation>".
+    """
+    dev = float(np.abs(diff).max())
+    if not dev <= tol:
+        raise ValueError(
+            f"{subject} has a non-finite entry" if np.isnan(dev)
+            else f"{complaint} {dev:.3e}"
+        )
+
+
 def _density_spectra(matrices):
     """Checked spectral data of a density matrix or a stack (..., n, n) of them.
 
@@ -174,14 +194,9 @@ def _density_spectra(matrices):
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"density operator must be square, got shape {m.shape}")
     adjoint = m.conj().swapaxes(-1, -2)
-    # Every comparison below is written so that NaN fails it: a
-    # non-finite entry makes the self-adjointness deviation NaN.
-    herm_err = float(np.abs(m - adjoint).max()) if m.size else 0.0
-    if not herm_err <= HERMITIAN_TOL:
-        raise ValueError(
-            "matrix has a non-finite entry" if np.isnan(herm_err)
-            else f"matrix is not self-adjoint: deviation {herm_err:.3e}"
-        )
+    # Every comparison below is written so that NaN fails it; a
+    # non-finite entry is caught by the self-adjointness check.
+    _check_deviation(m - adjoint, HERMITIAN_TOL, "matrix", "matrix is not self-adjoint: deviation")
     m = 0.5 * (m + adjoint)
 
     tr = m.trace(axis1=-2, axis2=-1).real
@@ -311,12 +326,20 @@ def relative_entropy(rho, sigma) -> float:
     return float(_relative_entropies(r.eigenvalues, r.eigenvectors, s.eigenvalues, s.eigenvectors))
 
 
+def _haar_unitaries(z) -> np.ndarray:
+    """Haar unitaries from complex Gaussian matrices z (..., k, k).
+
+    The Q factor of each QR, with the phases of R's diagonal moved into
+    its columns; without that fix the QR's phase convention biases Q.
+    """
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_unitaries(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

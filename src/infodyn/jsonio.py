@@ -36,11 +36,6 @@ CHANNEL_KINDS = ("ktau", "unitary", "kraus", "stochastic")
 MAX_RECOGNITION_STEPS = 100_000
 
 
-def complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def is_integer(value) -> bool:
     """True for a JSON integer; booleans do not count."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -65,7 +60,7 @@ def json_to_complex(value) -> complex:
 
 def matrix_to_json(matrix) -> list[list[list[float]]]:
     m = np.asarray(matrix, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def json_to_matrix(rows) -> np.ndarray:

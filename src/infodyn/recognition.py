@@ -47,6 +47,7 @@ from .channels import PROBABILITY_FLOOR, schur_channel_apply
 from .exceptions import DimensionMismatch, OutsideDomain, ZeroProbabilityOutcome
 from .hilbert import (
     DensityOperator,
+    _check_deviation,
     as_density,
     diag_embedding,
     shift_unitary,
@@ -71,13 +72,8 @@ class SignalBasis:
         v = np.asarray(vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"basis must be a square matrix of rows, got {v.shape}")
-        gram = v.conj() @ v.T
-        err = float(np.max(np.abs(gram - np.eye(v.shape[0]))))
-        if not err <= BASIS_TOL:  # NaN fails this too
-            raise ValueError(
-                "basis has a non-finite entry" if np.isnan(err)
-                else f"rows are not orthonormal: Gram error {err:.3e}"
-            )
+        _check_deviation(v.conj() @ v.T - np.eye(v.shape[0]), BASIS_TOL, "basis",
+                         "rows are not orthonormal: Gram error")
         mags = np.abs(v)
         uniform = bool(np.max(mags.max(axis=1) - mags.min(axis=1)) <= BASIS_TOL)
         v = v.copy()

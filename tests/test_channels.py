@@ -26,6 +26,7 @@ from infodyn.hilbert import (
     random_unitary,
     von_neumann_entropy,
 )
+from infodyn.metrics import value_of_information
 from infodyn.recognition import SignalBasis
 
 RNG = np.random.default_rng(77)
@@ -182,6 +183,45 @@ NAN = float("nan")
 def test_constructors_reject_non_finite_entries(build, entries):
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entry"):
         build(entries)
+
+
+def _purpose_check(q):
+    half = DensityOperator(np.eye(2) / 2)
+    value_of_information(half, DensityOperator([[1.0]]), identity_channel(2), q)
+
+
+# Each site names its subject for a NaN entry and its deviation otherwise.
+@pytest.mark.parametrize("build, subject, bad, complaint", [
+    (DensityOperator, "matrix", [[0.5, 0.1], [0.0, 0.5]],
+     "matrix is not self-adjoint: deviation 1.000e-01"),
+    (SchurWeight, "weight", [[1.0, 0.1], [0.0, 1.0]],
+     "weight is not self-adjoint: deviation 1.000e-01"),
+    (unitary_channel, "unitary", 2.0 * np.eye(2),
+     "matrix is not unitary: deviation 3.000e+00"),
+    (_purpose_check, "purpose operator", [[0.0, 0.1], [0.0, 0.0]],
+     "purpose operator is not self-adjoint: deviation 1.000e-01"),
+    (SignalBasis, "basis", 2.0 * np.eye(2),
+     "rows are not orthonormal: Gram error 3.000e+00"),
+], ids=["density", "weight", "unitary", "purpose", "basis"])
+def test_tolerance_check_messages(build, subject, bad, complaint):
+    with pytest.raises(ValueError) as err:
+        build(np.array(bad, dtype=complex))
+    assert str(err.value) == complaint
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
+        build(np.array([[NAN, 0.0], [0.0, 1.0]]))
+    assert str(err.value) == f"{subject} has a non-finite entry"
+
+
+def test_unitary_channel_conjugates_a_stack():
+    u = random_unitary(3, RNG)
+    ch = unitary_channel(u)
+    stack = np.stack([random_density(3, RNG).matrix for _ in range(4)])
+    assert np.allclose(ch.apply_matrix(stack), u @ stack @ u.conj().T, atol=1e-14)
+    vectors = np.stack([random_state(3, RNG) for _ in range(5)])
+    spectra = ch.image_spectra(vectors)
+    assert spectra.shape == (5, 1)
+    images = ch.apply_matrix(vectors[:, :, None] * vectors[:, None, :].conj())
+    assert np.allclose(spectra, np.linalg.eigvalsh(images)[:, -1:], atol=1e-12)
 
 
 def test_depolarizing_full_strength_outputs_maximally_mixed():

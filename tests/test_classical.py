@@ -209,6 +209,14 @@ def test_empirical_channel_period_two():
     assert emp.conditional_entropy() == pytest.approx(0, abs=1e-14)
 
 
+def test_empirical_channel_source_counts():
+    orbit = np.random.default_rng(3).uniform(0, 1, size=(1001, 1))
+    emp = empirical_channel(orbit, Partition(((0.0, 1.0),), bins=7))
+    assert emp.source_counts.dtype.kind == "i"
+    assert emp.source_counts.sum() == 1000
+    assert np.array_equal(emp.occupation, emp.source_counts / 1000)
+
+
 def test_empirical_channel_constant_orbit():
     orbit = np.full((50, 1), 0.5)
     emp = empirical_channel(orbit, Partition(((0.0, 1.0),), bins=10))

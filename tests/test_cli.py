@@ -8,7 +8,13 @@ import pytest
 from infodyn.cli import main
 from infodyn.hilbert import random_density
 from infodyn.jsonio import MAX_RECOGNITION_STEPS, dump_json, matrix_to_json
-from infodyn.metrics import MAX_AXIOM_TRIALS, MAX_RESTARTS, MAX_VALUE_DIM, MAX_VALUE_PAIRS
+from infodyn.metrics import (
+    MAX_AXIOM_TRIALS,
+    MAX_KRAUS_TERMS,
+    MAX_RESTARTS,
+    MAX_VALUE_DIM,
+    MAX_VALUE_PAIRS,
+)
 
 
 def write_json(path, obj):
@@ -404,6 +410,17 @@ def test_value_pairs_cap(capsys):
     assert_usage_error(["value", "--pairs", str(MAX_VALUE_PAIRS + 1)], capsys,
                        f"pairs={MAX_VALUE_PAIRS + 1} exceeds the limit "
                        f"MAX_VALUE_PAIRS={MAX_VALUE_PAIRS}")
+
+
+def test_value_kraus_terms_cap(tmp_path, capsys):
+    batch = write_json(tmp_path / "ok.json", {"pairs": 1, "kraus_terms": MAX_KRAUS_TERMS})
+    assert main(["value", "--batch", batch, "--out", str(tmp_path / "v.json")]) == 0
+    batch = write_json(tmp_path / "big.json", {"pairs": 1, "kraus_terms": MAX_KRAUS_TERMS + 1})
+    assert_usage_error(["value", "--batch", batch], capsys,
+                       f"kraus_terms={MAX_KRAUS_TERMS + 1} exceeds the limit "
+                       f"MAX_KRAUS_TERMS={MAX_KRAUS_TERMS}")
+    batch = write_json(tmp_path / "zero.json", {"pairs": 1, "kraus_terms": 0})
+    assert_usage_error(["value", "--batch", batch], capsys, "kraus_terms must be positive")
 
 
 def test_value_dim_cap(tmp_path, capsys):
