@@ -194,10 +194,11 @@ class Channel:
     Kinds: "kraus", "schur", "unitary", "stochastic". A "kraus" channel
     with sum A*A below the identity, or a "schur" channel whose weight
     has a diagonal entry other than 1, does not preserve trace. `apply`
-    returns a DensityOperator for a trace-preserving channel and a raw
-    positive matrix otherwise. A unitary channel is the rank-one Kraus
-    form {U}: "kraus" and "unitary" channels both hold a Kraus stack
-    (r, n, n) and share one arithmetic.
+    always returns a DensityOperator, so on such a channel it raises
+    when the image's trace is not 1; `apply_matrix` gives the raw image.
+    A unitary channel is the rank-one Kraus form {U}: "kraus" and
+    "unitary" channels both hold a Kraus stack (r, n, n) and share one
+    arithmetic.
 
     `apply_matrix` acts on one matrix or on a stack of them.
     `image_spectra` gives the spectrum of the image of each pure state
@@ -275,12 +276,9 @@ class Channel:
             gram = np.swapaxes(w, -1, -2) @ w.conj()
         return np.linalg.eigvalsh(gram)
 
-    def apply(self, rho):
-        """Action on a state. See class docstring for the return type."""
-        out = self.apply_matrix(as_density(rho).matrix)
-        if self.is_trace_preserving:
-            return DensityOperator(out)
-        return out
+    def apply(self, rho) -> DensityOperator:
+        """Image of a state as a state; see the class docstring."""
+        return DensityOperator(self.apply_matrix(as_density(rho).matrix))
 
     def __call__(self, rho):
         return self.apply(rho)

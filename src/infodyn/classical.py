@@ -14,6 +14,9 @@ embedding, which the test suite exercises as a cross-module identity.
 Each map has one form: a per-point `step` and a `jacobian` evaluated
 once on the whole orbit array. Orbits are iterated point by point and
 checked against the domain box afterwards, in one vectorised pass.
+The built-in maps are built from module-level functions, so they
+pickle: a parallel sweep sends each worker the map object itself, and
+only built-in maps use the pool.
 Largest Lyapunov exponents come from that Jacobian along the same
 orbit: the mean of ln|f'| in one dimension, iterated Jacobian-vector
 products with renormalization in two.
@@ -21,9 +24,10 @@ products with renormalization in two.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -49,7 +53,8 @@ class MapSystem:
     `step(point, a)` returns the next point: a float in one dimension,
     a tuple of floats in two. `jacobian(orbit, a)` takes a whole
     (samples, dim) orbit array and returns the derivatives along it as
-    an array broadcastable to (samples, dim, dim).
+    an array broadcastable to (samples, dim, dim). `box` and `default_x0`
+    are stored as tuples of floats, so maps given arrays still compare.
     """
 
     name: str
@@ -60,6 +65,8 @@ class MapSystem:
     jacobian: Callable
 
     def __post_init__(self):
+        object.__setattr__(self, "box", tuple((float(lo), float(hi)) for lo, hi in self.box))
+        object.__setattr__(self, "default_x0", tuple(float(v) for v in self.default_x0))
         if self.dim not in (1, 2):
             raise ValueError(f"only 1- and 2-dimensional maps are supported, got {self.dim}")
         if len(self.default_x0) != self.dim:
@@ -70,6 +77,14 @@ class MapSystem:
         return len(self.box)
 
 
+def _logistic_step(x, a):
+    return a * x * (1.0 - x)
+
+
+def _logistic_jacobian(orbit, a):
+    return (a * (1.0 - 2.0 * orbit))[:, :, None]
+
+
 def logistic_map() -> MapSystem:
     """x -> a x (1 - x) on [0, 1]."""
     return MapSystem(
@@ -77,8 +92,8 @@ def logistic_map() -> MapSystem:
         box=((0.0, 1.0),),
         default_x0=(0.3,),
         default_param=3.8,
-        step=lambda x, a: a * x * (1.0 - x),
-        jacobian=lambda orbit, a: (a * (1.0 - 2.0 * orbit))[:, :, None],
+        step=_logistic_step,
+        jacobian=_logistic_jacobian,
     )
 
 
@@ -86,6 +101,10 @@ def _baker_step(p, a):
     x, y = p
     branch = 1.0 if x >= 0.5 else 0.0
     return (2.0 * x - branch, 0.5 * (y + branch))
+
+
+def _baker_jacobian(orbit, a):
+    return np.array([[2.0, 0.0], [0.0, 0.5]])
 
 
 def baker_map() -> MapSystem:
@@ -100,29 +119,36 @@ def baker_map() -> MapSystem:
         default_x0=(0.3, 0.3),
         default_param=0.0,
         step=_baker_step,
-        jacobian=lambda orbit, a: np.array([[2.0, 0.0], [0.0, 0.5]]),
+        jacobian=_baker_jacobian,
     )
 
 
-def tinkerbell_map(b: float = -0.6013, c: float = 2.0, d: float = 0.5) -> MapSystem:
+# Fixed Tinkerbell coefficients; only the first-coordinate one is swept.
+_TINKERBELL_B, _TINKERBELL_C, _TINKERBELL_D = -0.6013, 2.0, 0.5
+
+
+def _tinkerbell_step(p, a):
+    x, y = p
+    return (x * x - y * y + a * x + _TINKERBELL_B * y,
+            2.0 * x * y + _TINKERBELL_C * x + _TINKERBELL_D * y)
+
+
+def _tinkerbell_jacobian(orbit, a):
+    x, y = orbit[:, 0], orbit[:, 1]
+    return np.stack([2.0 * x + a, -2.0 * y + _TINKERBELL_B,
+                     2.0 * y + _TINKERBELL_C, 2.0 * x + _TINKERBELL_D],
+                    axis=1).reshape(-1, 2, 2)
+
+
+def tinkerbell_map() -> MapSystem:
     """Tinkerbell map with the swept parameter in the first coordinate."""
-
-    def step(p, a):
-        x, y = p
-        return (x * x - y * y + a * x + b * y, 2.0 * x * y + c * x + d * y)
-
-    def jacobian(orbit, a):
-        x, y = orbit[:, 0], orbit[:, 1]
-        return np.stack([2.0 * x + a, -2.0 * y + b, 2.0 * y + c, 2.0 * x + d],
-                        axis=1).reshape(-1, 2, 2)
-
     return MapSystem(
         name="tinkerbell",
         box=((-2.0, 2.0), (-2.0, 2.0)),
         default_x0=(-0.72, -0.64),
         default_param=0.9,
-        step=step,
-        jacobian=jacobian,
+        step=_tinkerbell_step,
+        jacobian=_tinkerbell_jacobian,
     )
 
 
@@ -175,14 +201,11 @@ def iterate_orbit(system: MapSystem, cfg: OrbitConfig) -> np.ndarray:
     statistics.
     """
     x0, a = _resolve(system, cfg)
-    step = system.step
-    point = x0[0] if system.dim == 1 else x0
-    points = []
-    append = points.append
-    for _ in range(cfg.transient + cfg.samples):
-        point = step(point, a)
-        append(point)
-    orbit = np.array(points, dtype=float).reshape(-1, system.dim)
+    start = x0[0] if system.dim == 1 else x0
+    points = itertools.accumulate(itertools.repeat(a, cfg.transient + cfg.samples),
+                                  system.step, initial=start)
+    # Row 0 is the starting point, already checked by _resolve.
+    orbit = np.array(list(points), dtype=float).reshape(-1, system.dim)[1:]
     los, his = np.array(system.box, dtype=float).T
     escaped = np.flatnonzero(~((orbit >= los) & (orbit <= his)).all(axis=1))
     if escaped.size:
@@ -354,16 +377,8 @@ class SweepRow:
 def _point_metrics(system: MapSystem, cfg: OrbitConfig, partition: Partition) -> tuple[float, float]:
     orbit = iterate_orbit(system, cfg)
     _, a = _resolve(system, cfg)
-    d = empirical_channel(orbit, partition).conditional_entropy()
-    lam = _lyapunov_from_orbit(system, orbit, a)
-    return d, lam
-
-
-def _builtin_point(name: str, param: float, x0, transient: int, samples: int,
-                   box, bins: int) -> tuple[float, float]:
-    system = BUILTIN_MAPS[name]
-    cfg = OrbitConfig(x0=x0, transient=transient, samples=samples, param=param)
-    return _point_metrics(system, cfg, Partition(box, bins))
+    return (empirical_channel(orbit, partition).conditional_entropy(),
+            _lyapunov_from_orbit(system, orbit, a))
 
 
 def sweep(system: MapSystem, start: float, stop: float, step: float,
@@ -374,10 +389,12 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
 
     Produces one row per parameter value from `start` to `stop`
     inclusive in increments of `step`, each labeled by classifying the
-    trailing `window` of chaos-degree values. Rows are independent and
-    are dispatched to a process pool when `workers` exceeds 1 (built-in
-    maps only: worker processes rebuild the map by name; a custom
-    system falls back to the sequential path). Results are ordered by
+    trailing `window` of chaos-degree values. Every row is one call of
+    the same per-point function on (system, config, partition). When
+    `workers` exceeds 1 and `system` equals one of BUILTIN_MAPS, the
+    calls go to a process pool, which receives those objects pickled;
+    any other map runs in this process whatever `workers` says, since
+    its step and Jacobian need not pickle. Results are ordered by
     parameter and identical at any worker count. Non-finite grid bounds
     and grids of more than MAX_SWEEP_ROWS rows raise ValueError before
     any row is built.
@@ -397,28 +414,20 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     cfg = cfg or OrbitConfig()
     part = partition or Partition(system.box)
     params = [start + k * step for k in range(count)]
-
-    if workers > 1 and BUILTIN_MAPS.get(system.name) is system:
-        args = [
-            (system.name, a, cfg.x0, cfg.transient, cfg.samples, part.box, part.bins)
-            for a in params
-        ]
+    cfgs = [replace(cfg, param=a) for a in params]
+    if workers > 1 and system in BUILTIN_MAPS.values():
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            metrics = list(pool.map(_builtin_point, *zip(*args)))
+            metrics = list(pool.map(_point_metrics, itertools.repeat(system), cfgs,
+                                    itertools.repeat(part)))
     else:
-        metrics = [
-            _point_metrics(system, OrbitConfig(cfg.x0, cfg.transient, cfg.samples, a), part)
-            for a in params
-        ]
+        metrics = [_point_metrics(system, c, part) for c in cfgs]
 
-    d_values = [m[0] for m in metrics]
-    rows = []
-    for i, a in enumerate(params):
-        label = classify_dynamics(
-            d_values[max(0, i - window + 1):i + 1], eps_zero, eps_const
-        )
-        rows.append(SweepRow(a, d_values[i], metrics[i][1], label))
-    return rows
+    d_values = [d for d, _ in metrics]
+    return [
+        SweepRow(a, d, lam, classify_dynamics(d_values[max(0, i - window + 1):i + 1],
+                                              eps_zero, eps_const))
+        for i, (a, (d, lam)) in enumerate(zip(params, metrics))
+    ]
 
 
 def sweep_to_csv(rows) -> str:

@@ -170,13 +170,9 @@ def parse_experiment(obj: dict):
     # three levels and a sequence of matrices four. Depth-two input is
     # one matrix with bare real entries; a sequence of such matrices
     # must use pair entries to stay distinguishable.
-    if isinstance(rho_field, list) and rho_field and isinstance(rho_field[0], dict):
+    if ((isinstance(rho_field, list) and rho_field and isinstance(rho_field[0], dict))
+            or _nesting_depth(rho_field) >= 4):
         signals = [parse_state(m) for m in rho_field]
-    elif _nesting_depth(rho_field) >= 4:
-        signals = [parse_state(m) for m in rho_field]
-    else:
-        signals = None
-    if signals is not None:
         if steps is not None and steps != len(signals):
             raise ValueError(f"steps={steps} but rho lists {len(signals)} states")
     else:

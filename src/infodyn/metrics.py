@@ -332,9 +332,7 @@ def value_of_information(rho_p, gamma_o, channel: Channel, purpose) -> float:
     if joint.n != channel.dim:
         raise DimensionMismatch(f"joint dim {joint.n} vs channel dim {channel.dim}")
     q = _check_purpose(purpose, channel.dim)
-    out = channel.apply(joint)
-    out_m = out.matrix if isinstance(out, DensityOperator) else out
-    v = complex(np.trace(out_m @ q))
+    v = complex(np.trace(channel.apply_matrix(joint.matrix) @ q))
     if abs(v.imag) > 1e-10:
         raise ValueError(f"value has non-real residue {v.imag:.3e}")
     return float(v.real)
@@ -411,8 +409,7 @@ def conjecture_experiment(rho_p, gamma_o, channel_a: Channel, channel_b: Channel
 
 def conjecture_batch(dim: int, pairs: int, seed: int,
                      kraus_terms: int = 2,
-                     identical_channels: bool = False,
-                     config: ComplexityConfig | None = None) -> tuple[list[ConjectureOutcome], float]:
+                     identical_channels: bool = False) -> tuple[list[ConjectureOutcome], float]:
     """Run the ordering check on random instances; returns outcomes and rate."""
     if dim < 2:
         raise ValueError("dim must be at least 2")
@@ -437,7 +434,7 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
         ch_b = ch_a if identical_channels else random_kraus_channel(dim * dim, kraus_terms, rng)
         g = rng.normal(size=(dim * dim, dim * dim)) + 1j * rng.normal(size=(dim * dim, dim * dim))
         purpose = 0.5 * (g + g.conj().T)
-        outcomes.append(conjecture_experiment(rho, gamma, ch_a, ch_b, purpose, config))
+        outcomes.append(conjecture_experiment(rho, gamma, ch_a, ch_b, purpose))
     rate = sum(o.agree for o in outcomes) / len(outcomes)
     return outcomes, rate
 
@@ -462,8 +459,7 @@ class AxiomResult:
         return out
 
 
-def axiom_suite(dim: int, trials: int, seed: int,
-                config: ComplexityConfig | None = None) -> dict[str, AxiomResult]:
+def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
     """Property checks of the five complexity axioms on random instances.
 
     Invariance under relabeling is asserted for the state complexity
@@ -477,7 +473,8 @@ def axiom_suite(dim: int, trials: int, seed: int,
     if trials > MAX_AXIOM_TRIALS:
         raise ValueError(f"trials={trials} exceeds the limit MAX_AXIOM_TRIALS={MAX_AXIOM_TRIALS}")
     rng = np.random.default_rng(seed)
-    cfg = config or ComplexityConfig(restarts=20, seed=seed)
+    cfg = ComplexityConfig(restarts=20, seed=seed)
+    ident = identity_channel(dim)
 
     worst_neg = 0.0
     worst_relabel = 0.0
@@ -519,7 +516,6 @@ def axiom_suite(dim: int, trials: int, seed: int,
             for lam, vecs in _decompositions(probe, probe_cfg):
                 worst_bound = max(worst_bound, float(np.max(_transmitted(lam, vecs, channel, out))) - ceiling)
 
-        ident = identity_channel(dim)
         worst_identity = max(worst_identity, abs(
             chaos_degree(rho, ident, cfg).transmitted - c_val
         ))

@@ -309,6 +309,17 @@ def test_channel_dimension_guard():
         identity_channel(2)(random_density(3, RNG))
 
 
+def test_apply_on_channel_not_preserving_trace_raises_naming_trace():
+    # A weight with diagonal 0.5 halves the trace: `apply` has one return
+    # type, a state, so it refuses; `apply_matrix` gives the raw image.
+    w = np.array([[0.5, 0.25], [0.25, 0.5]])
+    damping = schur_channel(w)
+    rho = random_density(2, RNG)
+    with pytest.raises(ValueError, match="trace"):
+        damping.apply(rho)
+    assert np.array_equal(damping.apply_matrix(rho.matrix), w * rho.matrix)
+
+
 def _stack_cases():
     """(id, channel) for every kind, with the Gram matrix on both sides of n."""
     rng = np.random.default_rng(5)

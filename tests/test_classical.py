@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from infodyn import classical
 from infodyn.classical import (
     BUILTIN_MAPS,
     MAX_SWEEP_ROWS,
@@ -41,6 +42,15 @@ def test_builtin_registry_names():
     assert set(BUILTIN_MAPS) == {"logistic", "baker", "tinkerbell"}
     for name, system in BUILTIN_MAPS.items():
         assert system.name == name
+
+
+def test_builtin_maps_pickle_and_equal_their_constructors():
+    # A worker process receives the map itself, so it must pickle.
+    for name, system in BUILTIN_MAPS.items():
+        assert pickle.loads(pickle.dumps(system)) == system, name
+    assert logistic_map() == BUILTIN_MAPS["logistic"]
+    assert baker_map() == BUILTIN_MAPS["baker"]
+    assert tinkerbell_map() == BUILTIN_MAPS["tinkerbell"]
 
 
 def test_logistic_converges_to_fixed_point():
@@ -304,6 +314,25 @@ def test_sweep_parallel_matches_serial():
     assert sweep_to_csv(serial) == sweep_to_csv(parallel)
 
 
+def test_sweep_pool_runs_for_builtin_map_objects_only(monkeypatch):
+    started = []
+
+    class SpyPool(classical.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(classical, "ProcessPoolExecutor", SpyPool)
+    cfg = OrbitConfig(transient=100, samples=2000)
+    part = Partition(((0.0, 1.0),), bins=25)
+    # Equal to the registry entry, not the entry itself.
+    sweep(logistic_map(), 3.5, 3.7, 0.05, cfg, part, workers=2)
+    assert started == [{"max_workers": 2}]
+    # A custom map need not pickle, so it stays in this process.
+    sweep(constant_map(), 0.0, 0.1, 0.05, cfg, part, workers=2)
+    assert len(started) == 1
+
+
 def test_sweep_to_csv_format():
     rows = sweep(
         logistic_map(), 3.95, 4.0, 0.05,
@@ -339,6 +368,24 @@ def test_sweep_on_custom_map_named_like_builtin_stays_custom():
     )
     assert all(row.chaos_degree == 0 for row in rows)
     assert all(row.lyapunov == -np.inf for row in rows)
+
+
+def test_sweep_on_array_boxed_map_named_like_builtin_stays_custom():
+    # `sweep` compares the map with each registry entry field by field;
+    # array fields are stored as tuples so that comparison has one
+    # truth value.
+    fake = MapSystem(
+        name="logistic",
+        box=np.array([[0.0, 1.0]]),
+        default_x0=np.array([0.3]),
+        default_param=3.8,
+        step=lambda x, a: 0.25,
+        jacobian=lambda orbit, a: np.zeros_like(orbit)[:, :, None],
+    )
+    assert fake.box == ((0.0, 1.0),) and fake.default_x0 == (0.3,)
+    rows = sweep(fake, 3.0, 3.1, 0.1, OrbitConfig(transient=10, samples=100),
+                 Partition(((0.0, 1.0),), bins=10), workers=2)
+    assert all(row.chaos_degree == 0 for row in rows)
 
 
 @pytest.mark.parametrize("start, stop, step", [

@@ -431,19 +431,19 @@ def test_conjecture_identity_vs_depolarizing_records_ordering():
 
 
 def test_conjecture_batch_rate_in_unit_interval():
-    outcomes, rate = conjecture_batch(2, 20, 5, config=FAST)
+    outcomes, rate = conjecture_batch(2, 20, 5)
     assert len(outcomes) == 20
     assert 0.0 <= rate <= 1.0
 
 
 def test_conjecture_batch_identical_channels_rate_is_one():
-    _, rate = conjecture_batch(2, 10, 0, identical_channels=True, config=FAST)
+    _, rate = conjecture_batch(2, 10, 0, identical_channels=True)
     assert rate == 1.0
 
 
 def test_conjecture_batch_deterministic():
-    a, rate_a = conjecture_batch(2, 8, 11, config=FAST)
-    b, rate_b = conjecture_batch(2, 8, 11, config=FAST)
+    a, rate_a = conjecture_batch(2, 8, 11)
+    b, rate_b = conjecture_batch(2, 8, 11)
     assert rate_a == rate_b
     assert [o.to_json() for o in a] == [o.to_json() for o in b]
 
