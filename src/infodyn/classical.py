@@ -44,6 +44,14 @@ DEFAULT_EPS_ZERO = 1e-3
 DEFAULT_EPS_CONST = 1e-3
 DEFAULT_WINDOW = 5
 MAX_SWEEP_ROWS = 1_000_000
+# Largest `transient + samples` of one orbit. An orbit point costs about
+# 57 B per step in one dimension (tracemalloc peak) and 260 B in two
+# (peak RSS, 2-core x86-64 host, numpy 2.4.6), so one point at the cap
+# stays near 0.5 GB; a sweep holds one point per worker at a time.
+MAX_ORBIT_STEPS = 2_000_000
+# Largest cell count bins ** dim of a Partition: up to 2**53 the float
+# cell index of each axis and the int64 flat cell code are exact.
+MAX_PARTITION_CELLS = 2**53
 
 
 @dataclass(frozen=True)
@@ -163,7 +171,8 @@ BUILTIN_MAPS: dict[str, MapSystem] = {
 class OrbitConfig:
     """Initial point, transient length, sample length, and parameter.
 
-    `x0` and `param` default to the map's own defaults when None.
+    `x0` and `param` default to the map's own defaults when None. An
+    orbit longer than MAX_ORBIT_STEPS in all raises ValueError.
     """
 
     x0: tuple[float, ...] | None = None
@@ -176,6 +185,11 @@ class OrbitConfig:
             raise ValueError("samples must be at least 1")
         if self.transient < 0:
             raise ValueError("transient must be nonnegative")
+        if self.transient + self.samples > MAX_ORBIT_STEPS:
+            raise ValueError(
+                f"orbit of transient + samples = {self.transient + self.samples} steps "
+                f"exceeds the limit MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"
+            )
         if self.x0 is not None:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
 
@@ -219,7 +233,8 @@ class Partition:
     """Equal-width binning of a rectangular box, bins per axis.
 
     Cells are half-open with the top edge closed, so every boundary
-    point gets exactly one cell and the box is covered.
+    point gets exactly one cell and the box is covered. More than
+    MAX_PARTITION_CELLS cells in all raise ValueError.
     """
 
     box: tuple[tuple[float, float], ...]
@@ -231,6 +246,10 @@ class Partition:
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
         if any(hi <= lo for lo, hi in box):
             raise ValueError("box intervals must have positive width")
+        cells = self.bins ** len(box)
+        if cells > MAX_PARTITION_CELLS:
+            raise ValueError(f"bins={self.bins} gives {cells} cells, more than the limit "
+                             f"MAX_PARTITION_CELLS={MAX_PARTITION_CELLS}")
         object.__setattr__(self, "box", box)
 
     def encode(self, points) -> np.ndarray:
@@ -395,9 +414,9 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     calls go to a process pool, which receives those objects pickled;
     any other map runs in this process whatever `workers` says, since
     its step and Jacobian need not pickle. Results are ordered by
-    parameter and identical at any worker count. Non-finite grid bounds
-    and grids of more than MAX_SWEEP_ROWS rows raise ValueError before
-    any row is built.
+    parameter and identical at any worker count. Non-finite grid bounds,
+    grids of more than MAX_SWEEP_ROWS rows and a `workers` below 1 raise
+    ValueError before any row is built.
     """
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"sweep start, stop and step must be finite, got {start}, {stop}, {step}")
@@ -407,6 +426,8 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
         raise ValueError("stop must not precede start")
     if window < 1:
         raise ValueError("window must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be positive")
     span = (stop - start) / step
     count = int(math.floor(span + 1e-9)) + 1 if math.isfinite(span) else math.inf
     if count > MAX_SWEEP_ROWS:

@@ -135,8 +135,6 @@ def cmd_ecd_sweep(args) -> int:
         x0=args.x0, transient=args.transient, samples=args.samples
     )
     partition = classical.Partition(system.box, args.bins)
-    if args.workers < 1:
-        raise ValueError("workers must be positive")
     rows = classical.sweep(
         system, args.start, args.stop, args.step, cfg, partition,
         eps_zero=args.eps_zero, eps_const=args.eps_const,

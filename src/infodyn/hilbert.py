@@ -148,14 +148,13 @@ class SchattenDecomposition:
     """Spectral resolution of a density operator into rank-one pieces.
 
     `weights[k]` pairs with column k of `vectors`. Weights are sorted
-    descending and sum to 1. `unique` is False when the spectrum has a
-    (near-)repeated eigenvalue, in which case the eigenvectors span the
-    right eigenspaces but are otherwise an arbitrary orthonormal choice.
+    descending and sum to 1. When the spectrum has a (near-)repeated
+    eigenvalue the eigenvectors span the right eigenspaces but are
+    otherwise an arbitrary orthonormal choice.
     """
 
     weights: np.ndarray
     vectors: np.ndarray
-    unique: bool
 
     def projection(self, k: int) -> np.ndarray:
         v = self.vectors[:, k]
@@ -263,11 +262,7 @@ class DensityOperator:
         return cls(np.eye(n, dtype=complex) / n)
 
     def spectral(self) -> SchattenDecomposition:
-        return SchattenDecomposition(
-            weights=self.eigenvalues,
-            vectors=self.eigenvectors,
-            unique=not self.degenerate,
-        )
+        return SchattenDecomposition(weights=self.eigenvalues, vectors=self.eigenvectors)
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
         return DensityOperator(np.kron(self.matrix, as_density(other).matrix))

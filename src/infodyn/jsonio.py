@@ -18,6 +18,7 @@ from typing import Any
 import numpy as np
 
 from .channels import Channel, kraus_channel, schur_channel, stochastic_channel, unitary_channel
+from .exceptions import DimensionMismatch
 from .hilbert import DensityOperator, as_density
 from .recognition import (
     ArgmaxPolicy,
@@ -154,8 +155,11 @@ def parse_experiment(obj: dict):
     n = obj["n"]
     if not is_integer(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    bell = BellSystem(parse_basis(obj["basis"], n))
+    # The memory fixes the dimension before the basis, whose size is n^2, is built.
     gamma0 = parse_state(obj["gamma"])
+    if gamma0.n != n:
+        raise DimensionMismatch(f"memory dim {gamma0.n} must equal system dim {n}")
+    bell = BellSystem(parse_basis(obj["basis"], n))
 
     rho_field = obj["rho"]
     steps = obj.get("steps")

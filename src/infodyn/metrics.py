@@ -280,9 +280,7 @@ def chaos_degree(rho, channel: Channel, config: ComplexityConfig | None = None) 
         restarts=evaluated,
         seed=cfg.seed,
         worst=worst_val,
-        decomposition=SchattenDecomposition(
-            weights=lam, vectors=best_vec, unique=not state.degenerate
-        ),
+        decomposition=SchattenDecomposition(weights=lam, vectors=best_vec),
     )
 
 
@@ -311,13 +309,25 @@ def classify_dynamics(d_values, eps_zero: float = 1e-3, eps_const: float = 1e-3)
     return "chaotic"
 
 
-def _check_purpose(q, dim: int) -> np.ndarray:
+def _check_purpose(q, joint: DensityOperator, channels) -> np.ndarray:
+    """The purpose operator as an array, once the joint state fits every channel."""
+    for channel in channels:
+        if joint.n != channel.dim:
+            raise DimensionMismatch(f"joint dim {joint.n} vs channel dim {channel.dim}")
     m = np.asarray(q, dtype=complex)
-    if m.shape != (dim, dim):
-        raise DimensionMismatch(f"purpose operator shape {m.shape}, expected {(dim, dim)}")
+    if m.shape != (joint.n, joint.n):
+        raise DimensionMismatch(f"purpose operator shape {m.shape}, expected {(joint.n, joint.n)}")
     _check_deviation(m - m.conj().T, 1e-10, "purpose operator",
                      "purpose operator is not self-adjoint: deviation")
     return m
+
+
+def _joint_value(joint: DensityOperator, channel: Channel, q: np.ndarray) -> float:
+    """tr(channel(joint) q) for a joint state and purpose already checked."""
+    v = complex(np.trace(channel.apply_matrix(joint.matrix) @ q))
+    if abs(v.imag) > 1e-10:
+        raise ValueError(f"value has non-real residue {v.imag:.3e}")
+    return float(v.real)
 
 
 def value_of_information(rho_p, gamma_o, channel: Channel, purpose) -> float:
@@ -329,13 +339,7 @@ def value_of_information(rho_p, gamma_o, channel: Channel, purpose) -> float:
     above 1e-10 signals an input bug and raises.
     """
     joint = as_density(rho_p).tensor(as_density(gamma_o))
-    if joint.n != channel.dim:
-        raise DimensionMismatch(f"joint dim {joint.n} vs channel dim {channel.dim}")
-    q = _check_purpose(purpose, channel.dim)
-    v = complex(np.trace(channel.apply_matrix(joint.matrix) @ q))
-    if abs(v.imag) > 1e-10:
-        raise ValueError(f"value has non-real residue {v.imag:.3e}")
-    return float(v.real)
+    return _joint_value(joint, channel, _check_purpose(purpose, joint, (channel,)))
 
 
 @dataclass(frozen=True)
@@ -362,8 +366,9 @@ def compare_signals(rho_a, rho_b, gamma_o, channel: Channel, purpose) -> ValueCo
 
 def compare_channels(rho_p, gamma_o, channel_a: Channel, channel_b: Channel, purpose) -> ValueComparison:
     """Order two channels by the value they give one signal."""
-    va = value_of_information(rho_p, gamma_o, channel_a, purpose)
-    vb = value_of_information(rho_p, gamma_o, channel_b, purpose)
+    joint = as_density(rho_p).tensor(as_density(gamma_o))
+    q = _check_purpose(purpose, joint, (channel_a, channel_b))
+    va, vb = _joint_value(joint, channel_a, q), _joint_value(joint, channel_b, q)
     return ValueComparison(va, vb, _preference(va, vb))
 
 
@@ -396,10 +401,10 @@ def conjecture_experiment(rho_p, gamma_o, channel_a: Channel, channel_b: Channel
                           purpose, config: ComplexityConfig | None = None) -> ConjectureOutcome:
     """Compare chaos-degree ordering with value ordering for two channels."""
     joint = as_density(rho_p).tensor(as_density(gamma_o))
+    q = _check_purpose(purpose, joint, (channel_a, channel_b))
     d_a = chaos_degree(joint, channel_a, config).chaos_degree
     d_b = chaos_degree(joint, channel_b, config).chaos_degree
-    v_a = value_of_information(rho_p, gamma_o, channel_a, purpose)
-    v_b = value_of_information(rho_p, gamma_o, channel_b, purpose)
+    v_a, v_b = _joint_value(joint, channel_a, q), _joint_value(joint, channel_b, q)
     # Lower chaos degree should pair with higher value; compare the two
     # preference labels so ties must match ties.
     d_pref = _preference(d_b, d_a)

@@ -66,9 +66,9 @@ class SignalBasis:
     makes the first conditioning stage of the composed update total.
     """
 
-    __slots__ = ("vectors", "kind", "uniform_modulus")
+    __slots__ = ("vectors", "uniform_modulus")
 
-    def __init__(self, vectors, kind: str = "custom"):
+    def __init__(self, vectors):
         v = np.asarray(vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"basis must be a square matrix of rows, got {v.shape}")
@@ -79,7 +79,6 @@ class SignalBasis:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "uniform_modulus", uniform)
 
     def __setattr__(self, name, value):
@@ -93,11 +92,11 @@ class SignalBasis:
     def fourier(cls, n: int) -> "SignalBasis":
         m = np.arange(n)
         v = np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
-        return cls(v, kind="fourier")
+        return cls(v)
 
     @classmethod
     def standard(cls, n: int) -> "SignalBasis":
-        return cls(np.eye(n, dtype=complex), kind="standard")
+        return cls(np.eye(n, dtype=complex))
 
 
 class BellSystem:
@@ -376,43 +375,35 @@ def recognize_sequence(gamma0, signals, bell: BellSystem, policy) -> Iterator[Re
     n = bell.n
     if memory.n != n:
         raise DimensionMismatch(f"memory dim {memory.n} must equal system dim {n}")
+    return _steps(memory, signals, bell, _chooser(policy, n))
+
+
+def _chooser(policy, n: int):
+    """The policy as one function from the outcome table to an outcome (i, j)."""
     if isinstance(policy, FixedPolicy):
         if not (0 <= policy.i < n and 0 <= policy.j < n):
             raise ValueError(f"fixed outcome ({policy.i}, {policy.j}) out of range for n={n}")
-    elif not isinstance(policy, (SamplePolicy, ArgmaxPolicy)):
-        raise TypeError(f"unknown policy {policy!r}")
-    return _steps(memory, signals, bell, policy)
+        return lambda probs: (policy.i, policy.j)
+    if isinstance(policy, ArgmaxPolicy):
+        return lambda probs: divmod(int(np.argmax(probs >= probs.max() - ARGMAX_TIE_TOL)), n)
+    if isinstance(policy, SamplePolicy):
+        rng = np.random.default_rng(policy.seed)
+
+        def sample(probs):
+            cumulative = np.cumsum(probs.reshape(-1))
+            flat = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
+            return divmod(min(flat, n * n - 1), n)
+        return sample
+    raise TypeError(f"unknown policy {policy!r}")
 
 
-def _steps(memory: DensityOperator, signals, bell: BellSystem, policy) -> Iterator[RecognitionStep]:
-    n = bell.n
-    rng = np.random.default_rng(policy.seed) if isinstance(policy, SamplePolicy) else None
+def _steps(memory: DensityOperator, signals, bell: BellSystem, choose) -> Iterator[RecognitionStep]:
     for t, signal in enumerate(signals):
         signal = as_density(signal)
         probs = outcome_probabilities(signal, memory, bell)
-        if isinstance(policy, FixedPolicy):
-            i, j = policy.i, policy.j
-            p = float(probs[i, j])
-            if p <= PROBABILITY_FLOOR:
-                raise ZeroProbabilityOutcome(
-                    f"fixed outcome ({i}, {j}) has probability {p:.3e} at step {t}"
-                )
-        elif isinstance(policy, ArgmaxPolicy):
-            flat = int(np.argmax(probs >= probs.max() - ARGMAX_TIE_TOL))
-            i, j = divmod(flat, n)
-            p = float(probs[i, j])
-        else:
-            flat_probs = probs.reshape(-1)
-            cumulative = np.cumsum(flat_probs)
-            draw = rng.random() * cumulative[-1]
-            flat = min(int(np.searchsorted(cumulative, draw, side="right")), n * n - 1)
-            i, j = divmod(flat, n)
-            p = float(probs[i, j])
-        block = _closed_form_block(i, j, signal, memory, bell)
-        tr = float(np.trace(block).real)
-        if tr <= PROBABILITY_FLOOR:
-            raise ZeroProbabilityOutcome(
-                f"outcome ({i}, {j}) has probability {tr:.3e} at step {t}"
-            )
-        memory = DensityOperator(block / tr)
+        i, j = choose(probs)
+        p = float(probs[i, j])
+        if p <= PROBABILITY_FLOOR:
+            raise ZeroProbabilityOutcome(f"outcome ({i}, {j}) has probability {p:.3e} at step {t}")
+        memory = DensityOperator(_closed_form_block(i, j, signal, memory, bell) / p)
         yield RecognitionStep(t=t, i=i, j=j, probability=p, memory=memory)

@@ -7,6 +7,8 @@ import pytest
 from infodyn import classical
 from infodyn.classical import (
     BUILTIN_MAPS,
+    MAX_ORBIT_STEPS,
+    MAX_PARTITION_CELLS,
     MAX_SWEEP_ROWS,
     MapSystem,
     OrbitConfig,
@@ -406,3 +408,27 @@ def test_sweep_refuses_grid_above_row_cap_before_building_it():
     huge = 3.0 + MAX_SWEEP_ROWS * 0.5
     with pytest.raises(ValueError, match=f"{MAX_SWEEP_ROWS + 1} rows"):
         sweep(logistic_map(), 3.0, huge, 0.5, OrbitConfig(transient=0, samples=10))
+
+
+def test_partition_rejects_cell_counts_above_the_cap():
+    square = ((0.0, 1.0), (0.0, 1.0))
+    Partition(((0.0, 1.0),), bins=MAX_PARTITION_CELLS)
+    Partition(square, bins=2**26)
+    # 2**27 bins per axis give 2**54 cells, where flat codes stop being exact.
+    for box, bins in [(((0.0, 1.0),), MAX_PARTITION_CELLS + 1), (square, 2**27)]:
+        with pytest.raises(ValueError, match=f"MAX_PARTITION_CELLS={MAX_PARTITION_CELLS}"):
+            Partition(box, bins=bins)
+
+
+def test_orbit_config_rejects_orbits_above_the_cap():
+    OrbitConfig(transient=1, samples=MAX_ORBIT_STEPS - 1)
+    for transient, samples in [(0, MAX_ORBIT_STEPS + 1), (MAX_ORBIT_STEPS, 1)]:
+        with pytest.raises(ValueError, match=f"= {MAX_ORBIT_STEPS + 1} steps exceeds the limit "
+                                             f"MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"):
+            OrbitConfig(transient=transient, samples=samples)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_nonpositive_workers(workers):
+    with pytest.raises(ValueError, match="workers must be positive"):
+        sweep(logistic_map(), 3.5, 3.6, 0.1, OrbitConfig(transient=0, samples=10), workers=workers)

@@ -5,6 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from infodyn import jsonio
+from infodyn.classical import MAX_ORBIT_STEPS, MAX_PARTITION_CELLS
 from infodyn.cli import main
 from infodyn.hilbert import random_density
 from infodyn.jsonio import MAX_RECOGNITION_STEPS, dump_json, matrix_to_json
@@ -361,6 +363,27 @@ def test_recognize_steps_cap_fails_before_allocating(tmp_path, capsys):
                        f"MAX_RECOGNITION_STEPS={MAX_RECOGNITION_STEPS}")
     exp = recognition_experiment(tmp_path, steps=MAX_RECOGNITION_STEPS + 1)
     assert_usage_error(["recognize", "--experiment", exp], capsys, "MAX_RECOGNITION_STEPS")
+
+
+def test_recognize_checks_memory_dimension_before_building_basis(tmp_path, capsys, monkeypatch):
+    # A Fourier basis for n = 200000 would need hundreds of GiB.
+    def refuse(obj, n):
+        raise AssertionError(f"basis of dimension {n} built before the memory was checked")
+
+    monkeypatch.setattr(jsonio, "parse_basis", refuse)
+    exp = recognition_experiment(tmp_path, n=200000, gamma=[[1.0]])
+    assert main(["recognize", "--experiment", exp]) == 4
+    assert "memory dim 1 must equal system dim 200000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--bins", "100000000000000000000", f"MAX_PARTITION_CELLS={MAX_PARTITION_CELLS}"),
+    ("--samples", str(MAX_ORBIT_STEPS), f"= {MAX_ORBIT_STEPS + 100} steps exceeds the limit "
+                                        f"MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"),
+    ("--transient", str(MAX_ORBIT_STEPS), f"MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"),
+], ids=["bins", "samples", "transient"])
+def test_sweep_size_caps_are_usage_errors(capsys, flag, value, message):
+    assert_usage_error(SWEEP_FAST + [flag, value], capsys, message)
 
 
 @pytest.mark.parametrize("field", ["dim", "pairs", "seed", "kraus_terms"])

@@ -13,7 +13,7 @@ from infodyn.jsonio import (
     parse_state,
     parse_value_batch,
 )
-from infodyn.recognition import ArgmaxPolicy, FixedPolicy, SamplePolicy
+from infodyn.recognition import ArgmaxPolicy, FixedPolicy, SamplePolicy, SignalBasis
 
 RNG = np.random.default_rng(13)
 
@@ -74,8 +74,8 @@ def test_parse_channel_rejects_complex_stochastic():
 
 
 def test_parse_basis_names_and_custom():
-    assert parse_basis("fourier", 3).kind == "fourier"
-    assert parse_basis("standard", 2).kind == "standard"
+    assert np.array_equal(parse_basis("fourier", 3).vectors, SignalBasis.fourier(3).vectors)
+    assert np.array_equal(parse_basis("standard", 2).vectors, np.eye(2))
     custom = parse_basis({"custom": [[1.0, 0.0], [0.0, 1.0]]}, 2)
     assert custom.n == 2
     with pytest.raises(ValueError):

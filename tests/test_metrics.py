@@ -394,6 +394,24 @@ def test_compare_channels_identity_purpose_always_ties():
     assert compare_channels(rho, gamma, a, b, np.eye(4)).preferred == "tie"
 
 
+def test_value_pair_builds_the_joint_state_once(monkeypatch):
+    rho, gamma = random_density(2, RNG), random_density(2, RNG)
+    a, b = random_kraus_channel(4, 2, RNG), random_kraus_channel(4, 2, RNG)
+    g = RNG.normal(size=(4, 4))
+    q = 0.5 * (g + g.T)
+    expected = (value_of_information(rho, gamma, a, q), value_of_information(rho, gamma, b, q))
+    joints = []
+    tensor = DensityOperator.tensor
+    monkeypatch.setattr(DensityOperator, "tensor",
+                        lambda self, other: joints.append(other) or tensor(self, other))
+    cmp = compare_channels(rho, gamma, a, b, q)
+    assert len(joints) == 1
+    outcome = conjecture_experiment(rho, gamma, a, b, q)
+    assert len(joints) == 2
+    assert (cmp.value_first, cmp.value_second) == expected
+    assert (outcome.value_first, outcome.value_second) == expected
+
+
 def test_compare_ordering_consistent_with_direct_values():
     for _ in range(10):
         rho_a, rho_b = random_density(2, RNG), random_density(2, RNG)

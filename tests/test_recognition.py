@@ -301,8 +301,22 @@ def test_recognize_fixed_zero_probability_names_the_step():
     # weight on e_0, so outcome (0, 1) of the standard basis is impossible.
     bell = BellSystem(SignalBasis.standard(2))
     signals = [DensityOperator(np.diag([1.0, 0.0])), DensityOperator(np.diag([0.0, 1.0]))]
-    with pytest.raises(ZeroProbabilityOutcome, match=r"fixed outcome \(0, 1\) .* at step 1"):
+    with pytest.raises(ZeroProbabilityOutcome, match=r"outcome \(0, 1\) has probability .* at step 1"):
         list(recognize_sequence(DensityOperator.maximally_mixed(2), signals, bell, FixedPolicy(0, 1)))
+
+
+@pytest.mark.parametrize("policy", [ArgmaxPolicy(), SamplePolicy(seed=3), FixedPolicy(1, 2)])
+def test_recognize_memory_is_block_over_step_probability(policy):
+    # The step normalizes by the table entry p(i, j) it reports, not by
+    # a second evaluation of the same probability.
+    rng = np.random.default_rng(21)
+    bell = fourier_bell(4)
+    memory = random_density(4, rng)
+    signals = [random_density(4, rng) for _ in range(8)]
+    for signal, step in zip(signals, recognize_sequence(memory, signals, bell, policy)):
+        block = recognition._closed_form_block(step.i, step.j, signal, memory, bell)
+        assert np.array_equal(step.memory.matrix, DensityOperator(block / step.probability).matrix)
+        memory = step.memory
 
 
 def test_recognize_empty_sequence():
