@@ -44,13 +44,16 @@ DEFAULT_EPS_ZERO = 1e-3
 DEFAULT_EPS_CONST = 1e-3
 DEFAULT_WINDOW = 5
 MAX_SWEEP_ROWS = 1_000_000
-# Largest `transient + samples` of one orbit. An orbit point costs about
-# 57 B per step in one dimension (tracemalloc peak) and 260 B in two
-# (peak RSS, 2-core x86-64 host, numpy 2.4.6), so one point at the cap
-# stays near 0.5 GB; a sweep holds one point per worker at a time.
-MAX_ORBIT_STEPS = 2_000_000
-# Largest cell count bins ** dim of a Partition: up to 2**53 the float
-# cell index of each axis and the int64 flat cell code are exact.
+# Largest `transient + samples` of one orbit. Orbit points and 2-D
+# Jacobians pass through Python objects ORBIT_CHUNK steps at a time, so
+# a point peaks at about 57 B per step in one dimension and 80 B in two
+# (tracemalloc, 10**6 steps, x86-64, numpy 2.4.6): near 1 GB at the cap,
+# which admits 10**7 samples after the default transient. A sweep holds
+# one point per worker at a time.
+MAX_ORBIT_STEPS = 12_000_000
+ORBIT_CHUNK = 2**16
+# Largest cell count bins ** dim of a Partition. Up to 2**53 the float
+# cell index of each axis is exact; the int64 flat code is exact to 2**63.
 MAX_PARTITION_CELLS = 2**53
 
 
@@ -216,10 +219,15 @@ def iterate_orbit(system: MapSystem, cfg: OrbitConfig) -> np.ndarray:
     """
     x0, a = _resolve(system, cfg)
     start = x0[0] if system.dim == 1 else x0
-    points = itertools.accumulate(itertools.repeat(a, cfg.transient + cfg.samples),
-                                  system.step, initial=start)
-    # Row 0 is the starting point, already checked by _resolve.
-    orbit = np.array(list(points), dtype=float).reshape(-1, system.dim)[1:]
+    total = cfg.transient + cfg.samples
+    points = itertools.accumulate(itertools.repeat(a, total), system.step, initial=start)
+    next(points)  # the starting point, already checked by _resolve
+    # Points pass through Python objects one chunk at a time, so the
+    # orbit array is the only per-step cost that outlives a chunk.
+    orbit = np.empty((total, system.dim))
+    for lo in range(0, total, ORBIT_CHUNK):
+        chunk = list(itertools.islice(points, ORBIT_CHUNK))
+        orbit[lo:lo + len(chunk)] = np.array(chunk, dtype=float).reshape(-1, system.dim)
     los, his = np.array(system.box, dtype=float).T
     escaped = np.flatnonzero(~((orbit >= los) & (orbit <= his)).all(axis=1))
     if escaped.size:
@@ -362,14 +370,15 @@ def _lyapunov_from_orbit(system: MapSystem, orbit: np.ndarray, a: float) -> floa
 
     v0, v1 = 1.0, 0.0
     acc = 0.0
-    for j00, j01, j10, j11 in jac.reshape(n, 4).tolist():
-        w0 = j00 * v0 + j01 * v1
-        w1 = j10 * v0 + j11 * v1
-        norm = math.hypot(w0, w1)
-        if norm == 0.0:
-            return -math.inf
-        acc += math.log(norm)
-        v0, v1 = w0 / norm, w1 / norm
+    for lo in range(0, n, ORBIT_CHUNK):
+        for j00, j01, j10, j11 in jac[lo:lo + ORBIT_CHUNK].reshape(-1, 4).tolist():
+            w0 = j00 * v0 + j01 * v1
+            w1 = j10 * v0 + j11 * v1
+            norm = math.hypot(w0, w1)
+            if norm == 0.0:
+                return -math.inf
+            acc += math.log(norm)
+            v0, v1 = w0 / norm, w1 / norm
     return acc / n
 
 

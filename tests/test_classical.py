@@ -174,6 +174,21 @@ def test_tinkerbell_matches_per_step_reference():
     assert lyapunov_exponent(tinkerbell_map(), cfg) == acc / 2000
 
 
+@pytest.mark.parametrize("chunk", [1, 13])
+def test_orbit_chunk_size_does_not_change_results(monkeypatch, chunk):
+    cases = [(logistic_map(), OrbitConfig(transient=5, samples=200)),
+             (tinkerbell_map(), OrbitConfig(transient=100, samples=2000)),
+             (baker_map(), OrbitConfig(x0=(0.3, 0.4), transient=3, samples=50))]
+    expected = [(iterate_orbit(s, c), lyapunov_exponent(s, c)) for s, c in cases]
+    monkeypatch.setattr(classical, "ORBIT_CHUNK", chunk)
+    for (system, cfg), (orbit, lam) in zip(cases, expected):
+        assert np.array_equal(iterate_orbit(system, cfg), orbit)
+        assert lyapunov_exponent(system, cfg) == lam
+    with pytest.raises(OrbitEscape) as err:
+        iterate_orbit(tinkerbell_map(), OrbitConfig(transient=1000, samples=100, param=0.93))
+    assert err.value.step_index == 78
+
+
 def test_orbit_rejects_x0_outside_box():
     with pytest.raises(ValueError):
         iterate_orbit(logistic_map(), OrbitConfig(x0=(1.5,), samples=10))
@@ -414,7 +429,7 @@ def test_partition_rejects_cell_counts_above_the_cap():
     square = ((0.0, 1.0), (0.0, 1.0))
     Partition(((0.0, 1.0),), bins=MAX_PARTITION_CELLS)
     Partition(square, bins=2**26)
-    # 2**27 bins per axis give 2**54 cells, where flat codes stop being exact.
+    # 2**27 bins per axis give 2**54 cells, above the cap although int64 codes stay exact.
     for box, bins in [(((0.0, 1.0),), MAX_PARTITION_CELLS + 1), (square, 2**27)]:
         with pytest.raises(ValueError, match=f"MAX_PARTITION_CELLS={MAX_PARTITION_CELLS}"):
             Partition(box, bins=bins)
