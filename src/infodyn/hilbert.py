@@ -8,10 +8,11 @@ are immutable after construction and every function is pure.
 Entropies use the natural logarithm. Base conversion is a display
 concern and lives with the report types, not here.
 
-Two private helpers serve the whole package: `_check_deviation`, the
+Three private helpers serve the whole package: `_check_deviation`, the
 one tolerance check that a matrix equals its adjoint or the identity
-(a NaN deviation fails it as "<subject> has a non-finite entry"), and
-`_haar_unitaries`, the Haar sampler of `random_unitary` and the search.
+(a NaN deviation fails it as "<subject> has a non-finite entry"),
+`_haar_unitaries`, the Haar sampler, and `_degenerate_blocks`, the one
+degeneracy rule.
 """
 
 from __future__ import annotations
@@ -214,6 +215,14 @@ def _density_spectra(matrices):
     return m, tr, lam[..., ::-1].copy(), vec[..., ::-1].copy()
 
 
+def _degenerate_blocks(lam: np.ndarray) -> list[tuple[int, int]]:
+    """Column ranges (lo, hi) of the eigenvalue blocks with more than one member."""
+    # Eigenvalues are sorted descending; a block of (near-)equal values
+    # ends wherever the next one is more than the degeneracy gap below.
+    cuts = [0, *(np.flatnonzero(-np.diff(lam) > DEGENERACY_GAP) + 1), lam.size]
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+
+
 class DensityOperator:
     """Positive unit-trace operator with cached spectral data.
 
@@ -223,23 +232,19 @@ class DensityOperator:
     eigenvector columns. Instances are immutable.
     """
 
-    __slots__ = ("matrix", "eigenvalues", "eigenvectors", "degenerate")
+    __slots__ = ("matrix", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
         m, tr, lam, vec = _density_spectra(m)
-        gaps = -np.diff(lam)
-        degenerate = bool(lam.size > 1 and float(gaps.min()) <= DEGENERACY_GAP)
-
         m = m / tr
         for arr in (m, lam, vec):
             arr.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", vec)
-        object.__setattr__(self, "degenerate", degenerate)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityOperator is immutable")
@@ -247,6 +252,11 @@ class DensityOperator:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether two eigenvalues lie within DEGENERACY_GAP of each other."""
+        return bool(_degenerate_blocks(self.eigenvalues))
 
     @classmethod
     def from_pure(cls, vector) -> "DensityOperator":

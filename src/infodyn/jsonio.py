@@ -20,6 +20,7 @@ import numpy as np
 from .channels import Channel, kraus_channel, schur_channel, stochastic_channel, unitary_channel
 from .exceptions import DimensionMismatch
 from .hilbert import DensityOperator, as_density
+from .metrics import _check_seed
 from .recognition import (
     ArgmaxPolicy,
     BellSystem,
@@ -144,7 +145,8 @@ def parse_experiment(obj: dict):
     Returns (gamma0, signals, bell, policy). `rho` may be one matrix,
     repeated `steps` times (default 1) by a lazy iterator, or a list of
     matrices, returned as a list whose length must match `steps` when
-    both are present. `steps` above MAX_RECOGNITION_STEPS is rejected.
+    both are present. `steps` above MAX_RECOGNITION_STEPS is rejected, and
+    every signal is checked against `n` before any step runs.
     """
     if not isinstance(obj, dict):
         raise ValueError("experiment file must be a JSON object")
@@ -176,16 +178,20 @@ def parse_experiment(obj: dict):
     # must use pair entries to stay distinguishable.
     if ((isinstance(rho_field, list) and rho_field and isinstance(rho_field[0], dict))
             or _nesting_depth(rho_field) >= 4):
-        signals = [parse_state(m) for m in rho_field]
+        listed = signals = [parse_state(m) for m in rho_field]
         if steps is not None and steps != len(signals):
             raise ValueError(f"steps={steps} but rho lists {len(signals)} states")
     else:
-        single = parse_state(rho_field)
-        signals = itertools.repeat(single, 1 if steps is None else steps)
+        listed = [parse_state(rho_field)]
+        signals = itertools.repeat(listed[0], 1 if steps is None else steps)
+    for t, signal in enumerate(listed):
+        if signal.n != n:
+            raise DimensionMismatch(f"signal {t} has dim {signal.n}, expected system dim {n}")
 
     seed = obj.get("seed", 0)
     if not is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    _check_seed(seed)
     policy_field = obj["policy"]
     if policy_field == "sample":
         policy = SamplePolicy(seed=seed)

@@ -376,6 +376,32 @@ def test_recognize_checks_memory_dimension_before_building_basis(tmp_path, capsy
     assert "memory dim 1 must equal system dim 200000" in capsys.readouterr().err
 
 
+def test_recognize_checks_every_listed_signal_before_the_first_step(tmp_path, capsys):
+    pure = {"matrix": [[1.0, 0.0], [0.0, 0.0]]}
+    wide = {"matrix": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+    exp = recognition_experiment(tmp_path, rho=[pure, pure, wide], steps=3)
+    assert main(["recognize", "--experiment", exp]) == 4
+    captured = capsys.readouterr()
+    assert "signal 2 has dim 3, expected system dim 2" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["quantum-ecd", "axioms", "value", "recognize"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    if command == "quantum-ecd":
+        # A non-degenerate state: the search, and its generator, never runs.
+        argv = ["quantum-ecd", "--seed", "-1",
+                "--state", state_file(tmp_path, [[0.7, 0.0], [0.0, 0.3]]),
+                "--channel", channel_file(tmp_path, {"kind": "unitary",
+                                                     "matrix": [[1.0, 0.0], [0.0, 1.0]]})]
+    elif command == "recognize":
+        argv = ["recognize", "--experiment",
+                recognition_experiment(tmp_path, policy="sample", seed=-1)]
+    else:
+        argv = [command, "--dim", "2", "--seed", "-1"]
+    assert_usage_error(argv, capsys, "seed must be nonnegative, got -1")
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--bins", "100000000000000000000", f"MAX_PARTITION_CELLS={MAX_PARTITION_CELLS}"),
     ("--samples", str(MAX_ORBIT_STEPS), f"= {MAX_ORBIT_STEPS + 100} steps exceeds the limit "

@@ -31,8 +31,8 @@ from infodyn.metrics import (
 )
 from infodyn import metrics
 from infodyn.channels import Channel, schur_channel
-from infodyn.hilbert import relative_entropy
-from infodyn.metrics import _decompositions, _transmitted
+from infodyn.hilbert import _degenerate_blocks, relative_entropy
+from infodyn.metrics import _rotation_chunks, _transmitted
 
 RNG = np.random.default_rng(99)
 FAST = ComplexityConfig(restarts=50, seed=0)
@@ -134,15 +134,26 @@ def test_chaos_degree_degenerate_search_improves_on_base():
 def test_candidate_rotations_of_neighbouring_seeds_are_disjoint():
     # Each seed starts its own stream, so no rotation drawn under one
     # seed reappears under the next.
-    state = DensityOperator.maximally_mixed(3)
-
     def rotations(seed):
-        chunks = _decompositions(state, ComplexityConfig(restarts=100, seed=seed))
-        return [vec for _, stack in list(chunks)[1:] for vec in stack]
+        # One 3-fold block, in chunks of 30 candidates.
+        chunks = _rotation_chunks([(0, 3)], 100, seed, metrics.CHUNK_BYTES // 30)
+        return [u for (stack,) in chunks for u in stack]
 
     first, second = rotations(0), rotations(1)
     assert len(first) == len(second) == 100
     assert not any(np.allclose(a, b) for a in first for b in second)
+
+
+@pytest.mark.parametrize("gap, blocks", [(0.5e-9, [(1, 3)]), (2e-9, [])])
+def test_degeneracy_rule_agrees_at_its_boundary(gap, blocks):
+    # One eigenvalue pair either side of DEGENERACY_GAP = 1e-9: the
+    # state's flag, the block split and the search read the same rule.
+    state = DensityOperator(np.diag([0.6, 0.2, 0.2 - gap]) / (1.0 - gap))
+    assert _degenerate_blocks(state.eigenvalues) == blocks
+    assert state.degenerate is bool(blocks)
+    rep = chaos_degree(state, identity_channel(3), ComplexityConfig(restarts=7, seed=0))
+    assert rep.degenerate is bool(blocks)
+    assert rep.restarts == (8 if blocks else 1)
 
 
 def two_block_state():
