@@ -365,14 +365,13 @@ def depolarizing_channel(n: int, p: float = 1.0) -> Channel:
         raise ValueError(f"mixing weight must be in [0, 1], got {p}")
     omega = np.exp(2j * np.pi / n)
     clock = np.diag(omega ** np.arange(n))
-    step = np.roll(np.eye(n, dtype=complex), 1, axis=0)
     ops = []
     for a in range(n):
         for b in range(n):
             coeff = 1.0 - p + p / n**2 if a == 0 and b == 0 else p / n**2
             if coeff <= 0.0:
                 continue
-            ops.append(np.sqrt(coeff) * (np.linalg.matrix_power(step, a) @
+            ops.append(np.sqrt(coeff) * (shift_unitary((-a) % n, n) @
                                          np.linalg.matrix_power(clock, b)))
     return kraus_channel(ops)
 

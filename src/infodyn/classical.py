@@ -44,12 +44,13 @@ DEFAULT_EPS_ZERO = 1e-3
 DEFAULT_EPS_CONST = 1e-3
 DEFAULT_WINDOW = 5
 MAX_SWEEP_ROWS = 1_000_000
-# Largest `transient + samples` of one orbit. Orbit points and 2-D
-# Jacobians pass through Python objects ORBIT_CHUNK steps at a time, so
-# a point peaks at about 57 B per step in one dimension and 80 B in two
-# (tracemalloc, 10**6 steps, x86-64, numpy 2.4.6): near 1 GB at the cap,
-# which admits 10**7 samples after the default transient. A sweep holds
-# one point per worker at a time.
+# Largest `transient + samples` of one orbit. `iterate_orbit` fills the
+# orbit array in place and peaks at about 10 B per step in one dimension
+# and 20 B in two. Binning and the Lyapunov loop, whose 2-D Jacobians pass
+# through Python objects ORBIT_CHUNK steps at a time, bring a sweep point
+# to about 57 B and 80 B (tracemalloc, 10**6 steps, x86-64, numpy 2.4.6):
+# near 1 GB at the cap, which admits 10**7 samples after the default
+# transient. A sweep holds one point per worker at a time.
 MAX_ORBIT_STEPS = 12_000_000
 ORBIT_CHUNK = 2**16
 # Largest cell count bins ** dim of a Partition. Up to 2**53 the float
@@ -222,12 +223,8 @@ def iterate_orbit(system: MapSystem, cfg: OrbitConfig) -> np.ndarray:
     total = cfg.transient + cfg.samples
     points = itertools.accumulate(itertools.repeat(a, total), system.step, initial=start)
     next(points)  # the starting point, already checked by _resolve
-    # Points pass through Python objects one chunk at a time, so the
-    # orbit array is the only per-step cost that outlives a chunk.
-    orbit = np.empty((total, system.dim))
-    for lo in range(0, total, ORBIT_CHUNK):
-        chunk = list(itertools.islice(points, ORBIT_CHUNK))
-        orbit[lo:lo + len(chunk)] = np.array(chunk, dtype=float).reshape(-1, system.dim)
+    dtype = float if system.dim == 1 else (float, 2)
+    orbit = np.fromiter(points, dtype=dtype, count=total).reshape(total, system.dim)
     los, his = np.array(system.box, dtype=float).T
     escaped = np.flatnonzero(~((orbit >= los) & (orbit <= his)).all(axis=1))
     if escaped.size:

@@ -180,6 +180,12 @@ def _check_deviation(diff, tol: float, subject: str, complaint: str) -> None:
         )
 
 
+def _check_seed(seed: int) -> None:
+    """The one seed check: numpy generators take only nonnegative seeds."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 def _density_spectra(matrices):
     """Checked spectral data of a density matrix or a stack (..., n, n) of them.
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from .channels import Channel, kraus_channel, schur_channel, stochastic_channel, unitary_channel
 from .exceptions import DimensionMismatch
-from .hilbert import DensityOperator, as_density
-from .metrics import _check_seed
+from .hilbert import DensityOperator, _check_seed, as_density
 from .recognition import (
     ArgmaxPolicy,
     BellSystem,

@@ -20,16 +20,18 @@ maximally mixed state the infimum is 0, yet 1000 restarts report about
 0.6, 1.5 and 2.3 nats at n = 4, 8 and 16, against output entropies of
 1.39, 2.08 and 2.77; sampling alone does not close that gap.
 
-The search runs over stacks of candidates. The eigenbasis is evaluated
+`_search` is the one search: `chaos_degree` reports from it, and
+`conjecture_experiment`, which reads only the chaos degree, calls it
+directly. It runs over stacks of candidates. The eigenbasis is evaluated
 once; the rotations come in chunks sized to CHUNK_BYTES, each block's
 as one stacked QR, and each chunk re-scores only the live columns of
 the degenerate blocks, with image entropies from the small Gram
 matrices of `Channel.image_spectra`. The candidate stream, and so the
-report, does not depend on the chunk size. The transmitted value is
-then evaluated at the minimizing decomposition through its own
-relative-entropy formula, with every image validated as a density
-operator; it is never taken as the output entropy minus the chaos
-degree.
+report, does not depend on the chunk size. `chaos_degree` then
+evaluates the transmitted value at the minimizing decomposition through
+its own relative-entropy formula, with every image validated as a
+density operator; it is never taken as the output entropy minus the
+chaos degree.
 
 All values are in nats; report serialization accepts a display base.
 """
@@ -37,7 +39,7 @@ All values are in nats; report serialization accepts a display base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from .hilbert import (
     DensityOperator,
     SchattenDecomposition,
     _check_deviation,
+    _check_seed,
     _degenerate_blocks,
     _density_spectra,
     _entropy_of_spectrum,
@@ -68,27 +71,21 @@ MAX_RESTARTS = 1_000_000
 # and 12 ms at dim 8 (same host), so the cap bounds a suite at about
 # 40 s at dim 2 and 2 min at dim 8.
 MAX_AXIOM_TRIALS = 10_000
-# Largest `conjecture_batch` pair count and dimension. A pair works on
-# the dim^2-dimensional joint space: it costs about 2 ms at dim 2 and 3,
-# 5 ms at dim 4, 40 ms at dim 6, 200 ms at dim 8 and 3.3 s at dim 12
-# (same host), so the caps bound a batch at about 20 s at dim 2 and keep
-# one pair under a second.
+# Largest `conjecture_batch` pair count and dimension. A pair runs two
+# decomposition searches on the dim^2-dimensional joint space: it costs
+# about 1 ms at dim 2 and 3, 1.3 ms at dim 4, 3 ms at dim 6, 8 ms at
+# dim 8 and 46 ms at dim 12 (same host), so the caps bound a batch at
+# about 10 s at dim 2 and 80 s at dim 8.
 MAX_VALUE_PAIRS = 10_000
 MAX_VALUE_DIM = 8
-# Largest `conjecture_batch` Kraus rank. Each term adds about 16 ms to a
-# pair at MAX_VALUE_DIM: 0.2 s at 2 terms, 0.6 s at 32, 1.0 s at 64 and
-# 2.0 s at 128 (same host), so the cap keeps one pair at about a second.
+# Largest `conjecture_batch` Kraus rank. Each term adds about 3.5 ms to a
+# pair at MAX_VALUE_DIM: 8 ms at 2 terms, 87 ms at 32, 0.23 s at 64 and
+# 0.38 s at 128 (same host), so the cap keeps one pair under a second.
 MAX_KRAUS_TERMS = 64
 # Working memory of one chunk of search candidates. A chunk holds as
 # many candidates as fit; the candidate stream and the report do not
 # depend on the chunk size.
 CHUNK_BYTES = 1 << 20
-
-
-def _check_seed(seed: int) -> None:
-    """The one seed check: numpy generators take only nonnegative seeds."""
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
 def complexity(rho) -> float:
@@ -198,33 +195,22 @@ def _transmitted(lam: np.ndarray, vecs: np.ndarray, channel: Channel,
     return np.sum(rel * lam[live], axis=-1)
 
 
-def _require_trace_preserving(channel: Channel):
+def _search(state: DensityOperator, channel: Channel, cfg: ComplexityConfig):
+    """Minimize sum p_k S(channel(E_k)) over the state's extremal decompositions.
+
+    The channel must be a trace-preserving `Channel` of the state's
+    dimension. The eigenbasis is evaluated once; each chunk of rotated
+    candidates then re-scores only the live columns of the degenerate
+    blocks, with image entropies from `Channel.image_spectra`. Returns
+    D, the worst value seen, the candidate count, the degenerate blocks
+    and the minimizing eigenvector columns.
+    """
     if not isinstance(channel, Channel):
         raise TypeError("expected a Channel")
     if not channel.is_trace_preserving:
         raise ValueError("decomposition metrics require a trace-preserving channel")
-
-
-def chaos_degree(rho, channel: Channel, config: ComplexityConfig | None = None) -> ChaosDegreeReport:
-    """Chaos degree of a state under a trace-preserving linear channel.
-
-    Minimizes sum p_k S(channel(E_k)) over extremal decompositions and
-    evaluates the transmitted complexity at the minimizing decomposition
-    through its own relative-entropy formula.
-
-    Image entropies come from `Channel.image_spectra`. The eigenbasis is
-    evaluated once; each chunk of rotated candidates then re-evaluates
-    only the live columns of the degenerate blocks, the other columns
-    contributing the same constant to every candidate.
-    """
-    cfg = config or DEFAULT_CONFIG
-    state = as_density(rho)
-    _require_trace_preserving(channel)
     if state.n != channel.dim:
         raise DimensionMismatch(f"state dim {state.n} vs channel dim {channel.dim}")
-
-    sigma = channel.apply(state)
-    s_out = von_neumann_entropy(sigma)
 
     lam, vec = state.eigenvalues, state.eigenvectors
     live = lam > WEIGHT_FLOOR
@@ -259,15 +245,28 @@ def chaos_degree(rho, channel: Channel, config: ComplexityConfig | None = None) 
             worst_val = max(worst_val, float(values.max()))
 
     best_vec = vec if best_rotations is None else _rotated(vec, blocks, best_rotations)
+    return best_val, worst_val, evaluated, blocks, best_vec
+
+
+def chaos_degree(rho, channel: Channel, config: ComplexityConfig | None = None) -> ChaosDegreeReport:
+    """Chaos degree of a state under a trace-preserving linear channel.
+
+    `_search` finds the minimizing decomposition; the transmitted
+    complexity is evaluated there through its own relative-entropy formula.
+    """
+    cfg = config or DEFAULT_CONFIG
+    state = as_density(rho)
+    best_val, worst_val, evaluated, blocks, best_vec = _search(state, channel, cfg)
+    sigma = channel.apply(state)
     return ChaosDegreeReport(
         chaos_degree=best_val,
-        transmitted=float(_transmitted(lam, best_vec, channel, sigma)),
-        output_entropy=s_out,
+        transmitted=float(_transmitted(state.eigenvalues, best_vec, channel, sigma)),
+        output_entropy=von_neumann_entropy(sigma),
         degenerate=bool(blocks),
         restarts=evaluated,
         seed=cfg.seed,
         worst=worst_val,
-        decomposition=SchattenDecomposition(weights=lam, vectors=best_vec),
+        decomposition=SchattenDecomposition(weights=state.eigenvalues, vectors=best_vec),
     )
 
 
@@ -389,8 +388,8 @@ def conjecture_experiment(rho_p, gamma_o, channel_a: Channel, channel_b: Channel
     """Compare chaos-degree ordering with value ordering for two channels."""
     joint = as_density(rho_p).tensor(as_density(gamma_o))
     q = _check_purpose(purpose, joint, (channel_a, channel_b))
-    d_a = chaos_degree(joint, channel_a, config).chaos_degree
-    d_b = chaos_degree(joint, channel_b, config).chaos_degree
+    cfg = config or DEFAULT_CONFIG
+    d_a, d_b = _search(joint, channel_a, cfg)[0], _search(joint, channel_b, cfg)[0]
     v_a, v_b = _joint_value(joint, channel_a, q), _joint_value(joint, channel_b, q)
     # Lower chaos degree should pair with higher value; compare the two
     # preference labels so ties must match ties.

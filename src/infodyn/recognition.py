@@ -48,6 +48,7 @@ from .exceptions import DimensionMismatch, OutsideDomain, ZeroProbabilityOutcome
 from .hilbert import (
     DensityOperator,
     _check_deviation,
+    _check_seed,
     as_density,
     diag_embedding,
     shift_unitary,
@@ -316,6 +317,9 @@ class SamplePolicy:
     """Draw outcomes from their probabilities with a seeded generator."""
 
     seed: int = 0
+
+    def __post_init__(self):
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

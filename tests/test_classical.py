@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,6 +188,30 @@ def test_orbit_chunk_size_does_not_change_results(monkeypatch, chunk):
     with pytest.raises(OrbitEscape) as err:
         iterate_orbit(tinkerbell_map(), OrbitConfig(transient=1000, samples=100, param=0.93))
     assert err.value.step_index == 78
+
+
+def _ring_step(x, a):
+    return float((3 * int(x) + 1) % 7)
+
+
+RING = MapSystem(name="ring", box=((0.0, 6.0),), default_x0=(2.0,), default_param=0.0,
+                 step=_ring_step, jacobian=lambda orbit, a: np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("system, step", [
+    (logistic_map(), lambda x, a: np.float64(classical._logistic_step(x, a))),
+    (RING, lambda x, a: int(_ring_step(x, a))),
+    (tinkerbell_map(), lambda p, a: list(classical._tinkerbell_step(p, a))),
+    (tinkerbell_map(), lambda p, a: np.array(classical._tinkerbell_step(p, a))),
+], ids=["float64", "int", "list", "ndarray"])
+def test_orbit_takes_every_numeric_step_output(system, step):
+    # A step may return any real scalar in 1-D and any pair in 2-D; the
+    # orbit equals the one its float or tuple form gives.
+    cfg = OrbitConfig(transient=10, samples=500)
+    expected = iterate_orbit(system, cfg)
+    orbit = iterate_orbit(replace(system, step=step), cfg)
+    assert orbit.dtype == float and orbit.shape == (500, system.dim)
+    assert np.array_equal(orbit, expected)
 
 
 def test_orbit_rejects_x0_outside_box():

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -421,6 +423,54 @@ def test_value_pair_builds_the_joint_state_once(monkeypatch):
     assert len(joints) == 2
     assert (cmp.value_first, cmp.value_second) == expected
     assert (outcome.value_first, outcome.value_second) == expected
+
+
+def test_value_pair_runs_only_the_decomposition_search(monkeypatch):
+    rho, gamma = random_density(2, RNG), random_density(2, RNG)
+    a, b = random_kraus_channel(4, 2, RNG), random_kraus_channel(4, 2, RNG)
+    g = RNG.normal(size=(4, 4))
+    q = 0.5 * (g + g.T)
+    joint = rho.tensor(gamma)
+    expected = (chaos_degree(joint, a).chaos_degree, chaos_degree(joint, b).chaos_degree)
+    calls = []
+    report, transmitted, apply = metrics.chaos_degree, metrics._transmitted, Channel.apply
+    monkeypatch.setattr(metrics, "chaos_degree",
+                        lambda *args: calls.append("chaos_degree") or report(*args))
+    monkeypatch.setattr(metrics, "_transmitted",
+                        lambda *args: calls.append("_transmitted") or transmitted(*args))
+    monkeypatch.setattr(Channel, "apply", lambda self, rho: calls.append("apply") or apply(self, rho))
+    outcome = conjecture_experiment(rho, gamma, a, b, q)
+    assert calls == []
+    assert (outcome.d_first, outcome.d_second) == expected
+
+
+def test_value_pair_chaos_degree_is_the_report_value_on_a_degenerate_state():
+    mixed = DensityOperator.maximally_mixed(2)
+    joint = mixed.tensor(mixed)
+    cfg = ComplexityConfig(restarts=7, seed=3)
+    a, b = random_kraus_channel(4, 2, RNG), random_kraus_channel(4, 3, RNG)
+    out = conjecture_experiment(mixed, mixed, a, b, np.diag([1.0, 0.0, 0.0, -1.0]), cfg)
+    report_a, report_b = chaos_degree(joint, a, cfg), chaos_degree(joint, b, cfg)
+    assert report_a.degenerate and report_a.restarts == 8
+    assert out.d_first == report_a.chaos_degree
+    assert out.d_second == report_b.chaos_degree
+
+
+def test_value_pair_checks_each_channel_before_the_search():
+    rho, gamma = random_density(2, RNG), random_density(2, RNG)
+    ch = random_kraus_channel(4, 2, RNG)
+    q = np.eye(4)
+    # A stand-in of the right dimension passes the purpose check; the
+    # search takes only a Channel.
+    stand_in = types.SimpleNamespace(dim=4, is_trace_preserving=True)
+    for pair in [(stand_in, ch), (ch, stand_in)]:
+        with pytest.raises(TypeError, match="expected a Channel"):
+            conjecture_experiment(rho, gamma, *pair, q)
+    lossy = kraus_channel([0.5 * np.eye(4)])
+    assert not lossy.is_trace_preserving
+    for pair in [(lossy, ch), (ch, lossy)]:
+        with pytest.raises(ValueError, match="require a trace-preserving channel"):
+            conjecture_experiment(rho, gamma, *pair, q)
 
 
 def test_compare_ordering_consistent_with_direct_values():

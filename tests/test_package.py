@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import infodyn
 
@@ -19,3 +21,15 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - set(infodyn.__all__)) == []
+
+
+def test_private_names_cross_modules_only_from_hilbert():
+    # `hilbert` is the home of the package-wide private helpers; any other
+    # module's `_` names stay inside it.
+    stray = []
+    for path in sorted(Path(infodyn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module != "hilbert":
+                stray += [f"{path.name}: {node.module}.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert stray == []

@@ -370,6 +370,11 @@ def test_recognize_sampling_is_seed_deterministic():
         assert np.array_equal(sa.memory.matrix, sb.memory.matrix)
 
 
+def test_sample_policy_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        SamplePolicy(seed=-1)
+
+
 def test_recognize_fixed_policy_follows_requested_outcome():
     bell = fourier_bell(2)
     gamma = DensityOperator.maximally_mixed(2)
