@@ -24,18 +24,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionMismatch, OutsideDomain
-from .hilbert import DensityOperator, _check_deviation, as_density, mult_operator, shift_unitary
+from .hilbert import (
+    DensityOperator,
+    _check_deviation,
+    _square,
+    as_density,
+    mult_operator,
+    shift_unitary,
+)
 
 PROBABILITY_FLOOR = 1e-12
 UNITARY_TOL = 1e-10
 CP_EIGENVALUE_TOL = 1e-9
-
-
-def _square(matrix, name: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    return m
 
 
 @dataclass(frozen=True)
@@ -205,29 +205,33 @@ class Channel:
     of a stack without forming the n x n images: the image of |v><v| is
     W W* for W = [A_1 v ... A_r v] and a Kraus form {A_k} of the channel,
     so it shares its nonzero spectrum with the Gram matrix W* W.
+    Instances are immutable.
     """
 
     __slots__ = ("kind", "dim", "is_trace_preserving", "image_width", "_data", "_factor")
 
     def __init__(self, kind, dim, is_trace_preserving, data):
-        self.kind = kind
-        self.dim = int(dim)
-        self.is_trace_preserving = bool(is_trace_preserving)
-        self._data = data
+        dim = int(dim)
         # The Kraus form that `image_spectra` applies to a row vector v:
         # v @ factor lists A_1 v, ..., A_r v (kraus, unitary), and
         # v * factor does the same for the diagonal A_k of a Schur weight.
         # `image_width` is r, the number of columns of W per vector; a
         # stochastic channel forms no W and returns n probabilities.
         if kind == "schur":
-            self._factor = np.array([np.sqrt(g) * h for g, h in data.spectral_terms()],
-                                    dtype=complex).reshape(-1, self.dim)
-            self.image_width = self._factor.shape[0]
+            factor = np.array([np.sqrt(g) * h for g, h in data.spectral_terms()],
+                              dtype=complex).reshape(-1, dim)
+            width = factor.shape[0]
         elif kind == "stochastic":
-            self._factor, self.image_width = None, self.dim
+            factor, width = None, dim
         else:
-            self._factor = data.transpose(2, 0, 1).reshape(self.dim, -1)
-            self.image_width = data.shape[0]
+            factor, width = data.transpose(2, 0, 1).reshape(dim, -1), data.shape[0]
+        for name, value in (("kind", kind), ("dim", dim),
+                            ("is_trace_preserving", bool(is_trace_preserving)),
+                            ("image_width", width), ("_data", data), ("_factor", factor)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Channel is immutable")
 
     def __repr__(self):
         return f"Channel(kind={self.kind!r}, dim={self.dim})"

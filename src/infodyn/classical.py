@@ -33,17 +33,20 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import OrbitEscape
-from .hilbert import DensityOperator
+from .hilbert import DensityOperator, _check_limit
 from .channels import Channel, stochastic_channel
-from .metrics import classify_dynamics
+from .metrics import DEFAULT_EPS_CONST, DEFAULT_EPS_ZERO, classify_dynamics
 
 DEFAULT_TRANSIENT = 1000
 DEFAULT_SAMPLES = 100_000
 DEFAULT_BINS = 100
-DEFAULT_EPS_ZERO = 1e-3
-DEFAULT_EPS_CONST = 1e-3
 DEFAULT_WINDOW = 5
 MAX_SWEEP_ROWS = 1_000_000
+# Largest sweep worker count. Each worker holds one sweep point at a
+# time, near 1 GB at MAX_ORBIT_STEPS, and a fork-started pool forks all
+# its workers at the first submit; the standard library itself caps a
+# Windows pool at 61.
+MAX_WORKERS = 64
 # Largest `transient + samples` of one orbit. `iterate_orbit` fills the
 # orbit array in place and peaks at about 10 B per step in one dimension
 # and 20 B in two. Binning and the Lyapunov loop, whose 2-D Jacobians pass
@@ -416,13 +419,14 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     inclusive in increments of `step`, each labeled by classifying the
     trailing `window` of chaos-degree values. Every row is one call of
     the same per-point function on (system, config, partition). When
-    `workers` exceeds 1 and `system` equals one of BUILTIN_MAPS, the
-    calls go to a process pool, which receives those objects pickled;
-    any other map runs in this process whatever `workers` says, since
-    its step and Jacobian need not pickle. Results are ordered by
-    parameter and identical at any worker count. Non-finite grid bounds,
-    grids of more than MAX_SWEEP_ROWS rows and a `workers` below 1 raise
-    ValueError before any row is built.
+    `workers` and the row count both exceed 1 and `system` equals one of
+    BUILTIN_MAPS, the calls go to a pool of min(workers, rows) processes,
+    which receives those objects pickled; any other map runs in this
+    process whatever `workers` says, since its step and Jacobian need not
+    pickle. Results are ordered by parameter and identical at any worker
+    count. Non-finite grid bounds, grids of more than MAX_SWEEP_ROWS rows
+    and a `workers` below 1 or above MAX_WORKERS raise ValueError before
+    any row is built.
     """
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"sweep start, stop and step must be finite, got {start}, {stop}, {step}")
@@ -434,6 +438,7 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
         raise ValueError("window must be at least 1")
     if workers < 1:
         raise ValueError("workers must be positive")
+    _check_limit("workers", workers, "MAX_WORKERS", MAX_WORKERS)
     span = (stop - start) / step
     count = int(math.floor(span + 1e-9)) + 1 if math.isfinite(span) else math.inf
     if count > MAX_SWEEP_ROWS:
@@ -442,8 +447,9 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     part = partition or Partition(system.box)
     params = [start + k * step for k in range(count)]
     cfgs = [replace(cfg, param=a) for a in params]
-    if workers > 1 and system in BUILTIN_MAPS.values():
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(cfgs))
+    if pool_size > 1 and system in BUILTIN_MAPS.values():
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             metrics = list(pool.map(_point_metrics, itertools.repeat(system), cfgs,
                                     itertools.repeat(part)))
     else:

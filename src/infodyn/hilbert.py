@@ -8,11 +8,12 @@ are immutable after construction and every function is pure.
 Entropies use the natural logarithm. Base conversion is a display
 concern and lives with the report types, not here.
 
-Three private helpers serve the whole package: `_check_deviation`, the
-one tolerance check that a matrix equals its adjoint or the identity
-(a NaN deviation fails it as "<subject> has a non-finite entry"),
-`_haar_unitaries`, the Haar sampler, and `_degenerate_blocks`, the one
-degeneracy rule.
+The package-wide private helpers live here, one per rule:
+`_check_deviation`, the one tolerance check that a matrix equals its
+adjoint or the identity (a NaN deviation fails it as "<subject> has a
+non-finite entry"), `_square`, the square-matrix check, `_check_limit`,
+the upper bound on a size input, `_check_seed`, `_haar_unitaries`, the
+Haar sampler, and `_degenerate_blocks`, the one degeneracy rule.
 """
 
 from __future__ import annotations
@@ -180,6 +181,20 @@ def _check_deviation(diff, tol: float, subject: str, complaint: str) -> None:
         )
 
 
+def _square(matrix, name: str) -> np.ndarray:
+    """`matrix` as a complex array, which must be one square matrix."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    return m
+
+
+def _check_limit(name: str, value, limit_name: str, limit) -> None:
+    """The one upper-bound check of a size input against its cap."""
+    if value > limit:
+        raise ValueError(f"{name}={value} exceeds the limit {limit_name}={limit}")
+
+
 def _check_seed(seed: int) -> None:
     """The one seed check: numpy generators take only nonnegative seeds."""
     if seed < 0:
@@ -241,10 +256,7 @@ class DensityOperator:
     __slots__ = ("matrix", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density operator must be square, got shape {m.shape}")
-        m, tr, lam, vec = _density_spectra(m)
+        m, tr, lam, vec = _density_spectra(_square(matrix, "density operator"))
         m = m / tr
         for arr in (m, lam, vec):
             arr.setflags(write=False)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import Channel, kraus_channel, schur_channel, stochastic_channel, unitary_channel
 from .exceptions import DimensionMismatch
-from .hilbert import DensityOperator, _check_seed, as_density
+from .hilbert import DensityOperator, _check_limit, _check_seed, as_density
 from .recognition import (
     ArgmaxPolicy,
     BellSystem,
@@ -166,10 +166,8 @@ def parse_experiment(obj: dict):
     steps = obj.get("steps")
     if steps is not None and (not is_integer(steps) or steps < 0):
         raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
-    if steps is not None and steps > MAX_RECOGNITION_STEPS:
-        raise ValueError(
-            f"steps={steps} exceeds the limit MAX_RECOGNITION_STEPS={MAX_RECOGNITION_STEPS}"
-        )
+    if steps is not None:
+        _check_limit("steps", steps, "MAX_RECOGNITION_STEPS", MAX_RECOGNITION_STEPS)
     # Nesting depth separates one matrix from a sequence: entries are
     # [re, im] pairs in the canonical format, so a single matrix nests
     # three levels and a sequence of matrices four. Depth-two input is

@@ -33,6 +33,12 @@ its own relative-entropy formula, with every image validated as a
 density operator; it is never taken as the output entropy minus the
 chaos degree.
 
+Every function here that takes a channel checks it through
+`_check_channel` before any arithmetic: a non-`Channel` raises
+TypeError and a channel of another dimension than the state (or the
+joint state, for the value functions) raises DimensionMismatch. The
+search then requires a trace-preserving channel.
+
 All values are in nats; report serialization accepts a display base.
 """
 
@@ -49,6 +55,7 @@ from .hilbert import (
     DensityOperator,
     SchattenDecomposition,
     _check_deviation,
+    _check_limit,
     _check_seed,
     _degenerate_blocks,
     _density_spectra,
@@ -103,10 +110,7 @@ class ComplexityConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.restarts > MAX_RESTARTS:
-            raise ValueError(
-                f"restarts={self.restarts} exceeds the limit MAX_RESTARTS={MAX_RESTARTS}"
-            )
+        _check_limit("restarts", self.restarts, "MAX_RESTARTS", MAX_RESTARTS)
         _check_seed(self.seed)
 
 
@@ -195,6 +199,14 @@ def _transmitted(lam: np.ndarray, vecs: np.ndarray, channel: Channel,
     return np.sum(rel * lam[live], axis=-1)
 
 
+def _check_channel(channel, n: int, subject: str) -> None:
+    """The one channel check: a `Channel` whose dimension is the subject's `n`."""
+    if not isinstance(channel, Channel):
+        raise TypeError("expected a Channel")
+    if n != channel.dim:
+        raise DimensionMismatch(f"{subject} dim {n} vs channel dim {channel.dim}")
+
+
 def _search(state: DensityOperator, channel: Channel, cfg: ComplexityConfig):
     """Minimize sum p_k S(channel(E_k)) over the state's extremal decompositions.
 
@@ -205,12 +217,9 @@ def _search(state: DensityOperator, channel: Channel, cfg: ComplexityConfig):
     D, the worst value seen, the candidate count, the degenerate blocks
     and the minimizing eigenvector columns.
     """
-    if not isinstance(channel, Channel):
-        raise TypeError("expected a Channel")
+    _check_channel(channel, state.n, "state")
     if not channel.is_trace_preserving:
         raise ValueError("decomposition metrics require a trace-preserving channel")
-    if state.n != channel.dim:
-        raise DimensionMismatch(f"state dim {state.n} vs channel dim {channel.dim}")
 
     lam, vec = state.eigenvalues, state.eigenvectors
     live = lam > WEIGHT_FLOOR
@@ -279,7 +288,15 @@ def transmitted_complexity(rho, channel: Channel, config: ComplexityConfig | Non
     return chaos_degree(rho, channel, config).transmitted
 
 
-def classify_dynamics(d_values, eps_zero: float = 1e-3, eps_const: float = 1e-3) -> str:
+# Default `classify_dynamics` thresholds: a window of D values is "stable"
+# within DEFAULT_EPS_ZERO of 0 and "weak_stable" within DEFAULT_EPS_CONST
+# of a constant.
+DEFAULT_EPS_ZERO = 1e-3
+DEFAULT_EPS_CONST = 1e-3
+
+
+def classify_dynamics(d_values, eps_zero: float = DEFAULT_EPS_ZERO,
+                      eps_const: float = DEFAULT_EPS_CONST) -> str:
     """Label a window of chaos-degree values.
 
     "stable" when the values all vanish, "weak_stable" when they sit at
@@ -298,8 +315,7 @@ def classify_dynamics(d_values, eps_zero: float = 1e-3, eps_const: float = 1e-3)
 def _check_purpose(q, joint: DensityOperator, channels) -> np.ndarray:
     """The purpose operator as an array, once the joint state fits every channel."""
     for channel in channels:
-        if joint.n != channel.dim:
-            raise DimensionMismatch(f"joint dim {joint.n} vs channel dim {channel.dim}")
+        _check_channel(channel, joint.n, "joint")
     m = np.asarray(q, dtype=complex)
     if m.shape != (joint.n, joint.n):
         raise DimensionMismatch(f"purpose operator shape {m.shape}, expected {(joint.n, joint.n)}")
@@ -404,18 +420,13 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
     """Run the ordering check on random instances; returns outcomes and rate."""
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    if dim > MAX_VALUE_DIM:
-        raise ValueError(f"dim={dim} exceeds the limit MAX_VALUE_DIM={MAX_VALUE_DIM}")
+    _check_limit("dim", dim, "MAX_VALUE_DIM", MAX_VALUE_DIM)
     if pairs < 1:
         raise ValueError("pairs must be positive")
-    if pairs > MAX_VALUE_PAIRS:
-        raise ValueError(f"pairs={pairs} exceeds the limit MAX_VALUE_PAIRS={MAX_VALUE_PAIRS}")
+    _check_limit("pairs", pairs, "MAX_VALUE_PAIRS", MAX_VALUE_PAIRS)
     if kraus_terms < 1:
         raise ValueError("kraus_terms must be positive")
-    if kraus_terms > MAX_KRAUS_TERMS:
-        raise ValueError(
-            f"kraus_terms={kraus_terms} exceeds the limit MAX_KRAUS_TERMS={MAX_KRAUS_TERMS}"
-        )
+    _check_limit("kraus_terms", kraus_terms, "MAX_KRAUS_TERMS", MAX_KRAUS_TERMS)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     outcomes = []
@@ -462,8 +473,7 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
         raise ValueError(f"dim must be in [2, 8], got {dim}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    if trials > MAX_AXIOM_TRIALS:
-        raise ValueError(f"trials={trials} exceeds the limit MAX_AXIOM_TRIALS={MAX_AXIOM_TRIALS}")
+    _check_limit("trials", trials, "MAX_AXIOM_TRIALS", MAX_AXIOM_TRIALS)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     cfg = ComplexityConfig(restarts=20, seed=seed)

@@ -49,6 +49,7 @@ from .hilbert import (
     DensityOperator,
     _check_deviation,
     _check_seed,
+    _square,
     as_density,
     diag_embedding,
     shift_unitary,
@@ -70,9 +71,7 @@ class SignalBasis:
     __slots__ = ("vectors", "uniform_modulus")
 
     def __init__(self, vectors):
-        v = np.asarray(vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"basis must be a square matrix of rows, got {v.shape}")
+        v = _square(vectors, "basis")
         _check_deviation(v.conj() @ v.T - np.eye(v.shape[0]), BASIS_TOL, "basis",
                          "rows are not orthonormal: Gram error")
         mags = np.abs(v)

@@ -116,6 +116,25 @@ def test_unitary_channel_rejects_nonunitary():
         unitary_channel(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("build, name", [
+    (DensityOperator, "density operator"),
+    (SignalBasis, "basis"),
+    (SchurWeight, "weight"),
+    (unitary_channel, "unitary"),
+])
+def test_square_matrix_inputs_share_one_message(build, name):
+    with pytest.raises(ValueError) as exc:
+        build(np.zeros((2, 3)))
+    assert str(exc.value) == f"{name} must be a square matrix, got shape (2, 3)"
+
+
+def test_channel_is_immutable():
+    lossy = kraus_channel([0.5 * np.eye(4)])
+    with pytest.raises(AttributeError, match="Channel is immutable"):
+        lossy.is_trace_preserving = True
+    assert not lossy.is_trace_preserving
+
+
 def test_kraus_channel_requires_completeness():
     with pytest.raises(ValueError):
         kraus_channel([np.eye(2), np.eye(2)])

@@ -11,6 +11,7 @@ from infodyn.classical import (
     MAX_ORBIT_STEPS,
     MAX_PARTITION_CELLS,
     MAX_SWEEP_ROWS,
+    MAX_WORKERS,
     MapSystem,
     OrbitConfig,
     Partition,
@@ -356,7 +357,9 @@ def test_sweep_parallel_matches_serial():
     assert sweep_to_csv(serial) == sweep_to_csv(parallel)
 
 
-def test_sweep_pool_runs_for_builtin_map_objects_only(monkeypatch):
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The keyword arguments of every process pool `sweep` builds."""
     started = []
 
     class SpyPool(classical.ProcessPoolExecutor):
@@ -365,6 +368,11 @@ def test_sweep_pool_runs_for_builtin_map_objects_only(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(classical, "ProcessPoolExecutor", SpyPool)
+    return started
+
+
+def test_sweep_pool_runs_for_builtin_map_objects_only(started_pools):
+    started = started_pools
     cfg = OrbitConfig(transient=100, samples=2000)
     part = Partition(((0.0, 1.0),), bins=25)
     # Equal to the registry entry, not the entry itself.
@@ -372,6 +380,21 @@ def test_sweep_pool_runs_for_builtin_map_objects_only(monkeypatch):
     assert started == [{"max_workers": 2}]
     # A custom map need not pickle, so it stays in this process.
     sweep(constant_map(), 0.0, 0.1, 0.05, cfg, part, workers=2)
+    assert len(started) == 1
+
+
+def test_sweep_pool_has_at_most_one_worker_per_point(started_pools):
+    started = started_pools
+    cfg = OrbitConfig(transient=100, samples=2000)
+    part = Partition(((0.0, 1.0),), bins=25)
+    sweep(logistic_map(), 3.5, 3.6, 0.1, cfg, part, workers=3)
+    assert started == [{"max_workers": 2}]
+    # One point needs no pool.
+    sweep(logistic_map(), 3.5, 3.5, 0.1, cfg, part, workers=3)
+    assert len(started) == 1
+    with pytest.raises(ValueError, match=f"workers={MAX_WORKERS + 1} exceeds the limit "
+                                         f"MAX_WORKERS={MAX_WORKERS}"):
+        sweep(logistic_map(), 3.5, 3.5, 0.1, cfg, part, workers=MAX_WORKERS + 1)
     assert len(started) == 1
 
 

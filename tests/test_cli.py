@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from infodyn import jsonio
-from infodyn.classical import MAX_ORBIT_STEPS, MAX_PARTITION_CELLS
+from infodyn.classical import MAX_ORBIT_STEPS, MAX_PARTITION_CELLS, MAX_WORKERS
 from infodyn.cli import main
 from infodyn.hilbert import random_density
 from infodyn.jsonio import MAX_RECOGNITION_STEPS, dump_json, matrix_to_json
@@ -91,6 +91,13 @@ def test_sweep_escaping_orbit_exits_dynamics_code(tmp_path):
 
 def test_sweep_rejects_bad_worker_count():
     assert main(SWEEP_FAST + ["--workers", "0"]) == 2
+
+
+def test_sweep_worker_cap(capsys):
+    argv = ["ecd-sweep", "--map", "logistic", "--from", "3.5", "--to", "3.5", "--step", "0.1",
+            "--samples", "2000", "--transient", "100", "--workers", str(MAX_WORKERS + 1)]
+    assert_usage_error(argv, capsys,
+                       f"workers={MAX_WORKERS + 1} exceeds the limit MAX_WORKERS={MAX_WORKERS}")
 
 
 def test_quantum_ecd_identity_channel(tmp_path):

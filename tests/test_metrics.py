@@ -311,6 +311,13 @@ def test_chaos_degree_rejects_non_channel():
         chaos_degree(random_density(2, RNG), lambda m: m, FAST)
 
 
+def test_chaos_degree_checks_dimension_before_trace_preservation():
+    lossy = kraus_channel([0.5 * np.eye(3)])
+    assert not lossy.is_trace_preserving
+    with pytest.raises(DimensionMismatch, match="state dim 2 vs channel dim 3"):
+        chaos_degree(random_density(2, RNG), lossy, FAST)
+
+
 def test_transmitted_identity_recovers_entropy():
     rho = random_density(3, RNG)
     assert transmitted_complexity(rho, identity_channel(3), FAST) == pytest.approx(
@@ -471,6 +478,23 @@ def test_value_pair_checks_each_channel_before_the_search():
     for pair in [(lossy, ch), (ch, lossy)]:
         with pytest.raises(ValueError, match="require a trace-preserving channel"):
             conjecture_experiment(rho, gamma, *pair, q)
+
+
+def test_value_functions_reject_a_non_channel():
+    rho, gamma = random_density(2, RNG), random_density(2, RNG)
+    ch = random_kraus_channel(4, 2, RNG)
+    q = np.eye(4)
+    calls = [
+        lambda: value_of_information(rho, gamma, "x", q),
+        lambda: compare_signals(rho, rho, gamma, "x", q),
+        lambda: compare_channels(rho, gamma, "x", ch, q),
+        lambda: compare_channels(rho, gamma, ch, "x", q),
+        lambda: conjecture_experiment(rho, gamma, "x", ch, q),
+        lambda: conjecture_experiment(rho, gamma, ch, "x", q),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="expected a Channel"):
+            call()
 
 
 def test_compare_ordering_consistent_with_direct_values():

@@ -1,4 +1,5 @@
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -33,3 +34,17 @@ def test_private_names_cross_modules_only_from_hilbert():
                 stray += [f"{path.name}: {node.module}.{alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert stray == []
+
+
+def test_every_size_cap_is_named_in_the_readme():
+    package = Path(infodyn.__file__).parent
+    readme = (package.parents[1] / "README.md").read_text()
+    caps = [
+        f"{path.stem}.{target.id}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    ]
+    assert len(caps) >= 9
+    assert [cap for cap in caps if not re.search(rf"\b{cap.partition('.')[2]}\b", readme)] == []
