@@ -25,6 +25,8 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, OutsideDomain
 from .hilbert import (
+    EIGENVALUE_FLOOR,
+    HERMITIAN_TOL,
     DensityOperator,
     _check_deviation,
     _square,
@@ -46,16 +48,21 @@ class SchurWeight:
     """
 
     matrix: np.ndarray
+    _terms: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _square(self.matrix, "weight")
-        _check_deviation(m - m.conj().T, 1e-8, "weight", "weight is not self-adjoint: deviation")
+        _check_deviation(m - m.conj().T, HERMITIAN_TOL, "weight",
+                         "weight is not self-adjoint: deviation")
         m = 0.5 * (m + m.conj().T)
-        lam = np.linalg.eigvalsh(m)
-        if not float(lam[0]) >= -1e-10:
+        lam, vec = np.linalg.eigh(m)
+        if not float(lam[0]) >= EIGENVALUE_FLOOR:
             raise ValueError(f"weight has negative eigenvalue {float(lam[0]):.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_terms", [
+            (float(lam[k]), vec[:, k].copy()) for k in range(m.shape[0]) if lam[k] > 1e-14
+        ])
 
     @property
     def n(self) -> int:
@@ -63,12 +70,7 @@ class SchurWeight:
 
     def spectral_terms(self) -> list[tuple[float, np.ndarray]]:
         """One (coefficient, function) pair per positive eigenvalue."""
-        lam, vec = np.linalg.eigh(self.matrix)
-        return [
-            (float(lam[k]), vec[:, k].copy())
-            for k in range(self.n)
-            if lam[k] > 1e-14
-        ]
+        return list(self._terms)
 
 
 def as_weight(obj) -> SchurWeight:
@@ -292,10 +294,10 @@ def kraus_channel(operators) -> Channel:
     ops = [np.asarray(a, dtype=complex) for a in operators]
     if not ops:
         raise ValueError("at least one Kraus operator is required")
-    n = ops[0].shape[0]
-    for a in ops:
-        if a.shape != (n, n):
-            raise DimensionMismatch("Kraus operators must share one square shape")
+    shape = ops[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in ops):
+        raise DimensionMismatch("Kraus operators must share one square shape")
+    n = shape[0]
     total = sum(a.conj().T @ a for a in ops)
     gap = total - np.eye(n)
     dev = float(np.max(np.abs(gap)))

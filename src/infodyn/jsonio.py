@@ -6,6 +6,14 @@ wherever a complex entry is expected. JSON booleans are never numbers,
 and NaN or infinite entries (which `json.load` accepts) are rejected.
 An experiment's signals come back as an iterable that is consumed once:
 a single `rho` is repeated lazily, so `steps` costs no memory.
+
+Each JSON shape has one reader, which every field of that shape goes
+through. `_object` reads an object: it must be an object, carry no
+unknown field and carry every required one, checked in that order.
+`_integer` reads an integer field, rejecting booleans and values below
+the field's lower bound. `json_to_matrix` reads a matrix: a non-empty
+array of rows of one length, each entry a finite number, where an
+integer beyond the float range counts as non-finite.
 """
 
 from __future__ import annotations
@@ -28,13 +36,17 @@ from .recognition import (
     SignalBasis,
 )
 
-CHANNEL_KINDS = ("ktau", "unitary", "kraus", "stochastic")
+# The field that holds each channel kind's data.
+_CHANNEL_DATA = {"ktau": "matrix", "unitary": "matrix", "kraus": "kraus_ops", "stochastic": "P"}
+CHANNEL_KINDS = tuple(_CHANNEL_DATA)
 # Largest `steps` of an experiment file. Steps are streamed, so memory
 # does not grow with it; the cap bounds run time only. A step costs
 # about 0.13 ms at n = 3 and 0.6-1.6 ms at n = 64 (2-core x86-64 host
 # whose speed swings about 2x, one BLAS thread), so a run stays under
 # about 15 s at n = 3 and 3 min at n = 64.
 MAX_RECOGNITION_STEPS = 100_000
+# What `_integer` says a field must be, by its lower bound.
+_INTEGER_RANGES = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
 
 
 def is_integer(value) -> bool:
@@ -46,6 +58,26 @@ def _is_real(value) -> bool:
     return is_integer(value) or isinstance(value, float)
 
 
+def _object(obj, where: str, required=(), optional=()) -> dict:
+    """The one object rule: `obj` with every `required` key and no key beyond both lists."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = set(obj).difference(required, optional)
+    if unknown:
+        raise ValueError(f"unknown fields in {where}: {sorted(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{where} is missing {key!r}")
+    return obj
+
+
+def _integer(key: str, value, low: int | None = None) -> int:
+    """The one integer rule: a JSON integer, not a boolean, at least `low` if given."""
+    if not is_integer(value) or (low is not None and value < low):
+        raise ValueError(f"{key} must be {_INTEGER_RANGES[low]}, got {value!r}")
+    return value
+
+
 def json_to_complex(value) -> complex:
     if _is_real(value):
         parts = (value,)
@@ -53,7 +85,10 @@ def json_to_complex(value) -> complex:
         parts = value
     else:
         raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
-    z = complex(*parts)
+    try:
+        z = complex(*parts)
+    except OverflowError:  # an integer beyond the float range
+        z = complex(cmath.inf)
     if not cmath.isfinite(z):
         raise ValueError(f"expected a finite number, got {value!r}")
     return z
@@ -65,7 +100,7 @@ def matrix_to_json(matrix) -> list[list[list[float]]]:
 
 
 def json_to_matrix(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
+    if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
         raise ValueError("matrix must be a non-empty array of rows")
     data = [[json_to_complex(v) for v in row] for row in rows]
     width = len(data[0])
@@ -82,46 +117,36 @@ def _nesting_depth(x) -> int:
     return depth
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"unknown fields in {where}: {sorted(unknown)}")
-
-
 def parse_state(obj) -> DensityOperator:
     """A density matrix, given bare or wrapped as {"matrix": ...}."""
     if isinstance(obj, dict):
-        _reject_unknown(obj, {"matrix"}, "state")
-        obj = obj["matrix"]
+        obj = _object(obj, "state", required=("matrix",))["matrix"]
     return as_density(json_to_matrix(obj))
 
 
 def parse_channel(obj: dict) -> Channel:
     """Channel descriptor: {"kind": ..., "matrix"/"kraus_ops"/"P": ...}."""
-    if not isinstance(obj, dict):
-        raise ValueError("channel descriptor must be an object")
-    kind = obj.get("kind")
+    # The first call lets every key pass and checks only that `obj` is an
+    # object: the kind decides which data field is allowed, so it comes
+    # before the field check. Membership in a tuple, not a dict lookup,
+    # keeps an unhashable kind a ValueError.
+    kind = _object(obj, "channel", optional=obj).get("kind")
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}, got {kind!r}")
-    if kind in ("ktau", "unitary"):
-        _reject_unknown(obj, {"kind", "matrix"}, "channel")
-        if "matrix" not in obj:
-            raise ValueError(f"channel kind {kind!r} requires a matrix")
-        m = json_to_matrix(obj["matrix"])
-        return unitary_channel(m) if kind == "unitary" else schur_channel(m)
+    field = _CHANNEL_DATA[kind]
+    data = _object(obj, "channel", required=("kind", field))[field]
     if kind == "kraus":
-        _reject_unknown(obj, {"kind", "kraus_ops"}, "channel")
-        ops = obj.get("kraus_ops")
-        if not isinstance(ops, list) or not ops:
+        if not isinstance(data, list) or not data:
             raise ValueError("kraus channel requires a non-empty kraus_ops array")
-        return kraus_channel([json_to_matrix(op) for op in ops])
-    _reject_unknown(obj, {"kind", "P"}, "channel")
-    if "P" not in obj:
-        raise ValueError("stochastic channel requires a P matrix")
-    p = json_to_matrix(obj["P"])
-    if np.max(np.abs(p.imag)) > 0:
+        return kraus_channel([json_to_matrix(op) for op in data])
+    m = json_to_matrix(data)
+    if kind == "unitary":
+        return unitary_channel(m)
+    if kind == "ktau":
+        return schur_channel(m)
+    if np.any(m.imag):
         raise ValueError("stochastic matrix must be real")
-    return stochastic_channel(p.real)
+    return stochastic_channel(m.real)
 
 
 def parse_basis(obj, n: int) -> SignalBasis:
@@ -130,8 +155,7 @@ def parse_basis(obj, n: int) -> SignalBasis:
     if obj == "standard":
         return SignalBasis.standard(n)
     if isinstance(obj, dict):
-        _reject_unknown(obj, {"custom"}, "basis")
-        basis = SignalBasis(json_to_matrix(obj["custom"]))
+        basis = SignalBasis(json_to_matrix(_object(obj, "basis", required=("custom",))["custom"]))
         if basis.n != n:
             raise ValueError(f"custom basis has dimension {basis.n}, expected {n}")
         return basis
@@ -147,15 +171,9 @@ def parse_experiment(obj: dict):
     both are present. `steps` above MAX_RECOGNITION_STEPS is rejected, and
     every signal is checked against `n` before any step runs.
     """
-    if not isinstance(obj, dict):
-        raise ValueError("experiment file must be a JSON object")
-    _reject_unknown(obj, {"n", "basis", "rho", "gamma", "policy", "seed", "steps"}, "experiment")
-    for key in ("n", "basis", "rho", "gamma", "policy"):
-        if key not in obj:
-            raise ValueError(f"experiment file is missing {key!r}")
-    n = obj["n"]
-    if not is_integer(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _object(obj, "experiment file", required=("n", "basis", "rho", "gamma", "policy"),
+            optional=("seed", "steps"))
+    n = _integer("n", obj["n"], low=1)
     # The memory fixes the dimension before the basis, whose size is n^2, is built.
     gamma0 = parse_state(obj["gamma"])
     if gamma0.n != n:
@@ -164,9 +182,8 @@ def parse_experiment(obj: dict):
 
     rho_field = obj["rho"]
     steps = obj.get("steps")
-    if steps is not None and (not is_integer(steps) or steps < 0):
-        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     if steps is not None:
+        _integer("steps", steps, low=0)
         _check_limit("steps", steps, "MAX_RECOGNITION_STEPS", MAX_RECOGNITION_STEPS)
     # Nesting depth separates one matrix from a sequence: entries are
     # [re, im] pairs in the canonical format, so a single matrix nests
@@ -185,9 +202,7 @@ def parse_experiment(obj: dict):
         if signal.n != n:
             raise DimensionMismatch(f"signal {t} has dim {signal.n}, expected system dim {n}")
 
-    seed = obj.get("seed", 0)
-    if not is_integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = _integer("seed", obj.get("seed", 0))
     _check_seed(seed)
     policy_field = obj["policy"]
     if policy_field == "sample":
@@ -195,8 +210,7 @@ def parse_experiment(obj: dict):
     elif policy_field == "argmax":
         policy = ArgmaxPolicy()
     elif isinstance(policy_field, dict):
-        _reject_unknown(policy_field, {"fixed"}, "policy")
-        pair = policy_field.get("fixed")
+        pair = _object(policy_field, "policy", required=("fixed",))["fixed"]
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(is_integer(v) for v in pair)):
             raise ValueError(f"fixed policy must be {{'fixed': [i, j]}} with integers, got {pair!r}")
@@ -212,13 +226,11 @@ def parse_value_batch(obj) -> dict:
     Returns the fields given, as keyword arguments of
     `metrics.conjecture_batch`; their ranges are checked there.
     """
-    if not isinstance(obj, dict):
-        raise ValueError("batch config must be a JSON object")
-    _reject_unknown(obj, {"dim", "pairs", "seed", "kraus_terms", "identical_channels"},
-                    "batch config")
-    for key in ("dim", "pairs", "seed", "kraus_terms"):
-        if key in obj and not is_integer(obj[key]):
-            raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
+    integers = ("dim", "pairs", "seed", "kraus_terms")
+    _object(obj, "batch config", optional=integers + ("identical_channels",))
+    for key in integers:
+        if key in obj:
+            _integer(key, obj[key])
     flag = obj.get("identical_channels", False)
     if not isinstance(flag, bool):
         raise ValueError(f"identical_channels must be a boolean, got {flag!r}")

@@ -74,10 +74,11 @@ ORDER_TOL = 1e-10
 # 63 us at n = 16 (one 8-fold block, Kraus rank 2; 2-core x86-64 host,
 # one BLAS thread), so the cap bounds a search at about a minute there.
 MAX_RESTARTS = 1_000_000
-# Largest `axiom_suite` trial count. A trial costs about 4 ms at dim 2
-# and 12 ms at dim 8 (same host), so the cap bounds a suite at about
-# 40 s at dim 2 and 2 min at dim 8.
+# Largest `axiom_suite` trial count and dimension. A trial costs about
+# 4 ms at dim 2 and 12 ms at dim 8 (same host), so the caps bound a
+# suite at about 40 s at dim 2 and 2 min at dim 8.
 MAX_AXIOM_TRIALS = 10_000
+MAX_AXIOM_DIM = 8
 # Largest `conjecture_batch` pair count and dimension. A pair runs two
 # decomposition searches on the dim^2-dimensional joint space: it costs
 # about 1 ms at dim 2 and 3, 1.3 ms at dim 4, 3 ms at dim 6, 8 ms at
@@ -469,8 +470,9 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
     only; the transmitted side is genuinely basis-dependent for a fixed
     channel, so its drift is reported in the result note, not asserted.
     """
-    if not 2 <= dim <= 8:
-        raise ValueError(f"dim must be in [2, 8], got {dim}")
+    if dim < 2:
+        raise ValueError("dim must be at least 2")
+    _check_limit("dim", dim, "MAX_AXIOM_DIM", MAX_AXIOM_DIM)
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_limit("trials", trials, "MAX_AXIOM_TRIALS", MAX_AXIOM_TRIALS)

@@ -51,6 +51,21 @@ def test_schur_weight_rejects_indefinite():
         SchurWeight(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_schur_channel_decomposes_its_weight_once(monkeypatch):
+    weight = random_density(3, RNG).matrix
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        calls.append(m.shape)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    schur_channel(weight)
+    assert calls == [(3, 3)]
+
+
 def test_schur_matches_expansion_over_spectral_terms():
     w = SchurWeight(random_density(4, RNG).matrix)
     rho = random_density(4, RNG).matrix
@@ -138,6 +153,16 @@ def test_channel_is_immutable():
 def test_kraus_channel_requires_completeness():
     with pytest.raises(ValueError):
         kraus_channel([np.eye(2), np.eye(2)])
+
+
+@pytest.mark.parametrize("ops", [
+    [np.array(1.0)],
+    [np.ones(2)],
+    [np.eye(2), np.eye(3)],
+], ids=["scalar", "vector", "two-shapes"])
+def test_kraus_channel_rejects_operators_that_are_not_one_square_shape(ops):
+    with pytest.raises(DimensionMismatch, match="Kraus operators must share one square shape"):
+        kraus_channel(ops)
 
 
 def test_kraus_channel_matches_explicit_sum():

@@ -11,6 +11,7 @@ from infodyn.cli import main
 from infodyn.hilbert import random_density
 from infodyn.jsonio import MAX_RECOGNITION_STEPS, dump_json, matrix_to_json
 from infodyn.metrics import (
+    MAX_AXIOM_DIM,
     MAX_AXIOM_TRIALS,
     MAX_KRAUS_TERMS,
     MAX_RESTARTS,
@@ -462,6 +463,11 @@ def test_axioms_trials_cap(capsys):
                        f"MAX_AXIOM_TRIALS={MAX_AXIOM_TRIALS}")
 
 
+def test_axioms_dim_cap(capsys):
+    assert_usage_error(["axioms", "--dim", str(MAX_AXIOM_DIM + 1)], capsys,
+                       f"dim={MAX_AXIOM_DIM + 1} exceeds the limit MAX_AXIOM_DIM={MAX_AXIOM_DIM}")
+
+
 def test_value_pairs_cap(capsys):
     assert_usage_error(["value", "--pairs", str(MAX_VALUE_PAIRS + 1)], capsys,
                        f"pairs={MAX_VALUE_PAIRS + 1} exceeds the limit "
@@ -489,3 +495,19 @@ def test_value_dim_cap(tmp_path, capsys):
     batch = write_json(tmp_path / "batch.json", {"dim": 100, "pairs": 1})
     assert_usage_error(["value", "--batch", batch], capsys,
                        f"dim=100 exceeds the limit MAX_VALUE_DIM={MAX_VALUE_DIM}")
+
+
+@pytest.mark.parametrize("state, message", [
+    ({}, "state is missing 'matrix'"),
+    ([1.0, 2.0], "matrix must be a non-empty array of rows"),
+    ([[10**400]], "expected a finite number, got 1000"),
+], ids=["empty-object", "flat-array", "huge-integer"])
+def test_quantum_ecd_state_escapes_are_usage_errors(tmp_path, capsys, state, message):
+    channel = channel_file(tmp_path, {"kind": "stochastic", "P": [[1.0]]})
+    assert_usage_error(["quantum-ecd", "--state", state_file(tmp_path, state),
+                        "--channel", channel], capsys, message)
+
+
+def test_recognize_custom_basis_without_matrix_is_usage_error(tmp_path, capsys):
+    exp = recognition_experiment(tmp_path, basis={})
+    assert_usage_error(["recognize", "--experiment", exp], capsys, "basis is missing 'custom'")

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from infodyn.exceptions import DimensionMismatch
 from infodyn.hilbert import DensityOperator, random_density
 from infodyn.jsonio import (
     dump_json,
@@ -158,6 +161,9 @@ def test_dump_json_is_canonical():
     (float("nan"), "nan"),
     (float("inf"), "inf"),
     ([0.5, float("-inf")], "-inf"),
+    # An integer beyond the float range is non-finite too.
+    pytest.param(10**400, "expected a finite number, got 1000", id="int-beyond-float"),
+    pytest.param([0.5, -(10**400)], "expected a finite number", id="pair-beyond-float"),
 ])
 def test_json_to_complex_rejects_booleans_and_non_finite(value, shown):
     with pytest.raises(ValueError, match=shown):
@@ -185,3 +191,100 @@ def test_parse_value_batch_returns_the_given_fields():
 def test_parse_value_batch_identical_channels_must_be_boolean(value):
     with pytest.raises(ValueError, match=f"identical_channels must be a boolean, got {value!r}"):
         parse_value_batch({"identical_channels": value})
+
+
+@pytest.mark.parametrize("rows", [[1.0, 2.0], [[1.0], 2.0], [None]])
+def test_matrix_rows_must_be_arrays(rows):
+    with pytest.raises(ValueError, match="matrix must be a non-empty array of rows"):
+        json_to_matrix(rows)
+
+
+PURE = [[1.0, 0.0], [0.0, 0.0]]
+IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+EXPERIMENT = experiment_payload()
+# The reader of each JSON object an input file holds.
+PARSERS = {
+    "state": parse_state,
+    "channel": parse_channel,
+    "basis": lambda obj: parse_basis(obj, 2),
+    "policy": lambda obj: parse_experiment(experiment_payload(policy=obj)),
+    "experiment": parse_experiment,
+    "batch": parse_value_batch,
+}
+# A state, basis or policy may also be given as a matrix or a name, so a
+# value that is not an object gets that field's own message there. Every
+# batch field is optional, so a batch file misses none.
+WRAPPER_FLAWS = [
+    ("state", "not-object", 7, "matrix must be a non-empty array of rows"),
+    ("state", "unknown", {"matrix": PURE, "bogus": 1}, "unknown fields in state: ['bogus']"),
+    ("state", "missing", {}, "state is missing 'matrix'"),
+    ("channel", "not-object", [IDENTITY], "channel must be a JSON object"),
+    ("channel", "unknown", {"kind": "unitary", "matrix": IDENTITY, "bogus": 1},
+     "unknown fields in channel: ['bogus']"),
+    ("channel", "missing", {"kind": "unitary"}, "channel is missing 'matrix'"),
+    ("channel", "missing-kraus", {"kind": "kraus"}, "channel is missing 'kraus_ops'"),
+    ("channel", "missing-P", {"kind": "stochastic"}, "channel is missing 'P'"),
+    ("basis", "not-object", 7, "basis must be 'fourier', 'standard', or"),
+    ("basis", "unknown", {"custom": IDENTITY, "bogus": 1}, "unknown fields in basis: ['bogus']"),
+    ("basis", "missing", {}, "basis is missing 'custom'"),
+    ("policy", "not-object", 7, "policy must be 'sample', 'argmax', or"),
+    ("policy", "unknown", {"fixed": [0, 0], "bogus": 1}, "unknown fields in policy: ['bogus']"),
+    ("policy", "missing", {}, "policy is missing 'fixed'"),
+    ("experiment", "not-object", [EXPERIMENT], "experiment file must be a JSON object"),
+    ("experiment", "unknown", {**EXPERIMENT, "bogus": 1},
+     "unknown fields in experiment file: ['bogus']"),
+    ("experiment", "missing", {k: v for k, v in EXPERIMENT.items() if k != "gamma"},
+     "experiment file is missing 'gamma'"),
+    ("batch", "not-object", [], "batch config must be a JSON object"),
+    ("batch", "unknown", {"dim": 2, "bogus": 1}, "unknown fields in batch config: ['bogus']"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", [
+    pytest.param(name, value, message, id=f"{name}-{flaw}")
+    for name, flaw, value, message in WRAPPER_FLAWS
+])
+def test_every_object_wrapper_names_its_flaw(name, value, message):
+    with pytest.raises(ValueError) as info:
+        PARSERS[name](value)
+    assert message in str(info.value)
+
+
+FIELD_NAMES = ["matrix", "custom", "kind", "kraus_ops", "P", "fixed", "n", "basis", "rho",
+               "gamma", "policy", "seed", "steps", "dim", "pairs", "kraus_terms",
+               "identical_channels"]
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.sampled_from([10**400, -(10**400)]),
+    st.floats(),
+    st.sampled_from(FIELD_NAMES + ["fourier", "standard", "sample", "argmax",
+                                   "ktau", "unitary", "kraus", "stochastic"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(FIELD_NAMES), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@pytest.mark.parametrize("name", PARSERS)
+@settings(max_examples=150, deadline=None)
+@given(value=JSON_VALUES)
+def test_parsers_reject_any_json_value_with_a_named_error(name, value):
+    try:
+        PARSERS[name](value)
+    except (ValueError, DimensionMismatch):
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields=st.fixed_dictionaries({key: JSON_VALUES for key in EXPERIMENT}))
+def test_experiment_fields_reject_any_json_value_with_a_named_error(fields):
+    # Every required field is present, so each field's own reader is reached.
+    try:
+        parse_experiment(fields)
+    except (ValueError, DimensionMismatch):
+        pass

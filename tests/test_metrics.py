@@ -19,6 +19,7 @@ from infodyn.hilbert import (
     von_neumann_entropy,
 )
 from infodyn.metrics import (
+    MAX_AXIOM_DIM,
     ComplexityConfig,
     axiom_suite,
     chaos_degree,
@@ -566,10 +567,11 @@ def test_axiom_suite_passes_small():
 
 
 def test_axiom_suite_rejects_bad_dim():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dim must be at least 2"):
         axiom_suite(1, 10, 0)
-    with pytest.raises(ValueError):
-        axiom_suite(9, 10, 0)
+    with pytest.raises(ValueError, match=f"dim={MAX_AXIOM_DIM + 1} exceeds the limit "
+                                         f"MAX_AXIOM_DIM={MAX_AXIOM_DIM}"):
+        axiom_suite(MAX_AXIOM_DIM + 1, 10, 0)
 
 
 def test_axiom_result_serializes():
