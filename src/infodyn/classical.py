@@ -49,16 +49,21 @@ MAX_SWEEP_ROWS = 1_000_000
 MAX_WORKERS = 64
 # Largest `transient + samples` of one orbit. `iterate_orbit` fills the
 # orbit array in place and peaks at about 10 B per step in one dimension
-# and 20 B in two. Binning and the Lyapunov loop, whose 2-D Jacobians pass
-# through Python objects ORBIT_CHUNK steps at a time, bring a sweep point
-# to about 57 B and 80 B (tracemalloc, 10**6 steps, x86-64, numpy 2.4.6):
-# near 1 GB at the cap, which admits 10**7 samples after the default
-# transient. A sweep holds one point per worker at a time.
+# and 20 B in two. Binning and pair counting bring a 1-D sweep point to
+# 32 B per step at 100 bins and 37 B at 1000. In 2-D the Lyapunov loop,
+# whose Jacobians pass through Python objects ORBIT_CHUNK steps at a
+# time, sets the peak at 80 B (tracemalloc, 10**6 steps, x86-64, numpy
+# 2.4.6): near 1 GB at the cap, which admits 10**7 samples after the
+# default transient. A sweep holds one point per worker at a time.
 MAX_ORBIT_STEPS = 12_000_000
 ORBIT_CHUNK = 2**16
 # Largest cell count bins ** dim of a Partition. Up to 2**53 the float
 # cell index of each axis is exact; the int64 flat code is exact to 2**63.
 MAX_PARTITION_CELLS = 2**53
+# Bounds on a dense count table in `empirical_channel`: at most 2**20
+# entries (8 MB of int64) and at most 4 entries per value counted.
+DENSE_COUNT_CELLS = 2**20
+DENSE_COUNT_RATIO = 4
 
 
 @dataclass(frozen=True)
@@ -270,11 +275,13 @@ class Partition:
         codes = np.zeros(pts.shape[0], dtype=np.int64)
         for axis, (lo, hi) in enumerate(self.box):
             col = pts[:, axis]
-            if np.any(col < lo) or np.any(col > hi):
-                raise ValueError(f"points outside box on axis {axis}")
+            # NaN compares false both ways, so it fails this test too.
+            if not ((col >= lo) & (col <= hi)).all():
+                raise ValueError(f"points outside box [{lo}, {hi}] or NaN on axis {axis}")
             idx = ((col - lo) * (self.bins / (hi - lo))).astype(np.int64)
             np.minimum(idx, self.bins - 1, out=idx)
-            codes = codes * self.bins + idx
+            codes *= self.bins
+            codes += idx
         return codes
 
 
@@ -282,7 +289,11 @@ class Partition:
 class EmpiricalChannel:
     """One-step transition statistics of a binned orbit.
 
-    `cells` lists every visited cell code (as source or destination).
+    `cells` lists every visited cell code (as source or destination) in
+    ascending order, and the pairs come in ascending order of their flat
+    index src * m + dst. Both counting paths of `empirical_channel`
+    (dense `np.bincount` tables bounded by DENSE_COUNT_CELLS and
+    DENSE_COUNT_RATIO, a sort beyond) give these same arrays.
     `source_counts` is the integer number of transitions leaving each
     cell, summing to the orbit length minus one; both the occupation
     distribution and the row totals of the pair counts are read from it.
@@ -330,15 +341,46 @@ class EmpiricalChannel:
         )
 
 
+def _counts_densely(entries: int, values: int) -> bool:
+    """Whether to count `values` codes into a table of `entries` entries
+    rather than sort them.
+
+    Zeroing and scanning the table cost as much as the sort at about 8
+    entries per value (x86-64, numpy 2.4.6), so the table is used up to
+    DENSE_COUNT_RATIO entries per value and DENSE_COUNT_CELLS in all.
+    """
+    return entries <= min(DENSE_COUNT_CELLS, DENSE_COUNT_RATIO * values)
+
+
 def empirical_channel(orbit, partition: Partition) -> EmpiricalChannel:
-    """Bin an orbit and count its one-step cell transitions."""
+    """Bin an orbit and count its one-step cell transitions.
+
+    The visited cells, and then the pairs of visited cells, are each
+    counted with `np.bincount` into a dense table when `_counts_densely`
+    admits its size: the partition's bins ** dim cells, then m * m pairs
+    of the m visited cells. Otherwise they are sorted (`np.unique`).
+    `np.flatnonzero` lists a table's entries in the ascending order the
+    sort gives, so both paths return the same arrays and the same D.
+    """
     codes = partition.encode(orbit)
     if codes.size < 2:
         raise ValueError("orbit must contain at least 2 points")
-    cells, positions = np.unique(codes, return_inverse=True)
+    if _counts_densely(partition.bins ** len(partition.box), codes.size):
+        cells = np.flatnonzero(np.bincount(codes) != 0)
+        lookup = np.empty(cells[-1] + 1, dtype=np.intp)
+        lookup[cells] = np.arange(cells.size)
+        positions = lookup[codes]
+    else:
+        cells, positions = np.unique(codes, return_inverse=True)
     src, dst = positions[:-1], positions[1:]
     flat = src.astype(np.int64) * cells.size + dst
-    unique_pairs, counts = np.unique(flat, return_counts=True)
+    if _counts_densely(cells.size * cells.size, flat.size):
+        pair_table = np.bincount(flat)
+        # flatnonzero scans a bool array several times faster than int64.
+        unique_pairs = np.flatnonzero(pair_table != 0)
+        counts = pair_table[unique_pairs]
+    else:
+        unique_pairs, counts = np.unique(flat, return_counts=True)
     pair_positions = np.stack(
         [unique_pairs // cells.size, unique_pairs % cells.size], axis=1
     )

@@ -1,9 +1,12 @@
 import math
 import pickle
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodyn import classical
 from infodyn.classical import (
@@ -248,6 +251,22 @@ def test_partition_rejects_outside_points():
         part.encode(np.array([[1.2]]))
 
 
+@pytest.mark.parametrize("box, points, axis", [
+    (((0.0, 1.0),), [0.1, np.nan, 0.5, 0.7], 0),
+    (((0.0, 1.0), (-2.0, 2.0)), [[0.1, 0.0], [0.5, np.nan], [0.7, 1.0]], 1),
+    (((0.0, 1.0), (-2.0, 2.0)), [[np.nan, np.nan], [0.5, 0.0]], 0),
+], ids=["1d", "2d-second-axis", "2d-both-axes"])
+def test_partition_rejects_nan_points_naming_the_axis(box, points, axis):
+    # NaN is neither below nor above the box; unchecked, it would become
+    # the cell code -2**63.
+    part = Partition(box, bins=10)
+    points = np.array(points)
+    with pytest.raises(ValueError, match=f"or NaN on axis {axis}$"):
+        part.encode(points)
+    with pytest.raises(ValueError, match=f"or NaN on axis {axis}$"):
+        empirical_channel(points, part)
+
+
 def test_partition_two_dimensional_codes_unique():
     part = Partition(((0.0, 1.0), (0.0, 1.0)), bins=3)
     pts = np.array([[x, y] for x in (0.1, 0.5, 0.9) for y in (0.1, 0.5, 0.9)])
@@ -284,6 +303,50 @@ def test_empirical_channel_uniform_noise_rows_near_uniform():
     emp = empirical_channel(orbit, Partition(((0.0, 1.0),), bins=4))
     assert np.max(np.abs(emp.transition_matrix() - 0.25)) < 0.02
     assert emp.conditional_entropy() == pytest.approx(np.log(4), abs=0.01)
+
+
+def _channels_on_both_paths(orbit, part):
+    """The empirical channel counted into dense tables wherever they fit
+    DENSE_COUNT_CELLS, and counted by sorting."""
+    with mock.patch.object(classical, "DENSE_COUNT_RATIO", math.inf):
+        dense = empirical_channel(orbit, part)
+    with mock.patch.object(classical, "DENSE_COUNT_CELLS", 0):
+        sort = empirical_channel(orbit, part)
+    return dense, sort
+
+
+def _assert_same_channel(a, b):
+    for field in ("cells", "source_counts", "pair_positions", "pair_counts"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and np.array_equal(x, y), field
+    assert a.conditional_entropy() == b.conditional_entropy()
+
+
+@pytest.mark.parametrize("system, cfg, bins", [
+    (logistic_map(), OrbitConfig(transient=100, samples=20_000, param=3.8), 100),
+    (logistic_map(), OrbitConfig(transient=100, samples=20_000, param=4.0), 1000),
+    (tinkerbell_map(), OrbitConfig(transient=1000, samples=10_000), 100),
+    (baker_map(), OrbitConfig(x0=(0.3, 0.4), transient=0, samples=2000), 30),
+], ids=["logistic-100", "logistic-1000", "tinkerbell", "baker"])
+def test_dense_and_sorted_counts_give_the_same_channel(system, cfg, bins):
+    orbit = iterate_orbit(system, cfg)
+    part = Partition(system.box, bins)
+    dense, sort = _channels_on_both_paths(orbit, part)
+    # Both tables fit the cap, so the first channel came from bincount alone.
+    assert bins ** system.dim <= classical.DENSE_COUNT_CELLS
+    assert dense.size ** 2 <= classical.DENSE_COUNT_CELLS
+    _assert_same_channel(dense, sort)
+    _assert_same_channel(empirical_channel(orbit, part), sort)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes=st.lists(st.integers(0, 38), min_size=1, max_size=30))
+def test_counting_paths_agree_when_the_last_cell_is_only_a_destination(codes):
+    bins = max(codes) + 2
+    orbit = (np.array(codes + [bins - 1]) + 0.5) / bins
+    dense, sort = _channels_on_both_paths(orbit, Partition(((0.0, 1.0),), bins))
+    _assert_same_channel(dense, sort)
+    assert dense.cells[-1] == bins - 1 and dense.source_counts[-1] == 0
 
 
 def test_chaos_degree_agrees_with_quantum_route():
