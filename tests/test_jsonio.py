@@ -44,6 +44,11 @@ def test_parse_state_bare_and_wrapped():
     assert np.allclose(parse_state({"matrix": payload}).matrix, rho.matrix, atol=1e-12)
 
 
+def test_parse_state_rejects_unknown_keys():
+    with pytest.raises(ValueError):
+        parse_state({"matrix": [[1.0]], "extra": 1})
+
+
 @pytest.mark.parametrize(
     "kind,payload",
     [
@@ -140,6 +145,11 @@ def test_parse_experiment_policies():
         parse_experiment(experiment_payload(policy="nonsense"))
 
 
+def test_parse_experiment_rejects_unknown_fields():
+    with pytest.raises(ValueError):
+        parse_experiment(experiment_payload(surprise=1))
+
+
 def test_dump_json_is_canonical():
     text = dump_json({"b": 1, "a": [1.5, 2]})
     assert text == '{\n  "a": [\n    1.5,\n    2\n  ],\n  "b": 1\n}\n'
@@ -189,6 +199,7 @@ def test_matrix_rows_must_be_arrays(rows):
         json_to_matrix(rows)
 
 
+PURE = [[1.0, 0.0], [0.0, 0.0]]
 IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
 EXPERIMENT = experiment_payload()
 # The reader of each JSON object an input file holds.
@@ -205,7 +216,7 @@ PARSERS = {
 # batch field is optional, so a batch file misses none.
 WRAPPER_FLAWS = [
     ("state", "not-object", 7, "matrix must be a non-empty array of rows"),
-    ("state", "unknown", {"matrix": [[1.0]], "extra": 1}, "unknown fields in state: ['extra']"),
+    ("state", "unknown", {"matrix": PURE, "bogus": 1}, "unknown fields in state: ['bogus']"),
     ("state", "missing", {}, "state is missing 'matrix'"),
     ("channel", "not-object", [IDENTITY], "channel must be a JSON object"),
     ("channel", "unknown", {"kind": "unitary", "matrix": IDENTITY, "bogus": 1},
@@ -220,8 +231,8 @@ WRAPPER_FLAWS = [
     ("policy", "unknown", {"fixed": [0, 0], "bogus": 1}, "unknown fields in policy: ['bogus']"),
     ("policy", "missing", {}, "policy is missing 'fixed'"),
     ("experiment", "not-object", [EXPERIMENT], "experiment file must be a JSON object"),
-    ("experiment", "unknown", experiment_payload(surprise=1),
-     "unknown fields in experiment file: ['surprise']"),
+    ("experiment", "unknown", {**EXPERIMENT, "bogus": 1},
+     "unknown fields in experiment file: ['bogus']"),
     ("experiment", "missing", {k: v for k, v in EXPERIMENT.items() if k != "gamma"},
      "experiment file is missing 'gamma'"),
     ("batch", "not-object", [], "batch config must be a JSON object"),
