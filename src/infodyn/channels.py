@@ -29,6 +29,7 @@ from .hilbert import (
     HERMITIAN_TOL,
     DensityOperator,
     _check_deviation,
+    _check_integer,
     _square,
     as_density,
     mult_operator,
@@ -384,8 +385,7 @@ def depolarizing_channel(n: int, p: float = 1.0) -> Channel:
 
 def random_kraus_channel(n: int, terms: int, rng: np.random.Generator) -> Channel:
     """Random trace-preserving channel with the given Kraus rank."""
-    if terms < 1:
-        raise ValueError("terms must be positive")
+    _check_integer("terms", terms, 1)
     blocks = rng.normal(size=(terms * n, n)) + 1j * rng.normal(size=(terms * n, n))
     q, _ = np.linalg.qr(blocks)
     # Columns of q are orthonormal in C^(terms*n), so the stacked blocks

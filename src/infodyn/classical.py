@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import OrbitEscape
-from .hilbert import DensityOperator, _check_limit
+from .hilbert import DensityOperator, _check_integer, _check_nonnegative
 from .channels import Channel, stochastic_channel
 from .metrics import DEFAULT_EPS_CONST, DEFAULT_EPS_ZERO, classify_dynamics
 
@@ -193,10 +193,8 @@ class OrbitConfig:
     param: float | None = None
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
-        if self.transient < 0:
-            raise ValueError("transient must be nonnegative")
+        _check_integer("samples", self.samples, 1)
+        _check_integer("transient", self.transient, 0)
         if self.transient + self.samples > MAX_ORBIT_STEPS:
             raise ValueError(
                 f"orbit of transient + samples = {self.transient + self.samples} steps "
@@ -254,12 +252,14 @@ class Partition:
     bins: int = DEFAULT_BINS
 
     def __post_init__(self):
-        if self.bins < 2:
-            raise ValueError("bins must be at least 2")
+        _check_integer("bins", self.bins, 2)
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
+        if not box:
+            raise ValueError("partition box has no axes")
         if any(hi <= lo for lo, hi in box):
             raise ValueError("box intervals must have positive width")
-        cells = self.bins ** len(box)
+        # A Python int, so that a numpy integer `bins` cannot overflow here.
+        cells = int(self.bins) ** len(box)
         if cells > MAX_PARTITION_CELLS:
             raise ValueError(f"bins={self.bins} gives {cells} cells, more than the limit "
                              f"MAX_PARTITION_CELLS={MAX_PARTITION_CELLS}")
@@ -466,9 +466,9 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     which receives those objects pickled; any other map runs in this
     process whatever `workers` says, since its step and Jacobian need not
     pickle. Results are ordered by parameter and identical at any worker
-    count. Non-finite grid bounds, grids of more than MAX_SWEEP_ROWS rows
-    and a `workers` below 1 or above MAX_WORKERS raise ValueError before
-    any row is built.
+    count. Non-finite grid bounds, grids of more than MAX_SWEEP_ROWS rows,
+    a `workers` below 1 or above MAX_WORKERS and a negative or NaN
+    threshold raise ValueError before any row is built.
     """
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"sweep start, stop and step must be finite, got {start}, {stop}, {step}")
@@ -476,11 +476,9 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
         raise ValueError("step must be positive")
     if stop < start:
         raise ValueError("stop must not precede start")
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    _check_limit("workers", workers, "MAX_WORKERS", MAX_WORKERS)
+    _check_integer("window", window, 1)
+    _check_integer("workers", workers, 1, "MAX_WORKERS", MAX_WORKERS)
+    _check_nonnegative(eps_zero=eps_zero, eps_const=eps_const)
     span = (stop - start) / step
     count = int(math.floor(span + 1e-9)) + 1 if math.isfinite(span) else math.inf
     if count > MAX_SWEEP_ROWS:

@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     quantum = sub.add_parser("quantum-ecd", help="chaos degree of a state under a channel")
     quantum.add_argument("--state", required=True, help="JSON density-matrix file")
     quantum.add_argument("--channel", required=True, help="JSON channel descriptor file")
-    quantum.add_argument("--restarts", type=int, default=1000)
-    quantum.add_argument("--seed", type=int, default=0)
+    quantum.add_argument("--restarts", type=int, default=metrics.DEFAULT_CONFIG.restarts)
+    quantum.add_argument("--seed", type=int, default=metrics.DEFAULT_CONFIG.seed)
     quantum.add_argument("--log-base", type=_parse_log_base, default=math.e,
                          help="display base for entropies ('e' or a number > 1)")
     quantum.add_argument("--out", default=None)

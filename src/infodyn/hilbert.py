@@ -11,13 +11,16 @@ concern and lives with the report types, not here.
 The package-wide private helpers live here, one per rule:
 `_check_deviation`, the one tolerance check that a matrix equals its
 adjoint or the identity (a NaN deviation fails it as "<subject> has a
-non-finite entry"), `_square`, the square-matrix check, `_check_limit`,
-the upper bound on a size input, `_check_seed`, `_haar_unitaries`, the
-Haar sampler, and `_degenerate_blocks`, the one degeneracy rule.
+non-finite entry"), `_square`, the square-matrix check, `_check_integer`,
+the integer-input rule (type, then lower bound, then cap) with its
+predicate `_is_integer`, `_check_nonnegative`, the rule for a real
+threshold, `_haar_unitaries`, the Haar sampler, and `_degenerate_blocks`,
+the one degeneracy rule.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +41,7 @@ class IndexGroup:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"group size must be positive, got {self.n}")
+        _check_integer("n", self.n, 1)
 
     def add(self, k: int, l: int) -> int:
         return (k + l) % self.n
@@ -189,16 +191,34 @@ def _square(matrix, name: str) -> np.ndarray:
     return m
 
 
-def _check_limit(name: str, value, limit_name: str, limit) -> None:
-    """The one upper-bound check of a size input against its cap."""
-    if value > limit:
+def _is_integer(value) -> bool:
+    """True for an integer, numpy's included; booleans do not count."""
+    # The exact-type test settles a plain int at a fraction of the cost of
+    # the `numbers.Integral` check, and JSON parsing asks once per entry.
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
+def _check_integer(name: str, value, low: int | None = None,
+                   limit_name: str | None = None, limit: int | None = None) -> int:
+    """The one integer-input rule: an integer, at least `low` and at most `limit` if given.
+
+    The type and the lower bound are checked first, then the cap named `limit_name`.
+    """
+    if not _is_integer(value) or (low is not None and value < low):
+        kind = {None: "an integer", 0: "a nonnegative integer",
+                1: "a positive integer"}.get(low, f"an integer >= {low}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if limit is not None and value > limit:
         raise ValueError(f"{name}={value} exceeds the limit {limit_name}={limit}")
+    return value
 
 
-def _check_seed(seed: int) -> None:
-    """The one seed check: numpy generators take only nonnegative seeds."""
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+def _check_nonnegative(**values) -> None:
+    """The one threshold rule: each named real value is nonnegative, and NaN is not."""
+    for name, value in values.items():
+        if not value >= 0:
+            raise ValueError(f"{name} must be a nonnegative number, got {value!r}")
 
 
 def _density_spectra(matrices):

@@ -10,10 +10,11 @@ a single `rho` is repeated lazily, so `steps` costs no memory.
 Each JSON shape has one reader, which every field of that shape goes
 through. `_object` reads an object: it must be an object, carry no
 unknown field and carry every required one, checked in that order.
-`_integer` reads an integer field, rejecting booleans and values below
-the field's lower bound. `json_to_matrix` reads a matrix: a non-empty
-array of rows of one length, each entry a finite number, where an
-integer beyond the float range counts as non-finite.
+An integer field goes through `hilbert._check_integer`, the package's
+one integer rule, which rejects booleans, values below the field's
+lower bound and values above its cap. `json_to_matrix` reads a matrix:
+a non-empty array of rows of one length, each entry a finite number,
+where an integer beyond the float range counts as non-finite.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .channels import Channel, kraus_channel, schur_channel, stochastic_channel, unitary_channel
 from .exceptions import DimensionMismatch
-from .hilbert import DensityOperator, _check_limit, _check_seed, as_density
+from .hilbert import DensityOperator, _check_integer, _is_integer, as_density
 from .recognition import (
     ArgmaxPolicy,
     BellSystem,
@@ -45,17 +46,10 @@ CHANNEL_KINDS = tuple(_CHANNEL_DATA)
 # whose speed swings about 2x, one BLAS thread), so a run stays under
 # about 15 s at n = 3 and 3 min at n = 64.
 MAX_RECOGNITION_STEPS = 100_000
-# What `_integer` says a field must be, by its lower bound.
-_INTEGER_RANGES = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
-
-
-def is_integer(value) -> bool:
-    """True for a JSON integer; booleans do not count."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
-    return is_integer(value) or isinstance(value, float)
+    return isinstance(value, float) or _is_integer(value)
 
 
 def _object(obj, where: str, required=(), optional=()) -> dict:
@@ -71,18 +65,11 @@ def _object(obj, where: str, required=(), optional=()) -> dict:
     return obj
 
 
-def _integer(key: str, value, low: int | None = None) -> int:
-    """The one integer rule: a JSON integer, not a boolean, at least `low` if given."""
-    if not is_integer(value) or (low is not None and value < low):
-        raise ValueError(f"{key} must be {_INTEGER_RANGES[low]}, got {value!r}")
-    return value
-
-
 def json_to_complex(value) -> complex:
-    if _is_real(value):
-        parts = (value,)
-    elif isinstance(value, list) and len(value) == 2 and all(_is_real(v) for v in value):
+    if isinstance(value, list) and len(value) == 2 and all(_is_real(v) for v in value):
         parts = value
+    elif _is_real(value):
+        parts = (value,)
     else:
         raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
     try:
@@ -173,7 +160,7 @@ def parse_experiment(obj: dict):
     """
     _object(obj, "experiment file", required=("n", "basis", "rho", "gamma", "policy"),
             optional=("seed", "steps"))
-    n = _integer("n", obj["n"], low=1)
+    n = _check_integer("n", obj["n"], 1)
     # The memory fixes the dimension before the basis, whose size is n^2, is built.
     gamma0 = parse_state(obj["gamma"])
     if gamma0.n != n:
@@ -183,8 +170,7 @@ def parse_experiment(obj: dict):
     rho_field = obj["rho"]
     steps = obj.get("steps")
     if steps is not None:
-        _integer("steps", steps, low=0)
-        _check_limit("steps", steps, "MAX_RECOGNITION_STEPS", MAX_RECOGNITION_STEPS)
+        _check_integer("steps", steps, 0, "MAX_RECOGNITION_STEPS", MAX_RECOGNITION_STEPS)
     # Nesting depth separates one matrix from a sequence: entries are
     # [re, im] pairs in the canonical format, so a single matrix nests
     # three levels and a sequence of matrices four. Depth-two input is
@@ -202,8 +188,9 @@ def parse_experiment(obj: dict):
         if signal.n != n:
             raise DimensionMismatch(f"signal {t} has dim {signal.n}, expected system dim {n}")
 
-    seed = _integer("seed", obj.get("seed", 0))
-    _check_seed(seed)
+    # The type alone first, so a non-integer seed "must be an integer".
+    seed = _check_integer("seed", obj.get("seed", 0))
+    _check_integer("seed", seed, 0)
     policy_field = obj["policy"]
     if policy_field == "sample":
         policy = SamplePolicy(seed=seed)
@@ -212,7 +199,7 @@ def parse_experiment(obj: dict):
     elif isinstance(policy_field, dict):
         pair = _object(policy_field, "policy", required=("fixed",))["fixed"]
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(is_integer(v) for v in pair)):
+                or not all(_is_integer(v) for v in pair)):
             raise ValueError(f"fixed policy must be {{'fixed': [i, j]}} with integers, got {pair!r}")
         policy = FixedPolicy(pair[0], pair[1])
     else:
@@ -224,13 +211,10 @@ def parse_value_batch(obj) -> dict:
     """`value --batch` file: any of dim, pairs, seed, kraus_terms, identical_channels.
 
     Returns the fields given, as keyword arguments of
-    `metrics.conjecture_batch`; their ranges are checked there.
+    `metrics.conjecture_batch`; their types and ranges are checked there.
     """
-    integers = ("dim", "pairs", "seed", "kraus_terms")
-    _object(obj, "batch config", optional=integers + ("identical_channels",))
-    for key in integers:
-        if key in obj:
-            _integer(key, obj[key])
+    _object(obj, "batch config",
+            optional=("dim", "pairs", "seed", "kraus_terms", "identical_channels"))
     flag = obj.get("identical_channels", False)
     if not isinstance(flag, bool):
         raise ValueError(f"identical_channels must be a boolean, got {flag!r}")

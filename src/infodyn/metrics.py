@@ -55,8 +55,8 @@ from .hilbert import (
     DensityOperator,
     SchattenDecomposition,
     _check_deviation,
-    _check_limit,
-    _check_seed,
+    _check_integer,
+    _check_nonnegative,
     _degenerate_blocks,
     _density_spectra,
     _entropy_of_spectrum,
@@ -109,10 +109,8 @@ class ComplexityConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        _check_limit("restarts", self.restarts, "MAX_RESTARTS", MAX_RESTARTS)
-        _check_seed(self.seed)
+        _check_integer("restarts", self.restarts, 1, "MAX_RESTARTS", MAX_RESTARTS)
+        _check_integer("seed", self.seed, 0)
 
 
 DEFAULT_CONFIG = ComplexityConfig()
@@ -301,8 +299,10 @@ def classify_dynamics(d_values, eps_zero: float = DEFAULT_EPS_ZERO,
     """Label a window of chaos-degree values.
 
     "stable" when the values all vanish, "weak_stable" when they sit at
-    a constant positive level, "chaotic" otherwise.
+    a constant positive level, "chaotic" otherwise. A negative or NaN
+    threshold raises ValueError.
     """
+    _check_nonnegative(eps_zero=eps_zero, eps_const=eps_const)
     vals = np.asarray(list(d_values), dtype=float)
     if vals.size == 0:
         raise ValueError("classification needs at least one value")
@@ -419,16 +419,10 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
                      kraus_terms: int = 2,
                      identical_channels: bool = False) -> tuple[list[ConjectureOutcome], float]:
     """Run the ordering check on random instances; returns outcomes and rate."""
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    _check_limit("dim", dim, "MAX_VALUE_DIM", MAX_VALUE_DIM)
-    if pairs < 1:
-        raise ValueError("pairs must be positive")
-    _check_limit("pairs", pairs, "MAX_VALUE_PAIRS", MAX_VALUE_PAIRS)
-    if kraus_terms < 1:
-        raise ValueError("kraus_terms must be positive")
-    _check_limit("kraus_terms", kraus_terms, "MAX_KRAUS_TERMS", MAX_KRAUS_TERMS)
-    _check_seed(seed)
+    _check_integer("dim", dim, 2, "MAX_VALUE_DIM", MAX_VALUE_DIM)
+    _check_integer("pairs", pairs, 1, "MAX_VALUE_PAIRS", MAX_VALUE_PAIRS)
+    _check_integer("kraus_terms", kraus_terms, 1, "MAX_KRAUS_TERMS", MAX_KRAUS_TERMS)
+    _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     outcomes = []
     for _ in range(pairs):
@@ -470,13 +464,9 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
     only; the transmitted side is genuinely basis-dependent for a fixed
     channel, so its drift is reported in the result note, not asserted.
     """
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    _check_limit("dim", dim, "MAX_AXIOM_DIM", MAX_AXIOM_DIM)
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    _check_limit("trials", trials, "MAX_AXIOM_TRIALS", MAX_AXIOM_TRIALS)
-    _check_seed(seed)
+    _check_integer("dim", dim, 2, "MAX_AXIOM_DIM", MAX_AXIOM_DIM)
+    _check_integer("trials", trials, 1, "MAX_AXIOM_TRIALS", MAX_AXIOM_TRIALS)
+    _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     cfg = ComplexityConfig(restarts=20, seed=seed)
     ident = identity_channel(dim)

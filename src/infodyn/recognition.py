@@ -48,7 +48,7 @@ from .exceptions import DimensionMismatch, OutsideDomain, ZeroProbabilityOutcome
 from .hilbert import (
     DensityOperator,
     _check_deviation,
-    _check_seed,
+    _check_integer,
     _square,
     as_density,
     diag_embedding,
@@ -318,7 +318,7 @@ class SamplePolicy:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        _check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -541,7 +541,9 @@ def test_partition_rejects_cell_counts_above_the_cap():
     Partition(((0.0, 1.0),), bins=MAX_PARTITION_CELLS)
     Partition(square, bins=2**26)
     # 2**27 bins per axis give 2**54 cells, above the cap although int64 codes stay exact.
-    for box, bins in [(((0.0, 1.0),), MAX_PARTITION_CELLS + 1), (square, 2**27)]:
+    # A numpy integer's power would wrap to 0 in int64: 2**32 bins per axis.
+    for box, bins in [(((0.0, 1.0),), MAX_PARTITION_CELLS + 1), (square, 2**27),
+                      (square, np.int64(2**32))]:
         with pytest.raises(ValueError, match=f"MAX_PARTITION_CELLS={MAX_PARTITION_CELLS}"):
             Partition(box, bins=bins)
 
@@ -554,7 +556,23 @@ def test_orbit_config_rejects_orbits_above_the_cap():
             OrbitConfig(transient=transient, samples=samples)
 
 
+def test_partition_rejects_a_box_with_no_axes():
+    with pytest.raises(ValueError, match="partition box has no axes"):
+        Partition((), 5)
+
+
+@pytest.mark.parametrize("eps", [-1.0, math.nan])
+@pytest.mark.parametrize("name", ["eps_zero", "eps_const"])
+def test_sweep_rejects_bad_thresholds_before_iterating(monkeypatch, name, eps):
+    def refuse(system, cfg):
+        raise AssertionError("an orbit was iterated before the thresholds were checked")
+
+    monkeypatch.setattr(classical, "iterate_orbit", refuse)
+    with pytest.raises(ValueError, match=f"{name} must be a nonnegative number, got {eps!r}"):
+        sweep(logistic_map(), 3.2, 3.3, 0.1, OrbitConfig(transient=0, samples=10), **{name: eps})
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_sweep_rejects_nonpositive_workers(workers):
-    with pytest.raises(ValueError, match="workers must be positive"):
+    with pytest.raises(ValueError, match=f"workers must be a positive integer, got {workers}"):
         sweep(logistic_map(), 3.5, 3.6, 0.1, OrbitConfig(transient=0, samples=10), workers=workers)

@@ -7,10 +7,11 @@ import pytest
 
 from infodyn import jsonio
 from infodyn.classical import MAX_ORBIT_STEPS, MAX_PARTITION_CELLS, MAX_WORKERS
-from infodyn.cli import main
+from infodyn.cli import build_parser, main
 from infodyn.hilbert import random_density
 from infodyn.jsonio import MAX_RECOGNITION_STEPS, dump_json, matrix_to_json
 from infodyn.metrics import (
+    DEFAULT_CONFIG,
     MAX_AXIOM_DIM,
     MAX_AXIOM_TRIALS,
     MAX_KRAUS_TERMS,
@@ -407,7 +408,7 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
                 recognition_experiment(tmp_path, policy="sample", seed=-1)]
     else:
         argv = [command, "--dim", "2", "--seed", "-1"]
-    assert_usage_error(argv, capsys, "seed must be nonnegative, got -1")
+    assert_usage_error(argv, capsys, "seed must be a nonnegative integer, got -1")
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -420,12 +421,17 @@ def test_sweep_size_caps_are_usage_errors(capsys, flag, value, message):
     assert_usage_error(SWEEP_FAST + [flag, value], capsys, message)
 
 
-@pytest.mark.parametrize("field", ["dim", "pairs", "seed", "kraus_terms"])
-def test_value_batch_rejects_boolean_integer_fields(tmp_path, capsys, field):
+@pytest.mark.parametrize("field, kind", [
+    ("dim", "an integer >= 2"),
+    ("pairs", "a positive integer"),
+    ("seed", "a nonnegative integer"),
+    ("kraus_terms", "a positive integer"),
+], ids=["dim", "pairs", "seed", "kraus_terms"])
+def test_value_batch_rejects_boolean_integer_fields(tmp_path, capsys, field, kind):
     spec = {"dim": 2, "pairs": 2, "seed": 0, "kraus_terms": 2}
     spec[field] = True
     batch = write_json(tmp_path / "batch.json", spec)
-    assert_usage_error(["value", "--batch", batch], capsys, f"{field} must be an integer, got True")
+    assert_usage_error(["value", "--batch", batch], capsys, f"{field} must be {kind}, got True")
 
 
 @pytest.mark.parametrize("bound", ["--to=inf", "--from=-inf", "--step=nan"])
@@ -457,6 +463,17 @@ def test_non_finite_float_flags_are_usage_errors(tmp_path, capsys, argv, flag):
     assert_usage_error(argv, capsys, f"argument {flag}: must be finite, got '{argv[-1]}'")
 
 
+@pytest.mark.parametrize("flag", ["--eps-zero", "--eps-const"])
+def test_sweep_negative_threshold_is_usage_error(capsys, flag):
+    assert_usage_error(SWEEP_FAST + [flag, "-1"], capsys,
+                       f"{flag[2:].replace('-', '_')} must be a nonnegative number, got -1.0")
+
+
+def test_quantum_ecd_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["quantum-ecd", "--state", "s.json", "--channel", "c.json"])
+    assert (args.restarts, args.seed) == (DEFAULT_CONFIG.restarts, DEFAULT_CONFIG.seed)
+
+
 def test_axioms_trials_cap(capsys):
     assert_usage_error(["axioms", "--dim", "2", "--trials", str(MAX_AXIOM_TRIALS + 1)], capsys,
                        f"trials={MAX_AXIOM_TRIALS + 1} exceeds the limit "
@@ -482,7 +499,7 @@ def test_value_kraus_terms_cap(tmp_path, capsys):
                        f"kraus_terms={MAX_KRAUS_TERMS + 1} exceeds the limit "
                        f"MAX_KRAUS_TERMS={MAX_KRAUS_TERMS}")
     batch = write_json(tmp_path / "zero.json", {"pairs": 1, "kraus_terms": 0})
-    assert_usage_error(["value", "--batch", batch], capsys, "kraus_terms must be positive")
+    assert_usage_error(["value", "--batch", batch], capsys, "kraus_terms must be a positive integer, got 0")
 
 
 def test_value_dim_cap(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infodyn import channels, classical, jsonio, metrics, recognition
 from infodyn.hilbert import (
     DensityOperator,
     IndexGroup,
@@ -37,6 +38,69 @@ def test_index_group_wraps():
 def test_index_group_rejects_nonpositive():
     with pytest.raises(ValueError):
         IndexGroup(0)
+
+
+def _experiment(**fields):
+    return jsonio.parse_experiment({
+        "n": 2, "basis": "fourier", "rho": [[0.5, 0.0], [0.0, 0.5]],
+        "gamma": [[1.0, 0.0], [0.0, 0.0]], "policy": "argmax", **fields,
+    })
+
+
+_SHORT_ORBIT = classical.OrbitConfig(transient=0, samples=10)
+# Every integer input the package reads: site -> (field, lower bound, the
+# name of its cap or None, a call that reads the value).
+INTEGER_SITES = {
+    "ComplexityConfig.restarts": ("restarts", 1, "MAX_RESTARTS",
+                                  lambda v: metrics.ComplexityConfig(restarts=v)),
+    "ComplexityConfig.seed": ("seed", 0, None, lambda v: metrics.ComplexityConfig(seed=v)),
+    "conjecture_batch.dim": ("dim", 2, "MAX_VALUE_DIM", lambda v: metrics.conjecture_batch(v, 1, 0)),
+    "conjecture_batch.pairs": ("pairs", 1, "MAX_VALUE_PAIRS",
+                               lambda v: metrics.conjecture_batch(2, v, 0)),
+    "conjecture_batch.kraus_terms": ("kraus_terms", 1, "MAX_KRAUS_TERMS",
+                                     lambda v: metrics.conjecture_batch(2, 1, 0, kraus_terms=v)),
+    "conjecture_batch.seed": ("seed", 0, None, lambda v: metrics.conjecture_batch(2, 1, v)),
+    "axiom_suite.dim": ("dim", 2, "MAX_AXIOM_DIM", lambda v: metrics.axiom_suite(v, 1, 0)),
+    "axiom_suite.trials": ("trials", 1, "MAX_AXIOM_TRIALS", lambda v: metrics.axiom_suite(2, v, 0)),
+    "axiom_suite.seed": ("seed", 0, None, lambda v: metrics.axiom_suite(2, 1, v)),
+    "OrbitConfig.samples": ("samples", 1, None, lambda v: classical.OrbitConfig(samples=v)),
+    "OrbitConfig.transient": ("transient", 0, None, lambda v: classical.OrbitConfig(transient=v)),
+    "Partition.bins": ("bins", 2, None, lambda v: classical.Partition(((0.0, 1.0),), v)),
+    "sweep.window": ("window", 1, None, lambda v: classical.sweep(
+        classical.logistic_map(), 3.5, 3.6, 0.1, _SHORT_ORBIT, window=v)),
+    "sweep.workers": ("workers", 1, "MAX_WORKERS", lambda v: classical.sweep(
+        classical.logistic_map(), 3.5, 3.6, 0.1, _SHORT_ORBIT, workers=v)),
+    "random_kraus_channel.terms": ("terms", 1, None, lambda v: channels.random_kraus_channel(
+        2, v, np.random.default_rng(0))),
+    "IndexGroup.n": ("n", 1, None, IndexGroup),
+    "SamplePolicy.seed": ("seed", 0, None, lambda v: recognition.SamplePolicy(seed=v)),
+    "experiment.n": ("n", 1, None, lambda v: _experiment(n=v)),
+    "experiment.steps": ("steps", 0, "MAX_RECOGNITION_STEPS", lambda v: _experiment(steps=v)),
+    "experiment.seed": ("seed", 0, None, lambda v: _experiment(seed=v)),
+}
+CAPS = {name: value for module in (classical, jsonio, metrics)
+        for name, value in vars(module).items() if name.startswith("MAX_")}
+
+
+def _integer_cases():
+    for site, (field, low, cap, call) in INTEGER_SITES.items():
+        for label, value in [("bool", True), ("float", 2.5), ("str", "3"), ("low", low - 1)]:
+            yield pytest.param(field, call, value, f"{field} must be ", id=f"{site}-{label}")
+        if cap is not None:
+            value = CAPS[cap] + 1
+            yield pytest.param(field, call, value, f"{field}={value} exceeds the limit "
+                               f"{cap}={CAPS[cap]}", id=f"{site}-cap")
+
+
+@pytest.mark.parametrize("field, call, value, message", _integer_cases())
+def test_integer_inputs_follow_one_rule(field, call, value, message):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    text = str(exc.value)
+    if "exceeds the limit" in message:
+        assert text == message
+    else:
+        assert text.startswith(message) and text.endswith(f", got {value!r}")
 
 
 def test_inner_product_orthogonal_standard_vectors():

@@ -362,6 +362,16 @@ def test_classify_dynamics_thresholds():
         classify_dynamics([])
 
 
+@pytest.mark.parametrize("thresholds, message", [
+    ({"eps_zero": -1.0}, "eps_zero must be a nonnegative number, got -1.0"),
+    ({"eps_const": float("nan")}, "eps_const must be a nonnegative number, got nan"),
+], ids=["eps_zero", "eps_const"])
+def test_classify_dynamics_rejects_negative_or_nan_thresholds(thresholds, message):
+    # At eps_zero = -1 a window of zeros would otherwise be labelled weak_stable.
+    with pytest.raises(ValueError, match=message):
+        classify_dynamics([0.0, 0.0], **thresholds)
+
+
 def test_value_identity_purpose_gives_one():
     rho, gamma = random_density(2, RNG), random_density(2, RNG)
     ch = random_kraus_channel(4, 2, RNG)
@@ -567,7 +577,7 @@ def test_axiom_suite_passes_small():
 
 
 def test_axiom_suite_rejects_bad_dim():
-    with pytest.raises(ValueError, match="dim must be at least 2"):
+    with pytest.raises(ValueError, match="dim must be an integer >= 2, got 1"):
         axiom_suite(1, 10, 0)
     with pytest.raises(ValueError, match=f"dim={MAX_AXIOM_DIM + 1} exceeds the limit "
                                          f"MAX_AXIOM_DIM={MAX_AXIOM_DIM}"):

@@ -48,3 +48,28 @@ def test_every_size_cap_is_named_in_the_readme():
     ]
     assert len(caps) >= 9
     assert [cap for cap in caps if not re.search(rf"\b{cap.partition('.')[2]}\b", readme)] == []
+
+
+def test_every_fixed_size_cap_goes_through_the_integer_rule():
+    # These caps bound a value computed from several inputs, so each
+    # keeps its own check.
+    derived = {"MAX_ORBIT_STEPS", "MAX_PARTITION_CELLS", "MAX_SWEEP_ROWS"}
+    package = Path(infodyn.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    caps = {
+        target.id
+        for tree in trees
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    }
+    checked = {
+        arg.id
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_integer"
+        for arg in [*node.args, *(keyword.value for keyword in node.keywords)]
+        if isinstance(arg, ast.Name)
+    }
+    assert derived <= caps and len(caps - derived) >= 8
+    assert sorted(caps - derived - checked) == []

@@ -371,7 +371,7 @@ def test_recognize_sampling_is_seed_deterministic():
 
 
 def test_sample_policy_rejects_a_negative_seed():
-    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
         SamplePolicy(seed=-1)
 
 
