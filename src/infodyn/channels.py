@@ -30,6 +30,7 @@ from .hilbert import (
     DensityOperator,
     _check_deviation,
     _check_integer,
+    _check_real,
     _square,
     as_density,
     mult_operator,
@@ -368,8 +369,7 @@ def depolarizing_channel(n: int, p: float = 1.0) -> Channel:
     Realized as a Kraus family of discrete Weyl (shift and clock)
     unitaries; p = 1 sends every state exactly to identity / n.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight must be in [0, 1], got {p}")
+    p = _check_real("p", p, 0.0, 1.0)
     omega = np.exp(2j * np.pi / n)
     clock = np.diag(omega ** np.arange(n))
     ops = []
@@ -409,7 +409,7 @@ def choi_matrix(channel, dim: int | None = None) -> np.ndarray:
     else:
         if dim is None:
             raise ValueError("dim is required for a bare callable")
-        n = int(dim)
+        n = _check_integer("dim", dim, 1)
         action = channel
     c = np.zeros((n * n, n * n), dtype=complex)
     for a in range(n):

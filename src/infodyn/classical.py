@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import OrbitEscape
-from .hilbert import DensityOperator, _check_integer, _check_nonnegative
+from .hilbert import DensityOperator, _check_integer, _check_real
 from .channels import Channel, stochastic_channel
 from .metrics import DEFAULT_EPS_CONST, DEFAULT_EPS_ZERO, classify_dynamics
 
@@ -73,8 +73,10 @@ class MapSystem:
     `step(point, a)` returns the next point: a float in one dimension,
     a tuple of floats in two. `jacobian(orbit, a)` takes a whole
     (samples, dim) orbit array and returns the derivatives along it as
-    an array broadcastable to (samples, dim, dim). `box` and `default_x0`
-    are stored as tuples of floats, so maps given arrays still compare.
+    an array broadcastable to (samples, dim, dim). Every bound of `box`,
+    every component of `default_x0` and `default_param` must be a finite
+    real number; `box` and `default_x0` are stored as tuples of floats, so
+    maps given arrays still compare.
     """
 
     name: str
@@ -85,8 +87,10 @@ class MapSystem:
     jacobian: Callable
 
     def __post_init__(self):
-        object.__setattr__(self, "box", tuple((float(lo), float(hi)) for lo, hi in self.box))
-        object.__setattr__(self, "default_x0", tuple(float(v) for v in self.default_x0))
+        object.__setattr__(self, "box", _check_box(self.box))
+        object.__setattr__(self, "default_x0",
+                           tuple(_check_real("default_x0", v) for v in self.default_x0))
+        object.__setattr__(self, "default_param", _check_real("default_param", self.default_param))
         if self.dim not in (1, 2):
             raise ValueError(f"only 1- and 2-dimensional maps are supported, got {self.dim}")
         if len(self.default_x0) != self.dim:
@@ -95,6 +99,11 @@ class MapSystem:
     @property
     def dim(self) -> int:
         return len(self.box)
+
+
+def _check_box(box) -> tuple[tuple[float, float], ...]:
+    """`box` as (lo, hi) pairs of floats, each bound a finite real number."""
+    return tuple((_check_real("box", lo), _check_real("box", hi)) for lo, hi in box)
 
 
 def _logistic_step(x, a):
@@ -183,7 +192,8 @@ BUILTIN_MAPS: dict[str, MapSystem] = {
 class OrbitConfig:
     """Initial point, transient length, sample length, and parameter.
 
-    `x0` and `param` default to the map's own defaults when None. An
+    `x0` and `param` default to the map's own defaults when None; given,
+    each component of `x0` and `param` must be a finite real number. An
     orbit longer than MAX_ORBIT_STEPS in all raises ValueError.
     """
 
@@ -201,14 +211,16 @@ class OrbitConfig:
                 f"exceeds the limit MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"
             )
         if self.x0 is not None:
-            object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+            object.__setattr__(self, "x0", tuple(_check_real("x0", v) for v in self.x0))
+        if self.param is not None:
+            object.__setattr__(self, "param", _check_real("param", self.param))
 
 
 def _resolve(system: MapSystem, cfg: OrbitConfig) -> tuple[tuple[float, ...], float]:
     x0 = system.default_x0 if cfg.x0 is None else cfg.x0
     if len(x0) != system.dim:
         raise ValueError(f"x0 has dimension {len(x0)}, map needs {system.dim}")
-    a = system.default_param if cfg.param is None else float(cfg.param)
+    a = system.default_param if cfg.param is None else cfg.param
     for v, (lo, hi) in zip(x0, system.box):
         if not lo <= v <= hi:
             raise ValueError(f"x0 component {v} outside box [{lo}, {hi}]")
@@ -253,7 +265,7 @@ class Partition:
 
     def __post_init__(self):
         _check_integer("bins", self.bins, 2)
-        box = tuple((float(lo), float(hi)) for lo, hi in self.box)
+        box = _check_box(self.box)
         if not box:
             raise ValueError("partition box has no axes")
         if any(hi <= lo for lo, hi in box):
@@ -466,19 +478,22 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     which receives those objects pickled; any other map runs in this
     process whatever `workers` says, since its step and Jacobian need not
     pickle. Results are ordered by parameter and identical at any worker
-    count. Non-finite grid bounds, grids of more than MAX_SWEEP_ROWS rows,
-    a `workers` below 1 or above MAX_WORKERS and a negative or NaN
-    threshold raise ValueError before any row is built.
+    count. Grid bounds and thresholds that are not finite real numbers, a
+    negative threshold, grids of more than MAX_SWEEP_ROWS rows and a
+    `workers` below 1 or above MAX_WORKERS raise ValueError before any row
+    is built.
     """
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ValueError(f"sweep start, stop and step must be finite, got {start}, {stop}, {step}")
+    start = _check_real("start", start)
+    stop = _check_real("stop", stop)
+    step = _check_real("step", step)
     if step <= 0:
         raise ValueError("step must be positive")
     if stop < start:
         raise ValueError("stop must not precede start")
     _check_integer("window", window, 1)
     _check_integer("workers", workers, 1, "MAX_WORKERS", MAX_WORKERS)
-    _check_nonnegative(eps_zero=eps_zero, eps_const=eps_const)
+    eps_zero = _check_real("eps_zero", eps_zero, 0.0)
+    eps_const = _check_real("eps_const", eps_const, 0.0)
     span = (stop - start) / step
     count = int(math.floor(span + 1e-9)) + 1 if math.isfinite(span) else math.inf
     if count > MAX_SWEEP_ROWS:

@@ -6,6 +6,8 @@ count. Exit codes: 0 success, 2 usage or parse failure, 3 orbit
 escape, 4 dimension mismatch, 5 probability-domain failure.
 `recognize` streams its lines, so a run that fails part way leaves the
 completed steps' lines written before it exits with the failure's code.
+Flags are only parsed here; the library function that reads a value
+checks it, before any input file is read or any orbit is iterated.
 """
 
 from __future__ import annotations
@@ -34,23 +36,14 @@ EXIT_DOMAIN = 5
 RECOGNIZE_BLOCK_STEPS = 32
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
 def _parse_log_base(text: str) -> float:
+    """`e` or a number; `metrics.check_log_base` checks its value."""
     if text == "e":
         return math.e
-    base = _finite_float(text)
-    if base <= 1.0:
-        raise argparse.ArgumentTypeError("log base must exceed 1")
-    return base
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
 def _parse_x0(text: str) -> tuple[float, ...]:
@@ -87,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--transient", type=int, default=classical.DEFAULT_TRANSIENT)
     sweep.add_argument("--samples", type=int, default=classical.DEFAULT_SAMPLES)
     sweep.add_argument("--x0", type=_parse_x0, default=None)
-    sweep.add_argument("--eps-zero", type=_finite_float, default=classical.DEFAULT_EPS_ZERO)
-    sweep.add_argument("--eps-const", type=_finite_float, default=classical.DEFAULT_EPS_CONST)
+    sweep.add_argument("--eps-zero", type=float, default=classical.DEFAULT_EPS_ZERO)
+    sweep.add_argument("--eps-const", type=float, default=classical.DEFAULT_EPS_CONST)
     sweep.add_argument("--window", type=int, default=classical.DEFAULT_WINDOW)
     sweep.add_argument("--workers", type=int, default=1,
                        help="parallel orbit workers (default 1)")
@@ -156,6 +149,7 @@ def cmd_ecd_sweep(args) -> int:
 
 
 def cmd_quantum_ecd(args) -> int:
+    metrics.check_log_base(args.log_base)
     state = jsonio.parse_state(jsonio.load_json(args.state))
     channel = jsonio.parse_channel(jsonio.load_json(args.channel))
     cfg = metrics.ComplexityConfig(restarts=args.restarts, seed=args.seed)

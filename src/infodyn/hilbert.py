@@ -13,13 +13,14 @@ The package-wide private helpers live here, one per rule:
 adjoint or the identity (a NaN deviation fails it as "<subject> has a
 non-finite entry"), `_square`, the square-matrix check, `_check_integer`,
 the integer-input rule (type, then lower bound, then cap) with its
-predicate `_is_integer`, `_check_nonnegative`, the rule for a real
-threshold, `_haar_unitaries`, the Haar sampler, and `_degenerate_blocks`,
-the one degeneracy rule.
+predicate `_is_integer`, `_check_real`, the real-input rule (a finite
+real number within optional closed bounds), `_haar_unitaries`, the Haar
+sampler, and `_degenerate_blocks`, the one degeneracy rule.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -75,7 +76,9 @@ def mult_operator(g) -> np.ndarray:
 
 def shift_unitary(k: int, n: int) -> np.ndarray:
     """Unitary U_k acting by (U_k f)(m) = f((k + m) mod n)."""
-    if not 0 <= k < n:
+    _check_integer("n", n, 1)
+    _check_integer("k", k, 0)
+    if k >= n:
         raise ValueError(f"shift index must satisfy 0 <= k < {n}, got {k}")
     u = np.zeros((n, n), dtype=complex)
     for m in range(n):
@@ -214,11 +217,25 @@ def _check_integer(name: str, value, low: int | None = None,
     return value
 
 
-def _check_nonnegative(**values) -> None:
-    """The one threshold rule: each named real value is nonnegative, and NaN is not."""
-    for name, value in values.items():
-        if not value >= 0:
-            raise ValueError(f"{name} must be a nonnegative number, got {value!r}")
+def _check_real(name: str, value, low: float | None = None, high: float | None = None) -> float:
+    """The one real-input rule: a finite real number, in [low, high] where a bound is given.
+
+    Numpy's reals count and booleans do not. Returns the value as a float.
+    """
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not (math.isfinite(number) and (low is None or number >= low)
+            and (high is None or number <= high)):
+        bounds = ("" if low is None and high is None
+                  else f" >= {low:g}" if high is None
+                  else f" <= {high:g}" if low is None
+                  else f" in [{low:g}, {high:g}]")
+        raise ValueError(f"{name} must be a finite real number{bounds}, got {value!r}")
+    return number
 
 
 def _density_spectra(matrices):
@@ -392,8 +409,8 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density(n: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
     """Random full-rank (or fixed-rank) density operator."""
-    k = n if rank is None else int(rank)
-    if not 1 <= k <= n:
+    k = n if rank is None else _check_integer("rank", rank, 1)
+    if k > n:
         raise ValueError(f"rank must be in [1, {n}], got {k}")
     g = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
     m = g @ g.conj().T

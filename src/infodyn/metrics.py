@@ -56,7 +56,7 @@ from .hilbert import (
     SchattenDecomposition,
     _check_deviation,
     _check_integer,
-    _check_nonnegative,
+    _check_real,
     _degenerate_blocks,
     _density_spectra,
     _entropy_of_spectrum,
@@ -116,6 +116,14 @@ class ComplexityConfig:
 DEFAULT_CONFIG = ComplexityConfig()
 
 
+def check_log_base(log_base) -> float:
+    """A display base for entropies, as a float: a finite real number above 1."""
+    base = _check_real("log_base", log_base)
+    if not base > 1.0:
+        raise ValueError(f"log_base must exceed 1, got {log_base!r}")
+    return base
+
+
 @dataclass(frozen=True)
 class ChaosDegreeReport:
     """Chaos degree, transmitted complexity, and search statistics.
@@ -134,6 +142,8 @@ class ChaosDegreeReport:
     decomposition: SchattenDecomposition
 
     def to_json(self, log_base: float = math.e) -> dict:
+        """The report as a JSON object, entropies in `log_base` (see `check_log_base`)."""
+        log_base = check_log_base(log_base)
         scale = 1.0 / math.log(log_base)
         return {
             "D": self.chaos_degree * scale,
@@ -299,10 +309,11 @@ def classify_dynamics(d_values, eps_zero: float = DEFAULT_EPS_ZERO,
     """Label a window of chaos-degree values.
 
     "stable" when the values all vanish, "weak_stable" when they sit at
-    a constant positive level, "chaotic" otherwise. A negative or NaN
-    threshold raises ValueError.
+    a constant positive level, "chaotic" otherwise. Each threshold must
+    be a finite real number >= 0, or ValueError is raised.
     """
-    _check_nonnegative(eps_zero=eps_zero, eps_const=eps_const)
+    eps_zero = _check_real("eps_zero", eps_zero, 0.0)
+    eps_const = _check_real("eps_const", eps_const, 0.0)
     vals = np.asarray(list(d_values), dtype=float)
     if vals.size == 0:
         raise ValueError("classification needs at least one value")

@@ -90,13 +90,13 @@ class SignalBasis:
 
     @classmethod
     def fourier(cls, n: int) -> "SignalBasis":
-        m = np.arange(n)
+        m = np.arange(_check_integer("n", n, 1))
         v = np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
         return cls(v)
 
     @classmethod
     def standard(cls, n: int) -> "SignalBasis":
-        return cls(np.eye(n, dtype=complex))
+        return cls(np.eye(_check_integer("n", n, 1), dtype=complex))
 
 
 class BellSystem:
@@ -333,10 +333,18 @@ class ArgmaxPolicy:
 
 @dataclass(frozen=True)
 class FixedPolicy:
-    """Force one outcome every step; zero-probability selection raises."""
+    """Force one outcome every step; zero-probability selection raises.
+
+    `i` and `j` are nonnegative integers; their range against the system
+    dimension is checked when a trajectory starts.
+    """
 
     i: int
     j: int
+
+    def __post_init__(self):
+        _check_integer("i", self.i, 0)
+        _check_integer("j", self.j, 0)
 
 
 @dataclass(frozen=True)
@@ -384,7 +392,7 @@ def recognize_sequence(gamma0, signals, bell: BellSystem, policy) -> Iterator[Re
 def _chooser(policy, n: int):
     """The policy as one function from the outcome table to an outcome (i, j)."""
     if isinstance(policy, FixedPolicy):
-        if not (0 <= policy.i < n and 0 <= policy.j < n):
+        if not (policy.i < n and policy.j < n):
             raise ValueError(f"fixed outcome ({policy.i}, {policy.j}) out of range for n={n}")
         return lambda probs: (policy.i, policy.j)
     if isinstance(policy, ArgmaxPolicy):

@@ -561,15 +561,30 @@ def test_partition_rejects_a_box_with_no_axes():
         Partition((), 5)
 
 
-@pytest.mark.parametrize("eps", [-1.0, math.nan])
-@pytest.mark.parametrize("name", ["eps_zero", "eps_const"])
-def test_sweep_rejects_bad_thresholds_before_iterating(monkeypatch, name, eps):
+@pytest.fixture
+def no_orbits(monkeypatch):
     def refuse(system, cfg):
-        raise AssertionError("an orbit was iterated before the thresholds were checked")
+        raise AssertionError("an orbit was iterated before the inputs were checked")
 
     monkeypatch.setattr(classical, "iterate_orbit", refuse)
-    with pytest.raises(ValueError, match=f"{name} must be a nonnegative number, got {eps!r}"):
+
+
+@pytest.mark.parametrize("eps", [-1.0, math.nan])
+@pytest.mark.parametrize("name", ["eps_zero", "eps_const"])
+def test_sweep_rejects_bad_thresholds_before_iterating(no_orbits, name, eps):
+    with pytest.raises(ValueError, match=f"{name} must be a finite real number >= 0, got {eps!r}"):
         sweep(logistic_map(), 3.2, 3.3, 0.1, OrbitConfig(transient=0, samples=10), **{name: eps})
+
+
+@pytest.mark.parametrize("value", [True, math.nan, math.inf, -math.inf, "0.5"],
+                         ids=["bool", "nan", "inf", "-inf", "str"])
+@pytest.mark.parametrize("name", ["start", "stop", "step", "eps_zero", "eps_const"])
+def test_sweep_rejects_non_real_inputs_before_iterating(no_orbits, name, value):
+    inputs = {"start": 3.2, "stop": 3.3, "step": 0.1, name: value}
+    with pytest.raises(ValueError) as exc:
+        sweep(logistic_map(), cfg=OrbitConfig(transient=0, samples=10), **inputs)
+    text = str(exc.value)
+    assert text.startswith(f"{name} must be a finite real number") and text.endswith(f", got {value!r}")
 
 
 @pytest.mark.parametrize("workers", [0, -3])

@@ -1,11 +1,12 @@
 import json
+import math
 import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from infodyn import jsonio
+from infodyn import classical, jsonio
 from infodyn.classical import MAX_ORBIT_STEPS, MAX_PARTITION_CELLS, MAX_WORKERS
 from infodyn.cli import build_parser, main
 from infodyn.hilbert import random_density
@@ -439,7 +440,9 @@ def test_sweep_rejects_non_finite_grid(capsys, bound):
     grid = {"--from": "--from=3.0", "--to": "--to=3.1", "--step": "--step=0.1"}
     grid[bound.split("=")[0]] = bound
     argv = ["ecd-sweep", "--map", "logistic", *grid.values(), "--samples", "10", "--transient", "0"]
-    assert_usage_error(argv, capsys, "must be finite")
+    flag, text = bound.split("=")
+    field = {"--from": "start", "--to": "stop", "--step": "step"}[flag]
+    assert_usage_error(argv, capsys, f"{field} must be a finite real number, got {float(text)!r}")
 
 
 def test_sweep_rejects_oversized_grid(capsys):
@@ -460,13 +463,22 @@ def test_non_finite_float_flags_are_usage_errors(tmp_path, capsys, argv, flag):
         state = state_file(tmp_path, [[0.5, 0.0], [0.0, 0.5]])
         channel = channel_file(tmp_path, {"kind": "stochastic", "P": [[0.5, 0.5], [0.5, 0.5]]})
         argv = ["quantum-ecd", "--state", state, "--channel", channel] + argv
-    assert_usage_error(argv, capsys, f"argument {flag}: must be finite, got '{argv[-1]}'")
+    rule = {"--log-base": "log_base must be a finite real number",
+            "--eps-zero": "eps_zero must be a finite real number >= 0",
+            "--eps-const": "eps_const must be a finite real number >= 0"}[flag]
+    assert_usage_error(argv, capsys, f"{rule}, got {float(argv[-1])!r}")
 
 
 @pytest.mark.parametrize("flag", ["--eps-zero", "--eps-const"])
 def test_sweep_negative_threshold_is_usage_error(capsys, flag):
     assert_usage_error(SWEEP_FAST + [flag, "-1"], capsys,
-                       f"{flag[2:].replace('-', '_')} must be a nonnegative number, got -1.0")
+                       f"{flag[2:].replace('-', '_')} must be a finite real number >= 0, got -1.0")
+
+
+def test_sweep_threshold_message_is_the_library_message(capsys):
+    with pytest.raises(ValueError) as exc:
+        classical.sweep(classical.logistic_map(), 3.5, 3.7, 0.05, eps_zero=math.inf)
+    assert_usage_error(SWEEP_FAST + ["--eps-zero", "inf"], capsys, f"error: {exc.value}\n")
 
 
 def test_quantum_ecd_defaults_are_the_library_defaults():

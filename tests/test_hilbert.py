@@ -1,3 +1,6 @@
+import fractions
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from infodyn import channels, classical, jsonio, metrics, recognition
 from infodyn.hilbert import (
     DensityOperator,
     IndexGroup,
+    _check_real,
     as_density,
     diag_embedding,
     inner_product,
@@ -77,6 +81,14 @@ INTEGER_SITES = {
     "experiment.n": ("n", 1, None, lambda v: _experiment(n=v)),
     "experiment.steps": ("steps", 0, "MAX_RECOGNITION_STEPS", lambda v: _experiment(steps=v)),
     "experiment.seed": ("seed", 0, None, lambda v: _experiment(seed=v)),
+    "FixedPolicy.i": ("i", 0, None, lambda v: recognition.FixedPolicy(v, 0)),
+    "FixedPolicy.j": ("j", 0, None, lambda v: recognition.FixedPolicy(0, v)),
+    "random_density.rank": ("rank", 1, None, lambda v: random_density(3, np.random.default_rng(0), v)),
+    "choi_matrix.dim": ("dim", 1, None, lambda v: channels.choi_matrix(lambda m: m, v)),
+    "shift_unitary.k": ("k", 0, None, lambda v: shift_unitary(v, 3)),
+    "shift_unitary.n": ("n", 1, None, lambda v: shift_unitary(0, v)),
+    "SignalBasis.fourier.n": ("n", 1, None, recognition.SignalBasis.fourier),
+    "SignalBasis.standard.n": ("n", 1, None, recognition.SignalBasis.standard),
 }
 CAPS = {name: value for module in (classical, jsonio, metrics)
         for name, value in vars(module).items() if name.startswith("MAX_")}
@@ -101,6 +113,62 @@ def test_integer_inputs_follow_one_rule(field, call, value, message):
         assert text == message
     else:
         assert text.startswith(message) and text.endswith(f", got {value!r}")
+
+
+_LOGISTIC = classical.logistic_map()
+# Every real input the package reads: site -> (field, lower bound or None,
+# upper bound or None, a call that reads the value).
+REAL_SITES = {
+    "sweep.start": ("start", None, None, lambda v: classical.sweep(_LOGISTIC, v, 3.6, 0.1, _SHORT_ORBIT)),
+    "sweep.stop": ("stop", None, None, lambda v: classical.sweep(_LOGISTIC, 3.5, v, 0.1, _SHORT_ORBIT)),
+    "sweep.step": ("step", None, None, lambda v: classical.sweep(_LOGISTIC, 3.5, 3.6, v, _SHORT_ORBIT)),
+    "sweep.eps_zero": ("eps_zero", 0.0, None, lambda v: classical.sweep(
+        _LOGISTIC, 3.5, 3.6, 0.1, _SHORT_ORBIT, eps_zero=v)),
+    "sweep.eps_const": ("eps_const", 0.0, None, lambda v: classical.sweep(
+        _LOGISTIC, 3.5, 3.6, 0.1, _SHORT_ORBIT, eps_const=v)),
+    "classify_dynamics.eps_zero": ("eps_zero", 0.0, None,
+                                   lambda v: metrics.classify_dynamics([0.0], eps_zero=v)),
+    "classify_dynamics.eps_const": ("eps_const", 0.0, None,
+                                    lambda v: metrics.classify_dynamics([0.0], eps_const=v)),
+    "depolarizing_channel.p": ("p", 0.0, 1.0, lambda v: channels.depolarizing_channel(2, v)),
+    "OrbitConfig.x0": ("x0", None, None, lambda v: classical.OrbitConfig(x0=(v,))),
+    "OrbitConfig.param": ("param", None, None, lambda v: classical.OrbitConfig(param=v)),
+    "Partition.box": ("box", None, None, lambda v: classical.Partition(((0.0, v),), 10)),
+    "MapSystem.box": ("box", None, None, lambda v: replace(_LOGISTIC, box=((v, 1.0),))),
+    "MapSystem.default_x0": ("default_x0", None, None, lambda v: replace(_LOGISTIC, default_x0=(v,))),
+    "MapSystem.default_param": ("default_param", None, None,
+                                lambda v: replace(_LOGISTIC, default_param=v)),
+    "ChaosDegreeReport.to_json.log_base": ("log_base", None, None, lambda v: metrics.chaos_degree(
+        np.diag([0.7, 0.3]), channels.identity_channel(2)).to_json(log_base=v)),
+}
+
+
+def _real_cases():
+    for site, (field, low, high, call) in REAL_SITES.items():
+        cases = [("bool", True), ("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf), ("str", "0.5")]
+        if low is not None:
+            cases.append(("low", low - 0.5))
+        if high is not None:
+            cases.append(("high", high + 0.5))
+        for label, value in cases:
+            yield pytest.param(field, call, value, id=f"{site}-{label}")
+
+
+@pytest.mark.parametrize("field, call, value", _real_cases())
+def test_real_inputs_follow_one_rule(field, call, value):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    text = str(exc.value)
+    assert text.startswith(f"{field} must be a finite real number") and text.endswith(f", got {value!r}")
+
+
+def test_real_rule_takes_numpy_reals_and_integers_as_floats():
+    for value in [np.float32(0.25), np.int64(2), 3, fractions.Fraction(1, 4)]:
+        number = _check_real("x", value)
+        assert type(number) is float and number == value
+    assert _check_real("p", 1, 0.0, 1.0) == 1.0
+    with pytest.raises(ValueError, match="x must be a finite real number, got 1000"):
+        _check_real("x", 10**400)
 
 
 def test_inner_product_orthogonal_standard_vectors():

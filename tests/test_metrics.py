@@ -363,8 +363,8 @@ def test_classify_dynamics_thresholds():
 
 
 @pytest.mark.parametrize("thresholds, message", [
-    ({"eps_zero": -1.0}, "eps_zero must be a nonnegative number, got -1.0"),
-    ({"eps_const": float("nan")}, "eps_const must be a nonnegative number, got nan"),
+    ({"eps_zero": -1.0}, "eps_zero must be a finite real number >= 0, got -1.0"),
+    ({"eps_const": float("nan")}, "eps_const must be a finite real number >= 0, got nan"),
 ], ids=["eps_zero", "eps_const"])
 def test_classify_dynamics_rejects_negative_or_nan_thresholds(thresholds, message):
     # At eps_zero = -1 a window of zeros would otherwise be labelled weak_stable.
@@ -588,6 +588,13 @@ def test_axiom_result_serializes():
     res = axiom_suite(2, 3, 1)["additivity"].to_json()
     assert res["passed"] is True
     assert res["trials"] == 3
+
+
+@pytest.mark.parametrize("base", [0.5, 1])
+def test_report_serialization_rejects_a_log_base_not_above_one(base):
+    rep = chaos_degree(np.diag([0.7, 0.3]), depolarizing_channel(2, 0.5), FAST)
+    with pytest.raises(ValueError, match=f"log_base must exceed 1, got {base}"):
+        rep.to_json(log_base=base)
 
 
 def test_report_serialization_log_base():

@@ -1,9 +1,11 @@
+import argparse
 import ast
 import re
 import types
 from pathlib import Path
 
 import infodyn
+from infodyn.cli import build_parser, main
 
 
 def test_all_names_resolve():
@@ -73,3 +75,44 @@ def test_every_fixed_size_cap_goes_through_the_integer_rule():
     }
     assert derived <= caps and len(caps - derived) >= 8
     assert sorted(caps - derived - checked) == []
+
+
+def _float_flags():
+    """(flag, field, argv) for every flag that parses to a float.
+
+    argv gives every required flag of the subcommand a value that parses,
+    with input paths that do not exist.
+    """
+    subcommands = next(action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices
+    for command, parser in subcommands.items():
+        required = [command]
+        floats = []
+        for action in parser._actions:
+            parses_float = isinstance(_parse(action.type, "0.5"), float)
+            if parses_float:
+                floats.append(action)
+            if action.required:
+                value = (sorted(action.choices)[0] if action.choices else "3.5" if parses_float
+                         else f"missing/{action.dest}.json")
+                required += [action.option_strings[0], value]
+        for action in floats:
+            yield action.option_strings[0], action.dest, required
+
+
+def _parse(kind, text):
+    try:
+        return kind(text)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+
+
+def test_float_flags_exit_2_on_non_finite_values_naming_their_field(capsys):
+    flags = list(_float_flags())
+    assert sorted(flag for flag, _, _ in flags) == [
+        "--eps-const", "--eps-zero", "--from", "--log-base", "--step", "--to"]
+    for flag, field, argv in flags:
+        for text in ["nan", "inf"]:
+            assert main(argv + [flag, text]) == 2, (flag, text)
+            err = capsys.readouterr().err
+            assert f"{field} must be a finite real number" in err and f"got {text}" in err, err

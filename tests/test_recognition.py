@@ -392,7 +392,7 @@ def test_recognize_fixed_policy_rejects_out_of_range():
 
 @pytest.mark.parametrize("gamma_dim, policy, error", [
     (2, FixedPolicy(5, 0), ValueError),
-    (2, FixedPolicy(0, -1), ValueError),
+    (2, FixedPolicy(0, 2), ValueError),
     (2, "argmax", TypeError),
     (3, ArgmaxPolicy(), DimensionMismatch),
 ])
