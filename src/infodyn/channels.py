@@ -8,7 +8,10 @@ row-stochastic push-forward embedded on diagonal densities.
 A `Channel` acts on one matrix or on a stack (..., n, n) of them, and
 `Channel.image_spectra` evaluates the images of a stack of pure states
 through the small Gram matrices of their Kraus vectors; the chaos-degree
-search in :mod:`infodyn.metrics` rests on that kernel.
+search in :mod:`infodyn.metrics` rests on that kernel. The Kraus-form
+arithmetic (the Kraus-sum check, the action, the Gram spectra) lives in
+:mod:`infodyn.hilbert`, where the stacked value pairs of
+:mod:`infodyn.metrics` share it.
 
 Trace-normalized damping, which conditions a state on a weight, is not
 a channel: it divides by the trace of the damped output, so it is
@@ -30,7 +33,13 @@ from .hilbert import (
     DensityOperator,
     _check_deviation,
     _check_integer,
+    _check_kraus_sums,
     _check_real,
+    _complex_gaussians,
+    _gram_spectra,
+    _isometry_blocks,
+    _kraus_apply,
+    _kraus_factor,
     _square,
     as_density,
     mult_operator,
@@ -228,7 +237,7 @@ class Channel:
         elif kind == "stochastic":
             factor, width = None, dim
         else:
-            factor, width = data.transpose(2, 0, 1).reshape(dim, -1), data.shape[0]
+            factor, width = _kraus_factor(data), data.shape[0]
         for name, value in (("kind", kind), ("dim", dim),
                             ("is_trace_preserving", bool(is_trace_preserving)),
                             ("image_width", width), ("_data", data), ("_factor", factor)):
@@ -249,15 +258,12 @@ class Channel:
             raise DimensionMismatch(f"channel dim {self.dim} vs operand {x.shape[-1]}")
         if self.kind == "schur":
             return self._data.matrix * x
-        out = np.zeros_like(x)
         if self.kind == "stochastic":
+            out = np.zeros_like(x)
             idx = np.arange(self.dim)
             out[..., idx, idx] = np.diagonal(x, axis1=-2, axis2=-1) @ self._data.astype(complex)
             return out
-        # One Kraus term at a time, so a stack never holds r products at once.
-        for a in self._data:
-            out = out + a @ x @ a.conj().T
-        return out
+        return _kraus_apply(self._data, x)
 
     def image_spectra(self, vectors) -> np.ndarray:
         """Spectrum of channel(|v><v|) for each row v of `vectors` (..., n).
@@ -278,11 +284,7 @@ class Channel:
         else:
             w = (v @ self._factor).reshape(v.shape[:-1] + (self.image_width, self.dim))
         # w[..., k, :] is A_k v.
-        if w.shape[-2] <= self.dim:
-            gram = w.conj() @ np.swapaxes(w, -1, -2)
-        else:
-            gram = np.swapaxes(w, -1, -2) @ w.conj()
-        return np.linalg.eigvalsh(gram)
+        return _gram_spectra(w)
 
     def apply(self, rho) -> DensityOperator:
         """Image of a state as a state; see the class docstring."""
@@ -299,21 +301,10 @@ def kraus_channel(operators) -> Channel:
     shape = ops[0].shape
     if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in ops):
         raise DimensionMismatch("Kraus operators must share one square shape")
-    n = shape[0]
-    total = sum(a.conj().T @ a for a in ops)
-    gap = total - np.eye(n)
-    dev = float(np.max(np.abs(gap)))
-    # eigvalsh returns finite garbage for a non-finite matrix, so the
-    # deviation, not the top eigenvalue, is where a bad entry shows.
-    if not np.isfinite(dev):
-        raise ValueError("Kraus operators have a non-finite entry")
-    top = float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T))[-1])
-    if not top <= 1e-10:
-        raise ValueError(f"Kraus sum exceeds identity by {top:.3e}")
-    tp = dev <= 1e-10
     stacked = np.stack(ops)
+    tp = _check_kraus_sums(stacked)
     stacked.setflags(write=False)
-    return Channel("kraus", n, is_trace_preserving=tp, data=stacked)
+    return Channel("kraus", shape[0], is_trace_preserving=tp, data=stacked)
 
 
 def schur_channel(weight) -> Channel:
@@ -386,12 +377,8 @@ def depolarizing_channel(n: int, p: float = 1.0) -> Channel:
 def random_kraus_channel(n: int, terms: int, rng: np.random.Generator) -> Channel:
     """Random trace-preserving channel with the given Kraus rank."""
     _check_integer("terms", terms, 1)
-    blocks = rng.normal(size=(terms * n, n)) + 1j * rng.normal(size=(terms * n, n))
-    q, _ = np.linalg.qr(blocks)
-    # Columns of q are orthonormal in C^(terms*n), so the stacked blocks
-    # satisfy the trace-preservation identity exactly.
-    ops = [q[k * n:(k + 1) * n, :] for k in range(terms)]
-    return kraus_channel(ops)
+    z = _complex_gaussians(rng, 1, [(terms * n, n)])[0][0]
+    return kraus_channel(_isometry_blocks(z, terms))
 
 
 @dataclass(frozen=True)

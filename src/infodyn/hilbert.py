@@ -15,7 +15,14 @@ non-finite entry"), `_square`, the square-matrix check, `_check_integer`,
 the integer-input rule (type, then lower bound, then cap) with its
 predicate `_is_integer`, `_check_real`, the real-input rule (a finite
 real number within optional closed bounds), `_haar_unitaries`, the Haar
-sampler, and `_degenerate_blocks`, the one degeneracy rule.
+sampler, `_complex_gaussians`, the one Gaussian stream of every sampler,
+and `_block_starts`, the one degeneracy rule, which `_degenerate_blocks`
+reads. The Kraus-form arithmetic that `channels` and the stacked value
+pairs of `metrics` share lives here too, each piece taking one operand
+or a stack: `_check_kraus_sums`, the one Kraus-sum check,
+`_isometry_blocks`, `_kraus_factor`, `_kraus_apply`, and
+`_gram_spectra`, the image spectra of pure states from their Kraus
+vectors.
 """
 
 from __future__ import annotations
@@ -127,14 +134,14 @@ def partial_trace(x, dims, trace_out) -> np.ndarray:
         Operator on the remaining factors, in their original order.
     """
     xm = np.asarray(x, dtype=complex)
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_check_integer("dims", d, 1) for d in dims)
     total = int(np.prod(dims))
     if xm.shape != (total, total):
         raise DimensionMismatch(
             f"matrix shape {xm.shape} does not factor as {dims}"
         )
-    drop = sorted(set(int(i) for i in trace_out))
-    if any(i < 0 or i >= len(dims) for i in drop):
+    drop = sorted(set(_check_integer("trace_out", i, 0) for i in trace_out))
+    if any(i >= len(dims) for i in drop):
         raise ValueError(f"subsystem index out of range for {len(dims)} factors")
     keep = [i for i in range(len(dims)) if i not in drop]
 
@@ -273,11 +280,18 @@ def _density_spectra(matrices):
     return m, tr, lam[..., ::-1].copy(), vec[..., ::-1].copy()
 
 
+def _block_starts(lam: np.ndarray) -> np.ndarray:
+    """Whether each eigenvalue after the first starts a block, for a spectrum or a stack.
+
+    Eigenvalues are sorted descending; a block of (near-)equal values
+    ends wherever the next one is more than DEGENERACY_GAP below.
+    """
+    return -np.diff(lam, axis=-1) > DEGENERACY_GAP
+
+
 def _degenerate_blocks(lam: np.ndarray) -> list[tuple[int, int]]:
     """Column ranges (lo, hi) of the eigenvalue blocks with more than one member."""
-    # Eigenvalues are sorted descending; a block of (near-)equal values
-    # ends wherever the next one is more than the degeneracy gap below.
-    cuts = [0, *(np.flatnonzero(-np.diff(lam) > DEGENERACY_GAP) + 1), lam.size]
+    cuts = [0, *(np.flatnonzero(_block_starts(lam)) + 1), lam.size]
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
 
 
@@ -397,14 +411,40 @@ def _haar_unitaries(z) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
+def _complex_gaussians(rng: np.random.Generator, count: int, shapes) -> list[np.ndarray]:
+    """Stacks (count, *shape) of standard complex Gaussian arrays, one stack per shape.
+
+    Each of the `count` instances draws, shape by shape, the real parts
+    and then the imaginary parts of its array: the stream of one
+    rng.normal call per part. All are drawn as one
+    rng.normal(size=(count, L)), which fills row by row, so the stream,
+    and every array, does not depend on `count`. Every Gaussian sampler
+    of the package draws through here.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    g = rng.normal(size=(count, 2 * sum(sizes)))
+    out, off = [], 0
+    for shape, k in zip(shapes, sizes):
+        z = g[:, off:off + k] + 1j * g[:, off + k:off + 2 * k]
+        out.append(z.reshape((count, *shape)))
+        off += 2 * k
+    return out
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    return _haar_unitaries(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return _haar_unitaries(_complex_gaussians(rng, 1, [(n, n)])[0][0])
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    v = _complex_gaussians(rng, 1, [(n,)])[0][0]
     return v / np.linalg.norm(v)
+
+
+def _normalized_grams(g) -> np.ndarray:
+    """g g* divided by its trace, for a matrix g (n, k) or a stack (..., n, k)."""
+    m = g @ g.conj().mT
+    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_density(n: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
@@ -412,6 +452,66 @@ def random_density(n: int, rng: np.random.Generator, rank: int | None = None) ->
     k = n if rank is None else _check_integer("rank", rank, 1)
     if k > n:
         raise ValueError(f"rank must be in [1, {n}], got {k}")
-    g = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
-    m = g @ g.conj().T
-    return DensityOperator(m / m.trace().real)
+    return DensityOperator(_normalized_grams(_complex_gaussians(rng, 1, [(n, k)])[0][0]))
+
+
+def _isometry_blocks(z, terms: int) -> np.ndarray:
+    """Kraus stacks (..., terms, n, n) from complex Gaussians z (..., terms * n, n).
+
+    Each is the Q factor of z's QR cut into `terms` square blocks of
+    rows. The columns of Q are orthonormal, so the blocks satisfy the
+    trace-preservation identity sum A*A = 1 up to rounding.
+    """
+    n = z.shape[-1]
+    return np.linalg.qr(z)[0].reshape(z.shape[:-2] + (terms, n, n))
+
+
+def _check_kraus_sums(ops) -> np.ndarray:
+    """The one Kraus-sum check, on a Kraus stack (r, n, n) or a stack (..., r, n, n) of them.
+
+    Raises ValueError when an operator has a non-finite entry, or when
+    sum A*A exceeds the identity by more than 1e-10 in its top
+    eigenvalue (the message gives the largest such excess). Returns the
+    trace-preservation flag of each stack: its sum is the identity
+    within 1e-10 entrywise.
+    """
+    # Summed term by term, so a stack of stacks rounds as each stack alone.
+    total = sum(a.conj().mT @ a for a in ops.swapaxes(0, -3))
+    gap = total - np.eye(ops.shape[-1])
+    dev = np.abs(gap).max(axis=(-2, -1))
+    # eigvalsh returns finite garbage for a non-finite matrix, so the
+    # deviation, not the top eigenvalue, is where a bad entry shows.
+    if not math.isfinite(dev.max()):
+        raise ValueError("Kraus operators have a non-finite entry")
+    top = float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().mT)).max())
+    if not top <= 1e-10:
+        raise ValueError(f"Kraus sum exceeds identity by {top:.3e}")
+    return dev <= 1e-10
+
+
+def _kraus_factor(ops) -> np.ndarray:
+    """The (..., n, r n) matrix whose product with a row vector v lists A_1 v, ..., A_r v."""
+    # (..., r, i, j) -> (..., j, r, i), then r and i flattened.
+    return ops.swapaxes(-1, -3).swapaxes(-1, -2).reshape(ops.shape[:-3] + (ops.shape[-1], -1))
+
+
+def _kraus_apply(ops, x) -> np.ndarray:
+    """sum_k A_k x A_k* for a Kraus stack (r, n, n), or stacks (..., r, n, n), and x (..., n, n)."""
+    out = np.zeros_like(x)
+    # One term at a time, so a stack never holds r products at once.
+    for a in ops.swapaxes(0, -3):
+        out = out + a @ x @ a.conj().mT
+    return out
+
+
+def _gram_spectra(w) -> np.ndarray:
+    """Spectrum of the image W W* of |v><v| from the rows w (..., r, n) of Kraus vectors A_k v.
+
+    The eigenvalues of the smaller of W* W (r x r) and W W* (n x n),
+    whose nonzero parts agree; see `Channel.image_spectra`.
+    """
+    if w.shape[-2] <= w.shape[-1]:
+        gram = w.conj() @ np.swapaxes(w, -1, -2)
+    else:
+        gram = np.swapaxes(w, -1, -2) @ w.conj()
+    return np.linalg.eigvalsh(gram)

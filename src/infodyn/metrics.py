@@ -33,6 +33,16 @@ its own relative-entropy formula, with every image validated as a
 density operator; it is never taken as the output entropy minus the
 chaos degree.
 
+`_search` is still the one degenerate search. `conjecture_batch`
+evaluates its non-degenerate pairs in stacks instead: such a pair needs
+no search, its chaos degree being the eigenbasis value, so
+`_pair_outcomes` draws a chunk of pairs at once and runs each step of
+`conjecture_experiment` (the samplers' checks, the joint state, the
+eigenbasis value from the Gram matrices, the purpose check and the
+value) as one stacked call, with the per-pair bits. A pair with a
+degenerate block or a negligible weight goes through
+`conjecture_experiment` itself.
+
 Every function here that takes a channel checks it through
 `_check_channel` before any arithmetic: a non-`Channel` raises
 TypeError and a channel of another dimension than the state (or the
@@ -49,18 +59,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, identity_channel, random_kraus_channel
+from .channels import Channel, identity_channel, kraus_channel, random_kraus_channel
 from .exceptions import DimensionMismatch
 from .hilbert import (
     DensityOperator,
     SchattenDecomposition,
+    _block_starts,
     _check_deviation,
     _check_integer,
+    _check_kraus_sums,
     _check_real,
+    _complex_gaussians,
     _degenerate_blocks,
     _density_spectra,
     _entropy_of_spectrum,
+    _gram_spectra,
     _haar_unitaries,
+    _isometry_blocks,
+    _kraus_apply,
+    _kraus_factor,
+    _normalized_grams,
     _relative_entropies,
     as_density,
     random_density,
@@ -79,20 +97,21 @@ MAX_RESTARTS = 1_000_000
 # suite at about 40 s at dim 2 and 2 min at dim 8.
 MAX_AXIOM_TRIALS = 10_000
 MAX_AXIOM_DIM = 8
-# Largest `conjecture_batch` pair count and dimension. A pair runs two
-# decomposition searches on the dim^2-dimensional joint space: it costs
-# about 1 ms at dim 2 and 3, 1.3 ms at dim 4, 3 ms at dim 6, 8 ms at
-# dim 8 and 46 ms at dim 12 (same host), so the caps bound a batch at
-# about 10 s at dim 2 and 80 s at dim 8.
+# Largest `conjecture_batch` pair count and dimension. A pair works on
+# the dim^2-dimensional joint space; evaluated in stacks, it costs about
+# 0.04 ms at dim 2, 0.15 ms at dim 3, 0.5 ms at dim 4, 2.5 ms at dim 6,
+# 7 ms at dim 8 and 45 ms at dim 12 (same host), so the caps bound a
+# batch at about 0.5 s at dim 2 and 75 s at dim 8.
 MAX_VALUE_PAIRS = 10_000
 MAX_VALUE_DIM = 8
 # Largest `conjecture_batch` Kraus rank. Each term adds about 3.5 ms to a
-# pair at MAX_VALUE_DIM: 8 ms at 2 terms, 87 ms at 32, 0.23 s at 64 and
-# 0.38 s at 128 (same host), so the cap keeps one pair under a second.
+# pair at MAX_VALUE_DIM: 7 ms at 2 terms, 86 ms at 32, 0.23 s at 64 and
+# 0.36 s at 128 (same host; at this dim every chunk holds one pair), so
+# the cap keeps one pair under a second.
 MAX_KRAUS_TERMS = 64
-# Working memory of one chunk of search candidates. A chunk holds as
-# many candidates as fit; the candidate stream and the report do not
-# depend on the chunk size.
+# Working memory of one chunk of search candidates or of value pairs. A
+# chunk holds as many as fit, and at least one; the candidate stream,
+# the report and the batch outcomes do not depend on the chunk size.
 CHUNK_BYTES = 1 << 20
 
 
@@ -161,27 +180,18 @@ def _rotation_chunks(blocks, restarts: int, seed: int, candidate_bytes: int):
     """Yield the Haar rotations of `restarts` candidates in chunks.
 
     Each chunk is a list with one stack (c, k, k) of unitaries per block.
-    Its Gaussians are drawn as one rng.normal(size=(c, L)) with
-    L = sum 2 k^2 and sliced per block, so the stream, and every value
-    computed from it candidate by candidate, does not depend on c. The
-    chunk holds as many candidates as fit CHUNK_BYTES at
-    `candidate_bytes` each.
+    Its Gaussians come from `hilbert._complex_gaussians`, so the stream,
+    and every value computed from it candidate by candidate, does not
+    depend on c. The chunk holds as many candidates as fit CHUNK_BYTES
+    at `candidate_bytes` each.
     """
     rng = np.random.default_rng(seed)
-    sizes = [hi - lo for lo, hi in blocks]
-    width = sum(2 * k * k for k in sizes)
+    shapes = [(hi - lo, hi - lo) for lo, hi in blocks]
     chunk = max(1, CHUNK_BYTES // candidate_bytes)
     for start in range(0, restarts, chunk):
-        c = min(chunk, restarts - start)
-        g = rng.normal(size=(c, width))
-        rotations, off = [], 0
-        for k in sizes:
-            # Real then imaginary parts, as `hilbert.random_unitary` draws
-            # them: the stream is one such unitary per block per restart.
-            z = g[:, off:off + k * k] + 1j * g[:, off + k * k:off + 2 * k * k]
-            off += 2 * k * k
-            rotations.append(_haar_unitaries(z.reshape(c, k, k)))
-        yield rotations
+        # The stream is one `hilbert.random_unitary` draw per block per restart.
+        yield [_haar_unitaries(z) for z in
+               _complex_gaussians(rng, min(chunk, restarts - start), shapes)]
 
 
 def _rotated(vec: np.ndarray, blocks, rotations) -> np.ndarray:
@@ -331,17 +341,33 @@ def _check_purpose(q, joint: DensityOperator, channels) -> np.ndarray:
     m = np.asarray(q, dtype=complex)
     if m.shape != (joint.n, joint.n):
         raise DimensionMismatch(f"purpose operator shape {m.shape}, expected {(joint.n, joint.n)}")
-    _check_deviation(m - m.conj().T, 1e-10, "purpose operator",
+    return _self_adjoint_purposes(m)
+
+
+def _self_adjoint_purposes(m: np.ndarray) -> np.ndarray:
+    """`m`, a purpose operator or a stack of them, once each is self-adjoint within 1e-10."""
+    _check_deviation(m - m.conj().mT, 1e-10, "purpose operator",
                      "purpose operator is not self-adjoint: deviation")
     return m
 
 
+def _real_values(images: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """tr(image q) for an image and a purpose operator, or for stacks of them.
+
+    A value whose imaginary part exceeds 1e-10 raises ValueError (the
+    first such value is named); the real parts are returned.
+    """
+    v = np.trace(images @ q, axis1=-2, axis2=-1)
+    residue = np.atleast_1d(v.imag)
+    bad = np.abs(residue) > 1e-10
+    if bad.any():
+        raise ValueError(f"value has non-real residue {residue[np.argmax(bad)]:.3e}")
+    return v.real
+
+
 def _joint_value(joint: DensityOperator, channel: Channel, q: np.ndarray) -> float:
     """tr(channel(joint) q) for a joint state and purpose already checked."""
-    v = complex(np.trace(channel.apply_matrix(joint.matrix) @ q))
-    if abs(v.imag) > 1e-10:
-        raise ValueError(f"value has non-real residue {v.imag:.3e}")
-    return float(v.real)
+    return float(_real_values(channel.apply_matrix(joint.matrix), q))
 
 
 def value_of_information(rho_p, gamma_o, channel: Channel, purpose) -> float:
@@ -419,33 +445,89 @@ def conjecture_experiment(rho_p, gamma_o, channel_a: Channel, channel_b: Channel
     cfg = config or DEFAULT_CONFIG
     d_a, d_b = _search(joint, channel_a, cfg)[0], _search(joint, channel_b, cfg)[0]
     v_a, v_b = _joint_value(joint, channel_a, q), _joint_value(joint, channel_b, q)
+    return _outcome(d_a, d_b, v_a, v_b)
+
+
+def _outcome(d_a: float, d_b: float, v_a: float, v_b: float) -> ConjectureOutcome:
+    """The outcome of two channels' chaos degrees and values."""
     # Lower chaos degree should pair with higher value; compare the two
     # preference labels so ties must match ties.
-    d_pref = _preference(d_b, d_a)
-    v_pref = _preference(v_a, v_b)
-    return ConjectureOutcome(d_a, d_b, v_a, v_b, d_pref == v_pref)
+    return ConjectureOutcome(d_a, d_b, v_a, v_b, _preference(d_b, d_a) == _preference(v_a, v_b))
 
 
 def conjecture_batch(dim: int, pairs: int, seed: int,
                      kraus_terms: int = 2,
                      identical_channels: bool = False) -> tuple[list[ConjectureOutcome], float]:
-    """Run the ordering check on random instances; returns outcomes and rate."""
+    """Run the ordering check on random instances; returns outcomes and rate.
+
+    Pair by pair, the instances are those of `random_density` (rho,
+    then gamma), `random_kraus_channel` (channel A, then channel B unless
+    the channels are identical) and a Gaussian self-adjoint purpose
+    operator, drawn in that order from one generator; each outcome is
+    that of `conjecture_experiment` on them. The pairs are evaluated in
+    chunks by `_pair_outcomes`, with as many pairs as fit CHUNK_BYTES
+    (at least one); the outcomes do not depend on the chunk size.
+    """
     _check_integer("dim", dim, 2, "MAX_VALUE_DIM", MAX_VALUE_DIM)
     _check_integer("pairs", pairs, 1, "MAX_VALUE_PAIRS", MAX_VALUE_PAIRS)
     _check_integer("kraus_terms", kraus_terms, 1, "MAX_KRAUS_TERMS", MAX_KRAUS_TERMS)
     _check_integer("seed", seed, 0)
+    n = dim * dim
+    channels = 1 if identical_channels else 2
+    shapes = [(dim, dim), (dim, dim), *[(kraus_terms * n, n)] * channels, (n, n)]
+    # A pair's working set: per channel its draws, Kraus stack, factor and
+    # image vectors, and the Gram matrices; the joint state's few matrices.
+    width = min(kraus_terms, n)
+    pair_bytes = 16 * (channels * (4 * kraus_terms * n * n + n * width * width) + 8 * n * n)
+    chunk = max(1, CHUNK_BYTES // pair_bytes)
     rng = np.random.default_rng(seed)
     outcomes = []
-    for _ in range(pairs):
-        rho = random_density(dim, rng)
-        gamma = random_density(dim, rng)
-        ch_a = random_kraus_channel(dim * dim, kraus_terms, rng)
-        ch_b = ch_a if identical_channels else random_kraus_channel(dim * dim, kraus_terms, rng)
-        g = rng.normal(size=(dim * dim, dim * dim)) + 1j * rng.normal(size=(dim * dim, dim * dim))
-        purpose = 0.5 * (g + g.conj().T)
-        outcomes.append(conjecture_experiment(rho, gamma, ch_a, ch_b, purpose))
+    for start in range(0, pairs, chunk):
+        draws = _complex_gaussians(rng, min(chunk, pairs - start), shapes)
+        outcomes += _pair_outcomes(draws, kraus_terms)
     rate = sum(o.agree for o in outcomes) / len(outcomes)
     return outcomes, rate
+
+
+def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
+    """`conjecture_experiment` on each pair of a chunk, evaluated as stacks.
+
+    `draws` are the chunk's Gaussian stacks in `conjecture_batch`'s
+    order, from which the pairs' states, Kraus stacks (one per distinct
+    channel) and purpose operators are built as the public samplers build
+    them, with every check those run. Each step is the per-pair step applied to a
+    stack, so each value has the bits of the per-pair path. A pair whose
+    joint spectrum has a degenerate block or a weight at or below
+    WEIGHT_FLOOR, or one of whose channels is not trace-preserving, goes
+    through `conjecture_experiment` itself.
+    """
+    g_rho, g_gamma, *g_kraus, g_purpose = draws
+    c, n = g_purpose.shape[:2]
+    grams = [_normalized_grams(g) for g in (g_rho, g_gamma)]
+    rho, gamma = (m / tr[:, None, None] for m, tr, _, _ in map(_density_spectra, grams))
+    # np.kron's broadcast multiply, pair by pair.
+    product = (rho[:, :, None, :, None] * gamma[:, None, :, None, :]).reshape(c, n, n)
+    m, tr, lam, vec = _density_spectra(product)
+    joint = m / tr[:, None, None]
+    kraus = [_isometry_blocks(z, terms) for z in g_kraus]
+    tp = np.logical_and.reduce([_check_kraus_sums(ops) for ops in kraus])
+    q = _self_adjoint_purposes(0.5 * (g_purpose + g_purpose.conj().mT))
+
+    # The eigenbasis value of `_search`: each eigenvector's image entropy,
+    # from the Gram matrices of its Kraus vectors, weighted by its eigenvalue.
+    d, v = [], []
+    for ops in kraus:
+        w = (vec.mT @ _kraus_factor(ops)).reshape(c, n, terms, n)
+        d.append(np.sum(lam * _entropy_of_spectrum(_gram_spectra(w)), axis=-1).tolist())
+        v.append(_real_values(_kraus_apply(ops, joint), q).tolist())
+
+    unique = _block_starts(lam).all(axis=-1) & (lam[:, -1] > WEIGHT_FLOOR) & tp
+    return [
+        _outcome(d[0][k], d[-1][k], v[0][k], v[-1][k]) if unique[k]
+        else conjecture_experiment(grams[0][k], grams[1][k], kraus_channel(kraus[0][k]),
+                                   kraus_channel(kraus[-1][k]), q[k])
+        for k in range(c)
+    ]
 
 
 @dataclass(frozen=True)

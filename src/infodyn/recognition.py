@@ -125,6 +125,7 @@ class BellSystem:
 
     def vector(self, i: int, j: int) -> np.ndarray:
         n = self.n
+        _check_outcome(i, j, n)
         rows = np.arange(n)
         v = np.zeros(n * n, dtype=complex)
         v[rows * n + (rows - j) % n] = self.basis.vectors[i]
@@ -171,6 +172,14 @@ def transfer_operator(bell: BellSystem, i: int, j: int) -> np.ndarray:
     return g
 
 
+def _check_outcome(i: int, j: int, n: int) -> None:
+    """Outcome indices: nonnegative integers below n."""
+    _check_integer("i", i, 0)
+    _check_integer("j", j, 0)
+    if not (i < n and j < n):
+        raise ValueError(f"outcome indices must lie in [0, {n}), got ({i}, {j})")
+
+
 def _check_inputs(rho, gamma, bell: BellSystem, i: int, j: int):
     r, g = as_density(rho), as_density(gamma)
     n = bell.n
@@ -178,8 +187,7 @@ def _check_inputs(rho, gamma, bell: BellSystem, i: int, j: int):
         raise DimensionMismatch(
             f"signal dim {r.n} and memory dim {g.n} must equal system dim {n}"
         )
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"outcome indices must lie in [0, {n}), got ({i}, {j})")
+    _check_outcome(i, j, n)
     return r, g
 
 

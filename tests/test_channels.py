@@ -173,6 +173,24 @@ def test_kraus_channel_matches_explicit_sum():
     assert np.allclose(ch(rho).matrix, expect, atol=1e-12)
 
 
+def test_kraus_sum_check_of_a_stack_matches_each_channel():
+    from infodyn.hilbert import _check_kraus_sums
+
+    stacks = [random_kraus_channel(3, 2, RNG)._data for _ in range(3)]
+    stacks.insert(1, np.stack([np.sqrt(0.5) * np.eye(3), 0.5 * np.eye(3)]))
+    flags = _check_kraus_sums(np.stack(stacks))
+    assert flags.tolist() == [kraus_channel(ops).is_trace_preserving for ops in stacks]
+    assert flags.tolist() == [True, False, True, True]
+    over = np.stack([np.eye(3), 0.1 * np.eye(3)])
+    nan = np.stack([np.eye(3), np.diag([np.nan, 0.0, 0.0])])
+    for bad, message in [(over, r"Kraus sum exceeds identity by 1\.000e-02"),
+                         (nan, "Kraus operators have a non-finite entry")]:
+        with pytest.raises(ValueError, match=message):
+            kraus_channel(bad)
+        with pytest.raises(ValueError, match=message):
+            _check_kraus_sums(np.stack([stacks[0], bad, stacks[2]]))
+
+
 def test_random_kraus_channel_is_trace_preserving():
     for terms in (1, 2, 4):
         ch = random_kraus_channel(3, terms, RNG)

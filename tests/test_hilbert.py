@@ -52,6 +52,8 @@ def _experiment(**fields):
 
 
 _SHORT_ORBIT = classical.OrbitConfig(transient=0, samples=10)
+# rho, gamma and the Bell system of an outcome-indexed recognition call at n = 2.
+_OUTCOME = (np.eye(2) / 2, np.eye(2) / 2, recognition.BellSystem(recognition.SignalBasis.fourier(2)))
 # Every integer input the package reads: site -> (field, lower bound, the
 # name of its cap or None, a call that reads the value).
 INTEGER_SITES = {
@@ -89,6 +91,15 @@ INTEGER_SITES = {
     "shift_unitary.n": ("n", 1, None, lambda v: shift_unitary(0, v)),
     "SignalBasis.fourier.n": ("n", 1, None, recognition.SignalBasis.fourier),
     "SignalBasis.standard.n": ("n", 1, None, recognition.SignalBasis.standard),
+    "outcome_probability.i": ("i", 0, None, lambda v: recognition.outcome_probability(v, 0, *_OUTCOME)),
+    "outcome_probability.j": ("j", 0, None, lambda v: recognition.outcome_probability(0, v, *_OUTCOME)),
+    "update_direct.i": ("i", 0, None, lambda v: recognition.update_direct(v, 1, *_OUTCOME)),
+    "update_direct.j": ("j", 0, None, lambda v: recognition.update_direct(0, v, *_OUTCOME)),
+    "BellSystem.vector.i": ("i", 0, None, lambda v: _OUTCOME[2].vector(v, 0)),
+    "BellSystem.vector.j": ("j", 0, None, lambda v: _OUTCOME[2].vector(0, v)),
+    "partial_trace.dims": ("dims", 1, None, lambda v: partial_trace(np.eye(4) / 4, (v, 2), [0])),
+    "partial_trace.trace_out": ("trace_out", 0, None,
+                                lambda v: partial_trace(np.eye(4) / 4, (2, 2), [v])),
 }
 CAPS = {name: value for module in (classical, jsonio, metrics)
         for name, value in vars(module).items() if name.startswith("MAX_")}

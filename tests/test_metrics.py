@@ -32,7 +32,7 @@ from infodyn.metrics import (
     transmitted_complexity,
     value_of_information,
 )
-from infodyn import metrics
+from infodyn import hilbert, metrics
 from infodyn.channels import Channel, schur_channel
 from infodyn.hilbert import _degenerate_blocks, relative_entropy
 from infodyn.metrics import _rotation_chunks, _transmitted
@@ -560,6 +560,73 @@ def test_conjecture_batch_deterministic():
     b, rate_b = conjecture_batch(2, 8, 11)
     assert rate_a == rate_b
     assert [o.to_json() for o in a] == [o.to_json() for o in b]
+
+
+def replayed_batch(dim, pairs, seed, kraus_terms, identical_channels):
+    """The batch pair by pair: the public samplers, then `conjecture_experiment`."""
+    rng = np.random.default_rng(seed)
+    outcomes = []
+    for _ in range(pairs):
+        rho, gamma = random_density(dim, rng), random_density(dim, rng)
+        ch_a = random_kraus_channel(dim * dim, kraus_terms, rng)
+        ch_b = ch_a if identical_channels else random_kraus_channel(dim * dim, kraus_terms, rng)
+        g = rng.normal(size=(dim * dim, dim * dim)) + 1j * rng.normal(size=(dim * dim, dim * dim))
+        outcomes.append(conjecture_experiment(rho, gamma, ch_a, ch_b, 0.5 * (g + g.conj().T)))
+    return outcomes, sum(o.agree for o in outcomes) / pairs
+
+
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """Counts of the batch's chunks and of its pairs sent to `conjecture_experiment`."""
+    calls = {"chunks": 0, "fallback": 0}
+    chunk, experiment = metrics._pair_outcomes, metrics.conjecture_experiment
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "_pair_outcomes", counted("chunks", chunk))
+    monkeypatch.setattr(metrics, "conjecture_experiment", counted("fallback", experiment))
+    return calls
+
+
+@pytest.mark.parametrize("dim, kraus_terms, identical, seed", [
+    (2, 1, False, 0), (2, 2, True, 1), (2, 3, False, 2),
+    (3, 1, True, 3), (3, 2, False, 4), (3, 3, True, 5),
+    (4, 1, False, 6), (4, 2, True, 7), (4, 3, False, 8),
+])
+def test_conjecture_batch_equals_the_per_pair_replay(dim, kraus_terms, identical, seed,
+                                                      batch_calls, monkeypatch):
+    # A budget small enough that every case spans several chunks.
+    monkeypatch.setattr(metrics, "CHUNK_BYTES", 1 << 15)
+    outcomes, rate = conjecture_batch(dim, 20, seed, kraus_terms, identical)
+    assert (outcomes, rate) == replayed_batch(dim, 20, seed, kraus_terms, identical)
+    assert batch_calls["chunks"] >= 3
+    assert batch_calls["fallback"] == 0
+
+
+def test_conjecture_batch_does_not_depend_on_chunk_size(monkeypatch):
+    def batch(budget, *args):
+        monkeypatch.setattr(metrics, "CHUNK_BYTES", budget)
+        return conjecture_batch(*args)
+
+    for args in [(3, 12, 21, 2, False), (2, 15, 22, 3, True)]:
+        # One pair per chunk, the default chunks, and one chunk.
+        results = [batch(budget, *args) for budget in (1, metrics.CHUNK_BYTES, 1 << 40)]
+        assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("module, name, value, fallback", [
+    (hilbert, "DEGENERACY_GAP", 1.0, 8),  # every joint spectrum is one block
+    (metrics, "WEIGHT_FLOOR", 0.01, 3),  # three of the pairs have a smaller weight
+], ids=["degenerate", "weight-floor"])
+def test_conjecture_batch_sends_degenerate_or_light_pairs_to_the_experiment(
+        module, name, value, fallback, batch_calls, monkeypatch):
+    monkeypatch.setattr(module, name, value)
+    assert conjecture_batch(2, 8, 3) == replayed_batch(2, 8, 3, 2, False)
+    assert batch_calls["fallback"] == fallback
 
 
 def test_axiom_suite_passes_small():
