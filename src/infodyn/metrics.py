@@ -43,6 +43,18 @@ value) as one stacked call, with the per-pair bits. A pair with a
 degenerate block or a negligible weight goes through
 `conjecture_experiment` itself.
 
+`axiom_suite` evaluates its trials in stacks the same way. Each trial's
+draws stay in one short Python loop, in the order of the public
+samplers; `_axiom_trials` then runs every step of the per-trial path
+(the states and their checks, the channel's Kraus-sum check, the
+report's eigenbasis D and T, the relabeled state, the tensor product,
+the T <= C probe with its 20 rotated candidates, the identity channel)
+once for a chunk of trials of one Kraus rank, with the per-trial bits.
+Only the relative entropies are taken trial by trial, each against its
+trial's own reference state. A trial with a degenerate or light state,
+a probe other than one 2-fold block, or a channel that is not
+trace-preserving goes through `_axiom_trial`, the per-trial path.
+
 Every function here that takes a channel checks it through
 `_check_channel` before any arithmetic: a non-`Channel` raises
 TypeError and a channel of another dimension than the state (or the
@@ -59,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, identity_channel, kraus_channel, random_kraus_channel
+from .channels import Channel, identity_channel, kraus_channel
 from .exceptions import DimensionMismatch
 from .hilbert import (
     DensityOperator,
@@ -81,8 +93,6 @@ from .hilbert import (
     _normalized_grams,
     _relative_entropies,
     as_density,
-    random_density,
-    random_unitary,
     von_neumann_entropy,
 )
 
@@ -92,9 +102,10 @@ ORDER_TOL = 1e-10
 # 63 us at n = 16 (one 8-fold block, Kraus rank 2; 2-core x86-64 host,
 # one BLAS thread), so the cap bounds a search at about a minute there.
 MAX_RESTARTS = 1_000_000
-# Largest `axiom_suite` trial count and dimension. A trial costs about
-# 4 ms at dim 2 and 12 ms at dim 8 (same host), so the caps bound a
-# suite at about 40 s at dim 2 and 2 min at dim 8.
+# Largest `axiom_suite` trial count and dimension. Evaluated in stacks, a
+# trial costs about 0.4 ms at dim 2, 1.1 ms at dim 4, 5 ms at dim 6 and
+# 11 ms at dim 8 (same host), so the caps bound a suite at about 4 s at
+# dim 2 and 2 min at dim 8.
 MAX_AXIOM_TRIALS = 10_000
 MAX_AXIOM_DIM = 8
 # Largest `conjecture_batch` pair count and dimension. A pair works on
@@ -109,9 +120,10 @@ MAX_VALUE_DIM = 8
 # 0.36 s at 128 (same host; at this dim every chunk holds one pair), so
 # the cap keeps one pair under a second.
 MAX_KRAUS_TERMS = 64
-# Working memory of one chunk of search candidates or of value pairs. A
-# chunk holds as many as fit, and at least one; the candidate stream,
-# the report and the batch outcomes do not depend on the chunk size.
+# Working memory of one chunk of search candidates, value pairs or axiom
+# trials. A chunk holds as many as fit, and at least one; the candidate
+# stream, the report, the batch outcomes and the axiom results do not
+# depend on the chunk size.
 CHUNK_BYTES = 1 << 20
 
 
@@ -556,13 +568,29 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
     Invariance under relabeling is asserted for the state complexity
     only; the transmitted side is genuinely basis-dependent for a fixed
     channel, so its drift is reported in the result note, not asserted.
+
+    Trial by trial, the instances are those of `random_density` (rho,
+    then sigma), `random_kraus_channel` (rank 2 + t % 2 for trial t),
+    `random_unitary` (the relabeling), `rng.random` (the probe spectrum)
+    and `random_unitary` (the probe basis), drawn in that order from one
+    generator; each trial's deviations are those of `_axiom_trial` on
+    them. The trials are evaluated in chunks by `_axiom_trials`, one
+    stack per Kraus rank, each stack with as many trials as fit
+    CHUNK_BYTES (at least one); the results do not depend on the chunk
+    size.
     """
     _check_integer("dim", dim, 2, "MAX_AXIOM_DIM", MAX_AXIOM_DIM)
     _check_integer("trials", trials, 1, "MAX_AXIOM_TRIALS", MAX_AXIOM_TRIALS)
     _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     cfg = ComplexityConfig(restarts=20, seed=seed)
-    ident = identity_channel(dim)
+    # A chunk is two stacks, one per Kraus rank, evaluated in turn. A
+    # trial's working set peaks while its probe's candidates are
+    # evaluated: about six complex arrays of their (restarts + 1) * dim
+    # images (the pieces' projectors, the Kraus action's sum and products,
+    # the checked images and their eigenvectors), and 10 KB of small arrays.
+    trial_bytes = 16 * (6 * (cfg.restarts + 1) * dim ** 3 + 640)
+    chunk = 2 * max(1, CHUNK_BYTES // trial_bytes)
 
     worst_neg = 0.0
     worst_relabel = 0.0
@@ -571,47 +599,30 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
     worst_identity = 0.0
     t_drift = 0.0
 
-    for t in range(trials):
-        rho = random_density(dim, rng)
-        sigma = random_density(dim, rng)
-        channel = random_kraus_channel(dim, 2 + t % 2, rng)
-        u = random_unitary(dim, rng)
-
-        report = chaos_degree(rho, channel, cfg)
-        c_val = complexity(rho)
-        worst_neg = max(worst_neg, -c_val, -report.transmitted, -report.chaos_degree)
-
-        relabeled = DensityOperator(u @ rho.matrix @ u.conj().T)
-        worst_relabel = max(worst_relabel, abs(complexity(relabeled) - c_val))
-        t_drift = max(t_drift, abs(
-            chaos_degree(relabeled, channel, cfg).transmitted - report.transmitted
-        ))
-
-        worst_additivity = max(worst_additivity, abs(
-            complexity(rho.tensor(sigma)) - c_val - complexity(sigma)
-        ))
-
-        # Bound T <= C over sampled decompositions: rho's eigenbasis (the
-        # report's value), then an engineered degenerate state at its
-        # eigenbasis and 20 rotations, walked as `chaos_degree` walks them.
-        worst_bound = max(worst_bound, report.transmitted - c_val)
-        spectrum = rng.random(dim)
-        spectrum[1] = spectrum[0]
-        spectrum = spectrum / spectrum.sum()
-        basis = random_unitary(dim, rng)
-        probe = DensityOperator((basis * spectrum) @ basis.conj().T)
-        lam, vec = probe.eigenvalues, probe.eigenvectors
-        blocks = _degenerate_blocks(lam)
-        out, ceiling = channel.apply(probe), complexity(probe)
-        # A candidate's bytes: its decomposition, and per piece an image
-        # with its eigenvectors and overlaps in `_transmitted`.
-        chunks = _rotation_chunks(blocks, cfg.restarts, seed + t, 16 * dim * dim * (1 + 4 * dim))
-        for vecs in (vec[None], *(_rotated(vec, blocks, r) for r in chunks)):
-            worst_bound = max(worst_bound, float(np.max(_transmitted(lam, vecs, channel, out))) - ceiling)
-
-        worst_identity = max(worst_identity, abs(
-            chaos_degree(rho, ident, cfg).transmitted - c_val
-        ))
+    for start in range(0, trials, chunk):
+        stop = min(trials, start + chunk)
+        # Trial by trial: `rng.random` sits between the Gaussians, and a
+        # normal draw takes a varying number of the generator's words.
+        draws = []
+        for t in range(start, stop):
+            g = _complex_gaussians(rng, 1, [(dim, dim), (dim, dim), ((2 + t % 2) * dim, dim), (dim, dim)])
+            spectrum = rng.random((1, dim))
+            draws.append((*g, spectrum, *_complex_gaussians(rng, 1, [(dim, dim)])))
+        deviations = {}
+        for terms in (2, 3):
+            group = [t for t in range(start, stop) if 2 + t % 2 == terms]
+            if group:
+                stacks = [np.concatenate(arrays) for arrays in zip(*(draws[t - start] for t in group))]
+                deviations.update(zip(group, _axiom_trials(stacks, terms, [seed + t for t in group], cfg)))
+        # Folded trial by trial as Python floats, so a -0.0 never replaces 0.0.
+        for t in range(start, stop):
+            neg, relabel, drift, additivity, bounds, identity = deviations[t]
+            worst_neg = max(worst_neg, *neg)
+            worst_relabel = max(worst_relabel, relabel)
+            t_drift = max(t_drift, drift)
+            worst_additivity = max(worst_additivity, additivity)
+            worst_bound = max(worst_bound, *bounds)
+            worst_identity = max(worst_identity, identity)
 
     return {
         "nonnegativity": AxiomResult(worst_neg <= 0.0, worst_neg, 0.0, trials),
@@ -623,3 +634,151 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
         "transmitted_bounded": AxiomResult(worst_bound <= 1e-8, worst_bound, 1e-8, trials),
         "identity_recovery": AxiomResult(worst_identity <= 1e-10, worst_identity, 1e-10, trials),
     }
+
+
+def _axiom_trial(rho: DensityOperator, sigma: DensityOperator, channel: Channel, u: np.ndarray,
+                 spectrum: np.ndarray, basis: np.ndarray, rotation_seed: int, cfg: ComplexityConfig):
+    """The deviations of one `axiom_suite` trial, state by state.
+
+    Returns the trial's terms of each of the suite's folds: the three
+    nonnegativity terms, the relabeling deviation, the transmitted drift,
+    the additivity deviation, the T <= C terms and the identity deviation.
+    """
+    report = chaos_degree(rho, channel, cfg)
+    c_val = complexity(rho)
+    neg = (-c_val, -report.transmitted, -report.chaos_degree)
+
+    relabeled = DensityOperator(u @ rho.matrix @ u.conj().T)
+    relabel = abs(complexity(relabeled) - c_val)
+    drift = abs(chaos_degree(relabeled, channel, cfg).transmitted - report.transmitted)
+
+    additivity = abs(complexity(rho.tensor(sigma)) - c_val - complexity(sigma))
+
+    # Bound T <= C over sampled decompositions: rho's eigenbasis (the
+    # report's value), then an engineered degenerate state at its
+    # eigenbasis and 20 rotations, walked as `chaos_degree` walks them.
+    bounds = [report.transmitted - c_val]
+    probe = DensityOperator((basis * spectrum) @ basis.conj().T)
+    lam, vec = probe.eigenvalues, probe.eigenvectors
+    blocks = _degenerate_blocks(lam)
+    out, ceiling = channel.apply(probe), complexity(probe)
+    n = rho.n
+    # A candidate's bytes: its decomposition, and per piece an image
+    # with its eigenvectors and overlaps in `_transmitted`.
+    chunks = _rotation_chunks(blocks, cfg.restarts, rotation_seed, 16 * n * n * (1 + 4 * n))
+    for vecs in (vec[None], *(_rotated(vec, blocks, r) for r in chunks)):
+        bounds.append(float(np.max(_transmitted(lam, vecs, channel, out))) - ceiling)
+
+    identity = abs(chaos_degree(rho, identity_channel(n), cfg).transmitted - c_val)
+    return neg, relabel, drift, additivity, bounds, identity
+
+
+def _transmitted_stacks(lam: np.ndarray, vecs: np.ndarray, ops: np.ndarray,
+                        sigma: np.ndarray) -> np.ndarray:
+    """`_transmitted` for each candidate of each trial of a stack, as (T, C).
+
+    `lam` (T, n) are the trials' weights, all above WEIGHT_FLOOR, `vecs`
+    (T, C, n, n) the columns of their C candidates, `ops` their Kraus
+    stacks (T, r, n, n) or one Kraus stack (r, n, n), and `sigma`
+    (T, n, n) the matrices of their reference states, checked as
+    `DensityOperator` checks them.
+    """
+    _, _, mu, v = _density_spectra(sigma)
+    # Piece l of candidate c of trial t sits at [c, l, t]: the trial axis
+    # just before the matrix axes, where a stack of Kraus stacks broadcasts.
+    pieces = np.moveaxis(vecs.mT, 0, -2)
+    images = _kraus_apply(ops, pieces[..., :, None] * pieces[..., None, :].conj())
+    _, _, spectra, eigvecs = _density_spectra(np.moveaxis(images, -3, 0))
+    # Trial by trial: stacked over reference states, the overlap-log
+    # product would round otherwise than the per-trial call.
+    return np.array([np.sum(_relative_entropies(*args) * w, axis=-1)
+                     for *args, w in zip(spectra, eigvecs, mu, v, lam)])
+
+
+def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> list:
+    """`_axiom_trial` on each trial of a stack with one Kraus rank, evaluated as stacks.
+
+    `draws` are the trials' Gaussian stacks and probe spectra in
+    `axiom_suite`'s order, from which the states, Kraus stacks, unitaries
+    and probes are built as the public samplers build them, with every
+    check those run. Each step is the per-trial step applied to a stack,
+    so each value has the bits of the per-trial path; only the relative
+    entropies are taken trial by trial (see `_transmitted_stacks`). A
+    trial whose state or relabeled state has a degenerate block or a
+    weight at or below WEIGHT_FLOOR, whose probe has anything but one
+    2-fold block or has such a weight, or whose channel is not
+    trace-preserving, goes through `_axiom_trial` itself.
+    """
+    g_rho, g_sigma, g_kraus, g_u, raw, g_basis = draws
+    c, n = g_rho.shape[:2]
+    grams = [_normalized_grams(g) for g in (g_rho, g_sigma)]
+    (rho, tr_rho, lam, vec), (sigma, tr_sigma, lam_sigma, _) = map(_density_spectra, grams)
+    kraus = _isometry_blocks(g_kraus, terms)
+    tp = _check_kraus_sums(kraus)
+    u = _haar_unitaries(g_u)
+    rho = rho / tr_rho[:, None, None]
+    relabeled, tr_rel, lam_rel, vec_rel = _density_spectra(u @ rho @ u.conj().mT)
+    raw[:, 1] = raw[:, 0]
+    spectrum = raw / raw.sum(axis=-1, keepdims=True)
+    basis = _haar_unitaries(g_basis)
+    probe, tr_probe, lam_probe, vec_probe = _density_spectra(
+        (basis * spectrum[:, None, :]) @ basis.conj().mT)
+
+    starts = _block_starts(lam_probe)
+    generic = (_block_starts(lam).all(axis=-1) & (lam[:, -1] > WEIGHT_FLOOR)
+               & _block_starts(lam_rel).all(axis=-1) & (lam_rel[:, -1] > WEIGHT_FLOOR)
+               & (starts.sum(axis=-1) == n - 2) & (lam_probe[:, -1] > WEIGHT_FLOOR) & tp)
+
+    def per_trial(i):
+        return _axiom_trial(DensityOperator(grams[0][i]), DensityOperator(grams[1][i]),
+                            kraus_channel(kraus[i]), u[i], spectrum[i], basis[i],
+                            rotation_seeds[i], cfg)
+
+    if not generic.any():
+        return [per_trial(i) for i in range(c)]
+    k = np.flatnonzero(generic)
+    rho, lam, vec, ops, lam_rel, vec_rel, lam_probe, vec_probe = (
+        x[k] for x in (rho, lam, vec, kraus, lam_rel, vec_rel, lam_probe, vec_probe))
+    sigma = sigma[k] / tr_sigma[k, None, None]
+    relabeled = relabeled[k] / tr_rel[k, None, None]
+    probe = probe[k] / tr_probe[k, None, None]
+    m = k.size
+
+    # rho's report: the eigenbasis D of `_search`, from the Gram matrices
+    # of its Kraus vectors, and T at the eigenbasis; then the relabeled
+    # state's T and rho's T through the identity.
+    w = (vec.mT @ _kraus_factor(ops)).reshape(m, n, terms, n)
+    d_val = np.sum(lam * _entropy_of_spectrum(_gram_spectra(w)), axis=-1)
+    t_val = _transmitted_stacks(lam, vec[:, None], ops, _kraus_apply(ops, rho))[:, 0]
+    t_rel = _transmitted_stacks(lam_rel, vec_rel[:, None], ops, _kraus_apply(ops, relabeled))[:, 0]
+    eye = np.eye(n, dtype=complex)[None]
+    t_id = _transmitted_stacks(lam, vec[:, None], eye, _kraus_apply(eye, rho))[:, 0]
+    # np.kron's broadcast multiply, trial by trial.
+    joint = (rho[:, :, None, :, None] * sigma[:, None, :, None, :]).reshape(m, n * n, n * n)
+
+    # The probe's eigenbasis, then its 2-fold block's columns rotated by
+    # each of the trial's Haar rotations, drawn as `_rotation_chunks` draws them.
+    rotations = _haar_unitaries(np.stack([
+        _complex_gaussians(np.random.default_rng(rotation_seeds[i]), cfg.restarts, [(2, 2)])[0]
+        for i in k.tolist()
+    ]))
+    cols = np.argmin(starts[k], axis=-1)[:, None] + np.arange(2)
+    block = np.take_along_axis(vec_probe, cols[:, None, :], axis=-1)
+    candidates = np.repeat(vec_probe[:, None], cfg.restarts + 1, axis=1)
+    np.put_along_axis(candidates[:, 1:], cols[:, None, None, :], block[:, None] @ rotations, axis=-1)
+    t_probe = _transmitted_stacks(lam_probe, candidates, ops, _kraus_apply(ops, probe))
+
+    c_val, c_rel, c_sigma, c_joint, ceiling = (
+        _entropy_of_spectrum(x)
+        for x in (lam, lam_rel, lam_sigma[k], _density_spectra(joint)[2], lam_probe))
+    # Python floats in `_axiom_trial`'s layout, for the suite's folds.
+    values = dict(zip(k.tolist(), zip(
+        np.stack([-c_val, -t_val, -d_val], axis=-1).tolist(),
+        abs(c_rel - c_val).tolist(),
+        abs(t_rel - t_val).tolist(),
+        abs(c_joint - c_val - c_sigma).tolist(),
+        np.stack([t_val - c_val, t_probe[:, 0] - ceiling,
+                  t_probe[:, 1:].max(axis=-1) - ceiling], axis=-1).tolist(),
+        abs(t_id - c_val).tolist(),
+    )))
+    return [values[i] if generic[i] else per_trial(i) for i in range(c)]

@@ -191,6 +191,29 @@ def test_kraus_sum_check_of_a_stack_matches_each_channel():
             _check_kraus_sums(np.stack([stacks[0], bad, stacks[2]]))
 
 
+def test_kraus_sum_check_takes_eigenvalues_only_where_the_check_can_fail(monkeypatch):
+    from infodyn.hilbert import _check_kraus_sums
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+
+    def kraus_with_gap(gap):
+        # One Kraus operator A = (1 + gap)^(1/2), so sum A*A - 1 is the gap.
+        lam, vec = np.linalg.eigh(np.eye(3) + gap)
+        return ((vec * np.sqrt(lam)) @ vec.conj().T)[None]
+
+    # Every |entry| within 1e-10 / n: no eigenvalue can exceed 1e-10.
+    assert _check_kraus_sums(np.stack([random_kraus_channel(3, 2, RNG)._data for _ in range(4)])).all()
+    assert calls == []
+    # An entry just above 1e-10 / 3 with top eigenvalue 5e-11: checked, and passes.
+    assert bool(_check_kraus_sums(kraus_with_gap(np.diag([5e-11, 0.0, 0.0]))))
+    assert len(calls) == 1
+    # Entries of 4e-11 everywhere: the top eigenvalue 3 x 4e-11 exceeds 1e-10.
+    with pytest.raises(ValueError, match=r"Kraus sum exceeds identity by 1\.200e-10"):
+        _check_kraus_sums(kraus_with_gap(np.full((3, 3), 4e-11)))
+
+
 def test_random_kraus_channel_is_trace_preserving():
     for terms in (1, 2, 4):
         ch = random_kraus_channel(3, terms, RNG)

@@ -1,3 +1,4 @@
+import json
 import types
 
 import numpy as np
@@ -32,10 +33,10 @@ from infodyn.metrics import (
     transmitted_complexity,
     value_of_information,
 )
-from infodyn import hilbert, metrics
+from infodyn import channels, hilbert, metrics
 from infodyn.channels import Channel, schur_channel
 from infodyn.hilbert import _degenerate_blocks, relative_entropy
-from infodyn.metrics import _rotation_chunks, _transmitted
+from infodyn.metrics import AxiomResult, _rotated, _rotation_chunks, _transmitted
 
 RNG = np.random.default_rng(99)
 FAST = ComplexityConfig(restarts=50, seed=0)
@@ -627,6 +628,129 @@ def test_conjecture_batch_sends_degenerate_or_light_pairs_to_the_experiment(
     monkeypatch.setattr(module, name, value)
     assert conjecture_batch(2, 8, 3) == replayed_batch(2, 8, 3, 2, False)
     assert batch_calls["fallback"] == fallback
+
+
+def replayed_axioms(dim, trials, seed):
+    """The suite trial by trial: the public samplers, then `chaos_degree` and its formulas."""
+    rng = np.random.default_rng(seed)
+    cfg = ComplexityConfig(restarts=20, seed=seed)
+    ident = identity_channel(dim)
+    worst_neg = worst_relabel = worst_additivity = worst_identity = t_drift = 0.0
+    worst_bound = -np.inf
+    for t in range(trials):
+        rho = random_density(dim, rng)
+        sigma = random_density(dim, rng)
+        channel = random_kraus_channel(dim, 2 + t % 2, rng)
+        u = random_unitary(dim, rng)
+
+        report = chaos_degree(rho, channel, cfg)
+        c_val = complexity(rho)
+        worst_neg = max(worst_neg, -c_val, -report.transmitted, -report.chaos_degree)
+        relabeled = DensityOperator(u @ rho.matrix @ u.conj().T)
+        worst_relabel = max(worst_relabel, abs(complexity(relabeled) - c_val))
+        t_drift = max(t_drift, abs(chaos_degree(relabeled, channel, cfg).transmitted
+                                   - report.transmitted))
+        worst_additivity = max(worst_additivity, abs(
+            complexity(rho.tensor(sigma)) - c_val - complexity(sigma)))
+
+        worst_bound = max(worst_bound, report.transmitted - c_val)
+        spectrum = rng.random(dim)
+        spectrum[1] = spectrum[0]
+        spectrum = spectrum / spectrum.sum()
+        basis = random_unitary(dim, rng)
+        probe = DensityOperator((basis * spectrum) @ basis.conj().T)
+        lam, vec = probe.eigenvalues, probe.eigenvectors
+        blocks = _degenerate_blocks(lam)
+        out, ceiling = channel.apply(probe), complexity(probe)
+        chunks = _rotation_chunks(blocks, cfg.restarts, seed + t, 16 * dim * dim * (1 + 4 * dim))
+        for vecs in (vec[None], *(_rotated(vec, blocks, r) for r in chunks)):
+            worst_bound = max(worst_bound,
+                              float(np.max(_transmitted(lam, vecs, channel, out))) - ceiling)
+
+        worst_identity = max(worst_identity, abs(
+            chaos_degree(rho, ident, cfg).transmitted - c_val))
+    return {
+        "nonnegativity": AxiomResult(worst_neg <= 0.0, worst_neg, 0.0, trials),
+        "relabel_invariance": AxiomResult(
+            worst_relabel <= 1e-10, worst_relabel, 1e-10, trials,
+            note=f"transmitted drift under relabeling (observed, not asserted): {t_drift:.3e}"),
+        "additivity": AxiomResult(worst_additivity <= 1e-10, worst_additivity, 1e-10, trials),
+        "transmitted_bounded": AxiomResult(worst_bound <= 1e-8, worst_bound, 1e-8, trials),
+        "identity_recovery": AxiomResult(worst_identity <= 1e-10, worst_identity, 1e-10, trials),
+    }
+
+
+def axiom_bytes(results):
+    """The results as the command line prints them: a float's bits, its sign included, show."""
+    return json.dumps({name: res.to_json() for name, res in results.items()})
+
+
+@pytest.fixture
+def axiom_calls(monkeypatch):
+    """Counts of the suite's stacks and of its trials sent to `_axiom_trial`."""
+    calls = {"stacks": 0, "fallback": 0}
+    stacks, trial = metrics._axiom_trials, metrics._axiom_trial
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "_axiom_trials", counted("stacks", stacks))
+    monkeypatch.setattr(metrics, "_axiom_trial", counted("fallback", trial))
+    return calls
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5, 13])
+@pytest.mark.parametrize("dim", [2, 3, 4, 6, 8])
+def test_axiom_suite_equals_the_per_trial_replay(dim, trials, axiom_calls):
+    for seed in (0, 1, 7):
+        assert axiom_bytes(axiom_suite(dim, trials, seed)) == axiom_bytes(
+            replayed_axioms(dim, trials, seed))
+    # Each chunk evaluates its trials of each Kraus rank as one stack.
+    assert axiom_calls["stacks"] >= 3 * min(trials, 2)
+    assert axiom_calls["fallback"] == 0
+
+
+def test_axiom_suite_does_not_depend_on_chunk_size(axiom_calls, monkeypatch):
+    expected = axiom_bytes(replayed_axioms(3, 7, 5))
+    # One trial per stack (four chunks), two (two chunks), the default chunks, and one chunk.
+    two_trials = 2 * 16 * (6 * 21 * 27 + 640)
+    for budget, stacks in [(1, 7), (two_trials, 4), (metrics.CHUNK_BYTES, 2), (1 << 40, 2)]:
+        monkeypatch.setattr(metrics, "CHUNK_BYTES", budget)
+        axiom_calls["stacks"] = 0
+        assert axiom_bytes(axiom_suite(3, 7, 5)) == expected
+        assert axiom_calls["stacks"] == stacks
+    assert axiom_calls["fallback"] == 0
+
+
+@pytest.mark.parametrize("module, name, value, fallback", [
+    (hilbert, "DEGENERACY_GAP", 1.0, 13),  # every spectrum is one block
+    (hilbert, "DEGENERACY_GAP", 0.05, 8),  # eight trials have a spectrum with another block
+    (metrics, "WEIGHT_FLOOR", 0.01, 7),  # seven trials have a state with a smaller weight
+], ids=["degenerate", "some-blocks", "weight-floor"])
+def test_axiom_suite_sends_degenerate_or_light_trials_to_the_per_trial_path(
+        module, name, value, fallback, axiom_calls, monkeypatch):
+    monkeypatch.setattr(module, name, value)
+    assert axiom_bytes(axiom_suite(4, 13, 2)) == axiom_bytes(replayed_axioms(4, 13, 2))
+    assert axiom_calls["fallback"] == fallback
+
+
+def test_axiom_suite_raises_the_trace_preservation_error_through_the_per_trial_path(
+        axiom_calls, monkeypatch):
+    # Every channel flagged as not trace-preserving.
+    def lossy(ops):
+        return np.zeros(ops.shape[:-3], dtype=bool)
+
+    monkeypatch.setattr(metrics, "_check_kraus_sums", lossy)
+    monkeypatch.setattr(channels, "_check_kraus_sums", lossy)
+    message = "^decomposition metrics require a trace-preserving channel$"
+    with pytest.raises(ValueError, match=message):
+        replayed_axioms(3, 4, 0)
+    with pytest.raises(ValueError, match=message):
+        axiom_suite(3, 4, 0)
+    assert axiom_calls["fallback"] == 1
 
 
 def test_axiom_suite_passes_small():
