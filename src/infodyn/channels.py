@@ -9,9 +9,10 @@ A `Channel` acts on one matrix or on a stack (..., n, n) of them, and
 `Channel.image_spectra` evaluates the images of a stack of pure states
 through the small Gram matrices of their Kraus vectors; the chaos-degree
 search in :mod:`infodyn.metrics` rests on that kernel. The Kraus-form
-arithmetic (the Kraus-sum check, the action, the Gram spectra) lives in
-:mod:`infodyn.hilbert`, where the stacked value pairs of
-:mod:`infodyn.metrics` share it.
+arithmetic (the Kraus-sum check, the action, the image spectra from a
+Kraus factor) lives in :mod:`infodyn.hilbert`, where the stacked kernels
+of :mod:`infodyn.metrics` call the same helpers. A constructor that takes
+a dimension `n` checks it through `hilbert._check_integer` first.
 
 Trace-normalized damping, which conditions a state on a weight, is not
 a channel: it divides by the trace of the damped output, so it is
@@ -40,6 +41,7 @@ from .hilbert import (
     _isometry_blocks,
     _kraus_apply,
     _kraus_factor,
+    _kraus_image_spectra,
     _square,
     as_density,
     mult_operator,
@@ -280,11 +282,9 @@ class Channel:
         if self.kind == "stochastic":
             return (np.abs(v) ** 2) @ self._data
         if self.kind == "schur":
-            w = v[..., None, :] * self._factor
-        else:
-            w = (v @ self._factor).reshape(v.shape[:-1] + (self.image_width, self.dim))
-        # w[..., k, :] is A_k v.
-        return _gram_spectra(w)
+            # Row k of v * factor is A_k v.
+            return _gram_spectra(v[..., None, :] * self._factor)
+        return _kraus_image_spectra(v, self._factor)
 
     def apply(self, rho) -> DensityOperator:
         """Image of a state as a state; see the class docstring."""
@@ -324,6 +324,7 @@ def unitary_channel(u) -> Channel:
 
 
 def identity_channel(n: int) -> Channel:
+    _check_integer("n", n, 1)
     return unitary_channel(np.eye(n, dtype=complex))
 
 
@@ -360,6 +361,7 @@ def depolarizing_channel(n: int, p: float = 1.0) -> Channel:
     Realized as a Kraus family of discrete Weyl (shift and clock)
     unitaries; p = 1 sends every state exactly to identity / n.
     """
+    _check_integer("n", n, 1)
     p = _check_real("p", p, 0.0, 1.0)
     omega = np.exp(2j * np.pi / n)
     clock = np.diag(omega ** np.arange(n))
@@ -376,6 +378,7 @@ def depolarizing_channel(n: int, p: float = 1.0) -> Channel:
 
 def random_kraus_channel(n: int, terms: int, rng: np.random.Generator) -> Channel:
     """Random trace-preserving channel with the given Kraus rank."""
+    _check_integer("n", n, 1)
     _check_integer("terms", terms, 1)
     z = _complex_gaussians(rng, 1, [(terms * n, n)])[0][0]
     return kraus_channel(_isometry_blocks(z, terms))
@@ -411,7 +414,7 @@ def choi_check(channel, dim: int | None = None) -> CompletePositivityReport:
     """Complete-positivity test via the spectrum of the Choi matrix."""
     c = choi_matrix(channel, dim)
     herm = float(np.max(np.abs(c - c.conj().T)))
-    if herm > 1e-8:
+    if not herm <= 1e-8:  # NaN fails this too
         return CompletePositivityReport(False, float("nan"), herm)
     lam = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
     low = float(lam[0])

@@ -16,13 +16,15 @@ the integer-input rule (type, then lower bound, then cap) with its
 predicate `_is_integer`, `_check_real`, the real-input rule (a finite
 real number within optional closed bounds), `_haar_unitaries`, the Haar
 sampler, `_complex_gaussians`, the one Gaussian stream of every sampler,
-and `_block_starts`, the one degeneracy rule, which `_degenerate_blocks`
-reads. The Kraus-form arithmetic that `channels` and the stacked value
-pairs of `metrics` share lives here too, each piece taking one operand
-or a stack: `_check_kraus_sums`, the one Kraus-sum check,
-`_isometry_blocks`, `_kraus_factor`, `_kraus_apply`, and
-`_gram_spectra`, the image spectra of pure states from their Kraus
-vectors.
+`_block_starts`, the one degeneracy rule, which `_degenerate_blocks`
+reads, `_density_spectra`, the one density-operator check, which returns
+the trace-normalized matrices with their spectra, and `_kron`, the
+Kronecker product. The Kraus-form arithmetic that `channels` and the
+stacked kernels of `metrics` share lives here too, each piece taking one
+operand or a stack: `_check_kraus_sums`, the one Kraus-sum check,
+`_isometry_blocks`, `_kraus_factor`, `_kraus_apply`, `_gram_spectra`,
+the image spectra of pure states from their Kraus vectors, and
+`_kraus_image_spectra`, which forms those vectors from a `_kraus_factor`.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ def diag_embedding(n: int) -> np.ndarray:
     flattened row-major. The adjoint restricts a function on the square
     to its diagonal, so J.conj().T @ J is the identity on C^n.
     """
+    _check_integer("n", n, 1)
     j = np.zeros((n * n, n), dtype=complex)
     for k in range(n):
         j[k * n + k, k] = 1.0
@@ -252,8 +255,9 @@ def _density_spectra(matrices):
     trace, within HERMITIAN_TOL, TRACE_TOL and EIGENVALUE_FLOOR; the error
     names the worst matrix's deviation. Eigenvalues in [EIGENVALUE_FLOOR, 0)
     are clamped to zero and each spectrum is renormalized to unit sum.
-    Returns (symmetrized matrices, traces, eigenvalues sorted descending,
-    matching eigenvector columns).
+    Returns (symmetrized matrices divided by their traces, eigenvalues
+    sorted descending, matching eigenvector columns); the spectra are
+    those of the symmetrized matrices before the division.
     """
     m = np.asarray(matrices, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -277,7 +281,7 @@ def _density_spectra(matrices):
     lam = lam / lam.sum(axis=-1, keepdims=True)
     # eigh sorts ascending and clamping keeps the order, so reversed
     # (contiguous) copies are sorted descending.
-    return m, tr, lam[..., ::-1].copy(), vec[..., ::-1].copy()
+    return m / tr[..., None, None], lam[..., ::-1].copy(), vec[..., ::-1].copy()
 
 
 def _block_starts(lam: np.ndarray) -> np.ndarray:
@@ -295,6 +299,12 @@ def _degenerate_blocks(lam: np.ndarray) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
 
 
+def _kron(a, b) -> np.ndarray:
+    """np.kron of two matrices, or pair by pair of stacks (..., p, q) and (..., r, s), with its bits."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
 class DensityOperator:
     """Positive unit-trace operator with cached spectral data.
 
@@ -307,13 +317,10 @@ class DensityOperator:
     __slots__ = ("matrix", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrix):
-        m, tr, lam, vec = _density_spectra(_square(matrix, "density operator"))
-        m = m / tr
-        for arr in (m, lam, vec):
+        # `_density_spectra` returns the three slots' values, in order.
+        for name, arr in zip(self.__slots__, _density_spectra(_square(matrix, "density operator"))):
             arr.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", vec)
+            object.__setattr__(self, name, arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityOperator is immutable")
@@ -338,13 +345,14 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "DensityOperator":
+        _check_integer("n", n, 1)
         return cls(np.eye(n, dtype=complex) / n)
 
     def spectral(self) -> SchattenDecomposition:
         return SchattenDecomposition(weights=self.eigenvalues, vectors=self.eigenvectors)
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
-        return DensityOperator(np.kron(self.matrix, as_density(other).matrix))
+        return DensityOperator(_kron(self.matrix, as_density(other).matrix))
 
     def __repr__(self):
         return f"DensityOperator(n={self.n}, degenerate={self.degenerate})"
@@ -433,10 +441,12 @@ def _complex_gaussians(rng: np.random.Generator, count: int, shapes) -> list[np.
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    _check_integer("n", n, 1)
     return _haar_unitaries(_complex_gaussians(rng, 1, [(n, n)])[0][0])
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
+    _check_integer("n", n, 1)
     v = _complex_gaussians(rng, 1, [(n,)])[0][0]
     return v / np.linalg.norm(v)
 
@@ -449,6 +459,7 @@ def _normalized_grams(g) -> np.ndarray:
 
 def random_density(n: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
     """Random full-rank (or fixed-rank) density operator."""
+    _check_integer("n", n, 1)
     k = n if rank is None else _check_integer("rank", rank, 1)
     if k > n:
         raise ValueError(f"rank must be in [1, {n}], got {k}")
@@ -518,3 +529,10 @@ def _gram_spectra(w) -> np.ndarray:
     else:
         gram = np.swapaxes(w, -1, -2) @ w.conj()
     return np.linalg.eigvalsh(gram)
+
+
+def _kraus_image_spectra(rows, factor) -> np.ndarray:
+    """`_gram_spectra` of each row v (..., n) of `rows` through a `_kraus_factor` (..., n, r n)."""
+    n = factor.shape[-2]
+    w = rows @ factor
+    return _gram_spectra(w.reshape(w.shape[:-1] + (factor.shape[-1] // n, n)))

@@ -22,38 +22,24 @@ maximally mixed state the infimum is 0, yet 1000 restarts report about
 
 `_search` is the one search: `chaos_degree` reports from it, and
 `conjecture_experiment`, which reads only the chaos degree, calls it
-directly. It runs over stacks of candidates. The eigenbasis is evaluated
-once; the rotations come in chunks sized to CHUNK_BYTES, each block's
-as one stacked QR, and each chunk re-scores only the live columns of
-the degenerate blocks, with image entropies from the small Gram
-matrices of `Channel.image_spectra`. The candidate stream, and so the
-report, does not depend on the chunk size. `chaos_degree` then
-evaluates the transmitted value at the minimizing decomposition through
-its own relative-entropy formula, with every image validated as a
-density operator; it is never taken as the output entropy minus the
-chaos degree.
+directly. It evaluates the eigenbasis once, then the rotations of
+`_rotation_chunks`, the one rotation stream, chunk by chunk (sized to
+CHUNK_BYTES), re-scoring only the degenerate blocks' live columns with
+the image entropies of `Channel.image_spectra`. The report does not
+depend on the chunk size. The transmitted value is that of
+`_transmitted_stacks`, the one T formula, with every image validated as
+a density operator; it is never the output entropy minus the chaos degree.
 
-`_search` is still the one degenerate search. `conjecture_batch`
-evaluates its non-degenerate pairs in stacks instead: such a pair needs
-no search, its chaos degree being the eigenbasis value, so
-`_pair_outcomes` draws a chunk of pairs at once and runs each step of
-`conjecture_experiment` (the samplers' checks, the joint state, the
-eigenbasis value from the Gram matrices, the purpose check and the
-value) as one stacked call, with the per-pair bits. A pair with a
-degenerate block or a negligible weight goes through
-`conjecture_experiment` itself.
-
-`axiom_suite` evaluates its trials in stacks the same way. Each trial's
-draws stay in one short Python loop, in the order of the public
-samplers; `_axiom_trials` then runs every step of the per-trial path
-(the states and their checks, the channel's Kraus-sum check, the
-report's eigenbasis D and T, the relabeled state, the tensor product,
-the T <= C probe with its 20 rotated candidates, the identity channel)
-once for a chunk of trials of one Kraus rank, with the per-trial bits.
-Only the relative entropies are taken trial by trial, each against its
-trial's own reference state. A trial with a degenerate or light state,
-a probe other than one 2-fold block, or a channel that is not
-trace-preserving goes through `_axiom_trial`, the per-trial path.
+`conjecture_batch` and `axiom_suite` evaluate their pairs and trials in
+stacks: `_pair_outcomes` and `_axiom_trials` run each step of the
+per-pair and per-trial paths (`conjecture_experiment`, `_axiom_trial`)
+once for a chunk, with their bits, through the helpers those paths use:
+`hilbert._density_spectra` for every state, `hilbert._kron` for the
+tensor product, `_eigenbasis_values` for the eigenbasis chaos degree,
+`_transmitted_stacks` for T and `_rotation_chunks` for the probe's
+rotations. A degenerate or light state, a probe other than one 2-fold
+block, or a channel that is not trace-preserving goes through the
+per-pair or per-trial path.
 
 Every function here that takes a channel checks it through
 `_check_channel` before any arithmetic: a non-`Channel` raises
@@ -68,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -85,11 +72,12 @@ from .hilbert import (
     _degenerate_blocks,
     _density_spectra,
     _entropy_of_spectrum,
-    _gram_spectra,
     _haar_unitaries,
     _isometry_blocks,
     _kraus_apply,
     _kraus_factor,
+    _kraus_image_spectra,
+    _kron,
     _normalized_grams,
     _relative_entropies,
     as_density,
@@ -214,20 +202,34 @@ def _rotated(vec: np.ndarray, blocks, rotations) -> np.ndarray:
     return out
 
 
+def _transmitted_stacks(lam: np.ndarray, vecs: np.ndarray, apply, mu: np.ndarray,
+                        v: np.ndarray) -> np.ndarray:
+    """sum_k lam_k S(apply(E_k) || sigma) for each decomposition of each state of a stack.
+
+    `lam` (T, k) are the states' weights, `vecs` (T, ..., n, k) their
+    decompositions' columns, `apply` a channel's action on a stack, and
+    `mu` (T, n), `v` (T, n, n) the spectral data of each state's sigma;
+    returns (T, ...). Each image is checked as `DensityOperator` checks
+    it before its relative entropy is taken; an image whose support
+    leaves sigma's gives +inf.
+    """
+    # Piece l of decomposition c of state t sits at [c, l, t]: the state
+    # axis just before the matrix axes, where a stack of Kraus stacks broadcasts.
+    pieces = np.moveaxis(vecs.mT, 0, -2)
+    images = apply(pieces[..., :, None] * pieces[..., None, :].conj())
+    _, spectra, eigvecs = _density_spectra(np.moveaxis(images, -3, 0))
+    # State by state: stacked over the sigmas, the overlap-log product
+    # would round otherwise than the one-state call.
+    return np.array([np.sum(_relative_entropies(*args) * w, axis=-1)
+                     for *args, w in zip(spectra, eigvecs, mu, v, lam)])
+
+
 def _transmitted(lam: np.ndarray, vecs: np.ndarray, channel: Channel,
                  sigma: DensityOperator) -> np.ndarray:
-    """sum_k lam_k S(channel(E_k) || sigma) for each decomposition of a stack (..., n, n).
-
-    Every image is validated as a density operator, by the same checks
-    and constants as `DensityOperator`, before its relative entropy is
-    taken; an image whose support leaves sigma's gives +inf.
-    """
+    """`_transmitted_stacks` for one state's decompositions (..., n, n), over its weights above WEIGHT_FLOOR."""
     live = lam > WEIGHT_FLOOR
-    pieces = np.swapaxes(vecs[..., live], -1, -2)
-    images = channel.apply_matrix(pieces[..., :, None] * pieces[..., None, :].conj())
-    _, _, spectra, eigvecs = _density_spectra(images)
-    rel = _relative_entropies(spectra, eigvecs, sigma.eigenvalues, sigma.eigenvectors)
-    return np.sum(rel * lam[live], axis=-1)
+    return _transmitted_stacks(lam[None, live], vecs[None, ..., live], channel.apply_matrix,
+                               sigma.eigenvalues[None], sigma.eigenvectors[None])[0]
 
 
 def _check_channel(channel, n: int, subject: str) -> None:
@@ -331,12 +333,12 @@ def classify_dynamics(d_values, eps_zero: float = DEFAULT_EPS_ZERO,
     """Label a window of chaos-degree values.
 
     "stable" when the values all vanish, "weak_stable" when they sit at
-    a constant positive level, "chaotic" otherwise. Each threshold must
-    be a finite real number >= 0, or ValueError is raised.
+    a constant positive level, "chaotic" otherwise. Each value must be a
+    finite real number and each threshold one >= 0, or ValueError is raised.
     """
     eps_zero = _check_real("eps_zero", eps_zero, 0.0)
     eps_const = _check_real("eps_const", eps_const, 0.0)
-    vals = np.asarray(list(d_values), dtype=float)
+    vals = np.asarray([_check_real("d_values", v) for v in d_values])
     if vals.size == 0:
         raise ValueError("classification needs at least one value")
     if np.all(np.abs(vals) <= eps_zero):
@@ -501,6 +503,14 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
     return outcomes, rate
 
 
+def _eigenbasis_values(lam: np.ndarray, vec: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """The eigenbasis value of `_search` for each state of a stack through its Kraus stack.
+
+    Each eigenvector's image entropy, weighted by its eigenvalue.
+    """
+    return np.sum(lam * _entropy_of_spectrum(_kraus_image_spectra(vec.mT, _kraus_factor(ops))), axis=-1)
+
+
 def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     """`conjecture_experiment` on each pair of a chunk, evaluated as stacks.
 
@@ -514,24 +524,16 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     through `conjecture_experiment` itself.
     """
     g_rho, g_gamma, *g_kraus, g_purpose = draws
-    c, n = g_purpose.shape[:2]
+    c = g_purpose.shape[0]
     grams = [_normalized_grams(g) for g in (g_rho, g_gamma)]
-    rho, gamma = (m / tr[:, None, None] for m, tr, _, _ in map(_density_spectra, grams))
-    # np.kron's broadcast multiply, pair by pair.
-    product = (rho[:, :, None, :, None] * gamma[:, None, :, None, :]).reshape(c, n, n)
-    m, tr, lam, vec = _density_spectra(product)
-    joint = m / tr[:, None, None]
+    rho, gamma = (_density_spectra(m)[0] for m in grams)
+    joint, lam, vec = _density_spectra(_kron(rho, gamma))
     kraus = [_isometry_blocks(z, terms) for z in g_kraus]
     tp = np.logical_and.reduce([_check_kraus_sums(ops) for ops in kraus])
     q = _self_adjoint_purposes(0.5 * (g_purpose + g_purpose.conj().mT))
 
-    # The eigenbasis value of `_search`: each eigenvector's image entropy,
-    # from the Gram matrices of its Kraus vectors, weighted by its eigenvalue.
-    d, v = [], []
-    for ops in kraus:
-        w = (vec.mT @ _kraus_factor(ops)).reshape(c, n, terms, n)
-        d.append(np.sum(lam * _entropy_of_spectrum(_gram_spectra(w)), axis=-1).tolist())
-        v.append(_real_values(_kraus_apply(ops, joint), q).tolist())
+    d = [_eigenbasis_values(lam, vec, ops).tolist() for ops in kraus]
+    v = [_real_values(_kraus_apply(ops, joint), q).tolist() for ops in kraus]
 
     unique = _block_starts(lam).all(axis=-1) & (lam[:, -1] > WEIGHT_FLOOR) & tp
     return [
@@ -673,28 +675,6 @@ def _axiom_trial(rho: DensityOperator, sigma: DensityOperator, channel: Channel,
     return neg, relabel, drift, additivity, bounds, identity
 
 
-def _transmitted_stacks(lam: np.ndarray, vecs: np.ndarray, ops: np.ndarray,
-                        sigma: np.ndarray) -> np.ndarray:
-    """`_transmitted` for each candidate of each trial of a stack, as (T, C).
-
-    `lam` (T, n) are the trials' weights, all above WEIGHT_FLOOR, `vecs`
-    (T, C, n, n) the columns of their C candidates, `ops` their Kraus
-    stacks (T, r, n, n) or one Kraus stack (r, n, n), and `sigma`
-    (T, n, n) the matrices of their reference states, checked as
-    `DensityOperator` checks them.
-    """
-    _, _, mu, v = _density_spectra(sigma)
-    # Piece l of candidate c of trial t sits at [c, l, t]: the trial axis
-    # just before the matrix axes, where a stack of Kraus stacks broadcasts.
-    pieces = np.moveaxis(vecs.mT, 0, -2)
-    images = _kraus_apply(ops, pieces[..., :, None] * pieces[..., None, :].conj())
-    _, _, spectra, eigvecs = _density_spectra(np.moveaxis(images, -3, 0))
-    # Trial by trial: stacked over reference states, the overlap-log
-    # product would round otherwise than the per-trial call.
-    return np.array([np.sum(_relative_entropies(*args) * w, axis=-1)
-                     for *args, w in zip(spectra, eigvecs, mu, v, lam)])
-
-
 def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> list:
     """`_axiom_trial` on each trial of a stack with one Kraus rank, evaluated as stacks.
 
@@ -712,16 +692,15 @@ def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> l
     g_rho, g_sigma, g_kraus, g_u, raw, g_basis = draws
     c, n = g_rho.shape[:2]
     grams = [_normalized_grams(g) for g in (g_rho, g_sigma)]
-    (rho, tr_rho, lam, vec), (sigma, tr_sigma, lam_sigma, _) = map(_density_spectra, grams)
+    (rho, lam, vec), (sigma, lam_sigma, _) = map(_density_spectra, grams)
     kraus = _isometry_blocks(g_kraus, terms)
     tp = _check_kraus_sums(kraus)
     u = _haar_unitaries(g_u)
-    rho = rho / tr_rho[:, None, None]
-    relabeled, tr_rel, lam_rel, vec_rel = _density_spectra(u @ rho @ u.conj().mT)
+    relabeled, lam_rel, vec_rel = _density_spectra(u @ rho @ u.conj().mT)
     raw[:, 1] = raw[:, 0]
     spectrum = raw / raw.sum(axis=-1, keepdims=True)
     basis = _haar_unitaries(g_basis)
-    probe, tr_probe, lam_probe, vec_probe = _density_spectra(
+    probe, lam_probe, vec_probe = _density_spectra(
         (basis * spectrum[:, None, :]) @ basis.conj().mT)
 
     starts = _block_starts(lam_probe)
@@ -737,40 +716,35 @@ def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> l
     if not generic.any():
         return [per_trial(i) for i in range(c)]
     k = np.flatnonzero(generic)
-    rho, lam, vec, ops, lam_rel, vec_rel, lam_probe, vec_probe = (
-        x[k] for x in (rho, lam, vec, kraus, lam_rel, vec_rel, lam_probe, vec_probe))
-    sigma = sigma[k] / tr_sigma[k, None, None]
-    relabeled = relabeled[k] / tr_rel[k, None, None]
-    probe = probe[k] / tr_probe[k, None, None]
-    m = k.size
+    rho, sigma, relabeled, probe, lam, vec, ops, lam_rel, vec_rel, lam_probe, vec_probe = (
+        x[k] for x in (rho, sigma, relabeled, probe, lam, vec, kraus, lam_rel, vec_rel,
+                       lam_probe, vec_probe))
+    channel, identity = partial(_kraus_apply, ops), identity_channel(n).apply_matrix
 
-    # rho's report: the eigenbasis D of `_search`, from the Gram matrices
-    # of its Kraus vectors, and T at the eigenbasis; then the relabeled
-    # state's T and rho's T through the identity.
-    w = (vec.mT @ _kraus_factor(ops)).reshape(m, n, terms, n)
-    d_val = np.sum(lam * _entropy_of_spectrum(_gram_spectra(w)), axis=-1)
-    t_val = _transmitted_stacks(lam, vec[:, None], ops, _kraus_apply(ops, rho))[:, 0]
-    t_rel = _transmitted_stacks(lam_rel, vec_rel[:, None], ops, _kraus_apply(ops, relabeled))[:, 0]
-    eye = np.eye(n, dtype=complex)[None]
-    t_id = _transmitted_stacks(lam, vec[:, None], eye, _kraus_apply(eye, rho))[:, 0]
-    # np.kron's broadcast multiply, trial by trial.
-    joint = (rho[:, :, None, :, None] * sigma[:, None, :, None, :]).reshape(m, n * n, n * n)
+    def transmitted(apply, lam, vecs, state):  # T at `vecs` against each state's checked image
+        return _transmitted_stacks(lam, vecs, apply, *_density_spectra(apply(state))[1:])
+
+    # rho's report: the eigenbasis D of `_search` and T at the eigenbasis;
+    # then the relabeled state's T and rho's T through the identity.
+    d_val = _eigenbasis_values(lam, vec, ops)
+    t_val = transmitted(channel, lam, vec[:, None], rho)[:, 0]
+    t_rel = transmitted(channel, lam_rel, vec_rel[:, None], relabeled)[:, 0]
+    t_id = transmitted(identity, lam, vec[:, None], rho)[:, 0]
 
     # The probe's eigenbasis, then its 2-fold block's columns rotated by
-    # each of the trial's Haar rotations, drawn as `_rotation_chunks` draws them.
-    rotations = _haar_unitaries(np.stack([
-        _complex_gaussians(np.random.default_rng(rotation_seeds[i]), cfg.restarts, [(2, 2)])[0]
-        for i in k.tolist()
-    ]))
+    # each of the trial's Haar rotations: its `_rotation_chunks` stream,
+    # chunks concatenated (at one byte a candidate, usually one chunk).
+    chunks = (_rotation_chunks([(0, 2)], cfg.restarts, rotation_seeds[i], 1) for i in k.tolist())
+    rotations = np.stack([np.concatenate([r for r, in trial]) for trial in chunks])
     cols = np.argmin(starts[k], axis=-1)[:, None] + np.arange(2)
     block = np.take_along_axis(vec_probe, cols[:, None, :], axis=-1)
     candidates = np.repeat(vec_probe[:, None], cfg.restarts + 1, axis=1)
     np.put_along_axis(candidates[:, 1:], cols[:, None, None, :], block[:, None] @ rotations, axis=-1)
-    t_probe = _transmitted_stacks(lam_probe, candidates, ops, _kraus_apply(ops, probe))
+    t_probe = transmitted(channel, lam_probe, candidates, probe)
 
     c_val, c_rel, c_sigma, c_joint, ceiling = (
         _entropy_of_spectrum(x)
-        for x in (lam, lam_rel, lam_sigma[k], _density_spectra(joint)[2], lam_probe))
+        for x in (lam, lam_rel, lam_sigma[k], _density_spectra(_kron(rho, sigma))[1], lam_probe))
     # Python floats in `_axiom_trial`'s layout, for the suite's folds.
     values = dict(zip(k.tolist(), zip(
         np.stack([-c_val, -t_val, -d_val], axis=-1).tolist(),

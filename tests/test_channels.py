@@ -367,6 +367,13 @@ def test_choi_transpose_map_is_not_cp():
     assert report.min_eigenvalue < -0.5
 
 
+def test_choi_check_reports_a_non_finite_image_as_not_cp():
+    # A NaN hermiticity error fails the check instead of reaching eigvalsh.
+    report = choi_check(lambda m: m * np.nan, 2)
+    assert not report.is_cp
+    assert np.isnan(report.min_eigenvalue) and np.isnan(report.hermiticity_error)
+
+
 def test_choi_schur_channels_are_cp():
     for _ in range(5):
         w = SchurWeight(random_density(3, RNG).matrix)

@@ -100,6 +100,15 @@ INTEGER_SITES = {
     "partial_trace.dims": ("dims", 1, None, lambda v: partial_trace(np.eye(4) / 4, (v, 2), [0])),
     "partial_trace.trace_out": ("trace_out", 0, None,
                                 lambda v: partial_trace(np.eye(4) / 4, (2, 2), [v])),
+    "random_unitary.n": ("n", 1, None, lambda v: random_unitary(v, np.random.default_rng(0))),
+    "random_state.n": ("n", 1, None, lambda v: random_state(v, np.random.default_rng(0))),
+    "random_density.n": ("n", 1, None, lambda v: random_density(v, np.random.default_rng(0))),
+    "random_kraus_channel.n": ("n", 1, None, lambda v: channels.random_kraus_channel(
+        v, 2, np.random.default_rng(0))),
+    "depolarizing_channel.n": ("n", 1, None, channels.depolarizing_channel),
+    "identity_channel.n": ("n", 1, None, channels.identity_channel),
+    "diag_embedding.n": ("n", 1, None, diag_embedding),
+    "DensityOperator.maximally_mixed.n": ("n", 1, None, DensityOperator.maximally_mixed),
 }
 CAPS = {name: value for module in (classical, jsonio, metrics)
         for name, value in vars(module).items() if name.startswith("MAX_")}
@@ -388,6 +397,18 @@ def test_relative_entropy_joint_convexity_corner(seed):
     assert relative_entropy(a, b) >= 0.5 * tnorm**2 - 1e-9
 
 
+def test_kron_equals_numpy_kron_bit_for_bit():
+    # One pair of states, then a stack of 2 x 2 states with a stack of 3 x 3 ones.
+    from infodyn.hilbert import _kron
+
+    rng = np.random.default_rng(5)
+    a, b = random_density(2, rng).matrix, random_density(3, rng).matrix
+    assert np.array_equal(_kron(a, b), np.kron(a, b))
+    rhos = np.stack([random_density(2, rng).matrix for _ in range(4)])
+    sigmas = np.stack([random_density(3, rng).matrix for _ in range(4)])
+    assert np.array_equal(_kron(rhos, sigmas), np.stack([np.kron(r, s) for r, s in zip(rhos, sigmas)]))
+
+
 def test_density_spectra_of_a_stack_match_each_density_operator():
     # One validation helper serves DensityOperator and stacked callers;
     # over a stack it must give each matrix's own spectral data.
@@ -396,7 +417,7 @@ def test_density_spectra_of_a_stack_match_each_density_operator():
     rng = np.random.default_rng(31)
     mats = [random_density(4, rng).matrix for _ in range(5)]
     mats.append(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
-    _, _, lam, vec = _density_spectra(np.stack(mats))
+    _, lam, vec = _density_spectra(np.stack(mats))
     for m, l, v in zip(mats, lam, vec):
         rho = DensityOperator(m)
         assert np.array_equal(l, rho.eigenvalues)

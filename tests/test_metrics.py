@@ -245,6 +245,24 @@ def test_chaos_degree_report_does_not_depend_on_chunk_size(channel, monkeypatch)
     assert reports[0][4] == 51
 
 
+def test_transmitted_stacks_equals_each_state_transmitted_call():
+    # Four states, each with its own Kraus stack, sigma and three decompositions.
+    rng = np.random.default_rng(17)
+    states = [random_density(3, rng) for _ in range(4)]
+    chans = [random_kraus_channel(3, 2, rng) for _ in range(4)]
+    sigmas = [ch.apply(rho) for ch, rho in zip(chans, states)]
+    vecs = np.stack([np.stack([rho.eigenvectors @ random_unitary(3, rng) for _ in range(3)])
+                     for rho in states])
+    ops = np.stack([ch._data for ch in chans])
+    stacked = metrics._transmitted_stacks(
+        np.stack([rho.eigenvalues for rho in states]), vecs,
+        lambda x: hilbert._kraus_apply(ops, x),
+        np.stack([s.eigenvalues for s in sigmas]), np.stack([s.eigenvectors for s in sigmas]))
+    assert stacked.shape == (4, 3)
+    for row, rho, v, ch, sigma in zip(stacked, states, vecs, chans, sigmas):
+        assert np.array_equal(row, _transmitted(rho.eigenvalues, v, ch, sigma))
+
+
 def test_transmitted_is_infinite_on_a_support_escape():
     # sigma has no weight on the third basis vector. The second
     # decomposition puts a live piece there; the first stays inside.
@@ -371,6 +389,15 @@ def test_classify_dynamics_rejects_negative_or_nan_thresholds(thresholds, messag
     # At eps_zero = -1 a window of zeros would otherwise be labelled weak_stable.
     with pytest.raises(ValueError, match=message):
         classify_dynamics([0.0, 0.0], **thresholds)
+
+
+@pytest.mark.parametrize("values, shown", [
+    ([float("nan"), float("nan")], "nan"), ([True, True], "True"), ([0.1, float("inf")], "inf"),
+], ids=["nan", "bool", "inf"])
+def test_classify_dynamics_reads_each_value_as_a_finite_real(values, shown):
+    # Unchecked, a window of NaNs was "chaotic" and one of booleans "weak_stable".
+    with pytest.raises(ValueError, match=f"d_values must be a finite real number, got {shown}"):
+        classify_dynamics(values)
 
 
 def test_value_identity_purpose_gives_one():
