@@ -5,13 +5,13 @@ the package needs: Kraus-sum channels, entrywise (Schur) damping by a
 positive weight matrix, unitary conjugation, and the classical
 row-stochastic push-forward embedded on diagonal densities.
 
-A `Channel` acts on one matrix or on a stack (..., n, n) of them, and
-`Channel.image_spectra` evaluates the images of a stack of pure states
-through the small Gram matrices of their Kraus vectors; the chaos-degree
-search in :mod:`infodyn.metrics` rests on that kernel. The Kraus-form
-arithmetic (the Kraus-sum check, the action, the image spectra from a
-Kraus factor) lives in :mod:`infodyn.hilbert`, where the stacked kernels
-of :mod:`infodyn.metrics` call the same helpers. A constructor that takes
+A `Channel` acts on one matrix or on a stack (..., n, n) of them.
+`Channel.kraus_vectors` gives the images of a stack of pure states as
+their Kraus vectors, which the chaos degree (through the Gram spectra of
+`Channel.image_spectra`) and the transmitted complexity in
+:mod:`infodyn.metrics` both read. The Kraus-form arithmetic lives in
+:mod:`infodyn.hilbert`, where the stacked kernels of
+:mod:`infodyn.metrics` call the same helpers. A constructor that takes
 a dimension `n` checks it through `hilbert._check_integer` first.
 
 Trace-normalized damping, which conditions a state on a weight, is not
@@ -41,7 +41,7 @@ from .hilbert import (
     _isometry_blocks,
     _kraus_apply,
     _kraus_factor,
-    _kraus_image_spectra,
+    _kraus_vectors,
     _square,
     as_density,
     mult_operator,
@@ -215,31 +215,29 @@ class Channel:
     "unitary" channels both hold a Kraus stack (r, n, n) and share one
     arithmetic.
 
-    `apply_matrix` acts on one matrix or on a stack of them.
-    `image_spectra` gives the spectrum of the image of each pure state
-    of a stack without forming the n x n images: the image of |v><v| is
-    W W* for W = [A_1 v ... A_r v] and a Kraus form {A_k} of the channel,
-    so it shares its nonzero spectrum with the Gram matrix W* W.
-    Instances are immutable.
+    `apply_matrix` acts on one matrix or on a stack of them. A pure
+    state's image is never formed as an n x n matrix: the image of
+    |v><v| is W W* for the Kraus vectors W = [A_1 v ... A_r v] of a
+    Kraus form {A_k} of the channel, which `kraus_vectors` returns for a
+    stack of states, and `image_spectra` reads its spectrum from the
+    Gram matrix W* W. Instances are immutable.
     """
 
     __slots__ = ("kind", "dim", "is_trace_preserving", "image_width", "_data", "_factor")
 
     def __init__(self, kind, dim, is_trace_preserving, data):
         dim = int(dim)
-        # The Kraus form that `image_spectra` applies to a row vector v:
-        # v @ factor lists A_1 v, ..., A_r v (kraus, unitary), and
-        # v * factor does the same for the diagonal A_k of a Schur weight.
-        # `image_width` is r, the number of columns of W per vector; a
-        # stochastic channel forms no W and returns n probabilities.
-        if kind == "schur":
-            factor = np.array([np.sqrt(g) * h for g, h in data.spectral_terms()],
-                              dtype=complex).reshape(-1, dim)
-            width = factor.shape[0]
-        elif kind == "stochastic":
+        # The `_kraus_factor` that `kraus_vectors` applies to a row vector:
+        # of the stack itself (kraus, unitary), or of the diagonal operators
+        # sqrt(g) diag(h) of a Schur weight's spectral terms. `image_width`
+        # is r, the number of Kraus vectors per state (n for stochastic).
+        if kind == "stochastic":
             factor, width = None, dim
         else:
-            factor, width = _kraus_factor(data), data.shape[0]
+            ops = data if kind != "schur" else np.array(
+                [np.diag(np.sqrt(g) * h) for g, h in data.spectral_terms()],
+                dtype=complex).reshape(-1, dim, dim)
+            factor, width = _kraus_factor(ops), ops.shape[0]
         for name, value in (("kind", kind), ("dim", dim),
                             ("is_trace_preserving", bool(is_trace_preserving)),
                             ("image_width", width), ("_data", data), ("_factor", factor)):
@@ -267,24 +265,34 @@ class Channel:
             return out
         return _kraus_apply(self._data, x)
 
-    def image_spectra(self, vectors) -> np.ndarray:
-        """Spectrum of channel(|v><v|) for each row v of `vectors` (..., n).
-
-        Returns (..., r): the eigenvalues of the smaller of the Gram
-        matrices W* W (r x r) and W W* (n x n), whose nonzero parts agree;
-        r is the number of Kraus operators (kraus), 1 (unitary) or the
-        rank of the weight (schur). A stochastic channel's image is the
-        diagonal distribution |v|^2 P, returned as is.
-        """
+    def _rows(self, vectors) -> np.ndarray:
+        """`vectors` (..., n) as a complex array, once its last axis is the channel's dimension."""
         v = np.asarray(vectors, dtype=complex)
         if v.ndim < 1 or v.shape[-1] != self.dim:
             raise DimensionMismatch(f"channel dim {self.dim} vs vectors of shape {v.shape}")
+        return v
+
+    def kraus_vectors(self, vectors) -> np.ndarray:
+        """The Kraus vectors W = [A_1 v ... A_r v], rows (..., r, n), of each row v of `vectors`.
+
+        The image of |v><v| is W W*; r is `image_width`. A stochastic
+        channel's image diag(q), q = |v|^2 P, has the vectors sqrt(q_i) e_i.
+        """
         if self.kind == "stochastic":
-            return (np.abs(v) ** 2) @ self._data
-        if self.kind == "schur":
-            # Row k of v * factor is A_k v.
-            return _gram_spectra(v[..., None, :] * self._factor)
-        return _kraus_image_spectra(v, self._factor)
+            return np.sqrt(self.image_spectra(vectors))[..., None] * np.eye(self.dim)
+        return _kraus_vectors(self._rows(vectors), self._factor)
+
+    def image_spectra(self, vectors) -> np.ndarray:
+        """Spectrum of channel(|v><v|) for each row v of `vectors` (..., n).
+
+        Returns (..., r): `_gram_spectra` of `kraus_vectors`; r is the
+        number of Kraus operators (kraus), 1 (unitary) or the rank of the
+        weight (schur). A stochastic channel's image is the diagonal
+        distribution |v|^2 P, returned as is, with no eigensolver.
+        """
+        if self.kind == "stochastic":
+            return (np.abs(self._rows(vectors)) ** 2) @ self._data
+        return _gram_spectra(self.kraus_vectors(vectors))
 
     def apply(self, rho) -> DensityOperator:
         """Image of a state as a state; see the class docstring."""

@@ -3,7 +3,8 @@
 Subcommands: ecd-sweep, quantum-ecd, recognize, axioms, value. Every
 subcommand is deterministic for fixed flags and seed at any worker
 count. Exit codes: 0 success, 2 usage or parse failure, 3 orbit
-escape, 4 dimension mismatch, 5 probability-domain failure.
+escape, 4 dimension mismatch, 5 probability-domain failure. Any other
+exception is a program fault and escapes `main` with its traceback.
 `recognize` streams its lines, so a run that fails part way leaves the
 completed steps' lines written before it exits with the failure's code.
 Flags are only parsed here; the library function that reads a value
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
     except OutsideDomain as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,13 +18,16 @@ real number within optional closed bounds), `_haar_unitaries`, the Haar
 sampler, `_complex_gaussians`, the one Gaussian stream of every sampler,
 `_block_starts`, the one degeneracy rule, which `_degenerate_blocks`
 reads, `_density_spectra`, the one density-operator check, which returns
-the trace-normalized matrices with their spectra, and `_kron`, the
-Kronecker product. The Kraus-form arithmetic that `channels` and the
-stacked kernels of `metrics` share lives here too, each piece taking one
-operand or a stack: `_check_kraus_sums`, the one Kraus-sum check,
-`_isometry_blocks`, `_kraus_factor`, `_kraus_apply`, `_gram_spectra`,
-the image spectra of pure states from their Kraus vectors, and
-`_kraus_image_spectra`, which forms those vectors from a `_kraus_factor`.
+the trace-normalized matrices with their spectra (checked by
+`_unit_spectra`, which also checks images' spectra), `_kron`, the
+Kronecker product, and `_relative_entropies`, the one relative-entropy
+formula, which `relative_entropy` and the transmitted complexity share.
+The Kraus-form arithmetic that `channels` and the stacked kernels of
+`metrics` share lives here too, each piece taking one operand or a stack:
+`_check_kraus_sums`, the one Kraus-sum check, `_isometry_blocks`,
+`_kraus_factor`, `_kraus_apply`, `_kraus_vectors`, the Kraus vectors
+W = [A_1 v ... A_r v] of pure states, which represent their images, and
+`_gram_spectra`, the image spectra from those vectors.
 """
 
 from __future__ import annotations
@@ -251,10 +254,8 @@ def _check_real(name: str, value, low: float | None = None, high: float | None =
 def _density_spectra(matrices):
     """Checked spectral data of a density matrix or a stack (..., n, n) of them.
 
-    Every matrix must be self-adjoint and positive semidefinite with unit
-    trace, within HERMITIAN_TOL, TRACE_TOL and EIGENVALUE_FLOOR; the error
-    names the worst matrix's deviation. Eigenvalues in [EIGENVALUE_FLOOR, 0)
-    are clamped to zero and each spectrum is renormalized to unit sum.
+    Every matrix must be self-adjoint within HERMITIAN_TOL, and then pass
+    `_unit_spectra`; the error names the worst matrix's deviation.
     Returns (symmetrized matrices divided by their traces, eigenvalues
     sorted descending, matching eigenvector columns); the spectra are
     those of the symmetrized matrices before the division.
@@ -263,25 +264,32 @@ def _density_spectra(matrices):
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"density operator must be square, got shape {m.shape}")
     adjoint = m.conj().swapaxes(-1, -2)
-    # Every comparison below is written so that NaN fails it; a
-    # non-finite entry is caught by the self-adjointness check.
+    # Every comparison here and in `_unit_spectra` is written so that NaN
+    # fails it; a non-finite entry is caught by the self-adjointness check.
     _check_deviation(m - adjoint, HERMITIAN_TOL, "matrix", "matrix is not self-adjoint: deviation")
     m = 0.5 * (m + adjoint)
-
     tr = m.trace(axis1=-2, axis2=-1).real
+    lam, vec = np.linalg.eigh(m)
+    lam = _unit_spectra(tr, lam)
+    # eigh sorts ascending and clamping keeps the order, so reversed
+    # (contiguous) copies are sorted descending.
+    return m / tr[..., None, None], lam[..., ::-1].copy(), vec[..., ::-1].copy()
+
+
+def _unit_spectra(tr, lam) -> np.ndarray:
+    """Ascending spectra `lam` (..., m) of matrices with traces `tr`, checked and normalized as states'.
+
+    Each trace must be 1 within TRACE_TOL and no eigenvalue below
+    EIGENVALUE_FLOOR; the rest are clamped to 0 and renormalized to unit sum.
+    """
     off = np.abs(tr - 1.0)
     if not (off <= TRACE_TOL).all():
         raise ValueError(f"trace must be 1, got {float(tr.flat[np.argmax(off)])!r}")
-
-    lam, vec = np.linalg.eigh(m)
     low = float(lam[..., 0].min())
     if not low >= EIGENVALUE_FLOOR:
         raise ValueError(f"matrix is not positive semidefinite: eigenvalue {low:.3e}")
     lam = np.clip(lam, 0.0, None)
-    lam = lam / lam.sum(axis=-1, keepdims=True)
-    # eigh sorts ascending and clamping keeps the order, so reversed
-    # (contiguous) copies are sorted descending.
-    return m / tr[..., None, None], lam[..., ::-1].copy(), vec[..., ::-1].copy()
+    return lam / lam.sum(axis=-1, keepdims=True)
 
 
 def _block_starts(lam: np.ndarray) -> np.ndarray:
@@ -379,20 +387,18 @@ def von_neumann_entropy(rho) -> float:
     return float(_entropy_of_spectrum(as_density(rho).eigenvalues))
 
 
-def _relative_entropies(lam, u, mu, v) -> np.ndarray:
-    """S(rho || sigma) for each rho of a stack against one sigma.
+def _relative_entropies(g, w, mu, v) -> np.ndarray:
+    """S(W W* || sigma) for each W, rows w (..., r, n) with spectrum `g` (..., m), against one sigma.
 
-    rho is given by its spectrum `lam` (..., n) and eigenvector columns
-    `u` (..., n, n), sigma by `mu` (n,) and `v` (n, n). A rho whose
-    weight outside the support of sigma exceeds 1e-10 gets +inf.
+    sigma is given by `mu` (n,) and eigenvector columns `v` (n, n). S is
+    -H(g) - sum_j (sum_a |<v_j, w_a>|^2) ln mu_j; a W whose weight
+    outside the support of sigma exceeds 1e-10 gets +inf.
     """
-    overlap = np.abs(np.swapaxes(u.conj(), -1, -2) @ v) ** 2
+    weight = np.sum(np.abs(w @ v.conj()) ** 2, axis=-2)
     null = mu <= SUPPORT_TOL
-    second = np.sum(lam * (overlap[..., ~null] @ np.log(mu[~null])), axis=-1)
-    out = -_entropy_of_spectrum(lam) - second
+    out = -_entropy_of_spectrum(g) - weight[..., ~null] @ np.log(mu[~null])
     if np.any(null):
-        escaped = np.sum(lam * overlap[..., null].sum(axis=-1), axis=-1)
-        out = np.where(escaped > 1e-10, np.inf, out)
+        out = np.where(weight[..., null].sum(axis=-1) > 1e-10, np.inf, out)
     return out
 
 
@@ -405,7 +411,9 @@ def relative_entropy(rho, sigma) -> float:
     r, s = as_density(rho), as_density(sigma)
     if r.n != s.n:
         raise DimensionMismatch(f"dimensions differ: {r.n} vs {s.n}")
-    return float(_relative_entropies(r.eigenvalues, r.eigenvectors, s.eigenvalues, s.eigenvectors))
+    # rho = W W* for the rows sqrt(lam_k) u_k of its spectral pieces.
+    w = np.sqrt(r.eigenvalues)[:, None] * r.eigenvectors.T
+    return float(_relative_entropies(r.eigenvalues, w, s.eigenvalues, s.eigenvectors))
 
 
 def _haar_unitaries(z) -> np.ndarray:
@@ -521,8 +529,8 @@ def _kraus_apply(ops, x) -> np.ndarray:
 def _gram_spectra(w) -> np.ndarray:
     """Spectrum of the image W W* of |v><v| from the rows w (..., r, n) of Kraus vectors A_k v.
 
-    The eigenvalues of the smaller of W* W (r x r) and W W* (n x n),
-    whose nonzero parts agree; see `Channel.image_spectra`.
+    The eigenvalues, ascending, of the smaller of W* W (r x r) and W W*
+    (n x n), whose nonzero parts agree; see `Channel.image_spectra`.
     """
     if w.shape[-2] <= w.shape[-1]:
         gram = w.conj() @ np.swapaxes(w, -1, -2)
@@ -531,8 +539,8 @@ def _gram_spectra(w) -> np.ndarray:
     return np.linalg.eigvalsh(gram)
 
 
-def _kraus_image_spectra(rows, factor) -> np.ndarray:
-    """`_gram_spectra` of each row v (..., n) of `rows` through a `_kraus_factor` (..., n, r n)."""
+def _kraus_vectors(rows, factor) -> np.ndarray:
+    """The Kraus vectors W (..., r, n) of each row v (..., n) of `rows` through a `_kraus_factor` (..., n, r n)."""
     n = factor.shape[-2]
     w = rows @ factor
-    return _gram_spectra(w.reshape(w.shape[:-1] + (factor.shape[-1] // n, n)))
+    return w.reshape(w.shape[:-1] + (factor.shape[-1] // n, n))

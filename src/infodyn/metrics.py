@@ -27,8 +27,10 @@ directly. It evaluates the eigenbasis once, then the rotations of
 CHUNK_BYTES), re-scoring only the degenerate blocks' live columns with
 the image entropies of `Channel.image_spectra`. The report does not
 depend on the chunk size. The transmitted value is that of
-`_transmitted_stacks`, the one T formula, with every image validated as
-a density operator; it is never the output entropy minus the chaos degree.
+`_transmitted_stacks`, the one T formula, which reads each piece's image
+from its Kraus vectors, as the search does, checks its spectrum as a
+density operator's, and takes `hilbert._relative_entropies`; it is never
+the output entropy minus the chaos degree.
 
 `conjecture_batch` and `axiom_suite` evaluate their pairs and trials in
 stacks: `_pair_outcomes` and `_axiom_trials` run each step of the
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -72,14 +73,16 @@ from .hilbert import (
     _degenerate_blocks,
     _density_spectra,
     _entropy_of_spectrum,
+    _gram_spectra,
     _haar_unitaries,
     _isometry_blocks,
     _kraus_apply,
     _kraus_factor,
-    _kraus_image_spectra,
+    _kraus_vectors,
     _kron,
     _normalized_grams,
     _relative_entropies,
+    _unit_spectra,
     as_density,
     von_neumann_entropy,
 )
@@ -91,9 +94,9 @@ ORDER_TOL = 1e-10
 # one BLAS thread), so the cap bounds a search at about a minute there.
 MAX_RESTARTS = 1_000_000
 # Largest `axiom_suite` trial count and dimension. Evaluated in stacks, a
-# trial costs about 0.4 ms at dim 2, 1.1 ms at dim 4, 5 ms at dim 6 and
-# 11 ms at dim 8 (same host), so the caps bound a suite at about 4 s at
-# dim 2 and 2 min at dim 8.
+# trial costs about 0.4 ms at dim 2, 0.6 ms at dim 4, 1.5 ms at dim 6 and
+# 3.5 ms at dim 8 (same host), so the caps bound a suite at about 4 s at
+# dim 2 and 35 s at dim 8.
 MAX_AXIOM_TRIALS = 10_000
 MAX_AXIOM_DIM = 8
 # Largest `conjecture_batch` pair count and dimension. A pair works on
@@ -202,33 +205,29 @@ def _rotated(vec: np.ndarray, blocks, rotations) -> np.ndarray:
     return out
 
 
-def _transmitted_stacks(lam: np.ndarray, vecs: np.ndarray, apply, mu: np.ndarray,
-                        v: np.ndarray) -> np.ndarray:
-    """sum_k lam_k S(apply(E_k) || sigma) for each decomposition of each state of a stack.
+def _transmitted_stacks(lam: np.ndarray, w: np.ndarray, mu: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_k lam_k S(W_k W_k* || sigma) for each decomposition of each state of a stack.
 
-    `lam` (T, k) are the states' weights, `vecs` (T, ..., n, k) their
-    decompositions' columns, `apply` a channel's action on a stack, and
-    `mu` (T, n), `v` (T, n, n) the spectral data of each state's sigma;
-    returns (T, ...). Each image is checked as `DensityOperator` checks
-    it before its relative entropy is taken; an image whose support
-    leaves sigma's gives +inf.
+    `lam` (T, k) are the states' weights, `w` (T, ..., k, r, n) the Kraus
+    vectors of their decompositions' pieces, and `mu` (T, n), `v` (T, n, n)
+    the spectral data of each state's sigma; returns (T, ...). Each image's
+    spectrum is checked as `DensityOperator` checks a state's (a Gram image
+    is self-adjoint by construction); an image whose support leaves
+    sigma's gives +inf.
     """
-    # Piece l of decomposition c of state t sits at [c, l, t]: the state
-    # axis just before the matrix axes, where a stack of Kraus stacks broadcasts.
-    pieces = np.moveaxis(vecs.mT, 0, -2)
-    images = apply(pieces[..., :, None] * pieces[..., None, :].conj())
-    _, spectra, eigvecs = _density_spectra(np.moveaxis(images, -3, 0))
+    g = _gram_spectra(w)
+    g = _unit_spectra(g.sum(axis=-1), g)
     # State by state: stacked over the sigmas, the overlap-log product
     # would round otherwise than the one-state call.
-    return np.array([np.sum(_relative_entropies(*args) * w, axis=-1)
-                     for *args, w in zip(spectra, eigvecs, mu, v, lam)])
+    return np.array([np.sum(_relative_entropies(*args) * p, axis=-1)
+                     for *args, p in zip(g, w, mu, v, lam)])
 
 
 def _transmitted(lam: np.ndarray, vecs: np.ndarray, channel: Channel,
                  sigma: DensityOperator) -> np.ndarray:
     """`_transmitted_stacks` for one state's decompositions (..., n, n), over its weights above WEIGHT_FLOOR."""
     live = lam > WEIGHT_FLOOR
-    return _transmitted_stacks(lam[None, live], vecs[None, ..., live], channel.apply_matrix,
+    return _transmitted_stacks(lam[None, live], channel.kraus_vectors(vecs[..., live].mT)[None],
                                sigma.eigenvalues[None], sigma.eigenvectors[None])[0]
 
 
@@ -508,7 +507,8 @@ def _eigenbasis_values(lam: np.ndarray, vec: np.ndarray, ops: np.ndarray) -> np.
 
     Each eigenvector's image entropy, weighted by its eigenvalue.
     """
-    return np.sum(lam * _entropy_of_spectrum(_kraus_image_spectra(vec.mT, _kraus_factor(ops))), axis=-1)
+    return np.sum(lam * _entropy_of_spectrum(_gram_spectra(_kraus_vectors(vec.mT, _kraus_factor(ops)))),
+                  axis=-1)
 
 
 def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
@@ -588,10 +588,10 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
     cfg = ComplexityConfig(restarts=20, seed=seed)
     # A chunk is two stacks, one per Kraus rank, evaluated in turn. A
     # trial's working set peaks while its probe's candidates are
-    # evaluated: about six complex arrays of their (restarts + 1) * dim
-    # images (the pieces' projectors, the Kraus action's sum and products,
-    # the checked images and their eigenvectors), and 10 KB of small arrays.
-    trial_bytes = 16 * (6 * (cfg.restarts + 1) * dim ** 3 + 640)
+    # evaluated: about ten complex dim-vectors for each of their
+    # (restarts + 1) * dim pieces (the piece, its two or three Kraus
+    # vectors and their overlaps), and 10 KB of small arrays.
+    trial_bytes = 16 * (10 * (cfg.restarts + 1) * dim ** 2 + 640)
     chunk = 2 * max(1, CHUNK_BYTES // trial_bytes)
 
     worst_neg = 0.0
@@ -665,9 +665,9 @@ def _axiom_trial(rho: DensityOperator, sigma: DensityOperator, channel: Channel,
     blocks = _degenerate_blocks(lam)
     out, ceiling = channel.apply(probe), complexity(probe)
     n = rho.n
-    # A candidate's bytes: its decomposition, and per piece an image
-    # with its eigenvectors and overlaps in `_transmitted`.
-    chunks = _rotation_chunks(blocks, cfg.restarts, rotation_seed, 16 * n * n * (1 + 4 * n))
+    # A candidate's bytes: its decomposition, and per piece its Kraus
+    # vectors and their overlaps in `_transmitted`.
+    chunks = _rotation_chunks(blocks, cfg.restarts, rotation_seed, 16 * n * n * (1 + 3 * channel.image_width))
     for vecs in (vec[None], *(_rotated(vec, blocks, r) for r in chunks)):
         bounds.append(float(np.max(_transmitted(lam, vecs, channel, out))) - ceiling)
 
@@ -719,17 +719,17 @@ def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> l
     rho, sigma, relabeled, probe, lam, vec, ops, lam_rel, vec_rel, lam_probe, vec_probe = (
         x[k] for x in (rho, sigma, relabeled, probe, lam, vec, kraus, lam_rel, vec_rel,
                        lam_probe, vec_probe))
-    channel, identity = partial(_kraus_apply, ops), identity_channel(n).apply_matrix
 
-    def transmitted(apply, lam, vecs, state):  # T at `vecs` against each state's checked image
-        return _transmitted_stacks(lam, vecs, apply, *_density_spectra(apply(state))[1:])
+    def transmitted(ops, lam, vecs, state):  # T at `vecs` through `ops` against each state's checked image
+        w = _kraus_vectors(vecs.mT, _kraus_factor(ops)[..., None, :, :])
+        return _transmitted_stacks(lam, w, *_density_spectra(_kraus_apply(ops, state))[1:])
 
     # rho's report: the eigenbasis D of `_search` and T at the eigenbasis;
     # then the relabeled state's T and rho's T through the identity.
     d_val = _eigenbasis_values(lam, vec, ops)
-    t_val = transmitted(channel, lam, vec[:, None], rho)[:, 0]
-    t_rel = transmitted(channel, lam_rel, vec_rel[:, None], relabeled)[:, 0]
-    t_id = transmitted(identity, lam, vec[:, None], rho)[:, 0]
+    t_val = transmitted(ops, lam, vec[:, None], rho)[:, 0]
+    t_rel = transmitted(ops, lam_rel, vec_rel[:, None], relabeled)[:, 0]
+    t_id = transmitted(np.eye(n, dtype=complex)[None], lam, vec[:, None], rho)[:, 0]
 
     # The probe's eigenbasis, then its 2-fold block's columns rotated by
     # each of the trial's Haar rotations: its `_rotation_chunks` stream,
@@ -740,7 +740,7 @@ def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> l
     block = np.take_along_axis(vec_probe, cols[:, None, :], axis=-1)
     candidates = np.repeat(vec_probe[:, None], cfg.restarts + 1, axis=1)
     np.put_along_axis(candidates[:, 1:], cols[:, None, None, :], block[:, None] @ rotations, axis=-1)
-    t_probe = transmitted(channel, lam_probe, candidates, probe)
+    t_probe = transmitted(ops, lam_probe, candidates, probe)
 
     c_val, c_rel, c_sigma, c_joint, ceiling = (
         _entropy_of_spectrum(x)

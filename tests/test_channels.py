@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -460,6 +462,17 @@ def test_image_spectra_match_spectrum_of_the_image(channel):
 
 @pytest.mark.parametrize("channel", [c for _, c in STACK_CASES],
                          ids=[name for name, _ in STACK_CASES])
+def test_kraus_vectors_reproduce_the_image(channel):
+    rng = np.random.default_rng(10)
+    vecs = rng.normal(size=(2, 3, channel.dim)) + 1j * rng.normal(size=(2, 3, channel.dim))
+    w = channel.kraus_vectors(vecs)
+    assert w.shape == (2, 3, channel.image_width, channel.dim)
+    images = channel.apply_matrix(vecs[..., :, None] * vecs[..., None, :].conj())
+    assert np.max(np.abs(w.mT @ w.conj() - images)) <= 1e-12
+
+
+@pytest.mark.parametrize("channel", [c for _, c in STACK_CASES],
+                         ids=[name for name, _ in STACK_CASES])
 def test_stacked_apply_matrix_matches_per_matrix_loop(channel):
     rng = np.random.default_rng(9)
     n = channel.dim
@@ -471,5 +484,8 @@ def test_stacked_apply_matrix_matches_per_matrix_loop(channel):
 
 
 def test_image_spectra_dimension_guard():
-    with pytest.raises(DimensionMismatch):
-        identity_channel(3).image_spectra(np.ones((2, 4)))
+    # Every kind, through both readers of a pure state's image.
+    for (_, channel), method in itertools.product(STACK_CASES, ["image_spectra", "kraus_vectors"]):
+        for bad in (np.ones((2, channel.dim + 1)), np.ones((channel.dim - 1,)), np.array(1.0)):
+            with pytest.raises(DimensionMismatch):
+                getattr(channel, method)(bad)

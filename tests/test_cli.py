@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from infodyn import classical, jsonio
+from infodyn import classical, jsonio, metrics
 from infodyn.classical import MAX_ORBIT_STEPS, MAX_PARTITION_CELLS, MAX_WORKERS
 from infodyn.cli import build_parser, main
 from infodyn.hilbert import random_density
@@ -540,3 +540,71 @@ def test_quantum_ecd_state_escapes_are_usage_errors(tmp_path, capsys, state, mes
 def test_recognize_custom_basis_without_matrix_is_usage_error(tmp_path, capsys):
     exp = recognition_experiment(tmp_path, basis={})
     assert_usage_error(["recognize", "--experiment", exp], capsys, "basis is missing 'custom'")
+
+
+@pytest.mark.parametrize("fault", [TypeError, KeyError, AttributeError])
+def test_program_fault_escapes_main(monkeypatch, fault):
+    # No input is meant to raise these; a bug must surface with its
+    # traceback, not pass as a usage error (exit 2).
+    def broken(*args):
+        raise fault("bug")
+    monkeypatch.setattr(metrics, "axiom_suite", broken)
+    with pytest.raises(fault):
+        main(["axioms", "--dim", "2", "--trials", "1"])
+
+
+# One valid input file per subcommand kind; each field is replaced in turn
+# by every value of BAD_VALUES.
+VALID_INPUTS = {
+    "state": ("quantum-ecd", {"matrix": [[0.7, 0.0], [0.0, 0.3]]}),
+    "kraus": ("quantum-ecd", {"kind": "kraus", "kraus_ops": [
+        [[0.8, 0.0], [0.0, 0.6]], [[0.0, 0.8], [0.6, 0.0]]]}),
+    "unitary": ("quantum-ecd", {"kind": "unitary", "matrix": [[0.0, 1.0], [1.0, 0.0]]}),
+    "ktau": ("quantum-ecd", {"kind": "ktau", "matrix": [[1.0, 0.5], [0.5, 1.0]]}),
+    "stochastic": ("quantum-ecd", {"kind": "stochastic", "P": [[0.5, 0.5], [0.25, 0.75]]}),
+    "experiment": ("recognize", {"n": 2, "basis": "fourier", "rho": [[1.0, 0.0], [0.0, 0.0]],
+                                 "gamma": [[0.5, 0.0], [0.0, 0.5]], "policy": "argmax",
+                                 "steps": 2}),
+    "batch": ("value", {"dim": 2, "pairs": 2, "seed": 3, "kraus_terms": 2,
+                        "identical_channels": False}),
+}
+# Booleans, null, strings, integers, fractions, integers beyond the float
+# range, empty and wrongly nested lists, and objects.
+BAD_VALUES = [True, False, None, "fourier", "", 0, -1, 0.5, 2.5, 10**400, -(10**400), [], {},
+              [1.0, 0.0], [[1.0]], [[1.0, 0.0]], [[[1.0, 0.0, 0.0]]], [[1.0, [0.0]], [0.0, 1.0]],
+              [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], {"matrix": [[1.0]]},
+              {"fixed": [0, 0]}]
+
+
+def run_with_input(tmp_path, name, payload):
+    """Exit code of the subcommand of VALID_INPUTS[name] on `payload`, the other inputs valid."""
+    command = VALID_INPUTS[name][0]
+    path = write_json(tmp_path / "input.json", payload)
+    state = state_file(tmp_path, VALID_INPUTS["state"][1], "valid_state.json")
+    channel = channel_file(tmp_path, VALID_INPUTS["unitary"][1], "valid_channel.json")
+    argv = {
+        "quantum-ecd": ["quantum-ecd", "--restarts", "2", "--state",
+                        path if name == "state" else state,
+                        "--channel", channel if name == "state" else path],
+        "recognize": ["recognize", "--experiment", path],
+        "value": ["value", "--batch", path],
+    }[command]
+    return main(argv + ["--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("name", VALID_INPUTS)
+def test_every_valid_input_runs(tmp_path, name):
+    assert run_with_input(tmp_path, name, VALID_INPUTS[name][1]) == 0
+
+
+@pytest.mark.parametrize("name, field", [(name, field) for name, (_, payload) in VALID_INPUTS.items()
+                                         for field in payload])
+def test_any_json_value_in_any_field_exits_with_an_input_code(tmp_path, capsys, name, field):
+    # A program fault escapes `main` and fails the test. A replacement may
+    # be valid (the same basis name, zero steps, a boolean flag, the
+    # identity as [re, im] pairs), and then the run succeeds silently.
+    for value in BAD_VALUES:
+        code = run_with_input(tmp_path, name, {**VALID_INPUTS[name][1], field: value})
+        err = capsys.readouterr().err
+        assert code in (0, 2, 4, 5), (value, code)
+        assert err.count("\n") == (code != 0) and err.startswith("error: " if code else ""), (value, err)

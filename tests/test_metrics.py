@@ -253,14 +253,72 @@ def test_transmitted_stacks_equals_each_state_transmitted_call():
     sigmas = [ch.apply(rho) for ch, rho in zip(chans, states)]
     vecs = np.stack([np.stack([rho.eigenvectors @ random_unitary(3, rng) for _ in range(3)])
                      for rho in states])
-    ops = np.stack([ch._data for ch in chans])
+    # Each state's pieces through its own Kraus factor, broadcast over the decompositions.
+    factors = hilbert._kraus_factor(np.stack([ch._data for ch in chans]))[:, None]
     stacked = metrics._transmitted_stacks(
-        np.stack([rho.eigenvalues for rho in states]), vecs,
-        lambda x: hilbert._kraus_apply(ops, x),
+        np.stack([rho.eigenvalues for rho in states]), hilbert._kraus_vectors(vecs.mT, factors),
         np.stack([s.eigenvalues for s in sigmas]), np.stack([s.eigenvectors for s in sigmas]))
     assert stacked.shape == (4, 3)
     for row, rho, v, ch, sigma in zip(stacked, states, vecs, chans, sigmas):
         assert np.array_equal(row, _transmitted(rho.eigenvalues, v, ch, sigma))
+
+
+def oracle_relative_entropy(rho, sigma):
+    """S(rho || sigma) from both eigendecompositions, by the overlap formula."""
+    r, s = hilbert.as_density(rho), hilbert.as_density(sigma)
+    overlap = np.abs(r.eigenvectors.conj().T @ s.eigenvectors) ** 2
+    null = s.eigenvalues <= 1e-12
+    if r.eigenvalues @ overlap[:, null].sum(axis=1) > 1e-10:
+        return np.inf
+    lam = r.eigenvalues[r.eigenvalues > 0]
+    return float(lam @ np.log(lam)
+                 - r.eigenvalues @ overlap[:, ~null] @ np.log(s.eigenvalues[~null]))
+
+
+def oracle_transmitted(lam, vecs, channel, sigma):
+    """sum_k lam_k S(channel(p_k p_k*) || sigma), each image formed as an n x n matrix."""
+    return sum(w * oracle_relative_entropy(channel.apply_matrix(np.outer(p, p.conj())), sigma)
+               for w, p in zip(lam, vecs.T) if w > metrics.WEIGHT_FLOOR)
+
+
+def oracle_channels(n, rng):
+    """A trace-preserving channel of each kind."""
+    g = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    return {
+        "kraus": random_kraus_channel(n, 3, rng),
+        "unitary": unitary_channel(random_unitary(n, rng)),
+        "schur": schur_channel(g @ g.conj().T / np.outer(*2 * [np.linalg.norm(g, axis=1)])),
+        "stochastic": stochastic_channel(rng.dirichlet(np.ones(n), size=n)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["kraus", "unitary", "schur", "stochastic"])
+def test_transmitted_and_relative_entropy_match_the_image_matrix_oracle(kind):
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 5, 8, 16):
+        channel = oracle_channels(n, rng)[kind]
+        lam = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+        for vecs in (np.eye(n, dtype=complex), random_unitary(n, rng)):
+            sigma = channel.apply((vecs * lam) @ vecs.conj().T)
+            assert abs(_transmitted(lam, vecs, channel, sigma)
+                       - oracle_transmitted(lam, vecs, channel, sigma)) <= 1e-12
+            image = channel.apply_matrix(np.outer(vecs[:, 0], vecs[:, 0].conj()))
+            for rho in (image, random_density(n, rng, rank=1 + n // 2).matrix):
+                assert abs(relative_entropy(rho, sigma) - oracle_relative_entropy(rho, sigma)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["kraus", "unitary", "schur", "stochastic"])
+def test_transmitted_and_relative_entropy_are_infinite_where_the_oracle_is(kind):
+    # sigma has no weight on the last basis vector, which every image reaches.
+    rng = np.random.default_rng(29)
+    n = 4
+    channel = oracle_channels(n, rng)[kind]
+    sigma = DensityOperator(np.diag([0.4, 0.3, 0.3, 0.0]))
+    lam, vecs = np.array([0.4, 0.3, 0.2, 0.1]), random_unitary(n, rng)
+    assert oracle_transmitted(lam, vecs, channel, sigma) == np.inf
+    assert _transmitted(lam, vecs, channel, sigma) == np.inf
+    image = channel.apply_matrix(np.outer(vecs[:, 0], vecs[:, 0].conj()))
+    assert oracle_relative_entropy(image, sigma) == relative_entropy(image, sigma) == np.inf
 
 
 def test_transmitted_is_infinite_on_a_support_escape():
@@ -277,19 +335,21 @@ def test_transmitted_is_infinite_on_a_support_escape():
     assert values[1] == np.inf
 
 
+# Each bad image comes from a patch (target, name, replacement).
 @pytest.mark.parametrize("image, message", [
-    (np.diag([1.2, -0.2]), "not positive semidefinite"),
-    (np.diag([0.7, 0.2]), "trace must be 1"),
-    (np.array([[0.5, 0.1], [0.0, 0.5]]), "not self-adjoint"),
+    # A Gram matrix is positive by construction, so its spectrum is what is patched.
+    ((metrics, "_gram_spectra", lambda w: np.broadcast_to([-0.2, 1.2], w.shape[:-2] + (2,))),
+     "not positive semidefinite"),
+    # Kraus vectors of squared norm 0.9: an image of trace 0.9.
+    ((Channel, "kraus_vectors", lambda self, v: np.sqrt(0.9) * np.asarray(v)[..., None, :]),
+     "trace must be 1"),
 ])
 def test_transmitted_validates_every_image(monkeypatch, image, message):
     # A channel whose images are not density operators must be refused,
     # as DensityOperator would refuse each one.
-    monkeypatch.setattr(Channel, "apply_matrix",
-                        lambda self, m: np.broadcast_to(image.astype(complex), np.shape(m)))
-    ch = identity_channel(2)
+    monkeypatch.setattr(*image)
     with pytest.raises(ValueError, match=message):
-        _transmitted(np.array([0.5, 0.5]), np.eye(2, dtype=complex), ch,
+        _transmitted(np.array([0.5, 0.5]), np.eye(2, dtype=complex), identity_channel(2),
                      DensityOperator.maximally_mixed(2))
 
 
@@ -743,7 +803,7 @@ def test_axiom_suite_equals_the_per_trial_replay(dim, trials, axiom_calls):
 def test_axiom_suite_does_not_depend_on_chunk_size(axiom_calls, monkeypatch):
     expected = axiom_bytes(replayed_axioms(3, 7, 5))
     # One trial per stack (four chunks), two (two chunks), the default chunks, and one chunk.
-    two_trials = 2 * 16 * (6 * 21 * 27 + 640)
+    two_trials = 2 * 16 * (10 * 21 * 9 + 640)
     for budget, stacks in [(1, 7), (two_trials, 4), (metrics.CHUNK_BYTES, 2), (1 << 40, 2)]:
         monkeypatch.setattr(metrics, "CHUNK_BYTES", budget)
         axiom_calls["stacks"] = 0
