@@ -9,10 +9,12 @@ A `Channel` acts on one matrix or on a stack (..., n, n) of them.
 `Channel.kraus_vectors` gives the images of a stack of pure states as
 their Kraus vectors, which the chaos degree (through the Gram spectra of
 `Channel.image_spectra`) and the transmitted complexity in
-:mod:`infodyn.metrics` both read. The Kraus-form arithmetic lives in
-:mod:`infodyn.hilbert`, where the stacked kernels of
-:mod:`infodyn.metrics` call the same helpers. A constructor that takes
-a dimension `n` checks it through `hilbert._check_integer` first.
+:mod:`infodyn.metrics` both read. A Schur channel's Kraus operators are
+diagonal, so its vectors are entrywise products of the state with the
+rows sqrt(g) h of its weight's spectral terms. The Kraus-form
+arithmetic lives in :mod:`infodyn.hilbert`, where the stacked kernels
+of :mod:`infodyn.metrics` call the same helpers. A constructor that
+takes a dimension `n` checks it through `hilbert._check_integer` first.
 
 Trace-normalized damping, which conditions a state on a weight, is not
 a channel: it divides by the trace of the damped output, so it is
@@ -227,17 +229,18 @@ class Channel:
 
     def __init__(self, kind, dim, is_trace_preserving, data):
         dim = int(dim)
-        # The `_kraus_factor` that `kraus_vectors` applies to a row vector:
-        # of the stack itself (kraus, unitary), or of the diagonal operators
-        # sqrt(g) diag(h) of a Schur weight's spectral terms. `image_width`
-        # is r, the number of Kraus vectors per state (n for stochastic).
-        if kind == "stochastic":
+        # What `kraus_vectors` applies to a row vector v: the `_kraus_factor`
+        # of the stack (kraus, unitary), or the rows sqrt(g) h (r, n) of a
+        # Schur weight's spectral terms, which v multiplies entrywise.
+        # `image_width` is r, the number of Kraus vectors per state (n for stochastic).
+        if kind == "schur":
+            factor = np.array([np.sqrt(g) * h for g, h in data.spectral_terms()],
+                              dtype=complex).reshape(-1, dim)
+            width = factor.shape[0]
+        elif kind == "stochastic":
             factor, width = None, dim
         else:
-            ops = data if kind != "schur" else np.array(
-                [np.diag(np.sqrt(g) * h) for g, h in data.spectral_terms()],
-                dtype=complex).reshape(-1, dim, dim)
-            factor, width = _kraus_factor(ops), ops.shape[0]
+            factor, width = _kraus_factor(data), data.shape[0]
         for name, value in (("kind", kind), ("dim", dim),
                             ("is_trace_preserving", bool(is_trace_preserving)),
                             ("image_width", width), ("_data", data), ("_factor", factor)):
@@ -275,11 +278,14 @@ class Channel:
     def kraus_vectors(self, vectors) -> np.ndarray:
         """The Kraus vectors W = [A_1 v ... A_r v], rows (..., r, n), of each row v of `vectors`.
 
-        The image of |v><v| is W W*; r is `image_width`. A stochastic
-        channel's image diag(q), q = |v|^2 P, has the vectors sqrt(q_i) e_i.
+        The image of |v><v| is W W*; r is `image_width`. A Schur channel's
+        vectors are v * sqrt(g_k) h_k, entrywise; a stochastic channel's
+        image diag(q), q = |v|^2 P, has the vectors sqrt(q_i) e_i.
         """
         if self.kind == "stochastic":
             return np.sqrt(self.image_spectra(vectors))[..., None] * np.eye(self.dim)
+        if self.kind == "schur":
+            return self._rows(vectors)[..., None, :] * self._factor
         return _kraus_vectors(self._rows(vectors), self._factor)
 
     def image_spectra(self, vectors) -> np.ndarray:

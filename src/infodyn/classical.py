@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -463,6 +463,15 @@ def _point_metrics(system: MapSystem, cfg: OrbitConfig, partition: Partition) ->
             _lyapunov_from_orbit(system, orbit, a))
 
 
+def __getattr__(name):
+    """`ProcessPoolExecutor`, imported when first read: its module loads
+    multiprocessing, which only a parallel sweep needs."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def sweep(system: MapSystem, start: float, stop: float, step: float,
           cfg: OrbitConfig | None = None, partition: Partition | None = None, *,
           eps_zero: float = DEFAULT_EPS_ZERO, eps_const: float = DEFAULT_EPS_CONST,
@@ -504,7 +513,9 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     cfgs = [replace(cfg, param=a) for a in params]
     pool_size = min(workers, len(cfgs))
     if pool_size > 1 and system in BUILTIN_MAPS.values():
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        # Read as a module attribute, so a class set there (as the benchmark's
+        # tracer sets one) makes the pool.
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=pool_size) as pool:
             metrics = list(pool.map(_point_metrics, itertools.repeat(system), cfgs,
                                     itertools.repeat(part)))
     else:

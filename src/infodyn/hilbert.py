@@ -21,7 +21,8 @@ reads, `_density_spectra`, the one density-operator check, which returns
 the trace-normalized matrices with their spectra (checked by
 `_unit_spectra`, which also checks images' spectra), `_kron`, the
 Kronecker product, and `_relative_entropies`, the one relative-entropy
-formula, which `relative_entropy` and the transmitted complexity share.
+formula, for a stack of states each against its own sigma, which
+`relative_entropy` (a stack of one) and the transmitted complexity share.
 The Kraus-form arithmetic that `channels` and the stacked kernels of
 `metrics` share lives here too, each piece taking one operand or a stack:
 `_check_kraus_sums`, the one Kraus-sum check, `_isometry_blocks`,
@@ -388,17 +389,21 @@ def von_neumann_entropy(rho) -> float:
 
 
 def _relative_entropies(g, w, mu, v) -> np.ndarray:
-    """S(W W* || sigma) for each W, rows w (..., r, n) with spectrum `g` (..., m), against one sigma.
+    """S(W W* || sigma_t) for each W of each state t, rows w (T, ..., k, r, n) with spectra `g` (T, ..., k, m).
 
-    sigma is given by `mu` (n,) and eigenvector columns `v` (n, n). S is
-    -H(g) - sum_j (sum_a |<v_j, w_a>|^2) ln mu_j; a W whose weight
-    outside the support of sigma exceeds 1e-10 gets +inf.
+    sigma_t is given by `mu[t]` (n,) and eigenvector columns `v[t]` (n, n). S is
+    -H(g) - sum_j (sum_a |<v_j, w_a>|^2) ln mu_j; a W whose weight outside the
+    support of its sigma exceeds 1e-10 gets +inf. No value depends on another state.
     """
-    weight = np.sum(np.abs(w @ v.conj()) ** 2, axis=-2)
+    lead = tuple(range(1, w.ndim - 2))  # w's axes between a state and its rows
+    mu, v = np.expand_dims(mu, lead), np.expand_dims(v, lead)
+    # Column-major: BLAS then sums the products with ln mu in the order that gave T its golden bits.
+    weight = np.sum(np.abs(w @ v.conj()) ** 2, axis=-2).mT.copy().mT
     null = mu <= SUPPORT_TOL
-    out = -_entropy_of_spectrum(g) - weight[..., ~null] @ np.log(mu[~null])
+    # ln 1 = 0: a direction outside the support adds a zero term.
+    out = -_entropy_of_spectrum(g) - (weight @ np.log(np.where(null, 1.0, mu)).mT)[..., 0]
     if np.any(null):
-        out = np.where(weight[..., null].sum(axis=-1) > 1e-10, np.inf, out)
+        out = np.where(np.sum(weight * null, axis=-1) > 1e-10, np.inf, out)
     return out
 
 
@@ -411,9 +416,10 @@ def relative_entropy(rho, sigma) -> float:
     r, s = as_density(rho), as_density(sigma)
     if r.n != s.n:
         raise DimensionMismatch(f"dimensions differ: {r.n} vs {s.n}")
-    # rho = W W* for the rows sqrt(lam_k) u_k of its spectral pieces.
+    # rho = W W* for the rows sqrt(lam_k) u_k of its spectral pieces: one state, one W.
     w = np.sqrt(r.eigenvalues)[:, None] * r.eigenvectors.T
-    return float(_relative_entropies(r.eigenvalues, w, s.eigenvalues, s.eigenvectors))
+    return _relative_entropies(r.eigenvalues[None, None], w[None, None], s.eigenvalues[None],
+                               s.eigenvectors[None]).item()
 
 
 def _haar_unitaries(z) -> np.ndarray:

@@ -23,14 +23,16 @@ maximally mixed state the infimum is 0, yet 1000 restarts report about
 `_search` is the one search: `chaos_degree` reports from it, and
 `conjecture_experiment`, which reads only the chaos degree, calls it
 directly. It evaluates the eigenbasis once, then the rotations of
-`_rotation_chunks`, the one rotation stream, chunk by chunk (sized to
+`_rotation_chunks`, the one rotation stream (one generator per seed, one
+QR per block per chunk for all seeds), chunk by chunk (sized to
 CHUNK_BYTES), re-scoring only the degenerate blocks' live columns with
 the image entropies of `Channel.image_spectra`. The report does not
 depend on the chunk size. The transmitted value is that of
 `_transmitted_stacks`, the one T formula, which reads each piece's image
 from its Kraus vectors, as the search does, checks its spectrum as a
-density operator's, and takes `hilbert._relative_entropies`; it is never
-the output entropy minus the chaos degree.
+density operator's, and takes `hilbert._relative_entropies` once for a
+whole stack of states; it is never the output entropy minus the chaos
+degree. A single state is a stack of one.
 
 `conjecture_batch` and `axiom_suite` evaluate their pairs and trials in
 stacks: `_pair_outcomes` and `_axiom_trials` run each step of the
@@ -38,8 +40,9 @@ per-pair and per-trial paths (`conjecture_experiment`, `_axiom_trial`)
 once for a chunk, with their bits, through the helpers those paths use:
 `hilbert._density_spectra` for every state, `hilbert._kron` for the
 tensor product, `_eigenbasis_values` for the eigenbasis chaos degree,
-`_transmitted_stacks` for T and `_rotation_chunks` for the probe's
-rotations. A degenerate or light state, a probe other than one 2-fold
+`_transmitted_stacks` for T and one `_rotation_chunks` call, with every
+trial's seed, for the probes' rotations; no step loops over the items of
+a stack. A degenerate or light state, a probe other than one 2-fold
 block, or a channel that is not trace-preserving goes through the
 per-pair or per-trial path.
 
@@ -179,22 +182,22 @@ class ChaosDegreeReport:
         }
 
 
-def _rotation_chunks(blocks, restarts: int, seed: int, candidate_bytes: int):
-    """Yield the Haar rotations of `restarts` candidates in chunks.
+def _rotation_chunks(blocks, restarts: int, seeds, candidate_bytes: int):
+    """Yield the Haar rotations of `restarts` candidates per seed in chunks.
 
-    Each chunk is a list with one stack (c, k, k) of unitaries per block.
-    Its Gaussians come from `hilbert._complex_gaussians`, so the stream,
-    and every value computed from it candidate by candidate, does not
-    depend on c. The chunk holds as many candidates as fit CHUNK_BYTES
-    at `candidate_bytes` each.
+    Each chunk is a list with one stack (s, c, k, k) of unitaries per block,
+    row i drawn from the generator of `seeds[i]`, all made by one QR. A seed's
+    Gaussians come from `hilbert._complex_gaussians`, so its stream, and every
+    value computed from it, depends neither on c nor on the other seeds. A
+    chunk holds as many candidates per seed as fit CHUNK_BYTES at `candidate_bytes` each.
     """
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     shapes = [(hi - lo, hi - lo) for lo, hi in blocks]
     chunk = max(1, CHUNK_BYTES // candidate_bytes)
     for start in range(0, restarts, chunk):
-        # The stream is one `hilbert.random_unitary` draw per block per restart.
-        yield [_haar_unitaries(z) for z in
-               _complex_gaussians(rng, min(chunk, restarts - start), shapes)]
+        # A seed's stream is one `hilbert.random_unitary` draw per block per restart.
+        draws = [_complex_gaussians(rng, min(chunk, restarts - start), shapes) for rng in rngs]
+        yield [_haar_unitaries(np.stack(z)) for z in zip(*draws)]
 
 
 def _rotated(vec: np.ndarray, blocks, rotations) -> np.ndarray:
@@ -211,16 +214,12 @@ def _transmitted_stacks(lam: np.ndarray, w: np.ndarray, mu: np.ndarray, v: np.nd
     `lam` (T, k) are the states' weights, `w` (T, ..., k, r, n) the Kraus
     vectors of their decompositions' pieces, and `mu` (T, n), `v` (T, n, n)
     the spectral data of each state's sigma; returns (T, ...). Each image's
-    spectrum is checked as `DensityOperator` checks a state's (a Gram image
-    is self-adjoint by construction); an image whose support leaves
-    sigma's gives +inf.
+    spectrum is checked as `DensityOperator` checks a state's (a Gram image is
+    self-adjoint by construction); an image whose support leaves sigma's gives +inf.
     """
     g = _gram_spectra(w)
-    g = _unit_spectra(g.sum(axis=-1), g)
-    # State by state: stacked over the sigmas, the overlap-log product
-    # would round otherwise than the one-state call.
-    return np.array([np.sum(_relative_entropies(*args) * p, axis=-1)
-                     for *args, p in zip(g, w, mu, v, lam)])
+    s = _relative_entropies(_unit_spectra(g.sum(axis=-1), g), w, mu, v)
+    return np.sum(s * np.expand_dims(lam, tuple(range(1, s.ndim - 1))), axis=-1)
 
 
 def _transmitted(lam: np.ndarray, vecs: np.ndarray, channel: Channel,
@@ -272,7 +271,8 @@ def _search(state: DensityOperator, channel: Channel, cfg: ComplexityConfig):
             4 * (hi - lo) ** 2 + cols.size * n * (2 * width + 1)
             for (lo, hi), cols in zip(blocks, scored)
         )
-        for rotations in _rotation_chunks(blocks, cfg.restarts, cfg.seed, candidate_bytes):
+        for chunk in _rotation_chunks(blocks, cfg.restarts, [cfg.seed], candidate_bytes):
+            rotations = [u[0] for u in chunk]
             values = np.full(rotations[0].shape[0], constant)
             for (lo, hi), cols, u in zip(blocks, scored, rotations):
                 if cols.size:
@@ -667,8 +667,8 @@ def _axiom_trial(rho: DensityOperator, sigma: DensityOperator, channel: Channel,
     n = rho.n
     # A candidate's bytes: its decomposition, and per piece its Kraus
     # vectors and their overlaps in `_transmitted`.
-    chunks = _rotation_chunks(blocks, cfg.restarts, rotation_seed, 16 * n * n * (1 + 3 * channel.image_width))
-    for vecs in (vec[None], *(_rotated(vec, blocks, r) for r in chunks)):
+    chunks = _rotation_chunks(blocks, cfg.restarts, [rotation_seed], 16 * n * n * (1 + 3 * channel.image_width))
+    for vecs in (vec[None], *(_rotated(vec, blocks, [u[0] for u in r]) for r in chunks)):
         bounds.append(float(np.max(_transmitted(lam, vecs, channel, out))) - ceiling)
 
     identity = abs(chaos_degree(rho, identity_channel(n), cfg).transmitted - c_val)
@@ -682,12 +682,11 @@ def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> l
     `axiom_suite`'s order, from which the states, Kraus stacks, unitaries
     and probes are built as the public samplers build them, with every
     check those run. Each step is the per-trial step applied to a stack,
-    so each value has the bits of the per-trial path; only the relative
-    entropies are taken trial by trial (see `_transmitted_stacks`). A
-    trial whose state or relabeled state has a degenerate block or a
-    weight at or below WEIGHT_FLOOR, whose probe has anything but one
-    2-fold block or has such a weight, or whose channel is not
-    trace-preserving, goes through `_axiom_trial` itself.
+    so each value has the bits of the per-trial path. A trial whose state
+    or relabeled state has a degenerate block or a weight at or below
+    WEIGHT_FLOOR, whose probe has anything but one 2-fold block or has
+    such a weight, or whose channel is not trace-preserving, goes through
+    `_axiom_trial` itself.
     """
     g_rho, g_sigma, g_kraus, g_u, raw, g_basis = draws
     c, n = g_rho.shape[:2]
@@ -731,11 +730,10 @@ def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> l
     t_rel = transmitted(ops, lam_rel, vec_rel[:, None], relabeled)[:, 0]
     t_id = transmitted(np.eye(n, dtype=complex)[None], lam, vec[:, None], rho)[:, 0]
 
-    # The probe's eigenbasis, then its 2-fold block's columns rotated by
-    # each of the trial's Haar rotations: its `_rotation_chunks` stream,
-    # chunks concatenated (at one byte a candidate, usually one chunk).
-    chunks = (_rotation_chunks([(0, 2)], cfg.restarts, rotation_seeds[i], 1) for i in k.tolist())
-    rotations = np.stack([np.concatenate([r for r, in trial]) for trial in chunks])
+    # The probe's eigenbasis, then its 2-fold block's columns rotated by each
+    # trial's `_rotation_chunks` stream (at one byte a candidate, usually one chunk).
+    chunks = _rotation_chunks([(0, 2)], cfg.restarts, [rotation_seeds[i] for i in k.tolist()], 1)
+    rotations = np.concatenate([r for r, in chunks], axis=1)
     cols = np.argmin(starts[k], axis=-1)[:, None] + np.arange(2)
     block = np.take_along_axis(vec_probe, cols[:, None, :], axis=-1)
     candidates = np.repeat(vec_probe[:, None], cfg.restarts + 1, axis=1)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import pickle
 from dataclasses import replace
@@ -425,12 +426,12 @@ def started_pools(monkeypatch):
     """The keyword arguments of every process pool `sweep` builds."""
     started = []
 
-    class SpyPool(classical.ProcessPoolExecutor):
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(classical, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     return started
 
 

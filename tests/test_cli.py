@@ -608,3 +608,36 @@ def test_any_json_value_in_any_field_exits_with_an_input_code(tmp_path, capsys, 
         err = capsys.readouterr().err
         assert code in (0, 2, 4, 5), (value, code)
         assert err.count("\n") == (code != 0) and err.startswith("error: " if code else ""), (value, err)
+
+
+# Each numeric flag, on a cheap valid run of its subcommand.
+NUMERIC_FLAGS = {
+    "ecd-sweep": (["--map", "logistic", "--from", "3.5", "--to", "3.6", "--step", "0.05",
+                   "--bins", "10", "--samples", "200", "--transient", "10", "--window", "2"],
+                  ["--from", "--to", "--step", "--bins", "--samples", "--transient", "--x0",
+                   "--eps-zero", "--eps-const", "--window", "--workers"]),
+    "quantum-ecd": (["--restarts", "2"], ["--restarts", "--seed", "--log-base"]),
+    "axioms": (["--dim", "2", "--trials", "1"], ["--dim", "--trials", "--seed"]),
+    "value": (["--dim", "2", "--pairs", "1"], ["--dim", "--pairs", "--seed"]),
+}
+# Empty, non-finite, signed, zero, fractional, out-of-range and long numbers,
+# Python-only integer spellings, a list, a boolean and a name.
+FLAG_VALUES = ["", "nan", "inf", "-inf", "-1", "0", "-0", "2.5", "1e400", "1e-400", "7" * 400,
+               "0x10", " 3", "1_0", "1,2", "true", "e"]
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, (_, flags) in NUMERIC_FLAGS.items()
+                                           for flag in flags])
+def test_any_numeric_flag_value_exits_with_an_input_code(tmp_path, capsys, command, flag):
+    base, _ = NUMERIC_FLAGS[command]
+    if command == "quantum-ecd":  # a degenerate state, so that the search draws from its seed
+        base = base + ["--state", state_file(tmp_path, {"matrix": [[0.5, 0.0], [0.0, 0.5]]}),
+                       "--channel", channel_file(tmp_path, VALID_INPUTS["unitary"][1])]
+    for value in FLAG_VALUES:
+        # A valid worker count above 2 would start that many processes.
+        if flag == "--workers" and value.strip().replace("_", "").isdigit() and 2 < int(value) <= MAX_WORKERS:
+            continue
+        code = main([command, *base, f"{flag}={value}", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4, 5), (value, code)
+        assert sum("error:" in line for line in err.splitlines()) == (code != 0), (value, err)

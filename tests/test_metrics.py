@@ -140,8 +140,8 @@ def test_candidate_rotations_of_neighbouring_seeds_are_disjoint():
     # seed reappears under the next.
     def rotations(seed):
         # One 3-fold block, in chunks of 30 candidates.
-        chunks = _rotation_chunks([(0, 3)], 100, seed, metrics.CHUNK_BYTES // 30)
-        return [u for (stack,) in chunks for u in stack]
+        chunks = _rotation_chunks([(0, 3)], 100, [seed], metrics.CHUNK_BYTES // 30)
+        return [u for (stack,) in chunks for u in stack[0]]
 
     first, second = rotations(0), rotations(1)
     assert len(first) == len(second) == 100
@@ -261,6 +261,68 @@ def test_transmitted_stacks_equals_each_state_transmitted_call():
     assert stacked.shape == (4, 3)
     for row, rho, v, ch, sigma in zip(stacked, states, vecs, chans, sigmas):
         assert np.array_equal(row, _transmitted(rho.eigenvalues, v, ch, sigma))
+
+
+def test_relative_entropies_of_a_stack_equal_each_state_alone():
+    # Five states, each with 2 x 3 W's of two Kraus vectors in C^4: two
+    # full-rank sigmas, one singular sigma that W leaks out of (+inf), one
+    # singular sigma whose support holds W (finite), and a full-rank one.
+    rng = np.random.default_rng(23)
+    n, states = 4, 5
+    v = np.stack([random_unitary(n, rng) for _ in range(states)])
+    mu = rng.random((states, n))
+    mu[2:4, -1] = 0.0
+    mu /= mu.sum(axis=-1, keepdims=True)
+    coeffs = hilbert._complex_gaussians(rng, states, [(2, 3, 2, n)])[0]
+    coeffs[3, ..., -1] = 0.0  # no component along sigma's null direction
+    w = coeffs @ np.expand_dims(v, (1, 2)).mT
+    g = hilbert._gram_spectra(w)
+    stacked = hilbert._relative_entropies(g, w, mu, v)
+    assert stacked.shape == (states, 2, 3)
+    for t in range(states):
+        alone = hilbert._relative_entropies(g[t:t + 1], w[t:t + 1], mu[t:t + 1], v[t:t + 1])[0]
+        assert np.array_equal(stacked[t], alone), t
+    assert np.isinf(stacked[2]).all()
+    assert np.isfinite(stacked[[0, 1, 3, 4]]).all()
+
+
+@pytest.mark.parametrize("per_chunk", [4, 10])
+def test_rotation_chunks_of_several_seeds_equal_each_seed_alone(per_chunk):
+    blocks, seeds = [(0, 2), (2, 5)], [3, 4, 9]
+
+    def joined(seeds):
+        chunks = list(_rotation_chunks(blocks, 10, seeds, metrics.CHUNK_BYTES // per_chunk))
+        assert len(chunks) == -(-10 // per_chunk)
+        return [np.concatenate(stacks, axis=1) for stacks in zip(*chunks)]
+
+    together = joined(seeds)
+    for i, seed in enumerate(seeds):
+        for stack, alone in zip(together, joined([seed])):
+            assert np.array_equal(stack[i], alone[0])
+
+
+def gram_schur_channel(n):
+    """The Schur channel of the unit-diagonal Gram weight of Gaussians seeded by n."""
+    g = hilbert._complex_gaussians(np.random.default_rng(n), 1, [(n, n)])[0][0]
+    w = g @ g.conj().T
+    d = np.sqrt(np.diag(w).real)
+    return schur_channel(w / np.outer(d, d))
+
+
+@pytest.mark.parametrize("n, state, d, worst", [
+    (4, "random", 0.7620549690237641, 0.7620549690237641),
+    (5, "random", 0.8915373083934559, 0.8915373083934559),
+    (4, "mixed", 4.4422572946353934e-15, 0.8662174212954067),
+])
+def test_schur_chaos_degree_keeps_the_bits_of_its_entrywise_kraus_vectors(n, state, d, worst):
+    # The Kraus vectors of a Schur channel are v * sqrt(g) h, entrywise.
+    # A product with a factor of the diagonal operators sqrt(g) diag(h)
+    # rounds otherwise (D 0.7620549690237644, 0.8915373083934556 and worst
+    # 0.8662174212954066 here).
+    rho = (random_density(n, np.random.default_rng(100)) if state == "random"
+           else DensityOperator.maximally_mixed(n))
+    rep = chaos_degree(rho, gram_schur_channel(n), ComplexityConfig(restarts=5, seed=0))
+    assert (rep.chaos_degree, rep.worst) == (d, worst)
 
 
 def oracle_relative_entropy(rho, sigma):
@@ -749,8 +811,8 @@ def replayed_axioms(dim, trials, seed):
         lam, vec = probe.eigenvalues, probe.eigenvectors
         blocks = _degenerate_blocks(lam)
         out, ceiling = channel.apply(probe), complexity(probe)
-        chunks = _rotation_chunks(blocks, cfg.restarts, seed + t, 16 * dim * dim * (1 + 4 * dim))
-        for vecs in (vec[None], *(_rotated(vec, blocks, r) for r in chunks)):
+        chunks = _rotation_chunks(blocks, cfg.restarts, [seed + t], 16 * dim * dim * (1 + 4 * dim))
+        for vecs in (vec[None], *(_rotated(vec, blocks, [u[0] for u in r]) for r in chunks)):
             worst_bound = max(worst_bound,
                               float(np.max(_transmitted(lam, vecs, channel, out))) - ceiling)
 

@@ -1,6 +1,9 @@
 import argparse
 import ast
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -75,6 +78,17 @@ def test_every_fixed_size_cap_goes_through_the_integer_rule():
     }
     assert derived <= caps and len(caps - derived) >= 8
     assert sorted(caps - derived - checked) == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only a parallel sweep makes a process pool; the modules behind one
+    # load multiprocessing, which no other command uses.
+    code = ("import sys; import infodyn.cli; infodyn.cli.build_parser(); "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(infodyn.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
 def _float_flags():
