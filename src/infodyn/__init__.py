@@ -15,184 +15,127 @@ The package splits into five layers:
 
 ``cli`` exposes the ``infodyn`` console entry point; ``jsonio`` and
 ``svgplot`` carry the serialization formats it speaks.
+
+A public name is added in one place: under its home module in
+`_EXPORTS`, from which `__all__` is derived. The namespace is lazy (PEP
+562): ``import infodyn`` loads no layer, and a name's module, or a
+layer named in `_EXPORTS`, is imported when it is first read.
 """
 
-from .exceptions import (
-    DimensionMismatch,
-    InfodynError,
-    OrbitEscape,
-    OutsideDomain,
-    ZeroProbabilityOutcome,
-)
-from .hilbert import (
-    DensityOperator,
-    IndexGroup,
-    SchattenDecomposition,
-    diag_embedding,
-    inner_product,
-    mult_operator,
-    partial_trace,
-    random_density,
-    random_state,
-    random_unitary,
-    relative_entropy,
-    shift_unitary,
-    tensor,
-    von_neumann_entropy,
-)
-from .channels import (
-    BranchDilation,
-    Channel,
-    CompletePositivityReport,
-    SchurWeight,
-    choi_check,
-    choi_matrix,
-    depolarizing_channel,
-    identity_channel,
-    kraus_channel,
-    random_kraus_channel,
-    schur_apply,
-    schur_apply_from_terms,
-    schur_channel,
-    schur_channel_apply,
-    shift_channel,
-    stochastic_channel,
-    unitary_channel,
-)
-from .metrics import (
-    AxiomResult,
-    ChaosDegreeReport,
-    ComplexityConfig,
-    ConjectureOutcome,
-    ValueComparison,
-    axiom_suite,
-    chaos_degree,
-    classify_dynamics,
-    compare_channels,
-    compare_signals,
-    complexity,
-    conjecture_batch,
-    conjecture_experiment,
-    transmitted_complexity,
-    value_of_information,
-)
-from .classical import (
-    BUILTIN_MAPS,
-    EmpiricalChannel,
-    MapSystem,
-    OrbitConfig,
-    Partition,
-    SweepRow,
-    baker_map,
-    empirical_channel,
-    iterate_orbit,
-    logistic_map,
-    lyapunov_exponent,
-    orbit_chaos_degree,
-    sweep,
-    sweep_to_csv,
-    tinkerbell_map,
-)
-from .recognition import (
-    ArgmaxPolicy,
-    BellSystem,
-    FixedPolicy,
-    RecognitionStep,
-    SamplePolicy,
-    SignalBasis,
-    entangle,
-    measured_operator,
-    outcome_probabilities,
-    outcome_probability,
-    recognize_sequence,
-    transfer_operator,
-    update_composed,
-    update_direct,
-    update_spectral,
-)
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArgmaxPolicy",
-    "AxiomResult",
-    "BUILTIN_MAPS",
-    "BellSystem",
-    "BranchDilation",
-    "Channel",
-    "ChaosDegreeReport",
-    "CompletePositivityReport",
-    "ComplexityConfig",
-    "ConjectureOutcome",
-    "DensityOperator",
-    "DimensionMismatch",
-    "EmpiricalChannel",
-    "FixedPolicy",
-    "IndexGroup",
-    "InfodynError",
-    "MapSystem",
-    "OrbitConfig",
-    "OrbitEscape",
-    "OutsideDomain",
-    "Partition",
-    "RecognitionStep",
-    "SamplePolicy",
-    "SchattenDecomposition",
-    "SchurWeight",
-    "SignalBasis",
-    "SweepRow",
-    "ValueComparison",
-    "ZeroProbabilityOutcome",
-    "axiom_suite",
-    "baker_map",
-    "chaos_degree",
-    "choi_check",
-    "choi_matrix",
-    "classify_dynamics",
-    "compare_channels",
-    "compare_signals",
-    "complexity",
-    "conjecture_batch",
-    "conjecture_experiment",
-    "depolarizing_channel",
-    "diag_embedding",
-    "empirical_channel",
-    "entangle",
-    "identity_channel",
-    "inner_product",
-    "iterate_orbit",
-    "kraus_channel",
-    "logistic_map",
-    "lyapunov_exponent",
-    "measured_operator",
-    "mult_operator",
-    "orbit_chaos_degree",
-    "outcome_probabilities",
-    "outcome_probability",
-    "partial_trace",
-    "random_density",
-    "random_kraus_channel",
-    "random_state",
-    "random_unitary",
-    "recognize_sequence",
-    "relative_entropy",
-    "schur_apply",
-    "schur_apply_from_terms",
-    "schur_channel",
-    "schur_channel_apply",
-    "shift_channel",
-    "shift_unitary",
-    "stochastic_channel",
-    "sweep",
-    "sweep_to_csv",
-    "tensor",
-    "tinkerbell_map",
-    "transfer_operator",
-    "transmitted_complexity",
-    "unitary_channel",
-    "update_composed",
-    "update_direct",
-    "update_spectral",
-    "value_of_information",
-    "von_neumann_entropy",
-]
+_EXPORTS = {
+    "exceptions": (
+        "DimensionMismatch",
+        "InfodynError",
+        "OrbitEscape",
+        "OutsideDomain",
+        "ZeroProbabilityOutcome",
+    ),
+    "hilbert": (
+        "DensityOperator",
+        "IndexGroup",
+        "SchattenDecomposition",
+        "diag_embedding",
+        "inner_product",
+        "mult_operator",
+        "partial_trace",
+        "random_density",
+        "random_state",
+        "random_unitary",
+        "relative_entropy",
+        "shift_unitary",
+        "tensor",
+        "von_neumann_entropy",
+    ),
+    "channels": (
+        "BranchDilation",
+        "Channel",
+        "CompletePositivityReport",
+        "SchurWeight",
+        "choi_check",
+        "choi_matrix",
+        "depolarizing_channel",
+        "identity_channel",
+        "kraus_channel",
+        "random_kraus_channel",
+        "schur_apply",
+        "schur_apply_from_terms",
+        "schur_channel",
+        "schur_channel_apply",
+        "shift_channel",
+        "stochastic_channel",
+        "unitary_channel",
+    ),
+    "metrics": (
+        "AxiomResult",
+        "ChaosDegreeReport",
+        "ComplexityConfig",
+        "ConjectureOutcome",
+        "ValueComparison",
+        "axiom_suite",
+        "chaos_degree",
+        "classify_dynamics",
+        "compare_channels",
+        "compare_signals",
+        "complexity",
+        "conjecture_batch",
+        "conjecture_experiment",
+        "transmitted_complexity",
+        "value_of_information",
+    ),
+    "classical": (
+        "BUILTIN_MAPS",
+        "EmpiricalChannel",
+        "MapSystem",
+        "OrbitConfig",
+        "Partition",
+        "SweepRow",
+        "baker_map",
+        "empirical_channel",
+        "iterate_orbit",
+        "logistic_map",
+        "lyapunov_exponent",
+        "orbit_chaos_degree",
+        "sweep",
+        "sweep_to_csv",
+        "tinkerbell_map",
+    ),
+    "recognition": (
+        "ArgmaxPolicy",
+        "BellSystem",
+        "FixedPolicy",
+        "RecognitionStep",
+        "SamplePolicy",
+        "SignalBasis",
+        "entangle",
+        "measured_operator",
+        "outcome_probabilities",
+        "outcome_probability",
+        "recognize_sequence",
+        "transfer_operator",
+        "update_composed",
+        "update_direct",
+        "update_spectral",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = _importlib.import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(_importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

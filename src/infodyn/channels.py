@@ -406,9 +406,15 @@ class CompletePositivityReport:
 
 
 def choi_matrix(channel, dim: int | None = None) -> np.ndarray:
-    """Choi matrix assembled column by column from matrix units."""
+    """Choi matrix assembled column by column from matrix units.
+
+    `dim` is required for a bare callable; given with a Channel, it must
+    equal the channel's dimension.
+    """
     if isinstance(channel, Channel):
         n = channel.dim
+        if dim is not None and _check_integer("dim", dim, 1) != n:
+            raise DimensionMismatch(f"channel dim {n} vs dim {dim}")
         action = channel.apply_matrix
     else:
         if dim is None:

@@ -215,9 +215,6 @@ def parse_value_batch(obj) -> dict:
     """
     _object(obj, "batch config",
             optional=("dim", "pairs", "seed", "kraus_terms", "identical_channels"))
-    flag = obj.get("identical_channels", False)
-    if not isinstance(flag, bool):
-        raise ValueError(f"identical_channels must be a boolean, got {flag!r}")
     return obj
 
 

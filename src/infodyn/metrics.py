@@ -481,6 +481,8 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
     chunks by `_pair_outcomes`, with as many pairs as fit CHUNK_BYTES
     (at least one); the outcomes do not depend on the chunk size.
     """
+    if not isinstance(identical_channels, (bool, np.bool_)):
+        raise ValueError(f"identical_channels must be a boolean, got {identical_channels!r}")
     _check_integer("dim", dim, 2, "MAX_VALUE_DIM", MAX_VALUE_DIM)
     _check_integer("pairs", pairs, 1, "MAX_VALUE_PAIRS", MAX_VALUE_PAIRS)
     _check_integer("kraus_terms", kraus_terms, 1, "MAX_KRAUS_TERMS", MAX_KRAUS_TERMS)
@@ -511,6 +513,11 @@ def _eigenbasis_values(lam: np.ndarray, vec: np.ndarray, ops: np.ndarray) -> np.
                   axis=-1)
 
 
+def _unique_and_live(lam: np.ndarray) -> np.ndarray:
+    """Whether each spectrum of a stack has no degenerate block and every weight above WEIGHT_FLOOR."""
+    return _block_starts(lam).all(axis=-1) & (lam[..., -1] > WEIGHT_FLOOR)
+
+
 def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     """`conjecture_experiment` on each pair of a chunk, evaluated as stacks.
 
@@ -535,7 +542,7 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     d = [_eigenbasis_values(lam, vec, ops).tolist() for ops in kraus]
     v = [_real_values(_kraus_apply(ops, joint), q).tolist() for ops in kraus]
 
-    unique = _block_starts(lam).all(axis=-1) & (lam[:, -1] > WEIGHT_FLOOR) & tp
+    unique = _unique_and_live(lam) & tp
     return [
         _outcome(d[0][k], d[-1][k], v[0][k], v[-1][k]) if unique[k]
         else conjecture_experiment(grams[0][k], grams[1][k], kraus_channel(kraus[0][k]),
@@ -703,8 +710,7 @@ def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> l
         (basis * spectrum[:, None, :]) @ basis.conj().mT)
 
     starts = _block_starts(lam_probe)
-    generic = (_block_starts(lam).all(axis=-1) & (lam[:, -1] > WEIGHT_FLOOR)
-               & _block_starts(lam_rel).all(axis=-1) & (lam_rel[:, -1] > WEIGHT_FLOOR)
+    generic = (_unique_and_live(lam) & _unique_and_live(lam_rel)
                & (starts.sum(axis=-1) == n - 2) & (lam_probe[:, -1] > WEIGHT_FLOOR) & tp)
 
     def per_trial(i):

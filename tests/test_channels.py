@@ -396,6 +396,15 @@ def test_choi_requires_dim_for_bare_callable():
         choi_matrix(lambda m: m)
 
 
+def test_choi_rejects_a_dim_that_contradicts_the_channel():
+    channel = identity_channel(2)
+    assert np.array_equal(choi_matrix(channel, 2), choi_matrix(channel))
+    with pytest.raises(DimensionMismatch, match="channel dim 2 vs dim 3"):
+        choi_check(channel, 3)
+    with pytest.raises(ValueError, match="dim must be a positive integer, got 2.0"):
+        choi_matrix(channel, 2.0)
+
+
 def test_channel_dimension_guard():
     from infodyn.exceptions import DimensionMismatch
 

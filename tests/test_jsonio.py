@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infodyn.cli import main
 from infodyn.exceptions import DimensionMismatch
 from infodyn.hilbert import DensityOperator, random_density
 from infodyn.jsonio import (
@@ -16,6 +19,7 @@ from infodyn.jsonio import (
     parse_state,
     parse_value_batch,
 )
+from infodyn.metrics import conjecture_batch
 from infodyn.recognition import ArgmaxPolicy, FixedPolicy, SamplePolicy, SignalBasis
 
 RNG = np.random.default_rng(13)
@@ -188,9 +192,16 @@ def test_parse_value_batch_returns_the_given_fields():
 
 
 @pytest.mark.parametrize("value", [1, "no", None])
-def test_parse_value_batch_identical_channels_must_be_boolean(value):
-    with pytest.raises(ValueError, match=f"identical_channels must be a boolean, got {value!r}"):
-        parse_value_batch({"identical_channels": value})
+def test_parse_value_batch_identical_channels_must_be_boolean(value, tmp_path, capsys):
+    # The batch file is only parsed; `conjecture_batch` checks the flag.
+    message = f"identical_channels must be a boolean, got {value!r}"
+    assert parse_value_batch({"identical_channels": value}) == {"identical_channels": value}
+    with pytest.raises(ValueError, match=message):
+        conjecture_batch(2, 1, 0, identical_channels=value)
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"identical_channels": value}))
+    assert main(["value", "--batch", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("rows", [[1.0, 2.0], [[1.0], 2.0], [None]])

@@ -701,8 +701,9 @@ def test_conjecture_batch_rate_in_unit_interval():
 
 
 def test_conjecture_batch_identical_channels_rate_is_one():
-    _, rate = conjecture_batch(2, 10, 0, identical_channels=True)
-    assert rate == 1.0
+    for flag in (True, np.True_):
+        _, rate = conjecture_batch(2, 10, 0, identical_channels=flag)
+        assert rate == 1.0
 
 
 def test_conjecture_batch_deterministic():

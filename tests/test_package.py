@@ -1,5 +1,6 @@
 import argparse
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -11,9 +12,33 @@ import infodyn
 from infodyn.cli import build_parser, main
 
 
+LAYERS = ["exceptions", "hilbert", "channels", "metrics", "classical", "recognition"]
+
+
+def _fresh(code):
+    """Stdout of `code` run in a fresh interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(infodyn.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_all_names_resolve():
     missing = [name for name in infodyn.__all__ if not hasattr(infodyn, name)]
     assert missing == []
+    homes = {name: importlib.import_module(f"infodyn.{module}")
+             for module, names in infodyn._EXPORTS.items() for name in names}
+    assert [name for name, home in homes.items() if getattr(infodyn, name) is not getattr(home, name)] == []
+    star = {}
+    exec("from infodyn import *", star)
+    assert [name for name, home in homes.items() if star.get(name) is not getattr(home, name)] == []
+    assert sorted(set(infodyn.__all__) - set(dir(infodyn))) == []
+    assert not hasattr(infodyn, "no_such_name")
+    # Each layer is read before anything has loaded it, so the lazy
+    # namespace has to import it.
+    code = f"import infodyn; print([getattr(infodyn, layer).__name__ for layer in {LAYERS}])"
+    assert _fresh(code) == f"{[f'infodyn.{layer}' for layer in LAYERS]}\n"
 
 
 def test_all_has_no_duplicates():
@@ -81,14 +106,14 @@ def test_every_fixed_size_cap_goes_through_the_integer_rule():
 
 
 def test_cli_import_loads_no_process_pool():
-    # Only a parallel sweep makes a process pool; the modules behind one
-    # load multiprocessing, which no other command uses.
+    # `import infodyn` loads no layer. Only a parallel sweep makes a
+    # process pool; the modules behind one load multiprocessing, which
+    # no other command uses.
+    code = "import sys; import infodyn; print(sorted(m for m in sys.modules if m.startswith('infodyn')))"
+    assert _fresh(code) == "['infodyn']\n"
     code = ("import sys; import infodyn.cli; infodyn.cli.build_parser(); "
             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": str(Path(infodyn.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                            timeout=60)
-    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+    assert _fresh(code) == "[]\n"
 
 
 def _float_flags():
