@@ -44,6 +44,7 @@ from .hilbert import (
     _kraus_apply,
     _kraus_factor,
     _kraus_vectors,
+    _kron,
     _square,
     as_density,
     mult_operator,
@@ -161,15 +162,14 @@ class BranchDilation:
             )
         if float(np.linalg.norm(h)) == 0.0:
             raise ValueError("h must be nonzero")
-        n = h.shape[0]
-        comp = np.sqrt(np.clip(1.0 - mags**2, 0.0, None))
-        t = np.zeros((2 * n, n), dtype=complex)
-        t[:n, :] = np.diag(h)
-        t[n:, :] = np.diag(comp)
         h = h.copy()
         h.setflags(write=False)
-        t.setflags(write=False)
         object.__setattr__(self, "h", h)
+        n = h.shape[0]
+        t = np.zeros((2 * n, n), dtype=complex)
+        t[:n, :] = np.diag(h)
+        t[n:, :] = np.diag(self.complement())
+        t.setflags(write=False)
         object.__setattr__(self, "matrix", t)
 
     @property
@@ -426,7 +426,7 @@ def choi_matrix(channel, dim: int | None = None) -> np.ndarray:
         for b in range(n):
             unit = np.zeros((n, n), dtype=complex)
             unit[a, b] = 1.0
-            c += np.kron(unit, np.asarray(action(unit), dtype=complex))
+            c += _kron(unit, _square(action(unit), "image"))
     return c
 
 

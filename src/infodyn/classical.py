@@ -75,8 +75,9 @@ class MapSystem:
     (samples, dim) orbit array and returns the derivatives along it as
     an array broadcastable to (samples, dim, dim). Every bound of `box`,
     every component of `default_x0` and `default_param` must be a finite
-    real number; `box` and `default_x0` are stored as tuples of floats, so
-    maps given arrays still compare.
+    real number, and each interval of `box` needs lo < hi; `box` and
+    `default_x0` are stored as tuples of floats, so maps given arrays
+    still compare.
     """
 
     name: str
@@ -102,8 +103,11 @@ class MapSystem:
 
 
 def _check_box(box) -> tuple[tuple[float, float], ...]:
-    """`box` as (lo, hi) pairs of floats, each bound a finite real number."""
-    return tuple((_check_real("box", lo), _check_real("box", hi)) for lo, hi in box)
+    """`box` as (lo, hi) pairs of floats, each bound a finite real number and lo < hi."""
+    box = tuple((_check_real("box", lo), _check_real("box", hi)) for lo, hi in box)
+    if any(hi <= lo for lo, hi in box):
+        raise ValueError("box intervals must have positive width")
+    return box
 
 
 def _logistic_step(x, a):
@@ -268,8 +272,6 @@ class Partition:
         box = _check_box(self.box)
         if not box:
             raise ValueError("partition box has no axes")
-        if any(hi <= lo for lo, hi in box):
-            raise ValueError("box intervals must have positive width")
         # A Python int, so that a numpy integer `bins` cannot overflow here.
         cells = int(self.bins) ** len(box)
         if cells > MAX_PARTITION_CELLS:

@@ -29,6 +29,10 @@ EXIT_USAGE = 2
 EXIT_DYNAMICS = 3
 EXIT_DIMENSION = 4
 EXIT_DOMAIN = 5
+# The exit code of each input error, that of the first type that matches
+# (a JSONDecodeError is a ValueError). Any other exception is a fault.
+INPUT_ERRORS = {OrbitEscape: EXIT_DYNAMICS, DimensionMismatch: EXIT_DIMENSION,
+                OutsideDomain: EXIT_DOMAIN, ValueError: EXIT_USAGE, OSError: EXIT_USAGE}
 # Steps that `recognize` encodes and writes together. Encoding each step
 # as it is computed ran 40-step n = 3 calls 10-20 % slower than encoding
 # them all at the end, because the numpy and JSON work alternate; blocks
@@ -219,18 +223,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except OrbitEscape as exc:
+    except tuple(INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DYNAMICS
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except OutsideDomain as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in INPUT_ERRORS.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -20,9 +20,11 @@ sampler, `_complex_gaussians`, the one Gaussian stream of every sampler,
 reads, `_density_spectra`, the one density-operator check, which returns
 the trace-normalized matrices with their spectra (checked by
 `_unit_spectra`, which also checks images' spectra), `_kron`, the
-Kronecker product, and `_relative_entropies`, the one relative-entropy
-formula, for a stack of states each against its own sigma, which
-`relative_entropy` (a stack of one) and the transmitted complexity share.
+Kronecker product (of states, of `tensor`'s operators and of the blocks
+of `channels.choi_matrix`), and `_relative_entropies`, the one
+relative-entropy formula, for a stack of states each against its own
+sigma, which `relative_entropy` (a stack of one) and the transmitted
+complexity share.
 The Kraus-form arithmetic that `channels` and the stacked kernels of
 `metrics` share lives here too, each piece taking one operand or a stack:
 `_check_kraus_sums`, the one Kraus-sum check, `_isometry_blocks`,
@@ -33,6 +35,7 @@ W = [A_1 v ... A_r v] of pure states, which represent their images, and
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -114,13 +117,14 @@ def diag_embedding(n: int) -> np.ndarray:
 
 
 def tensor(*operators) -> np.ndarray:
-    """Kronecker product of two or more operators, left to right."""
+    """Kronecker product of two or more operators (matrices), left to right."""
     if len(operators) < 2:
         raise ValueError("tensor needs at least two operators")
-    out = np.asarray(operators[0], dtype=complex)
-    for op in operators[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
+    ops = [np.asarray(op, dtype=complex) for op in operators]
+    for op in ops:
+        if op.ndim != 2:
+            raise ValueError(f"tensor takes matrices, got shape {op.shape}")
+    return functools.reduce(_kron, ops)
 
 
 def partial_trace(x, dims, trace_out) -> np.ndarray:
@@ -253,7 +257,7 @@ def _check_real(name: str, value, low: float | None = None, high: float | None =
 
 
 def _density_spectra(matrices):
-    """Checked spectral data of a density matrix or a stack (..., n, n) of them.
+    """Checked spectral data of a square density matrix or a stack (..., n, n) of them.
 
     Every matrix must be self-adjoint within HERMITIAN_TOL, and then pass
     `_unit_spectra`; the error names the worst matrix's deviation.
@@ -262,8 +266,6 @@ def _density_spectra(matrices):
     those of the symmetrized matrices before the division.
     """
     m = np.asarray(matrices, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"density operator must be square, got shape {m.shape}")
     adjoint = m.conj().swapaxes(-1, -2)
     # Every comparison here and in `_unit_spectra` is written so that NaN
     # fails it; a non-finite entry is caught by the self-adjointness check.

@@ -357,6 +357,28 @@ def test_branch_dilation_rejects_overweight_modulus():
         BranchDilation(np.array([1.5, 0.5]))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: schur_apply(ones_weight(2), np.eye(3) / 3), DimensionMismatch,
+     "weight dim 2 vs state dim 3"),
+    (lambda: BranchDilation(np.eye(2)), ValueError, "h must be a vector, got shape (2, 2)"),
+    (lambda: BranchDilation(np.array([1.5, 0.5])), ValueError, "h must satisfy |h(k)| <= 1 for all k"),
+    (lambda: BranchDilation(np.zeros(2)), ValueError, "h must be nonzero"),
+    (lambda: BranchDilation(np.ones(2)).heisenberg(np.eye(3)), DimensionMismatch,
+     "expected dim 4, got 3"),
+    (lambda: BranchDilation(np.ones(2)).branch_probability(np.eye(2) / 2, 3), ValueError,
+     "branch must be 1 or 2, got 3"),
+    (lambda: identity_channel(2).apply_matrix(np.ones((2, 3))), ValueError,
+     "operand must be a square matrix or a stack of them, got shape (2, 3)"),
+    (lambda: kraus_channel([]), ValueError, "at least one Kraus operator is required"),
+    (lambda: choi_matrix(np.trace, 2), ValueError, "image must be a square matrix, got shape ()"),
+], ids=["schur-dim", "dilation-matrix", "dilation-modulus", "dilation-zero", "heisenberg-dim",
+        "branch", "apply-non-square", "kraus-empty", "choi-image"])
+def test_channel_input_errors_name_the_problem(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_choi_identity_is_cp_with_zero_floor():
     report = choi_check(identity_channel(3))
     assert report.is_cp
@@ -389,6 +411,16 @@ def test_choi_matrix_of_identity_is_maximally_entangled():
         for b in (0, 1):
             omega[a * 2 + a, b * 2 + b] = 1.0
     assert np.allclose(c, omega, atol=1e-12)
+
+
+def test_choi_matrix_is_the_sum_of_numpy_kron_blocks_bit_for_bit():
+    channel = random_kraus_channel(3, 2, RNG)
+    expected = np.zeros((9, 9), dtype=complex)
+    for a, b in itertools.product(range(3), repeat=2):
+        unit = np.zeros((3, 3), dtype=complex)
+        unit[a, b] = 1.0
+        expected += np.kron(unit, channel.apply_matrix(unit))
+    assert np.array_equal(choi_matrix(channel), expected)
 
 
 def test_choi_requires_dim_for_bare_callable():

@@ -137,6 +137,39 @@ def test_map_dimension_derives_from_box():
     assert tinkerbell_map().dim == 2
 
 
+@pytest.mark.parametrize("box", [((1.0, 0.0),), ((0.5, 0.5),), ((0.0, 1.0), (2.0, -2.0))],
+                         ids=["reversed", "zero-width", "second-axis"])
+def test_map_and_partition_reject_a_box_interval_without_positive_width(box):
+    # One rule for both: a map with such a box used to construct, then fail
+    # (reversed) or report a Lyapunov exponent of 0.0 (zero width).
+    for build in (lambda: replace(logistic_map(), box=box), lambda: Partition(box, 10)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == "box intervals must have positive width"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: replace(logistic_map(), box=((0.0, 1.0),) * 3, default_x0=(0.3,) * 3),
+     "only 1- and 2-dimensional maps are supported, got 3"),
+    (lambda: replace(logistic_map(), default_x0=(0.3, 0.3)), "default_x0 must match the box dimension"),
+    (lambda: Partition(((0.0, 1.0),), 4).encode(np.full((3, 2), 0.5)), "points have dimension 2, box has 1"),
+    (lambda: empirical_channel(np.array([0.5]), Partition(((0.0, 1.0),), 4)),
+     "orbit must contain at least 2 points"),
+], ids=["three-axes", "x0-dimension", "encode-dimension", "one-point-orbit"])
+def test_classical_input_errors_name_the_problem(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_lyapunov_of_a_2d_map_with_a_vanishing_jacobian_is_minus_infinity():
+    # The tangent vector's norm is exactly 0 after the first step.
+    flat = MapSystem(name="flat", box=((0.0, 1.0), (0.0, 1.0)), default_x0=(0.3, 0.3),
+                     default_param=0.0, step=lambda p, a: (0.5, 0.5),
+                     jacobian=lambda orbit, a: np.zeros((2, 2)))
+    assert lyapunov_exponent(flat, OrbitConfig(transient=10, samples=100)) == -math.inf
+
+
 def test_custom_map_from_step_and_jacobian_matches_builtin_logistic():
     def step(x, a):
         return a * x * (1.0 - x)

@@ -417,7 +417,8 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     ("--samples", str(MAX_ORBIT_STEPS), f"= {MAX_ORBIT_STEPS + 100} steps exceeds the limit "
                                         f"MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"),
     ("--transient", str(MAX_ORBIT_STEPS), f"MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"),
-], ids=["bins", "samples", "transient"])
+    ("--samples", "1", "orbit must contain at least 2 points"),
+], ids=["bins", "samples", "transient", "one-sample"])
 def test_sweep_size_caps_are_usage_errors(capsys, flag, value, message):
     assert_usage_error(SWEEP_FAST + [flag, value], capsys, message)
 

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infodyn import channels, classical, jsonio, metrics, recognition
+from infodyn.exceptions import DimensionMismatch
 from infodyn.hilbert import (
     DensityOperator,
     IndexGroup,
     _check_real,
     as_density,
+    as_vector,
     diag_embedding,
     inner_product,
     mult_operator,
@@ -204,6 +206,29 @@ def test_inner_product_conjugates_first_slot():
     assert inner_product([1j, 0], [1, 0]) == pytest.approx(-1j)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: as_vector(np.eye(2)), ValueError, "expected a vector, got shape (2, 2)"),
+    (lambda: inner_product([1, 0], [1, 0, 0]), DimensionMismatch, "vector dimensions differ: 2 vs 3"),
+    (lambda: shift_unitary(3, 3), ValueError, "shift index must satisfy 0 <= k < 3, got 3"),
+    (lambda: tensor(np.eye(2)), ValueError, "tensor needs at least two operators"),
+    (lambda: tensor(np.eye(2), [1.0, 0.0]), ValueError, "tensor takes matrices, got shape (2,)"),
+    (lambda: partial_trace(np.eye(4) / 4, (2, 3), [0]), DimensionMismatch,
+     "matrix shape (4, 4) does not factor as (2, 3)"),
+    (lambda: partial_trace(np.eye(4) / 4, (2, 2), [2]), ValueError,
+     "subsystem index out of range for 2 factors"),
+    (lambda: DensityOperator.from_pure([0, 0]), ValueError, "cannot normalize the zero vector"),
+    (lambda: relative_entropy(np.eye(2) / 2, np.eye(3) / 3), DimensionMismatch, "dimensions differ: 2 vs 3"),
+    (lambda: random_density(3, np.random.default_rng(0), rank=4), ValueError,
+     "rank must be in [1, 3], got 4"),
+], ids=["as-vector", "inner-product-dims", "shift-index", "tensor-one", "tensor-vector",
+        "partial-trace-shape", "partial-trace-index", "from-pure-zero", "relative-entropy-dims",
+        "random-density-rank"])
+def test_hilbert_input_errors_name_the_problem(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_mult_operator_constant_one_is_identity():
     assert np.array_equal(mult_operator(np.ones(4)), np.eye(4))
 
@@ -274,6 +299,13 @@ def test_partial_trace_two_factors():
     sigma = random_density(3, RNG).matrix
     out = partial_trace(tensor(rho, gamma, sigma), (2, 2, 3), (0, 1))
     assert np.allclose(out, sigma, atol=1e-12)
+
+
+def test_tensor_is_numpy_kron_of_matrices_bit_for_bit():
+    rng = np.random.default_rng(3)
+    a, b, c = (rng.normal(size=shape) for shape in [(2, 3), (1, 2), (3, 3)])
+    c = c + 1j * rng.normal(size=(3, 3))
+    assert np.array_equal(tensor(a, b, c), np.kron(np.kron(a, b), c))
 
 
 def test_density_operator_spectral_orders_descending():

@@ -558,6 +558,13 @@ def test_value_rejects_non_finite_purpose():
         value_of_information(rho, gamma, identity_channel(4), q)
 
 
+def test_value_rejects_a_purpose_operator_of_the_wrong_shape():
+    rho, gamma = random_density(2, RNG), random_density(2, RNG)
+    with pytest.raises(DimensionMismatch) as err:
+        value_of_information(rho, gamma, identity_channel(4), np.eye(3))
+    assert str(err.value) == "purpose operator shape (3, 3), expected (4, 4)"
+
+
 def test_compare_signals_tie_on_identical_inputs():
     rho, gamma = random_density(2, RNG), random_density(2, RNG)
     ch = random_kraus_channel(4, 2, RNG)

@@ -234,6 +234,20 @@ def test_zero_probability_outcome_raises_on_every_route():
         update_composed(0, 1, rho, gamma, bell)
 
 
+@pytest.mark.parametrize("signal, stage", [
+    ([0.0, 1.0], "signal"),  # the signal has no weight on basis vector 0
+    ([1.0, 0.0], "memory"),  # the shifted signal lands on the memory's null entry
+])
+def test_update_composed_names_the_stage_that_failed(signal, stage):
+    bell = BellSystem(SignalBasis.standard(2))
+    rho, gamma = DensityOperator(np.diag(signal)), DensityOperator(np.diag([1.0, 0.0]))
+    with pytest.raises(OutsideDomain) as err:
+        update_composed(0, 1, rho, gamma, bell)
+    assert str(err.value) == (f"{stage} conditioning for outcome (0, 1) failed: damped trace "
+                              "0.000e+00 is below the probability floor; state is outside the "
+                              "conditioning domain")
+
+
 def test_update_rejects_mismatched_dimensions():
     bell = fourier_bell(2)
     with pytest.raises(DimensionMismatch):

@@ -35,3 +35,28 @@ def test_line_plot_rejects_empty_input():
 def test_line_plot_constant_series_padded_axis():
     svg = line_plot([0.0, 1.0], [("flat", [0.3, 0.3])])
     ET.fromstring(svg)
+
+
+def test_line_plot_escapes_labels():
+    svg = line_plot([0.0, 1.0], [("p<q", [0.1, 0.2])], xlabel="a < b", ylabel="R&D")
+    texts = [el.text for el in ET.fromstring(svg).iter() if el.tag.endswith("text")]
+    assert {"a < b", "R&D", "p<q"} <= set(texts)
+
+
+def test_line_plot_splits_at_a_non_finite_x():
+    root = ET.fromstring(line_plot([math.nan, 1.0, 2.0], [("a", [1.0, 2.0, 3.0])]))
+    lines = [el.get("points") for el in root.iter() if el.tag.endswith("polyline")]
+    assert lines == ["64,188 624,20"]
+
+
+def test_line_plot_rejects_a_series_of_another_length():
+    with pytest.raises(ValueError, match="^every series must match the length of xs$"):
+        line_plot([0.0, 1.0], [("v", [0.5])])
+
+
+def test_line_plot_of_a_series_with_no_finite_value_spans_zero_to_one():
+    svg = line_plot([0.0, 1.0], [("v", [math.nan, math.inf])])
+    root = ET.fromstring(svg)
+    ticks = [el.text for el in root.iter() if el.tag.endswith("text") and el.get("text-anchor") == "end"]
+    assert ticks == ["0", "0.25", "0.5", "0.75", "1"]
+    assert "polyline" not in svg and "circle" not in svg
