@@ -12,9 +12,11 @@ their Kraus vectors, which the chaos degree (through the Gram spectra of
 :mod:`infodyn.metrics` both read. A Schur channel's Kraus operators are
 diagonal, so its vectors are entrywise products of the state with the
 rows sqrt(g) h of its weight's spectral terms. The Kraus-form
-arithmetic lives in :mod:`infodyn.hilbert`, where the stacked kernels
-of :mod:`infodyn.metrics` call the same helpers. A constructor that
-takes a dimension `n` checks it through `hilbert._check_integer` first.
+arithmetic lives in `Channel` alone. A "kraus" channel may hold a stack
+of Kraus families, one per item, which only the stacked kernels of
+:mod:`infodyn.metrics` build; they read it through the same methods as
+the per-item paths. A constructor that takes a dimension `n` checks it
+through `hilbert._check_integer` first.
 
 Trace-normalized damping, which conditions a state on a weight, is not
 a channel: it divides by the trace of the damped output, so it is
@@ -41,9 +43,6 @@ from .hilbert import (
     _complex_gaussians,
     _gram_spectra,
     _isometry_blocks,
-    _kraus_apply,
-    _kraus_factor,
-    _kraus_vectors,
     _kron,
     _square,
     as_density,
@@ -215,7 +214,10 @@ class Channel:
     when the image's trace is not 1; `apply_matrix` gives the raw image.
     A unitary channel is the rank-one Kraus form {U}: "kraus" and
     "unitary" channels both hold a Kraus stack (r, n, n) and share one
-    arithmetic.
+    arithmetic. A "kraus" channel may hold a stack (L, r, n, n) of
+    families instead; it then acts on matrices (L, n, n) and on rows
+    (L, ..., k, n), family by family. Only the stacked kernels of
+    :mod:`infodyn.metrics` build one, once every family's Kraus sums pass.
 
     `apply_matrix` acts on one matrix or on a stack of them. A pure
     state's image is never formed as an n x n matrix: the image of
@@ -229,10 +231,10 @@ class Channel:
 
     def __init__(self, kind, dim, is_trace_preserving, data):
         dim = int(dim)
-        # What `kraus_vectors` applies to a row vector v: the `_kraus_factor`
-        # of the stack (kraus, unitary), or the rows sqrt(g) h (r, n) of a
-        # Schur weight's spectral terms, which v multiplies entrywise.
-        # `image_width` is r, the number of Kraus vectors per state (n for stochastic).
+        # What `kraus_vectors` applies to a row v: the (..., n, r n) matrix whose
+        # product with v lists A_1 v, ..., A_r v (kraus, unitary), or the rows
+        # sqrt(g) h (r, n) of a Schur weight's spectral terms, which v multiplies
+        # entrywise. `image_width` is r, the number of Kraus vectors per state (n for stochastic).
         if kind == "schur":
             factor = np.array([np.sqrt(g) * h for g, h in data.spectral_terms()],
                               dtype=complex).reshape(-1, dim)
@@ -240,7 +242,9 @@ class Channel:
         elif kind == "stochastic":
             factor, width = None, dim
         else:
-            factor, width = _kraus_factor(data), data.shape[0]
+            # (..., r, i, j) -> (..., j, r, i), then r and i flattened.
+            factor = data.swapaxes(-1, -3).swapaxes(-1, -2).reshape(data.shape[:-3] + (dim, -1))
+            width = data.shape[-3]
         for name, value in (("kind", kind), ("dim", dim),
                             ("is_trace_preserving", bool(is_trace_preserving)),
                             ("image_width", width), ("_data", data), ("_factor", factor)):
@@ -261,12 +265,15 @@ class Channel:
             raise DimensionMismatch(f"channel dim {self.dim} vs operand {x.shape[-1]}")
         if self.kind == "schur":
             return self._data.matrix * x
+        out = np.zeros_like(x)
         if self.kind == "stochastic":
-            out = np.zeros_like(x)
             idx = np.arange(self.dim)
             out[..., idx, idx] = np.diagonal(x, axis1=-2, axis2=-1) @ self._data.astype(complex)
             return out
-        return _kraus_apply(self._data, x)
+        # One operator at a time, so a stack never holds r products at once.
+        for a in np.moveaxis(self._data, -3, 0):
+            out = out + a @ x @ a.conj().mT
+        return out
 
     def _rows(self, vectors) -> np.ndarray:
         """`vectors` (..., n) as a complex array, once its last axis is the channel's dimension."""
@@ -284,9 +291,13 @@ class Channel:
         """
         if self.kind == "stochastic":
             return np.sqrt(self.image_spectra(vectors))[..., None] * np.eye(self.dim)
+        v = self._rows(vectors)
         if self.kind == "schur":
-            return self._rows(vectors)[..., None, :] * self._factor
-        return _kraus_vectors(self._rows(vectors), self._factor)
+            return v[..., None, :] * self._factor
+        # A stack of families meets the rows on their leading axes.
+        f = self._factor
+        w = v @ f.reshape(f.shape[:-2] + (1,) * (v.ndim - f.ndim) + f.shape[-2:])
+        return w.reshape(w.shape[:-1] + (self.image_width, self.dim))
 
     def image_spectra(self, vectors) -> np.ndarray:
         """Spectrum of channel(|v><v|) for each row v of `vectors` (..., n).
@@ -334,7 +345,9 @@ def unitary_channel(u) -> Channel:
     n = um.shape[0]
     _check_deviation(um.conj().T @ um - np.eye(n), UNITARY_TOL, "unitary",
                      "matrix is not unitary: deviation")
-    return Channel("unitary", n, is_trace_preserving=True, data=um[None])
+    ops = um[None].copy()
+    ops.setflags(write=False)
+    return Channel("unitary", n, is_trace_preserving=True, data=ops)
 
 
 def identity_channel(n: int) -> Channel:

@@ -25,12 +25,12 @@ of `channels.choi_matrix`), and `_relative_entropies`, the one
 relative-entropy formula, for a stack of states each against its own
 sigma, which `relative_entropy` (a stack of one) and the transmitted
 complexity share.
-The Kraus-form arithmetic that `channels` and the stacked kernels of
-`metrics` share lives here too, each piece taking one operand or a stack:
-`_check_kraus_sums`, the one Kraus-sum check, `_isometry_blocks`,
-`_kraus_factor`, `_kraus_apply`, `_kraus_vectors`, the Kraus vectors
-W = [A_1 v ... A_r v] of pure states, which represent their images, and
-`_gram_spectra`, the image spectra from those vectors.
+The Kraus-form helpers that `channels` and the stacked kernels of
+`metrics` share live here too, each taking one operand or a stack:
+`_check_kraus_sums`, the one Kraus-sum check, `_isometry_blocks`, and
+`_gram_spectra`, the image spectra from the Kraus vectors
+W = [A_1 v ... A_r v] of pure states, which represent their images. The
+Kraus vectors and images themselves come from `channels.Channel` alone.
 """
 
 from __future__ import annotations
@@ -519,21 +519,6 @@ def _check_kraus_sums(ops) -> np.ndarray:
     return dev <= 1e-10
 
 
-def _kraus_factor(ops) -> np.ndarray:
-    """The (..., n, r n) matrix whose product with a row vector v lists A_1 v, ..., A_r v."""
-    # (..., r, i, j) -> (..., j, r, i), then r and i flattened.
-    return ops.swapaxes(-1, -3).swapaxes(-1, -2).reshape(ops.shape[:-3] + (ops.shape[-1], -1))
-
-
-def _kraus_apply(ops, x) -> np.ndarray:
-    """sum_k A_k x A_k* for a Kraus stack (r, n, n), or stacks (..., r, n, n), and x (..., n, n)."""
-    out = np.zeros_like(x)
-    # One term at a time, so a stack never holds r products at once.
-    for a in ops.swapaxes(0, -3):
-        out = out + a @ x @ a.conj().mT
-    return out
-
-
 def _gram_spectra(w) -> np.ndarray:
     """Spectrum of the image W W* of |v><v| from the rows w (..., r, n) of Kraus vectors A_k v.
 
@@ -546,9 +531,3 @@ def _gram_spectra(w) -> np.ndarray:
         gram = np.swapaxes(w, -1, -2) @ w.conj()
     return np.linalg.eigvalsh(gram)
 
-
-def _kraus_vectors(rows, factor) -> np.ndarray:
-    """The Kraus vectors W (..., r, n) of each row v (..., n) of `rows` through a `_kraus_factor` (..., n, r n)."""
-    n = factor.shape[-2]
-    w = rows @ factor
-    return w.reshape(w.shape[:-1] + (factor.shape[-1] // n, n))

@@ -37,14 +37,17 @@ degree. A single state is a stack of one.
 `conjecture_batch` and `axiom_suite` evaluate their pairs and trials in
 stacks: `_pair_outcomes` and `_axiom_trials` run each step of the
 per-pair and per-trial paths (`conjecture_experiment`, `_axiom_trial`)
-once for a chunk, with their bits, through the helpers those paths use:
+once for a chunk, with their bits, through what those paths use: a
+"kraus" `Channel` holding one Kraus family per item, read through the
+same `image_spectra`, `kraus_vectors` and `apply_matrix`,
 `hilbert._density_spectra` for every state, `hilbert._kron` for the
 tensor product, `_eigenbasis_values` for the eigenbasis chaos degree,
 `_transmitted_stacks` for T and one `_rotation_chunks` call, with every
 trial's seed, for the probes' rotations; no step loops over the items of
-a stack. A degenerate or light state, a probe other than one 2-fold
-block, or a channel that is not trace-preserving goes through the
-per-pair or per-trial path.
+a stack. Each kernel decides once per chunk, before any stacked D, T or
+value: if any item has a degenerate or light state, a probe other than
+one 2-fold block, or a channel that is not trace-preserving, every item
+of the chunk goes through the per-pair or per-trial path.
 
 Every function here that takes a channel checks it through
 `_check_channel` before any arithmetic: a non-`Channel` raises
@@ -79,9 +82,6 @@ from .hilbert import (
     _gram_spectra,
     _haar_unitaries,
     _isometry_blocks,
-    _kraus_apply,
-    _kraus_factor,
-    _kraus_vectors,
     _kron,
     _normalized_grams,
     _relative_entropies,
@@ -504,13 +504,12 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
     return outcomes, rate
 
 
-def _eigenbasis_values(lam: np.ndarray, vec: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """The eigenbasis value of `_search` for each state of a stack through its Kraus stack.
+def _eigenbasis_values(lam: np.ndarray, vec: np.ndarray, channel: Channel) -> np.ndarray:
+    """The eigenbasis value of `_search` for each state of a stack through its family of `channel`.
 
     Each eigenvector's image entropy, weighted by its eigenvalue.
     """
-    return np.sum(lam * _entropy_of_spectrum(_gram_spectra(_kraus_vectors(vec.mT, _kraus_factor(ops)))),
-                  axis=-1)
+    return np.sum(lam * _entropy_of_spectrum(channel.image_spectra(vec.mT)), axis=-1)
 
 
 def _unique_and_live(lam: np.ndarray) -> np.ndarray:
@@ -525,30 +524,27 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     order, from which the pairs' states, Kraus stacks (one per distinct
     channel) and purpose operators are built as the public samplers build
     them, with every check those run. Each step is the per-pair step applied to a
-    stack, so each value has the bits of the per-pair path. A pair whose
+    stack, so each value has the bits of the per-pair path. If any pair's
     joint spectrum has a degenerate block or a weight at or below
-    WEIGHT_FLOOR, or one of whose channels is not trace-preserving, goes
-    through `conjecture_experiment` itself.
+    WEIGHT_FLOOR, or any pair's channel is not trace-preserving, every
+    pair of the chunk goes through `conjecture_experiment` itself.
     """
     g_rho, g_gamma, *g_kraus, g_purpose = draws
-    c = g_purpose.shape[0]
     grams = [_normalized_grams(g) for g in (g_rho, g_gamma)]
     rho, gamma = (_density_spectra(m)[0] for m in grams)
     joint, lam, vec = _density_spectra(_kron(rho, gamma))
     kraus = [_isometry_blocks(z, terms) for z in g_kraus]
     tp = np.logical_and.reduce([_check_kraus_sums(ops) for ops in kraus])
     q = _self_adjoint_purposes(0.5 * (g_purpose + g_purpose.conj().mT))
+    if not (_unique_and_live(lam) & tp).all():
+        return [conjecture_experiment(grams[0][k], grams[1][k], kraus_channel(kraus[0][k]),
+                                      kraus_channel(kraus[-1][k]), q[k])
+                for k in range(q.shape[0])]
 
-    d = [_eigenbasis_values(lam, vec, ops).tolist() for ops in kraus]
-    v = [_real_values(_kraus_apply(ops, joint), q).tolist() for ops in kraus]
-
-    unique = _unique_and_live(lam) & tp
-    return [
-        _outcome(d[0][k], d[-1][k], v[0][k], v[-1][k]) if unique[k]
-        else conjecture_experiment(grams[0][k], grams[1][k], kraus_channel(kraus[0][k]),
-                                   kraus_channel(kraus[-1][k]), q[k])
-        for k in range(c)
-    ]
+    channels = [Channel("kraus", lam.shape[-1], True, ops) for ops in kraus]
+    d = [_eigenbasis_values(lam, vec, ch).tolist() for ch in channels]
+    v = [_real_values(ch.apply_matrix(joint), q).tolist() for ch in channels]
+    return [_outcome(*values) for values in zip(d[0], d[-1], v[0], v[-1])]
 
 
 @dataclass(frozen=True)
@@ -679,11 +675,11 @@ def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> l
     `axiom_suite`'s order, from which the states, Kraus stacks, unitaries
     and probes are built as the public samplers build them, with every
     check those run. Each step is the per-trial step applied to a stack,
-    so each value has the bits of the per-trial path. A trial whose state
-    or relabeled state has a degenerate block or a weight at or below
-    WEIGHT_FLOOR, whose probe has anything but one 2-fold block or has
-    such a weight, or whose channel is not trace-preserving, goes through
-    `_axiom_trial` itself.
+    so each value has the bits of the per-trial path. If any trial's
+    state or relabeled state has a degenerate block or a weight at or
+    below WEIGHT_FLOOR, any trial's probe has anything but one 2-fold
+    block or has such a weight, or any trial's channel is not
+    trace-preserving, every trial of the stack goes through `_axiom_trial` itself.
     """
     g_rho, g_sigma, g_kraus, g_u, raw, g_basis = draws
     c, n = g_rho.shape[:2]
@@ -700,47 +696,40 @@ def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> l
         (basis * spectrum[:, None, :]) @ basis.conj().mT)
 
     starts = _block_starts(lam_probe)
-    generic = (_unique_and_live(lam) & _unique_and_live(lam_rel)
-               & (starts.sum(axis=-1) == n - 2) & (lam_probe[:, -1] > WEIGHT_FLOOR) & tp)
+    if not (_unique_and_live(lam) & _unique_and_live(lam_rel)
+            & (starts.sum(axis=-1) == n - 2) & (lam_probe[:, -1] > WEIGHT_FLOOR) & tp).all():
+        return [_axiom_trial(DensityOperator(grams[0][i]), DensityOperator(grams[1][i]),
+                             kraus_channel(kraus[i]), u[i], spectrum[i], basis[i],
+                             rotation_seeds[i], cfg)
+                for i in range(c)]
+    channel = Channel("kraus", n, True, kraus)
 
-    def per_trial(i):
-        return _axiom_trial(DensityOperator(grams[0][i]), DensityOperator(grams[1][i]),
-                            kraus_channel(kraus[i]), u[i], spectrum[i], basis[i],
-                            rotation_seeds[i], cfg)
-
-    if not generic.any():
-        return [per_trial(i) for i in range(c)]
-    k = np.flatnonzero(generic)
-    rho, sigma, relabeled, probe, lam, vec, ops, lam_rel, vec_rel, lam_probe, vec_probe = (
-        x[k] for x in (rho, sigma, relabeled, probe, lam, vec, kraus, lam_rel, vec_rel,
-                       lam_probe, vec_probe))
-
-    def transmitted(ops, lam, vecs, state):  # T at `vecs` through `ops` against each state's checked image
-        w = _kraus_vectors(vecs.mT, _kraus_factor(ops)[..., None, :, :])
-        return _transmitted_stacks(lam, w, *_density_spectra(_kraus_apply(ops, state))[1:])
+    def transmitted(channel, lam, vecs, state):  # T at `vecs` through `channel` against each state's checked image
+        return _transmitted_stacks(lam, channel.kraus_vectors(vecs.mT),
+                                   *_density_spectra(channel.apply_matrix(state))[1:])
 
     # rho's report: the eigenbasis D of `_search` and T at the eigenbasis;
     # then the relabeled state's T and rho's T through the identity.
-    d_val = _eigenbasis_values(lam, vec, ops)
-    t_val = transmitted(ops, lam, vec[:, None], rho)[:, 0]
-    t_rel = transmitted(ops, lam_rel, vec_rel[:, None], relabeled)[:, 0]
-    t_id = transmitted(np.eye(n, dtype=complex)[None], lam, vec[:, None], rho)[:, 0]
+    d_val = _eigenbasis_values(lam, vec, channel)
+    t_val = transmitted(channel, lam, vec[:, None], rho)[:, 0]
+    t_rel = transmitted(channel, lam_rel, vec_rel[:, None], relabeled)[:, 0]
+    t_id = transmitted(identity_channel(n), lam, vec[:, None], rho)[:, 0]
 
     # The probe's eigenbasis, then its 2-fold block's columns rotated by each
     # trial's `_rotation_chunks` stream (at one byte a candidate, usually one chunk).
-    chunks = _rotation_chunks([(0, 2)], cfg.restarts, [rotation_seeds[i] for i in k.tolist()], 1)
+    chunks = _rotation_chunks([(0, 2)], cfg.restarts, rotation_seeds, 1)
     rotations = np.concatenate([r for r, in chunks], axis=1)
-    cols = np.argmin(starts[k], axis=-1)[:, None] + np.arange(2)
+    cols = np.argmin(starts, axis=-1)[:, None] + np.arange(2)
     block = np.take_along_axis(vec_probe, cols[:, None, :], axis=-1)
     candidates = np.repeat(vec_probe[:, None], cfg.restarts + 1, axis=1)
     np.put_along_axis(candidates[:, 1:], cols[:, None, None, :], block[:, None] @ rotations, axis=-1)
-    t_probe = transmitted(ops, lam_probe, candidates, probe)
+    t_probe = transmitted(channel, lam_probe, candidates, probe)
 
     c_val, c_rel, c_sigma, c_joint, ceiling = (
         _entropy_of_spectrum(x)
-        for x in (lam, lam_rel, lam_sigma[k], _density_spectra(_kron(rho, sigma))[1], lam_probe))
+        for x in (lam, lam_rel, lam_sigma, _density_spectra(_kron(rho, sigma))[1], lam_probe))
     # `_axiom_trial`'s rows, their maxima taken over Python floats as it takes them.
-    values = dict(zip(k.tolist(), zip(
+    return list(zip(
         map(max, np.stack([-c_val, -t_val, -d_val], axis=-1).tolist()),
         abs(c_rel - c_val).tolist(),
         abs(c_joint - c_val - c_sigma).tolist(),
@@ -748,5 +737,4 @@ def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> l
                            t_probe[:, 1:].max(axis=-1) - ceiling], axis=-1).tolist()),
         abs(t_id - c_val).tolist(),
         abs(t_rel - t_val).tolist(),
-    )))
-    return [values[i] if generic[i] else per_trial(i) for i in range(c)]
+    ))

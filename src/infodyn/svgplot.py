@@ -2,7 +2,8 @@
 
 One fixed-size canvas, linear axes with a handful of ticks, one
 polyline per series, and a text legend. Points with a non-finite x or y
-split the polyline rather than being clamped. Labels are escaped as XML
+split the polyline rather than being clamped, and the axes span only
+the points that are drawn. Labels are escaped as XML
 text by `html.escape(..., quote=False)`, whose output is that of
 `xml.sax.saxutils.escape`; the latter imports `urllib.request`, about
 27 ms against 2 ms (Python 3.11, x86-64). Output is deterministic for
@@ -25,11 +26,10 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _finite_span(values) -> tuple[float, float]:
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
+def _span(values) -> tuple[float, float]:
+    if not values:
         return 0.0, 1.0
-    lo, hi = min(finite), max(finite)
+    lo, hi = min(values), max(values)
     if hi - lo < 1e-12:
         pad = 0.5 if hi == 0 else abs(hi) * 0.5
         return lo - pad, hi + pad
@@ -49,8 +49,10 @@ def line_plot(xs, series, xlabel: str = "", ylabel: str = "") -> str:
     if any(len(ys) != len(xs) for _, ys in series):
         raise ValueError("every series must match the length of xs")
 
-    x_lo, x_hi = _finite_span(xs)
-    y_lo, y_hi = _finite_span([v for _, ys in series for v in ys])
+    # The axes span only the points that are drawn: finite in x and in y.
+    drawn = [(x, y) for _, ys in series for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
+    x_lo, x_hi = _span([x for x, _ in drawn])
+    y_lo, y_hi = _span([y for _, y in drawn])
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

@@ -5,6 +5,7 @@ import pytest
 
 from infodyn.channels import (
     BranchDilation,
+    Channel,
     SchurWeight,
     choi_check,
     choi_matrix,
@@ -510,6 +511,37 @@ def test_kraus_vectors_reproduce_the_image(channel):
     assert w.shape == (2, 3, channel.image_width, channel.dim)
     images = channel.apply_matrix(vecs[..., :, None] * vecs[..., None, :].conj())
     assert np.max(np.abs(w.mT @ w.conj() - images)) <= 1e-12
+
+
+@pytest.mark.parametrize("terms", [1, 3, 20], ids=["unitary-rank", "narrow", "wide"])
+def test_a_stack_of_kraus_families_acts_as_each_family_alone(terms):
+    # Four families of one stacked channel; each row set holds two
+    # candidates of four pieces, as the stacked kernels pass them.
+    rng = np.random.default_rng(12)
+    n = 4
+    families = [random_kraus_channel(n, terms, rng) for _ in range(4)]
+    stack = Channel("kraus", n, True, np.stack([ch._data for ch in families]))
+    assert (stack.dim, stack.image_width) == (n, terms)
+    states = np.stack([random_density(n, rng).matrix for _ in families])
+    vecs = rng.normal(size=(4, 2, n, n)) + 1j * rng.normal(size=(4, 2, n, n))
+    images, w, spectra = stack.apply_matrix(states), stack.kraus_vectors(vecs), stack.image_spectra(vecs)
+    assert w.shape == (4, 2, n, terms, n)
+    for t, ch in enumerate(families):
+        assert np.array_equal(images[t], ch.apply_matrix(states[t]))
+        assert np.array_equal(w[t], ch.kraus_vectors(vecs[t]))
+        assert np.array_equal(spectra[t], ch.image_spectra(vecs[t]))
+
+
+def test_unitary_channel_keeps_its_own_copy_of_the_matrix():
+    u = np.eye(2, dtype=complex)
+    ch = unitary_channel(u)
+    u *= 2
+    image = ch.apply_matrix(np.diag([0.7, 0.3]))
+    assert np.array_equal(image, np.diag([0.7, 0.3]).astype(complex))
+    assert np.array_equal(ch.kraus_vectors([1.0, 0.0]), [[1.0, 0.0]])
+    assert ch.is_trace_preserving
+    with pytest.raises(ValueError, match="read-only"):
+        ch._data[0, 0, 0] = 3.0
 
 
 @pytest.mark.parametrize("channel", [c for _, c in STACK_CASES],

@@ -253,10 +253,10 @@ def test_transmitted_stacks_equals_each_state_transmitted_call():
     sigmas = [ch.apply(rho) for ch, rho in zip(chans, states)]
     vecs = np.stack([np.stack([rho.eigenvectors @ random_unitary(3, rng) for _ in range(3)])
                      for rho in states])
-    # Each state's pieces through its own Kraus factor, broadcast over the decompositions.
-    factors = hilbert._kraus_factor(np.stack([ch._data for ch in chans]))[:, None]
+    # Each state's pieces through its own family of one stacked channel, over the decompositions.
+    stack = Channel("kraus", 3, True, np.stack([ch._data for ch in chans]))
     stacked = metrics._transmitted_stacks(
-        np.stack([rho.eigenvalues for rho in states]), hilbert._kraus_vectors(vecs.mT, factors),
+        np.stack([rho.eigenvalues for rho in states]), stack.kraus_vectors(vecs.mT),
         np.stack([s.eigenvalues for s in sigmas]), np.stack([s.eigenvectors for s in sigmas]))
     assert stacked.shape == (4, 3)
     for row, rho, v, ch, sigma in zip(stacked, states, vecs, chans, sigmas):
@@ -782,9 +782,56 @@ def test_conjecture_batch_does_not_depend_on_chunk_size(monkeypatch):
 ], ids=["degenerate", "weight-floor"])
 def test_conjecture_batch_sends_degenerate_or_light_pairs_to_the_experiment(
         module, name, value, fallback, batch_calls, monkeypatch):
+    # One pair per chunk, so the count is that of the pairs themselves.
+    monkeypatch.setattr(metrics, "CHUNK_BYTES", 1)
     monkeypatch.setattr(module, name, value)
     assert conjecture_batch(2, 8, 3) == replayed_batch(2, 8, 3, 2, False)
     assert batch_calls["fallback"] == fallback
+
+
+def lossy_first_family(monkeypatch):
+    """Flag the first family of the first `metrics._check_kraus_sums` call as not trace-preserving.
+
+    The per-item paths check their channels through `channels`, so their values are the real ones.
+    Returns the stack size of each call.
+    """
+    sizes, check = [], metrics._check_kraus_sums
+
+    def flagged(ops):
+        tp = check(ops)
+        if not sizes:
+            tp[0] = False
+        sizes.append(ops.shape[0])
+        return tp
+
+    monkeypatch.setattr(metrics, "_check_kraus_sums", flagged)
+    return sizes
+
+
+def test_conjecture_batch_sends_a_whole_chunk_with_one_lossy_pair_to_the_experiment(
+        batch_calls, monkeypatch):
+    # At the default chunks (157 pairs at dim 2): the first chunk goes
+    # pair by pair, the other two as stacks, with the replay's bytes.
+    sizes = lossy_first_family(monkeypatch)
+    assert conjecture_batch(2, 400, 6) == replayed_batch(2, 400, 6, 2, False)
+    assert batch_calls["chunks"] == 3
+    assert batch_calls["fallback"] == sizes[0] == 157
+
+
+def test_conjecture_batch_raises_the_trace_preservation_error_through_the_per_pair_path(
+        batch_calls, monkeypatch):
+    # Every channel flagged as not trace-preserving.
+    def lossy(ops):
+        return np.zeros(ops.shape[:-3], dtype=bool)
+
+    monkeypatch.setattr(metrics, "_check_kraus_sums", lossy)
+    monkeypatch.setattr(channels, "_check_kraus_sums", lossy)
+    message = "^decomposition metrics require a trace-preserving channel$"
+    with pytest.raises(ValueError, match=message):
+        replayed_batch(2, 4, 0, 2, False)
+    with pytest.raises(ValueError, match=message):
+        conjecture_batch(2, 4, 0)
+    assert batch_calls["fallback"] == 1
 
 
 def replayed_axioms(dim, trials, seed):
@@ -889,9 +936,21 @@ def test_axiom_suite_does_not_depend_on_chunk_size(axiom_calls, monkeypatch):
 ], ids=["degenerate", "some-blocks", "weight-floor"])
 def test_axiom_suite_sends_degenerate_or_light_trials_to_the_per_trial_path(
         module, name, value, fallback, axiom_calls, monkeypatch):
+    # One trial per stack, so the count is that of the trials themselves.
+    monkeypatch.setattr(metrics, "CHUNK_BYTES", 1)
     monkeypatch.setattr(module, name, value)
     assert axiom_bytes(axiom_suite(4, 13, 2)) == axiom_bytes(replayed_axioms(4, 13, 2))
     assert axiom_calls["fallback"] == fallback
+
+
+def test_axiom_suite_sends_a_whole_stack_with_one_lossy_trial_to_the_per_trial_path(
+        axiom_calls, monkeypatch):
+    # At the default chunks (25 trials per stack at dim 3): the first
+    # stack goes trial by trial, the other five as stacks, with the replay's bytes.
+    sizes = lossy_first_family(monkeypatch)
+    assert axiom_bytes(axiom_suite(3, 120, 4)) == axiom_bytes(replayed_axioms(3, 120, 4))
+    assert axiom_calls["stacks"] == 6
+    assert axiom_calls["fallback"] == sizes[0] == 25
 
 
 def test_axiom_suite_raises_the_trace_preservation_error_through_the_per_trial_path(

@@ -66,6 +66,23 @@ def test_private_names_cross_modules_only_from_hilbert():
     assert stray == []
 
 
+def test_the_kraus_layout_lives_only_in_channels():
+    # `Channel` holds the Kraus form; the stacked kernels read it through
+    # the same methods as the per-item paths.
+    gone = {"_kraus_factor", "_kraus_vectors", "_kraus_apply"}
+    stray = []
+    for path in sorted(Path(infodyn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in gone:
+                stray.append(f"{path.name}: defines {node.name}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                stray += [f"{path.name}: imports {alias.name}" for alias in node.names if alias.name in gone]
+            elif (isinstance(node, ast.Attribute) and node.attr in {"_data", "_factor"}
+                  and path.name != "channels.py"):
+                stray.append(f"{path.name}: reads {node.attr}")
+    assert stray == []
+
+
 def test_every_size_cap_is_named_in_the_readme():
     package = Path(infodyn.__file__).parent
     readme = (package.parents[1] / "README.md").read_text()

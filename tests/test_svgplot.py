@@ -46,7 +46,7 @@ def test_line_plot_escapes_labels():
 def test_line_plot_splits_at_a_non_finite_x():
     root = ET.fromstring(line_plot([math.nan, 1.0, 2.0], [("a", [1.0, 2.0, 3.0])]))
     lines = [el.get("points") for el in root.iter() if el.tag.endswith("polyline")]
-    assert lines == ["64,188 624,20"]
+    assert lines == ["64,356 624,20"]
 
 
 def test_line_plot_rejects_a_series_of_another_length():
