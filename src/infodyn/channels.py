@@ -22,7 +22,7 @@ Trace-normalized damping, which conditions a state on a weight, is not
 a channel: it divides by the trace of the damped output, so it is
 nonlinear and partial. It lives in :func:`schur_channel_apply`, whose
 inputs with vanishing damped trace raise
-:class:`~infodyn.exceptions.OutsideDomain`.
+:class:`~infodyn.exceptions.OutsideDomain` (a non-finite one ValueError).
 """
 
 from __future__ import annotations
@@ -124,9 +124,15 @@ def schur_apply_from_terms(terms, rho) -> np.ndarray:
 
 
 def schur_channel_apply(weight, rho) -> DensityOperator:
-    """Trace-normalized entrywise damping; nonlinear and partial."""
+    """Trace-normalized entrywise damping; nonlinear and partial.
+
+    A non-finite damped trace raises ValueError before any division; a
+    finite one at or below PROBABILITY_FLOOR raises OutsideDomain.
+    """
     raw = schur_apply(weight, rho)
     tr = float(raw.trace().real)
+    if not np.isfinite(tr):
+        raise ValueError(f"damped trace {tr!r} is not finite")
     if tr <= PROBABILITY_FLOOR:
         raise OutsideDomain(
             f"damped trace {tr:.3e} is below the probability floor; "

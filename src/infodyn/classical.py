@@ -282,6 +282,8 @@ class Partition:
     def encode(self, points) -> np.ndarray:
         """Flat cell codes (row-major across axes) for an array of points."""
         pts = np.asarray(points, dtype=float)
+        if pts.ndim not in (1, 2):
+            raise ValueError(f"points must be a 1-d or 2-d array, got shape {pts.shape}")
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.shape[1] != len(self.box):

@@ -503,7 +503,7 @@ def _check_kraus_sums(ops) -> np.ndarray:
     within 1e-10 entrywise.
     """
     # Summed term by term, so a stack of stacks rounds as each stack alone.
-    total = sum(a.conj().mT @ a for a in ops.swapaxes(0, -3))
+    total = sum(a.conj().mT @ a for a in np.moveaxis(ops, -3, 0))
     gap = total - np.eye(ops.shape[-1])
     dev = np.abs(gap).max(axis=(-2, -1))
     # eigvalsh returns finite garbage for a non-finite matrix, so the

@@ -35,19 +35,21 @@ whole stack of states; it is never the output entropy minus the chaos
 degree. A single state is a stack of one.
 
 `conjecture_batch` and `axiom_suite` evaluate their pairs and trials in
-stacks: `_pair_outcomes` and `_axiom_trials` run each step of the
-per-pair and per-trial paths (`conjecture_experiment`, `_axiom_trial`)
-once for a chunk, with their bits, through what those paths use: a
-"kraus" `Channel` holding one Kraus family per item, read through the
-same `image_spectra`, `kraus_vectors` and `apply_matrix`,
-`hilbert._density_spectra` for every state, `hilbert._kron` for the
-tensor product, `_eigenbasis_values` for the eigenbasis chaos degree,
-`_transmitted_stacks` for T and one `_rotation_chunks` call, with every
-trial's seed, for the probes' rotations; no step loops over the items of
-a stack. Each kernel decides once per chunk, before any stacked D, T or
-value: if any item has a degenerate or light state, a probe other than
-one 2-fold block, or a channel that is not trace-preserving, every item
-of the chunk goes through the per-pair or per-trial path.
+stacks: `_pair_outcomes` runs each step of the per-pair path
+(`conjecture_experiment`) once for a chunk, with its bits, and
+`_axiom_trials` evaluates every trial at its states' eigenbases, through
+what the per-item paths use: a "kraus" `Channel` holding one Kraus family
+per item, read through the same `image_spectra`, `kraus_vectors` and
+`apply_matrix`, `hilbert._density_spectra` for every state,
+`hilbert._kron` for the tensor product, `_eigenbasis_values` for the
+eigenbasis chaos degree, `_transmitted_stacks` for T and one
+`_rotation_chunks` call, with every trial's seed, for the probes'
+rotations; no step loops over the items of a stack. Only
+`_pair_outcomes`, whose chaos degree is the compared quantity, falls
+back: it decides once per chunk, before any stacked D or value, and if
+any pair has a degenerate or light joint state, or a channel that is not
+trace-preserving, every pair of the chunk goes through
+`conjecture_experiment`.
 
 Every function here that takes a channel checks it through
 `_check_channel` before any arithmetic: a non-`Channel` raises
@@ -215,11 +217,14 @@ def _transmitted_stacks(lam: np.ndarray, w: np.ndarray, mu: np.ndarray, v: np.nd
     vectors of their decompositions' pieces, and `mu` (T, n), `v` (T, n, n)
     the spectral data of each state's sigma; returns (T, ...). Each image's
     spectrum is checked as `DensityOperator` checks a state's (a Gram image is
-    self-adjoint by construction); an image whose support leaves sigma's gives +inf.
+    self-adjoint by construction); an image whose support leaves sigma's gives
+    +inf. A piece of weight at or below WEIGHT_FLOOR adds nothing.
     """
     g = _gram_spectra(w)
     s = _relative_entropies(_unit_spectra(g.sum(axis=-1), g), w, mu, v)
-    return np.sum(s * np.expand_dims(lam, tuple(range(1, s.ndim - 1))), axis=-1)
+    lam = np.expand_dims(lam, tuple(range(1, s.ndim - 1)))
+    # Zeroed before the product, so a light piece's +inf never meets its weight.
+    return np.sum(np.where(lam > WEIGHT_FLOOR, s, 0.0) * lam, axis=-1)
 
 
 def _transmitted(lam: np.ndarray, vecs: np.ndarray, channel: Channel,
@@ -238,6 +243,12 @@ def _check_channel(channel, n: int, subject: str) -> None:
         raise DimensionMismatch(f"{subject} dim {n} vs channel dim {channel.dim}")
 
 
+def _require_trace_preserving(flags) -> None:
+    """The decomposition metrics' channel rule: every given family preserves trace."""
+    if not np.all(flags):
+        raise ValueError("decomposition metrics require a trace-preserving channel")
+
+
 def _search(state: DensityOperator, channel: Channel, cfg: ComplexityConfig):
     """Minimize sum p_k S(channel(E_k)) over the state's extremal decompositions.
 
@@ -249,8 +260,7 @@ def _search(state: DensityOperator, channel: Channel, cfg: ComplexityConfig):
     and the minimizing eigenvector columns.
     """
     _check_channel(channel, state.n, "state")
-    if not channel.is_trace_preserving:
-        raise ValueError("decomposition metrics require a trace-preserving channel")
+    _require_trace_preserving(channel.is_trace_preserving)
 
     lam, vec = state.eigenvalues, state.eigenvectors
     live = lam > WEIGHT_FLOOR
@@ -512,11 +522,6 @@ def _eigenbasis_values(lam: np.ndarray, vec: np.ndarray, channel: Channel) -> np
     return np.sum(lam * _entropy_of_spectrum(channel.image_spectra(vec.mT)), axis=-1)
 
 
-def _unique_and_live(lam: np.ndarray) -> np.ndarray:
-    """Whether each spectrum of a stack has no degenerate block and every weight above WEIGHT_FLOOR."""
-    return _block_starts(lam).all(axis=-1) & (lam[..., -1] > WEIGHT_FLOOR)
-
-
 def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     """`conjecture_experiment` on each pair of a chunk, evaluated as stacks.
 
@@ -536,7 +541,7 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     kraus = [_isometry_blocks(z, terms) for z in g_kraus]
     tp = np.logical_and.reduce([_check_kraus_sums(ops) for ops in kraus])
     q = _self_adjoint_purposes(0.5 * (g_purpose + g_purpose.conj().mT))
-    if not (_unique_and_live(lam) & tp).all():
+    if not (_block_starts(lam).all(axis=-1) & (lam[:, -1] > WEIGHT_FLOOR) & tp).all():
         return [conjecture_experiment(grams[0][k], grams[1][k], kraus_channel(kraus[0][k]),
                                       kraus_channel(kraus[-1][k]), q[k])
                 for k in range(q.shape[0])]
@@ -576,28 +581,36 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
 
     Trial by trial, the instances are those of `random_density` (rho,
     then sigma), `random_kraus_channel` (rank 2 + t % 2 for trial t),
-    `random_unitary` (the relabeling), `rng.random` (the probe spectrum)
-    and `random_unitary` (the probe basis), drawn in that order from one
-    generator; each trial's deviations are those of `_axiom_trial` on
-    them. The trials are evaluated in chunks by `_axiom_trials`, one
-    stack per Kraus rank, each stack with as many trials as fit
-    CHUNK_BYTES (at least one); the results do not depend on the chunk
-    size.
+    `random_unitary` (the relabeling), `rng.random` (the probe spectrum,
+    its second entry made equal to its first) and `random_unitary` (the
+    probe basis), drawn in that order from one generator. The axioms hold
+    at every extremal decomposition, and each check is evaluated at these:
+    C >= 0, T >= 0 and D >= 0 at rho's eigenbasis; relabeling and
+    additivity on the spectra; T <= C at rho's eigenbasis and at the
+    probe's eigenbasis and 20 rotations of its first tied pair of
+    eigenvectors, drawn with seed + t as `chaos_degree` draws them;
+    identity recovery through the identity channel at rho's eigenbasis;
+    the drift between rho's T and the relabeled state's, each at its
+    eigenbasis. For a non-degenerate state the eigenbasis is the
+    decomposition that `chaos_degree` reports. The trials are evaluated
+    in chunks by `_axiom_trials`, one stack per Kraus rank, each stack
+    with as many trials as fit CHUNK_BYTES (at least one); the results
+    do not depend on the chunk size.
     """
     _check_integer("dim", dim, 2, "MAX_AXIOM_DIM", MAX_AXIOM_DIM)
     _check_integer("trials", trials, 1, "MAX_AXIOM_TRIALS", MAX_AXIOM_TRIALS)
     _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    cfg = ComplexityConfig(restarts=20, seed=seed)
+    restarts = 20
     # A chunk is two stacks, one per Kraus rank, evaluated in turn. A
     # trial's working set peaks while its probe's candidates are
     # evaluated: about ten complex dim-vectors for each of their
     # (restarts + 1) * dim pieces (the piece, its two or three Kraus
     # vectors and their overlaps), and 10 KB of small arrays.
-    trial_bytes = 16 * (10 * (cfg.restarts + 1) * dim ** 2 + 640)
+    trial_bytes = 16 * (10 * (restarts + 1) * dim ** 2 + 640)
     chunk = 2 * max(1, CHUNK_BYTES // trial_bytes)
 
-    # One entry per check, in `_axiom_trial`'s row order.
+    # One entry per check, in `_axiom_trials`' row order.
     worst = [0.0, 0.0, 0.0, -math.inf, 0.0, 0.0]
     for start in range(0, trials, chunk):
         stop = min(trials, start + chunk)
@@ -613,7 +626,7 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
             group = [t for t in range(start, stop) if 2 + t % 2 == terms]
             if group:
                 stacks = [np.concatenate(arrays) for arrays in zip(*(draws[t - start] for t in group))]
-                deviations.update(zip(group, _axiom_trials(stacks, terms, [seed + t for t in group], cfg)))
+                deviations.update(zip(group, _axiom_trials(stacks, terms, [seed + t for t in group], restarts)))
         # Folded in trial order as Python floats, so a -0.0 never replaces 0.0.
         worst = [max(column) for column in zip(worst, *(deviations[t] for t in range(start, stop)))]
     worst_neg, worst_relabel, worst_additivity, worst_bound, worst_identity, t_drift = worst
@@ -630,63 +643,26 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
     }
 
 
-def _axiom_trial(rho: DensityOperator, sigma: DensityOperator, channel: Channel, u: np.ndarray,
-                 spectrum: np.ndarray, basis: np.ndarray, rotation_seed: int, cfg: ComplexityConfig):
-    """The deviations of one `axiom_suite` trial, state by state.
-
-    Returns the trial's row, one Python float per check: the largest
-    nonnegativity term, the relabeling deviation, the additivity
-    deviation, the largest T - C term, the identity deviation and the
-    transmitted drift.
-    """
-    report = chaos_degree(rho, channel, cfg)
-    c_val = complexity(rho)
-    neg = max(-c_val, -report.transmitted, -report.chaos_degree)
-
-    relabeled = DensityOperator(u @ rho.matrix @ u.conj().T)
-    relabel = abs(complexity(relabeled) - c_val)
-    drift = abs(chaos_degree(relabeled, channel, cfg).transmitted - report.transmitted)
-
-    additivity = abs(complexity(rho.tensor(sigma)) - c_val - complexity(sigma))
-
-    # Bound T <= C over sampled decompositions: rho's eigenbasis (the
-    # report's value), then an engineered degenerate state at its
-    # eigenbasis and 20 rotations, walked as `chaos_degree` walks them.
-    bounds = [report.transmitted - c_val]
-    probe = DensityOperator((basis * spectrum) @ basis.conj().T)
-    lam, vec = probe.eigenvalues, probe.eigenvectors
-    blocks = _degenerate_blocks(lam)
-    out, ceiling = channel.apply(probe), complexity(probe)
-    n = rho.n
-    # A candidate's bytes: its decomposition, and per piece its Kraus
-    # vectors and their overlaps in `_transmitted`.
-    chunks = _rotation_chunks(blocks, cfg.restarts, [rotation_seed], 16 * n * n * (1 + 3 * channel.image_width))
-    for vecs in (vec[None], *(_rotated(vec, blocks, [u[0] for u in r]) for r in chunks)):
-        bounds.append(float(np.max(_transmitted(lam, vecs, channel, out))) - ceiling)
-
-    identity = abs(chaos_degree(rho, identity_channel(n), cfg).transmitted - c_val)
-    return neg, relabel, additivity, max(bounds), identity, drift
-
-
-def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> list:
-    """`_axiom_trial` on each trial of a stack with one Kraus rank, evaluated as stacks.
+def _axiom_trials(draws, terms: int, rotation_seeds, restarts: int) -> list:
+    """The rows of the `axiom_suite` trials of a stack with one Kraus rank, evaluated as stacks.
 
     `draws` are the trials' Gaussian stacks and probe spectra in
     `axiom_suite`'s order, from which the states, Kraus stacks, unitaries
     and probes are built as the public samplers build them, with every
-    check those run. Each step is the per-trial step applied to a stack,
-    so each value has the bits of the per-trial path. If any trial's
-    state or relabeled state has a degenerate block or a weight at or
-    below WEIGHT_FLOOR, any trial's probe has anything but one 2-fold
-    block or has such a weight, or any trial's channel is not
-    trace-preserving, every trial of the stack goes through `_axiom_trial` itself.
+    check those run; a family that is not trace-preserving raises
+    ValueError. Every state is read at its eigenbasis, a valid extremal
+    decomposition whether or not its spectrum is degenerate. A trial's row
+    holds one Python float per check: the largest nonnegativity term, the
+    relabeling deviation, the additivity deviation, the largest T - C
+    term, the identity deviation and the transmitted drift.
     """
     g_rho, g_sigma, g_kraus, g_u, raw, g_basis = draws
-    c, n = g_rho.shape[:2]
+    n = g_rho.shape[1]
     grams = [_normalized_grams(g) for g in (g_rho, g_sigma)]
     (rho, lam, vec), (sigma, lam_sigma, _) = map(_density_spectra, grams)
     kraus = _isometry_blocks(g_kraus, terms)
-    tp = _check_kraus_sums(kraus)
+    _require_trace_preserving(_check_kraus_sums(kraus))
+    channel = Channel("kraus", n, True, kraus)
     u = _haar_unitaries(g_u)
     relabeled, lam_rel, vec_rel = _density_spectra(u @ rho @ u.conj().mT)
     raw[:, 1] = raw[:, 0]
@@ -695,40 +671,32 @@ def _axiom_trials(draws, terms: int, rotation_seeds, cfg: ComplexityConfig) -> l
     probe, lam_probe, vec_probe = _density_spectra(
         (basis * spectrum[:, None, :]) @ basis.conj().mT)
 
-    starts = _block_starts(lam_probe)
-    if not (_unique_and_live(lam) & _unique_and_live(lam_rel)
-            & (starts.sum(axis=-1) == n - 2) & (lam_probe[:, -1] > WEIGHT_FLOOR) & tp).all():
-        return [_axiom_trial(DensityOperator(grams[0][i]), DensityOperator(grams[1][i]),
-                             kraus_channel(kraus[i]), u[i], spectrum[i], basis[i],
-                             rotation_seeds[i], cfg)
-                for i in range(c)]
-    channel = Channel("kraus", n, True, kraus)
-
     def transmitted(channel, lam, vecs, state):  # T at `vecs` through `channel` against each state's checked image
         return _transmitted_stacks(lam, channel.kraus_vectors(vecs.mT),
                                    *_density_spectra(channel.apply_matrix(state))[1:])
 
-    # rho's report: the eigenbasis D of `_search` and T at the eigenbasis;
-    # then the relabeled state's T and rho's T through the identity.
+    # rho's D and T at its eigenbasis (for a unique spectrum, the decomposition
+    # `chaos_degree` reports); then the relabeled state's T and rho's T through the identity.
     d_val = _eigenbasis_values(lam, vec, channel)
     t_val = transmitted(channel, lam, vec[:, None], rho)[:, 0]
     t_rel = transmitted(channel, lam_rel, vec_rel[:, None], relabeled)[:, 0]
     t_id = transmitted(identity_channel(n), lam, vec[:, None], rho)[:, 0]
 
-    # The probe's eigenbasis, then its 2-fold block's columns rotated by each
-    # trial's `_rotation_chunks` stream (at one byte a candidate, usually one chunk).
-    chunks = _rotation_chunks([(0, 2)], cfg.restarts, rotation_seeds, 1)
+    # The probe's eigenbasis, then its first tied pair of columns (still
+    # eigenvectors within a larger block) rotated by each trial's
+    # `_rotation_chunks` stream (at one byte a candidate, usually one chunk).
+    chunks = _rotation_chunks([(0, 2)], restarts, rotation_seeds, 1)
     rotations = np.concatenate([r for r, in chunks], axis=1)
-    cols = np.argmin(starts, axis=-1)[:, None] + np.arange(2)
+    cols = np.argmin(_block_starts(lam_probe), axis=-1)[:, None] + np.arange(2)
     block = np.take_along_axis(vec_probe, cols[:, None, :], axis=-1)
-    candidates = np.repeat(vec_probe[:, None], cfg.restarts + 1, axis=1)
+    candidates = np.repeat(vec_probe[:, None], restarts + 1, axis=1)
     np.put_along_axis(candidates[:, 1:], cols[:, None, None, :], block[:, None] @ rotations, axis=-1)
     t_probe = transmitted(channel, lam_probe, candidates, probe)
 
     c_val, c_rel, c_sigma, c_joint, ceiling = (
         _entropy_of_spectrum(x)
         for x in (lam, lam_rel, lam_sigma, _density_spectra(_kron(rho, sigma))[1], lam_probe))
-    # `_axiom_trial`'s rows, their maxima taken over Python floats as it takes them.
+    # Row maxima over Python floats, as `axiom_suite` folds the rows.
     return list(zip(
         map(max, np.stack([-c_val, -t_val, -d_val], axis=-1).tolist()),
         abs(c_rel - c_val).tolist(),

@@ -164,6 +164,7 @@ def transfer_operator(bell: BellSystem, i: int, j: int) -> np.ndarray:
     rank-one expansion of the memory update is built from its images.
     """
     n = bell.n
+    _check_outcome(i, j, n)
     b = bell.basis.vectors[i]
     g = np.zeros((n, n * n), dtype=complex)
     for m in range(n):

@@ -113,6 +113,13 @@ def test_normalized_schur_zero_weight_raises():
         schur_channel_apply(SchurWeight(np.zeros((2, 2))), rho)
 
 
+def test_normalized_schur_rejects_a_non_finite_trace_before_dividing():
+    # Warnings are errors in this suite, so a division by the trace would fail first.
+    state = np.array([[np.nan, 0.0], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="^damped trace nan is not finite$"):
+        schur_channel_apply(SchurWeight(np.eye(2)), state)
+
+
 def test_shift_channel_moves_basis_state():
     out = shift_channel(1, 2)(DensityOperator(np.diag([1.0, 0.0])))
     assert np.allclose(out.matrix, np.diag([0.0, 1.0]))
@@ -192,6 +199,16 @@ def test_kraus_sum_check_of_a_stack_matches_each_channel():
             kraus_channel(bad)
         with pytest.raises(ValueError, match=message):
             _check_kraus_sums(np.stack([stacks[0], bad, stacks[2]]))
+
+
+def test_kraus_sum_check_keeps_the_order_of_two_leading_axes():
+    from infodyn.hilbert import _check_kraus_sums
+
+    ops = np.stack([[random_kraus_channel(3, 2, RNG)._data for _ in range(3)] for _ in range(2)])
+    ops[1, 0] *= 0.5
+    flags = _check_kraus_sums(ops)
+    assert flags.shape == (2, 3)
+    assert flags.tolist() == [[True, True, True], [False, True, True]]
 
 
 def test_kraus_sum_check_takes_eigenvalues_only_where_the_check_can_fail(monkeypatch):

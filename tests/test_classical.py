@@ -155,7 +155,12 @@ def test_map_and_partition_reject_a_box_interval_without_positive_width(box):
     (lambda: Partition(((0.0, 1.0),), 4).encode(np.full((3, 2), 0.5)), "points have dimension 2, box has 1"),
     (lambda: empirical_channel(np.array([0.5]), Partition(((0.0, 1.0),), 4)),
      "orbit must contain at least 2 points"),
-], ids=["three-axes", "x0-dimension", "encode-dimension", "one-point-orbit"])
+    (lambda: empirical_channel(np.float64(0.5), Partition(((0.0, 1.0),), 4)),
+     "points must be a 1-d or 2-d array, got shape ()"),
+    (lambda: Partition(((0.0, 1.0),), 4).encode(np.full((3, 2, 1), 0.5)),
+     "points must be a 1-d or 2-d array, got shape (3, 2, 1)"),
+], ids=["three-axes", "x0-dimension", "encode-dimension", "one-point-orbit", "scalar-orbit",
+        "encode-three-axes"])
 def test_classical_input_errors_name_the_problem(call, message):
     with pytest.raises(ValueError) as err:
         call()

@@ -891,18 +891,15 @@ def axiom_bytes(results):
 
 @pytest.fixture
 def axiom_calls(monkeypatch):
-    """Counts of the suite's stacks and of its trials sent to `_axiom_trial`."""
-    calls = {"stacks": 0, "fallback": 0}
-    stacks, trial = metrics._axiom_trials, metrics._axiom_trial
+    """The count of the suite's stacks."""
+    calls = {"stacks": 0}
+    stacks = metrics._axiom_trials
 
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
+    def counted(*args):
+        calls["stacks"] += 1
+        return stacks(*args)
 
-    monkeypatch.setattr(metrics, "_axiom_trials", counted("stacks", stacks))
-    monkeypatch.setattr(metrics, "_axiom_trial", counted("fallback", trial))
+    monkeypatch.setattr(metrics, "_axiom_trials", counted)
     return calls
 
 
@@ -914,7 +911,6 @@ def test_axiom_suite_equals_the_per_trial_replay(dim, trials, axiom_calls):
             replayed_axioms(dim, trials, seed))
     # Each chunk evaluates its trials of each Kraus rank as one stack.
     assert axiom_calls["stacks"] >= 3 * min(trials, 2)
-    assert axiom_calls["fallback"] == 0
 
 
 def test_axiom_suite_does_not_depend_on_chunk_size(axiom_calls, monkeypatch):
@@ -926,35 +922,94 @@ def test_axiom_suite_does_not_depend_on_chunk_size(axiom_calls, monkeypatch):
         axiom_calls["stacks"] = 0
         assert axiom_bytes(axiom_suite(3, 7, 5)) == expected
         assert axiom_calls["stacks"] == stacks
-    assert axiom_calls["fallback"] == 0
 
 
-@pytest.mark.parametrize("module, name, value, fallback", [
-    (hilbert, "DEGENERACY_GAP", 1.0, 13),  # every spectrum is one block
-    (hilbert, "DEGENERACY_GAP", 0.05, 8),  # eight trials have a spectrum with another block
-    (metrics, "WEIGHT_FLOOR", 0.01, 7),  # seven trials have a state with a smaller weight
-], ids=["degenerate", "some-blocks", "weight-floor"])
-def test_axiom_suite_sends_degenerate_or_light_trials_to_the_per_trial_path(
-        module, name, value, fallback, axiom_calls, monkeypatch):
-    # One trial per stack, so the count is that of the trials themselves.
-    monkeypatch.setattr(metrics, "CHUNK_BYTES", 1)
-    monkeypatch.setattr(module, name, value)
-    assert axiom_bytes(axiom_suite(4, 13, 2)) == axiom_bytes(replayed_axioms(4, 13, 2))
-    assert axiom_calls["fallback"] == fallback
+def test_axiom_suite_runs_no_search(monkeypatch):
+    def searched(*args):
+        raise AssertionError("the axiom suite ran a decomposition search")
+
+    monkeypatch.setattr(metrics, "_search", searched)
+    monkeypatch.setattr(metrics, "chaos_degree", searched)
+    for dim in range(2, MAX_AXIOM_DIM + 1):
+        results = axiom_suite(dim, 5, dim)
+        assert all(res.passed for res in results.values()), dim
+    # Every spectrum one block: each trial is degenerate, and still takes the stacked path.
+    monkeypatch.setattr(hilbert, "DEGENERACY_GAP", 1.0)
+    for dim in range(2, MAX_AXIOM_DIM + 1):
+        assert len(axiom_suite(dim, 5, dim)) == 5
 
 
-def test_axiom_suite_sends_a_whole_stack_with_one_lossy_trial_to_the_per_trial_path(
-        axiom_calls, monkeypatch):
-    # At the default chunks (25 trials per stack at dim 3): the first
-    # stack goes trial by trial, the other five as stacks, with the replay's bytes.
-    sizes = lossy_first_family(monkeypatch)
-    assert axiom_bytes(axiom_suite(3, 120, 4)) == axiom_bytes(replayed_axioms(3, 120, 4))
-    assert axiom_calls["stacks"] == 6
-    assert axiom_calls["fallback"] == sizes[0] == 25
+def eigenbasis_row(g_rho, g_sigma, kraus, u, spectrum, basis, seed, restarts):
+    """One `_axiom_trials` row, piece by piece through the public state and channel functions.
+
+    Every state is read at its eigenbasis over its weights above WEIGHT_FLOOR,
+    and the probe's first tied pair of eigenvectors at `restarts` rotations,
+    one `random_unitary` per rotation from the generator of `seed`.
+    """
+    rho, sigma = (DensityOperator(hilbert._normalized_grams(g)) for g in (g_rho, g_sigma))
+    channel, n = kraus_channel(kraus), rho.n
+
+    def d_and_t(state, channel, vecs):
+        out = channel.apply(state)
+        images = [(w, channel.apply(np.outer(v, v.conj())))
+                  for w, v in zip(state.eigenvalues, vecs.T) if w > metrics.WEIGHT_FLOOR]
+        return (sum(w * von_neumann_entropy(image) for w, image in images),
+                sum(w * relative_entropy(image, out) for w, image in images))
+
+    c = complexity(rho)
+    d, t = d_and_t(rho, channel, rho.eigenvectors)
+    relabeled = DensityOperator(u @ rho.matrix @ u.conj().T)
+    t_rel = d_and_t(relabeled, channel, relabeled.eigenvectors)[1]
+    t_id = d_and_t(rho, identity_channel(n), rho.eigenvectors)[1]
+
+    probe = DensityOperator((basis * spectrum) @ basis.conj().T)
+    vecs, ceiling = probe.eigenvectors, complexity(probe)
+    lo = _degenerate_blocks(probe.eigenvalues)[0][0]
+    rng = np.random.default_rng(seed)
+    bounds = [t - c, d_and_t(probe, channel, vecs)[1] - ceiling]
+    for _ in range(restarts):
+        rotated = vecs.copy()
+        rotated[:, lo:lo + 2] = vecs[:, lo:lo + 2] @ random_unitary(2, rng)
+        bounds.append(d_and_t(probe, channel, rotated)[1] - ceiling)
+    return (max(-c, -t, -d), abs(complexity(relabeled) - c),
+            abs(complexity(rho.tensor(sigma)) - c - complexity(sigma)),
+            max(bounds), abs(t_id - c), abs(t_rel - t))
 
 
-def test_axiom_suite_raises_the_trace_preservation_error_through_the_per_trial_path(
-        axiom_calls, monkeypatch):
+def test_axiom_trials_evaluate_non_generic_trials_at_their_eigenbases():
+    # Trial 0: rho from identity Gaussians, so maximally mixed. Trial 1: a
+    # rank-deficient rho and a probe weight of 0. Trial 2: a probe with a
+    # 3-fold tie. Trial 3: a diagonal rho with an exact 0 weight, whose
+    # piece leaves rho's support (T +inf through the identity, times 0).
+    # Warnings are errors in this suite.
+    dim, terms, restarts, seeds = 4, 2, 20, [3, 4, 5, 6]
+    rng = np.random.default_rng(11)
+    draws = hilbert._complex_gaussians(rng, 4, [(dim, dim), (dim, dim), (terms * dim, dim), (dim, dim)])
+    raw = rng.random((4, dim))
+    draws.insert(4, raw)
+    draws += hilbert._complex_gaussians(rng, 4, [(dim, dim)])
+    draws[0][0] = np.eye(dim)
+    draws[0][1, :, -1] = 0.0
+    draws[0][3] = np.diag([1.0, 2.0, 3.0, 0.0])
+    raw[1, -1] = 0.0
+    raw[2, 2] = raw[2, 0]
+    g_rho, g_sigma, g_kraus, g_u, _, g_basis = draws
+    rows = metrics._axiom_trials([d.copy() for d in draws], terms, seeds, restarts)
+
+    kraus = hilbert._isometry_blocks(g_kraus, terms)
+    u, basis = hilbert._haar_unitaries(g_u), hilbert._haar_unitaries(g_basis)
+    raw[:, 1] = raw[:, 0]
+    spectra = raw / raw.sum(axis=-1, keepdims=True)
+    assert [np.sum(hilbert._block_starts(DensityOperator((b * s) @ b.conj().T).eigenvalues))
+            for b, s in zip(basis, spectra)] == [dim - 2, dim - 2, dim - 3, dim - 2]
+    for i, row in enumerate(rows):
+        expected = eigenbasis_row(g_rho[i], g_sigma[i], kraus[i], u[i], spectra[i], basis[i],
+                                  seeds[i], restarts)
+        assert np.isfinite(row).all()
+        assert np.allclose(row, expected, rtol=0.0, atol=1e-12), (i, row, expected)
+
+
+def test_axiom_suite_raises_the_trace_preservation_error_through_the_per_trial_path(monkeypatch):
     # Every channel flagged as not trace-preserving.
     def lossy(ops):
         return np.zeros(ops.shape[:-3], dtype=bool)
@@ -966,7 +1021,6 @@ def test_axiom_suite_raises_the_trace_preservation_error_through_the_per_trial_p
         replayed_axioms(3, 4, 0)
     with pytest.raises(ValueError, match=message):
         axiom_suite(3, 4, 0)
-    assert axiom_calls["fallback"] == 1
 
 
 def test_axiom_suite_passes_small():

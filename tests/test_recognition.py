@@ -254,6 +254,18 @@ def test_update_rejects_mismatched_dimensions():
         update_direct(0, 0, random_density(3, RNG), random_density(2, RNG), bell)
 
 
+@pytest.mark.parametrize("i, j, message", [
+    (0, -1, "j must be a nonnegative integer, got -1"),
+    (0, True, "j must be a nonnegative integer, got True"),
+    (0, 5, r"outcome indices must lie in \[0, 2\), got \(0, 5\)"),
+    (-1, 0, "i must be a nonnegative integer, got -1"),
+    (5, 0, r"outcome indices must lie in \[0, 2\), got \(5, 0\)"),
+])
+def test_transfer_operator_checks_its_outcome_indices(i, j, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        transfer_operator(fourier_bell(2), i, j)
+
+
 def test_update_rejects_out_of_range_outcome():
     bell = fourier_bell(2)
     rho = random_density(2, RNG)
