@@ -23,6 +23,9 @@ a channel: it divides by the trace of the damped output, so it is
 nonlinear and partial. It lives in :func:`schur_channel_apply`, whose
 inputs with vanishing damped trace raise
 :class:`~infodyn.exceptions.OutsideDomain` (a non-finite one ValueError).
+Every state, weight, unitary or `choi_matrix` image read here goes
+through `hilbert._square`, so a non-finite entry raises ValueError
+naming it before any arithmetic.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ class SchurWeight:
 def as_weight(obj) -> SchurWeight:
     if isinstance(obj, SchurWeight):
         return obj
-    return SchurWeight(np.asarray(obj, dtype=complex))
+    return SchurWeight(obj)
 
 
 def schur_apply(weight, rho) -> np.ndarray:
@@ -126,8 +129,9 @@ def schur_apply_from_terms(terms, rho) -> np.ndarray:
 def schur_channel_apply(weight, rho) -> DensityOperator:
     """Trace-normalized entrywise damping; nonlinear and partial.
 
-    A non-finite damped trace raises ValueError before any division; a
-    finite one at or below PROBABILITY_FLOOR raises OutsideDomain.
+    A state with a non-finite entry raises ValueError as it is read, and a
+    non-finite damped trace before any division; a finite one at or below
+    PROBABILITY_FLOOR raises OutsideDomain.
     """
     raw = schur_apply(weight, rho)
     tr = float(raw.trace().real)
@@ -375,11 +379,10 @@ def stochastic_channel(p) -> Channel:
     pm = np.asarray(p, dtype=float)
     if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
         raise ValueError(f"stochastic matrix must be square, got shape {pm.shape}")
-    if not np.all(pm >= -1e-14):  # NaN fails this too
-        raise ValueError(
-            "stochastic matrix has a non-finite entry" if np.isnan(pm).any()
-            else "stochastic matrix entries must be nonnegative"
-        )
+    if not np.isfinite(pm).all():
+        raise ValueError("stochastic matrix has a non-finite entry")
+    if not np.all(pm >= -1e-14):
+        raise ValueError("stochastic matrix entries must be nonnegative")
     rows = pm.sum(axis=1)
     if not float(np.max(np.abs(rows - 1.0))) <= 1e-10:
         raise ValueError("stochastic matrix rows must sum to 1")

@@ -11,9 +11,12 @@ concern and lives with the report types, not here.
 The package-wide private helpers live here, one per rule:
 `_check_deviation`, the one tolerance check that a matrix equals its
 adjoint or the identity (a NaN deviation fails it as "<subject> has a
-non-finite entry"), `_square`, the square-matrix check, `_check_integer`,
-the integer-input rule (type, then lower bound, then cap) with its
-predicate `_is_integer`, `_check_real`, the real-input rule (a finite
+non-finite entry"), `_square`, the square-matrix check of a state, a
+weight, a unitary, a signal basis, a purpose operator or a map's image,
+which maps an integer beyond the float range, NaN or inf to "<name> has a
+non-finite entry" before any arithmetic, `_check_integer`, the
+integer-input rule (type, then lower bound, then cap) with its predicate
+`_is_integer`, `_check_real`, the real-input rule (a finite
 real number within optional closed bounds), `_haar_unitaries`, the Haar
 sampler, `_complex_gaussians`, the one Gaussian stream of every sampler,
 `_block_starts`, the one degeneracy rule, which `_degenerate_blocks`
@@ -205,10 +208,19 @@ def _check_deviation(diff, tol: float, subject: str, complaint: str) -> None:
 
 
 def _square(matrix, name: str) -> np.ndarray:
-    """`matrix` as a complex array, which must be one square matrix."""
-    m = np.asarray(matrix, dtype=complex)
+    """`matrix` as a complex array, which must be one square matrix of finite entries.
+
+    An integer beyond the float range, NaN or inf raises "<name> has a
+    non-finite entry" before any arithmetic.
+    """
+    try:
+        m = np.asarray(matrix, dtype=complex)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} has a non-finite entry") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has a non-finite entry")
     return m
 
 
@@ -496,18 +508,20 @@ def _isometry_blocks(z, terms: int) -> np.ndarray:
 def _check_kraus_sums(ops) -> np.ndarray:
     """The one Kraus-sum check, on a Kraus stack (r, n, n) or a stack (..., r, n, n) of them.
 
-    Raises ValueError when an operator has a non-finite entry, or when
-    sum A*A exceeds the identity by more than 1e-10 in its top
-    eigenvalue (the message gives the largest such excess). Returns the
-    trace-preservation flag of each stack: its sum is the identity
-    within 1e-10 entrywise.
+    Raises ValueError when an operator has a non-finite entry (before any
+    product) or their sum overflows, or when sum A*A exceeds the identity
+    by more than 1e-10 in its top eigenvalue (the message gives the
+    largest such excess). Returns the trace-preservation flag of each
+    stack: its sum is the identity within 1e-10 entrywise.
     """
+    if not np.isfinite(ops).all():
+        raise ValueError("Kraus operators have a non-finite entry")
     # Summed term by term, so a stack of stacks rounds as each stack alone.
     total = sum(a.conj().mT @ a for a in np.moveaxis(ops, -3, 0))
     gap = total - np.eye(ops.shape[-1])
     dev = np.abs(gap).max(axis=(-2, -1))
     # eigvalsh returns finite garbage for a non-finite matrix, so the
-    # deviation, not the top eigenvalue, is where a bad entry shows.
+    # deviation, not the top eigenvalue, is where an overflowing sum shows.
     if not math.isfinite(dev.max()):
         raise ValueError("Kraus operators have a non-finite entry")
     # An n x n self-adjoint matrix has no eigenvalue above n times its

@@ -44,12 +44,12 @@ per item, read through the same `image_spectra`, `kraus_vectors` and
 `hilbert._kron` for the tensor product, `_eigenbasis_values` for the
 eigenbasis chaos degree, `_transmitted_stacks` for T and one
 `_rotation_chunks` call, with every trial's seed, for the probes'
-rotations; no step loops over the items of a stack. Only
-`_pair_outcomes`, whose chaos degree is the compared quantity, falls
-back: it decides once per chunk, before any stacked D or value, and if
-any pair has a degenerate or light joint state, or a channel that is not
-trace-preserving, every pair of the chunk goes through
-`conjecture_experiment`.
+rotations; no step loops over the items of a stack. In both, a family
+that is not trace-preserving raises through `_require_trace_preserving`.
+Only `_pair_outcomes`, whose chaos degree is the compared quantity,
+falls back: it decides once per chunk, before any stacked D or value,
+and if any pair's joint spectrum is degenerate or light, every pair of
+the chunk goes through `conjecture_experiment`.
 
 Every function here that takes a channel checks it through
 `_check_channel` before any arithmetic: a non-`Channel` raises
@@ -87,6 +87,7 @@ from .hilbert import (
     _kron,
     _normalized_grams,
     _relative_entropies,
+    _square,
     _unit_spectra,
     as_density,
     von_neumann_entropy,
@@ -357,16 +358,6 @@ def classify_dynamics(d_values, eps_zero: float = DEFAULT_EPS_ZERO,
     return "chaotic"
 
 
-def _check_purpose(q, joint: DensityOperator, channels) -> np.ndarray:
-    """The purpose operator as an array, once the joint state fits every channel."""
-    for channel in channels:
-        _check_channel(channel, joint.n, "joint")
-    m = np.asarray(q, dtype=complex)
-    if m.shape != (joint.n, joint.n):
-        raise DimensionMismatch(f"purpose operator shape {m.shape}, expected {(joint.n, joint.n)}")
-    return _self_adjoint_purposes(m)
-
-
 def _self_adjoint_purposes(m: np.ndarray) -> np.ndarray:
     """`m`, a purpose operator or a stack of them, once each is self-adjoint within 1e-10."""
     _check_deviation(m - m.conj().mT, 1e-10, "purpose operator",
@@ -388,9 +379,20 @@ def _real_values(images: np.ndarray, q: np.ndarray) -> np.ndarray:
     return v.real
 
 
-def _joint_value(joint: DensityOperator, channel: Channel, q: np.ndarray) -> float:
-    """tr(channel(joint) q) for a joint state and purpose already checked."""
-    return float(_real_values(channel.apply_matrix(joint.matrix), q))
+def _joint_values(rho_p, gamma_o, channels, purpose) -> tuple[DensityOperator, list[float]]:
+    """The joint state rho_p (x) gamma_o and tr(channel(joint) Q) for each channel.
+
+    The channels must fit the joint state, and then Q, read through
+    `hilbert._square`, must be of its size and self-adjoint.
+    """
+    joint = as_density(rho_p).tensor(as_density(gamma_o))
+    for channel in channels:
+        _check_channel(channel, joint.n, "joint")
+    q = _square(purpose, "purpose operator")
+    if q.shape[0] != joint.n:
+        raise DimensionMismatch(f"purpose operator shape {q.shape}, expected {(joint.n, joint.n)}")
+    _self_adjoint_purposes(q)
+    return joint, [float(_real_values(ch.apply_matrix(joint.matrix), q)) for ch in channels]
 
 
 def value_of_information(rho_p, gamma_o, channel: Channel, purpose) -> float:
@@ -401,8 +403,7 @@ def value_of_information(rho_p, gamma_o, channel: Channel, purpose) -> float:
     operator. The result is real up to numerical residue; a residue
     above 1e-10 signals an input bug and raises.
     """
-    joint = as_density(rho_p).tensor(as_density(gamma_o))
-    return _joint_value(joint, channel, _check_purpose(purpose, joint, (channel,)))
+    return _joint_values(rho_p, gamma_o, (channel,), purpose)[1][0]
 
 
 @dataclass(frozen=True)
@@ -429,9 +430,7 @@ def compare_signals(rho_a, rho_b, gamma_o, channel: Channel, purpose) -> ValueCo
 
 def compare_channels(rho_p, gamma_o, channel_a: Channel, channel_b: Channel, purpose) -> ValueComparison:
     """Order two channels by the value they give one signal."""
-    joint = as_density(rho_p).tensor(as_density(gamma_o))
-    q = _check_purpose(purpose, joint, (channel_a, channel_b))
-    va, vb = _joint_value(joint, channel_a, q), _joint_value(joint, channel_b, q)
+    va, vb = _joint_values(rho_p, gamma_o, (channel_a, channel_b), purpose)[1]
     return ValueComparison(va, vb, _preference(va, vb))
 
 
@@ -463,12 +462,9 @@ class ConjectureOutcome:
 def conjecture_experiment(rho_p, gamma_o, channel_a: Channel, channel_b: Channel,
                           purpose, config: ComplexityConfig | None = None) -> ConjectureOutcome:
     """Compare chaos-degree ordering with value ordering for two channels."""
-    joint = as_density(rho_p).tensor(as_density(gamma_o))
-    q = _check_purpose(purpose, joint, (channel_a, channel_b))
+    joint, (v_a, v_b) = _joint_values(rho_p, gamma_o, (channel_a, channel_b), purpose)
     cfg = config or DEFAULT_CONFIG
-    d_a, d_b = _search(joint, channel_a, cfg)[0], _search(joint, channel_b, cfg)[0]
-    v_a, v_b = _joint_value(joint, channel_a, q), _joint_value(joint, channel_b, q)
-    return _outcome(d_a, d_b, v_a, v_b)
+    return _outcome(_search(joint, channel_a, cfg)[0], _search(joint, channel_b, cfg)[0], v_a, v_b)
 
 
 def _outcome(d_a: float, d_b: float, v_a: float, v_b: float) -> ConjectureOutcome:
@@ -489,7 +485,9 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
     operator, drawn in that order from one generator; each outcome is
     that of `conjecture_experiment` on them. The pairs are evaluated in
     chunks by `_pair_outcomes`, with as many pairs as fit CHUNK_BYTES
-    (at least one); the outcomes do not depend on the chunk size.
+    (at least one); the outcomes do not depend on the chunk size. A chunk
+    goes through `conjecture_experiment` pair by pair only if a joint
+    spectrum in it is degenerate or light; a lossy channel raises.
     """
     if not isinstance(identical_channels, (bool, np.bool_)):
         raise ValueError(f"identical_channels must be a boolean, got {identical_channels!r}")
@@ -528,20 +526,21 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     `draws` are the chunk's Gaussian stacks in `conjecture_batch`'s
     order, from which the pairs' states, Kraus stacks (one per distinct
     channel) and purpose operators are built as the public samplers build
-    them, with every check those run. Each step is the per-pair step applied to a
-    stack, so each value has the bits of the per-pair path. If any pair's
-    joint spectrum has a degenerate block or a weight at or below
-    WEIGHT_FLOOR, or any pair's channel is not trace-preserving, every
-    pair of the chunk goes through `conjecture_experiment` itself.
+    them, with every check those run; a family that is not trace-preserving
+    raises the search's ValueError before any value. Each step is the
+    per-pair step applied to a stack, so each value has the bits of the
+    per-pair path. If any pair's joint spectrum has a degenerate block or
+    a weight at or below WEIGHT_FLOOR, every pair of the chunk goes
+    through `conjecture_experiment` itself.
     """
     g_rho, g_gamma, *g_kraus, g_purpose = draws
     grams = [_normalized_grams(g) for g in (g_rho, g_gamma)]
     rho, gamma = (_density_spectra(m)[0] for m in grams)
     joint, lam, vec = _density_spectra(_kron(rho, gamma))
     kraus = [_isometry_blocks(z, terms) for z in g_kraus]
-    tp = np.logical_and.reduce([_check_kraus_sums(ops) for ops in kraus])
+    _require_trace_preserving([_check_kraus_sums(ops) for ops in kraus])
     q = _self_adjoint_purposes(0.5 * (g_purpose + g_purpose.conj().mT))
-    if not (_block_starts(lam).all(axis=-1) & (lam[:, -1] > WEIGHT_FLOOR) & tp).all():
+    if not (_block_starts(lam).all(axis=-1) & (lam[:, -1] > WEIGHT_FLOOR)).all():
         return [conjecture_experiment(grams[0][k], grams[1][k], kraus_channel(kraus[0][k]),
                                       kraus_channel(kraus[-1][k]), q[k])
                 for k in range(q.shape[0])]

@@ -27,9 +27,10 @@ from infodyn.hilbert import (
     random_density,
     random_state,
     random_unitary,
+    relative_entropy,
     von_neumann_entropy,
 )
-from infodyn.metrics import value_of_information
+from infodyn.metrics import chaos_degree, conjecture_experiment, value_of_information
 from infodyn.recognition import SignalBasis
 
 RNG = np.random.default_rng(77)
@@ -114,9 +115,10 @@ def test_normalized_schur_zero_weight_raises():
 
 
 def test_normalized_schur_rejects_a_non_finite_trace_before_dividing():
-    # Warnings are errors in this suite, so a division by the trace would fail first.
+    # Warnings are errors in this suite, so a division by the trace would
+    # fail first; the state's NaN is named as the state is read.
     state = np.array([[np.nan, 0.0], [0.0, 0.5]])
-    with pytest.raises(ValueError, match="^damped trace nan is not finite$"):
+    with pytest.raises(ValueError, match="^state has a non-finite entry$"):
         schur_channel_apply(SchurWeight(np.eye(2)), state)
 
 
@@ -268,26 +270,7 @@ def test_stochastic_rejects_bad_rows():
         stochastic_channel(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
 
-NAN = float("nan")
-
-
-@pytest.mark.parametrize("build, entries", [
-    (DensityOperator, [[NAN, 0.0], [0.0, 0.5]]),
-    (DensityOperator, [[0.5, NAN], [NAN, 0.5]]),
-    (DensityOperator, [[float("inf"), 0.0], [0.0, 0.5]]),
-    (SignalBasis, [[1.0, 0.0], [NAN, 1.0]]),
-    (SchurWeight, [[1.0, NAN], [NAN, 1.0]]),
-    (schur_channel, [[NAN, 0.0], [0.0, 1.0]]),
-    (lambda m: kraus_channel([np.array(m)]), [[1.0, 0.0], [0.0, NAN]]),
-    (unitary_channel, [[1.0, 0.0], [0.0, NAN]]),
-    (stochastic_channel, [[NAN, 1.0], [0.0, 1.0]]),
-    (BranchDilation, [NAN, 0.5]),
-    (BranchDilation, [0.5, float("inf")]),
-], ids=["density-diagonal", "density-offdiagonal", "density-inf", "basis", "weight",
-        "schur", "kraus", "unitary", "stochastic", "dilation", "dilation-inf"])
-def test_constructors_reject_non_finite_entries(build, entries):
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entry"):
-        build(entries)
+NAN, INF, BIG = float("nan"), float("inf"), 10**400  # BIG overflows a float
 
 
 def _purpose_check(q):
@@ -295,9 +278,58 @@ def _purpose_check(q):
     value_of_information(half, DensityOperator([[1.0]]), identity_channel(2), q)
 
 
+# Callables that read a square matrix through `hilbert._square`. Each must
+# reject an inf and an integer beyond the float range by name, before an
+# OverflowError in conversion or a warning in arithmetic.
+SQUARE_READERS = {
+    "entropy": von_neumann_entropy,
+    "relative": lambda m: relative_entropy(m, np.eye(2) / 2),
+    "chaos": lambda m: chaos_degree(m, identity_channel(2)),
+    "value": lambda m: value_of_information(m, [[1.0]], identity_channel(2), np.eye(2)),
+    "experiment": lambda m: conjecture_experiment(m, [[1.0]], identity_channel(2),
+                                                  identity_channel(2), np.eye(2)),
+    "purpose": _purpose_check,
+    "basis": SignalBasis,
+    "weight": SchurWeight,
+    "schur": schur_channel,
+    "unitary": unitary_channel,
+    "schur-apply": lambda m: schur_apply(np.eye(2), m),
+    "schur-normalized": lambda m: schur_channel_apply(np.eye(2), m),
+    "choi-image": lambda m: choi_matrix(lambda unit: m, 2),
+}
+NEW_ROWS = [
+    (DensityOperator, [[BIG, 0.0], [0.0, 0.5]], "density-big"),
+    *[(build, [[1.0, 0.0], [bad, 1.0]], f"{name}-{tag}")
+      for name, build in SQUARE_READERS.items() for tag, bad in [("inf", INF), ("big", BIG)]],
+    (lambda m: kraus_channel([np.array(m)]), [[1.0, 0.0], [0.0, INF]], "kraus-inf"),
+    (stochastic_channel, [[INF, 1.0], [0.0, 1.0]], "stochastic-inf"),
+]
+
+
+@pytest.mark.parametrize("build, entries", [
+    (DensityOperator, [[NAN, 0.0], [0.0, 0.5]]),
+    (DensityOperator, [[0.5, NAN], [NAN, 0.5]]),
+    (DensityOperator, [[INF, 0.0], [0.0, 0.5]]),
+    (SignalBasis, [[1.0, 0.0], [NAN, 1.0]]),
+    (SchurWeight, [[1.0, NAN], [NAN, 1.0]]),
+    (schur_channel, [[NAN, 0.0], [0.0, 1.0]]),
+    (lambda m: kraus_channel([np.array(m)]), [[1.0, 0.0], [0.0, NAN]]),
+    (unitary_channel, [[1.0, 0.0], [0.0, NAN]]),
+    (stochastic_channel, [[NAN, 1.0], [0.0, 1.0]]),
+    (BranchDilation, [NAN, 0.5]),
+    (BranchDilation, [0.5, INF]),
+    *[row[:2] for row in NEW_ROWS],
+], ids=["density-diagonal", "density-offdiagonal", "density-inf", "basis", "weight",
+        "schur", "kraus", "unitary", "stochastic", "dilation", "dilation-inf",
+        *[row[2] for row in NEW_ROWS]])
+def test_constructors_reject_non_finite_entries(build, entries):
+    with pytest.raises(ValueError, match="non-finite entry"):
+        build(entries)
+
+
 # Each site names its subject for a NaN entry and its deviation otherwise.
 @pytest.mark.parametrize("build, subject, bad, complaint", [
-    (DensityOperator, "matrix", [[0.5, 0.1], [0.0, 0.5]],
+    (DensityOperator, "density operator", [[0.5, 0.1], [0.0, 0.5]],
      "matrix is not self-adjoint: deviation 1.000e-01"),
     (SchurWeight, "weight", [[1.0, 0.1], [0.0, 1.0]],
      "weight is not self-adjoint: deviation 1.000e-01"),
@@ -312,7 +344,7 @@ def test_tolerance_check_messages(build, subject, bad, complaint):
     with pytest.raises(ValueError) as err:
         build(np.array(bad, dtype=complex))
     assert str(err.value) == complaint
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
+    with pytest.raises(ValueError) as err:
         build(np.array([[NAN, 0.0], [0.0, 1.0]]))
     assert str(err.value) == f"{subject} has a non-finite entry"
 
@@ -409,11 +441,10 @@ def test_choi_transpose_map_is_not_cp():
     assert report.min_eigenvalue < -0.5
 
 
-def test_choi_check_reports_a_non_finite_image_as_not_cp():
-    # A NaN hermiticity error fails the check instead of reaching eigvalsh.
-    report = choi_check(lambda m: m * np.nan, 2)
-    assert not report.is_cp
-    assert np.isnan(report.min_eigenvalue) and np.isnan(report.hermiticity_error)
+def test_choi_check_rejects_a_non_finite_image():
+    # A bad map output is bad input, not a verdict on complete positivity.
+    with pytest.raises(ValueError, match="^image has a non-finite entry$"):
+        choi_check(lambda m: m * np.nan, 2)
 
 
 def test_choi_schur_channels_are_cp():

@@ -554,7 +554,7 @@ def test_value_rejects_non_finite_purpose():
     rho, gamma = random_density(2, RNG), random_density(2, RNG)
     q = np.eye(4)
     q[1, 1] = np.nan
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entry"):
+    with pytest.raises(ValueError, match="non-finite entry"):
         value_of_information(rho, gamma, identity_channel(4), q)
 
 
@@ -789,38 +789,10 @@ def test_conjecture_batch_sends_degenerate_or_light_pairs_to_the_experiment(
     assert batch_calls["fallback"] == fallback
 
 
-def lossy_first_family(monkeypatch):
-    """Flag the first family of the first `metrics._check_kraus_sums` call as not trace-preserving.
-
-    The per-item paths check their channels through `channels`, so their values are the real ones.
-    Returns the stack size of each call.
-    """
-    sizes, check = [], metrics._check_kraus_sums
-
-    def flagged(ops):
-        tp = check(ops)
-        if not sizes:
-            tp[0] = False
-        sizes.append(ops.shape[0])
-        return tp
-
-    monkeypatch.setattr(metrics, "_check_kraus_sums", flagged)
-    return sizes
-
-
-def test_conjecture_batch_sends_a_whole_chunk_with_one_lossy_pair_to_the_experiment(
+def test_conjecture_batch_raises_the_trace_preservation_error_before_any_pair(
         batch_calls, monkeypatch):
-    # At the default chunks (157 pairs at dim 2): the first chunk goes
-    # pair by pair, the other two as stacks, with the replay's bytes.
-    sizes = lossy_first_family(monkeypatch)
-    assert conjecture_batch(2, 400, 6) == replayed_batch(2, 400, 6, 2, False)
-    assert batch_calls["chunks"] == 3
-    assert batch_calls["fallback"] == sizes[0] == 157
-
-
-def test_conjecture_batch_raises_the_trace_preservation_error_through_the_per_pair_path(
-        batch_calls, monkeypatch):
-    # Every channel flagged as not trace-preserving.
+    # Every channel flagged as not trace-preserving: the stacked kernel
+    # raises the per-pair path's error itself, and no pair reaches it.
     def lossy(ops):
         return np.zeros(ops.shape[:-3], dtype=bool)
 
@@ -831,7 +803,7 @@ def test_conjecture_batch_raises_the_trace_preservation_error_through_the_per_pa
         replayed_batch(2, 4, 0, 2, False)
     with pytest.raises(ValueError, match=message):
         conjecture_batch(2, 4, 0)
-    assert batch_calls["fallback"] == 1
+    assert batch_calls["fallback"] == 0
 
 
 def replayed_axioms(dim, trials, seed):

@@ -83,6 +83,16 @@ def test_the_kraus_layout_lives_only_in_channels():
     assert stray == []
 
 
+def test_no_code_silences_floating_point_warnings():
+    # Warnings are errors in this suite, so every floating-point warning
+    # that a public call emits fails the test that makes it.
+    paths = [*Path(infodyn.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    stray = [f"{path.name}:{node.lineno}" for path in sorted(paths)
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "errstate"]
+    assert stray == []
+
+
 def test_every_size_cap_is_named_in_the_readme():
     package = Path(infodyn.__file__).parent
     readme = (package.parents[1] / "README.md").read_text()
