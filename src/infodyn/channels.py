@@ -25,7 +25,9 @@ inputs with vanishing damped trace raise
 :class:`~infodyn.exceptions.OutsideDomain` (a non-finite one ValueError).
 Every state, weight, unitary or `choi_matrix` image read here goes
 through `hilbert._square`, so a non-finite entry raises ValueError
-naming it before any arithmetic.
+naming it before any arithmetic. Kraus operators, a stochastic matrix
+and a dilation's h are converted through `hilbert._as_array`, so an
+integer beyond the float range raises that ValueError too.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .hilbert import (
     EIGENVALUE_FLOOR,
     HERMITIAN_TOL,
     DensityOperator,
+    _as_array,
     _check_deviation,
     _check_integer,
     _check_kraus_sums,
@@ -159,7 +162,7 @@ class BranchDilation:
     matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
+        h = _as_array(self.h, "h")
         if h.ndim != 1:
             raise ValueError(f"h must be a vector, got shape {h.shape}")
         mags = np.abs(h)
@@ -330,7 +333,7 @@ class Channel:
 
 def kraus_channel(operators) -> Channel:
     """Channel from a Kraus family; requires sum A*A <= identity."""
-    ops = [np.asarray(a, dtype=complex) for a in operators]
+    ops = [_as_array(a, "Kraus operator") for a in operators]
     if not ops:
         raise ValueError("at least one Kraus operator is required")
     shape = ops[0].shape
@@ -376,7 +379,7 @@ def stochastic_channel(p) -> Channel:
     Acts on diagonal densities as the distribution map p -> p P and
     extends linearly to all matrices by reading only the diagonal.
     """
-    pm = np.asarray(p, dtype=float)
+    pm = _as_array(p, "stochastic matrix", float)
     if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
         raise ValueError(f"stochastic matrix must be square, got shape {pm.shape}")
     if not np.isfinite(pm).all():

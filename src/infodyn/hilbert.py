@@ -11,10 +11,12 @@ concern and lives with the report types, not here.
 The package-wide private helpers live here, one per rule:
 `_check_deviation`, the one tolerance check that a matrix equals its
 adjoint or the identity (a NaN deviation fails it as "<subject> has a
-non-finite entry"), `_square`, the square-matrix check of a state, a
+non-finite entry"), `_as_array`, the one conversion of a matrix input,
+which maps an integer beyond the float range to "<name> has a
+non-finite entry", `_square`, the square-matrix check of a state, a
 weight, a unitary, a signal basis, a purpose operator or a map's image,
-which maps an integer beyond the float range, NaN or inf to "<name> has a
-non-finite entry" before any arithmetic, `_check_integer`, the
+which converts through `_as_array` and maps NaN or inf to the same
+message before any arithmetic, `_check_integer`, the
 integer-input rule (type, then lower bound, then cap) with its predicate
 `_is_integer`, `_check_real`, the real-input rule (a finite
 real number within optional closed bounds), `_haar_unitaries`, the Haar
@@ -22,7 +24,9 @@ sampler, `_complex_gaussians`, the one Gaussian stream of every sampler,
 `_block_starts`, the one degeneracy rule, which `_degenerate_blocks`
 reads, `_density_spectra`, the one density-operator check, which returns
 the trace-normalized matrices with their spectra (checked by
-`_unit_spectra`, which also checks images' spectra), `_kron`, the
+`_unit_spectra`, which also checks images' spectra) and which
+`DensityOperator` reads for one matrix and `_density_operators` for a
+stack, `_kron`, the
 Kronecker product (of states, of `tensor`'s operators and of the blocks
 of `channels.choi_matrix`), and `_relative_entropies`, the one
 relative-entropy formula, for a stack of states each against its own
@@ -207,16 +211,21 @@ def _check_deviation(diff, tol: float, subject: str, complaint: str) -> None:
         )
 
 
+def _as_array(value, name: str, dtype=complex) -> np.ndarray:
+    """`value` as an array of `dtype`; an integer beyond the float range is "<name> has a non-finite entry"."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"{name} has a non-finite entry") from None
+
+
 def _square(matrix, name: str) -> np.ndarray:
     """`matrix` as a complex array, which must be one square matrix of finite entries.
 
     An integer beyond the float range, NaN or inf raises "<name> has a
     non-finite entry" before any arithmetic.
     """
-    try:
-        m = np.asarray(matrix, dtype=complex)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{name} has a non-finite entry") from None
+    m = _as_array(matrix, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -340,8 +349,11 @@ class DensityOperator:
     __slots__ = ("matrix", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrix):
-        # `_density_spectra` returns the three slots' values, in order.
-        for name, arr in zip(self.__slots__, _density_spectra(_square(matrix, "density operator"))):
+        self._fill(_density_spectra(_square(matrix, "density operator")))
+
+    def _fill(self, slots) -> None:
+        """Set the slots, read-only, from `_density_spectra`'s three arrays, in order."""
+        for name, arr in zip(self.__slots__, slots):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -379,6 +391,27 @@ class DensityOperator:
 
     def __repr__(self):
         return f"DensityOperator(n={self.n}, degenerate={self.degenerate})"
+
+
+def _density_operators(matrices: np.ndarray) -> list[DensityOperator]:
+    """A DensityOperator for each matrix of a finite complex stack (T, n, m), checked as one.
+
+    Each operator has the bits of `DensityOperator(matrices[t])`, and its
+    slots are read-only views of the stack's spectral arrays. Raises
+    ValueError when the matrices are not square or any fails a check,
+    without naming which one.
+    """
+    if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {matrices.shape}")
+    spectra = _density_spectra(matrices)
+    for arr in spectra:
+        arr.setflags(write=False)
+    operators = []
+    for t in range(matrices.shape[0]):
+        rho = DensityOperator.__new__(DensityOperator)
+        rho._fill([arr[t] for arr in spectra])
+        operators.append(rho)
+    return operators
 
 
 def as_density(obj) -> DensityOperator:

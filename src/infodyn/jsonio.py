@@ -15,6 +15,19 @@ one integer rule, which rejects booleans, values below the field's
 lower bound and values above its cap. `json_to_matrix` reads a matrix:
 a non-empty array of rows of one length, each entry a finite number,
 where an integer beyond the float range counts as non-finite.
+
+Matrices are read array-first (`_numbers`): numpy converts the whole
+nest at once, and the result is kept when it is an integer or float
+array of bare entries or [re, im] pairs, every entry finite and none of
+them a boolean. Anything else, such as a ragged nest, a string, None, an
+integer beyond int64 or the float range, or a three-element "pair",
+defers to the per-entry rule (`json_to_complex` on each entry), which
+decides the result and words every message. So both paths return the
+same bits and raise the same errors. A list of signal states in an
+experiment file is read the same way, as one stack with one stacked
+density check (`_parse_states`); a list that is not regular, or a stack
+that fails the check, is read state by state, so the first faulty state
+is the one reported.
 """
 
 from __future__ import annotations
@@ -28,7 +41,13 @@ import numpy as np
 
 from .channels import Channel, kraus_channel, schur_channel, stochastic_channel, unitary_channel
 from .exceptions import DimensionMismatch
-from .hilbert import DensityOperator, _check_integer, _is_integer, as_density
+from .hilbert import (
+    DensityOperator,
+    _check_integer,
+    _density_operators,
+    _is_integer,
+    as_density,
+)
 from .recognition import (
     ArgmaxPolicy,
     BellSystem,
@@ -41,10 +60,12 @@ from .recognition import (
 _CHANNEL_DATA = {"ktau": "matrix", "unitary": "matrix", "kraus": "kraus_ops", "stochastic": "P"}
 CHANNEL_KINDS = tuple(_CHANNEL_DATA)
 # Largest `steps` of an experiment file. Steps are streamed, so memory
-# does not grow with it; the cap bounds run time only. A step costs
-# about 0.13 ms at n = 3 and 0.6-1.6 ms at n = 64 (2-core x86-64 host
-# whose speed swings about 2x, one BLAS thread), so a run stays under
-# about 15 s at n = 3 and 3 min at n = 64.
+# does not grow with it; the cap bounds run time only. A `recognize` step
+# costs about 0.15 ms at n = 3 and 16-22 ms at n = 64, output included;
+# at n = 64 the step itself takes about 1.5 ms and writing its JSON line
+# (8,192 floats at full precision) the rest (2-core x86-64 host whose
+# speed swings about 2x, one BLAS thread). So a run stays under about
+# 20 s at n = 3 and 40 min at n = 64.
 MAX_RECOGNITION_STEPS = 100_000
 
 
@@ -86,9 +107,40 @@ def matrix_to_json(matrix) -> list[list[list[float]]]:
     return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
+def _numbers(nest, depth: int) -> np.ndarray | None:
+    """`nest` as a complex array of `depth` axes, read at once; None defers to the per-entry rule.
+
+    The nest is accepted when numpy reads it as an integer or float
+    array of `depth` axes, or of `depth` + 1 with a last axis of [re, im]
+    pairs, whose entries are finite and none of them a boolean. Numpy
+    reads a boolean among numbers as 0 or 1, so only those entries are
+    looked up in `nest`. Pairs become complex numbers through a view of
+    their float bits, so each part keeps its sign of zero.
+    """
+    try:
+        a = np.array(nest)
+    except (ValueError, OverflowError):  # a ragged nest, or an integer numpy cannot convert
+        return None
+    if (a.dtype.kind not in "if" or a.ndim not in (depth, depth + 1)
+            or (a.ndim > depth and a.shape[-1] != 2) or not np.isfinite(a).all()):
+        return None
+    for index in zip(*(i.tolist() for i in np.nonzero((a == 0) | (a == 1)))):
+        entry = nest
+        for i in index:
+            entry = entry[i]
+        if isinstance(entry, bool):
+            return None
+    if a.ndim == depth:
+        return a.astype(complex)
+    return a.astype(float, copy=False).view(complex)[..., 0]
+
+
 def json_to_matrix(rows) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
         raise ValueError("matrix must be a non-empty array of rows")
+    m = _numbers(rows, 2)
+    if m is not None:
+        return m
     data = [[json_to_complex(v) for v in row] for row in rows]
     width = len(data[0])
     if any(len(row) != width for row in data):
@@ -109,6 +161,25 @@ def parse_state(obj) -> DensityOperator:
     if isinstance(obj, dict):
         obj = _object(obj, "state", required=("matrix",))["matrix"]
     return as_density(json_to_matrix(obj))
+
+
+def _parse_states(objs: list) -> list[DensityOperator]:
+    """`parse_state` of each item, read as one stack when the list is regular.
+
+    Bare matrices and {"matrix": ...} wrappers of one shape go through one
+    `_numbers` conversion and one stacked density check. Any other list,
+    or a stack that fails the check, is read item by item, so the first
+    faulty item raises its own message.
+    """
+    matrices = [obj["matrix"] if isinstance(obj, dict) and obj.keys() == {"matrix"} else obj
+                for obj in objs]
+    stack = _numbers(matrices, 3)
+    if stack is not None:
+        try:
+            return _density_operators(stack)
+        except ValueError:
+            pass
+    return [parse_state(obj) for obj in objs]
 
 
 def parse_channel(obj: dict) -> Channel:
@@ -178,7 +249,7 @@ def parse_experiment(obj: dict):
     # must use pair entries to stay distinguishable.
     if ((isinstance(rho_field, list) and rho_field and isinstance(rho_field[0], dict))
             or _nesting_depth(rho_field) >= 4):
-        listed = signals = [parse_state(m) for m in rho_field]
+        listed = signals = _parse_states(rho_field)
         if steps is not None and steps != len(signals):
             raise ValueError(f"steps={steps} but rho lists {len(signals)} states")
     else:

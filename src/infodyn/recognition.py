@@ -22,6 +22,9 @@ first line for all n^2 outcomes at once (a gather over the cyclic index
 and a product with diag gamma), and `recognize_sequence` applies the
 second, so a step costs O(n^3) arithmetic plus one eigendecomposition of
 the new n x n memory; the n^2 x n^2 entangled register is never built.
+The gathers read index tables that depend on the basis alone, so
+`BellSystem` builds them once: the weights |b_i(m)|^2, the circulant
+index (m - j) mod n and the shifted index (s + j) mod n.
 A trajectory is a stream: `recognize_sequence` returns an iterator of
 steps, each computed on demand from the previous memory alone, so
 nothing grows with the number of steps.
@@ -107,14 +110,24 @@ class BellSystem:
     shift labels the offset between the slots. Together they form an
     orthonormal basis of the doubled space, so the associated
     projections resolve the identity and outcome probabilities are a
-    complete distribution. Only the basis is stored; each vector is
-    built when asked for.
+    complete distribution. Each vector is built when asked for. Beside
+    the basis, the system stores the three read-only gather tables of
+    the closed-form step, which depend on the basis alone: the weights
+    |b_i(m)|^2 as `_weights[i, m]`, the circulant index (m - j) mod n
+    as `_circulant[m, j]` and the shifted index (s + j) mod n as
+    `_shifted[j, s]`.
     """
 
-    __slots__ = ("basis",)
+    __slots__ = ("basis", "_weights", "_circulant", "_shifted")
 
     def __init__(self, basis: SignalBasis):
         object.__setattr__(self, "basis", basis)
+        m = np.arange(basis.n)
+        for name, table in (("_weights", np.abs(basis.vectors) ** 2),
+                            ("_circulant", (m[:, None] - m[None, :]) % basis.n),
+                            ("_shifted", (m[:, None] + m[None, :]) % basis.n)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     def __setattr__(self, name, value):
         raise AttributeError("BellSystem is immutable")
@@ -225,9 +238,8 @@ def _closed_form_probabilities(r: DensityOperator, g: DensityOperator,
     With m = s + j the sum is a matrix product of |b_i(m)|^2 rho_mm with
     the circulant of diag gamma gathered over the cyclic index.
     """
-    m = np.arange(bell.n)
-    circulant = np.diagonal(g.matrix).real[(m[:, None] - m[None, :]) % bell.n]  # [m, j]: s = m - j
-    weights = np.abs(bell.basis.vectors) ** 2 * np.diagonal(r.matrix).real  # [i, m]
+    circulant = np.diagonal(g.matrix).real[bell._circulant]  # [m, j]: s = m - j
+    weights = bell._weights * np.diagonal(r.matrix).real  # [i, m]
     # Diagonals of states clamped to PSD can dip a rounding step below 0.
     return np.maximum(weights @ circulant, 0.0)
 
@@ -235,9 +247,9 @@ def _closed_form_probabilities(r: DensityOperator, g: DensityOperator,
 def _closed_form_block(i: int, j: int, r: DensityOperator, g: DensityOperator,
                        bell: BellSystem) -> np.ndarray:
     """Unnormalized post-outcome memory gamma o M_ij; its trace is p(i, j)."""
-    k = (np.arange(bell.n) + j) % bell.n
+    k = bell._shifted[j]
     c = bell.basis.vectors[i, k]
-    return g.matrix * (c.conj()[:, None] * r.matrix[np.ix_(k, k)] * c[None, :])
+    return g.matrix * (c.conj()[:, None] * r.matrix[k[:, None], k] * c[None, :])
 
 
 def outcome_probability(i: int, j: int, rho, gamma, bell: BellSystem) -> float:

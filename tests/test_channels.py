@@ -303,6 +303,10 @@ NEW_ROWS = [
       for name, build in SQUARE_READERS.items() for tag, bad in [("inf", INF), ("big", BIG)]],
     (lambda m: kraus_channel([np.array(m)]), [[1.0, 0.0], [0.0, INF]], "kraus-inf"),
     (stochastic_channel, [[INF, 1.0], [0.0, 1.0]], "stochastic-inf"),
+    # These three convert through `hilbert._as_array`, not `_square`.
+    (lambda m: kraus_channel([m]), [[1.0, 0.0], [0.0, BIG]], "kraus-big"),
+    (stochastic_channel, [[BIG, 1.0], [0.0, 1.0]], "stochastic-big"),
+    (BranchDilation, [0.5, BIG], "dilation-big"),
 ]
 
 

@@ -12,6 +12,7 @@ from infodyn.hilbert import (
     DensityOperator,
     IndexGroup,
     _check_real,
+    _density_operators,
     as_density,
     as_vector,
     diag_embedding,
@@ -341,6 +342,30 @@ def test_density_operator_is_immutable():
     with pytest.raises(AttributeError):
         rho.n = 3
     assert not rho.matrix.flags.writeable
+
+
+def test_density_operators_of_a_stack_have_the_bits_of_each_alone():
+    stack = np.array([random_density(3, RNG).matrix for _ in range(4)])
+    operators = _density_operators(stack)
+    assert len(operators) == 4
+    for rho, m in zip(operators, stack):
+        alone = DensityOperator(m)
+        for name in DensityOperator.__slots__:
+            assert np.array_equal(getattr(rho, name), getattr(alone, name))
+            assert not getattr(rho, name).flags.writeable
+        with pytest.raises(AttributeError):
+            rho.n = 3
+
+
+@pytest.mark.parametrize("stack", [
+    np.zeros((2, 2, 3)),
+    np.eye(2) / 2,
+    np.array([np.eye(2) / 2, np.diag([1.5, -0.5])]),
+    np.array([np.eye(2) / 2, np.diag([np.nan, 0.5])]),
+], ids=["non-square", "one-matrix", "not-psd", "nan"])
+def test_density_operators_reject_a_stack_with_a_bad_matrix(stack):
+    with pytest.raises(ValueError):
+        _density_operators(stack)
 
 
 def test_unitary_conjugation_preserves_spectrum():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from infodyn.cli import main
 from infodyn.exceptions import DimensionMismatch
 from infodyn.hilbert import DensityOperator, random_density
+from infodyn import jsonio
 from infodyn.jsonio import (
     dump_json,
     json_to_complex,
@@ -299,3 +300,187 @@ def test_experiment_fields_reject_any_json_value_with_a_named_error(fields):
         parse_experiment(fields)
     except (ValueError, DimensionMismatch):
         pass
+
+
+def per_entry_matrix(rows):
+    """The per-entry rule alone, through `json_to_complex`: the oracle of `json_to_matrix`."""
+    if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
+        raise ValueError("matrix must be a non-empty array of rows")
+    data = [[json_to_complex(v) for v in row] for row in rows]
+    if any(len(row) != len(data[0]) for row in data):
+        raise ValueError("matrix rows have inconsistent lengths")
+    return np.asarray(data, dtype=complex)
+
+
+def assert_reads_as_oracle(rows):
+    """`json_to_matrix(rows)` equals the oracle bit for bit, or raises its exact message."""
+    try:
+        want = per_entry_matrix(rows)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            json_to_matrix(rows)
+        assert str(info.value) == str(exc)
+        return
+    got = json_to_matrix(rows)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # Through the float parts' bytes, so that the sign of zero counts.
+    assert got.view(float).tobytes() == want.view(float).tobytes()
+
+
+# Values that numpy reads differently from the per-entry rule, or not at all.
+NUMBERS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 1.0, 2**53 + 1, 2**63, -(2**63) - 1, 2**64, 10**400,
+                     -(10**400), float("nan"), float("inf"), float("-inf")]),
+)
+ODD_ENTRIES = st.sampled_from([True, False, "1.5", None, [1.0, 2.0, 3.0], [0.5], [], [True, 0.0],
+                               [0.0, None], {"re": 1.0}])
+
+
+@st.composite
+def number_nests(draw):
+    """A regular matrix of bare or [re, im] entries, with up to two flaws."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    pairs = draw(st.booleans())
+    rows = [[[draw(NUMBERS), draw(NUMBERS)] if pairs else draw(NUMBERS) for _ in range(m)]
+            for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, n - 1))]
+        flaw = draw(st.sampled_from(["odd", "form", "ragged"]))
+        if flaw == "ragged" and (not row or draw(st.booleans())):
+            row.append(draw(NUMBERS))
+        elif flaw == "ragged":
+            row.pop()
+        elif row:
+            k = draw(st.integers(0, len(row) - 1))
+            if flaw == "odd":
+                row[k] = draw(ODD_ENTRIES)
+            elif isinstance(row[k], list):  # a bare entry among pairs
+                row[k] = row[k][0] if row[k] else 0.5
+            else:  # a pair among bare entries
+                row[k] = [row[k], draw(NUMBERS)]
+    return rows
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0], [0, 1]],
+    [[[1, 0], [0, -1]]],
+    [[-0.0, 0.0], [0.0, -0.0]],
+    [[[0.5, -0.0], [-0.0, 0.0]]],
+    [[0.5, True]],
+    [[[0.5, 0.0], [False, 0.0]]],
+    [[[0.5, 0.0], [1.0, True]]],
+    [[True, False]],
+    [["1.5", 0.0]],
+    [[None, 1.0]],
+    [[0.5, 10**400]],
+    [[[0.5, -(10**400)]]],
+    [[2**63, 0]],
+    [[2**63, 0.5]],
+    [[2**53 + 1, 0.5]],
+    [[float("nan"), 0.5]],
+    [[[0.5, float("inf")]]],
+    [[0.5, 0.5], [0.5]],
+    [[[0.5, 0.0], 0.5]],
+    [[[0.5, 0.0, 0.0]]],
+    [[]],
+    [[[]]],
+], ids=["ints", "int-pairs", "negative-zero", "negative-zero-pairs", "bool", "bool-real-part",
+        "bool-imaginary-part", "all-bool", "string", "none", "int-beyond-float",
+        "pair-beyond-float", "uint64", "uint64-among-floats", "int-past-2**53", "nan", "inf",
+        "ragged", "mixed-bare-and-pair", "three-element-pair", "empty-row", "empty-pair"])
+def test_matrix_reads_as_the_per_entry_rule_on_named_nests(rows):
+    assert_reads_as_oracle(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=number_nests())
+def test_matrix_reads_as_the_per_entry_rule(rows):
+    assert_reads_as_oracle(rows)
+
+
+def test_array_first_read_takes_regular_numbers_and_defers_the_rest():
+    assert jsonio._numbers([[1, 0], [0, 1]], 2) is not None
+    assert jsonio._numbers([[[0.5, -0.0]]], 2) is not None
+    for rows in ([[0.5, True]], [[2**63]], [[0.5, 10**400]], [["1.5"]], [[float("nan")]],
+                 [[0.5], [0.5, 0.5]], [[[0.5, 0.0, 0.0]]]):
+        assert jsonio._numbers(rows, 2) is None
+
+
+def listed_signals(rho):
+    """The signals that `parse_experiment` reads from a list `rho` of matrices or wrappers."""
+    n = len(rho[0]["matrix"] if isinstance(rho[0], dict) else rho[0])
+    return parse_experiment(experiment_payload(n=n, gamma=(np.eye(n) / n).tolist(), rho=rho,
+                                               steps=len(rho)))[1]
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 5), (3, 40), (8, 3), (9, 2)])
+@pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "wrapped"])
+def test_listed_signals_are_read_as_one_stack(n, count, wrapped, monkeypatch):
+    rng = np.random.default_rng([n, count])
+    rho = [matrix_to_json(random_density(n, rng).matrix) for _ in range(count)]
+    if wrapped:
+        rho = [{"matrix": m} for m in rho]
+    stacked, shapes = jsonio._density_operators, []
+    monkeypatch.setattr(jsonio, "_density_operators",
+                        lambda m: shapes.append(m.shape) or stacked(m))
+    signals = listed_signals(rho)
+    assert shapes == [(count, n, n)]
+    for signal, obj in zip(signals, rho, strict=True):
+        alone = parse_state(obj)
+        for name in DensityOperator.__slots__:
+            assert np.array_equal(getattr(signal, name), getattr(alone, name))
+            assert not getattr(signal, name).flags.writeable
+        with pytest.raises(ValueError):
+            signal.matrix[0, 0] = 0.0
+
+
+GOOD = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+
+
+@pytest.mark.parametrize("bad", [
+    [[[0.6, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.0]]],
+    [[[0.5, 0.0], [0.1, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+    [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]],
+    [[[0.5, 0.0], [True, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+    [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
+    [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+    {"matrix": GOOD, "bogus": 1},
+    {"matrix": GOOD, "bogus": 1, "other": 2},
+], ids=["trace", "self-adjoint", "psd", "boolean", "non-square", "ragged", "unknown-key",
+        "unknown-keys"])
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_a_bad_listed_signal_raises_its_own_message(bad, k):
+    rho = [GOOD] * 5
+    rho[k] = bad
+    with pytest.raises(ValueError) as alone:
+        parse_state(bad)
+    with pytest.raises(ValueError) as listed:
+        listed_signals(rho)
+    assert type(listed.value) is type(alone.value)
+    assert str(listed.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("mild, worse", [
+    ([[[0.6, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.0]]],
+     [[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.9, 0.0]]]),
+    ([[[0.5, 0.0], [0.1, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+     [[[0.5, 0.0], [0.3, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]),
+    ([[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]],
+     [[[2.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.5, 0.0]]]),
+], ids=["trace", "self-adjoint", "psd"])
+def test_the_first_of_two_bad_listed_signals_is_reported_not_the_worst(mild, worse):
+    # The stacked check names the worst matrix; the list must name the first.
+    with pytest.raises(ValueError) as alone:
+        parse_state(mild)
+    with pytest.raises(ValueError) as listed:
+        listed_signals([GOOD, mild, GOOD, worse])
+    assert str(listed.value) == str(alone.value)
+
+
+def test_an_unknown_wrapper_key_after_a_bad_signal_reports_the_earlier_fault():
+    rho = [GOOD, [[[0.5, 0.0], [None, 0.0]], GOOD[1]], {"matrix": GOOD, "bogus": 1}]
+    with pytest.raises(ValueError) as info:
+        listed_signals(rho)
+    assert str(info.value) == "expected a number or [re, im] pair, got [None, 0.0]"

@@ -84,6 +84,17 @@ def test_bell_system_builds_vectors_on_demand():
     assert np.count_nonzero(v) == 64
 
 
+def test_bell_system_gather_tables_depend_on_the_basis_alone():
+    bell = BellSystem(SignalBasis(random_unitary(4, RNG)))
+    m = np.arange(4)
+    assert np.array_equal(bell._weights, np.abs(bell.basis.vectors) ** 2)
+    for j in range(4):
+        assert np.array_equal(bell._circulant[:, j], (m - j) % 4)
+        assert np.array_equal(bell._shifted[j], (m + j) % 4)
+    for table in (bell._weights, bell._circulant, bell._shifted):
+        assert not table.flags.writeable
+
+
 def test_bell_projections_are_rank_one():
     bell = fourier_bell(3)
     p = bell.projection(1, 2)
