@@ -281,7 +281,10 @@ class Partition:
 
     def encode(self, points) -> np.ndarray:
         """Flat cell codes (row-major across axes) for an array of points."""
-        pts = np.asarray(points, dtype=float)
+        try:
+            pts = np.asarray(points, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("points have a non-finite entry") from None
         if pts.ndim not in (1, 2):
             raise ValueError(f"points must be a 1-d or 2-d array, got shape {pts.shape}")
         if pts.ndim == 1:

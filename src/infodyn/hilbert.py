@@ -5,18 +5,21 @@ which is C^n with the standard inner product. Index arithmetic wraps
 mod n. Everything here is a dense complex matrix or vector; all values
 are immutable after construction and every function is pure.
 
+One rule reads every matrix or vector argument on the state space:
+`_as_array` converts it to a complex array, and NaN, inf or an integer
+beyond the float range raises ValueError "<name> has a non-finite
+entry" before any arithmetic.
+
 Entropies use the natural logarithm. Base conversion is a display
 concern and lives with the report types, not here.
 
 The package-wide private helpers live here, one per rule:
 `_check_deviation`, the one tolerance check that a matrix equals its
 adjoint or the identity (a NaN deviation fails it as "<subject> has a
-non-finite entry"), `_as_array`, the one conversion of a matrix input,
-which maps an integer beyond the float range to "<name> has a
-non-finite entry", `_square`, the square-matrix check of a state, a
-weight, a unitary, a signal basis, a purpose operator or a map's image,
-which converts through `_as_array` and maps NaN or inf to the same
-message before any arithmetic, `_check_integer`, the
+non-finite entry"), `_as_array`, the one conversion of an array
+argument, `_square`, `_as_array` plus the square-shape check of a state,
+a weight, a unitary, a signal basis, a purpose operator or a map's
+image, `_check_integer`, the
 integer-input rule (type, then lower bound, then cap) with its predicate
 `_is_integer`, `_check_real`, the real-input rule (a finite
 real number within optional closed bounds), `_haar_unitaries`, the Haar
@@ -78,7 +81,7 @@ class IndexGroup:
 
 
 def as_vector(f) -> np.ndarray:
-    v = np.asarray(f, dtype=complex)
+    v = _as_array(f, "vector")
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     return v
@@ -127,7 +130,7 @@ def tensor(*operators) -> np.ndarray:
     """Kronecker product of two or more operators (matrices), left to right."""
     if len(operators) < 2:
         raise ValueError("tensor needs at least two operators")
-    ops = [np.asarray(op, dtype=complex) for op in operators]
+    ops = [_as_array(op, "operator") for op in operators]
     for op in ops:
         if op.ndim != 2:
             raise ValueError(f"tensor takes matrices, got shape {op.shape}")
@@ -151,7 +154,7 @@ def partial_trace(x, dims, trace_out) -> np.ndarray:
     ndarray
         Operator on the remaining factors, in their original order.
     """
-    xm = np.asarray(x, dtype=complex)
+    xm = _as_array(x, "matrix")
     dims = tuple(_check_integer("dims", d, 1) for d in dims)
     total = int(np.prod(dims))
     if xm.shape != (total, total):
@@ -211,25 +214,26 @@ def _check_deviation(diff, tol: float, subject: str, complaint: str) -> None:
         )
 
 
-def _as_array(value, name: str, dtype=complex) -> np.ndarray:
-    """`value` as an array of `dtype`; an integer beyond the float range is "<name> has a non-finite entry"."""
+def _as_array(value, name: str) -> np.ndarray:
+    """`value` as a complex array of finite entries: the one conversion of an array argument.
+
+    NaN, inf or an integer beyond the float range raises "<name> has a
+    non-finite entry" before any arithmetic.
+    """
     try:
-        return np.asarray(value, dtype=dtype)
+        a = np.asarray(value, dtype=complex)
+        if np.isfinite(a).all():
+            return a
     except OverflowError:
-        raise ValueError(f"{name} has a non-finite entry") from None
+        pass
+    raise ValueError(f"{name} has a non-finite entry")
 
 
 def _square(matrix, name: str) -> np.ndarray:
-    """`matrix` as a complex array, which must be one square matrix of finite entries.
-
-    An integer beyond the float range, NaN or inf raises "<name> has a
-    non-finite entry" before any arithmetic.
-    """
+    """`matrix` through `_as_array`, which must then be one square matrix."""
     m = _as_array(matrix, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} has a non-finite entry")
     return m
 
 
@@ -541,14 +545,13 @@ def _isometry_blocks(z, terms: int) -> np.ndarray:
 def _check_kraus_sums(ops) -> np.ndarray:
     """The one Kraus-sum check, on a Kraus stack (r, n, n) or a stack (..., r, n, n) of them.
 
-    Raises ValueError when an operator has a non-finite entry (before any
-    product) or their sum overflows, or when sum A*A exceeds the identity
-    by more than 1e-10 in its top eigenvalue (the message gives the
-    largest such excess). Returns the trace-preservation flag of each
-    stack: its sum is the identity within 1e-10 entrywise.
+    The operators must be finite, as `_as_array` or a QR of Gaussians
+    leaves them. Raises ValueError when their sum overflows, or when
+    sum A*A exceeds the identity by more than 1e-10 in its top eigenvalue
+    (the message gives the largest such excess). Returns the
+    trace-preservation flag of each stack: its sum is the identity within
+    1e-10 entrywise.
     """
-    if not np.isfinite(ops).all():
-        raise ValueError("Kraus operators have a non-finite entry")
     # Summed term by term, so a stack of stacks rounds as each stack alone.
     total = sum(a.conj().mT @ a for a in np.moveaxis(ops, -3, 0))
     gap = total - np.eye(ops.shape[-1])

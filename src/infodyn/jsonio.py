@@ -202,9 +202,7 @@ def parse_channel(obj: dict) -> Channel:
         return unitary_channel(m)
     if kind == "ktau":
         return schur_channel(m)
-    if np.any(m.imag):
-        raise ValueError("stochastic matrix must be real")
-    return stochastic_channel(m.real)
+    return stochastic_channel(m)
 
 
 def parse_basis(obj, n: int) -> SignalBasis:

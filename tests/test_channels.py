@@ -24,10 +24,14 @@ from infodyn.channels import (
 from infodyn.exceptions import DimensionMismatch, OutsideDomain
 from infodyn.hilbert import (
     DensityOperator,
+    inner_product,
+    mult_operator,
+    partial_trace,
     random_density,
     random_state,
     random_unitary,
     relative_entropy,
+    tensor,
     von_neumann_entropy,
 )
 from infodyn.metrics import chaos_degree, conjecture_experiment, value_of_information
@@ -114,6 +118,23 @@ def test_normalized_schur_zero_weight_raises():
         schur_channel_apply(SchurWeight(np.zeros((2, 2))), rho)
 
 
+def test_normalized_schur_names_an_overflowing_trace_without_a_warning():
+    # Warnings are errors in this suite, so a warning from the sum fails here.
+    with pytest.raises(ValueError, match="^damped trace inf is not finite$"):
+        schur_channel_apply(np.eye(2), [[1e308, 0.0], [0.0, 1e308]])
+
+
+@pytest.mark.parametrize("diagonal", [[0.8e308, 0.8e308, 1e306], [1e308, 1.0], [0.25, 0.75]],
+                         ids=["large", "one-large", "small"])
+def test_normalized_schur_keeps_every_bit_of_a_finite_trace(diagonal):
+    # The first two take the scaled sum, the last the plain one; each gives
+    # the bits of numpy's own trace, which does not overflow here.
+    state = np.diag(diagonal).astype(complex)
+    out = schur_channel_apply(np.eye(len(diagonal)), state)
+    expect = DensityOperator(state / float(state.trace().real))
+    assert out.matrix.tobytes() == expect.matrix.tobytes()
+
+
 def test_normalized_schur_rejects_a_non_finite_trace_before_dividing():
     # Warnings are errors in this suite, so a division by the trace would
     # fail first; the state's NaN is named as the state is read.
@@ -148,6 +169,7 @@ def test_unitary_channel_rejects_nonunitary():
     (SignalBasis, "basis"),
     (SchurWeight, "weight"),
     (unitary_channel, "unitary"),
+    (stochastic_channel, "stochastic matrix"),
 ])
 def test_square_matrix_inputs_share_one_message(build, name):
     with pytest.raises(ValueError) as exc:
@@ -194,13 +216,18 @@ def test_kraus_sum_check_of_a_stack_matches_each_channel():
     assert flags.tolist() == [kraus_channel(ops).is_trace_preserving for ops in stacks]
     assert flags.tolist() == [True, False, True, True]
     over = np.stack([np.eye(3), 0.1 * np.eye(3)])
-    nan = np.stack([np.eye(3), np.diag([np.nan, 0.0, 0.0])])
-    for bad, message in [(over, r"Kraus sum exceeds identity by 1\.000e-02"),
-                         (nan, "Kraus operators have a non-finite entry")]:
-        with pytest.raises(ValueError, match=message):
-            kraus_channel(bad)
-        with pytest.raises(ValueError, match=message):
-            _check_kraus_sums(np.stack([stacks[0], bad, stacks[2]]))
+    with pytest.raises(ValueError, match=r"Kraus sum exceeds identity by 1\.000e-02"):
+        kraus_channel(over)
+    with pytest.raises(ValueError, match=r"Kraus sum exceeds identity by 1\.000e-02"):
+        _check_kraus_sums(np.stack([stacks[0], over, stacks[2]]))
+    with pytest.raises(ValueError, match="^Kraus operator has a non-finite entry$"):
+        kraus_channel(np.stack([np.eye(3), np.diag([np.nan, 0.0, 0.0])]))
+    # Finite operators whose sum overflows: numpy warns as it multiplies,
+    # and the check then names the sum's non-finite entry.
+    huge = np.stack([np.eye(3), 1e200 * np.eye(3)]).astype(complex)
+    with pytest.raises(ValueError, match="^Kraus operators have a non-finite entry$"), \
+            pytest.warns(RuntimeWarning):
+        _check_kraus_sums(np.stack([stacks[0], huge, stacks[2]]))
 
 
 def test_kraus_sum_check_keeps_the_order_of_two_leading_axes():
@@ -270,6 +297,11 @@ def test_stochastic_rejects_bad_rows():
         stochastic_channel(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
 
+def test_stochastic_rejects_a_complex_matrix():
+    with pytest.raises(ValueError, match="^stochastic matrix must be real$"):
+        stochastic_channel([[1.0, 0.0], [0.5j, 1.0]])
+
+
 NAN, INF, BIG = float("nan"), float("inf"), 10**400  # BIG overflows a float
 
 
@@ -297,16 +329,28 @@ SQUARE_READERS = {
     "schur-normalized": lambda m: schur_channel_apply(np.eye(2), m),
     "choi-image": lambda m: choi_matrix(lambda unit: m, 2),
 }
+# Callables that read a matrix or vector through `hilbert._as_array` alone;
+# the vector readers take the second row, which holds the bad entry.
+ARRAY_READERS = {
+    "tensor": lambda m: tensor(m, np.eye(2)),
+    "partial-trace": lambda m: partial_trace(m, [2], [0]),
+    "inner-product": lambda m: inner_product(np.ones(2), m[1]),
+    "mult-operator": lambda m: mult_operator(m[1]),
+    "apply-matrix": lambda m: identity_channel(2).apply_matrix(m),
+    "kraus-vectors": lambda m: identity_channel(2).kraus_vectors(m),
+}
 NEW_ROWS = [
     (DensityOperator, [[BIG, 0.0], [0.0, 0.5]], "density-big"),
     *[(build, [[1.0, 0.0], [bad, 1.0]], f"{name}-{tag}")
       for name, build in SQUARE_READERS.items() for tag, bad in [("inf", INF), ("big", BIG)]],
     (lambda m: kraus_channel([np.array(m)]), [[1.0, 0.0], [0.0, INF]], "kraus-inf"),
     (stochastic_channel, [[INF, 1.0], [0.0, 1.0]], "stochastic-inf"),
-    # These three convert through `hilbert._as_array`, not `_square`.
     (lambda m: kraus_channel([m]), [[1.0, 0.0], [0.0, BIG]], "kraus-big"),
     (stochastic_channel, [[BIG, 1.0], [0.0, 1.0]], "stochastic-big"),
     (BranchDilation, [0.5, BIG], "dilation-big"),
+    *[(build, [[1.0, 0.0], [bad, 1.0]], f"{name}-{tag}")
+      for name, build in ARRAY_READERS.items()
+      for tag, bad in [("nan", NAN), ("inf", INF), ("big", BIG)]],
 ]
 
 

@@ -306,6 +306,14 @@ def test_partition_rejects_nan_points_naming_the_axis(box, points, axis):
         empirical_channel(points, part)
 
 
+def test_partition_rejects_an_integer_beyond_the_float_range():
+    part = Partition(((0.0, 1.0),), bins=4)
+    with pytest.raises(ValueError, match="^points have a non-finite entry$"):
+        part.encode([0.5, 10**400])
+    with pytest.raises(ValueError, match="^points have a non-finite entry$"):
+        empirical_channel([0.5, 10**400], part)
+
+
 def test_partition_two_dimensional_codes_unique():
     part = Partition(((0.0, 1.0), (0.0, 1.0)), bins=3)
     pts = np.array([[x, y] for x in (0.1, 0.5, 0.9) for y in (0.1, 0.5, 0.9)])

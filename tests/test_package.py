@@ -93,6 +93,34 @@ def test_no_code_silences_floating_point_warnings():
     assert stray == []
 
 
+def test_complex_arrays_are_read_only_through_the_array_rule():
+    # `hilbert._as_array` is the one conversion of an array argument. A bare
+    # complex conversion stays only where the input is the package's own:
+    # the stacks `_density_spectra` is handed, and JSON matrices in and out.
+    allowed = {"_as_array", "_density_spectra", "json_to_matrix", "matrix_to_json"}
+
+    def calls(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                yield function, child
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            yield from calls(child, inner)
+
+    def is_complex(node):
+        return isinstance(node, ast.Name) and node.id == "complex"
+
+    stray = [
+        f"{path.name}:{call.lineno} in {function}"
+        for path in sorted(Path(infodyn.__file__).parent.glob("*.py"))
+        for function, call in calls(ast.parse(path.read_text()), None)
+        if isinstance(call.func, ast.Attribute) and call.func.attr in {"asarray", "array"}
+        and getattr(call.func.value, "id", None) == "np" and function not in allowed
+        and (any(is_complex(arg) for arg in call.args[1:2])
+             or any(k.arg == "dtype" and is_complex(k.value) for k in call.keywords))
+    ]
+    assert stray == []
+
+
 def test_every_size_cap_is_named_in_the_readme():
     package = Path(infodyn.__file__).parent
     readme = (package.parents[1] / "README.md").read_text()
