@@ -26,7 +26,10 @@ inputs with vanishing damped trace raise
 Every matrix or vector argument read here, from a state or a Kraus
 operator to the operand of `Channel.apply_matrix`, goes through
 `hilbert._as_array`, so a NaN, inf or too-large entry raises ValueError
-naming it before any arithmetic.
+naming it before any arithmetic. A finite entry large enough for a Kraus
+or unitary Gram sum, a damping product or a stochastic row sum to
+overflow raises the error of the rule it breaks before that arithmetic,
+with no RuntimeWarning first.
 """
 
 from __future__ import annotations
@@ -40,12 +43,14 @@ from .hilbert import (
     EIGENVALUE_FLOOR,
     HERMITIAN_TOL,
     DensityOperator,
+    _Frozen,
     _as_array,
     _check_deviation,
     _check_integer,
     _check_kraus_sums,
     _check_real,
     _complex_gaussians,
+    _gram_fits,
     _gram_spectra,
     _isometry_blocks,
     _kron,
@@ -115,6 +120,10 @@ def schur_apply(weight, rho) -> np.ndarray:
     m = rho.matrix if isinstance(rho, DensityOperator) else _square(rho, "state")
     if w.n != m.shape[0]:
         raise DimensionMismatch(f"weight dim {w.n} vs state dim {m.shape[0]}")
+    # Entry by entry, |w| |m| within the float maximum, less 0.1 % for
+    # rounding, keeps both parts of the product finite.
+    if not (np.abs(m) <= 0.999 * np.finfo(float).max / np.maximum(np.abs(w.matrix), 1.0)).all():
+        raise ValueError("damped state has a non-finite entry")
     return w.matrix * m
 
 
@@ -223,7 +232,7 @@ class BranchDilation:
         return schur_channel_apply(np.outer(g, g.conj()), rho)
 
 
-class Channel:
+class Channel(_Frozen):
     """A linear map from states to states, tagged by construction kind.
 
     Kinds: "kraus", "schur", "unitary", "stochastic". A "kraus" channel
@@ -263,13 +272,8 @@ class Channel:
             # (..., r, i, j) -> (..., j, r, i), then r and i flattened.
             factor = data.swapaxes(-1, -3).swapaxes(-1, -2).reshape(data.shape[:-3] + (dim, -1))
             width = data.shape[-3]
-        for name, value in (("kind", kind), ("dim", dim),
-                            ("is_trace_preserving", bool(is_trace_preserving)),
-                            ("image_width", width), ("_data", data), ("_factor", factor)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Channel is immutable")
+        self._set(kind=kind, dim=dim, is_trace_preserving=bool(is_trace_preserving),
+                  image_width=width, _data=data, _factor=factor)
 
     def __repr__(self):
         return f"Channel(kind={self.kind!r}, dim={self.dim})"
@@ -346,7 +350,6 @@ def kraus_channel(operators) -> Channel:
         raise DimensionMismatch("Kraus operators must share one square shape")
     stacked = np.stack(ops)
     tp = _check_kraus_sums(stacked)
-    stacked.setflags(write=False)
     return Channel("kraus", shape[0], is_trace_preserving=tp, data=stacked)
 
 
@@ -361,11 +364,9 @@ def unitary_channel(u) -> Channel:
     """Conjugation by a unitary, stored as its one-operator Kraus form."""
     um = _square(u, "unitary")
     n = um.shape[0]
-    _check_deviation(um.conj().T @ um - np.eye(n), UNITARY_TOL, "unitary",
-                     "matrix is not unitary: deviation")
-    ops = um[None].copy()
-    ops.setflags(write=False)
-    return Channel("unitary", n, is_trace_preserving=True, data=ops)
+    gram = um.conj().T @ um if _gram_fits(um[None]) else np.inf
+    _check_deviation(gram - np.eye(n), UNITARY_TOL, "unitary", "matrix is not unitary: deviation")
+    return Channel("unitary", n, is_trace_preserving=True, data=um[None].copy())
 
 
 def identity_channel(n: int) -> Channel:
@@ -390,12 +391,11 @@ def stochastic_channel(p) -> Channel:
     pm = pm.real
     if not np.all(pm >= -1e-14):
         raise ValueError("stochastic matrix entries must be nonnegative")
-    rows = pm.sum(axis=1)
+    # n entries of at most max / n sum without overflow; a larger one fails the row rule.
+    rows = pm.sum(axis=1) if pm.max() <= np.finfo(float).max / pm.shape[0] else np.inf
     if not float(np.max(np.abs(rows - 1.0))) <= 1e-10:
         raise ValueError("stochastic matrix rows must sum to 1")
-    pm = np.clip(pm, 0.0, None)
-    pm.setflags(write=False)
-    return Channel("stochastic", pm.shape[0], is_trace_preserving=True, data=pm)
+    return Channel("stochastic", pm.shape[0], is_trace_preserving=True, data=np.clip(pm, 0.0, None))
 
 
 def depolarizing_channel(n: int, p: float = 1.0) -> Channel:

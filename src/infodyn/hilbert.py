@@ -14,8 +14,11 @@ Entropies use the natural logarithm. Base conversion is a display
 concern and lives with the report types, not here.
 
 The package-wide private helpers live here, one per rule:
-`_check_deviation`, the one tolerance check that a matrix equals its
-adjoint or the identity (a NaN deviation fails it as "<subject> has a
+`_Frozen`, the one immutability rule, which `DensityOperator`,
+`channels.Channel`, `recognition.SignalBasis` and
+`recognition.BellSystem` derive from (each slot set once, an array slot
+read-only, any later assignment an AttributeError), `_check_deviation`,
+the one tolerance check that a matrix equals its adjoint or the identity (a NaN deviation fails it as "<subject> has a
 non-finite entry"), `_as_array`, the one conversion of an array
 argument, `_square`, `_as_array` plus the square-shape check of a state,
 a weight, a unitary, a signal basis, a purpose operator or a map's
@@ -37,7 +40,9 @@ sigma, which `relative_entropy` (a stack of one) and the transmitted
 complexity share.
 The Kraus-form helpers that `channels` and the stacked kernels of
 `metrics` share live here too, each taking one operand or a stack:
-`_check_kraus_sums`, the one Kraus-sum check, `_isometry_blocks`, and
+`_check_kraus_sums`, the one Kraus-sum check, `_gram_fits`, the bound
+under which a Gram sum sum A*A cannot overflow (which the unitary and
+signal-basis checks read too), `_isometry_blocks`, and
 `_gram_spectra`, the image spectra from the Kraus vectors
 W = [A_1 v ... A_r v] of pure states, which represent their images. The
 Kraus vectors and images themselves come from `channels.Channel` alone.
@@ -281,8 +286,8 @@ def _check_real(name: str, value, low: float | None = None, high: float | None =
     return number
 
 
-def _density_spectra(matrices):
-    """Checked spectral data of a square density matrix or a stack (..., n, n) of them.
+def _density_spectra(m: np.ndarray):
+    """Checked spectral data of a complex square density matrix or a stack (..., n, n) of them.
 
     Every matrix must be self-adjoint within HERMITIAN_TOL, and then pass
     `_unit_spectra`; the error names the worst matrix's deviation.
@@ -290,7 +295,6 @@ def _density_spectra(matrices):
     sorted descending, matching eigenvector columns); the spectra are
     those of the symmetrized matrices before the division.
     """
-    m = np.asarray(matrices, dtype=complex)
     adjoint = m.conj().swapaxes(-1, -2)
     # Every comparison here and in `_unit_spectra` is written so that NaN
     # fails it; a non-finite entry is caught by the self-adjointness check.
@@ -341,7 +345,28 @@ def _kron(a, b) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-class DensityOperator:
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass declares its `__slots__` and fills them once through
+    `_set`, which makes an ndarray value read-only, so it is handed a
+    fresh array, never one a caller passed in. Any other assignment
+    raises AttributeError "<Type> is immutable".
+    """
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class DensityOperator(_Frozen):
     """Positive unit-trace operator with cached spectral data.
 
     Construction validates self-adjointness and positivity, clamps
@@ -353,16 +378,8 @@ class DensityOperator:
     __slots__ = ("matrix", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrix):
-        self._fill(_density_spectra(_square(matrix, "density operator")))
-
-    def _fill(self, slots) -> None:
-        """Set the slots, read-only, from `_density_spectra`'s three arrays, in order."""
-        for name, arr in zip(self.__slots__, slots):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityOperator is immutable")
+        m, lam, vec = _density_spectra(_square(matrix, "density operator"))
+        self._set(matrix=m, eigenvalues=lam, eigenvectors=vec)
 
     @property
     def n(self) -> int:
@@ -407,13 +424,11 @@ def _density_operators(matrices: np.ndarray) -> list[DensityOperator]:
     """
     if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {matrices.shape}")
-    spectra = _density_spectra(matrices)
-    for arr in spectra:
-        arr.setflags(write=False)
+    m, lam, vec = _density_spectra(matrices)
     operators = []
     for t in range(matrices.shape[0]):
         rho = DensityOperator.__new__(DensityOperator)
-        rho._fill([arr[t] for arr in spectra])
+        rho._set(matrix=m[t], eigenvalues=lam[t], eigenvectors=vec[t])
         operators.append(rho)
     return operators
 
@@ -542,24 +557,35 @@ def _isometry_blocks(z, terms: int) -> np.ndarray:
     return np.linalg.qr(z)[0].reshape(z.shape[:-2] + (terms, n, n))
 
 
+def _gram_fits(ops) -> bool:
+    """Whether sum_k A_k* A_k of finite operators (..., r, n, n) is sure to stay finite.
+
+    Each entry of the sum adds 2rn products of real or imaginary parts,
+    and `_check_kraus_sums` adds the sum to its adjoint, so no operator
+    entry above sqrt(max / 4rn) in modulus keeps both below the float
+    maximum, rounding included.
+    """
+    # Taken first: an empty stack raises numpy's ValueError before the bound divides by 0.
+    top = np.abs(ops).max()
+    return bool(top <= math.sqrt(np.finfo(float).max / (4 * ops.shape[-3] * ops.shape[-1])))
+
+
 def _check_kraus_sums(ops) -> np.ndarray:
     """The one Kraus-sum check, on a Kraus stack (r, n, n) or a stack (..., r, n, n) of them.
 
     The operators must be finite, as `_as_array` or a QR of Gaussians
-    leaves them. Raises ValueError when their sum overflows, or when
-    sum A*A exceeds the identity by more than 1e-10 in its top eigenvalue
-    (the message gives the largest such excess). Returns the
-    trace-preservation flag of each stack: its sum is the identity within
-    1e-10 entrywise.
+    leaves them. Raises ValueError when their sum could overflow (see
+    `_gram_fits`), or when sum A*A exceeds the identity by more than 1e-10
+    in its top eigenvalue (the message gives the largest such excess).
+    Returns the trace-preservation flag of each stack: its sum is the
+    identity within 1e-10 entrywise.
     """
+    if not _gram_fits(ops):
+        raise ValueError("Kraus operators have a non-finite entry")
     # Summed term by term, so a stack of stacks rounds as each stack alone.
     total = sum(a.conj().mT @ a for a in np.moveaxis(ops, -3, 0))
     gap = total - np.eye(ops.shape[-1])
     dev = np.abs(gap).max(axis=(-2, -1))
-    # eigvalsh returns finite garbage for a non-finite matrix, so the
-    # deviation, not the top eigenvalue, is where an overflowing sum shows.
-    if not math.isfinite(dev.max()):
-        raise ValueError("Kraus operators have a non-finite entry")
     # An n x n self-adjoint matrix has no eigenvalue above n times its
     # largest |entry|, so within 1e-10 / n the check cannot fail.
     if not dev.max() <= 1e-10 / ops.shape[-1]:

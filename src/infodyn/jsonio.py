@@ -113,8 +113,8 @@ def _numbers(nest, depth: int) -> np.ndarray | None:
     The nest is accepted when numpy reads it as an integer or float
     array of `depth` axes, or of `depth` + 1 with a last axis of [re, im]
     pairs, whose entries are finite and none of them a boolean. Numpy
-    reads a boolean among numbers as 0 or 1, so only those entries are
-    looked up in `nest`. Pairs become complex numbers through a view of
+    reads a boolean among numbers as 0 or 1, so the types of the nest's
+    leaves are scanned once. Pairs become complex numbers through a view of
     their float bits, so each part keeps its sign of zero.
     """
     try:
@@ -124,12 +124,11 @@ def _numbers(nest, depth: int) -> np.ndarray | None:
     if (a.dtype.kind not in "if" or a.ndim not in (depth, depth + 1)
             or (a.ndim > depth and a.shape[-1] != 2) or not np.isfinite(a).all()):
         return None
-    for index in zip(*(i.tolist() for i in np.nonzero((a == 0) | (a == 1)))):
-        entry = nest
-        for i in index:
-            entry = entry[i]
-        if isinstance(entry, bool):
-            return None
+    leaves = nest
+    for _ in range(a.ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    if bool in map(type, leaves):
+        return None
     if a.ndim == depth:
         return a.astype(complex)
     return a.astype(float, copy=False).view(complex)[..., 0]

@@ -46,10 +46,11 @@ eigenbasis chaos degree, `_transmitted_stacks` for T and one
 `_rotation_chunks` call, with every trial's seed, for the probes'
 rotations; no step loops over the items of a stack. In both, a family
 that is not trace-preserving raises through `_require_trace_preserving`.
-Only `_pair_outcomes`, whose chaos degree is the compared quantity,
-falls back: it decides once per chunk, before any stacked D or value,
-and if any pair's joint spectrum is degenerate or light, every pair of
-the chunk goes through `conjecture_experiment`.
+A pair's chaos degree is its eigenbasis value unless its joint spectrum
+has a degenerate block or a weight at or below WEIGHT_FLOOR; only such a
+pair, where that value is not `_search`'s D, goes through `_search`
+itself, once per channel, on the state and channels that
+`conjecture_experiment` builds. No pair's cost depends on its chunk-mates.
 
 Every function here that takes a channel checks it through
 `_check_channel` before any arithmetic: a non-`Channel` raises
@@ -485,9 +486,9 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
     operator, drawn in that order from one generator; each outcome is
     that of `conjecture_experiment` on them. The pairs are evaluated in
     chunks by `_pair_outcomes`, with as many pairs as fit CHUNK_BYTES
-    (at least one); the outcomes do not depend on the chunk size. A chunk
-    goes through `conjecture_experiment` pair by pair only if a joint
-    spectrum in it is degenerate or light; a lossy channel raises.
+    (at least one); the outcomes do not depend on the chunk size. Only a
+    pair whose joint spectrum is degenerate or light is searched, through
+    `_search`; a lossy channel raises.
     """
     if not isinstance(identical_channels, (bool, np.bool_)):
         raise ValueError(f"identical_channels must be a boolean, got {identical_channels!r}")
@@ -529,9 +530,10 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     them, with every check those run; a family that is not trace-preserving
     raises the search's ValueError before any value. Each step is the
     per-pair step applied to a stack, so each value has the bits of the
-    per-pair path. If any pair's joint spectrum has a degenerate block or
-    a weight at or below WEIGHT_FLOOR, every pair of the chunk goes
-    through `conjecture_experiment` itself.
+    per-pair path. A pair whose joint spectrum has a degenerate block or
+    a weight at or below WEIGHT_FLOOR takes its chaos degrees from
+    `_search` on its own joint state and Kraus channels instead of the
+    stacked eigenbasis values.
     """
     g_rho, g_gamma, *g_kraus, g_purpose = draws
     grams = [_normalized_grams(g) for g in (g_rho, g_gamma)]
@@ -540,14 +542,15 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     kraus = [_isometry_blocks(z, terms) for z in g_kraus]
     _require_trace_preserving([_check_kraus_sums(ops) for ops in kraus])
     q = _self_adjoint_purposes(0.5 * (g_purpose + g_purpose.conj().mT))
-    if not (_block_starts(lam).all(axis=-1) & (lam[:, -1] > WEIGHT_FLOOR)).all():
-        return [conjecture_experiment(grams[0][k], grams[1][k], kraus_channel(kraus[0][k]),
-                                      kraus_channel(kraus[-1][k]), q[k])
-                for k in range(q.shape[0])]
-
     channels = [Channel("kraus", lam.shape[-1], True, ops) for ops in kraus]
-    d = [_eigenbasis_values(lam, vec, ch).tolist() for ch in channels]
+    d = [_eigenbasis_values(lam, vec, ch) for ch in channels]
     v = [_real_values(ch.apply_matrix(joint), q).tolist() for ch in channels]
+    # Off their eigenbasis value: a degenerate block, or a weight the search leaves out.
+    for k in np.flatnonzero(~(_block_starts(lam).all(axis=-1) & (lam[:, -1] > WEIGHT_FLOOR))):
+        state = DensityOperator(_kron(rho[k], gamma[k]))
+        for values, ops in zip(d, kraus):
+            values[k] = _search(state, kraus_channel(ops[k]), DEFAULT_CONFIG)[0]
+    d = [values.tolist() for values in d]
     return [_outcome(*values) for values in zip(d[0], d[-1], v[0], v[-1])]
 
 

@@ -50,8 +50,10 @@ from .channels import PROBABILITY_FLOOR, schur_channel_apply
 from .exceptions import DimensionMismatch, OutsideDomain, ZeroProbabilityOutcome
 from .hilbert import (
     DensityOperator,
+    _Frozen,
     _check_deviation,
     _check_integer,
+    _gram_fits,
     _square,
     as_density,
     diag_embedding,
@@ -63,7 +65,7 @@ BASIS_TOL = 1e-12
 ARGMAX_TIE_TOL = 1e-12
 
 
-class SignalBasis:
+class SignalBasis(_Frozen):
     """Orthonormal family of n signal vectors in C^n.
 
     Row k of `vectors` is the k-th signal. `uniform_modulus` records
@@ -75,17 +77,12 @@ class SignalBasis:
 
     def __init__(self, vectors):
         v = _square(vectors, "basis")
-        _check_deviation(v.conj() @ v.T - np.eye(v.shape[0]), BASIS_TOL, "basis",
+        gram = v.conj() @ v.T if _gram_fits(v[None]) else np.inf
+        _check_deviation(gram - np.eye(v.shape[0]), BASIS_TOL, "basis",
                          "rows are not orthonormal: Gram error")
         mags = np.abs(v)
         uniform = bool(np.max(mags.max(axis=1) - mags.min(axis=1)) <= BASIS_TOL)
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "uniform_modulus", uniform)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignalBasis is immutable")
+        self._set(vectors=v.copy(), uniform_modulus=uniform)
 
     @property
     def n(self) -> int:
@@ -102,7 +99,7 @@ class SignalBasis:
         return cls(np.eye(_check_integer("n", n, 1), dtype=complex))
 
 
-class BellSystem:
+class BellSystem(_Frozen):
     """The n^2 measurement vectors and projections built from a basis.
 
     Vector (k, l) lives on the doubled space and has amplitude b_k(m)
@@ -121,16 +118,10 @@ class BellSystem:
     __slots__ = ("basis", "_weights", "_circulant", "_shifted")
 
     def __init__(self, basis: SignalBasis):
-        object.__setattr__(self, "basis", basis)
         m = np.arange(basis.n)
-        for name, table in (("_weights", np.abs(basis.vectors) ** 2),
-                            ("_circulant", (m[:, None] - m[None, :]) % basis.n),
-                            ("_shifted", (m[:, None] + m[None, :]) % basis.n)):
-            table.setflags(write=False)
-            object.__setattr__(self, name, table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BellSystem is immutable")
+        self._set(basis=basis, _weights=np.abs(basis.vectors) ** 2,
+                  _circulant=(m[:, None] - m[None, :]) % basis.n,
+                  _shifted=(m[:, None] + m[None, :]) % basis.n)
 
     @property
     def n(self) -> int:

@@ -219,3 +219,32 @@ def test_each_argument_rejects_bad_values_by_name(name):
             if fault is not None:
                 found.append(f"argument {position} = {label}: {fault}")
     assert found == []
+
+
+# Finite entries whose Gram product, entrywise product or row sum would
+# overflow; the rule each call breaks is named before the arithmetic, so no
+# RuntimeWarning comes first. The last two rows lie under the Kraus and
+# unitary bounds and keep their own messages.
+OVERFLOWING = {
+    "kraus_channel": (infodyn.kraus_channel, [1e200 * np.eye(3)],
+                      "Kraus operators have a non-finite entry"),
+    "schur_channel_apply": (lambda rho: infodyn.schur_channel_apply(1e200 * np.eye(2), rho),
+                            [[1e200, 0.0], [0.0, 1.0]], "damped state has a non-finite entry"),
+    "unitary_channel": (infodyn.unitary_channel, 1e200 * np.eye(2),
+                        "matrix is not unitary: deviation inf"),
+    "SignalBasis": (SignalBasis, 1e200 * np.eye(2), "rows are not orthonormal: Gram error inf"),
+    "stochastic_channel": (stochastic_channel, [[1e308, 1e308], [0.5, 0.5]],
+                           "stochastic matrix rows must sum to 1"),
+    "kraus_channel-under": (infodyn.kraus_channel, [1e150 * np.eye(3)],
+                            "Kraus sum exceeds identity by 1.000e+300"),
+    "unitary_channel-under": (infodyn.unitary_channel, 1e150 * np.eye(2),
+                              "matrix is not unitary: deviation 1.000e+300"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_an_overflowing_product_is_named_without_a_warning(name):
+    function, arg, message = OVERFLOWING[name]
+    with pytest.raises(ValueError) as err:
+        function(arg)
+    assert str(err.value) == message

@@ -179,9 +179,18 @@ def test_square_matrix_inputs_share_one_message(build, name):
 
 def test_channel_is_immutable():
     lossy = kraus_channel([0.5 * np.eye(4)])
-    with pytest.raises(AttributeError, match="Channel is immutable"):
+    with pytest.raises(AttributeError, match="^Channel is immutable$"):
         lossy.is_trace_preserving = True
     assert not lossy.is_trace_preserving
+    kinds = [lossy, random_kraus_channel(3, 2, RNG), schur_channel(np.ones((3, 3))),
+             unitary_channel(random_unitary(3, RNG)), stochastic_channel(np.full((3, 3), 1 / 3))]
+    arrays = [getattr(ch, name) for ch in kinds for name in Channel.__slots__]
+    arrays += [ch._data.matrix for ch in kinds if ch.kind == "schur"]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    # `_data` and `_factor` of each; a Schur channel's data is its weight, and
+    # a stochastic channel has no factor.
+    assert len(arrays) == 9
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_kraus_channel_requires_completeness():
@@ -222,11 +231,10 @@ def test_kraus_sum_check_of_a_stack_matches_each_channel():
         _check_kraus_sums(np.stack([stacks[0], over, stacks[2]]))
     with pytest.raises(ValueError, match="^Kraus operator has a non-finite entry$"):
         kraus_channel(np.stack([np.eye(3), np.diag([np.nan, 0.0, 0.0])]))
-    # Finite operators whose sum overflows: numpy warns as it multiplies,
-    # and the check then names the sum's non-finite entry.
+    # Finite operators whose sum would overflow: the check names the sum's
+    # non-finite entry before it multiplies.
     huge = np.stack([np.eye(3), 1e200 * np.eye(3)]).astype(complex)
-    with pytest.raises(ValueError, match="^Kraus operators have a non-finite entry$"), \
-            pytest.warns(RuntimeWarning):
+    with pytest.raises(ValueError, match="^Kraus operators have a non-finite entry$"):
         _check_kraus_sums(np.stack([stacks[0], huge, stacks[2]]))
 
 

@@ -776,17 +776,24 @@ def test_conjecture_batch_does_not_depend_on_chunk_size(monkeypatch):
         assert results[0] == results[1] == results[2]
 
 
-@pytest.mark.parametrize("module, name, value, fallback", [
-    (hilbert, "DEGENERACY_GAP", 1.0, 8),  # every joint spectrum is one block
-    (metrics, "WEIGHT_FLOOR", 0.01, 3),  # three of the pairs have a smaller weight
+@pytest.mark.parametrize("module, name, value, searches", [
+    (hilbert, "DEGENERACY_GAP", 1.0, 16),  # every joint spectrum is one block
+    (metrics, "WEIGHT_FLOOR", 0.01, 6),  # three of the pairs have a smaller weight
 ], ids=["degenerate", "weight-floor"])
 def test_conjecture_batch_sends_degenerate_or_light_pairs_to_the_experiment(
-        module, name, value, fallback, batch_calls, monkeypatch):
-    # One pair per chunk, so the count is that of the pairs themselves.
-    monkeypatch.setattr(metrics, "CHUNK_BYTES", 1)
+        module, name, value, searches, batch_calls, monkeypatch):
+    # One chunk: only the pairs off their eigenbasis value go through the
+    # experiment's search, once per channel, and their chunk-mates stay stacked.
+    monkeypatch.setattr(metrics, "CHUNK_BYTES", 1 << 40)
     monkeypatch.setattr(module, name, value)
-    assert conjecture_batch(2, 8, 3) == replayed_batch(2, 8, 3, 2, False)
-    assert batch_calls["fallback"] == fallback
+    calls = []
+    search = metrics._search
+    monkeypatch.setattr(metrics, "_search", lambda *args: calls.append(args) or search(*args))
+    outcomes = conjecture_batch(2, 8, 3)
+    assert len(calls) == searches  # counted before the replay, which searches too
+    assert outcomes == replayed_batch(2, 8, 3, 2, False)
+    assert batch_calls["chunks"] == 1
+    assert batch_calls["fallback"] == 0
 
 
 def test_conjecture_batch_raises_the_trace_preservation_error_before_any_pair(

@@ -83,6 +83,18 @@ def test_the_kraus_layout_lives_only_in_channels():
     assert stray == []
 
 
+def test_immutability_is_written_once():
+    # The value types derive from `hilbert._Frozen`, whose `__setattr__`
+    # is the only one in the package.
+    owners = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(Path(infodyn.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)
+        if any(isinstance(f, ast.FunctionDef) and f.name == "__setattr__" for f in node.body)
+    ]
+    assert owners == ["hilbert._Frozen"]
+
+
 def test_no_code_silences_floating_point_warnings():
     # Warnings are errors in this suite, so every floating-point warning
     # that a public call emits fails the test that makes it.
@@ -95,9 +107,8 @@ def test_no_code_silences_floating_point_warnings():
 
 def test_complex_arrays_are_read_only_through_the_array_rule():
     # `hilbert._as_array` is the one conversion of an array argument. A bare
-    # complex conversion stays only where the input is the package's own:
-    # the stacks `_density_spectra` is handed, and JSON matrices in and out.
-    allowed = {"_as_array", "_density_spectra", "json_to_matrix", "matrix_to_json"}
+    # complex conversion stays only for JSON matrices in and out.
+    allowed = {"_as_array", "json_to_matrix", "matrix_to_json"}
 
     def calls(node, function):
         for child in ast.iter_child_nodes(node):
