@@ -22,7 +22,9 @@ Trace-normalized damping, which conditions a state on a weight, is not
 a channel: it divides by the trace of the damped output, so it is
 nonlinear and partial. It lives in :func:`schur_channel_apply`, whose
 inputs with vanishing damped trace raise
-:class:`~infodyn.exceptions.OutsideDomain` (a non-finite one ValueError).
+:class:`~infodyn.exceptions.OutsideDomain`. The damped trace has one sum,
+`_damped_trace`, which `BranchDilation.branch_probability` reads too; a
+non-finite one raises ValueError there, with no overflow warning.
 Every matrix or vector argument read here, from a state or a Kraus
 operator to the operand of `Channel.apply_matrix`, goes through
 `hilbert._as_array`, so a NaN, inf or too-large entry raises ValueError
@@ -34,7 +36,7 @@ with no RuntimeWarning first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,29 +71,25 @@ UNITARY_TOL = 1e-10
 CP_EIGENVALUE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SchurWeight:
+class SchurWeight(_Frozen):
     """Positive semidefinite weight for entrywise damping.
 
     The null matrix is allowed; the weight need not have unit trace.
+    Instances are immutable.
     """
 
-    matrix: np.ndarray
-    _terms: list = field(init=False, repr=False, compare=False)
+    __slots__ = ("matrix", "_weights", "_vectors")
 
-    def __post_init__(self):
-        m = _square(self.matrix, "weight")
+    def __init__(self, matrix):
+        m = _square(matrix, "weight")
         _check_deviation(m - m.conj().T, HERMITIAN_TOL, "weight",
                          "weight is not self-adjoint: deviation")
         m = 0.5 * (m + m.conj().T)
         lam, vec = np.linalg.eigh(m)
         if not float(lam[0]) >= EIGENVALUE_FLOOR:
             raise ValueError(f"weight has negative eigenvalue {float(lam[0]):.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_terms", [
-            (float(lam[k]), vec[:, k].copy()) for k in range(m.shape[0]) if lam[k] > 1e-14
-        ])
+        kept = lam > 1e-14
+        self._set(matrix=m, _weights=lam[kept], _vectors=vec[:, kept].T.copy())
 
     @property
     def n(self) -> int:
@@ -99,7 +97,7 @@ class SchurWeight:
 
     def spectral_terms(self) -> list[tuple[float, np.ndarray]]:
         """One (coefficient, function) pair per positive eigenvalue."""
-        return list(self._terms)
+        return [(float(g), h) for g, h in zip(self._weights, self._vectors)]
 
 
 def as_weight(obj) -> SchurWeight:
@@ -141,14 +139,8 @@ def schur_apply_from_terms(terms, rho) -> np.ndarray:
     return out
 
 
-def schur_channel_apply(weight, rho) -> DensityOperator:
-    """Trace-normalized entrywise damping; nonlinear and partial.
-
-    A state with a non-finite entry raises ValueError as it is read, and a
-    non-finite damped trace before any division; a finite one at or below
-    PROBABILITY_FLOOR raises OutsideDomain.
-    """
-    raw = schur_apply(weight, rho)
+def _damped_trace(raw: np.ndarray) -> float:
+    """The real trace of a damped state; a non-finite one raises ValueError, with no warning."""
     d = raw.diagonal()
     # n terms of modulus up to max / 2n sum without overflow. Larger ones are
     # summed at a power-of-two scale, which keeps their bits, and scaled back
@@ -160,6 +152,18 @@ def schur_channel_apply(weight, rho) -> DensityOperator:
         tr = float((d / scale).sum().real) * scale
     if not np.isfinite(tr):
         raise ValueError(f"damped trace {tr!r} is not finite")
+    return tr
+
+
+def schur_channel_apply(weight, rho) -> DensityOperator:
+    """Trace-normalized entrywise damping; nonlinear and partial.
+
+    A state with a non-finite entry raises ValueError as it is read, and a
+    non-finite damped trace before any division; a finite one at or below
+    PROBABILITY_FLOOR raises OutsideDomain.
+    """
+    raw = schur_apply(weight, rho)
+    tr = _damped_trace(raw)
     if tr <= PROBABILITY_FLOOR:
         raise OutsideDomain(
             f"damped trace {tr:.3e} is below the probability floor; "
@@ -168,36 +172,31 @@ def schur_channel_apply(weight, rho) -> DensityOperator:
     return DensityOperator(raw / tr)
 
 
-@dataclass(frozen=True)
-class BranchDilation:
+class BranchDilation(_Frozen):
     """Isometry splitting a state into a kept and a discarded branch.
 
     Built from a function h with 0 < ||h|| and |h(k)| <= 1 for all k.
     The first branch modulates by h, the second by sqrt(1 - |h|^2);
     together they stack into an isometric 2n x n matrix, and the
-    Heisenberg-picture compression is unital.
+    Heisenberg-picture compression is unital. Instances are immutable.
     """
 
-    h: np.ndarray
-    matrix: np.ndarray = field(init=False)
+    __slots__ = ("h", "matrix")
 
-    def __post_init__(self):
-        h = _as_array(self.h, "h")
+    def __init__(self, h):
+        h = _as_array(h, "h")
         if h.ndim != 1:
             raise ValueError(f"h must be a vector, got shape {h.shape}")
         if float(np.abs(h).max(initial=0.0)) > 1.0 + 1e-12:
             raise ValueError("h must satisfy |h(k)| <= 1 for all k")
         if float(np.linalg.norm(h)) == 0.0:
             raise ValueError("h must be nonzero")
-        h = h.copy()
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
+        self._set(h=h.copy())
         n = h.shape[0]
         t = np.zeros((2 * n, n), dtype=complex)
         t[:n, :] = np.diag(h)
         t[n:, :] = np.diag(self.complement())
-        t.setflags(write=False)
-        object.__setattr__(self, "matrix", t)
+        self._set(matrix=t)
 
     @property
     def n(self) -> int:
@@ -223,8 +222,7 @@ class BranchDilation:
 
     def branch_probability(self, rho, branch: int) -> float:
         g = self._branch_function(branch)
-        raw = schur_apply(np.outer(g, g.conj()), rho)
-        return float(raw.trace().real)
+        return _damped_trace(schur_apply(np.outer(g, g.conj()), rho))
 
     def branch_state(self, rho, branch: int) -> DensityOperator:
         """Post-measurement state of the selected branch, normalized."""
@@ -348,6 +346,8 @@ def kraus_channel(operators) -> Channel:
     shape = ops[0].shape
     if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in ops):
         raise DimensionMismatch("Kraus operators must share one square shape")
+    if not shape[0]:
+        raise ValueError(f"Kraus operator must be a non-empty matrix, got shape {shape}")
     stacked = np.stack(ops)
     tp = _check_kraus_sums(stacked)
     return Channel("kraus", shape[0], is_trace_preserving=tp, data=stacked)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import sys
 
@@ -42,7 +41,7 @@ RECOGNIZE_BLOCK_STEPS = 32
 
 
 def _parse_log_base(text: str) -> float:
-    """`e` or a number; `metrics.check_log_base` checks its value."""
+    """`e` or a number; `jsonio.check_log_base` checks its value."""
     if text == "e":
         return math.e
     try:
@@ -154,13 +153,13 @@ def cmd_ecd_sweep(args) -> int:
 
 
 def cmd_quantum_ecd(args) -> int:
-    metrics.check_log_base(args.log_base)
+    jsonio.check_log_base(args.log_base)
     state = jsonio.parse_state(jsonio.load_json(args.state))
     channel = jsonio.parse_channel(jsonio.load_json(args.channel))
     cfg = metrics.ComplexityConfig(restarts=args.restarts, seed=args.seed)
     report = metrics.chaos_degree(state, channel, cfg)
     with _output(args.out) as out:
-        out.write(jsonio.dump_json(report.to_json(log_base=args.log_base)))
+        out.write(jsonio.chaos_degree_json(report, args.log_base))
     return EXIT_OK
 
 
@@ -175,27 +174,18 @@ def cmd_recognize(args) -> int:
             for step in steps:
                 block.append(step)
                 if len(block) == RECOGNIZE_BLOCK_STEPS:
-                    out.write(_json_lines(block))
+                    out.write(jsonio.step_lines(block))
                     block.clear()
         finally:
             # On a failing step the lines of the steps before it still go out.
-            out.write(_json_lines(block))
+            out.write(jsonio.step_lines(block))
     return EXIT_OK
-
-
-def _json_lines(steps) -> str:
-    return "".join(
-        json.dumps(step.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-        for step in steps
-    )
 
 
 def cmd_axioms(args) -> int:
     results = metrics.axiom_suite(args.dim, args.trials, args.seed)
-    payload = {name: result.to_json() for name, result in results.items()}
-    payload["all_passed"] = all(r.passed for r in results.values())
     with _output(args.out) as out:
-        out.write(jsonio.dump_json(payload))
+        out.write(jsonio.axioms_json(results))
     return EXIT_OK
 
 
@@ -204,14 +194,8 @@ def cmd_value(args) -> int:
     if args.batch is not None:
         params.update(jsonio.parse_value_batch(jsonio.load_json(args.batch)))
     outcomes, rate = metrics.conjecture_batch(**params)
-    payload = {
-        "pairs": [o.to_json() for o in outcomes],
-        "agreement_rate": rate,
-        "dim": params["dim"],
-        "seed": params["seed"],
-    }
     with _output(args.out) as out:
-        out.write(jsonio.dump_json(payload))
+        out.write(jsonio.value_json(outcomes, rate, params["dim"], params["seed"]))
     return EXIT_OK
 
 

@@ -11,18 +11,19 @@ beyond the float range raises ValueError "<name> has a non-finite
 entry" before any arithmetic.
 
 Entropies use the natural logarithm. Base conversion is a display
-concern and lives with the report types, not here.
+concern and lives with the report writers in `jsonio`, not here.
 
 The package-wide private helpers live here, one per rule:
 `_Frozen`, the one immutability rule, which `DensityOperator`,
-`channels.Channel`, `recognition.SignalBasis` and
-`recognition.BellSystem` derive from (each slot set once, an array slot
-read-only, any later assignment an AttributeError), `_check_deviation`,
-the one tolerance check that a matrix equals its adjoint or the identity (a NaN deviation fails it as "<subject> has a
-non-finite entry"), `_as_array`, the one conversion of an array
-argument, `_square`, `_as_array` plus the square-shape check of a state,
-a weight, a unitary, a signal basis, a purpose operator or a map's
-image, `_check_integer`, the
+`channels.Channel`, `channels.SchurWeight`, `channels.BranchDilation`,
+`recognition.SignalBasis` and `recognition.BellSystem` derive from
+(each slot set once, an array slot read-only, any later assignment an
+AttributeError), `_check_deviation`, the one tolerance check that a
+matrix equals its adjoint or the identity (a NaN deviation fails it as
+"<subject> has a non-finite entry"), `_as_array`, the one conversion of
+an array argument, `_square`, `_as_array` plus the check that it is one
+non-empty square matrix: a state, a weight, a unitary, a signal basis, a
+purpose operator or a map's image, `_check_integer`, the
 integer-input rule (type, then lower bound, then cap) with its predicate
 `_is_integer`, `_check_real`, the real-input rule (a finite
 real number within optional closed bounds), `_haar_unitaries`, the Haar
@@ -235,10 +236,12 @@ def _as_array(value, name: str) -> np.ndarray:
 
 
 def _square(matrix, name: str) -> np.ndarray:
-    """`matrix` through `_as_array`, which must then be one square matrix."""
+    """`matrix` through `_as_array`, which must then be one non-empty square matrix."""
     m = _as_array(matrix, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not m.size:
+        raise ValueError(f"{name} must be a non-empty matrix, got shape {m.shape}")
     return m
 
 

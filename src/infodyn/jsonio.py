@@ -1,4 +1,11 @@
-"""JSON wire formats for states, channels, experiment and batch files.
+"""Every JSON format of the package, read and written in one place.
+
+Input: states, channels, experiment and batch files. Output: the
+`quantum-ecd`, `axioms` and `value` reports, each through `dump_json`,
+and `recognize`'s JSON Lines, one compact object per step
+(`step_lines`); every matrix goes out through `matrix_to_json`. The
+display base of `quantum-ecd`'s entropies is checked by
+`check_log_base` and applied only here, so the arithmetic stays in nats.
 
 A complex number is a two-element array [re, im]; a matrix is a
 row-major array of rows of those. Plain numbers are accepted on input
@@ -35,6 +42,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -44,9 +52,11 @@ from .exceptions import DimensionMismatch
 from .hilbert import (
     DensityOperator,
     _check_integer,
+    _check_real,
     _density_operators,
     _is_integer,
     as_density,
+    von_neumann_entropy,
 )
 from .recognition import (
     ArgmaxPolicy,
@@ -294,3 +304,60 @@ def load_json(path: str) -> Any:
 def dump_json(obj: Any) -> str:
     """Canonical serialization: sorted keys, no trailing spaces."""
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
+
+
+def check_log_base(log_base) -> float:
+    """A display base for entropies, as a float: a finite real number above 1."""
+    base = _check_real("log_base", log_base)
+    if not base > 1.0:
+        raise ValueError(f"log_base must exceed 1, got {log_base!r}")
+    return base
+
+
+def chaos_degree_json(report, log_base) -> str:
+    """`quantum-ecd`'s text of a `metrics.ChaosDegreeReport`, entropies in `log_base`."""
+    log_base = check_log_base(log_base)
+    scale = 1.0 / math.log(log_base)
+    return dump_json({
+        "D": report.chaos_degree * scale,
+        "T": report.transmitted * scale,
+        "S_out": report.output_entropy * scale,
+        "degenerate": report.degenerate,
+        "restarts": report.restarts,
+        "seed": report.seed,
+        "worst": report.worst * scale,
+        "log_base": log_base,
+    })
+
+
+def axioms_json(results) -> str:
+    """`axioms`' text of `metrics.axiom_suite`'s results, with `all_passed`."""
+    payload = {
+        name: {"passed": r.passed, "worst_deviation": r.worst_deviation,
+               "tolerance": r.tolerance, "trials": r.trials, **({"note": r.note} if r.note else {})}
+        for name, r in results.items()
+    }
+    payload["all_passed"] = all(r.passed for r in results.values())
+    return dump_json(payload)
+
+
+def value_json(outcomes, rate: float, dim: int, seed: int) -> str:
+    """`value`'s text of `metrics.conjecture_batch`'s outcomes and agreement rate."""
+    return dump_json({
+        "pairs": [{"D": o.d_first, "D_prime": o.d_second, "V": o.value_first,
+                   "V_prime": o.value_second, "agree": o.agree} for o in outcomes],
+        "agreement_rate": rate,
+        "dim": dim,
+        "seed": seed,
+    })
+
+
+def step_lines(steps) -> str:
+    """`recognize`'s JSON Lines of `recognition.RecognitionStep`s: one compact object per step."""
+    return "".join(
+        json.dumps({"t": step.t, "i": step.i, "j": step.j, "probability": step.probability,
+                    "gamma": matrix_to_json(step.memory.matrix),
+                    "entropy_of_gamma": von_neumann_entropy(step.memory)},
+                   sort_keys=True, separators=(",", ":")) + "\n"
+        for step in steps
+    )

@@ -58,7 +58,8 @@ TypeError and a channel of another dimension than the state (or the
 joint state, for the value functions) raises DimensionMismatch. The
 search then requires a trace-preserving channel.
 
-All values are in nats; report serialization accepts a display base.
+All values are in nats; `jsonio` writes the reports, in a display base
+for `quantum-ecd`.
 """
 
 from __future__ import annotations
@@ -145,14 +146,6 @@ class ComplexityConfig:
 DEFAULT_CONFIG = ComplexityConfig()
 
 
-def check_log_base(log_base) -> float:
-    """A display base for entropies, as a float: a finite real number above 1."""
-    base = _check_real("log_base", log_base)
-    if not base > 1.0:
-        raise ValueError(f"log_base must exceed 1, got {log_base!r}")
-    return base
-
-
 @dataclass(frozen=True)
 class ChaosDegreeReport:
     """Chaos degree, transmitted complexity, and search statistics.
@@ -169,21 +162,6 @@ class ChaosDegreeReport:
     seed: int
     worst: float
     decomposition: SchattenDecomposition
-
-    def to_json(self, log_base: float = math.e) -> dict:
-        """The report as a JSON object, entropies in `log_base` (see `check_log_base`)."""
-        log_base = check_log_base(log_base)
-        scale = 1.0 / math.log(log_base)
-        return {
-            "D": self.chaos_degree * scale,
-            "T": self.transmitted * scale,
-            "S_out": self.output_entropy * scale,
-            "degenerate": self.degenerate,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "worst": self.worst * scale,
-            "log_base": log_base,
-        }
 
 
 def _rotation_chunks(blocks, restarts: int, seeds, candidate_bytes: int):
@@ -450,15 +428,6 @@ class ConjectureOutcome:
     value_second: float
     agree: bool
 
-    def to_json(self) -> dict:
-        return {
-            "D": self.d_first,
-            "D_prime": self.d_second,
-            "V": self.value_first,
-            "V_prime": self.value_second,
-            "agree": self.agree,
-        }
-
 
 def conjecture_experiment(rho_p, gamma_o, channel_a: Channel, channel_b: Channel,
                           purpose, config: ComplexityConfig | None = None) -> ConjectureOutcome:
@@ -561,17 +530,6 @@ class AxiomResult:
     tolerance: float
     trials: int
     note: str = ""
-
-    def to_json(self) -> dict:
-        out = {
-            "passed": self.passed,
-            "worst_deviation": self.worst_deviation,
-            "tolerance": self.tolerance,
-            "trials": self.trials,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
 
 
 def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:

@@ -58,7 +58,6 @@ from .hilbert import (
     as_density,
     diag_embedding,
     shift_unitary,
-    von_neumann_entropy,
 )
 
 BASIS_TOL = 1e-12
@@ -366,18 +365,6 @@ class RecognitionStep:
     j: int
     probability: float
     memory: DensityOperator
-
-    def to_json(self) -> dict:
-        from .jsonio import matrix_to_json
-
-        return {
-            "t": self.t,
-            "i": self.i,
-            "j": self.j,
-            "probability": self.probability,
-            "gamma": matrix_to_json(self.memory.matrix),
-            "entropy_of_gamma": von_neumann_entropy(self.memory),
-        }
 
 
 def recognize_sequence(gamma0, signals, bell: BellSystem, policy) -> Iterator[RecognitionStep]:

@@ -19,7 +19,7 @@ from infodyn import classical, metrics
 from infodyn import recognition as rec
 from infodyn.channels import SchurWeight, schur_apply, schur_apply_from_terms
 from infodyn.cli import main
-from infodyn.jsonio import dump_json
+from infodyn.jsonio import dump_json, value_json
 
 LN2 = float(np.log(2))
 
@@ -258,7 +258,7 @@ def test_criterion_7_cli_determinism(tmp_path):
 
 def test_criterion_8_conjecture_harness():
     outcomes, rate = infodyn.conjecture_batch(2, 100, 0)
-    payload = [o.to_json() for o in outcomes]
+    payload = json.loads(value_json(outcomes, rate, 2, 0))["pairs"]
     ok = len(outcomes) == 100 and 0.0 <= rate <= 1.0 and all(
         isinstance(o["agree"], bool) for o in payload
     )

@@ -56,6 +56,7 @@ BAD_VALUES = {
     "vector": [1.0, 2.0],
     "nan-matrix": np.full((2, 2), np.nan),
     "non-square": np.zeros((2, 3)),
+    "empty-matrix": np.zeros((0, 0)),
     "object": object(),
     "imaginary": 1j,
 }
@@ -239,6 +240,9 @@ OVERFLOWING = {
                             "Kraus sum exceeds identity by 1.000e+300"),
     "unitary_channel-under": (infodyn.unitary_channel, 1e150 * np.eye(2),
                               "matrix is not unitary: deviation 1.000e+300"),
+    "BranchDilation.branch_probability": (
+        lambda rho: infodyn.BranchDilation([1.0, 1.0]).branch_probability(rho, 1),
+        [[1.5e308, 0.0], [0.0, 1.5e308]], "damped trace inf is not finite"),
 }
 
 

@@ -164,17 +164,30 @@ def test_unitary_channel_rejects_nonunitary():
         unitary_channel(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("build, name", [
+SQUARE_INPUTS = [
     (DensityOperator, "density operator"),
     (SignalBasis, "basis"),
     (SchurWeight, "weight"),
     (unitary_channel, "unitary"),
     (stochastic_channel, "stochastic matrix"),
-])
+]
+
+
+@pytest.mark.parametrize("build, name", SQUARE_INPUTS)
 def test_square_matrix_inputs_share_one_message(build, name):
     with pytest.raises(ValueError) as exc:
         build(np.zeros((2, 3)))
     assert str(exc.value) == f"{name} must be a square matrix, got shape (2, 3)"
+
+
+@pytest.mark.parametrize("build, name", SQUARE_INPUTS + [
+    (lambda m: schur_channel_apply(np.eye(2), m), "state"),
+    (lambda m: kraus_channel([m]), "Kraus operator"),
+])
+def test_an_empty_matrix_is_named_before_any_arithmetic(build, name):
+    with pytest.raises(ValueError) as exc:
+        build(np.zeros((0, 0)))
+    assert str(exc.value) == f"{name} must be a non-empty matrix, got shape (0, 0)"
 
 
 def test_channel_is_immutable():
@@ -193,6 +206,22 @@ def test_channel_is_immutable():
     assert not any(a.flags.writeable for a in arrays)
 
 
+def test_weight_and_dilation_are_immutable_and_compare_by_identity():
+    # A frozen dataclass with array fields can neither compare nor hash.
+    for build in (lambda: SchurWeight(np.eye(2)), lambda: BranchDilation([0.5, 0.5])):
+        a, b = build(), build()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert not a.matrix.flags.writeable
+        with pytest.raises(AttributeError, match=f"^{type(a).__name__} is immutable$"):
+            a.matrix = b.matrix
+    # A weight's terms are read-only too, since a Schur channel is built from them.
+    assert not any(h.flags.writeable for _, h in SchurWeight(np.eye(2)).spectral_terms())
+    h = np.array([0.5, 0.5], dtype=complex)
+    dilation = BranchDilation(h)
+    assert dilation.h is not h and not dilation.h.flags.writeable
+
+
 def test_kraus_channel_requires_completeness():
     with pytest.raises(ValueError):
         kraus_channel([np.eye(2), np.eye(2)])
@@ -202,7 +231,8 @@ def test_kraus_channel_requires_completeness():
     [np.array(1.0)],
     [np.ones(2)],
     [np.eye(2), np.eye(3)],
-], ids=["scalar", "vector", "two-shapes"])
+    [np.zeros((0, 2))],
+], ids=["scalar", "vector", "two-shapes", "empty-non-square"])
 def test_kraus_channel_rejects_operators_that_are_not_one_square_shape(ops):
     with pytest.raises(DimensionMismatch, match="Kraus operators must share one square shape"):
         kraus_channel(ops)

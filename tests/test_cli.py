@@ -168,10 +168,14 @@ def test_quantum_ecd_malformed_json_is_usage_error(tmp_path):
     assert main(["quantum-ecd", "--state", state, "--channel", str(bad)]) == 2
 
 
-def test_quantum_ecd_rejects_bad_log_base(tmp_path):
+def test_quantum_ecd_rejects_bad_log_base(tmp_path, capsys):
     state = state_file(tmp_path, [[1.0]])
     channel = channel_file(tmp_path, {"kind": "unitary", "matrix": [[1.0]]})
     assert main(["quantum-ecd", "--state", state, "--channel", channel, "--log-base", "0.5"]) == 2
+    # The base is checked before any input file is read.
+    missing = str(tmp_path / "missing.json")
+    assert main(["quantum-ecd", "--state", missing, "--channel", missing, "--log-base", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: log_base must exceed 1, got 0.5\n" * 2
 
 
 def recognition_experiment(tmp_path, **overrides):

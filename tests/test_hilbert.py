@@ -161,8 +161,8 @@ REAL_SITES = {
     "MapSystem.default_x0": ("default_x0", None, None, lambda v: replace(_LOGISTIC, default_x0=(v,))),
     "MapSystem.default_param": ("default_param", None, None,
                                 lambda v: replace(_LOGISTIC, default_param=v)),
-    "ChaosDegreeReport.to_json.log_base": ("log_base", None, None, lambda v: metrics.chaos_degree(
-        np.diag([0.7, 0.3]), channels.identity_channel(2)).to_json(log_base=v)),
+    "jsonio.chaos_degree_json.log_base": ("log_base", None, None, lambda v: jsonio.chaos_degree_json(
+        metrics.chaos_degree(np.diag([0.7, 0.3]), channels.identity_channel(2)), v)),
 }
 
 

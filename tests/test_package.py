@@ -85,7 +85,8 @@ def test_the_kraus_layout_lives_only_in_channels():
 
 def test_immutability_is_written_once():
     # The value types derive from `hilbert._Frozen`, whose `__setattr__`
-    # is the only one in the package.
+    # is the only one in the package, and whose `_set` alone makes an
+    # array read-only.
     owners = [
         f"{path.stem}.{node.name}"
         for path in sorted(Path(infodyn.__file__).parent.glob("*.py"))
@@ -93,6 +94,40 @@ def test_immutability_is_written_once():
         if any(isinstance(f, ast.FunctionDef) and f.name == "__setattr__" for f in node.body)
     ]
     assert owners == ["hilbert._Frozen"]
+
+    def setflags_callers(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "setflags":
+                yield owner
+            inner = (f"{owner}.{child.name}" if isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                     else owner)
+            yield from setflags_callers(child, inner)
+
+    callers = [caller for path in sorted(Path(infodyn.__file__).parent.glob("*.py"))
+               for caller in setflags_callers(ast.parse(path.read_text()), path.stem)]
+    assert callers == ["hilbert._Frozen._set"]
+
+
+def test_only_jsonio_speaks_json():
+    # The wire format lives in one module: only `jsonio` imports `json`,
+    # no class serializes itself, and `jsonio` imports neither `metrics`
+    # nor `cli`.
+    stray = []
+    for path in sorted(Path(infodyn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and path.name != "jsonio.py":
+                stray += [f"{path.name}: imports {alias.name}" for alias in node.names
+                          if alias.name.partition(".")[0] == "json"]
+            elif (isinstance(node, ast.ImportFrom) and path.name != "jsonio.py" and node.level == 0
+                  and node.module.partition(".")[0] == "json"):
+                stray.append(f"{path.name}: imports from {node.module}")
+            elif isinstance(node, ast.ImportFrom) and path.name == "jsonio.py" and node.level == 1:
+                stray += [f"jsonio.py: imports {name}" for name in [node.module, *(a.name for a in node.names)]
+                          if name in {"metrics", "cli"}]
+            elif isinstance(node, ast.ClassDef):
+                stray += [f"{path.name}: {node.name}.to_json" for f in node.body
+                          if isinstance(f, ast.FunctionDef) and f.name == "to_json"]
+    assert stray == []
 
 
 def test_no_code_silences_floating_point_warnings():

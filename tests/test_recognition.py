@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from infodyn import recognition
+from infodyn import jsonio, recognition
 from infodyn.exceptions import DimensionMismatch, OutsideDomain, ZeroProbabilityOutcome
 from infodyn.hilbert import (
     DensityOperator,
@@ -481,6 +481,8 @@ def test_recognition_step_serializes():
         bell,
         ArgmaxPolicy(),
     ))
-    payload = steps[0].to_json()
+    text = jsonio.step_lines(steps)
+    assert text.count("\n") == 1 and text.endswith("\n")
+    payload = json.loads(text)
     assert set(payload) == {"t", "i", "j", "probability", "gamma", "entropy_of_gamma"}
     json.dumps(payload)  # round-trippable without custom encoders
