@@ -22,20 +22,28 @@ Trace-normalized damping, which conditions a state on a weight, is not
 a channel: it divides by the trace of the damped output, so it is
 nonlinear and partial. It lives in :func:`schur_channel_apply`, whose
 inputs with vanishing damped trace raise
-:class:`~infodyn.exceptions.OutsideDomain`. The damped trace has one sum,
-`_damped_trace`, which `BranchDilation.branch_probability` reads too; a
-non-finite one raises ValueError there, with no overflow warning.
+:class:`~infodyn.exceptions.OutsideDomain`. The damping itself has one
+entrywise product, `_damped`, with its overflow bound, which
+`schur_apply` and a Schur channel's `apply_matrix` share. The damped
+trace has one sum, `_damped_trace`, which
+`BranchDilation.branch_probability` reads too; a non-finite one raises
+ValueError there, with no overflow warning. A Schur weight is
+decomposed by `hilbert._self_adjoint_spectra`, the one
+eigendecomposition, and a unitary is checked by
+`hilbert._check_orthonormal`, the one unitarity check.
 Every matrix or vector argument read here, from a state or a Kraus
 operator to the operand of `Channel.apply_matrix`, goes through
 `hilbert._as_array`, so a NaN, inf or too-large entry raises ValueError
 naming it before any arithmetic. A finite entry large enough for a Kraus
 or unitary Gram sum, a damping product or a stochastic row sum to
 overflow raises the error of the rule it breaks before that arithmetic,
-with no RuntimeWarning first.
+with no RuntimeWarning first; so does a row of `kraus_vectors` or
+`image_spectra` above the channel's row bound (see `Channel._rows`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,19 +51,18 @@ import numpy as np
 from .exceptions import DimensionMismatch, OutsideDomain
 from .hilbert import (
     EIGENVALUE_FLOOR,
-    HERMITIAN_TOL,
     DensityOperator,
     _Frozen,
     _as_array,
-    _check_deviation,
     _check_integer,
     _check_kraus_sums,
+    _check_orthonormal,
     _check_real,
     _complex_gaussians,
-    _gram_fits,
     _gram_spectra,
     _isometry_blocks,
     _kron,
+    _self_adjoint_spectra,
     _square,
     as_density,
     mult_operator,
@@ -81,11 +88,7 @@ class SchurWeight(_Frozen):
     __slots__ = ("matrix", "_weights", "_vectors")
 
     def __init__(self, matrix):
-        m = _square(matrix, "weight")
-        _check_deviation(m - m.conj().T, HERMITIAN_TOL, "weight",
-                         "weight is not self-adjoint: deviation")
-        m = 0.5 * (m + m.conj().T)
-        lam, vec = np.linalg.eigh(m)
+        m, lam, vec = _self_adjoint_spectra(_square(matrix, "weight"), "weight")
         if not float(lam[0]) >= EIGENVALUE_FLOOR:
             raise ValueError(f"weight has negative eigenvalue {float(lam[0]):.3e}")
         kept = lam > 1e-14
@@ -118,11 +121,20 @@ def schur_apply(weight, rho) -> np.ndarray:
     m = rho.matrix if isinstance(rho, DensityOperator) else _square(rho, "state")
     if w.n != m.shape[0]:
         raise DimensionMismatch(f"weight dim {w.n} vs state dim {m.shape[0]}")
+    return _damped(w.matrix, m)
+
+
+def _damped(weight: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The one damping product: `weight` times a matrix or each matrix of a stack (..., n, n), entrywise.
+
+    A product that could overflow raises ValueError "damped state has a
+    non-finite entry" before it is taken, with no warning.
+    """
     # Entry by entry, |w| |m| within the float maximum, less 0.1 % for
     # rounding, keeps both parts of the product finite.
-    if not (np.abs(m) <= 0.999 * np.finfo(float).max / np.maximum(np.abs(w.matrix), 1.0)).all():
+    if not (np.abs(m) <= 0.999 * np.finfo(float).max / np.maximum(np.abs(weight), 1.0)).all():
         raise ValueError("damped state has a non-finite entry")
-    return w.matrix * m
+    return weight * m
 
 
 def schur_apply_from_terms(terms, rho) -> np.ndarray:
@@ -253,7 +265,7 @@ class Channel(_Frozen):
     Gram matrix W* W. Instances are immutable.
     """
 
-    __slots__ = ("kind", "dim", "is_trace_preserving", "image_width", "_data", "_factor")
+    __slots__ = ("kind", "dim", "is_trace_preserving", "image_width", "_data", "_factor", "_row_bound")
 
     def __init__(self, kind, dim, is_trace_preserving, data):
         dim = int(dim)
@@ -270,8 +282,15 @@ class Channel(_Frozen):
             # (..., r, i, j) -> (..., j, r, i), then r and i flattened.
             factor = data.swapaxes(-1, -3).swapaxes(-1, -2).reshape(data.shape[:-3] + (dim, -1))
             width = data.shape[-3]
+        # The bound of `_rows`. A Kraus vector entry sums n products of an entry of v
+        # with one of the factor (of P, stochastic) of modulus at most `scale`, and an
+        # image's trace sums the r n squared moduli of such entries. Rows within the
+        # bound keep both, and every Gram entry and eigenvalue below the trace, under a
+        # sixteenth of the float maximum.
+        scale = float(np.abs(data if factor is None else factor).max(initial=0.0))
+        bound = math.sqrt(np.finfo(float).max / (4 * max(width, 1) * dim)) / (2 * dim * max(scale, 1.0))
         self._set(kind=kind, dim=dim, is_trace_preserving=bool(is_trace_preserving),
-                  image_width=width, _data=data, _factor=factor)
+                  image_width=width, _data=data, _factor=factor, _row_bound=bound)
 
     def __repr__(self):
         return f"Channel(kind={self.kind!r}, dim={self.dim})"
@@ -284,7 +303,7 @@ class Channel(_Frozen):
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"channel dim {self.dim} vs operand {x.shape[-1]}")
         if self.kind == "schur":
-            return self._data.matrix * x
+            return _damped(self._data.matrix, x)
         out = np.zeros_like(x)
         if self.kind == "stochastic":
             idx = np.arange(self.dim)
@@ -296,10 +315,17 @@ class Channel(_Frozen):
         return out
 
     def _rows(self, vectors) -> np.ndarray:
-        """`vectors` (..., n) as a complex array, once its last axis is the channel's dimension."""
+        """`vectors` (..., n) as a complex array, once its last axis is the channel's dimension.
+
+        An entry above the channel's row bound, past which a Kraus vector or
+        an image's spectrum could overflow, raises ValueError "vector has a
+        non-finite entry" before any arithmetic.
+        """
         v = _as_array(vectors, "vector")
         if v.ndim < 1 or v.shape[-1] != self.dim:
             raise DimensionMismatch(f"channel dim {self.dim} vs vectors of shape {v.shape}")
+        if not float(np.abs(v).max(initial=0.0)) <= self._row_bound:
+            raise ValueError("vector has a non-finite entry")
         return v
 
     def kraus_vectors(self, vectors) -> np.ndarray:
@@ -363,10 +389,8 @@ def schur_channel(weight) -> Channel:
 def unitary_channel(u) -> Channel:
     """Conjugation by a unitary, stored as its one-operator Kraus form."""
     um = _square(u, "unitary")
-    n = um.shape[0]
-    gram = um.conj().T @ um if _gram_fits(um[None]) else np.inf
-    _check_deviation(gram - np.eye(n), UNITARY_TOL, "unitary", "matrix is not unitary: deviation")
-    return Channel("unitary", n, is_trace_preserving=True, data=um[None].copy())
+    _check_orthonormal(um, UNITARY_TOL, "unitary", "matrix is not unitary: deviation")
+    return Channel("unitary", um.shape[0], is_trace_preserving=True, data=um[None].copy())
 
 
 def identity_channel(n: int) -> Channel:

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import OrbitEscape
-from .hilbert import DensityOperator, _check_integer, _check_real
+from .hilbert import DensityOperator, _Frozen, _check_integer, _check_real
 from .channels import Channel, stochastic_channel
 from .metrics import DEFAULT_EPS_CONST, DEFAULT_EPS_ZERO, classify_dynamics
 
@@ -304,8 +304,7 @@ class Partition:
         return codes
 
 
-@dataclass(frozen=True)
-class EmpiricalChannel:
+class EmpiricalChannel(_Frozen):
     """One-step transition statistics of a binned orbit.
 
     `cells` lists every visited cell code (as source or destination) in
@@ -318,13 +317,16 @@ class EmpiricalChannel:
     distribution and the row totals of the pair counts are read from it.
     Dest-only cells have count zero, and their transition rows (never
     observed) are filled with a self-loop purely to keep the matrix
-    stochastic; they contribute nothing to any entropy sum.
+    stochastic; they contribute nothing to any entropy sum. Instances are
+    immutable and hold copies of the arrays they are given.
     """
 
-    cells: np.ndarray
-    source_counts: np.ndarray
-    pair_positions: np.ndarray  # (m, 2) positions into `cells`
-    pair_counts: np.ndarray
+    __slots__ = ("cells", "source_counts", "pair_positions", "pair_counts")
+
+    def __init__(self, cells, source_counts, pair_positions, pair_counts):
+        # `pair_positions` (m, 2) are positions into `cells`.
+        self._set(cells=np.array(cells), source_counts=np.array(source_counts),
+                  pair_positions=np.array(pair_positions), pair_counts=np.array(pair_counts))
 
     @property
     def size(self) -> int:

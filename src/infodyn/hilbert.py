@@ -15,7 +15,8 @@ concern and lives with the report writers in `jsonio`, not here.
 
 The package-wide private helpers live here, one per rule:
 `_Frozen`, the one immutability rule, which `DensityOperator`,
-`channels.Channel`, `channels.SchurWeight`, `channels.BranchDilation`,
+`SchattenDecomposition`, `channels.Channel`, `channels.SchurWeight`,
+`channels.BranchDilation`, `classical.EmpiricalChannel`,
 `recognition.SignalBasis` and `recognition.BellSystem` derive from
 (each slot set once, an array slot read-only, any later assignment an
 AttributeError), `_check_deviation`, the one tolerance check that a
@@ -29,9 +30,12 @@ integer-input rule (type, then lower bound, then cap) with its predicate
 real number within optional closed bounds), `_haar_unitaries`, the Haar
 sampler, `_complex_gaussians`, the one Gaussian stream of every sampler,
 `_block_starts`, the one degeneracy rule, which `_degenerate_blocks`
-reads, `_density_spectra`, the one density-operator check, which returns
-the trace-normalized matrices with their spectra (checked by
-`_unit_spectra`, which also checks images' spectra) and which
+reads, `_self_adjoint_spectra`, the one eigendecomposition (the
+self-adjointness check within HERMITIAN_TOL, the symmetrization and the
+one `np.linalg.eigh`), which a state's and a Schur weight's eigenvectors
+both come from, `_density_spectra`, the one density-operator check,
+which returns the trace-normalized matrices with their spectra (checked
+by `_unit_spectra`, which also checks images' spectra) and which
 `DensityOperator` reads for one matrix and `_density_operators` for a
 stack, `_kron`, the
 Kronecker product (of states, of `tensor`'s operators and of the blocks
@@ -42,8 +46,9 @@ complexity share.
 The Kraus-form helpers that `channels` and the stacked kernels of
 `metrics` share live here too, each taking one operand or a stack:
 `_check_kraus_sums`, the one Kraus-sum check, `_gram_fits`, the bound
-under which a Gram sum sum A*A cannot overflow (which the unitary and
-signal-basis checks read too), `_isometry_blocks`, and
+under which a Gram sum sum A*A cannot overflow, which no other module
+names, `_check_orthonormal`, the one unitarity check (of a unitary's
+columns and of a signal basis's rows), `_isometry_blocks`, and
 `_gram_spectra`, the image spectra from the Kraus vectors
 W = [A_1 v ... A_r v] of pure states, which represent their images. The
 Kraus vectors and images themselves come from `channels.Channel` alone.
@@ -184,27 +189,6 @@ def partial_trace(x, dims, trace_out) -> np.ndarray:
     return reduced.reshape(side, side)
 
 
-@dataclass(frozen=True)
-class SchattenDecomposition:
-    """Spectral resolution of a density operator into rank-one pieces.
-
-    `weights[k]` pairs with column k of `vectors`. Weights are sorted
-    descending and sum to 1. When the spectrum has a (near-)repeated
-    eigenvalue the eigenvectors span the right eigenspaces but are
-    otherwise an arbitrary orthonormal choice.
-    """
-
-    weights: np.ndarray
-    vectors: np.ndarray
-
-    def projection(self, k: int) -> np.ndarray:
-        v = self.vectors[:, k]
-        return np.outer(v, v.conj())
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.weights) @ self.vectors.conj().T
-
-
 def _check_deviation(diff, tol: float, subject: str, complaint: str) -> None:
     """Raise ValueError unless every entry of `diff` is within `tol` in modulus.
 
@@ -289,22 +273,34 @@ def _check_real(name: str, value, low: float | None = None, high: float | None =
     return number
 
 
+def _self_adjoint_spectra(m: np.ndarray, subject: str):
+    """The one eigendecomposition, of a complex square matrix or a stack (..., n, n) of them.
+
+    Every matrix must be self-adjoint within HERMITIAN_TOL, or ValueError
+    "<subject> is not self-adjoint: deviation <worst>" is raised; a NaN
+    deviation is "<subject> has a non-finite entry". Returns (the
+    symmetrized matrices, their eigenvalues ascending, matching
+    eigenvector columns).
+    """
+    adjoint = m.conj().swapaxes(-1, -2)
+    _check_deviation(m - adjoint, HERMITIAN_TOL, subject, f"{subject} is not self-adjoint: deviation")
+    m = 0.5 * (m + adjoint)
+    return (m, *np.linalg.eigh(m))
+
+
 def _density_spectra(m: np.ndarray):
     """Checked spectral data of a complex square density matrix or a stack (..., n, n) of them.
 
-    Every matrix must be self-adjoint within HERMITIAN_TOL, and then pass
+    Every matrix goes through `_self_adjoint_spectra` and must then pass
     `_unit_spectra`; the error names the worst matrix's deviation.
     Returns (symmetrized matrices divided by their traces, eigenvalues
     sorted descending, matching eigenvector columns); the spectra are
     those of the symmetrized matrices before the division.
     """
-    adjoint = m.conj().swapaxes(-1, -2)
     # Every comparison here and in `_unit_spectra` is written so that NaN
     # fails it; a non-finite entry is caught by the self-adjointness check.
-    _check_deviation(m - adjoint, HERMITIAN_TOL, "matrix", "matrix is not self-adjoint: deviation")
-    m = 0.5 * (m + adjoint)
+    m, lam, vec = _self_adjoint_spectra(m, "matrix")
     tr = m.trace(axis1=-2, axis2=-1).real
-    lam, vec = np.linalg.eigh(m)
     lam = _unit_spectra(tr, lam)
     # eigh sorts ascending and clamping keeps the order, so reversed
     # (contiguous) copies are sorted descending.
@@ -367,6 +363,29 @@ class _Frozen:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class SchattenDecomposition(_Frozen):
+    """Spectral resolution of a density operator into rank-one pieces.
+
+    `weights[k]` pairs with column k of `vectors`. Weights are sorted
+    descending and sum to 1. When the spectrum has a (near-)repeated
+    eigenvalue the eigenvectors span the right eigenspaces but are
+    otherwise an arbitrary orthonormal choice. Instances are immutable
+    and hold copies of the arrays they are given.
+    """
+
+    __slots__ = ("weights", "vectors")
+
+    def __init__(self, weights, vectors):
+        self._set(weights=np.array(weights), vectors=np.array(vectors))
+
+    def projection(self, k: int) -> np.ndarray:
+        v = self.vectors[:, k]
+        return np.outer(v, v.conj())
+
+    def reconstruct(self) -> np.ndarray:
+        return (self.vectors * self.weights) @ self.vectors.conj().T
 
 
 class DensityOperator(_Frozen):
@@ -571,6 +590,18 @@ def _gram_fits(ops) -> bool:
     # Taken first: an empty stack raises numpy's ValueError before the bound divides by 0.
     top = np.abs(ops).max()
     return bool(top <= math.sqrt(np.finfo(float).max / (4 * ops.shape[-3] * ops.shape[-1])))
+
+
+def _check_orthonormal(m, tol: float, subject: str, complaint: str) -> None:
+    """The one unitarity check: the columns of a finite square matrix `m` are orthonormal within `tol`.
+
+    The Gram matrix m* m must be the identity within `tol` entrywise, or
+    `_check_deviation` raises "<complaint> <deviation>". A Gram product
+    that could overflow (see `_gram_fits`) is not formed and counts as an
+    infinite deviation.
+    """
+    gram = m.conj().T @ m if _gram_fits(m[None]) else np.inf
+    _check_deviation(gram - np.eye(m.shape[0]), tol, subject, complaint)
 
 
 def _check_kraus_sums(ops) -> np.ndarray:

@@ -589,18 +589,14 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
                 deviations.update(zip(group, _axiom_trials(stacks, terms, [seed + t for t in group], restarts)))
         # Folded in trial order as Python floats, so a -0.0 never replaces 0.0.
         worst = [max(column) for column in zip(worst, *(deviations[t] for t in range(start, stop)))]
-    worst_neg, worst_relabel, worst_additivity, worst_bound, worst_identity, t_drift = worst
+    *checked, t_drift = worst
 
-    return {
-        "nonnegativity": AxiomResult(worst_neg <= 0.0, worst_neg, 0.0, trials),
-        "relabel_invariance": AxiomResult(
-            worst_relabel <= 1e-10, worst_relabel, 1e-10, trials,
-            note=f"transmitted drift under relabeling (observed, not asserted): {t_drift:.3e}",
-        ),
-        "additivity": AxiomResult(worst_additivity <= 1e-10, worst_additivity, 1e-10, trials),
-        "transmitted_bounded": AxiomResult(worst_bound <= 1e-8, worst_bound, 1e-8, trials),
-        "identity_recovery": AxiomResult(worst_identity <= 1e-10, worst_identity, 1e-10, trials),
-    }
+    # Each check's tolerance, in `_axiom_trials`' row order; the last row, the drift, is not asserted.
+    tolerances = {"nonnegativity": 0.0, "relabel_invariance": 1e-10, "additivity": 1e-10,
+                  "transmitted_bounded": 1e-8, "identity_recovery": 1e-10}
+    notes = {"relabel_invariance": f"transmitted drift under relabeling (observed, not asserted): {t_drift:.3e}"}
+    return {name: AxiomResult(deviation <= tol, deviation, tol, trials, notes.get(name, ""))
+            for (name, tol), deviation in zip(tolerances.items(), checked)}
 
 
 def _axiom_trials(draws, terms: int, rotation_seeds, restarts: int) -> list:

@@ -51,9 +51,8 @@ from .exceptions import DimensionMismatch, OutsideDomain, ZeroProbabilityOutcome
 from .hilbert import (
     DensityOperator,
     _Frozen,
-    _check_deviation,
     _check_integer,
-    _gram_fits,
+    _check_orthonormal,
     _square,
     as_density,
     diag_embedding,
@@ -76,9 +75,7 @@ class SignalBasis(_Frozen):
 
     def __init__(self, vectors):
         v = _square(vectors, "basis")
-        gram = v.conj() @ v.T if _gram_fits(v[None]) else np.inf
-        _check_deviation(gram - np.eye(v.shape[0]), BASIS_TOL, "basis",
-                         "rows are not orthonormal: Gram error")
+        _check_orthonormal(v.T, BASIS_TOL, "basis", "rows are not orthonormal: Gram error")
         mags = np.abs(v)
         uniform = bool(np.max(mags.max(axis=1) - mags.min(axis=1)) <= BASIS_TOL)
         self._set(vectors=v.copy(), uniform_modulus=uniform)
@@ -391,8 +388,7 @@ def recognize_sequence(gamma0, signals, bell: BellSystem, policy) -> Iterator[Re
 def _chooser(policy, n: int):
     """The policy as one function from the outcome table to an outcome (i, j)."""
     if isinstance(policy, FixedPolicy):
-        if not (policy.i < n and policy.j < n):
-            raise ValueError(f"fixed outcome ({policy.i}, {policy.j}) out of range for n={n}")
+        _check_outcome(policy.i, policy.j, n)
         return lambda probs: (policy.i, policy.j)
     if isinstance(policy, ArgmaxPolicy):
         return lambda probs: divmod(int(np.argmax(probs >= probs.max() - ARGMAX_TIE_TOL)), n)

@@ -224,9 +224,16 @@ def test_each_argument_rejects_bad_values_by_name(name):
 
 # Finite entries whose Gram product, entrywise product or row sum would
 # overflow; the rule each call breaks is named before the arithmetic, so no
-# RuntimeWarning comes first. The last two rows lie under the Kraus and
-# unitary bounds and keep their own messages.
+# RuntimeWarning comes first. The two "-under" rows lie under the Kraus and
+# unitary bounds and keep their own messages. A channel's vector methods
+# bound their rows by the channel's scale, a Schur weight's included.
 OVERFLOWING = {
+    **{f"{kind}.image_spectra": (channel.image_spectra, [1e200, 1.0], "vector has a non-finite entry")
+       for kind, channel in CHANNELS.items()},
+    "stochastic.kraus_vectors": (CHANNELS["stochastic"].kraus_vectors, [1e200, 1.0],
+                                 "vector has a non-finite entry"),
+    "schur_channel.apply_matrix": (infodyn.schur_channel(1e200 * np.eye(2)).apply_matrix,
+                                   [[1e200, 0.0], [0.0, 1.0]], "damped state has a non-finite entry"),
     "kraus_channel": (infodyn.kraus_channel, [1e200 * np.eye(3)],
                       "Kraus operators have a non-finite entry"),
     "schur_channel_apply": (lambda rho: infodyn.schur_channel_apply(1e200 * np.eye(2), rho),

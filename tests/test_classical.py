@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from infodyn import classical
 from infodyn.classical import (
     BUILTIN_MAPS,
+    EmpiricalChannel,
     MAX_ORBIT_STEPS,
     MAX_PARTITION_CELLS,
     MAX_SWEEP_ROWS,
@@ -334,6 +335,21 @@ def test_empirical_channel_source_counts():
     assert emp.source_counts.dtype.kind == "i"
     assert emp.source_counts.sum() == 1000
     assert np.array_equal(emp.occupation, emp.source_counts / 1000)
+
+
+def test_empirical_channel_is_immutable_and_compares_by_identity():
+    # As a frozen dataclass with array fields it could neither compare nor hash.
+    orbit = np.array([[0.1], [0.9], [0.1], [0.9], [0.1]])
+    part = Partition(((0.0, 1.0),), bins=2)
+    a, b = empirical_channel(orbit, part), empirical_channel(orbit, part)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert not any(getattr(a, name).flags.writeable for name in EmpiricalChannel.__slots__)
+    with pytest.raises(AttributeError, match="^EmpiricalChannel is immutable$"):
+        a.cells = b.cells
+    cells = np.arange(2)
+    built = EmpiricalChannel(cells, np.ones(2), np.zeros((1, 2)), np.ones(1))
+    assert built.cells is not cells and not built.cells.flags.writeable
 
 
 def test_empirical_channel_constant_orbit():

@@ -231,6 +231,16 @@ def test_recognize_zero_probability_outcome_exit_code(tmp_path):
     assert main(["recognize", "--experiment", exp]) == 5
 
 
+def test_recognize_rejects_a_fixed_outcome_out_of_range(tmp_path, capsys):
+    # A fixed outcome's range is checked by the rule of every outcome index,
+    # when the trajectory starts, so no step line is written.
+    exp = recognition_experiment(tmp_path, policy={"fixed": [0, 5]})
+    assert main(["recognize", "--experiment", exp]) == 2
+    captured = capsys.readouterr()
+    assert "outcome indices must lie in [0, 2), got (0, 5)" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("failing_step", [0, 32, 40])
 def test_recognize_failure_keeps_the_lines_of_completed_steps(tmp_path, capsys, failing_step):
     # In the standard basis, outcome (0, 1) moves the memory onto e_1 and

@@ -11,6 +11,7 @@ from infodyn.exceptions import DimensionMismatch
 from infodyn.hilbert import (
     DensityOperator,
     IndexGroup,
+    SchattenDecomposition,
     _check_real,
     _density_operators,
     as_density,
@@ -342,6 +343,22 @@ def test_density_operator_is_immutable():
     with pytest.raises(AttributeError):
         rho.n = 3
     assert not rho.matrix.flags.writeable
+
+
+def test_schatten_decomposition_is_immutable_and_compares_by_identity():
+    # As a frozen dataclass with array fields it could neither compare nor hash.
+    weights, vectors = np.array([0.5, 0.5]), np.eye(2, dtype=complex)
+    a, b = SchattenDecomposition(weights, vectors), SchattenDecomposition(weights, vectors)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert a.weights is not weights and a.vectors is not vectors
+    with pytest.raises(AttributeError, match="^SchattenDecomposition is immutable$"):
+        a.weights = weights
+    # The decomposition a degenerate state's search reports holds its own, read-only vectors.
+    report = metrics.chaos_degree(np.eye(2) / 2, channels.identity_channel(2),
+                                  metrics.ComplexityConfig(restarts=2, seed=0))
+    for dec in (a, report.decomposition, DensityOperator.maximally_mixed(2).spectral()):
+        assert not dec.weights.flags.writeable and not dec.vectors.flags.writeable
 
 
 def test_density_operators_of_a_stack_have_the_bits_of_each_alone():

@@ -108,6 +108,37 @@ def test_immutability_is_written_once():
     assert callers == ["hilbert._Frozen._set"]
 
 
+def test_eigenvectors_are_made_in_one_function():
+    # `hilbert._self_adjoint_spectra` is the one eigendecomposition, of a
+    # state and of a Schur weight alike.
+    def eigh_readers(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if ((isinstance(child, ast.Attribute) and child.attr == "eigh")
+                    or (isinstance(child, ast.Name) and child.id == "eigh")
+                    or (isinstance(child, ast.alias) and child.name == "eigh")):
+                yield owner
+            inner = (f"{owner}.{child.name}" if isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                     else owner)
+            yield from eigh_readers(child, inner)
+
+    readers = [reader for path in sorted(Path(infodyn.__file__).parent.glob("*.py"))
+               for reader in eigh_readers(ast.parse(path.read_text()), path.stem)]
+    assert readers == ["hilbert._self_adjoint_spectra"]
+
+
+def test_only_hilbert_knows_the_gram_bound():
+    # The overflow bound of a Gram sum lives in `hilbert`, which reads it in
+    # the Kraus-sum check and the one unitarity check.
+    stray = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(infodyn.__file__).parent.glob("*.py")) if path.name != "hilbert.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        # A name, an attribute, an imported alias or a definition.
+        if "_gram_fits" in {getattr(node, field, None) for field in ("id", "attr", "name")}
+    ]
+    assert stray == []
+
+
 def test_only_jsonio_speaks_json():
     # The wire format lives in one module: only `jsonio` imports `json`,
     # no class serializes itself, and `jsonio` imports neither `metrics`

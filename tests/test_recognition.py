@@ -421,10 +421,13 @@ def test_recognize_fixed_policy_follows_requested_outcome():
 
 
 def test_recognize_fixed_policy_rejects_out_of_range():
+    # The one outcome-index rule, `_check_outcome`, names the range.
     bell = fourier_bell(2)
     gamma = DensityOperator.maximally_mixed(2)
-    with pytest.raises(ValueError):
-        recognize_sequence(gamma, [gamma], bell, FixedPolicy(5, 0))
+    for i, j in [(5, 0), (0, 2)]:
+        message = rf"^outcome indices must lie in \[0, 2\), got \({i}, {j}\)$"
+        with pytest.raises(ValueError, match=message):
+            recognize_sequence(gamma, [gamma], bell, FixedPolicy(i, j))
 
 
 @pytest.mark.parametrize("gamma_dim, policy, error", [
