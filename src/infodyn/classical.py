@@ -11,12 +11,14 @@ This equals the decomposition-search chaos degree of the diagonal
 density built from the occupation under the stochastic-channel
 embedding, which the test suite exercises as a cross-module identity.
 
-Each map has one form: a per-point `step` and a `jacobian` evaluated
-once on the whole orbit array. Orbits are iterated point by point and
-checked against the domain box afterwards, in one vectorised pass.
-The built-in maps are built from module-level functions, so they
-pickle: a parallel sweep sends each worker the map object itself, and
-only built-in maps use the pool.
+Each map has one form: a coordinate stream `points`, which yields the
+orbit after its starting point as flat coordinates, and a `jacobian`
+evaluated once on the whole orbit array. An orbit is read from its
+stream into one array and checked against the domain box afterwards,
+in one vectorised pass. The built-in maps are built from module-level
+functions (their streams are generator functions), so they pickle: a
+parallel sweep sends each worker the map object itself, and only
+built-in maps use the pool.
 Largest Lyapunov exponents come from that Jacobian along the same
 orbit: the mean of ln|f'| in one dimension, iterated Jacobian-vector
 products with renormalization in two.
@@ -47,14 +49,15 @@ MAX_SWEEP_ROWS = 1_000_000
 # its workers at the first submit; the standard library itself caps a
 # Windows pool at 61.
 MAX_WORKERS = 64
-# Largest `transient + samples` of one orbit. `iterate_orbit` fills the
-# orbit array in place and peaks at about 10 B per step in one dimension
-# and 20 B in two. Binning and pair counting bring a 1-D sweep point to
-# 32 B per step at 100 bins and 37 B at 1000. In 2-D the Lyapunov loop,
-# whose Jacobians pass through Python objects ORBIT_CHUNK steps at a
-# time, sets the peak at 80 B (tracemalloc, 10**6 steps, x86-64, numpy
-# 2.4.6): near 1 GB at the cap, which admits 10**7 samples after the
-# default transient. A sweep holds one point per worker at a time.
+# Largest `transient + samples` of one orbit. `iterate_orbit` reads the
+# map's coordinate stream straight into the orbit array and peaks at
+# about 10 B per step in one dimension and 20 B in two. Binning and pair
+# counting bring a 1-D sweep point to 32 B per step at 100 bins and 39 B
+# at 1000 (logistic map, a = 3.9). In 2-D the Lyapunov loop, whose
+# Jacobians pass through Python objects ORBIT_CHUNK steps at a time, sets
+# the peak at 80 B (tracemalloc, 10**6 steps, x86-64, numpy 2.4.6): near
+# 1 GB at the cap, which admits 10**7 samples after the default
+# transient. A sweep holds one point per worker at a time.
 MAX_ORBIT_STEPS = 12_000_000
 ORBIT_CHUNK = 2**16
 # Largest cell count bins ** dim of a Partition. Up to 2**53 the float
@@ -70,21 +73,23 @@ DENSE_COUNT_RATIO = 4
 class MapSystem:
     """A parameterized iterated map on a rectangular domain box.
 
-    `step(point, a)` returns the next point: a float in one dimension,
-    a tuple of floats in two. `jacobian(orbit, a)` takes a whole
-    (samples, dim) orbit array and returns the derivatives along it as
-    an array broadcastable to (samples, dim, dim). Every bound of `box`,
-    every component of `default_x0` and `default_param` must be a finite
-    real number, and each interval of `box` needs lo < hi; `box` and
-    `default_x0` are stored as tuples of floats, so maps given arrays
-    still compare.
+    `points(start, a)` returns an iterator over the coordinates of the
+    orbit x_1, x_2, ... after `start`, the checked initial point as a
+    tuple of floats: `dim` real numbers per point, flat and in order.
+    It is read no further than the orbit's length, so it may be endless.
+    `jacobian(orbit, a)` takes a whole (samples, dim) orbit array and
+    returns the derivatives along it as an array broadcastable to
+    (samples, dim, dim). Every bound of `box`, every component of
+    `default_x0` and `default_param` must be a finite real number, and
+    each interval of `box` needs lo < hi; `box` and `default_x0` are
+    stored as tuples of floats, so maps given arrays still compare.
     """
 
     name: str
     box: tuple[tuple[float, float], ...]
     default_x0: tuple[float, ...]
     default_param: float
-    step: Callable
+    points: Callable
     jacobian: Callable
 
     def __post_init__(self):
@@ -110,8 +115,11 @@ def _check_box(box) -> tuple[tuple[float, float], ...]:
     return box
 
 
-def _logistic_step(x, a):
-    return a * x * (1.0 - x)
+def _logistic_points(start, a):
+    (x,) = start
+    while True:
+        x = a * x * (1.0 - x)
+        yield x
 
 
 def _logistic_jacobian(orbit, a):
@@ -125,15 +133,18 @@ def logistic_map() -> MapSystem:
         box=((0.0, 1.0),),
         default_x0=(0.3,),
         default_param=3.8,
-        step=_logistic_step,
+        points=_logistic_points,
         jacobian=_logistic_jacobian,
     )
 
 
-def _baker_step(p, a):
-    x, y = p
-    branch = 1.0 if x >= 0.5 else 0.0
-    return (2.0 * x - branch, 0.5 * (y + branch))
+def _baker_points(start, a):
+    x, y = start
+    while True:
+        branch = 1.0 if x >= 0.5 else 0.0
+        x, y = 2.0 * x - branch, 0.5 * (y + branch)
+        yield x
+        yield y
 
 
 def _baker_jacobian(orbit, a):
@@ -151,7 +162,7 @@ def baker_map() -> MapSystem:
         box=((0.0, 1.0), (0.0, 1.0)),
         default_x0=(0.3, 0.3),
         default_param=0.0,
-        step=_baker_step,
+        points=_baker_points,
         jacobian=_baker_jacobian,
     )
 
@@ -160,10 +171,13 @@ def baker_map() -> MapSystem:
 _TINKERBELL_B, _TINKERBELL_C, _TINKERBELL_D = -0.6013, 2.0, 0.5
 
 
-def _tinkerbell_step(p, a):
-    x, y = p
-    return (x * x - y * y + a * x + _TINKERBELL_B * y,
-            2.0 * x * y + _TINKERBELL_C * x + _TINKERBELL_D * y)
+def _tinkerbell_points(start, a):
+    x, y = start
+    b, c, d = _TINKERBELL_B, _TINKERBELL_C, _TINKERBELL_D
+    while True:
+        x, y = x * x - y * y + a * x + b * y, 2.0 * x * y + c * x + d * y
+        yield x
+        yield y
 
 
 def _tinkerbell_jacobian(orbit, a):
@@ -180,7 +194,7 @@ def tinkerbell_map() -> MapSystem:
         box=((-2.0, 2.0), (-2.0, 2.0)),
         default_x0=(-0.72, -0.64),
         default_param=0.9,
-        step=_tinkerbell_step,
+        points=_tinkerbell_points,
         jacobian=_tinkerbell_jacobian,
     )
 
@@ -238,15 +252,13 @@ def iterate_orbit(system: MapSystem, cfg: OrbitConfig) -> np.ndarray:
     box once it has been iterated; leaving the box (or turning NaN)
     raises OrbitEscape at the first such step rather than clipping,
     since clipped points would silently corrupt the transition
-    statistics.
+    statistics. A stream that ends before `transient + samples` points
+    raises ValueError.
     """
     x0, a = _resolve(system, cfg)
-    start = x0[0] if system.dim == 1 else x0
     total = cfg.transient + cfg.samples
-    points = itertools.accumulate(itertools.repeat(a, total), system.step, initial=start)
-    next(points)  # the starting point, already checked by _resolve
-    dtype = float if system.dim == 1 else (float, 2)
-    orbit = np.fromiter(points, dtype=dtype, count=total).reshape(total, system.dim)
+    orbit = np.fromiter(system.points(x0, a), dtype=float,
+                        count=total * system.dim).reshape(total, system.dim)
     los, his = np.array(system.box, dtype=float).T
     escaped = np.flatnonzero(~((orbit >= los) & (orbit <= his)).all(axis=1))
     if escaped.size:
@@ -304,6 +316,24 @@ class Partition:
         return codes
 
 
+def _integer_array(name: str, value, shape: tuple, stop: int | None = None) -> np.ndarray:
+    """A copy of `value`, which must be an integer array of `shape` (a str
+    entry is a free length) with entries in [0, stop), or at least 0."""
+    try:
+        a = np.array(value)
+    except ValueError:  # a ragged sequence
+        a = np.array(value, dtype=object)
+    if a.dtype.kind not in "iu" or a.ndim != len(shape) or any(
+            got != want for got, want in zip(a.shape, shape) if not isinstance(want, str)):
+        text = "(" + ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "") + ")"
+        raise ValueError(f"{name} must be an integer array of shape {text}, "
+                         f"got {a.dtype} of shape {a.shape}")
+    if a.size and (a.min() < 0 or (stop is not None and a.max() >= stop)):
+        bounds = "be nonnegative" if stop is None else f"lie in [0, {stop})"
+        raise ValueError(f"{name} must {bounds}, got entries from {a.min()} to {a.max()}")
+    return a
+
+
 class EmpiricalChannel(_Frozen):
     """One-step transition statistics of a binned orbit.
 
@@ -318,15 +348,22 @@ class EmpiricalChannel(_Frozen):
     Dest-only cells have count zero, and their transition rows (never
     observed) are filled with a self-loop purely to keep the matrix
     stochastic; they contribute nothing to any entropy sum. Instances are
-    immutable and hold copies of the arrays they are given.
+    immutable and hold copies of the arrays they are given. Each must be
+    an array of nonnegative integers of its shape: `cells` (n,),
+    `source_counts` (n,), `pair_positions` (m, 2) of positions into
+    `cells`, below n, and `pair_counts` (m,); otherwise ValueError names
+    the field.
     """
 
     __slots__ = ("cells", "source_counts", "pair_positions", "pair_counts")
 
     def __init__(self, cells, source_counts, pair_positions, pair_counts):
-        # `pair_positions` (m, 2) are positions into `cells`.
-        self._set(cells=np.array(cells), source_counts=np.array(source_counts),
-                  pair_positions=np.array(pair_positions), pair_counts=np.array(pair_counts))
+        cells = _integer_array("cells", cells, ("n",))
+        source_counts = _integer_array("source_counts", source_counts, cells.shape)
+        pair_positions = _integer_array("pair_positions", pair_positions, ("m", 2), cells.size)
+        pair_counts = _integer_array("pair_counts", pair_counts, pair_positions.shape[:1])
+        self._set(cells=cells, source_counts=source_counts,
+                  pair_positions=pair_positions, pair_counts=pair_counts)
 
     @property
     def size(self) -> int:
@@ -494,12 +531,12 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     `workers` and the row count both exceed 1 and `system` equals one of
     BUILTIN_MAPS, the calls go to a pool of min(workers, rows) processes,
     which receives those objects pickled; any other map runs in this
-    process whatever `workers` says, since its step and Jacobian need not
-    pickle. Results are ordered by parameter and identical at any worker
-    count. Grid bounds and thresholds that are not finite real numbers, a
-    negative threshold, grids of more than MAX_SWEEP_ROWS rows and a
-    `workers` below 1 or above MAX_WORKERS raise ValueError before any row
-    is built.
+    process whatever `workers` says, since its point stream and Jacobian
+    need not pickle. Results are ordered by parameter and identical at
+    any worker count. Grid bounds and thresholds that are not finite real
+    numbers, a negative threshold, grids of more than MAX_SWEEP_ROWS rows
+    and a `workers` below 1 or above MAX_WORKERS raise ValueError before
+    any row is built.
     """
     start = _check_real("start", start)
     stop = _check_real("stop", stop)

@@ -372,13 +372,20 @@ class SchattenDecomposition(_Frozen):
     descending and sum to 1. When the spectrum has a (near-)repeated
     eigenvalue the eigenvectors span the right eigenspaces but are
     otherwise an arbitrary orthonormal choice. Instances are immutable
-    and hold copies of the arrays they are given.
+    and hold copies of the arrays they are given: `vectors` a non-empty
+    square matrix and `weights` a real vector of its column count, both
+    finite, or ValueError names the field.
     """
 
     __slots__ = ("weights", "vectors")
 
     def __init__(self, weights, vectors):
-        self._set(weights=np.array(weights), vectors=np.array(vectors))
+        vectors = _square(vectors, "vectors").copy()
+        weights = _as_array(weights, "weights")
+        if weights.shape != vectors.shape[1:] or weights.imag.any():
+            raise ValueError(f"weights must be a real vector of length {vectors.shape[1]}, "
+                             f"got shape {weights.shape}")
+        self._set(weights=weights.real.copy(), vectors=vectors)
 
     def projection(self, k: int) -> np.ndarray:
         v = self.vectors[:, k]

@@ -69,8 +69,11 @@ class Fixed:
         self.value = value
 
 
-def _step(x, a):
-    return a * x * (1.0 - x)
+def _points(start, a):
+    (x,) = start
+    while True:
+        x = a * x * (1.0 - x)
+        yield x
 
 
 def _jacobian(orbit, a):
@@ -97,10 +100,11 @@ CASES = {
     "ComplexityConfig": (2, 0),
     "ConjectureOutcome": (0.0, 0.0, 0.0, 0.0, True),
     "DensityOperator": (HALF,),
-    "EmpiricalChannel": (np.arange(2), np.ones(2), np.zeros((1, 2)), np.ones(1)),
+    "EmpiricalChannel": (np.arange(2), np.ones(2, dtype=int), np.zeros((1, 2), dtype=int),
+                         np.ones(1, dtype=int)),
     "FixedPolicy": (0, 0),
     "IndexGroup": (2,),
-    "MapSystem": ("map", ((0.0, 1.0),), (0.5,), 3.0, _step, _jacobian),
+    "MapSystem": ("map", ((0.0, 1.0),), (0.5,), 3.0, _points, _jacobian),
     "OrbitConfig": (None, 10, 50, None),
     "Partition": (((0.0, 1.0),), 4),
     "RecognitionStep": (0, 0, 0, 1.0, None),
@@ -258,4 +262,54 @@ def test_an_overflowing_product_is_named_without_a_warning(name):
     function, arg, message = OVERFLOWING[name]
     with pytest.raises(ValueError) as err:
         function(arg)
+    assert str(err.value) == message
+
+
+# Arrays a value type's constructor refuses, naming the field. Kept
+# unchecked, positions past the cells would give a conditional entropy of
+# 0.0, and float positions an IndexError in a later method.
+CELLS, COUNTS, PAIR = np.arange(2), np.ones(2, dtype=int), np.ones(1, dtype=int)
+REJECTED = {
+    "Schatten-string": (lambda: infodyn.SchattenDecomposition("abc", None),
+                        "vectors has a non-finite entry"),
+    "Schatten-nan-weight": (lambda: infodyn.SchattenDecomposition([np.nan], np.eye(1)),
+                            "weights has a non-finite entry"),
+    "Schatten-length": (lambda: infodyn.SchattenDecomposition(np.ones(2), np.eye(1)),
+                        "weights must be a real vector of length 1, got shape (2,)"),
+    "Schatten-complex-weight": (lambda: infodyn.SchattenDecomposition([1j], np.eye(1)),
+                                "weights must be a real vector of length 1, got shape (1,)"),
+    "Schatten-non-square": (lambda: infodyn.SchattenDecomposition(np.ones(2), np.ones((2, 3))),
+                            "vectors must be a square matrix, got shape (2, 3)"),
+    "Empirical-float-positions": (
+        lambda: infodyn.EmpiricalChannel(CELLS, COUNTS, np.zeros((1, 2)), PAIR),
+        "pair_positions must be an integer array of shape (m, 2), got float64 of shape (1, 2)"),
+    "Empirical-position-past-cells": (
+        lambda: infodyn.EmpiricalChannel(CELLS, COUNTS, [[0, 5]], PAIR),
+        "pair_positions must lie in [0, 2), got entries from 0 to 5"),
+    "Empirical-negative-position": (
+        lambda: infodyn.EmpiricalChannel(CELLS, COUNTS, [[-1, 0]], PAIR),
+        "pair_positions must lie in [0, 2), got entries from -1 to 0"),
+    "Empirical-float-counts": (
+        lambda: infodyn.EmpiricalChannel(CELLS, np.ones(2), [[0, 1]], PAIR),
+        "source_counts must be an integer array of shape (2,), got float64 of shape (2,)"),
+    "Empirical-count-length": (
+        lambda: infodyn.EmpiricalChannel(CELLS, COUNTS, [[0, 1]], np.ones(2, dtype=int)),
+        "pair_counts must be an integer array of shape (1,), got int64 of shape (2,)"),
+    "Empirical-negative-count": (
+        lambda: infodyn.EmpiricalChannel(CELLS, COUNTS, [[0, 1]], [-1]),
+        "pair_counts must be nonnegative, got entries from -1 to -1"),
+    "Empirical-positions-shape": (
+        lambda: infodyn.EmpiricalChannel(CELLS, COUNTS, [0, 1], PAIR),
+        "pair_positions must be an integer array of shape (m, 2), got int64 of shape (2,)"),
+    "Empirical-ragged-cells": (
+        lambda: infodyn.EmpiricalChannel([[0], [1, 2]], COUNTS, [[0, 1]], PAIR),
+        "cells must be an integer array of shape (n,), got object of shape (2,)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_a_value_type_names_the_field_of_a_bad_array(name):
+    build, message = REJECTED[name]
+    with pytest.raises(ValueError) as err:
+        build()
     assert str(err.value) == message

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 import pickle
 from dataclasses import replace
@@ -37,12 +38,16 @@ LN2 = float(np.log(2))
 
 
 def constant_map(c=0.5):
+    def points(start, a):
+        while True:
+            yield c
+
     return MapSystem(
         name="constant",
         box=((0.0, 1.0),),
         default_x0=(0.3,),
         default_param=0.0,
-        step=lambda x, a: c,
+        points=points,
         jacobian=lambda orbit, a: np.zeros((1, 1)),
     )
 
@@ -79,12 +84,18 @@ def test_constant_map_orbit():
 
 
 def test_orbit_escape_raises_with_context():
+    def points(start, a):
+        (x,) = start
+        while True:
+            x = x * 2.0 + 1.0
+            yield x
+
     runaway = MapSystem(
         name="runaway",
         box=((0.0, 1.0),),
         default_x0=(0.1,),
         default_param=0.0,
-        step=lambda x, a: x * 2.0 + 1.0,
+        points=points,
         jacobian=lambda orbit, a: np.full((1, 1), 2.0),
     )
     with pytest.raises(OrbitEscape) as err:
@@ -118,12 +129,18 @@ def test_orbit_escape_reports_first_escaping_step(system, cfg, step_index, point
 
 
 def test_orbit_nan_counts_as_escape():
+    def points(start, a):
+        (x,) = start
+        while True:
+            x = x if x < 0.5 else float("nan")
+            yield x
+
     nan_map = MapSystem(
         name="nan",
         box=((0.0, 1.0),),
         default_x0=(0.5,),
         default_param=0.0,
-        step=lambda x, a: x if x < 0.5 else float("nan"),
+        points=points,
         jacobian=lambda orbit, a: np.ones((1, 1)),
     )
     with pytest.raises(OrbitEscape) as err:
@@ -170,15 +187,23 @@ def test_classical_input_errors_name_the_problem(call, message):
 
 def test_lyapunov_of_a_2d_map_with_a_vanishing_jacobian_is_minus_infinity():
     # The tangent vector's norm is exactly 0 after the first step.
+    def points(start, a):
+        while True:
+            yield 0.5
+            yield 0.5
+
     flat = MapSystem(name="flat", box=((0.0, 1.0), (0.0, 1.0)), default_x0=(0.3, 0.3),
-                     default_param=0.0, step=lambda p, a: (0.5, 0.5),
+                     default_param=0.0, points=points,
                      jacobian=lambda orbit, a: np.zeros((2, 2)))
     assert lyapunov_exponent(flat, OrbitConfig(transient=10, samples=100)) == -math.inf
 
 
 def test_custom_map_from_step_and_jacobian_matches_builtin_logistic():
-    def step(x, a):
-        return a * x * (1.0 - x)
+    def points(start, a):
+        (x,) = start
+        while True:
+            x = a * x * (1.0 - x)
+            yield x
 
     def jacobian(orbit, a):
         return (a * (1.0 - 2.0 * orbit)).reshape(-1, 1, 1)
@@ -188,7 +213,7 @@ def test_custom_map_from_step_and_jacobian_matches_builtin_logistic():
         box=((0.0, 1.0),),
         default_x0=(0.3,),
         default_param=3.8,
-        step=step,
+        points=points,
         jacobian=jacobian,
     )
     for a in (3.2, 3.7, 4.0):
@@ -219,6 +244,32 @@ def test_tinkerbell_matches_per_step_reference():
     assert lyapunov_exponent(tinkerbell_map(), cfg) == acc / 2000
 
 
+def test_logistic_matches_per_step_reference():
+    # Reference: the per-point step in plain Python floats; the orbit must
+    # have the same bits.
+    a, x = 3.9, 0.3
+    points = []
+    for _ in range(100 + 2000):
+        x = a * x * (1.0 - x)
+        points.append([x])
+    cfg = OrbitConfig(transient=100, samples=2000, param=a)
+    assert iterate_orbit(logistic_map(), cfg).tolist() == points[100:]
+
+
+@pytest.mark.parametrize("x0", [(0.3, 0.4), (0.75, 0.5), (1.0, 1.0), (0.0, 0.0)])
+def test_baker_matches_per_step_reference(x0):
+    # Reference: the per-point branch step in plain Python floats, from
+    # starts on both branches and on the box's corners.
+    x, y = x0
+    points = []
+    for _ in range(5 + 200):
+        branch = 1.0 if x >= 0.5 else 0.0
+        x, y = 2.0 * x - branch, 0.5 * (y + branch)
+        points.append([x, y])
+    cfg = OrbitConfig(x0=x0, transient=5, samples=200)
+    assert iterate_orbit(baker_map(), cfg).tolist() == points[5:]
+
+
 @pytest.mark.parametrize("chunk", [1, 13])
 def test_orbit_chunk_size_does_not_change_results(monkeypatch, chunk):
     cases = [(logistic_map(), OrbitConfig(transient=5, samples=200)),
@@ -234,28 +285,51 @@ def test_orbit_chunk_size_does_not_change_results(monkeypatch, chunk):
     assert err.value.step_index == 78
 
 
-def _ring_step(x, a):
-    return float((3 * int(x) + 1) % 7)
+def _ring_points(start, a):
+    (x,) = start
+    while True:
+        x = float((3 * int(x) + 1) % 7)
+        yield x
+
+
+def _ring2_points(start, a):
+    x, y = start
+    while True:
+        x, y = float((3 * int(x) + 1) % 7), float((int(x) + 2 * int(y)) % 7)
+        yield x
+        yield y
 
 
 RING = MapSystem(name="ring", box=((0.0, 6.0),), default_x0=(2.0,), default_param=0.0,
-                 step=_ring_step, jacobian=lambda orbit, a: np.ones((1, 1)))
+                 points=_ring_points, jacobian=lambda orbit, a: np.ones((1, 1)))
+RING2 = MapSystem(name="ring2", box=((0.0, 6.0), (0.0, 6.0)), default_x0=(2.0, 5.0),
+                  default_param=0.0, points=_ring2_points,
+                  jacobian=lambda orbit, a: np.eye(2))
 
 
-@pytest.mark.parametrize("system, step", [
-    (logistic_map(), lambda x, a: np.float64(classical._logistic_step(x, a))),
-    (RING, lambda x, a: int(_ring_step(x, a))),
-    (tinkerbell_map(), lambda p, a: list(classical._tinkerbell_step(p, a))),
-    (tinkerbell_map(), lambda p, a: np.array(classical._tinkerbell_step(p, a))),
-], ids=["float64", "int", "list", "ndarray"])
-def test_orbit_takes_every_numeric_step_output(system, step):
-    # A step may return any real scalar in 1-D and any pair in 2-D; the
-    # orbit equals the one its float or tuple form gives.
+@pytest.mark.parametrize("system, points", [
+    (logistic_map(), lambda s, a: (np.float64(v) for v in classical._logistic_points(s, a))),
+    (RING, lambda s, a: (int(v) for v in _ring_points(s, a))),
+    (tinkerbell_map(), lambda s, a: (np.float64(v) for v in classical._tinkerbell_points(s, a))),
+    (RING2, lambda s, a: (int(v) for v in _ring2_points(s, a))),
+], ids=["float64", "int", "float64-2d", "int-2d"])
+def test_orbit_takes_every_numeric_step_output(system, points):
+    # A stream may yield any real scalar as a coordinate, in 1-D and in 2-D;
+    # the orbit equals the one its float form gives.
     cfg = OrbitConfig(transient=10, samples=500)
     expected = iterate_orbit(system, cfg)
-    orbit = iterate_orbit(replace(system, step=step), cfg)
+    orbit = iterate_orbit(replace(system, points=points), cfg)
     assert orbit.dtype == float and orbit.shape == (500, system.dim)
     assert np.array_equal(orbit, expected)
+
+
+@pytest.mark.parametrize("system, length", [(logistic_map(), 29), (tinkerbell_map(), 59)],
+                         ids=["1d", "2d-mid-point"])
+def test_orbit_from_a_stream_that_ends_early_raises_value_error(system, length):
+    # 10 + 20 points need 30 coordinates in 1-D and 60 in 2-D.
+    short = replace(system, points=lambda s, a: itertools.islice(system.points(s, a), length))
+    with pytest.raises(ValueError):
+        iterate_orbit(short, OrbitConfig(transient=10, samples=20))
 
 
 def test_orbit_rejects_x0_outside_box():
@@ -348,7 +422,8 @@ def test_empirical_channel_is_immutable_and_compares_by_identity():
     with pytest.raises(AttributeError, match="^EmpiricalChannel is immutable$"):
         a.cells = b.cells
     cells = np.arange(2)
-    built = EmpiricalChannel(cells, np.ones(2), np.zeros((1, 2)), np.ones(1))
+    built = EmpiricalChannel(cells, np.ones(2, dtype=int), np.zeros((1, 2), dtype=int),
+                             np.ones(1, dtype=int))
     assert built.cells is not cells and not built.cells.flags.writeable
 
 
@@ -540,6 +615,11 @@ def test_sweep_to_csv_format():
     float(first[0]), float(first[1]), float(first[2])
 
 
+def _quarter_points(start, a):
+    while True:
+        yield 0.25
+
+
 def test_sweep_on_custom_map_named_like_builtin_stays_custom():
     # A user map that borrows a builtin name must not be swapped for
     # the builtin inside the worker pool.
@@ -548,7 +628,7 @@ def test_sweep_on_custom_map_named_like_builtin_stays_custom():
         box=((0.0, 1.0),),
         default_x0=(0.3,),
         default_param=0.0,
-        step=lambda x, a: 0.25,
+        points=_quarter_points,
         jacobian=lambda orbit, a: np.zeros_like(orbit)[:, :, None],
     )
     rows = sweep(
@@ -570,7 +650,7 @@ def test_sweep_on_array_boxed_map_named_like_builtin_stays_custom():
         box=np.array([[0.0, 1.0]]),
         default_x0=np.array([0.3]),
         default_param=3.8,
-        step=lambda x, a: 0.25,
+        points=_quarter_points,
         jacobian=lambda orbit, a: np.zeros_like(orbit)[:, :, None],
     )
     assert fake.box == ((0.0, 1.0),) and fake.default_x0 == (0.3,)
