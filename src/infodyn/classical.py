@@ -20,8 +20,9 @@ functions (their streams are generator functions), so they pickle: a
 parallel sweep sends each worker the map object itself, and only
 built-in maps use the pool.
 Largest Lyapunov exponents come from that Jacobian along the same
-orbit: the mean of ln|f'| in one dimension, iterated Jacobian-vector
-products with renormalization in two.
+orbit: the mean of ln|f'| in one dimension; in two, products of blocks
+of consecutive Jacobians, each applied to a running unit vector whose
+log growth is summed.
 """
 
 from __future__ import annotations
@@ -53,13 +54,20 @@ MAX_WORKERS = 64
 # map's coordinate stream straight into the orbit array and peaks at
 # about 10 B per step in one dimension and 20 B in two. Binning and pair
 # counting bring a 1-D sweep point to 32 B per step at 100 bins and 39 B
-# at 1000 (logistic map, a = 3.9). In 2-D the Lyapunov loop, whose
-# Jacobians pass through Python objects ORBIT_CHUNK steps at a time, sets
-# the peak at 80 B (tracemalloc, 10**6 steps, x86-64, numpy 2.4.6): near
-# 1 GB at the cap, which admits 10**7 samples after the default
+# at 1000 (logistic map, a = 3.9). In 2-D the Jacobian stack, which the
+# Tinkerbell map builds from four coordinate arrays, sets the peak at
+# 80 B (tracemalloc, 10**6 steps, x86-64, numpy 2.4.6); the blocked
+# Lyapunov products after it hold a few MB per ORBIT_CHUNK slice. That is
+# near 1 GB at the cap, which admits 10**7 samples after the default
 # transient. A sweep holds one point per worker at a time.
 MAX_ORBIT_STEPS = 12_000_000
+# Jacobians per slice of the blocked Lyapunov products: a whole number of
+# _LYAPUNOV_BLOCK blocks, so blocks start at the same steps whatever the
+# slice length and the exponent's bits do not depend on it. One slice for
+# the whole orbit would raise the 2-D peak to 164 B per step.
 ORBIT_CHUNK = 2**16
+# Jacobians reduced to one product for each step of the Python loop.
+_LYAPUNOV_BLOCK = 2**6
 # Largest cell count bins ** dim of a Partition. Up to 2**53 the float
 # cell index of each axis is exact; the int64 flat code is exact to 2**63.
 MAX_PARTITION_CELLS = 2**53
@@ -79,10 +87,11 @@ class MapSystem:
     It is read no further than the orbit's length, so it may be endless.
     `jacobian(orbit, a)` takes a whole (samples, dim) orbit array and
     returns the derivatives along it as an array broadcastable to
-    (samples, dim, dim). Every bound of `box`, every component of
-    `default_x0` and `default_param` must be a finite real number, and
-    each interval of `box` needs lo < hi; `box` and `default_x0` are
-    stored as tuples of floats, so maps given arrays still compare.
+    (samples, dim, dim), with finite entries. Every bound of `box`, every
+    component of `default_x0` and `default_param` must be a finite real
+    number, and each interval of `box` needs lo < hi; `box` and
+    `default_x0` are stored as tuples of floats, so maps given arrays
+    still compare.
     """
 
     name: str
@@ -352,7 +361,10 @@ class EmpiricalChannel(_Frozen):
     an array of nonnegative integers of its shape: `cells` (n,),
     `source_counts` (n,), `pair_positions` (m, 2) of positions into
     `cells`, below n, and `pair_counts` (m,); otherwise ValueError names
-    the field.
+    the field. The arrays must also agree, or ValueError names the rule
+    they break: `cells` strictly ascending, the pairs strictly ascending
+    by flat index, every pair count positive, and the pair counts summed
+    per source position equal to `source_counts`.
     """
 
     __slots__ = ("cells", "source_counts", "pair_positions", "pair_counts")
@@ -362,6 +374,18 @@ class EmpiricalChannel(_Frozen):
         source_counts = _integer_array("source_counts", source_counts, cells.shape)
         pair_positions = _integer_array("pair_positions", pair_positions, ("m", 2), cells.size)
         pair_counts = _integer_array("pair_counts", pair_counts, pair_positions.shape[:1])
+        src = pair_positions[:, 0].astype(np.int64)
+        flat = src * cells.size + pair_positions[:, 1]
+        sums = np.zeros(cells.size, dtype=np.int64)
+        np.add.at(sums, src, pair_counts)
+        for broken, rule in ((cells[1:] <= cells[:-1], "cells must be strictly ascending"),
+                             (flat[1:] <= flat[:-1], "pair_positions must be strictly "
+                              "ascending by flat index src * n + dst"),
+                             (pair_counts == 0, "pair_counts must be positive"),
+                             (sums != source_counts, "pair_counts summed per source "
+                              "position must equal source_counts")):
+            if broken.any():
+                raise ValueError(rule)
         self._set(cells=cells, source_counts=source_counts,
                   pair_positions=pair_positions, pair_counts=pair_counts)
 
@@ -460,8 +484,23 @@ def orbit_chaos_degree(system: MapSystem, cfg: OrbitConfig | None = None,
 
 
 def _lyapunov_from_orbit(system: MapSystem, orbit: np.ndarray, a: float) -> float:
+    """Mean log growth of a tangent vector along `orbit`; -inf once its norm is exactly 0.
+
+    The map's Jacobian must broadcast to (samples, dim, dim) with finite
+    entries, or ValueError names the map. In two dimensions the Jacobians
+    are multiplied in blocks of _LYAPUNOV_BLOCK steps, ORBIT_CHUNK steps at
+    a time, and a Python loop applies each block's product to the running
+    unit vector.
+    """
     n, dim = orbit.shape
-    jac = np.broadcast_to(np.asarray(system.jacobian(orbit, a), dtype=float), (n, dim, dim))
+    raw = np.asarray(system.jacobian(orbit, a), dtype=float)
+    try:
+        jac = np.broadcast_to(raw, (n, dim, dim))
+    except ValueError:
+        raise ValueError(f"jacobian of map {system.name!r} has shape {raw.shape}, "
+                         f"which does not broadcast to ({n}, {dim}, {dim})") from None
+    if not np.isfinite(raw).all():
+        raise ValueError(f"jacobian of map {system.name!r} has a non-finite entry")
     if dim == 1:
         derivs = np.abs(jac.reshape(n))
         if np.any(derivs == 0.0):
@@ -469,24 +508,70 @@ def _lyapunov_from_orbit(system: MapSystem, orbit: np.ndarray, a: float) -> floa
         return float(np.mean(np.log(derivs)))
 
     v0, v1 = 1.0, 0.0
-    acc = 0.0
+    acc, exponent = 0.0, 0
     for lo in range(0, n, ORBIT_CHUNK):
-        for j00, j01, j10, j11 in jac[lo:lo + ORBIT_CHUNK].reshape(-1, 4).tolist():
+        for (j00, j01, j10, j11), e in zip(*_block_products(jac[lo:lo + ORBIT_CHUNK])):
             w0 = j00 * v0 + j01 * v1
             w1 = j10 * v0 + j11 * v1
             norm = math.hypot(w0, w1)
             if norm == 0.0:
                 return -math.inf
             acc += math.log(norm)
+            exponent += e
             v0, v1 = w0 / norm, w1 / norm
-    return acc / n
+    return (acc + exponent * math.log(2.0)) / n
+
+
+def _block_products(jac: np.ndarray) -> tuple[list, list]:
+    """Products J_last ... J_first of each block of _LYAPUNOV_BLOCK steps of
+    the (steps, 2, 2) stack `jac`, as rows (j00, j01, j10, j11), with the
+    power-of-two exponent each row was scaled down by.
+
+    The last block is padded with identities. The products are taken
+    pairwise, one stacked level per halving, and every Jacobian and every
+    level's product is scaled by `_scaled`, so no entry overflows or
+    underflows whatever the Jacobians' scale.
+    """
+    steps = len(jac)
+    blocks = -(-steps // _LYAPUNOV_BLOCK)
+    flat = np.empty((blocks * _LYAPUNOV_BLOCK, 4))
+    flat[:steps] = jac.reshape(steps, 4)
+    flat[steps:] = (1.0, 0.0, 0.0, 1.0)
+    # Entry, then step within the block, then block: a level pairs whole rows.
+    m = flat.reshape(blocks, _LYAPUNOV_BLOCK, 4).transpose(2, 1, 0).copy()
+    exponents = np.zeros(blocks, dtype=np.int64)
+    m = _scaled(m, exponents)
+    while m.shape[1] > 1:
+        (a0, b0, c0, d0), (a1, b1, c1, d1) = m[:, 0::2], m[:, 1::2]
+        m = np.empty((4,) + a0.shape)
+        np.add(a1 * a0, b1 * c0, out=m[0])
+        np.add(a1 * b0, b1 * d0, out=m[1])
+        np.add(c1 * a0, d1 * c0, out=m[2])
+        np.add(c1 * b0, d1 * d0, out=m[3])
+        m = _scaled(m, exponents)
+    return m[:, 0].T.tolist(), exponents.tolist()
+
+
+def _scaled(m: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """The (4, k, blocks) matrices `m`, each divided by 2**e for the e that
+    brings its largest |entry| into [0.5, 1) (clipped to +-1021, so 2**-e is
+    a normal float), with each block's e added to `exponents`.
+
+    A power of two scales exactly, and a zero matrix keeps e = 0.
+    """
+    _, e = np.frexp(np.abs(m).max(axis=0))
+    np.clip(e, -1021, 1021, out=e)
+    exponents += e.sum(axis=0)
+    return m * np.ldexp(1.0, -e)
 
 
 def lyapunov_exponent(system: MapSystem, cfg: OrbitConfig | None = None) -> float:
     """Largest Lyapunov exponent along the post-transient orbit.
 
     Returns -inf when a sampled derivative vanishes exactly and the
-    log-average diverges.
+    log-average diverges. A Jacobian that does not broadcast to
+    (samples, dim, dim), or has a NaN or infinite entry, raises
+    ValueError naming the map.
     """
     cfg = cfg or OrbitConfig()
     _, a = _resolve(system, cfg)

@@ -8,7 +8,8 @@ are immutable after construction and every function is pure.
 One rule reads every matrix or vector argument on the state space:
 `_as_array` converts it to a complex array, and NaN, inf or an integer
 beyond the float range raises ValueError "<name> has a non-finite
-entry" before any arithmetic.
+entry" before any arithmetic; a string, a ragged sequence or a mapping
+raises ValueError "<name> must be an array of numbers, got <type>".
 
 Entropies use the natural logarithm. Base conversion is a display
 concern and lives with the report writers in `jsonio`, not here.
@@ -208,7 +209,9 @@ def _as_array(value, name: str) -> np.ndarray:
     """`value` as a complex array of finite entries: the one conversion of an array argument.
 
     NaN, inf or an integer beyond the float range raises "<name> has a
-    non-finite entry" before any arithmetic.
+    non-finite entry" before any arithmetic; a value that is no array of
+    numbers (a string, a ragged sequence, a mapping) raises "<name> must be
+    an array of numbers, got <type>".
     """
     try:
         a = np.asarray(value, dtype=complex)
@@ -216,6 +219,9 @@ def _as_array(value, name: str) -> np.ndarray:
             return a
     except OverflowError:
         pass
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of numbers, "
+                         f"got {type(value).__name__}") from None
     raise ValueError(f"{name} has a non-finite entry")
 
 

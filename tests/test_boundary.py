@@ -100,7 +100,7 @@ CASES = {
     "ComplexityConfig": (2, 0),
     "ConjectureOutcome": (0.0, 0.0, 0.0, 0.0, True),
     "DensityOperator": (HALF,),
-    "EmpiricalChannel": (np.arange(2), np.ones(2, dtype=int), np.zeros((1, 2), dtype=int),
+    "EmpiricalChannel": (np.arange(2), np.array([1, 0]), np.zeros((1, 2), dtype=int),
                          np.ones(1, dtype=int)),
     "FixedPolicy": (0, 0),
     "IndexGroup": (2,),
@@ -265,10 +265,12 @@ def test_an_overflowing_product_is_named_without_a_warning(name):
     assert str(err.value) == message
 
 
-# Arrays a value type's constructor refuses, naming the field. Kept
-# unchecked, positions past the cells would give a conditional entropy of
-# 0.0, and float positions an IndexError in a later method.
-CELLS, COUNTS, PAIR = np.arange(2), np.ones(2, dtype=int), np.ones(1, dtype=int)
+# Arrays a value type's constructor refuses, naming the field or the rule
+# they break together. Kept unchecked, positions past the cells would give
+# a conditional entropy of 0.0, float positions an IndexError in a later
+# method, and counts that disagree a transition row summing to 0 or a
+# RuntimeWarning. CELLS, COUNTS, [[0, 1]] and PAIR are one valid channel.
+CELLS, COUNTS, PAIR = np.arange(2), np.array([1, 0]), np.ones(1, dtype=int)
 REJECTED = {
     "Schatten-string": (lambda: infodyn.SchattenDecomposition("abc", None),
                         "vectors has a non-finite entry"),
@@ -304,6 +306,27 @@ REJECTED = {
     "Empirical-ragged-cells": (
         lambda: infodyn.EmpiricalChannel([[0], [1, 2]], COUNTS, [[0, 1]], PAIR),
         "cells must be an integer array of shape (n,), got object of shape (2,)"),
+    "Empirical-cells-descending": (
+        lambda: infodyn.EmpiricalChannel([5, 1], COUNTS, [[0, 1]], PAIR),
+        "cells must be strictly ascending"),
+    "Empirical-cells-repeated": (
+        lambda: infodyn.EmpiricalChannel([1, 1], COUNTS, [[0, 1]], PAIR),
+        "cells must be strictly ascending"),
+    "Empirical-pairs-descending": (
+        lambda: infodyn.EmpiricalChannel(CELLS, [2, 0], [[0, 1], [0, 0]], [1, 1]),
+        "pair_positions must be strictly ascending by flat index src * n + dst"),
+    "Empirical-pairs-repeated": (
+        lambda: infodyn.EmpiricalChannel(CELLS, [2, 0], [[0, 1], [0, 1]], [1, 1]),
+        "pair_positions must be strictly ascending by flat index src * n + dst"),
+    "Empirical-zero-pair-count": (
+        lambda: infodyn.EmpiricalChannel(CELLS, [1, 1], [[0, 1]], [0]),
+        "pair_counts must be positive"),
+    "Empirical-counts-disagree": (
+        lambda: infodyn.EmpiricalChannel(CELLS, [1, 1], [[0, 1]], PAIR),
+        "pair_counts summed per source position must equal source_counts"),
+    "Empirical-counts-exceed": (
+        lambda: infodyn.EmpiricalChannel(CELLS, [0, 1], [[0, 1]], [3]),
+        "pair_counts summed per source position must equal source_counts"),
 }
 
 

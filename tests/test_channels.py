@@ -392,6 +392,29 @@ NEW_ROWS = [
 ]
 
 
+# Values that are no array of numbers, with their type's name: `_as_array`
+# names the field before numpy's own conversion error.
+NOT_NUMBERS = {"string": ("abc", "str"), "ragged": ([[1.0, 0.0], [0.5]], "list"),
+               "mapping": ({"a": 1.0}, "dict")}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_NUMBERS))
+@pytest.mark.parametrize("reader", sorted(SQUARE_READERS.keys() | {"tensor", "partial-trace",
+                                                                      "apply-matrix"}))
+def test_readers_name_a_value_that_is_no_array_of_numbers(reader, kind):
+    value, type_name = NOT_NUMBERS[kind]
+    with pytest.raises(ValueError, match=f"^[A-Za-z ]+ must be an array of numbers, got {type_name}$"):
+        {**SQUARE_READERS, **ARRAY_READERS}[reader](value)
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_NUMBERS))
+def test_density_operator_names_a_value_that_is_no_array_of_numbers(kind):
+    value, type_name = NOT_NUMBERS[kind]
+    with pytest.raises(ValueError) as err:
+        DensityOperator(value)
+    assert str(err.value) == f"density operator must be an array of numbers, got {type_name}"
+
+
 @pytest.mark.parametrize("build, entries", [
     (DensityOperator, [[NAN, 0.0], [0.0, 0.5]]),
     (DensityOperator, [[0.5, NAN], [NAN, 0.5]]),

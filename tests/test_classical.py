@@ -222,26 +222,86 @@ def test_custom_map_from_step_and_jacobian_matches_builtin_logistic():
         assert lyapunov_exponent(custom, cfg) == lyapunov_exponent(logistic_map(), cfg)
 
 
+def _per_step_lyapunov(jacobians) -> float:
+    """The renormalised tangent recurrence, one 2 x 2 step at a time in
+    plain Python floats: the oracle of the blocked products."""
+    v0, v1, acc = 1.0, 0.0, 0.0
+    for (j00, j01), (j10, j11) in jacobians:
+        w0 = j00 * v0 + j01 * v1
+        w1 = j10 * v0 + j11 * v1
+        norm = math.hypot(w0, w1)
+        acc += math.log(norm)
+        v0, v1 = w0 / norm, w1 / norm
+    return acc / len(jacobians)
+
+
 def test_tinkerbell_matches_per_step_reference():
     # Reference: the per-point step and Jacobian in plain Python floats,
     # with the renormalised tangent recurrence; the array path must give
-    # the same bits.
+    # the orbit's bits, and the exponent to within rounding.
     a, b, c, d = 0.9, -0.6013, 2.0, 0.5
     x, y = -0.72, -0.64
     points = []
     for _ in range(100 + 2000):
         x, y = x * x - y * y + a * x + b * y, 2.0 * x * y + c * x + d * y
         points.append((x, y))
-    v0, v1, acc = 1.0, 0.0, 0.0
-    for x, y in points[100:]:
-        w0 = (2.0 * x + a) * v0 + (-2.0 * y + b) * v1
-        w1 = (2.0 * y + c) * v0 + (2.0 * x + d) * v1
-        norm = math.hypot(w0, w1)
-        acc += math.log(norm)
-        v0, v1 = w0 / norm, w1 / norm
+    reference = _per_step_lyapunov([((2.0 * x + a, -2.0 * y + b), (2.0 * y + c, 2.0 * x + d))
+                                    for x, y in points[100:]])
     cfg = OrbitConfig(transient=100, samples=2000, param=a)
     assert iterate_orbit(tinkerbell_map(), cfg).tolist() == [list(p) for p in points[100:]]
-    assert lyapunov_exponent(tinkerbell_map(), cfg) == acc / 2000
+    assert abs(lyapunov_exponent(tinkerbell_map(), cfg) - reference) <= 1e-12
+
+
+@pytest.mark.parametrize("samples", [1, 63, 64, 65, classical.ORBIT_CHUNK - 1,
+                                     classical.ORBIT_CHUNK + 1],
+                         ids=["1", "63", "64", "65", "chunk-1", "chunk+1"])
+@pytest.mark.parametrize("a", [0.685, 0.9])
+def test_blocked_lyapunov_matches_per_step_recurrence(samples, a):
+    # Block edges, a padded last block and a last slice of one step, on a
+    # periodic (a = 0.685) and a chaotic orbit.
+    system, cfg = tinkerbell_map(), OrbitConfig(transient=100, samples=samples, param=a)
+    reference = _per_step_lyapunov(system.jacobian(iterate_orbit(system, cfg), a).tolist())
+    assert abs(lyapunov_exponent(system, cfg) - reference) <= 1e-12
+
+
+def _constant_points(start, a):
+    while True:
+        yield 0.5
+        yield 0.5
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_blocked_lyapunov_at_extreme_jacobian_scales(scale):
+    # A product of a block's Jacobians near 1e+-300 would leave the float
+    # range; the scaled products neither overflow nor warn (warnings are
+    # errors in this suite) and keep the per-step recurrence's value.
+    def jacobian(orbit, a):
+        return scale * np.random.default_rng(7).standard_normal((len(orbit), 2, 2))
+
+    system = MapSystem(name="scaled", box=((0.0, 1.0), (0.0, 1.0)), default_x0=(0.3, 0.3),
+                       default_param=0.0, points=_constant_points, jacobian=jacobian)
+    cfg = OrbitConfig(transient=0, samples=1000)
+    reference = _per_step_lyapunov(jacobian(range(1000), 0.0).tolist())
+    lam = lyapunov_exponent(system, cfg)
+    assert abs(lam - math.log(scale)) < 2.0
+    assert lam == pytest.approx(reference, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim, jacobian, message", [
+    (1, lambda orbit, a: np.ones(3), "has shape (3,), which does not broadcast to (20, 1, 1)"),
+    (2, lambda orbit, a: np.ones((len(orbit), 2)),
+     "has shape (20, 2), which does not broadcast to (20, 2, 2)"),
+    (1, lambda orbit, a: np.full((len(orbit), 1, 1), math.nan), "has a non-finite entry"),
+    (1, lambda orbit, a: np.full((len(orbit), 1, 1), math.inf), "has a non-finite entry"),
+    (2, lambda orbit, a: np.array([[1.0, math.nan], [0.0, 1.0]]), "has a non-finite entry"),
+    (2, lambda orbit, a: np.array([[1.0, 0.0], [-math.inf, 1.0]]), "has a non-finite entry"),
+], ids=["shape-1d", "shape-2d", "nan-1d", "inf-1d", "nan-2d", "inf-2d"])
+def test_lyapunov_rejects_a_bad_jacobian_by_map_name(dim, jacobian, message):
+    system = MapSystem(name="bad", box=((0.0, 1.0),) * dim, default_x0=(0.3,) * dim,
+                       default_param=0.0, points=_constant_points, jacobian=jacobian)
+    with pytest.raises(ValueError) as err:
+        lyapunov_exponent(system, OrbitConfig(transient=0, samples=20))
+    assert str(err.value) == f"jacobian of map 'bad' {message}"
 
 
 def test_logistic_matches_per_step_reference():
@@ -270,13 +330,16 @@ def test_baker_matches_per_step_reference(x0):
     assert iterate_orbit(baker_map(), cfg).tolist() == points[5:]
 
 
-@pytest.mark.parametrize("chunk", [1, 13])
-def test_orbit_chunk_size_does_not_change_results(monkeypatch, chunk):
+@pytest.mark.parametrize("blocks", [1, 13])
+def test_orbit_chunk_size_does_not_change_results(monkeypatch, blocks):
+    # ORBIT_CHUNK is a whole number of Lyapunov blocks, so the blocks start
+    # at the same steps whatever the slice length, and the bits agree.
+    assert classical.ORBIT_CHUNK % classical._LYAPUNOV_BLOCK == 0
     cases = [(logistic_map(), OrbitConfig(transient=5, samples=200)),
              (tinkerbell_map(), OrbitConfig(transient=100, samples=2000)),
              (baker_map(), OrbitConfig(x0=(0.3, 0.4), transient=3, samples=50))]
     expected = [(iterate_orbit(s, c), lyapunov_exponent(s, c)) for s, c in cases]
-    monkeypatch.setattr(classical, "ORBIT_CHUNK", chunk)
+    monkeypatch.setattr(classical, "ORBIT_CHUNK", blocks * classical._LYAPUNOV_BLOCK)
     for (system, cfg), (orbit, lam) in zip(cases, expected):
         assert np.array_equal(iterate_orbit(system, cfg), orbit)
         assert lyapunov_exponent(system, cfg) == lam
@@ -422,7 +485,7 @@ def test_empirical_channel_is_immutable_and_compares_by_identity():
     with pytest.raises(AttributeError, match="^EmpiricalChannel is immutable$"):
         a.cells = b.cells
     cells = np.arange(2)
-    built = EmpiricalChannel(cells, np.ones(2, dtype=int), np.zeros((1, 2), dtype=int),
+    built = EmpiricalChannel(cells, np.array([1, 0]), np.zeros((1, 2), dtype=int),
                              np.ones(1, dtype=int))
     assert built.cells is not cells and not built.cells.flags.writeable
 
