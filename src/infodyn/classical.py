@@ -46,7 +46,7 @@ DEFAULT_BINS = 100
 DEFAULT_WINDOW = 5
 MAX_SWEEP_ROWS = 1_000_000
 # Largest sweep worker count. Each worker holds one sweep point at a
-# time, near 1 GB at MAX_ORBIT_STEPS, and a fork-started pool forks all
+# time, up to 700 MB at MAX_ORBIT_STEPS, and a fork-started pool forks all
 # its workers at the first submit; the standard library itself caps a
 # Windows pool at 61.
 MAX_WORKERS = 64
@@ -54,12 +54,13 @@ MAX_WORKERS = 64
 # map's coordinate stream straight into the orbit array and peaks at
 # about 10 B per step in one dimension and 20 B in two. Binning and pair
 # counting bring a 1-D sweep point to 32 B per step at 100 bins and 39 B
-# at 1000 (logistic map, a = 3.9). In 2-D the Jacobian stack, which the
-# Tinkerbell map builds from four coordinate arrays, sets the peak at
-# 80 B (tracemalloc, 10**6 steps, x86-64, numpy 2.4.6); the blocked
-# Lyapunov products after it hold a few MB per ORBIT_CHUNK slice. That is
-# near 1 GB at the cap, which admits 10**7 samples after the default
-# transient. A sweep holds one point per worker at a time.
+# at 1000 (logistic map, a = 3.9). In 2-D a point peaks at 48 B per step
+# on the baker map (100 bins) and at 56 B on the Tinkerbell map (30 bins),
+# whose Jacobian stack of 32 B per step sets the peak (tracemalloc, 10**6
+# steps, x86-64, numpy 2.4.6); the blocked Lyapunov products after it
+# hold a few MB per ORBIT_CHUNK slice. That is under 700 MB at the cap,
+# which admits 10**7 samples after the default transient. A sweep holds
+# one point per worker at a time.
 MAX_ORBIT_STEPS = 12_000_000
 # Jacobians per slice of the blocked Lyapunov products: a whole number of
 # _LYAPUNOV_BLOCK blocks, so blocks start at the same steps whatever the
@@ -190,10 +191,17 @@ def _tinkerbell_points(start, a):
 
 
 def _tinkerbell_jacobian(orbit, a):
+    # Each entry scale * coordinate + shift is computed in its slot of the
+    # one (samples, 2, 2) array, so the Jacobian takes no temporaries.
     x, y = orbit[:, 0], orbit[:, 1]
-    return np.stack([2.0 * x + a, -2.0 * y + _TINKERBELL_B,
-                     2.0 * y + _TINKERBELL_C, 2.0 * x + _TINKERBELL_D],
-                    axis=1).reshape(-1, 2, 2)
+    jac = np.empty((orbit.shape[0], 2, 2))
+    for entry, coord, scale, shift in ((jac[:, 0, 0], x, 2.0, a),
+                                       (jac[:, 0, 1], y, -2.0, _TINKERBELL_B),
+                                       (jac[:, 1, 0], y, 2.0, _TINKERBELL_C),
+                                       (jac[:, 1, 1], x, 2.0, _TINKERBELL_D)):
+        np.multiply(scale, coord, out=entry)
+        entry += shift
+    return jac
 
 
 def tinkerbell_map() -> MapSystem:

@@ -77,6 +77,9 @@ CHANNEL_KINDS = tuple(_CHANNEL_DATA)
 # speed swings about 2x, one BLAS thread). So a run stays under about
 # 20 s at n = 3 and 40 min at n = 64.
 MAX_RECOGNITION_STEPS = 100_000
+# The one encoder of `recognize`'s lines; `json.dumps` with these options
+# would build an encoder for every step.
+_STEP_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _is_real(value) -> bool:
@@ -114,7 +117,8 @@ def json_to_complex(value) -> complex:
 
 def matrix_to_json(matrix) -> list[list[list[float]]]:
     m = np.asarray(matrix, dtype=complex)
-    return np.stack((m.real, m.imag), axis=-1).tolist()
+    # A contiguous complex array read as floats is its [re, im] pairs.
+    return np.ascontiguousarray(m).view(float).reshape(m.shape + (2,)).tolist()
 
 
 def _numbers(nest, depth: int) -> np.ndarray | None:
@@ -297,8 +301,16 @@ def parse_value_batch(obj) -> dict:
 
 
 def load_json(path: str) -> Any:
+    """The JSON value in the file at `path`.
+
+    Text that is not UTF-8 JSON, or that is nested too deeply for the
+    parser, raises ValueError "<path>: <reason>".
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def dump_json(obj: Any) -> str:
@@ -355,9 +367,8 @@ def value_json(outcomes, rate: float, dim: int, seed: int) -> str:
 def step_lines(steps) -> str:
     """`recognize`'s JSON Lines of `recognition.RecognitionStep`s: one compact object per step."""
     return "".join(
-        json.dumps({"t": step.t, "i": step.i, "j": step.j, "probability": step.probability,
-                    "gamma": matrix_to_json(step.memory.matrix),
-                    "entropy_of_gamma": von_neumann_entropy(step.memory)},
-                   sort_keys=True, separators=(",", ":")) + "\n"
+        _STEP_ENCODER.encode({"t": step.t, "i": step.i, "j": step.j, "probability": step.probability,
+                              "gamma": matrix_to_json(step.memory.matrix),
+                              "entropy_of_gamma": von_neumann_entropy(step.memory)}) + "\n"
         for step in steps
     )

@@ -17,11 +17,14 @@ b_i, with indices taken mod n:
     gamma'(i, j) = (gamma o M_ij) / p(i, j)
     M_ij[s, t]   = conj(b_i(s + j)) rho_{s+j, t+j} b_i(t + j)
 
-where o is the entrywise product. `outcome_probabilities` evaluates the
-first line for all n^2 outcomes at once (a gather over the cyclic index
-and a product with diag gamma), and `recognize_sequence` applies the
-second, so a step costs O(n^3) arithmetic plus one eigendecomposition of
-the new n x n memory; the n^2 x n^2 entangled register is never built.
+where o is the entrywise product. One function evaluates the first line
+for all n^2 outcomes at once (a gather over the cyclic index and a
+product with diag gamma), for `outcome_probabilities` and for each step
+of `recognize_sequence`, which applies the second, so a step costs
+O(n^3) arithmetic plus one eigendecomposition of the new n x n memory;
+the n^2 x n^2 entangled register is never built. A step checks only the
+dimension of its signal: the memory it conditions is the state the step
+before built.
 The gathers read index tables that depend on the basis alone, so
 `BellSystem` builds them once: the weights |b_i(m)|^2, the circulant
 index (m - j) mod n and the shifted index (s + j) mod n.
@@ -183,13 +186,17 @@ def _check_outcome(i: int, j: int, n: int) -> None:
 
 def _check_inputs(rho, gamma, bell: BellSystem, i: int, j: int):
     r, g = as_density(rho), as_density(gamma)
-    n = bell.n
-    if r.n != n or g.n != n:
-        raise DimensionMismatch(
-            f"signal dim {r.n} and memory dim {g.n} must equal system dim {n}"
-        )
-    _check_outcome(i, j, n)
+    _check_dims(r.n, g.n, bell.n)
+    _check_outcome(i, j, bell.n)
     return r, g
+
+
+def _check_dims(signal_dim: int, memory_dim: int, n: int) -> None:
+    """Signal and memory states: both of the system dimension n."""
+    if signal_dim != n or memory_dim != n:
+        raise DimensionMismatch(
+            f"signal dim {signal_dim} and memory dim {memory_dim} must equal system dim {n}"
+        )
 
 
 def _conditioned_block(i: int, j: int, rho: DensityOperator, gamma: DensityOperator,
@@ -225,8 +232,8 @@ def _closed_form_probabilities(r: DensityOperator, g: DensityOperator,
     With m = s + j the sum is a matrix product of |b_i(m)|^2 rho_mm with
     the circulant of diag gamma gathered over the cyclic index.
     """
-    circulant = np.diagonal(g.matrix).real[bell._circulant]  # [m, j]: s = m - j
-    weights = bell._weights * np.diagonal(r.matrix).real  # [i, m]
+    circulant = g.matrix.diagonal().real[bell._circulant]  # [m, j]: s = m - j
+    weights = bell._weights * r.matrix.diagonal().real  # [i, m]
     # Diagonals of states clamped to PSD can dip a rounding step below 0.
     return np.maximum(weights @ circulant, 0.0)
 
@@ -404,9 +411,13 @@ def _chooser(policy, n: int):
 
 
 def _steps(memory: DensityOperator, signals, bell: BellSystem, choose) -> Iterator[RecognitionStep]:
+    # Each memory is an n x n state by construction, so only the signal's
+    # dimension is checked, with `outcome_probabilities`' message.
+    n = bell.n
     for t, signal in enumerate(signals):
         signal = as_density(signal)
-        probs = outcome_probabilities(signal, memory, bell)
+        _check_dims(signal.n, n, n)
+        probs = _closed_form_probabilities(signal, memory, bell)
         i, j = choose(probs)
         p = float(probs[i, j])
         if p <= PROBABILITY_FLOOR:

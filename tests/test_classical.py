@@ -252,6 +252,19 @@ def test_tinkerbell_matches_per_step_reference():
     assert abs(lyapunov_exponent(tinkerbell_map(), cfg) - reference) <= 1e-12
 
 
+@pytest.mark.parametrize("a", [0.685, 0.9])
+def test_tinkerbell_jacobian_matches_the_stacked_entries(a):
+    # Oracle: the four entries as whole-orbit arrays, stacked; the
+    # preallocated Jacobian must hold their bits.
+    orbit = iterate_orbit(tinkerbell_map(), OrbitConfig(transient=100, samples=5000, param=a))
+    x, y = orbit[:, 0], orbit[:, 1]
+    expected = np.stack([2.0 * x + a, -2.0 * y - 0.6013, 2.0 * y + 2.0, 2.0 * x + 0.5],
+                        axis=1).reshape(-1, 2, 2)
+    jac = tinkerbell_map().jacobian(orbit, a)
+    assert jac.shape == (5000, 2, 2) and jac.dtype == np.float64
+    assert np.array_equal(jac, expected)
+
+
 @pytest.mark.parametrize("samples", [1, 63, 64, 65, classical.ORBIT_CHUNK - 1,
                                      classical.ORBIT_CHUNK + 1],
                          ids=["1", "63", "64", "65", "chunk-1", "chunk+1"])

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -161,11 +162,26 @@ def test_quantum_ecd_missing_file_is_usage_error(tmp_path):
     assert main(["quantum-ecd", "--state", state, "--channel", str(tmp_path / "nope.json")]) == 2
 
 
-def test_quantum_ecd_malformed_json_is_usage_error(tmp_path):
+def test_quantum_ecd_malformed_json_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     state = state_file(tmp_path, [[1.0]])
     assert main(["quantum-ecd", "--state", state, "--channel", str(bad)]) == 2
+    # Of the two input files, the message names the one at fault.
+    assert capsys.readouterr().err == (f"error: {bad}: Expecting property name enclosed in "
+                                       "double quotes: line 1 column 2 (char 1)\n")
+
+
+@pytest.mark.parametrize("data, reason", [
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+])
+def test_an_input_that_is_no_json_is_named_by_its_path(tmp_path, capsys, data, reason):
+    path = tmp_path / "experiment.json"
+    path.write_bytes(data)
+    assert main(["recognize", "--experiment", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
 
 def test_quantum_ecd_rejects_bad_log_base(tmp_path, capsys):
@@ -593,8 +609,14 @@ BAD_VALUES = [True, False, None, "fourier", "", 0, -1, 0.5, 2.5, 10**400, -(10**
 
 def run_with_input(tmp_path, name, payload):
     """Exit code of the subcommand of VALID_INPUTS[name] on `payload`, the other inputs valid."""
+    return run_with_text(tmp_path, name, dump_json(payload))
+
+
+def run_with_text(tmp_path, name, text):
+    """Exit code of the subcommand of VALID_INPUTS[name] on an input file holding `text`."""
     command = VALID_INPUTS[name][0]
-    path = write_json(tmp_path / "input.json", payload)
+    (tmp_path / "input.json").write_text(text)
+    path = str(tmp_path / "input.json")
     state = state_file(tmp_path, VALID_INPUTS["state"][1], "valid_state.json")
     channel = channel_file(tmp_path, VALID_INPUTS["unitary"][1], "valid_channel.json")
     argv = {
@@ -656,3 +678,24 @@ def test_any_numeric_flag_value_exits_with_an_input_code(tmp_path, capsys, comma
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 4, 5), (value, code)
         assert sum("error:" in line for line in err.splitlines()) == (code != 0), (value, err)
+
+
+# Deep nests of JSON arrays, at each depth on both sides of the interpreter's
+# recursion limit, where `json.load` itself starts to raise RecursionError.
+DEEP_NEST_DEPTHS = range(sys.getrecursionlimit() - 100, sys.getrecursionlimit() + 101)
+
+
+@pytest.mark.parametrize("name, field", [("state", None), ("state", "matrix"),
+                                         ("experiment", None), ("experiment", "rho"),
+                                         ("batch", None), ("batch", "dim")])
+def test_a_deeply_nested_input_is_a_usage_error_at_any_depth(tmp_path, capsys, name, field):
+    for depth in DEEP_NEST_DEPTHS:
+        # The nest is spliced in as text, since encoding it would itself
+        # recurse too deeply.
+        nest = "[" * depth + "]" * depth
+        text = nest if field is None else dump_json({**VALID_INPUTS[name][1], field: 0}).replace(
+            f'"{field}": 0', f'"{field}": {nest}')
+        code = run_with_text(tmp_path, name, text)
+        err = capsys.readouterr().err
+        assert code == 2, depth
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err, depth

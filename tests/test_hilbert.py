@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from infodyn import channels, classical, jsonio, metrics, recognition
 from infodyn.exceptions import DimensionMismatch
 from infodyn.hilbert import (
+    EIGENVALUE_FLOOR,
     DensityOperator,
     IndexGroup,
     SchattenDecomposition,
@@ -505,8 +506,36 @@ def test_density_spectra_of_a_stack_match_each_density_operator():
     (np.array([[np.nan, 0.0], [0.0, 0.5]]), "non-finite"),
 ])
 def test_density_spectra_refuses_any_bad_matrix_of_a_stack(bad, message):
+    # One matrix takes its own branch; alone or in a stack, a bad matrix
+    # raises the same message.
     from infodyn.hilbert import _density_spectra
 
     good = np.diag([0.5, 0.5]).astype(complex)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as stacked:
         _density_spectra(np.stack([good, bad.astype(complex), good]))
+    with pytest.raises(ValueError, match=message) as alone:
+        _density_spectra(bad.astype(complex))
+    assert str(alone.value) == str(stacked.value)
+
+
+def _agreement_inputs():
+    rng = np.random.default_rng(36)
+    yield from (random_density(n, rng).matrix for n in range(1, 9))
+    yield from (np.outer(v, v.conj()) for v in (random_state(n, rng) for n in (2, 3, 5, 8)))
+    yield np.diag([0.5, 0.0, 0.25, 0.0, 0.25]).astype(complex)
+    yield np.diag([1.0, -0.0]).astype(complex)
+    yield np.diag([0.6 - EIGENVALUE_FLOOR / 2, 0.4, EIGENVALUE_FLOOR / 2]).astype(complex)
+
+
+@pytest.mark.parametrize("m", list(_agreement_inputs()),
+                         ids=[*(f"full-rank-{n}" for n in range(1, 9)),
+                              *(f"pure-{n}" for n in (2, 3, 5, 8)),
+                              "zeros", "negative-zero", "clamped"])
+def test_one_matrix_and_a_stack_of_one_give_the_same_bits(m):
+    # A DensityOperator takes the one-matrix branch of `_density_spectra`,
+    # a stack its stacked path: every slot must agree bit for bit, and every
+    # eigenvalue in its sign, whether it was clipped or not.
+    alone, stacked = DensityOperator(m), _density_operators(m[None])[0]
+    for name in DensityOperator.__slots__:
+        assert np.array_equal(getattr(alone, name), getattr(stacked, name)), name
+    assert np.array_equal(np.signbit(alone.eigenvalues), np.signbit(stacked.eigenvalues))

@@ -37,6 +37,23 @@ def test_matrix_round_trip():
     assert np.array_equal(json_to_matrix(matrix_to_json(m)), m)
 
 
+@pytest.mark.parametrize("matrix", [
+    RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)),
+    (RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))).T,
+    np.array([[-0.0, 1.0], [2.0j, -0.0 - 0.0j]]),
+    [[1, 2], [3, 4]],
+    np.arange(3.0),
+], ids=["complex", "transposed", "signed-zeros", "integers", "vector"])
+def test_matrix_to_json_writes_each_entry_as_its_re_im_pair(matrix):
+    # Oracle: the real and imaginary parts stacked on a last axis; the
+    # written floats must have their bits, signed zeros included.
+    m = np.asarray(matrix, dtype=complex)
+    expected = np.stack((m.real, m.imag), axis=-1)
+    written = matrix_to_json(matrix)
+    assert written == expected.tolist()
+    assert np.array_equal(np.signbit(np.array(written)), np.signbit(expected))
+
+
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
         json_to_matrix([[1.0, 2.0], [3.0]])

@@ -198,6 +198,17 @@ def test_complex_arrays_are_read_only_through_the_array_rule():
     assert stray == []
 
 
+def test_the_declared_numpy_floor_has_every_array_attribute_the_code_reads():
+    # `ndarray.mT`, the stacked transpose that the kernels read, exists
+    # from numpy 2.0 on; under an older numpy the first stacked kernel fails.
+    package = Path(infodyn.__file__).parent
+    uses_mt = any(isinstance(node, ast.Attribute) and node.attr == "mT"
+                  for path in package.glob("*.py") for node in ast.walk(ast.parse(path.read_text())))
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', (package.parents[1] / "pyproject.toml").read_text())
+    assert uses_mt and floor is not None
+    assert tuple(map(int, floor.groups())) >= (2, 0)
+
+
 def test_every_size_cap_is_named_in_the_readme():
     package = Path(infodyn.__file__).parent
     readme = (package.parents[1] / "README.md").read_text()

@@ -451,6 +451,28 @@ def test_recognize_yields_the_steps_before_a_failing_one():
         next(steps)
 
 
+@pytest.mark.parametrize("bad, error, message", [
+    (np.eye(2) / 2, DimensionMismatch, "^signal dim 2 and memory dim 3 must equal system dim 3$"),
+    (np.diag([1.2, -0.1, -0.1]), ValueError,
+     "^matrix is not positive semidefinite: eigenvalue -1.000e-01$"),
+])
+def test_recognize_checks_each_signal_of_a_lazy_stream_when_it_is_reached(bad, error, message):
+    # The loop checks only the signal of each step; a bad one read lazily at
+    # step 2 still raises, after steps 0 and 1.
+    rng = np.random.default_rng(36)
+    gamma = random_density(3, rng)
+
+    def signals():
+        yield random_density(3, rng)
+        yield random_density(3, rng).matrix
+        yield bad
+
+    steps = recognize_sequence(gamma, signals(), fourier_bell(3), ArgmaxPolicy())
+    assert [next(steps).t for _ in range(2)] == [0, 1]
+    with pytest.raises(error, match=message):
+        next(steps)
+
+
 def peak_traced_bytes(run):
     tracemalloc.start()
     try:
