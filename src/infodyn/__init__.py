@@ -3,7 +3,8 @@
 The package splits into five layers:
 
 - ``hilbert``: finite-dimensional states, spectral decompositions,
-  entropies, and the index-group toolkit everything else builds on.
+  entropies, shift and multiplication operators on the cyclic index set,
+  and the private helpers that the other layers share.
 - ``channels``: quantum channels (Kraus, Schur-multiplier, unitary,
   stochastic) plus complete-positivity diagnostics.
 - ``metrics``: chaos degree, transmitted complexity, axiom property

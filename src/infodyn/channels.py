@@ -5,6 +5,16 @@ the package needs: Kraus-sum channels, entrywise (Schur) damping by a
 positive weight matrix, unitary conjugation, and the classical
 row-stochastic push-forward embedded on diagonal densities.
 
+A `Channel` is built from its kind and its data alone. The constructor
+derives the dimension and the trace-preservation flag from the data, by
+the rule of each kind, and checks the data as that kind requires, so the
+flag is decided here and nowhere else; each factory below only shapes its
+argument. A "kraus" stack preserves trace when `hilbert._check_kraus_sums`
+passes every family of it, a Schur channel when its weight's diagonal is
+1 within 1e-12; a unitary must pass `hilbert._check_orthonormal` and a
+stochastic matrix must be real, nonnegative and row-stochastic, and both
+preserve trace.
+
 A `Channel` acts on one matrix or on a stack (..., n, n) of them.
 `Channel.kraus_vectors` gives the images of a stack of pure states as
 their Kraus vectors, which the chaos degree (through the Gram spectra of
@@ -54,6 +64,7 @@ from .hilbert import (
     DensityOperator,
     _Frozen,
     _as_array,
+    _brief,
     _check_integer,
     _check_kraus_sums,
     _check_orthonormal,
@@ -245,17 +256,23 @@ class BranchDilation(_Frozen):
 class Channel(_Frozen):
     """A linear map from states to states, tagged by construction kind.
 
-    Kinds: "kraus", "schur", "unitary", "stochastic". A "kraus" channel
-    with sum A*A below the identity, or a "schur" channel whose weight
-    has a diagonal entry other than 1, does not preserve trace. `apply`
+    Built as `Channel(kind, data)`, with the data of its kind: "kraus", a
+    Kraus stack (r, n, n); "unitary", an n x n unitary matrix; "schur", a
+    positive weight matrix or `SchurWeight`; "stochastic", a row-stochastic
+    matrix. The constructor derives `dim` and `is_trace_preserving` from
+    the data and raises ValueError on data of the wrong form, on data its
+    kind's check rejects and on any other kind. A "kraus" channel with sum
+    A*A below the identity, or a "schur" channel whose weight has a
+    diagonal entry other than 1, does not preserve trace. `apply`
     always returns a DensityOperator, so on such a channel it raises
     when the image's trace is not 1; `apply_matrix` gives the raw image.
     A unitary channel is the rank-one Kraus form {U}: "kraus" and
     "unitary" channels both hold a Kraus stack (r, n, n) and share one
     arithmetic. A "kraus" channel may hold a stack (L, r, n, n) of
     families instead; it then acts on matrices (L, n, n) and on rows
-    (L, ..., k, n), family by family. Only the stacked kernels of
-    :mod:`infodyn.metrics` build one, once every family's Kraus sums pass.
+    (L, ..., k, n), family by family, and preserves trace only if every
+    family does. Only the stacked kernels of :mod:`infodyn.metrics` build
+    one.
 
     `apply_matrix` acts on one matrix or on a stack of them. A pure
     state's image is never formed as an n x n matrix: the image of
@@ -267,18 +284,42 @@ class Channel(_Frozen):
 
     __slots__ = ("kind", "dim", "is_trace_preserving", "image_width", "_data", "_factor", "_row_bound")
 
-    def __init__(self, kind, dim, is_trace_preserving, data):
-        dim = int(dim)
-        # What `kraus_vectors` applies to a row v: the (..., n, r n) matrix whose
-        # product with v lists A_1 v, ..., A_r v (kraus, unitary), or the rows
-        # sqrt(g) h (r, n) of a Schur weight's spectral terms, which v multiplies
-        # entrywise. `image_width` is r, the number of Kraus vectors per state (n for stochastic).
-        if kind == "schur":
-            factor = np.array([np.sqrt(g) * h for g, h in data.spectral_terms()]).reshape(-1, dim)
+    def __init__(self, kind, data):
+        # Each kind reads its data, derives the trace-preservation flag, and
+        # sets what `kraus_vectors` applies to a row v: the (..., n, r n)
+        # matrix whose product with v lists A_1 v, ..., A_r v (kraus, unitary),
+        # or the rows sqrt(g) h (r, n) of a Schur weight's spectral terms, which
+        # v multiplies entrywise. `image_width` is r, the number of Kraus
+        # vectors per state (n for stochastic).
+        if kind == "kraus":
+            data = _as_array(data, "Kraus operator")
+            if data.ndim < 3 or data.shape[-1] != data.shape[-2] or not data.size:
+                raise ValueError(f"Kraus stack must have shape (..., r, n, n), got {data.shape}")
+            tp = bool(_check_kraus_sums(data).all())
+        elif kind == "unitary":
+            data = _square(data, "unitary")[None].copy()
+            _check_orthonormal(data[0], UNITARY_TOL, "unitary", "matrix is not unitary: deviation")
+            tp = True
+        elif kind == "schur":
+            data = as_weight(data)
+            tp = bool(np.max(np.abs(np.diagonal(data.matrix).real - 1.0)) <= 1e-12)
+            factor = np.array([np.sqrt(g) * h for g, h in data.spectral_terms()]).reshape(-1, data.n)
             width = factor.shape[0]
         elif kind == "stochastic":
-            factor, width = None, dim
+            p = _square(data, "stochastic matrix")
+            # n entries of at most max / n sum without overflow; a larger one fails the row rule.
+            rows = p.real.sum(axis=1) if p.real.max() <= np.finfo(float).max / p.shape[0] else np.inf
+            for broken, rule in ((np.any(p.imag), "must be real"),
+                                 (not np.all(p.real >= -1e-14), "entries must be nonnegative"),
+                                 (not np.max(np.abs(rows - 1.0)) <= 1e-10, "rows must sum to 1")):
+                if broken:
+                    raise ValueError(f"stochastic matrix {rule}")
+            data, tp, factor, width = np.clip(p.real, 0.0, None), True, None, p.shape[0]
         else:
+            raise ValueError("channel kind must be one of ('kraus', 'schur', 'unitary', "
+                             f"'stochastic'), got {_brief(kind)}")
+        dim = data.n if kind == "schur" else data.shape[-1]
+        if kind in ("kraus", "unitary"):
             # (..., r, i, j) -> (..., j, r, i), then r and i flattened.
             factor = data.swapaxes(-1, -3).swapaxes(-1, -2).reshape(data.shape[:-3] + (dim, -1))
             width = data.shape[-3]
@@ -289,7 +330,7 @@ class Channel(_Frozen):
         # sixteenth of the float maximum.
         scale = float(np.abs(data if factor is None else factor).max(initial=0.0))
         bound = math.sqrt(np.finfo(float).max / (4 * max(width, 1) * dim)) / (2 * dim * max(scale, 1.0))
-        self._set(kind=kind, dim=dim, is_trace_preserving=bool(is_trace_preserving),
+        self._set(kind=kind, dim=dim, is_trace_preserving=tp,
                   image_width=width, _data=data, _factor=factor, _row_bound=bound)
 
     def __repr__(self):
@@ -374,23 +415,16 @@ def kraus_channel(operators) -> Channel:
         raise DimensionMismatch("Kraus operators must share one square shape")
     if not shape[0]:
         raise ValueError(f"Kraus operator must be a non-empty matrix, got shape {shape}")
-    stacked = np.stack(ops)
-    tp = _check_kraus_sums(stacked)
-    return Channel("kraus", shape[0], is_trace_preserving=tp, data=stacked)
+    return Channel("kraus", np.stack(ops))
 
 
 def schur_channel(weight) -> Channel:
-    w = as_weight(weight)
-    diag = np.diagonal(w.matrix).real
-    tp = bool(np.max(np.abs(diag - 1.0)) <= 1e-12)
-    return Channel("schur", w.n, is_trace_preserving=tp, data=w)
+    return Channel("schur", weight)
 
 
 def unitary_channel(u) -> Channel:
     """Conjugation by a unitary, stored as its one-operator Kraus form."""
-    um = _square(u, "unitary")
-    _check_orthonormal(um, UNITARY_TOL, "unitary", "matrix is not unitary: deviation")
-    return Channel("unitary", um.shape[0], is_trace_preserving=True, data=um[None].copy())
+    return Channel("unitary", u)
 
 
 def identity_channel(n: int) -> Channel:
@@ -409,17 +443,7 @@ def stochastic_channel(p) -> Channel:
     Acts on diagonal densities as the distribution map p -> p P and
     extends linearly to all matrices by reading only the diagonal.
     """
-    pm = _square(p, "stochastic matrix")
-    if np.any(pm.imag):
-        raise ValueError("stochastic matrix must be real")
-    pm = pm.real
-    if not np.all(pm >= -1e-14):
-        raise ValueError("stochastic matrix entries must be nonnegative")
-    # n entries of at most max / n sum without overflow; a larger one fails the row rule.
-    rows = pm.sum(axis=1) if pm.max() <= np.finfo(float).max / pm.shape[0] else np.inf
-    if not float(np.max(np.abs(rows - 1.0))) <= 1e-10:
-        raise ValueError("stochastic matrix rows must sum to 1")
-    return Channel("stochastic", pm.shape[0], is_trace_preserving=True, data=np.clip(pm, 0.0, None))
+    return Channel("stochastic", p)
 
 
 def depolarizing_channel(n: int, p: float = 1.0) -> Channel:

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import OrbitEscape
-from .hilbert import DensityOperator, _Frozen, _check_integer, _check_real
+from .hilbert import DensityOperator, _Frozen, _brief, _check_integer, _check_real
 from .channels import Channel, stochastic_channel
 from .metrics import DEFAULT_EPS_CONST, DEFAULT_EPS_ZERO, classify_dynamics
 
@@ -242,7 +242,7 @@ class OrbitConfig:
         _check_integer("transient", self.transient, 0)
         if self.transient + self.samples > MAX_ORBIT_STEPS:
             raise ValueError(
-                f"orbit of transient + samples = {self.transient + self.samples} steps "
+                f"orbit of transient + samples = {_brief(int(self.transient + self.samples))} steps "
                 f"exceeds the limit MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"
             )
         if self.x0 is not None:
@@ -304,7 +304,7 @@ class Partition:
         # A Python int, so that a numpy integer `bins` cannot overflow here.
         cells = int(self.bins) ** len(box)
         if cells > MAX_PARTITION_CELLS:
-            raise ValueError(f"bins={self.bins} gives {cells} cells, more than the limit "
+            raise ValueError(f"bins={_brief(int(self.bins))} gives {_brief(cells)} cells, more than the limit "
                              f"MAX_PARTITION_CELLS={MAX_PARTITION_CELLS}")
         object.__setattr__(self, "box", box)
 
@@ -359,39 +359,37 @@ class EmpiricalChannel(_Frozen):
     index src * m + dst. Both counting paths of `empirical_channel`
     (dense `np.bincount` tables bounded by DENSE_COUNT_CELLS and
     DENSE_COUNT_RATIO, a sort beyond) give these same arrays.
-    `source_counts` is the integer number of transitions leaving each
-    cell, summing to the orbit length minus one; both the occupation
-    distribution and the row totals of the pair counts are read from it.
+    `source_counts` (int64) is the number of transitions leaving each
+    cell, summing to the orbit length minus one; the constructor derives
+    it from the pair counts, summed per source position. Both the
+    occupation distribution and the row totals of the pair counts are read
+    from it.
     Dest-only cells have count zero, and their transition rows (never
     observed) are filled with a self-loop purely to keep the matrix
     stochastic; they contribute nothing to any entropy sum. Instances are
     immutable and hold copies of the arrays they are given. Each must be
     an array of nonnegative integers of its shape: `cells` (n,),
-    `source_counts` (n,), `pair_positions` (m, 2) of positions into
-    `cells`, below n, and `pair_counts` (m,); otherwise ValueError names
-    the field. The arrays must also agree, or ValueError names the rule
-    they break: `cells` strictly ascending, the pairs strictly ascending
-    by flat index, every pair count positive, and the pair counts summed
-    per source position equal to `source_counts`.
+    `pair_positions` (m, 2) of positions into `cells`, below n, and
+    `pair_counts` (m,); otherwise ValueError names the field. The arrays
+    must also agree, or ValueError names the rule they break: `cells`
+    strictly ascending, the pairs strictly ascending by flat index, and
+    every pair count positive.
     """
 
     __slots__ = ("cells", "source_counts", "pair_positions", "pair_counts")
 
-    def __init__(self, cells, source_counts, pair_positions, pair_counts):
+    def __init__(self, cells, pair_positions, pair_counts):
         cells = _integer_array("cells", cells, ("n",))
-        source_counts = _integer_array("source_counts", source_counts, cells.shape)
         pair_positions = _integer_array("pair_positions", pair_positions, ("m", 2), cells.size)
         pair_counts = _integer_array("pair_counts", pair_counts, pair_positions.shape[:1])
         src = pair_positions[:, 0].astype(np.int64)
         flat = src * cells.size + pair_positions[:, 1]
-        sums = np.zeros(cells.size, dtype=np.int64)
-        np.add.at(sums, src, pair_counts)
+        source_counts = np.zeros(cells.size, dtype=np.int64)
+        np.add.at(source_counts, src, pair_counts)
         for broken, rule in ((cells[1:] <= cells[:-1], "cells must be strictly ascending"),
                              (flat[1:] <= flat[:-1], "pair_positions must be strictly "
                               "ascending by flat index src * n + dst"),
-                             (pair_counts == 0, "pair_counts must be positive"),
-                             (sums != source_counts, "pair_counts summed per source "
-                              "position must equal source_counts")):
+                             (pair_counts == 0, "pair_counts must be positive")):
             if broken.any():
                 raise ValueError(rule)
         self._set(cells=cells, source_counts=source_counts,
@@ -462,8 +460,7 @@ def empirical_channel(orbit, partition: Partition) -> EmpiricalChannel:
         positions = lookup[codes]
     else:
         cells, positions = np.unique(codes, return_inverse=True)
-    src, dst = positions[:-1], positions[1:]
-    flat = src.astype(np.int64) * cells.size + dst
+    flat = positions[:-1].astype(np.int64) * cells.size + positions[1:]
     if _counts_densely(cells.size * cells.size, flat.size):
         pair_table = np.bincount(flat)
         # flatnonzero scans a bool array several times faster than int64.
@@ -474,12 +471,7 @@ def empirical_channel(orbit, partition: Partition) -> EmpiricalChannel:
     pair_positions = np.stack(
         [unique_pairs // cells.size, unique_pairs % cells.size], axis=1
     )
-    return EmpiricalChannel(
-        cells=cells,
-        source_counts=np.bincount(src, minlength=cells.size),
-        pair_positions=pair_positions,
-        pair_counts=counts,
-    )
+    return EmpiricalChannel(cells=cells, pair_positions=pair_positions, pair_counts=counts)
 
 
 def orbit_chaos_degree(system: MapSystem, cfg: OrbitConfig | None = None,

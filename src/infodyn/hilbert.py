@@ -28,7 +28,9 @@ non-empty square matrix: a state, a weight, a unitary, a signal basis, a
 purpose operator or a map's image, `_check_integer`, the
 integer-input rule (type, then lower bound, then cap) with its predicate
 `_is_integer`, `_check_real`, the real-input rule (a finite
-real number within optional closed bounds), `_haar_unitaries`, the Haar
+real number within optional closed bounds), `_brief`, the one echo of
+an input value in an error message (its repr, cut at a fixed length
+without building the rest), `_haar_unitaries`, the Haar
 sampler, `_complex_gaussians`, the one Gaussian stream of every sampler,
 `_block_starts`, the one degeneracy rule, which `_degenerate_blocks`
 reads, `_self_adjoint_spectra`, the one eigendecomposition (the
@@ -49,8 +51,9 @@ relative-entropy formula, for a stack of states each against its own
 sigma, which `relative_entropy` (a stack of one) and the transmitted
 complexity share.
 The Kraus-form helpers that `channels` and the stacked kernels of
-`metrics` share live here too, each taking one operand or a stack:
-`_check_kraus_sums`, the one Kraus-sum check, `_gram_fits`, the bound
+`metrics` use live here too, each taking one operand or a stack:
+`_check_kraus_sums`, the one Kraus-sum check, which only the constructor
+of `channels.Channel` calls, `_gram_fits`, the bound
 under which a Gram sum sum A*A cannot overflow, which no other module
 names, `_check_orthonormal`, the one unitarity check (of a unitary's
 columns and of a signal basis's rows), `_isometry_blocks`, and
@@ -239,6 +242,30 @@ def _square(matrix, name: str) -> np.ndarray:
     return m
 
 
+def _brief(value, limit: int = 80) -> str:
+    """`repr(value)` for an input-error message, cut to its first `limit` characters and "...".
+
+    Lists and dicts, the containers of JSON, and strings are rendered only
+    as far as the cut, so a long or deeply nested value costs no more than
+    its first `limit` characters. A value whose repr fits keeps it unchanged.
+    """
+    # repr(v), or a text longer than `room` whose first `room` + 1 characters
+    # are those of repr(v), up to the quotes a cut string is given.
+    def head(v, room: int) -> str:
+        if type(v) in (list, dict):
+            text, items = ("[", v) if type(v) is list else ("{", (x for kv in v.items() for x in kv))
+            for i, item in enumerate(items):
+                if len(text) > room:
+                    return text
+                sep = ": " if i % 2 and type(v) is dict else ", " if i else ""
+                text += sep + head(item, room - len(text))
+            return text + ("]" if type(v) is list else "}")
+        return repr(v[:room + 1] if type(v) is str else v)
+
+    text = head(value, limit)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def _is_integer(value) -> bool:
     """True for an integer, numpy's included; booleans do not count."""
     # The exact-type test settles a plain int at a fraction of the cost of
@@ -256,9 +283,9 @@ def _check_integer(name: str, value, low: int | None = None,
     if not _is_integer(value) or (low is not None and value < low):
         kind = {None: "an integer", 0: "a nonnegative integer",
                 1: "a positive integer"}.get(low, f"an integer >= {low}")
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
+        raise ValueError(f"{name} must be {kind}, got {_brief(value)}")
     if limit is not None and value > limit:
-        raise ValueError(f"{name}={value} exceeds the limit {limit_name}={limit}")
+        raise ValueError(f"{name}={_brief(int(value))} exceeds the limit {limit_name}={limit}")
     return value
 
 
@@ -279,7 +306,7 @@ def _check_real(name: str, value, low: float | None = None, high: float | None =
                   else f" >= {low:g}" if high is None
                   else f" <= {high:g}" if low is None
                   else f" in [{low:g}, {high:g}]")
-        raise ValueError(f"{name} must be a finite real number{bounds}, got {value!r}")
+        raise ValueError(f"{name} must be a finite real number{bounds}, got {_brief(value)}")
     return number
 
 

@@ -51,6 +51,7 @@ from .channels import Channel, kraus_channel, schur_channel, stochastic_channel,
 from .exceptions import DimensionMismatch
 from .hilbert import (
     DensityOperator,
+    _brief,
     _check_integer,
     _check_real,
     _density_operators,
@@ -92,7 +93,7 @@ def _object(obj, where: str, required=(), optional=()) -> dict:
         raise ValueError(f"{where} must be a JSON object")
     unknown = set(obj).difference(required, optional)
     if unknown:
-        raise ValueError(f"unknown fields in {where}: {sorted(unknown)}")
+        raise ValueError(f"unknown fields in {where}: {_brief(sorted(unknown))}")
     for key in required:
         if key not in obj:
             raise ValueError(f"{where} is missing {key!r}")
@@ -105,13 +106,13 @@ def json_to_complex(value) -> complex:
     elif _is_real(value):
         parts = (value,)
     else:
-        raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
+        raise ValueError(f"expected a number or [re, im] pair, got {_brief(value)}")
     try:
         z = complex(*parts)
     except OverflowError:  # an integer beyond the float range
         z = complex(cmath.inf)
     if not cmath.isfinite(z):
-        raise ValueError(f"expected a finite number, got {value!r}")
+        raise ValueError(f"expected a finite number, got {_brief(value)}")
     return z
 
 
@@ -203,19 +204,15 @@ def parse_channel(obj: dict) -> Channel:
     # keeps an unhashable kind a ValueError.
     kind = _object(obj, "channel", optional=obj).get("kind")
     if kind not in CHANNEL_KINDS:
-        raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}, got {kind!r}")
+        raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}, got {_brief(kind)}")
     field = _CHANNEL_DATA[kind]
     data = _object(obj, "channel", required=("kind", field))[field]
     if kind == "kraus":
         if not isinstance(data, list) or not data:
             raise ValueError("kraus channel requires a non-empty kraus_ops array")
         return kraus_channel([json_to_matrix(op) for op in data])
-    m = json_to_matrix(data)
-    if kind == "unitary":
-        return unitary_channel(m)
-    if kind == "ktau":
-        return schur_channel(m)
-    return stochastic_channel(m)
+    factory = {"unitary": unitary_channel, "ktau": schur_channel, "stochastic": stochastic_channel}[kind]
+    return factory(json_to_matrix(data))
 
 
 def parse_basis(obj, n: int) -> SignalBasis:
@@ -228,7 +225,7 @@ def parse_basis(obj, n: int) -> SignalBasis:
         if basis.n != n:
             raise ValueError(f"custom basis has dimension {basis.n}, expected {n}")
         return basis
-    raise ValueError(f"basis must be 'fourier', 'standard', or {{'custom': matrix}}, got {obj!r}")
+    raise ValueError(f"basis must be 'fourier', 'standard', or {{'custom': matrix}}, got {_brief(obj)}")
 
 
 def parse_experiment(obj: dict):
@@ -282,10 +279,10 @@ def parse_experiment(obj: dict):
         pair = _object(policy_field, "policy", required=("fixed",))["fixed"]
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(_is_integer(v) for v in pair)):
-            raise ValueError(f"fixed policy must be {{'fixed': [i, j]}} with integers, got {pair!r}")
+            raise ValueError(f"fixed policy must be {{'fixed': [i, j]}} with integers, got {_brief(pair)}")
         policy = FixedPolicy(pair[0], pair[1])
     else:
-        raise ValueError(f"policy must be 'sample', 'argmax', or {{'fixed': [i, j]}}, got {policy_field!r}")
+        raise ValueError(f"policy must be 'sample', 'argmax', or {{'fixed': [i, j]}}, got {_brief(policy_field)}")
     return gamma0, signals, bell, policy
 
 

@@ -44,8 +44,10 @@ per item, read through the same `image_spectra`, `kraus_vectors` and
 `hilbert._kron` for the tensor product, `_eigenbasis_values` for the
 eigenbasis chaos degree, `_transmitted_stacks` for T and one
 `_rotation_chunks` call, with every trial's seed, for the probes'
-rotations; no step loops over the items of a stack. In both, a family
-that is not trace-preserving raises through `_require_trace_preserving`.
+rotations; no step loops over the items of a stack. In both, the Kraus
+stacks become one `Channel` each, whose constructor derives the
+trace-preservation flag of every family, and a family that is not
+trace-preserving raises through `_require_trace_preserving`.
 A pair's chaos degree is its eigenbasis value unless its joint spectrum
 has a degenerate block or a weight at or below WEIGHT_FLOOR; only such a
 pair, where that value is not `_search`'s D, goes through `_search`
@@ -56,7 +58,9 @@ Every function here that takes a channel checks it through
 `_check_channel` before any arithmetic: a non-`Channel` raises
 TypeError and a channel of another dimension than the state (or the
 joint state, for the value functions) raises DimensionMismatch. The
-search then requires a trace-preserving channel.
+search then requires a trace-preserving channel, as `Channel` decides it
+from its data; `conjecture_experiment` requires it of both channels
+before it searches either.
 
 All values are in nats; `jsonio` writes the reports, in a display base
 for `quantum-ecd`.
@@ -75,9 +79,9 @@ from .hilbert import (
     DensityOperator,
     SchattenDecomposition,
     _block_starts,
+    _brief,
     _check_deviation,
     _check_integer,
-    _check_kraus_sums,
     _check_real,
     _complex_gaussians,
     _degenerate_blocks,
@@ -223,9 +227,9 @@ def _check_channel(channel, n: int, subject: str) -> None:
         raise DimensionMismatch(f"{subject} dim {n} vs channel dim {channel.dim}")
 
 
-def _require_trace_preserving(flags) -> None:
-    """The decomposition metrics' channel rule: every given family preserves trace."""
-    if not np.all(flags):
+def _require_trace_preserving(*channels: Channel) -> None:
+    """The decomposition metrics' channel rule: every given channel, each family of a stack, preserves trace."""
+    if not all(channel.is_trace_preserving for channel in channels):
         raise ValueError("decomposition metrics require a trace-preserving channel")
 
 
@@ -240,7 +244,7 @@ def _search(state: DensityOperator, channel: Channel, cfg: ComplexityConfig):
     and the minimizing eigenvector columns.
     """
     _check_channel(channel, state.n, "state")
-    _require_trace_preserving(channel.is_trace_preserving)
+    _require_trace_preserving(channel)
 
     lam, vec = state.eigenvalues, state.eigenvectors
     live = lam > WEIGHT_FLOOR
@@ -433,6 +437,7 @@ def conjecture_experiment(rho_p, gamma_o, channel_a: Channel, channel_b: Channel
                           purpose, config: ComplexityConfig | None = None) -> ConjectureOutcome:
     """Compare chaos-degree ordering with value ordering for two channels."""
     joint, (v_a, v_b) = _joint_values(rho_p, gamma_o, (channel_a, channel_b), purpose)
+    _require_trace_preserving(channel_a, channel_b)
     cfg = config or DEFAULT_CONFIG
     return _outcome(_search(joint, channel_a, cfg)[0], _search(joint, channel_b, cfg)[0], v_a, v_b)
 
@@ -460,7 +465,7 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
     `_search`; a lossy channel raises.
     """
     if not isinstance(identical_channels, (bool, np.bool_)):
-        raise ValueError(f"identical_channels must be a boolean, got {identical_channels!r}")
+        raise ValueError(f"identical_channels must be a boolean, got {_brief(identical_channels)}")
     _check_integer("dim", dim, 2, "MAX_VALUE_DIM", MAX_VALUE_DIM)
     _check_integer("pairs", pairs, 1, "MAX_VALUE_PAIRS", MAX_VALUE_PAIRS)
     _check_integer("kraus_terms", kraus_terms, 1, "MAX_KRAUS_TERMS", MAX_KRAUS_TERMS)
@@ -509,9 +514,9 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     rho, gamma = (_density_spectra(m)[0] for m in grams)
     joint, lam, vec = _density_spectra(_kron(rho, gamma))
     kraus = [_isometry_blocks(z, terms) for z in g_kraus]
-    _require_trace_preserving([_check_kraus_sums(ops) for ops in kraus])
+    channels = [Channel("kraus", ops) for ops in kraus]
+    _require_trace_preserving(*channels)
     q = _self_adjoint_purposes(0.5 * (g_purpose + g_purpose.conj().mT))
-    channels = [Channel("kraus", lam.shape[-1], True, ops) for ops in kraus]
     d = [_eigenbasis_values(lam, vec, ch) for ch in channels]
     v = [_real_values(ch.apply_matrix(joint), q).tolist() for ch in channels]
     # Off their eigenbasis value: a degenerate block, or a weight the search leaves out.
@@ -616,9 +621,8 @@ def _axiom_trials(draws, terms: int, rotation_seeds, restarts: int) -> list:
     n = g_rho.shape[1]
     grams = [_normalized_grams(g) for g in (g_rho, g_sigma)]
     (rho, lam, vec), (sigma, lam_sigma, _) = map(_density_spectra, grams)
-    kraus = _isometry_blocks(g_kraus, terms)
-    _require_trace_preserving(_check_kraus_sums(kraus))
-    channel = Channel("kraus", n, True, kraus)
+    channel = Channel("kraus", _isometry_blocks(g_kraus, terms))
+    _require_trace_preserving(channel)
     u = _haar_unitaries(g_u)
     relabeled, lam_rel, vec_rel = _density_spectra(u @ rho @ u.conj().mT)
     raw[:, 1] = raw[:, 0]

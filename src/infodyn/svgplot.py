@@ -12,6 +12,7 @@ identical input.
 
 from __future__ import annotations
 
+import itertools
 import math
 from html import escape
 
@@ -109,17 +110,9 @@ def line_plot(xs, series, xlabel: str = "", ylabel: str = "") -> str:
 
     for idx, (label, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        run: list[str] = []
-        chunks: list[list[str]] = []
-        for x, y in zip(xs, ys):
-            if math.isfinite(x) and math.isfinite(y):
-                run.append(f"{_fmt(px(x))},{_fmt(py(y))}")
-            elif run:
-                chunks.append(run)
-                run = []
-        if run:
-            chunks.append(run)
-        for chunk in chunks:
+        # Each run of finite points is one polyline, or a dot when it has one point.
+        runs = itertools.groupby(zip(xs, ys), lambda p: math.isfinite(p[0]) and math.isfinite(p[1]))
+        for chunk in ([f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in run] for finite, run in runs if finite):
             if len(chunk) == 1:
                 cx, cy = chunk[0].split(",")
                 parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')

@@ -11,10 +11,8 @@ in this suite, so a warning is a fault too.
 Arguments documented as package objects are duck-typed, so they are not
 fed: a `Channel`, `BellSystem`, `SignalBasis`, `Partition`, `MapSystem`,
 a policy, a `Generator`, and the `ComplexityConfig`, `OrbitConfig` and
-sweep rows that carry settings and results. The raw `Channel(...)`
-constructor is not called, since only the package's own constructors
-build its arguments, and neither are the exception types, which the
-package raises.
+sweep rows that carry settings and results. The exception types are not
+called, since the package raises them.
 """
 
 import itertools
@@ -100,8 +98,8 @@ CASES = {
     "ComplexityConfig": (2, 0),
     "ConjectureOutcome": (0.0, 0.0, 0.0, 0.0, True),
     "DensityOperator": (HALF,),
-    "EmpiricalChannel": (np.arange(2), np.array([1, 0]), np.zeros((1, 2), dtype=int),
-                         np.ones(1, dtype=int)),
+    "Channel": ("kraus", np.eye(2)[None]),
+    "EmpiricalChannel": (np.arange(2), np.zeros((1, 2), dtype=int), np.ones(1, dtype=int)),
     "FixedPolicy": (0, 0),
     "IndexGroup": (2,),
     "MapSystem": ("map", ((0.0, 1.0),), (0.5,), 3.0, _points, _jacobian),
@@ -185,7 +183,7 @@ def test_every_public_callable_has_a_case():
     exported = {name: getattr(infodyn, name) for name in infodyn.__all__}
     callables = {
         name for name, value in exported.items()
-        if callable(value) and value is not Channel
+        if callable(value)
         and not (isinstance(value, type) and issubclass(value, BaseException))
     }
     assert sorted(callables ^ CASES.keys()) == []
@@ -267,10 +265,11 @@ def test_an_overflowing_product_is_named_without_a_warning(name):
 
 # Arrays a value type's constructor refuses, naming the field or the rule
 # they break together. Kept unchecked, positions past the cells would give
-# a conditional entropy of 0.0, float positions an IndexError in a later
-# method, and counts that disagree a transition row summing to 0 or a
-# RuntimeWarning. CELLS, COUNTS, [[0, 1]] and PAIR are one valid channel.
-CELLS, COUNTS, PAIR = np.arange(2), np.array([1, 0]), np.ones(1, dtype=int)
+# a conditional entropy of 0.0 and float positions an IndexError in a later
+# method; a raw Kraus stack of the wrong shape would fail with an IndexError
+# or give a channel of the wrong dimension. CELLS, [[0, 1]] and PAIR are one
+# valid empirical channel.
+CELLS, PAIR = np.arange(2), np.ones(1, dtype=int)
 REJECTED = {
     "Schatten-string": (lambda: infodyn.SchattenDecomposition("abc", None),
                         "vectors has a non-finite entry"),
@@ -282,51 +281,59 @@ REJECTED = {
                                 "weights must be a real vector of length 1, got shape (1,)"),
     "Schatten-non-square": (lambda: infodyn.SchattenDecomposition(np.ones(2), np.ones((2, 3))),
                             "vectors must be a square matrix, got shape (2, 3)"),
+    "Channel-unknown-kind": (lambda: Channel("ktau", np.eye(2)),
+                             "channel kind must be one of ('kraus', 'schur', 'unitary', "
+                             "'stochastic'), got 'ktau'"),
+    "Channel-kraus-matrix": (lambda: Channel("kraus", np.eye(2)),
+                             "Kraus stack must have shape (..., r, n, n), got (2, 2)"),
+    "Channel-kraus-non-square": (lambda: Channel("kraus", np.ones((1, 2, 3))),
+                                 "Kraus stack must have shape (..., r, n, n), got (1, 2, 3)"),
+    "Channel-kraus-empty": (lambda: Channel("kraus", np.zeros((0, 2, 2))),
+                            "Kraus stack must have shape (..., r, n, n), got (0, 2, 2)"),
+    "Channel-kraus-string": (lambda: Channel("kraus", "abc"),
+                             "Kraus operator must be an array of numbers, got str"),
+    "Channel-unitary-stack": (lambda: Channel("unitary", np.eye(2)[None]),
+                              "unitary must be a square matrix, got shape (1, 2, 2)"),
+    "Channel-schur-vector": (lambda: Channel("schur", np.ones(2)),
+                             "weight must be a square matrix, got shape (2,)"),
+    "Channel-stochastic-string": (lambda: Channel("stochastic", "abc"),
+                                  "stochastic matrix must be an array of numbers, got str"),
     "Empirical-float-positions": (
-        lambda: infodyn.EmpiricalChannel(CELLS, COUNTS, np.zeros((1, 2)), PAIR),
+        lambda: infodyn.EmpiricalChannel(CELLS, np.zeros((1, 2)), PAIR),
         "pair_positions must be an integer array of shape (m, 2), got float64 of shape (1, 2)"),
     "Empirical-position-past-cells": (
-        lambda: infodyn.EmpiricalChannel(CELLS, COUNTS, [[0, 5]], PAIR),
+        lambda: infodyn.EmpiricalChannel(CELLS, [[0, 5]], PAIR),
         "pair_positions must lie in [0, 2), got entries from 0 to 5"),
     "Empirical-negative-position": (
-        lambda: infodyn.EmpiricalChannel(CELLS, COUNTS, [[-1, 0]], PAIR),
+        lambda: infodyn.EmpiricalChannel(CELLS, [[-1, 0]], PAIR),
         "pair_positions must lie in [0, 2), got entries from -1 to 0"),
-    "Empirical-float-counts": (
-        lambda: infodyn.EmpiricalChannel(CELLS, np.ones(2), [[0, 1]], PAIR),
-        "source_counts must be an integer array of shape (2,), got float64 of shape (2,)"),
     "Empirical-count-length": (
-        lambda: infodyn.EmpiricalChannel(CELLS, COUNTS, [[0, 1]], np.ones(2, dtype=int)),
+        lambda: infodyn.EmpiricalChannel(CELLS, [[0, 1]], np.ones(2, dtype=int)),
         "pair_counts must be an integer array of shape (1,), got int64 of shape (2,)"),
     "Empirical-negative-count": (
-        lambda: infodyn.EmpiricalChannel(CELLS, COUNTS, [[0, 1]], [-1]),
+        lambda: infodyn.EmpiricalChannel(CELLS, [[0, 1]], [-1]),
         "pair_counts must be nonnegative, got entries from -1 to -1"),
     "Empirical-positions-shape": (
-        lambda: infodyn.EmpiricalChannel(CELLS, COUNTS, [0, 1], PAIR),
+        lambda: infodyn.EmpiricalChannel(CELLS, [0, 1], PAIR),
         "pair_positions must be an integer array of shape (m, 2), got int64 of shape (2,)"),
     "Empirical-ragged-cells": (
-        lambda: infodyn.EmpiricalChannel([[0], [1, 2]], COUNTS, [[0, 1]], PAIR),
+        lambda: infodyn.EmpiricalChannel([[0], [1, 2]], [[0, 1]], PAIR),
         "cells must be an integer array of shape (n,), got object of shape (2,)"),
     "Empirical-cells-descending": (
-        lambda: infodyn.EmpiricalChannel([5, 1], COUNTS, [[0, 1]], PAIR),
+        lambda: infodyn.EmpiricalChannel([5, 1], [[0, 1]], PAIR),
         "cells must be strictly ascending"),
     "Empirical-cells-repeated": (
-        lambda: infodyn.EmpiricalChannel([1, 1], COUNTS, [[0, 1]], PAIR),
+        lambda: infodyn.EmpiricalChannel([1, 1], [[0, 1]], PAIR),
         "cells must be strictly ascending"),
     "Empirical-pairs-descending": (
-        lambda: infodyn.EmpiricalChannel(CELLS, [2, 0], [[0, 1], [0, 0]], [1, 1]),
+        lambda: infodyn.EmpiricalChannel(CELLS, [[0, 1], [0, 0]], [1, 1]),
         "pair_positions must be strictly ascending by flat index src * n + dst"),
     "Empirical-pairs-repeated": (
-        lambda: infodyn.EmpiricalChannel(CELLS, [2, 0], [[0, 1], [0, 1]], [1, 1]),
+        lambda: infodyn.EmpiricalChannel(CELLS, [[0, 1], [0, 1]], [1, 1]),
         "pair_positions must be strictly ascending by flat index src * n + dst"),
     "Empirical-zero-pair-count": (
-        lambda: infodyn.EmpiricalChannel(CELLS, [1, 1], [[0, 1]], [0]),
+        lambda: infodyn.EmpiricalChannel(CELLS, [[0, 1]], [0]),
         "pair_counts must be positive"),
-    "Empirical-counts-disagree": (
-        lambda: infodyn.EmpiricalChannel(CELLS, [1, 1], [[0, 1]], PAIR),
-        "pair_counts summed per source position must equal source_counts"),
-    "Empirical-counts-exceed": (
-        lambda: infodyn.EmpiricalChannel(CELLS, [0, 1], [[0, 1]], [3]),
-        "pair_counts summed per source position must equal source_counts"),
 }
 
 

@@ -190,6 +190,51 @@ def test_an_empty_matrix_is_named_before_any_arithmetic(build, name):
     assert str(exc.value) == f"{name} must be a non-empty matrix, got shape (0, 0)"
 
 
+# Raw data of each kind, with the dimension and trace-preservation flag that
+# the constructor derives from it; a factory given the same data agrees.
+LOSSY_KRAUS = np.stack([0.5 * np.eye(3)])
+DERIVED = {
+    "lossy-kraus": (("kraus", LOSSY_KRAUS), 3, False, lambda: kraus_channel(list(LOSSY_KRAUS))),
+    "kraus": (("kraus", np.stack([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.diag([1.0, -1.0])])),
+              2, True, None),
+    "schur-off-diagonal-one": (("schur", [[1.0, 0.5], [0.5, 0.8]]), 2, False,
+                               lambda: schur_channel([[1.0, 0.5], [0.5, 0.8]])),
+    "schur": (("schur", np.ones((2, 2))), 2, True, lambda: schur_channel(np.ones((2, 2)))),
+    "stack-with-one-lossy-family": (
+        ("kraus", np.stack([np.eye(3)[None], LOSSY_KRAUS, np.eye(3)[None]])), 3, False, None),
+    "stack": (("kraus", np.stack([np.eye(3)[None]] * 3)), 3, True, None),
+    "unitary": (("unitary", [[0.0, 1.0], [1.0, 0.0]]), 2, True,
+                lambda: unitary_channel([[0.0, 1.0], [1.0, 0.0]])),
+    "stochastic": (("stochastic", [[0.5, 0.5], [0.25, 0.75]]), 2, True,
+                   lambda: stochastic_channel([[0.5, 0.5], [0.25, 0.75]])),
+}
+
+
+@pytest.mark.parametrize("case", DERIVED)
+def test_a_channel_derives_its_dimension_and_trace_preservation_from_its_data(case):
+    (kind, data), dim, preserving, factory = DERIVED[case]
+    channel = Channel(kind, data)
+    assert (channel.kind, channel.dim, channel.is_trace_preserving) == (kind, dim, preserving)
+    if factory is not None:
+        built = factory()
+        assert (built.kind, built.dim, built.is_trace_preserving) == (kind, dim, preserving)
+        assert np.array_equal(built.apply_matrix(np.eye(dim)), channel.apply_matrix(np.eye(dim)))
+
+
+def test_a_raw_channel_checks_its_data_as_its_factory_does():
+    with pytest.raises(ValueError, match="^Kraus sum exceeds identity by 3.000e"):
+        Channel("kraus", 2 * np.eye(2)[None])
+    with pytest.raises(ValueError, match="^matrix is not unitary: deviation 3.000e"):
+        Channel("unitary", 2 * np.eye(2))
+    with pytest.raises(ValueError, match="^weight has negative eigenvalue"):
+        Channel("schur", -np.eye(2))
+    for p, message in [([[1.0j, 0.0], [0.0, 1.0]], "must be real"),
+                       ([[1.5, -0.5], [0.0, 1.0]], "entries must be nonnegative"),
+                       ([[0.5, 0.4], [0.0, 1.0]], "rows must sum to 1")]:
+        with pytest.raises(ValueError, match=f"^stochastic matrix {message}$"):
+            Channel("stochastic", p)
+
+
 def test_channel_is_immutable():
     lossy = kraus_channel([0.5 * np.eye(4)])
     with pytest.raises(AttributeError, match="^Channel is immutable$"):
@@ -677,7 +722,7 @@ def test_a_stack_of_kraus_families_acts_as_each_family_alone(terms):
     rng = np.random.default_rng(12)
     n = 4
     families = [random_kraus_channel(n, terms, rng) for _ in range(4)]
-    stack = Channel("kraus", n, True, np.stack([ch._data for ch in families]))
+    stack = Channel("kraus", np.stack([ch._data for ch in families]))
     assert (stack.dim, stack.image_width) == (n, terms)
     states = np.stack([random_density(n, rng).matrix for _ in families])
     vecs = rng.normal(size=(4, 2, n, n)) + 1j * rng.normal(size=(4, 2, n, n))

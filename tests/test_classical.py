@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import math
 import pickle
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -498,8 +499,7 @@ def test_empirical_channel_is_immutable_and_compares_by_identity():
     with pytest.raises(AttributeError, match="^EmpiricalChannel is immutable$"):
         a.cells = b.cells
     cells = np.arange(2)
-    built = EmpiricalChannel(cells, np.array([1, 0]), np.zeros((1, 2), dtype=int),
-                             np.ones(1, dtype=int))
+    built = EmpiricalChannel(cells, np.zeros((1, 2), dtype=int), np.ones(1, dtype=int))
     assert built.cells is not cells and not built.cells.flags.writeable
 
 
@@ -536,12 +536,15 @@ def _assert_same_channel(a, b):
     assert a.conditional_entropy() == b.conditional_entropy()
 
 
-@pytest.mark.parametrize("system, cfg, bins", [
+COUNTED_ORBITS = pytest.mark.parametrize("system, cfg, bins", [
     (logistic_map(), OrbitConfig(transient=100, samples=20_000, param=3.8), 100),
     (logistic_map(), OrbitConfig(transient=100, samples=20_000, param=4.0), 1000),
     (tinkerbell_map(), OrbitConfig(transient=1000, samples=10_000), 100),
     (baker_map(), OrbitConfig(x0=(0.3, 0.4), transient=0, samples=2000), 30),
 ], ids=["logistic-100", "logistic-1000", "tinkerbell", "baker"])
+
+
+@COUNTED_ORBITS
 def test_dense_and_sorted_counts_give_the_same_channel(system, cfg, bins):
     orbit = iterate_orbit(system, cfg)
     part = Partition(system.box, bins)
@@ -551,6 +554,20 @@ def test_dense_and_sorted_counts_give_the_same_channel(system, cfg, bins):
     assert dense.size ** 2 <= classical.DENSE_COUNT_CELLS
     _assert_same_channel(dense, sort)
     _assert_same_channel(empirical_channel(orbit, part), sort)
+
+
+@COUNTED_ORBITS
+def test_source_counts_are_the_transitions_leaving_each_cell(system, cfg, bins):
+    # The constructor sums the pair counts per source position; counting
+    # the orbit's steps by their source cell gives the same int64 totals.
+    orbit = iterate_orbit(system, cfg)
+    part = Partition(system.box, bins)
+    codes = part.encode(orbit)
+    for channel in _channels_on_both_paths(orbit, part):
+        steps = np.bincount(np.searchsorted(channel.cells, codes[:-1]), minlength=channel.size)
+        assert channel.source_counts.dtype == np.int64
+        assert np.array_equal(channel.source_counts, steps)
+        assert not channel.source_counts.flags.writeable
 
 
 @settings(max_examples=200, deadline=None)
@@ -810,3 +827,32 @@ def test_sweep_rejects_non_real_inputs_before_iterating(no_orbits, name, value):
 def test_sweep_rejects_nonpositive_workers(workers):
     with pytest.raises(ValueError, match=f"workers must be a positive integer, got {workers}"):
         sweep(logistic_map(), 3.5, 3.6, 0.1, OrbitConfig(transient=0, samples=10), workers=workers)
+
+
+# The per-step peaks of one sweep point that the MAX_ORBIT_STEPS comment
+# documents: (map, bins, documented bytes per step). They are measured at
+# 10**6 samples, where the orbit-sized arrays dominate the fixed tables
+# (at 2 * 10**5 samples the tables still add 20-30 B per step).
+POINT_PEAKS = {
+    "logistic-100": ("logistic", 100, 32),
+    "logistic-1000": ("logistic", 1000, 39),
+    "baker-100": ("baker", 100, 48),
+    "tinkerbell-30": ("tinkerbell", 30, 56),
+}
+# Allowed excess over the documented peak, for allocator and library noise.
+POINT_PEAK_MARGIN = 1.1
+
+
+@pytest.mark.parametrize("case", POINT_PEAKS)
+def test_a_sweep_point_stays_within_its_documented_bytes_per_step(case):
+    name, bins, documented = POINT_PEAKS[case]
+    system = classical.BUILTIN_MAPS[name]
+    cfg = OrbitConfig(transient=1000, samples=10**6, param=3.9 if name == "logistic" else None)
+    partition = Partition(system.box, bins)
+    tracemalloc.start()
+    try:
+        classical._point_metrics(system, cfg, partition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cfg.samples <= documented * POINT_PEAK_MARGIN, peak / cfg.samples

@@ -699,3 +699,22 @@ def test_a_deeply_nested_input_is_a_usage_error_at_any_depth(tmp_path, capsys, n
         err = capsys.readouterr().err
         assert code == 2, depth
         assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err, depth
+
+
+# Inputs whose offending value is long or deep. The error echoes only the
+# first characters of the value, so stderr stays one short line.
+LONG_INPUTS = {
+    "pair-of-200000-entries": ("state", json.dumps({"matrix": [[1.0, [0.0] * 200_000]]})),
+    "n-of-100000-entries": ("experiment", json.dumps({**VALID_INPUTS["experiment"][1],
+                                                      "n": [0] * 100_000})),
+    "nest-900-deep": ("state", "[" * 900 + "]" * 900),
+}
+
+
+@pytest.mark.parametrize("case", LONG_INPUTS)
+def test_a_long_or_deep_value_is_echoed_in_one_short_line(tmp_path, capsys, case):
+    name, text = LONG_INPUTS[case]
+    assert run_with_text(tmp_path, name, text) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 200, len(err)
+    assert err.endswith("...\n")

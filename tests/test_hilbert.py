@@ -13,6 +13,7 @@ from infodyn.hilbert import (
     DensityOperator,
     IndexGroup,
     SchattenDecomposition,
+    _brief,
     _check_real,
     _density_operators,
     as_density,
@@ -194,6 +195,33 @@ def test_real_rule_takes_numpy_reals_and_integers_as_floats():
     assert _check_real("p", 1, 0.0, 1.0) == 1.0
     with pytest.raises(ValueError, match="x must be a finite real number, got 1000"):
         _check_real("x", 10**400)
+
+
+@given(value=st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=90),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.tuples(inner) | st.tuples(inner, inner),
+    max_leaves=20))
+@settings(max_examples=200, deadline=None)
+def test_an_echoed_value_is_its_repr_when_that_fits_and_is_cut_otherwise(value):
+    full, shown = repr(value), _brief(value)
+    if len(full) <= 80:
+        assert shown == full
+    else:
+        assert len(shown) == 83 and shown.endswith("...")
+        # A long string is rendered from its first characters, whose repr
+        # may quote them differently from the whole string's.
+        if not {"'", '"'} & set(full):
+            assert shown[:80] == full[:80]
+
+
+def test_an_echoed_value_is_cut_before_its_repr_is_built():
+    deep = [0.0]
+    for _ in range(5000):  # deeper than `repr` itself could go
+        deep = [deep]
+    assert _brief(deep) == "[" * 80 + "..."
+    assert _brief([0] * 10**6, 10) == "[0, 0, 0, ..."
+    assert _brief({"a": "x" * 10**6}, 12) == "{'a': 'xxxxx..."
 
 
 def test_inner_product_orthogonal_standard_vectors():

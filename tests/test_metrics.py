@@ -254,7 +254,7 @@ def test_transmitted_stacks_equals_each_state_transmitted_call():
     vecs = np.stack([np.stack([rho.eigenvectors @ random_unitary(3, rng) for _ in range(3)])
                      for rho in states])
     # Each state's pieces through its own family of one stacked channel, over the decompositions.
-    stack = Channel("kraus", 3, True, np.stack([ch._data for ch in chans]))
+    stack = Channel("kraus", np.stack([ch._data for ch in chans]))
     stacked = metrics._transmitted_stacks(
         np.stack([rho.eigenvalues for rho in states]), stack.kraus_vectors(vecs.mT),
         np.stack([s.eigenvalues for s in sigmas]), np.stack([s.eigenvectors for s in sigmas]))
@@ -648,6 +648,20 @@ def test_value_pair_checks_each_channel_before_the_search():
             conjecture_experiment(rho, gamma, *pair, q)
 
 
+def test_a_raw_lossy_channel_fails_the_search_before_any_candidate(monkeypatch):
+    # A raw Kraus stack that keeps a quarter of the trace: its flag is
+    # derived from its data, so the search refuses it at once.
+    lossy = Channel("kraus", [0.5 * np.eye(4)])
+    assert not lossy.is_trace_preserving
+    monkeypatch.setattr(metrics, "_entropy_of_spectrum", lambda *args: pytest.fail("evaluated"))
+    message = "^decomposition metrics require a trace-preserving channel$"
+    with pytest.raises(ValueError, match=message):
+        chaos_degree(np.eye(4) / 4, lossy, ComplexityConfig(restarts=2))
+    rho, gamma = random_density(2, RNG), random_density(2, RNG)
+    with pytest.raises(ValueError, match=message):
+        conjecture_experiment(rho, gamma, lossy, random_kraus_channel(4, 2, RNG), np.eye(4))
+
+
 def test_value_functions_reject_a_non_channel():
     rho, gamma = random_density(2, RNG), random_density(2, RNG)
     ch = random_kraus_channel(4, 2, RNG)
@@ -803,7 +817,6 @@ def test_conjecture_batch_raises_the_trace_preservation_error_before_any_pair(
     def lossy(ops):
         return np.zeros(ops.shape[:-3], dtype=bool)
 
-    monkeypatch.setattr(metrics, "_check_kraus_sums", lossy)
     monkeypatch.setattr(channels, "_check_kraus_sums", lossy)
     message = "^decomposition metrics require a trace-preserving channel$"
     with pytest.raises(ValueError, match=message):
@@ -993,7 +1006,6 @@ def test_axiom_suite_raises_the_trace_preservation_error_through_the_per_trial_p
     def lossy(ops):
         return np.zeros(ops.shape[:-3], dtype=bool)
 
-    monkeypatch.setattr(metrics, "_check_kraus_sums", lossy)
     monkeypatch.setattr(channels, "_check_kraus_sums", lossy)
     message = "^decomposition metrics require a trace-preserving channel$"
     with pytest.raises(ValueError, match=message):

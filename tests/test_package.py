@@ -139,6 +139,20 @@ def test_only_hilbert_knows_the_gram_bound():
     assert stray == []
 
 
+def test_only_channels_decides_trace_preservation():
+    # A channel's flag is derived by its constructor: only `channels` calls
+    # the Kraus-sum check, and only `hilbert` defines it.
+    found = [
+        f"{path.stem}: {'defines' if isinstance(node, ast.FunctionDef) else 'calls'}"
+        for path in sorted(Path(infodyn.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.FunctionDef) and node.name == "_check_kraus_sums")
+        or (isinstance(node, ast.Call) and "_check_kraus_sums" in {
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)})
+    ]
+    assert found == ["channels: calls", "hilbert: defines"]
+
+
 def test_only_jsonio_speaks_json():
     # The wire format lives in one module: only `jsonio` imports `json`,
     # no class serializes itself, and `jsonio` imports neither `metrics`
