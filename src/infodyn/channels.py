@@ -279,7 +279,8 @@ class Channel(_Frozen):
     |v><v| is W W* for the Kraus vectors W = [A_1 v ... A_r v] of a
     Kraus form {A_k} of the channel, which `kraus_vectors` returns for a
     stack of states, and `image_spectra` reads its spectrum from the
-    Gram matrix W* W. Instances are immutable.
+    Gram matrix W* W. Instances are immutable and hold a copy of their
+    data, so a caller's array stays the caller's.
     """
 
     __slots__ = ("kind", "dim", "is_trace_preserving", "image_width", "_data", "_factor", "_row_bound")
@@ -292,7 +293,7 @@ class Channel(_Frozen):
         # v multiplies entrywise. `image_width` is r, the number of Kraus
         # vectors per state (n for stochastic).
         if kind == "kraus":
-            data = _as_array(data, "Kraus operator")
+            data = _as_array(data, "Kraus operator").copy()
             if data.ndim < 3 or data.shape[-1] != data.shape[-2] or not data.size:
                 raise ValueError(f"Kraus stack must have shape (..., r, n, n), got {data.shape}")
             tp = bool(_check_kraus_sums(data).all())

@@ -72,7 +72,7 @@ _LYAPUNOV_BLOCK = 2**6
 # Largest cell count bins ** dim of a Partition. Up to 2**53 the float
 # cell index of each axis is exact; the int64 flat code is exact to 2**63.
 MAX_PARTITION_CELLS = 2**53
-# Bounds on a dense count table in `empirical_channel`: at most 2**20
+# Bounds on a dense count table in `EmpiricalChannel`: at most 2**20
 # entries (8 MB of int64) and at most 4 entries per value counted.
 DENSE_COUNT_CELLS = 2**20
 DENSE_COUNT_RATIO = 4
@@ -88,11 +88,12 @@ class MapSystem:
     It is read no further than the orbit's length, so it may be endless.
     `jacobian(orbit, a)` takes a whole (samples, dim) orbit array and
     returns the derivatives along it as an array broadcastable to
-    (samples, dim, dim), with finite entries. Every bound of `box`, every
-    component of `default_x0` and `default_param` must be a finite real
-    number, and each interval of `box` needs lo < hi; `box` and
-    `default_x0` are stored as tuples of floats, so maps given arrays
-    still compare.
+    (samples, dim, dim), with finite entries. `box` must be a sequence of
+    (lo, hi) pairs and `default_x0` a sequence, or ValueError names the
+    field. Every bound of `box`, every component of `default_x0` and
+    `default_param` must be a finite real number, and each interval of
+    `box` needs lo < hi; `box` and `default_x0` are stored as tuples of
+    floats, so maps given arrays still compare.
     """
 
     name: str
@@ -104,8 +105,7 @@ class MapSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "box", _check_box(self.box))
-        object.__setattr__(self, "default_x0",
-                           tuple(_check_real("default_x0", v) for v in self.default_x0))
+        object.__setattr__(self, "default_x0", _reals("default_x0", self.default_x0))
         object.__setattr__(self, "default_param", _check_real("default_param", self.default_param))
         if self.dim not in (1, 2):
             raise ValueError(f"only 1- and 2-dimensional maps are supported, got {self.dim}")
@@ -117,9 +117,27 @@ class MapSystem:
         return len(self.box)
 
 
+def _sequence(name: str, value, what: str, length: int | None = None) -> tuple:
+    """The items of `value`, which must be `what`: an iterable, of `length`
+    items when given, or ValueError names `name`."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = None
+    if items is None or length not in (None, len(items)):
+        raise ValueError(f"{name} must be {what}, got {_brief(value)}")
+    return items
+
+
+def _reals(name: str, value) -> tuple[float, ...]:
+    """`value` as a tuple of floats, each a finite real number."""
+    return tuple(_check_real(name, v) for v in _sequence(name, value, "a sequence of real numbers"))
+
+
 def _check_box(box) -> tuple[tuple[float, float], ...]:
     """`box` as (lo, hi) pairs of floats, each bound a finite real number and lo < hi."""
-    box = tuple((_check_real("box", lo), _check_real("box", hi)) for lo, hi in box)
+    pairs = _sequence("box", box, "a sequence of (lo, hi) pairs")
+    box = tuple(_reals("box", _sequence("box interval", pair, "a pair (lo, hi)", 2)) for pair in pairs)
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box intervals must have positive width")
     return box
@@ -228,7 +246,8 @@ class OrbitConfig:
     """Initial point, transient length, sample length, and parameter.
 
     `x0` and `param` default to the map's own defaults when None; given,
-    each component of `x0` and `param` must be a finite real number. An
+    `x0` must be a sequence, and each component of `x0` and `param` a
+    finite real number, or ValueError names the field. An
     orbit longer than MAX_ORBIT_STEPS in all raises ValueError.
     """
 
@@ -246,7 +265,7 @@ class OrbitConfig:
                 f"exceeds the limit MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"
             )
         if self.x0 is not None:
-            object.__setattr__(self, "x0", tuple(_check_real("x0", v) for v in self.x0))
+            object.__setattr__(self, "x0", _reals("x0", self.x0))
         if self.param is not None:
             object.__setattr__(self, "param", _check_real("param", self.param))
 
@@ -333,67 +352,70 @@ class Partition:
         return codes
 
 
-def _integer_array(name: str, value, shape: tuple, stop: int | None = None) -> np.ndarray:
-    """A copy of `value`, which must be an integer array of `shape` (a str
-    entry is a free length) with entries in [0, stop), or at least 0."""
-    try:
-        a = np.array(value)
-    except ValueError:  # a ragged sequence
-        a = np.array(value, dtype=object)
-    if a.dtype.kind not in "iu" or a.ndim != len(shape) or any(
-            got != want for got, want in zip(a.shape, shape) if not isinstance(want, str)):
-        text = "(" + ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "") + ")"
-        raise ValueError(f"{name} must be an integer array of shape {text}, "
-                         f"got {a.dtype} of shape {a.shape}")
-    if a.size and (a.min() < 0 or (stop is not None and a.max() >= stop)):
-        bounds = "be nonnegative" if stop is None else f"lie in [0, {stop})"
-        raise ValueError(f"{name} must {bounds}, got entries from {a.min()} to {a.max()}")
-    return a
+def _counts_densely(entries: int, values: int) -> bool:
+    """Whether to count `values` codes into a table of `entries` entries
+    rather than sort them.
+
+    Zeroing and scanning the table cost as much as the sort at about 8
+    entries per value (x86-64, numpy 2.4.6), so the table is used up to
+    DENSE_COUNT_RATIO entries per value and DENSE_COUNT_CELLS in all.
+    """
+    return entries <= min(DENSE_COUNT_CELLS, DENSE_COUNT_RATIO * values)
 
 
 class EmpiricalChannel(_Frozen):
     """One-step transition statistics of a binned orbit.
 
+    `EmpiricalChannel(orbit, partition)` bins the orbit with
+    `partition.encode` and counts its cells, and then the pairs of cells
+    of its consecutive points: each with `np.bincount` into a dense table
+    when `_counts_densely` admits its size (the partition's bins ** dim
+    cells, then m * m pairs of the m visited cells), otherwise by sorting
+    (`np.unique`). `np.flatnonzero` lists a table's entries in the
+    ascending order the sort gives, so both paths give the same arrays
+    and the same D. An orbit of fewer than 2 points raises ValueError,
+    as does any point `encode` rejects.
+
     `cells` lists every visited cell code (as source or destination) in
-    ascending order, and the pairs come in ascending order of their flat
-    index src * m + dst. Both counting paths of `empirical_channel`
-    (dense `np.bincount` tables bounded by DENSE_COUNT_CELLS and
-    DENSE_COUNT_RATIO, a sort beyond) give these same arrays.
-    `source_counts` (int64) is the number of transitions leaving each
-    cell, summing to the orbit length minus one; the constructor derives
-    it from the pair counts, summed per source position. Both the
-    occupation distribution and the row totals of the pair counts are read
-    from it.
-    Dest-only cells have count zero, and their transition rows (never
-    observed) are filled with a self-loop purely to keep the matrix
-    stochastic; they contribute nothing to any entropy sum. Instances are
-    immutable and hold copies of the arrays they are given. Each must be
-    an array of nonnegative integers of its shape: `cells` (n,),
-    `pair_positions` (m, 2) of positions into `cells`, below n, and
-    `pair_counts` (m,); otherwise ValueError names the field. The arrays
-    must also agree, or ValueError names the rule they break: `cells`
-    strictly ascending, the pairs strictly ascending by flat index, and
-    every pair count positive.
+    ascending order, and the pairs (`pair_positions`, positions into
+    `cells`, with their `pair_counts`) come in ascending order of their
+    flat index src * m + dst. `source_counts` (int64) is the number of
+    transitions leaving each cell, summing to the orbit length minus one:
+    the cell's count of points, less one at the last point's cell. Both
+    the occupation distribution and the row totals of the pair counts are
+    read from it. Dest-only cells have count zero, and their transition
+    rows (never observed) are filled with a self-loop purely to keep the
+    matrix stochastic; they contribute nothing to any entropy sum.
+    Instances are immutable.
     """
 
     __slots__ = ("cells", "source_counts", "pair_positions", "pair_counts")
 
-    def __init__(self, cells, pair_positions, pair_counts):
-        cells = _integer_array("cells", cells, ("n",))
-        pair_positions = _integer_array("pair_positions", pair_positions, ("m", 2), cells.size)
-        pair_counts = _integer_array("pair_counts", pair_counts, pair_positions.shape[:1])
-        src = pair_positions[:, 0].astype(np.int64)
-        flat = src * cells.size + pair_positions[:, 1]
-        source_counts = np.zeros(cells.size, dtype=np.int64)
-        np.add.at(source_counts, src, pair_counts)
-        for broken, rule in ((cells[1:] <= cells[:-1], "cells must be strictly ascending"),
-                             (flat[1:] <= flat[:-1], "pair_positions must be strictly "
-                              "ascending by flat index src * n + dst"),
-                             (pair_counts == 0, "pair_counts must be positive")):
-            if broken.any():
-                raise ValueError(rule)
-        self._set(cells=cells, source_counts=source_counts,
-                  pair_positions=pair_positions, pair_counts=pair_counts)
+    def __init__(self, orbit, partition: Partition):
+        codes = partition.encode(orbit)
+        if codes.size < 2:
+            raise ValueError("orbit must contain at least 2 points")
+        if _counts_densely(partition.bins ** len(partition.box), codes.size):
+            table = np.bincount(codes)
+            cells = np.flatnonzero(table != 0)
+            cell_counts = table[cells]
+            # The table, read from here on as each visited code's position in `cells`.
+            table[cells] = np.arange(cells.size)
+            positions = table[codes]
+        else:
+            cells, positions, cell_counts = np.unique(codes, return_inverse=True, return_counts=True)
+        flat = positions[:-1].astype(np.int64) * cells.size + positions[1:]
+        if _counts_densely(cells.size * cells.size, flat.size):
+            pair_table = np.bincount(flat)
+            # flatnonzero scans a bool array several times faster than int64.
+            unique_pairs = np.flatnonzero(pair_table != 0)
+            pair_counts = pair_table[unique_pairs]
+        else:
+            unique_pairs, pair_counts = np.unique(flat, return_counts=True)
+        source_counts = cell_counts.astype(np.int64)
+        source_counts[positions[-1]] -= 1
+        self._set(cells=cells, source_counts=source_counts, pair_counts=pair_counts,
+                  pair_positions=np.stack([unique_pairs // cells.size, unique_pairs % cells.size], axis=1))
 
     @property
     def size(self) -> int:
@@ -429,49 +451,9 @@ class EmpiricalChannel(_Frozen):
         )
 
 
-def _counts_densely(entries: int, values: int) -> bool:
-    """Whether to count `values` codes into a table of `entries` entries
-    rather than sort them.
-
-    Zeroing and scanning the table cost as much as the sort at about 8
-    entries per value (x86-64, numpy 2.4.6), so the table is used up to
-    DENSE_COUNT_RATIO entries per value and DENSE_COUNT_CELLS in all.
-    """
-    return entries <= min(DENSE_COUNT_CELLS, DENSE_COUNT_RATIO * values)
-
-
 def empirical_channel(orbit, partition: Partition) -> EmpiricalChannel:
-    """Bin an orbit and count its one-step cell transitions.
-
-    The visited cells, and then the pairs of visited cells, are each
-    counted with `np.bincount` into a dense table when `_counts_densely`
-    admits its size: the partition's bins ** dim cells, then m * m pairs
-    of the m visited cells. Otherwise they are sorted (`np.unique`).
-    `np.flatnonzero` lists a table's entries in the ascending order the
-    sort gives, so both paths return the same arrays and the same D.
-    """
-    codes = partition.encode(orbit)
-    if codes.size < 2:
-        raise ValueError("orbit must contain at least 2 points")
-    if _counts_densely(partition.bins ** len(partition.box), codes.size):
-        cells = np.flatnonzero(np.bincount(codes) != 0)
-        lookup = np.empty(cells[-1] + 1, dtype=np.intp)
-        lookup[cells] = np.arange(cells.size)
-        positions = lookup[codes]
-    else:
-        cells, positions = np.unique(codes, return_inverse=True)
-    flat = positions[:-1].astype(np.int64) * cells.size + positions[1:]
-    if _counts_densely(cells.size * cells.size, flat.size):
-        pair_table = np.bincount(flat)
-        # flatnonzero scans a bool array several times faster than int64.
-        unique_pairs = np.flatnonzero(pair_table != 0)
-        counts = pair_table[unique_pairs]
-    else:
-        unique_pairs, counts = np.unique(flat, return_counts=True)
-    pair_positions = np.stack(
-        [unique_pairs // cells.size, unique_pairs % cells.size], axis=1
-    )
-    return EmpiricalChannel(cells=cells, pair_positions=pair_positions, pair_counts=counts)
+    """The empirical channel of `orbit` binned by `partition`: `EmpiricalChannel(orbit, partition)`."""
+    return EmpiricalChannel(orbit, partition)
 
 
 def orbit_chaos_degree(system: MapSystem, cfg: OrbitConfig | None = None,
@@ -637,7 +619,7 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     span = (stop - start) / step
     count = int(math.floor(span + 1e-9)) + 1 if math.isfinite(span) else math.inf
     if count > MAX_SWEEP_ROWS:
-        raise ValueError(f"sweep grid has {count} rows, more than the limit of {MAX_SWEEP_ROWS}")
+        raise ValueError(f"sweep grid has {_brief(count)} rows, more than the limit of {MAX_SWEEP_ROWS}")
     cfg = cfg or OrbitConfig()
     part = partition or Partition(system.box)
     params = [start + k * step for k in range(count)]

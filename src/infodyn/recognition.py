@@ -54,6 +54,7 @@ from .exceptions import DimensionMismatch, OutsideDomain, ZeroProbabilityOutcome
 from .hilbert import (
     DensityOperator,
     _Frozen,
+    _brief,
     _check_integer,
     _check_orthonormal,
     _square,
@@ -181,7 +182,7 @@ def _check_outcome(i: int, j: int, n: int) -> None:
     _check_integer("i", i, 0)
     _check_integer("j", j, 0)
     if not (i < n and j < n):
-        raise ValueError(f"outcome indices must lie in [0, {n}), got ({i}, {j})")
+        raise ValueError(f"outcome indices must lie in [0, {n}), got {_brief((int(i), int(j)))}")
 
 
 def _check_inputs(rho, gamma, bell: BellSystem, i: int, j: int):

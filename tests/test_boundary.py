@@ -99,7 +99,7 @@ CASES = {
     "ConjectureOutcome": (0.0, 0.0, 0.0, 0.0, True),
     "DensityOperator": (HALF,),
     "Channel": ("kraus", np.eye(2)[None]),
-    "EmpiricalChannel": (np.arange(2), np.zeros((1, 2), dtype=int), np.ones(1, dtype=int)),
+    "EmpiricalChannel": ([0.1, 0.5, 0.9], PARTITION),
     "FixedPolicy": (0, 0),
     "IndexGroup": (2,),
     "MapSystem": ("map", ((0.0, 1.0),), (0.5,), 3.0, _points, _jacobian),
@@ -264,12 +264,10 @@ def test_an_overflowing_product_is_named_without_a_warning(name):
 
 
 # Arrays a value type's constructor refuses, naming the field or the rule
-# they break together. Kept unchecked, positions past the cells would give
-# a conditional entropy of 0.0 and float positions an IndexError in a later
-# method; a raw Kraus stack of the wrong shape would fail with an IndexError
-# or give a channel of the wrong dimension. CELLS, [[0, 1]] and PAIR are one
-# valid empirical channel.
-CELLS, PAIR = np.arange(2), np.ones(1, dtype=int)
+# they break together. Kept unchecked, a raw Kraus stack of the wrong shape
+# would fail with an IndexError or give a channel of the wrong dimension,
+# and a box, `x0` or `default_x0` of the wrong shape would fail with an
+# unpacking or iteration error that names no field.
 REJECTED = {
     "Schatten-string": (lambda: infodyn.SchattenDecomposition("abc", None),
                         "vectors has a non-finite entry"),
@@ -298,42 +296,15 @@ REJECTED = {
                              "weight must be a square matrix, got shape (2,)"),
     "Channel-stochastic-string": (lambda: Channel("stochastic", "abc"),
                                   "stochastic matrix must be an array of numbers, got str"),
-    "Empirical-float-positions": (
-        lambda: infodyn.EmpiricalChannel(CELLS, np.zeros((1, 2)), PAIR),
-        "pair_positions must be an integer array of shape (m, 2), got float64 of shape (1, 2)"),
-    "Empirical-position-past-cells": (
-        lambda: infodyn.EmpiricalChannel(CELLS, [[0, 5]], PAIR),
-        "pair_positions must lie in [0, 2), got entries from 0 to 5"),
-    "Empirical-negative-position": (
-        lambda: infodyn.EmpiricalChannel(CELLS, [[-1, 0]], PAIR),
-        "pair_positions must lie in [0, 2), got entries from -1 to 0"),
-    "Empirical-count-length": (
-        lambda: infodyn.EmpiricalChannel(CELLS, [[0, 1]], np.ones(2, dtype=int)),
-        "pair_counts must be an integer array of shape (1,), got int64 of shape (2,)"),
-    "Empirical-negative-count": (
-        lambda: infodyn.EmpiricalChannel(CELLS, [[0, 1]], [-1]),
-        "pair_counts must be nonnegative, got entries from -1 to -1"),
-    "Empirical-positions-shape": (
-        lambda: infodyn.EmpiricalChannel(CELLS, [0, 1], PAIR),
-        "pair_positions must be an integer array of shape (m, 2), got int64 of shape (2,)"),
-    "Empirical-ragged-cells": (
-        lambda: infodyn.EmpiricalChannel([[0], [1, 2]], [[0, 1]], PAIR),
-        "cells must be an integer array of shape (n,), got object of shape (2,)"),
-    "Empirical-cells-descending": (
-        lambda: infodyn.EmpiricalChannel([5, 1], [[0, 1]], PAIR),
-        "cells must be strictly ascending"),
-    "Empirical-cells-repeated": (
-        lambda: infodyn.EmpiricalChannel([1, 1], [[0, 1]], PAIR),
-        "cells must be strictly ascending"),
-    "Empirical-pairs-descending": (
-        lambda: infodyn.EmpiricalChannel(CELLS, [[0, 1], [0, 0]], [1, 1]),
-        "pair_positions must be strictly ascending by flat index src * n + dst"),
-    "Empirical-pairs-repeated": (
-        lambda: infodyn.EmpiricalChannel(CELLS, [[0, 1], [0, 1]], [1, 1]),
-        "pair_positions must be strictly ascending by flat index src * n + dst"),
-    "Empirical-zero-pair-count": (
-        lambda: infodyn.EmpiricalChannel(CELLS, [[0, 1]], [0]),
-        "pair_counts must be positive"),
+    "Partition-triple-interval": (lambda: Partition(((0, 1, 2),), 4),
+                                  "box interval must be a pair (lo, hi), got (0, 1, 2)"),
+    "Partition-scalar-box": (lambda: Partition(5, 4),
+                             "box must be a sequence of (lo, hi) pairs, got 5"),
+    "OrbitConfig-scalar-x0": (lambda: OrbitConfig(x0=0.5),
+                              "x0 must be a sequence of real numbers, got 0.5"),
+    "MapSystem-scalar-default-x0": (lambda: infodyn.MapSystem("map", ((0.0, 1.0),), 0.5, 3.0,
+                                                              _points, _jacobian),
+                                    "default_x0 must be a sequence of real numbers, got 0.5"),
 }
 
 

@@ -251,6 +251,23 @@ def test_channel_is_immutable():
     assert not any(a.flags.writeable for a in arrays)
 
 
+@pytest.mark.parametrize("kind, data", [
+    ("kraus", np.stack([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.diag([1.0, -1.0])]).astype(complex)),
+    ("unitary", np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)),
+    ("schur", np.ones((2, 2), dtype=complex)),
+    ("stochastic", np.array([[0.5, 0.5], [0.25, 0.75]])),
+])
+def test_a_raw_channel_leaves_the_callers_array_writable_and_its_own(kind, data):
+    # A complex array passes `_as_array` as itself; the channel keeps a copy,
+    # so writing the caller's array neither raises nor changes the channel.
+    channel = Channel(kind, data)
+    rho = np.diag([0.75, 0.25]).astype(complex)
+    image = channel.apply_matrix(rho)
+    data[..., 0, 0] = 2
+    assert data.flags.writeable
+    assert np.array_equal(channel.apply_matrix(rho), image)
+
+
 def test_weight_and_dilation_are_immutable_and_compare_by_identity():
     # A frozen dataclass with array fields can neither compare nor hash.
     for build in (lambda: SchurWeight(np.eye(2)), lambda: BranchDilation([0.5, 0.5])):

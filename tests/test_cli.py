@@ -708,6 +708,8 @@ LONG_INPUTS = {
     "n-of-100000-entries": ("experiment", json.dumps({**VALID_INPUTS["experiment"][1],
                                                       "n": [0] * 100_000})),
     "nest-900-deep": ("state", "[" * 900 + "]" * 900),
+    "fixed-outcome-of-401-digits": ("experiment", json.dumps({**VALID_INPUTS["experiment"][1],
+                                                              "policy": {"fixed": [10**400, 0]}})),
 }
 
 
@@ -718,3 +720,10 @@ def test_a_long_or_deep_value_is_echoed_in_one_short_line(tmp_path, capsys, case
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 200, len(err)
     assert err.endswith("...\n")
+
+
+def test_a_sweep_grid_of_a_301_digit_row_count_is_echoed_in_one_short_line(capsys):
+    assert main(["ecd-sweep", "--map", "logistic", "--from", "0", "--to", "1e300", "--step", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: sweep grid has 1") and len(err) < 200, len(err)
+    assert err.endswith("... rows, more than the limit of 1000000\n")
