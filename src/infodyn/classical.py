@@ -45,6 +45,12 @@ DEFAULT_SAMPLES = 100_000
 DEFAULT_BINS = 100
 DEFAULT_WINDOW = 5
 MAX_SWEEP_ROWS = 1_000_000
+# Largest total work of one sweep, rows * (transient + samples) orbit
+# steps. A whole sweep point costs about 73 ns per step on the logistic
+# map and 244 ns on the Tinkerbell map (10**6 samples, one x86-64 core,
+# numpy 2.4.6), so a sweep at the cap runs about 12 minutes of logistic
+# points, or 41 of Tinkerbell ones, on one core.
+MAX_SWEEP_STEPS = 10**10
 # Largest sweep worker count. Each worker holds one sweep point at a
 # time, up to 700 MB at MAX_ORBIT_STEPS, and a fork-started pool forks all
 # its workers at the first submit; the standard library itself caps a
@@ -72,8 +78,8 @@ _LYAPUNOV_BLOCK = 2**6
 # Largest cell count bins ** dim of a Partition. Up to 2**53 the float
 # cell index of each axis is exact; the int64 flat code is exact to 2**63.
 MAX_PARTITION_CELLS = 2**53
-# Bounds on a dense count table in `EmpiricalChannel`: at most 2**20
-# entries (8 MB of int64) and at most 4 entries per value counted.
+# Bounds on a dense count table in `_unique_counts`: at most 2**20
+# entries (8 MB of int64) and at most 4 entries per key counted.
 DENSE_COUNT_CELLS = 2**20
 DENSE_COUNT_RATIO = 4
 
@@ -184,6 +190,13 @@ def baker_map() -> MapSystem:
 
     The branch form keeps the endpoint x = 1 inside the square, where
     the textbook `2x mod 1` would fold it to 0.
+
+    In floating point the orbit collapses onto the fixed point (0, 0):
+    each doubling of x shifts one bit of its 53-bit mantissa out, so from
+    the default x0 = (0.3, 0.3) x is exactly 0.0 from the 54th point on
+    and y halves towards 0. A default orbit (transient 1000) therefore
+    visits one cell and its chaos degree reads 0.0, while the Lyapunov
+    exponent, read from the constant Jacobian, reads ln 2.
     """
     return MapSystem(
         name="baker",
@@ -352,15 +365,30 @@ class Partition:
         return codes
 
 
-def _counts_densely(entries: int, values: int) -> bool:
-    """Whether to count `values` codes into a table of `entries` entries
-    rather than sort them.
+def _unique_counts(keys: np.ndarray, size: int, inverse: bool = False) -> tuple:
+    """`np.unique(keys, return_inverse=inverse, return_counts=True)` for
+    int64 `keys` in [0, size): the distinct keys ascending, with each
+    key's position among them when `inverse` is set, and their counts.
 
-    Zeroing and scanning the table cost as much as the sort at about 8
-    entries per value (x86-64, numpy 2.4.6), so the table is used up to
-    DENSE_COUNT_RATIO entries per value and DENSE_COUNT_CELLS in all.
+    The keys are counted with `np.bincount` into a dense table when
+    `size` is at most DENSE_COUNT_CELLS and at most DENSE_COUNT_RATIO
+    entries per key, and sorted by `np.unique` otherwise: zeroing and
+    scanning the table cost as much as the sort at about 8 entries per
+    key (x86-64, numpy 2.4.6). `np.flatnonzero` lists the table's keys in
+    the ascending order the sort gives, and with `inverse` the table is
+    read from then on as the key -> position lookup, so both paths give
+    the same arrays, dtypes included.
     """
-    return entries <= min(DENSE_COUNT_CELLS, DENSE_COUNT_RATIO * values)
+    if size > min(DENSE_COUNT_CELLS, DENSE_COUNT_RATIO * keys.size):
+        return np.unique(keys, return_inverse=inverse, return_counts=True)
+    table = np.bincount(keys)
+    # flatnonzero scans a bool array several times faster than int64.
+    unique = np.flatnonzero(table != 0)
+    counts = table[unique]
+    if not inverse:
+        return unique, counts
+    table[unique] = np.arange(unique.size)
+    return unique, table[keys], counts
 
 
 class EmpiricalChannel(_Frozen):
@@ -368,13 +396,11 @@ class EmpiricalChannel(_Frozen):
 
     `EmpiricalChannel(orbit, partition)` bins the orbit with
     `partition.encode` and counts its cells, and then the pairs of cells
-    of its consecutive points: each with `np.bincount` into a dense table
-    when `_counts_densely` admits its size (the partition's bins ** dim
-    cells, then m * m pairs of the m visited cells), otherwise by sorting
-    (`np.unique`). `np.flatnonzero` lists a table's entries in the
-    ascending order the sort gives, so both paths give the same arrays
-    and the same D. An orbit of fewer than 2 points raises ValueError,
-    as does any point `encode` rejects.
+    of its consecutive points, each with one call of `_unique_counts`
+    (keys below the partition's bins ** dim cells, then below m * m pairs
+    of the m visited cells), which counts into a dense table or sorts;
+    both paths give the same arrays and the same D. An orbit of fewer
+    than 2 points raises ValueError, as does any point `encode` rejects.
 
     `cells` lists every visited cell code (as source or destination) in
     ascending order, and the pairs (`pair_positions`, positions into
@@ -395,27 +421,13 @@ class EmpiricalChannel(_Frozen):
         codes = partition.encode(orbit)
         if codes.size < 2:
             raise ValueError("orbit must contain at least 2 points")
-        if _counts_densely(partition.bins ** len(partition.box), codes.size):
-            table = np.bincount(codes)
-            cells = np.flatnonzero(table != 0)
-            cell_counts = table[cells]
-            # The table, read from here on as each visited code's position in `cells`.
-            table[cells] = np.arange(cells.size)
-            positions = table[codes]
-        else:
-            cells, positions, cell_counts = np.unique(codes, return_inverse=True, return_counts=True)
-        flat = positions[:-1].astype(np.int64) * cells.size + positions[1:]
-        if _counts_densely(cells.size * cells.size, flat.size):
-            pair_table = np.bincount(flat)
-            # flatnonzero scans a bool array several times faster than int64.
-            unique_pairs = np.flatnonzero(pair_table != 0)
-            pair_counts = pair_table[unique_pairs]
-        else:
-            unique_pairs, pair_counts = np.unique(flat, return_counts=True)
+        cells, positions, cell_counts = _unique_counts(codes, partition.bins ** len(partition.box), inverse=True)
+        m = cells.size
+        pairs, pair_counts = _unique_counts(positions[:-1].astype(np.int64) * m + positions[1:], m * m)
         source_counts = cell_counts.astype(np.int64)
         source_counts[positions[-1]] -= 1
         self._set(cells=cells, source_counts=source_counts, pair_counts=pair_counts,
-                  pair_positions=np.stack([unique_pairs // cells.size, unique_pairs % cells.size], axis=1))
+                  pair_positions=np.stack([pairs // m, pairs % m], axis=1))
 
     @property
     def size(self) -> int:
@@ -601,9 +613,10 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     process whatever `workers` says, since its point stream and Jacobian
     need not pickle. Results are ordered by parameter and identical at
     any worker count. Grid bounds and thresholds that are not finite real
-    numbers, a negative threshold, grids of more than MAX_SWEEP_ROWS rows
-    and a `workers` below 1 or above MAX_WORKERS raise ValueError before
-    any row is built.
+    numbers, a negative threshold, grids of more than MAX_SWEEP_ROWS rows,
+    a `workers` below 1 or above MAX_WORKERS, fewer than 2 samples and
+    more than MAX_SWEEP_STEPS orbit steps in all (rows times transient
+    plus samples) raise ValueError before any orbit is iterated.
     """
     start = _check_real("start", start)
     stop = _check_real("stop", stop)
@@ -622,6 +635,9 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
         raise ValueError(f"sweep grid has {_brief(count)} rows, more than the limit of {MAX_SWEEP_ROWS}")
     cfg = cfg or OrbitConfig()
     part = partition or Partition(system.box)
+    _check_integer("samples", cfg.samples, 2)
+    _check_integer("rows * (transient + samples)", count * (cfg.transient + cfg.samples), 1,
+                   "MAX_SWEEP_STEPS", MAX_SWEEP_STEPS)
     params = [start + k * step for k in range(count)]
     cfgs = [replace(cfg, param=a) for a in params]
     pool_size = min(workers, len(cfgs))

@@ -29,7 +29,8 @@ EXIT_DYNAMICS = 3
 EXIT_DIMENSION = 4
 EXIT_DOMAIN = 5
 # The exit code of each input error, that of the first type that matches
-# (a JSONDecodeError is a ValueError). Any other exception is a fault.
+# (`jsonio.load_json` raises a decode error, or a nesting too deep to
+# parse, as a ValueError "<path>: <reason>"). Any other exception is a fault.
 INPUT_ERRORS = {OrbitEscape: EXIT_DYNAMICS, DimensionMismatch: EXIT_DIMENSION,
                 OutsideDomain: EXIT_DOMAIN, ValueError: EXIT_USAGE, OSError: EXIT_USAGE}
 # Steps that `recognize` encodes and writes together. Encoding each step

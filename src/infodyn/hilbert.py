@@ -268,10 +268,7 @@ def _brief(value, limit: int = 80) -> str:
 
 def _is_integer(value) -> bool:
     """True for an integer, numpy's included; booleans do not count."""
-    # The exact-type test settles a plain int at a fraction of the cost of
-    # the `numbers.Integral` check, and JSON parsing asks once per entry.
-    return type(value) is int or (isinstance(value, numbers.Integral)
-                                  and not isinstance(value, bool))
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_integer(name: str, value, low: int | None = None,

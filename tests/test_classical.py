@@ -18,6 +18,7 @@ from infodyn.classical import (
     MAX_ORBIT_STEPS,
     MAX_PARTITION_CELLS,
     MAX_SWEEP_ROWS,
+    MAX_SWEEP_STEPS,
     MAX_WORKERS,
     MapSystem,
     OrbitConfig,
@@ -425,6 +426,19 @@ def test_baker_known_step():
     assert np.allclose(orbit[0], [0.5, 0.75])
 
 
+def test_the_baker_orbit_collapses_to_its_fixed_point_in_floating_point():
+    # Each doubling of x shifts one bit of its mantissa out, so from the
+    # default x0 = (0.3, 0.3) x is exactly 0.0 from index 53 on. A default
+    # orbit visits one cell and reads D = 0 while the exponent reads ln 2,
+    # as the `baker_map` docstring, README and the baker golden say.
+    x = iterate_orbit(baker_map(), OrbitConfig(transient=0, samples=200))[:, 0]
+    assert x[52] != 0.0 and not x[53:].any()
+    channel = empirical_channel(iterate_orbit(baker_map(), OrbitConfig()), Partition(baker_map().box))
+    assert channel.cells.tolist() == [0]
+    assert orbit_chaos_degree(baker_map()) == 0.0
+    assert abs(lyapunov_exponent(baker_map()) - LN2) <= 1e-12
+
+
 def test_tinkerbell_default_orbit_bounded():
     orbit = iterate_orbit(tinkerbell_map(), OrbitConfig(transient=1000, samples=1000))
     assert np.all(np.abs(orbit) <= 2.0)
@@ -566,6 +580,26 @@ def test_source_counts_are_the_transitions_leaving_each_cell(system, cfg, bins):
         assert channel.source_counts.dtype == np.int64
         assert np.array_equal(channel.source_counts, steps)
         assert not channel.source_counts.flags.writeable
+
+
+@st.composite
+def _bounded_keys(draw):
+    size = draw(st.integers(1, 300))
+    return size, np.array(draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=50)), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_bounded_keys(), inverse=st.booleans())
+def test_unique_counts_is_np_unique_on_every_path(case, inverse):
+    size, keys = case
+    expected = np.unique(keys, return_inverse=inverse, return_counts=True)
+    with mock.patch.object(classical, "DENSE_COUNT_RATIO", math.inf):
+        dense = classical._unique_counts(keys, size, inverse)
+    sort = classical._unique_counts(keys, classical.DENSE_COUNT_CELLS + 1, inverse)
+    for got in (dense, sort, classical._unique_counts(keys, size, inverse)):
+        assert len(got) == len(expected)
+        for x, y in zip(got, expected):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 @settings(max_examples=200, deadline=None)
@@ -819,6 +853,24 @@ def test_sweep_rejects_non_real_inputs_before_iterating(no_orbits, name, value):
         sweep(logistic_map(), cfg=OrbitConfig(transient=0, samples=10), **inputs)
     text = str(exc.value)
     assert text.startswith(f"{name} must be a finite real number") and text.endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("grid, cfg, message", [
+    ((3.5, 3.6, 0.1), OrbitConfig(transient=0, samples=1), "samples must be an integer >= 2, got 1"),
+    ((3.0, 3.999999, 1e-6), OrbitConfig(samples=100_000), "rows * (transient + samples)=101000000000 "
+                                                          f"exceeds the limit MAX_SWEEP_STEPS={MAX_SWEEP_STEPS}"),
+], ids=["one-sample", "total-steps"])
+def test_sweep_rejects_its_whole_workload_before_iterating(no_orbits, grid, cfg, message):
+    with pytest.raises(ValueError) as exc:
+        sweep(logistic_map(), *grid, cfg)
+    assert str(exc.value) == message
+
+
+def test_sweep_admits_exactly_max_sweep_steps(no_orbits):
+    # 1000 rows of 10**7 samples are the cap itself, so the first orbit is reached.
+    cfg = OrbitConfig(transient=0, samples=MAX_SWEEP_STEPS // 1000)
+    with pytest.raises(AssertionError, match="an orbit was iterated"):
+        sweep(logistic_map(), 0.0, 999.0, 1.0, cfg)
 
 
 @pytest.mark.parametrize("workers", [0, -3])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from infodyn import classical, jsonio, metrics
-from infodyn.classical import MAX_ORBIT_STEPS, MAX_PARTITION_CELLS, MAX_WORKERS
+from infodyn.classical import MAX_ORBIT_STEPS, MAX_PARTITION_CELLS, MAX_SWEEP_STEPS, MAX_WORKERS
 from infodyn.cli import build_parser, main
 from infodyn.hilbert import random_density
 from infodyn.jsonio import MAX_RECOGNITION_STEPS, dump_json, matrix_to_json
@@ -447,7 +447,7 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     ("--samples", str(MAX_ORBIT_STEPS), f"= {MAX_ORBIT_STEPS + 100} steps exceeds the limit "
                                         f"MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"),
     ("--transient", str(MAX_ORBIT_STEPS), f"MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"),
-    ("--samples", "1", "orbit must contain at least 2 points"),
+    ("--samples", "1", "samples must be an integer >= 2, got 1"),
 ], ids=["bins", "samples", "transient", "one-sample"])
 def test_sweep_size_caps_are_usage_errors(capsys, flag, value, message):
     assert_usage_error(SWEEP_FAST + [flag, value], capsys, message)
@@ -481,6 +481,16 @@ def test_sweep_rejects_oversized_grid(capsys):
         ["ecd-sweep", "--map", "logistic", "--from", "3", "--to", "4", "--step", "1e-12"],
         capsys, "sweep grid has 1000000000001 rows",
     )
+
+
+def test_sweep_above_the_total_work_cap_is_a_usage_error(capsys, monkeypatch):
+    # 10**6 rows of 1000 + 100000 steps: each row is within its caps, the
+    # grid's whole work is not, and no orbit is iterated.
+    monkeypatch.setattr(classical, "iterate_orbit", None)
+    argv = ["ecd-sweep", "--map", "logistic", "--from", "3.0", "--to", "3.999999",
+            "--step", "0.000001", "--samples", "100000"]
+    assert_usage_error(argv, capsys, f"rows * (transient + samples)=101000000000 exceeds the limit "
+                                     f"MAX_SWEEP_STEPS={MAX_SWEEP_STEPS}")
 
 
 @pytest.mark.parametrize("argv, flag", [

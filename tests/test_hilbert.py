@@ -82,6 +82,8 @@ INTEGER_SITES = {
         classical.logistic_map(), 3.5, 3.6, 0.1, _SHORT_ORBIT, window=v)),
     "sweep.workers": ("workers", 1, "MAX_WORKERS", lambda v: classical.sweep(
         classical.logistic_map(), 3.5, 3.6, 0.1, _SHORT_ORBIT, workers=v)),
+    "sweep.samples": ("samples", 2, None, lambda v: classical.sweep(
+        classical.logistic_map(), 3.5, 3.6, 0.1, classical.OrbitConfig(transient=0, samples=v))),
     "random_kraus_channel.terms": ("terms", 1, None, lambda v: channels.random_kraus_channel(
         2, v, np.random.default_rng(0))),
     "IndexGroup.n": ("n", 1, None, IndexGroup),

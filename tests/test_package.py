@@ -1,6 +1,7 @@
 import argparse
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -312,3 +313,21 @@ def test_float_flags_exit_2_on_non_finite_values_naming_their_field(capsys):
             assert main(argv + [flag, text]) == 2, (flag, text)
             err = capsys.readouterr().err
             assert f"{field} must be a finite real number" in err and f"got {text}" in err, err
+
+
+def test_the_code_line_counter_skips_docstrings_comments_and_blank_lines():
+    path = Path(__file__).parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    counter = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counter)
+    source = ('"""Module docstring."""\n'
+              "\n"
+              "class A:\n"
+              '    """Class docstring,\n'
+              '    on two lines."""\n'
+              "\n"
+              "    # A comment.\n"
+              "    def f(self, x):\n"
+              "        return (x +  # a trailing comment\n"
+              "                1)\n")
+    assert counter.code_lines(source) == 4
