@@ -49,7 +49,9 @@ MAX_SWEEP_ROWS = 1_000_000
 # steps. A whole sweep point costs about 73 ns per step on the logistic
 # map and 244 ns on the Tinkerbell map (10**6 samples, one x86-64 core,
 # numpy 2.4.6), so a sweep at the cap runs about 12 minutes of logistic
-# points, or 41 of Tinkerbell ones, on one core.
+# points, or 41 of Tinkerbell ones, on one core. The cap bounds CPU work,
+# not wall time: `workers` processes share it. At the default orbit
+# (101,000 steps) it admits 99,009 rows.
 MAX_SWEEP_STEPS = 10**10
 # Largest sweep worker count. Each worker holds one sweep point at a
 # time, up to 700 MB at MAX_ORBIT_STEPS, and a fork-started pool forks all

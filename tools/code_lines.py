@@ -5,9 +5,7 @@ break or an indent, and lies outside every module, class and function
 docstring; blank lines, comment lines and docstrings do not count.
 Prints one line per module of `src/infodyn` and then the total:
 
-    python3 tools/code_lines.py [DIR]
-
-DIR defaults to the package directory next to this script.
+    python3 tools/code_lines.py
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ def code_lines(source: str) -> int:
     return len(lines - skip)
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src" / "infodyn"
+def main() -> int:
+    package = Path(__file__).resolve().parents[1] / "src" / "infodyn"
     total = 0
     for path in sorted(package.glob("*.py")):
         count = code_lines(path.read_text())
@@ -57,4 +55,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
