@@ -19,7 +19,9 @@ A `Channel` acts on one matrix or on a stack (..., n, n) of them.
 `Channel.kraus_vectors` gives the images of a stack of pure states as
 their Kraus vectors, which the chaos degree (through the Gram spectra of
 `Channel.image_spectra`) and the transmitted complexity in
-:mod:`infodyn.metrics` both read. A Schur channel's Kraus operators are
+:mod:`infodyn.metrics` both read. A Gram side of at most 2, as for a
+unitary, a rank-2 Kraus family or any channel at dimension 2, has its
+spectrum in closed form (`hilbert._gram_spectra`). A Schur channel's Kraus operators are
 diagonal, so its vectors are entrywise products of the state with the
 rows sqrt(g) h of its weight's spectral terms. The Kraus-form
 arithmetic lives in `Channel` alone. A "kraus" channel may hold a stack
@@ -390,10 +392,12 @@ class Channel(_Frozen):
     def image_spectra(self, vectors) -> np.ndarray:
         """Spectrum of channel(|v><v|) for each row v of `vectors` (..., n).
 
-        Returns (..., r): `_gram_spectra` of `kraus_vectors`; r is the
-        number of Kraus operators (kraus), 1 (unitary) or the rank of the
-        weight (schur). A stochastic channel's image is the diagonal
-        distribution |v|^2 P, returned as is, with no eigensolver.
+        Returns (..., min(r, n)): `_gram_spectra` of `kraus_vectors`; r
+        is the number of Kraus operators (kraus), 1 (unitary) or the rank
+        of the weight (schur). A side min(r, n) of at most 2 is read in
+        closed form, larger ones through `np.linalg.eigvalsh`. A stochastic
+        channel's image is the diagonal distribution |v|^2 P, returned as
+        is (..., n), with no eigensolver.
         """
         if self.kind == "stochastic":
             return (np.abs(self._rows(vectors)) ** 2) @ self._data

@@ -472,8 +472,14 @@ def empirical_channel(orbit, partition: Partition) -> EmpiricalChannel:
 
 def orbit_chaos_degree(system: MapSystem, cfg: OrbitConfig | None = None,
                        partition: Partition | None = None) -> float:
-    """Chaos degree of a map's orbit under the given binning."""
+    """Chaos degree of a map's orbit under the given binning.
+
+    The orbit needs at least 2 samples, one transition; fewer raise
+    ValueError "samples must be an integer >= 2, got N" before any orbit
+    is iterated.
+    """
     cfg = cfg or OrbitConfig()
+    _check_integer("samples", cfg.samples, 2)
     part = partition or Partition(system.box)
     orbit = iterate_orbit(system, cfg)
     return empirical_channel(orbit, part).conditional_entropy()

@@ -101,9 +101,9 @@ from .hilbert import (
 
 WEIGHT_FLOOR = 1e-15
 ORDER_TOL = 1e-10
-# Largest search budget. A candidate costs about 8 us at n = 4 and
-# 63 us at n = 16 (one 8-fold block, Kraus rank 2; 2-core x86-64 host,
-# one BLAS thread), so the cap bounds a search at about a minute there.
+# Largest search budget. A candidate costs about 3 us at n = 4 (one 4-fold
+# block) and 9 us at n = 16 (one 8-fold block), Kraus rank 2 (2-core x86-64
+# host, one BLAS thread), so the cap bounds a search at about 10 s there.
 MAX_RESTARTS = 1_000_000
 # Largest `axiom_suite` trial count and dimension. Evaluated in stacks, a
 # trial costs about 0.4 ms at dim 2, 0.6 ms at dim 4, 1.5 ms at dim 6 and

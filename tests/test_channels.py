@@ -59,6 +59,11 @@ def test_schur_weight_rejects_indefinite():
         SchurWeight(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_a_rank_zero_schur_weight_has_empty_image_spectra():
+    # No spectral term, so no Kraus vector: each image is 0 with an empty spectrum.
+    assert schur_channel(np.zeros((2, 2))).image_spectra(np.eye(2)).shape == (2, 0)
+
+
 def test_schur_channel_decomposes_its_weight_once(monkeypatch):
     weight = random_density(3, RNG).matrix
     calls = []

@@ -866,6 +866,19 @@ def test_sweep_rejects_its_whole_workload_before_iterating(no_orbits, grid, cfg,
     assert str(exc.value) == message
 
 
+def test_orbit_chaos_degree_rejects_one_sample_before_iterating(no_orbits):
+    # `lyapunov_exponent` reads one sample; a chaos degree needs a transition.
+    with pytest.raises(ValueError) as exc:
+        orbit_chaos_degree(logistic_map(), OrbitConfig(samples=1))
+    assert str(exc.value) == "samples must be an integer >= 2, got 1"
+
+
+def test_lyapunov_exponent_reads_one_sample():
+    # The one sample is f(0.5) = 0.875 at a = 3.5, where |f'| = |a (1 - 2 x)| = 2.625.
+    cfg = OrbitConfig(transient=0, samples=1, x0=(0.5,), param=3.5)
+    assert lyapunov_exponent(logistic_map(), cfg) == pytest.approx(math.log(2.625), abs=1e-12)
+
+
 def test_sweep_admits_exactly_max_sweep_steps(no_orbits):
     # 1000 rows of 10**7 samples are the cap itself, so the first orbit is reached.
     cfg = OrbitConfig(transient=0, samples=MAX_SWEEP_STEPS // 1000)

@@ -16,6 +16,7 @@ from infodyn.hilbert import (
     _brief,
     _check_real,
     _density_operators,
+    _gram_spectra,
     as_density,
     as_vector,
     diag_embedding,
@@ -569,3 +570,64 @@ def test_one_matrix_and_a_stack_of_one_give_the_same_bits(m):
     for name in DensityOperator.__slots__:
         assert np.array_equal(getattr(alone, name), getattr(stacked, name)), name
     assert np.array_equal(np.signbit(alone.eigenvalues), np.signbit(stacked.eigenvalues))
+
+
+def _kraus_rows(rng, shape, kind="random"):
+    """Kraus-vector rows of `shape` (..., r, n): random, of a pure image (rank 1), or with a zero row."""
+    w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if kind == "pure":
+        w = w[..., :1, :] * (rng.normal(size=shape[:-1]) + 1j * rng.normal(size=shape[:-1]))[..., None]
+    elif kind == "zero-row" and shape[-2]:
+        w[..., -1, :] = 0.0
+    return w
+
+
+def _explicit_gram_spectra(w):
+    """The reference: `np.linalg.eigvalsh` of the explicit smaller Gram matrix, for any side."""
+    if w.shape[-2] <= w.shape[-1]:
+        return np.linalg.eigvalsh(w.conj() @ np.swapaxes(w, -1, -2))
+    return np.linalg.eigvalsh(np.swapaxes(w, -1, -2) @ w.conj())
+
+
+@settings(deadline=None, max_examples=200)
+@given(side=st.sampled_from([(0, 3), (1, 1), (1, 6), (4, 1), (2, 2), (2, 7), (2, 16), (5, 2), (9, 2)]),
+       lead=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+       kind=st.sampled_from(["random", "pure", "zero-row"]),
+       scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e100]),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_gram_spectra_match_eigvalsh_of_the_gram(side, lead, kind, scale, seed):
+    # Sides s = min(r, n) of 0, 1 and 2, from W's rows or (n < r) its columns.
+    w = scale * _kraus_rows(np.random.default_rng(seed), tuple(lead) + side, kind)
+    got = _gram_spectra(w)
+    assert got.shape == w.shape[:-2] + (min(side),)
+    assert np.all(np.diff(got, axis=-1) >= 0)
+    trace = np.sum(np.abs(w) ** 2, axis=(-2, -1))
+    error = np.abs(got - _explicit_gram_spectra(w)).max(axis=-1, initial=0.0)
+    assert np.all(error <= 1e-12 * trace)
+
+
+def test_gram_spectra_call_no_eigensolver_below_a_side_of_3(monkeypatch):
+    rng = np.random.default_rng(40)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    for shape in [(3, 0, 4), (3, 1, 4), (3, 4, 1), (3, 2, 4), (3, 4, 2), (2, 2, 2)]:
+        _gram_spectra(_kraus_rows(rng, shape))
+    assert calls == []
+    # A side of 3 or more calls eigvalsh on the Gram matrix, with the reference's bits.
+    for shape in [(5, 3, 3), (5, 3, 6), (2, 4, 7, 3), (4, 4)]:
+        w = _kraus_rows(rng, shape)
+        got = _gram_spectra(w)
+        assert calls[-1] == shape[:-2] + (min(shape[-2:]),) * 2
+        assert got.tobytes() == _explicit_gram_spectra(w).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7, 0, 5), (5, 3, 1, 9), (6, 4, 1), (200, 8, 2, 16), (3, 5, 2, 3),
+                                   (11, 9, 2), (4, 3, 3, 5)])
+def test_gram_spectra_of_a_stack_have_the_bits_of_each_item_alone(shape):
+    # The search scores its candidates in chunks of any size, so no bit
+    # of an item's spectrum may depend on the stack around it.
+    w = _kraus_rows(np.random.default_rng(sum(shape)), shape)
+    stacked = _gram_spectra(w)
+    for idx in np.ndindex(*shape[:-2]):
+        assert stacked[idx].tobytes() == _gram_spectra(w[idx].copy()).tobytes(), idx
