@@ -6,9 +6,10 @@ The package splits into five layers:
   entropies, shift and multiplication operators on the cyclic index set,
   and the private helpers that the other layers share.
 - ``channels``: quantum channels (Kraus, Schur-multiplier, unitary,
-  stochastic) plus complete-positivity diagnostics.
+  stochastic), trace-normalized Schur conditioning and
+  complete-positivity diagnostics.
 - ``metrics``: chaos degree, transmitted complexity, axiom property
-  suite, value-of-information orderings.
+  suite, value of information and the chaos-versus-value batches.
 - ``classical``: iterated maps, orbit binning, empirical channels,
   Lyapunov exponents, parameter sweeps.
 - ``recognition``: signal bases, entangling lifts, and the recognition
@@ -18,7 +19,10 @@ The package splits into five layers:
 ``svgplot`` carry the serialization formats it speaks.
 
 A public name is added in one place: under its home module in
-`_EXPORTS`, from which `__all__` is derived. The namespace is lazy (PEP
+`_EXPORTS`, from which `__all__` is derived. Each has one role in
+README's role table: a subcommand reaches it, the benchmark reads it,
+it implements a formula of the paper, or a test uses it as an oracle;
+a name with none of these is deleted. The namespace is lazy (PEP
 562): ``import infodyn`` loads no layer, and a name's module, or a
 layer named in `_EXPORTS`, is imported when it is first read.
 """
@@ -37,10 +41,8 @@ _EXPORTS = {
     ),
     "hilbert": (
         "DensityOperator",
-        "IndexGroup",
         "SchattenDecomposition",
         "diag_embedding",
-        "inner_product",
         "mult_operator",
         "partial_trace",
         "random_density",
@@ -52,7 +54,6 @@ _EXPORTS = {
         "von_neumann_entropy",
     ),
     "channels": (
-        "BranchDilation",
         "Channel",
         "CompletePositivityReport",
         "SchurWeight",
@@ -62,11 +63,9 @@ _EXPORTS = {
         "identity_channel",
         "kraus_channel",
         "random_kraus_channel",
-        "schur_apply",
         "schur_apply_from_terms",
         "schur_channel",
         "schur_channel_apply",
-        "shift_channel",
         "stochastic_channel",
         "unitary_channel",
     ),
@@ -75,12 +74,9 @@ _EXPORTS = {
         "ChaosDegreeReport",
         "ComplexityConfig",
         "ConjectureOutcome",
-        "ValueComparison",
         "axiom_suite",
         "chaos_degree",
         "classify_dynamics",
-        "compare_channels",
-        "compare_signals",
         "complexity",
         "conjecture_batch",
         "conjecture_experiment",

@@ -30,16 +30,18 @@ of Kraus families, one per item, which only the stacked kernels of
 the per-item paths. A constructor that takes a dimension `n` checks it
 through `hilbert._check_integer` first.
 
+Linear damping by a weight has one public route, a Schur channel's
+`apply_matrix`; `schur_apply_from_terms` sums the same damping over
+explicit spectral terms and is kept only as its test oracle.
 Trace-normalized damping, which conditions a state on a weight, is not
 a channel: it divides by the trace of the damped output, so it is
 nonlinear and partial. It lives in :func:`schur_channel_apply`, whose
 inputs with vanishing damped trace raise
 :class:`~infodyn.exceptions.OutsideDomain`. The damping itself has one
 entrywise product, `_damped`, with its overflow bound, which
-`schur_apply` and a Schur channel's `apply_matrix` share. The damped
-trace has one sum, `_damped_trace`, which
-`BranchDilation.branch_probability` reads too; a non-finite one raises
-ValueError there, with no overflow warning. A Schur weight is
+`schur_channel_apply` and a Schur channel's `apply_matrix` share. The
+damped trace has one sum, `_damped_trace`; a non-finite one raises
+ValueError, with no overflow warning. A Schur weight is
 decomposed by `hilbert._self_adjoint_spectra`, the one
 eigendecomposition, and a unitary is checked by
 `hilbert._check_orthonormal`, the one unitarity check.
@@ -122,21 +124,6 @@ def as_weight(obj) -> SchurWeight:
     return SchurWeight(obj)
 
 
-def schur_apply(weight, rho) -> np.ndarray:
-    """Entrywise damping of a state by a positive weight matrix.
-
-    The output is positive but in general not of unit trace. Acting
-    entrywise is equivalent to the sum of multiplication-operator
-    conjugations over any spectral representation of the weight, which
-    is exercised by :func:`schur_apply_from_terms`.
-    """
-    w = as_weight(weight)
-    m = rho.matrix if isinstance(rho, DensityOperator) else _square(rho, "state")
-    if w.n != m.shape[0]:
-        raise DimensionMismatch(f"weight dim {w.n} vs state dim {m.shape[0]}")
-    return _damped(w.matrix, m)
-
-
 def _damped(weight: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The one damping product: `weight` times a matrix or each matrix of a stack (..., n, n), entrywise.
 
@@ -154,7 +141,8 @@ def schur_apply_from_terms(terms, rho) -> np.ndarray:
     """Damping evaluated from an explicit spectral representation.
 
     `terms` is a sequence of (coefficient, function) pairs. Kept as the
-    definitional route; production code uses :func:`schur_apply`.
+    definitional route and the test oracle of the production route, a
+    Schur channel's `apply_matrix`.
     """
     m = rho.matrix if isinstance(rho, DensityOperator) else _square(rho, "state")
     out = np.zeros_like(m)
@@ -181,13 +169,19 @@ def _damped_trace(raw: np.ndarray) -> float:
 
 
 def schur_channel_apply(weight, rho) -> DensityOperator:
-    """Trace-normalized entrywise damping; nonlinear and partial.
+    """Trace-normalized entrywise damping (w o rho) / tr(w o rho); nonlinear and partial.
 
-    A state with a non-finite entry raises ValueError as it is read, and a
-    non-finite damped trace before any division; a finite one at or below
-    PROBABILITY_FLOOR raises OutsideDomain.
+    A weight of another dimension than the state raises DimensionMismatch
+    "weight dim <n> vs state dim <m>". A state with a non-finite entry
+    raises ValueError as it is read, and a non-finite damped trace before
+    any division; a finite one at or below PROBABILITY_FLOOR raises
+    OutsideDomain.
     """
-    raw = schur_apply(weight, rho)
+    w = as_weight(weight)
+    m = rho.matrix if isinstance(rho, DensityOperator) else _square(rho, "state")
+    if w.n != m.shape[0]:
+        raise DimensionMismatch(f"weight dim {w.n} vs state dim {m.shape[0]}")
+    raw = _damped(w.matrix, m)
     tr = _damped_trace(raw)
     if tr <= PROBABILITY_FLOOR:
         raise OutsideDomain(
@@ -195,64 +189,6 @@ def schur_channel_apply(weight, rho) -> DensityOperator:
             "state is outside the conditioning domain"
         )
     return DensityOperator(raw / tr)
-
-
-class BranchDilation(_Frozen):
-    """Isometry splitting a state into a kept and a discarded branch.
-
-    Built from a function h with 0 < ||h|| and |h(k)| <= 1 for all k.
-    The first branch modulates by h, the second by sqrt(1 - |h|^2);
-    together they stack into an isometric 2n x n matrix, and the
-    Heisenberg-picture compression is unital. Instances are immutable.
-    """
-
-    __slots__ = ("h", "matrix")
-
-    def __init__(self, h):
-        h = _as_array(h, "h")
-        if h.ndim != 1:
-            raise ValueError(f"h must be a vector, got shape {h.shape}")
-        if float(np.abs(h).max(initial=0.0)) > 1.0 + 1e-12:
-            raise ValueError("h must satisfy |h(k)| <= 1 for all k")
-        if float(np.linalg.norm(h)) == 0.0:
-            raise ValueError("h must be nonzero")
-        self._set(h=h.copy())
-        n = h.shape[0]
-        t = np.zeros((2 * n, n), dtype=complex)
-        t[:n, :] = np.diag(h)
-        t[n:, :] = np.diag(self.complement())
-        self._set(matrix=t)
-
-    @property
-    def n(self) -> int:
-        return self.h.shape[0]
-
-    def complement(self) -> np.ndarray:
-        """The second-branch modulation function sqrt(1 - |h|^2)."""
-        return np.sqrt(np.clip(1.0 - np.abs(self.h) ** 2, 0.0, None))
-
-    def heisenberg(self, operator) -> np.ndarray:
-        """Unital compression t* B t of an operator on the doubled space."""
-        b = _square(operator, "operator")
-        if b.shape[0] != 2 * self.n:
-            raise DimensionMismatch(f"expected dim {2 * self.n}, got {b.shape[0]}")
-        return self.matrix.conj().T @ b @ self.matrix
-
-    def _branch_function(self, branch: int) -> np.ndarray:
-        if branch == 1:
-            return self.h
-        if branch == 2:
-            return self.complement().astype(complex)
-        raise ValueError(f"branch must be 1 or 2, got {branch}")
-
-    def branch_probability(self, rho, branch: int) -> float:
-        g = self._branch_function(branch)
-        return _damped_trace(schur_apply(np.outer(g, g.conj()), rho))
-
-    def branch_state(self, rho, branch: int) -> DensityOperator:
-        """Post-measurement state of the selected branch, normalized."""
-        g = self._branch_function(branch)
-        return schur_channel_apply(np.outer(g, g.conj()), rho)
 
 
 class Channel(_Frozen):
@@ -437,11 +373,6 @@ def identity_channel(n: int) -> Channel:
     return unitary_channel(np.eye(n, dtype=complex))
 
 
-def shift_channel(k: int, n: int) -> Channel:
-    """Unitary conjugation by the index-shift operator."""
-    return unitary_channel(shift_unitary(k, n))
-
-
 def stochastic_channel(p) -> Channel:
     """Classical push-forward by a row-stochastic matrix.
 
@@ -496,7 +427,7 @@ def choi_matrix(channel, dim: int | None = None) -> np.ndarray:
     if isinstance(channel, Channel):
         n = channel.dim
         if dim is not None and _check_integer("dim", dim, 1) != n:
-            raise DimensionMismatch(f"channel dim {n} vs dim {dim}")
+            raise DimensionMismatch(f"channel dim {n} vs dim {_brief(dim)}")
         action = channel.apply_matrix
     else:
         if dim is None:

@@ -17,8 +17,8 @@ concern and lives with the report writers in `jsonio`, not here.
 The package-wide private helpers live here, one per rule:
 `_Frozen`, the one immutability rule, which `DensityOperator`,
 `SchattenDecomposition`, `channels.Channel`, `channels.SchurWeight`,
-`channels.BranchDilation`, `classical.EmpiricalChannel`,
-`recognition.SignalBasis` and `recognition.BellSystem` derive from
+`classical.EmpiricalChannel`, `recognition.SignalBasis` and
+`recognition.BellSystem` derive from
 (each slot set once, an array slot read-only, any later assignment an
 AttributeError), `_check_deviation`, the one tolerance check that a
 matrix equals its adjoint or the identity (a NaN deviation fails it as
@@ -69,7 +69,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,38 +81,11 @@ DEGENERACY_GAP = 1e-9
 SUPPORT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class IndexGroup:
-    """Cyclic index set {0, ..., n-1} with addition mod n."""
-
-    n: int
-
-    def __post_init__(self):
-        _check_integer("n", self.n, 1)
-
-    def add(self, k: int, l: int) -> int:
-        return (k + l) % self.n
-
-    def sub(self, k: int, l: int) -> int:
-        return (k - l) % self.n
-
-    def elements(self) -> range:
-        return range(self.n)
-
-
 def as_vector(f) -> np.ndarray:
     v = _as_array(f, "vector")
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     return v
-
-
-def inner_product(f, g) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    fv, gv = as_vector(f), as_vector(g)
-    if fv.shape != gv.shape:
-        raise DimensionMismatch(f"vector dimensions differ: {fv.shape[0]} vs {gv.shape[0]}")
-    return complex(np.vdot(fv, gv))
 
 
 def mult_operator(g) -> np.ndarray:
@@ -126,7 +98,7 @@ def shift_unitary(k: int, n: int) -> np.ndarray:
     _check_integer("n", n, 1)
     _check_integer("k", k, 0)
     if k >= n:
-        raise ValueError(f"shift index must satisfy 0 <= k < {n}, got {k}")
+        raise ValueError(f"shift index must satisfy 0 <= k < {_brief(n)}, got {_brief(k)}")
     u = np.zeros((n, n), dtype=complex)
     for m in range(n):
         u[m, (k + m) % n] = 1.0
@@ -180,7 +152,7 @@ def partial_trace(x, dims, trace_out) -> np.ndarray:
     total = int(np.prod(dims))
     if xm.shape != (total, total):
         raise DimensionMismatch(
-            f"matrix shape {xm.shape} does not factor as {dims}"
+            f"matrix shape {xm.shape} does not factor as {_brief(dims)}"
         )
     drop = sorted(set(_check_integer("trace_out", i, 0) for i in trace_out))
     if any(i >= len(dims) for i in drop):
@@ -247,21 +219,32 @@ def _square(matrix, name: str) -> np.ndarray:
 def _brief(value, limit: int = 80) -> str:
     """`repr(value)` for an input-error message, cut to its first `limit` characters and "...".
 
-    Lists and dicts, the containers of JSON, and strings are rendered only
-    as far as the cut, so a long or deeply nested value costs no more than
-    its first `limit` characters. A value whose repr fits keeps it unchanged.
+    Lists and dicts, the containers of JSON, tuples, strings and integers
+    are rendered only as far as the cut, so a long or deeply nested value
+    costs no more than its first `limit` characters, and an integer of any
+    length shows its leading digits. A value whose repr fits keeps it
+    unchanged.
     """
     # repr(v), or a text longer than `room` whose first `room` + 1 characters
     # are those of repr(v), up to the quotes a cut string is given.
     def head(v, room: int) -> str:
-        if type(v) in (list, dict):
-            text, items = ("[", v) if type(v) is list else ("{", (x for kv in v.items() for x in kv))
+        if type(v) in (list, tuple, dict):
+            text, end = {list: "[]", tuple: "()", dict: "{}"}[type(v)]
+            items = (x for kv in v.items() for x in kv) if type(v) is dict else v
             for i, item in enumerate(items):
                 if len(text) > room:
                     return text
                 sep = ": " if i % 2 and type(v) is dict else ", " if i else ""
                 text += sep + head(item, room - len(text))
-            return text + ("]" if type(v) is list else "}")
+            return text + ("," if type(v) is tuple and len(v) == 1 else "") + end
+        if type(v) is int:
+            # One division by a power of ten keeps at least room + 2 leading
+            # digits, by the lower bound on the digit count that bit_length
+            # gives, so a long integer is never converted whole (repr refuses
+            # one of more than 4300 digits).
+            shift = int((abs(v).bit_length() - 1) * math.log10(2)) - room - 2
+            if shift > 0:
+                return ("-" if v < 0 else "") + repr(abs(v) // 10**shift)
         return repr(v[:room + 1] if type(v) is str else v)
 
     text = head(value, limit)
@@ -438,13 +421,6 @@ class SchattenDecomposition(_Frozen):
             raise ValueError(f"weights must be a real vector of length {vectors.shape[1]}, "
                              f"got shape {weights.shape}")
         self._set(weights=weights.real.copy(), vectors=vectors)
-
-    def projection(self, k: int) -> np.ndarray:
-        v = self.vectors[:, k]
-        return np.outer(v, v.conj())
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.weights) @ self.vectors.conj().T
 
 
 class DensityOperator(_Frozen):
@@ -626,7 +602,7 @@ def random_density(n: int, rng: np.random.Generator, rank: int | None = None) ->
     _check_integer("n", n, 1)
     k = n if rank is None else _check_integer("rank", rank, 1)
     if k > n:
-        raise ValueError(f"rank must be in [1, {n}], got {k}")
+        raise ValueError(f"rank must be in [1, {_brief(n)}], got {_brief(k)}")
     return DensityOperator(_normalized_grams(_complex_gaussians(rng, 1, [(n, k)])[0][0]))
 
 

@@ -389,32 +389,12 @@ def value_of_information(rho_p, gamma_o, channel: Channel, purpose) -> float:
     return _joint_values(rho_p, gamma_o, (channel,), purpose)[1][0]
 
 
-@dataclass(frozen=True)
-class ValueComparison:
-    value_first: float
-    value_second: float
-    preferred: str  # "first" | "second" | "tie"
-
-
 def _preference(v_first: float, v_second: float) -> str:
     if v_first > v_second + ORDER_TOL:
         return "first"
     if v_second > v_first + ORDER_TOL:
         return "second"
     return "tie"
-
-
-def compare_signals(rho_a, rho_b, gamma_o, channel: Channel, purpose) -> ValueComparison:
-    """Order two processing states by their value through one channel."""
-    va = value_of_information(rho_a, gamma_o, channel, purpose)
-    vb = value_of_information(rho_b, gamma_o, channel, purpose)
-    return ValueComparison(va, vb, _preference(va, vb))
-
-
-def compare_channels(rho_p, gamma_o, channel_a: Channel, channel_b: Channel, purpose) -> ValueComparison:
-    """Order two channels by the value they give one signal."""
-    va, vb = _joint_values(rho_p, gamma_o, (channel_a, channel_b), purpose)[1]
-    return ValueComparison(va, vb, _preference(va, vb))
 
 
 @dataclass(frozen=True)

@@ -408,7 +408,7 @@ def _chooser(policy, n: int):
             flat = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
             return divmod(min(flat, n * n - 1), n)
         return sample
-    raise TypeError(f"unknown policy {policy!r}")
+    raise TypeError(f"unknown policy {_brief(policy)}")
 
 
 def _steps(memory: DensityOperator, signals, bell: BellSystem, choose) -> Iterator[RecognitionStep]:

@@ -92,7 +92,6 @@ CASES = {
     "ArgmaxPolicy": (),
     "AxiomResult": (True, 0.0, 1e-10, 1, ""),
     "BellSystem": (Fixed(SignalBasis.fourier(2)),),
-    "BranchDilation": ([0.5, 0.5],),
     "ChaosDegreeReport": (0.0, 0.0, 0.0, False, 1, 0, 0.0, None),
     "CompletePositivityReport": (True, 0.0, 0.0),
     "ComplexityConfig": (2, 0),
@@ -101,7 +100,6 @@ CASES = {
     "Channel": ("kraus", np.eye(2)[None]),
     "EmpiricalChannel": ([0.1, 0.5, 0.9], PARTITION),
     "FixedPolicy": (0, 0),
-    "IndexGroup": (2,),
     "MapSystem": ("map", ((0.0, 1.0),), (0.5,), 3.0, _points, _jacobian),
     "OrbitConfig": (None, 10, 50, None),
     "Partition": (((0.0, 1.0),), 4),
@@ -111,15 +109,12 @@ CASES = {
     "SchurWeight": (np.eye(2),),
     "SignalBasis": (np.eye(2),),
     "SweepRow": (3.9, 0.1, 0.1, "chaotic"),
-    "ValueComparison": (0.0, 0.0, "first"),
     "axiom_suite": (2, 1, 0),
     "baker_map": (),
     "chaos_degree": (HALF, CHANNEL, FAST),
     "choi_check": (CHANNEL, 2),
     "choi_matrix": (CHANNEL, 2),
     "classify_dynamics": ([0.1, 0.2], 1e-3, 1e-3),
-    "compare_channels": (HALF, [[1.0]], CHANNEL, CHANNEL, np.eye(2)),
-    "compare_signals": (HALF, HALF, [[1.0]], CHANNEL, np.eye(2)),
     "complexity": (HALF,),
     "conjecture_batch": (2, 1, 0, 2, False),
     "conjecture_experiment": (HALF, [[1.0]], CHANNEL, CHANNEL, np.eye(2), FAST),
@@ -128,7 +123,6 @@ CASES = {
     "empirical_channel": ([0.1, 0.5, 0.9], PARTITION),
     "entangle": (HALF,),
     "identity_channel": (2,),
-    "inner_product": ([1.0, 0.0], [0.0, 1.0]),
     "iterate_orbit": (MAP, ORBIT),
     "kraus_channel": ([np.eye(2)],),
     "logistic_map": (),
@@ -145,11 +139,9 @@ CASES = {
     "random_unitary": (2, RNG),
     "recognize_sequence": (HALF, [HALF], BELL, Fixed(ArgmaxPolicy())),
     "relative_entropy": (HALF, HALF),
-    "schur_apply": (np.eye(2), HALF),
     "schur_apply_from_terms": ([(1.0, [1.0, 1.0])], HALF),
     "schur_channel": (np.eye(2),),
     "schur_channel_apply": (np.eye(2), HALF),
-    "shift_channel": (1, 2),
     "shift_unitary": (1, 2),
     "stochastic_channel": (np.eye(2),),
     "sweep": (MAP, 3.9, 4.0, 0.1, ORBIT, PARTITION),
@@ -249,9 +241,6 @@ OVERFLOWING = {
                             "Kraus sum exceeds identity by 1.000e+300"),
     "unitary_channel-under": (infodyn.unitary_channel, 1e150 * np.eye(2),
                               "matrix is not unitary: deviation 1.000e+300"),
-    "BranchDilation.branch_probability": (
-        lambda rho: infodyn.BranchDilation([1.0, 1.0]).branch_probability(rho, 1),
-        [[1.5e308, 0.0], [0.0, 1.5e308]], "damped trace inf is not finite"),
 }
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from infodyn.channels import (
-    BranchDilation,
     Channel,
     SchurWeight,
     choi_check,
@@ -13,24 +12,22 @@ from infodyn.channels import (
     identity_channel,
     kraus_channel,
     random_kraus_channel,
-    schur_apply,
     schur_apply_from_terms,
     schur_channel,
     schur_channel_apply,
-    shift_channel,
     stochastic_channel,
     unitary_channel,
 )
 from infodyn.exceptions import DimensionMismatch, OutsideDomain
 from infodyn.hilbert import (
     DensityOperator,
-    inner_product,
     mult_operator,
     partial_trace,
     random_density,
     random_state,
     random_unitary,
     relative_entropy,
+    shift_unitary,
     tensor,
     von_neumann_entropy,
 )
@@ -46,12 +43,12 @@ def ones_weight(n):
 
 def test_schur_with_all_ones_weight_is_identity():
     rho = random_density(3, RNG)
-    assert np.allclose(schur_apply(ones_weight(3), rho.matrix), rho.matrix)
+    assert np.allclose(schur_channel(ones_weight(3)).apply_matrix(rho.matrix), rho.matrix)
 
 
 def test_schur_with_zero_weight_annihilates():
     rho = random_density(3, RNG)
-    assert np.allclose(schur_apply(SchurWeight(np.zeros((3, 3))), rho.matrix), 0)
+    assert np.allclose(schur_channel(SchurWeight(np.zeros((3, 3)))).apply_matrix(rho.matrix), 0)
 
 
 def test_schur_weight_rejects_indefinite():
@@ -83,7 +80,7 @@ def test_schur_matches_expansion_over_spectral_terms():
     w = SchurWeight(random_density(4, RNG).matrix)
     rho = random_density(4, RNG).matrix
     assert np.allclose(
-        schur_apply(w, rho),
+        schur_channel(w).apply_matrix(rho),
         schur_apply_from_terms(w.spectral_terms(), rho),
         atol=1e-12,
     )
@@ -100,7 +97,7 @@ def test_schur_value_independent_of_spectral_representation():
     out_a = schur_apply_from_terms(standard, rho)
     out_b = schur_apply_from_terms(rotated, rho)
     assert np.max(np.abs(out_a - out_b)) <= 1e-12
-    assert np.allclose(out_a, schur_apply(SchurWeight(np.eye(n) / n), rho), atol=1e-12)
+    assert np.allclose(out_a, schur_channel(SchurWeight(np.eye(n) / n)).apply_matrix(rho), atol=1e-12)
 
 
 def test_normalized_schur_keeps_unimodular_weight_unitary():
@@ -149,13 +146,13 @@ def test_normalized_schur_rejects_a_non_finite_trace_before_dividing():
 
 
 def test_shift_channel_moves_basis_state():
-    out = shift_channel(1, 2)(DensityOperator(np.diag([1.0, 0.0])))
+    out = unitary_channel(shift_unitary(1, 2))(DensityOperator(np.diag([1.0, 0.0])))
     assert np.allclose(out.matrix, np.diag([0.0, 1.0]))
 
 
 def test_shift_channel_at_zero_is_identity():
     rho = random_density(3, RNG)
-    assert np.allclose(shift_channel(0, 3)(rho).matrix, rho.matrix)
+    assert np.allclose(unitary_channel(shift_unitary(0, 3))(rho).matrix, rho.matrix)
 
 
 def test_unitary_conjugation_preserves_entropy():
@@ -273,9 +270,9 @@ def test_a_raw_channel_leaves_the_callers_array_writable_and_its_own(kind, data)
     assert np.array_equal(channel.apply_matrix(rho), image)
 
 
-def test_weight_and_dilation_are_immutable_and_compare_by_identity():
+def test_weight_and_density_are_immutable_and_compare_by_identity():
     # A frozen dataclass with array fields can neither compare nor hash.
-    for build in (lambda: SchurWeight(np.eye(2)), lambda: BranchDilation([0.5, 0.5])):
+    for build in (lambda: SchurWeight(np.eye(2)), lambda: DensityOperator(np.eye(2) / 2)):
         a, b = build(), build()
         assert a == a and a != b
         assert len({a, b, a}) == 2
@@ -284,9 +281,6 @@ def test_weight_and_dilation_are_immutable_and_compare_by_identity():
             a.matrix = b.matrix
     # A weight's terms are read-only too, since a Schur channel is built from them.
     assert not any(h.flags.writeable for _, h in SchurWeight(np.eye(2)).spectral_terms())
-    h = np.array([0.5, 0.5], dtype=complex)
-    dilation = BranchDilation(h)
-    assert dilation.h is not h and not dilation.h.flags.writeable
 
 
 def test_kraus_channel_requires_completeness():
@@ -415,9 +409,10 @@ def _purpose_check(q):
     value_of_information(half, DensityOperator([[1.0]]), identity_channel(2), q)
 
 
-# Callables that read a square matrix through `hilbert._square`. Each must
-# reject an inf and an integer beyond the float range by name, before an
-# OverflowError in conversion or a warning in arithmetic.
+# Callables that read a square matrix through `hilbert._square` (a Schur
+# channel's `apply_matrix` through `_as_array` and its own square check).
+# Each must reject an inf and an integer beyond the float range by name,
+# before an OverflowError in conversion or a warning in arithmetic.
 SQUARE_READERS = {
     "entropy": von_neumann_entropy,
     "relative": lambda m: relative_entropy(m, np.eye(2) / 2),
@@ -430,7 +425,7 @@ SQUARE_READERS = {
     "weight": SchurWeight,
     "schur": schur_channel,
     "unitary": unitary_channel,
-    "schur-apply": lambda m: schur_apply(np.eye(2), m),
+    "schur-apply": lambda m: schur_channel(np.eye(2)).apply_matrix(m),
     "schur-normalized": lambda m: schur_channel_apply(np.eye(2), m),
     "choi-image": lambda m: choi_matrix(lambda unit: m, 2),
 }
@@ -439,7 +434,6 @@ SQUARE_READERS = {
 ARRAY_READERS = {
     "tensor": lambda m: tensor(m, np.eye(2)),
     "partial-trace": lambda m: partial_trace(m, [2], [0]),
-    "inner-product": lambda m: inner_product(np.ones(2), m[1]),
     "mult-operator": lambda m: mult_operator(m[1]),
     "apply-matrix": lambda m: identity_channel(2).apply_matrix(m),
     "kraus-vectors": lambda m: identity_channel(2).kraus_vectors(m),
@@ -452,7 +446,6 @@ NEW_ROWS = [
     (stochastic_channel, [[INF, 1.0], [0.0, 1.0]], "stochastic-inf"),
     (lambda m: kraus_channel([m]), [[1.0, 0.0], [0.0, BIG]], "kraus-big"),
     (stochastic_channel, [[BIG, 1.0], [0.0, 1.0]], "stochastic-big"),
-    (BranchDilation, [0.5, BIG], "dilation-big"),
     *[(build, [[1.0, 0.0], [bad, 1.0]], f"{name}-{tag}")
       for name, build in ARRAY_READERS.items()
       for tag, bad in [("nan", NAN), ("inf", INF), ("big", BIG)]],
@@ -492,11 +485,9 @@ def test_density_operator_names_a_value_that_is_no_array_of_numbers(kind):
     (lambda m: kraus_channel([np.array(m)]), [[1.0, 0.0], [0.0, NAN]]),
     (unitary_channel, [[1.0, 0.0], [0.0, NAN]]),
     (stochastic_channel, [[NAN, 1.0], [0.0, 1.0]]),
-    (BranchDilation, [NAN, 0.5]),
-    (BranchDilation, [0.5, INF]),
     *[row[:2] for row in NEW_ROWS],
 ], ids=["density-diagonal", "density-offdiagonal", "density-inf", "basis", "weight",
-        "schur", "kraus", "unitary", "stochastic", "dilation", "dilation-inf",
+        "schur", "kraus", "unitary", "stochastic",
         *[row[2] for row in NEW_ROWS]])
 def test_constructors_reject_non_finite_entries(build, entries):
     with pytest.raises(ValueError, match="non-finite entry"):
@@ -549,56 +540,16 @@ def test_depolarizing_zero_strength_is_identity():
     assert np.allclose(depolarizing_channel(3, 0.0)(rho).matrix, rho.matrix, atol=1e-12)
 
 
-def test_branch_dilation_is_isometry():
-    h = RNG.uniform(0.1, 0.9, size=4) * np.exp(1j * RNG.uniform(0, 2 * np.pi, 4))
-    t = BranchDilation(h)
-    f = random_state(4, RNG)
-    assert np.linalg.norm(t.matrix @ f) == pytest.approx(np.linalg.norm(f))
-    assert np.allclose(t.matrix.conj().T @ t.matrix, np.eye(4), atol=1e-12)
-
-
-def test_branch_dilation_unit_branch_is_certain():
-    t = BranchDilation(np.ones(3))
-    rho = random_density(3, RNG)
-    assert t.branch_probability(rho, 1) == pytest.approx(1)
-    assert np.allclose(t.branch_state(rho, 1).matrix, rho.matrix, atol=1e-12)
-
-
-def test_branch_probabilities_sum_to_one():
-    h = RNG.uniform(0.2, 0.8, size=3) * np.exp(1j * RNG.uniform(0, 2 * np.pi, 3))
-    t = BranchDilation(h)
-    rho = random_density(3, RNG)
-    total = t.branch_probability(rho, 1) + t.branch_probability(rho, 2)
-    assert total == pytest.approx(1, abs=1e-12)
-
-
-def test_branch_heisenberg_is_unital():
-    h = RNG.uniform(0.2, 0.8, size=3)
-    t = BranchDilation(h)
-    assert np.allclose(t.heisenberg(np.eye(6)), np.eye(3), atol=1e-12)
-
-
-def test_branch_dilation_rejects_overweight_modulus():
-    with pytest.raises(ValueError):
-        BranchDilation(np.array([1.5, 0.5]))
-
-
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: schur_apply(ones_weight(2), np.eye(3) / 3), DimensionMismatch,
+    (lambda: schur_channel_apply(ones_weight(2), np.eye(3) / 3), DimensionMismatch,
      "weight dim 2 vs state dim 3"),
-    (lambda: BranchDilation(np.eye(2)), ValueError, "h must be a vector, got shape (2, 2)"),
-    (lambda: BranchDilation(np.array([1.5, 0.5])), ValueError, "h must satisfy |h(k)| <= 1 for all k"),
-    (lambda: BranchDilation(np.zeros(2)), ValueError, "h must be nonzero"),
-    (lambda: BranchDilation(np.ones(2)).heisenberg(np.eye(3)), DimensionMismatch,
-     "expected dim 4, got 3"),
-    (lambda: BranchDilation(np.ones(2)).branch_probability(np.eye(2) / 2, 3), ValueError,
-     "branch must be 1 or 2, got 3"),
     (lambda: identity_channel(2).apply_matrix(np.ones((2, 3))), ValueError,
      "operand must be a square matrix or a stack of them, got shape (2, 3)"),
     (lambda: kraus_channel([]), ValueError, "at least one Kraus operator is required"),
     (lambda: choi_matrix(np.trace, 2), ValueError, "image must be a square matrix, got shape ()"),
-], ids=["schur-dim", "dilation-matrix", "dilation-modulus", "dilation-zero", "heisenberg-dim",
-        "branch", "apply-non-square", "kraus-empty", "choi-image"])
+    (lambda: choi_matrix(identity_channel(2), 10**5000), DimensionMismatch,
+     "channel dim 2 vs dim 1" + "0" * 79 + "..."),
+], ids=["schur-dim", "apply-non-square", "kraus-empty", "choi-image", "choi-dim-huge"])
 def test_channel_input_errors_name_the_problem(call, error, message):
     with pytest.raises(error) as err:
         call()

@@ -11,7 +11,6 @@ from infodyn.exceptions import DimensionMismatch
 from infodyn.hilbert import (
     EIGENVALUE_FLOOR,
     DensityOperator,
-    IndexGroup,
     SchattenDecomposition,
     _brief,
     _check_real,
@@ -20,7 +19,6 @@ from infodyn.hilbert import (
     as_density,
     as_vector,
     diag_embedding,
-    inner_product,
     mult_operator,
     partial_trace,
     random_density,
@@ -37,18 +35,6 @@ RNG = np.random.default_rng(1234)
 LN2 = float(np.log(2))
 # -0.25 ln 0.25 - 0.75 ln 0.75, high-precision scalar evaluation
 H_QUARTER = 0.5623351446188083
-
-
-def test_index_group_wraps():
-    g = IndexGroup(5)
-    assert g.add(3, 4) == 2
-    assert g.sub(1, 3) == 3
-    assert list(g.elements()) == [0, 1, 2, 3, 4]
-
-
-def test_index_group_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        IndexGroup(0)
 
 
 def _experiment(**fields):
@@ -87,7 +73,6 @@ INTEGER_SITES = {
         classical.logistic_map(), 3.5, 3.6, 0.1, classical.OrbitConfig(transient=0, samples=v))),
     "random_kraus_channel.terms": ("terms", 1, None, lambda v: channels.random_kraus_channel(
         2, v, np.random.default_rng(0))),
-    "IndexGroup.n": ("n", 1, None, IndexGroup),
     "SamplePolicy.seed": ("seed", 0, None, lambda v: recognition.SamplePolicy(seed=v)),
     "experiment.n": ("n", 1, None, lambda v: _experiment(n=v)),
     "experiment.steps": ("steps", 0, "MAX_RECOGNITION_STEPS", lambda v: _experiment(steps=v)),
@@ -121,27 +106,32 @@ INTEGER_SITES = {
 }
 CAPS = {name: value for module in (classical, jsonio, metrics)
         for name, value in vars(module).items() if name.startswith("MAX_")}
+# More digits than `repr` converts (4300), with the echo of its first 80.
+HUGE = 10**5000
+HUGE_ECHO = "1" + "0" * 79 + "..."
 
 
 def _integer_cases():
     for site, (field, low, cap, call) in INTEGER_SITES.items():
-        for label, value in [("bool", True), ("float", 2.5), ("str", "3"), ("low", low - 1)]:
-            yield pytest.param(field, call, value, f"{field} must be ", id=f"{site}-{label}")
+        for label, value, echo in [("bool", True, "True"), ("float", 2.5, "2.5"), ("str", "3", "'3'"),
+                                   ("low", low - 1, repr(low - 1)), ("huge-low", -HUGE, "-1" + "0" * 78 + "...")]:
+            yield pytest.param(field, call, value, f"{field} must be ", echo, id=f"{site}-{label}")
         if cap is not None:
-            value = CAPS[cap] + 1
-            yield pytest.param(field, call, value, f"{field}={value} exceeds the limit "
-                               f"{cap}={CAPS[cap]}", id=f"{site}-cap")
+            for label, value, echo in [("cap", CAPS[cap] + 1, repr(CAPS[cap] + 1)),
+                                       ("huge-cap", HUGE, HUGE_ECHO)]:
+                yield pytest.param(field, call, value, f"{field}={echo} exceeds the limit "
+                                   f"{cap}={CAPS[cap]}", echo, id=f"{site}-{label}")
 
 
-@pytest.mark.parametrize("field, call, value, message", _integer_cases())
-def test_integer_inputs_follow_one_rule(field, call, value, message):
+@pytest.mark.parametrize("field, call, value, message, echo", _integer_cases())
+def test_integer_inputs_follow_one_rule(field, call, value, message, echo):
     with pytest.raises(ValueError) as exc:
         call(value)
     text = str(exc.value)
     if "exceeds the limit" in message:
         assert text == message
     else:
-        assert text.startswith(message) and text.endswith(f", got {value!r}")
+        assert text.startswith(message) and text.endswith(f", got {echo}")
 
 
 _LOGISTIC = classical.logistic_map()
@@ -225,24 +215,20 @@ def test_an_echoed_value_is_cut_before_its_repr_is_built():
     assert _brief(deep) == "[" * 80 + "..."
     assert _brief([0] * 10**6, 10) == "[0, 0, 0, ..."
     assert _brief({"a": "x" * 10**6}, 12) == "{'a': 'xxxxx..."
-
-
-def test_inner_product_orthogonal_standard_vectors():
-    assert inner_product([1, 0], [0, 1]) == 0
-
-
-def test_inner_product_unit_norm():
-    v = np.array([1, 1]) / np.sqrt(2)
-    assert inner_product(v, v) == pytest.approx(1)
-
-
-def test_inner_product_conjugates_first_slot():
-    assert inner_product([1j, 0], [1, 0]) == pytest.approx(-1j)
+    # An integer is cut from its leading digits, however many it has.
+    assert _brief(HUGE) == HUGE_ECHO
+    assert _brief(-HUGE, 10) == "-100000000..."
+    assert _brief([7 * HUGE], 12) == "[70000000000..."
+    assert _brief((HUGE, 0), 5) == "(1000..."
+    odd = 7**6000 + 12345
+    digits, power = 0, 1
+    while power <= odd:
+        digits, power = digits + 1, power * 10
+    assert _brief(odd) == repr(odd // 10 ** (digits - 80)) + "..."
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: as_vector(np.eye(2)), ValueError, "expected a vector, got shape (2, 2)"),
-    (lambda: inner_product([1, 0], [1, 0, 0]), DimensionMismatch, "vector dimensions differ: 2 vs 3"),
     (lambda: shift_unitary(3, 3), ValueError, "shift index must satisfy 0 <= k < 3, got 3"),
     (lambda: tensor(np.eye(2)), ValueError, "tensor needs at least two operators"),
     (lambda: tensor(np.eye(2), [1.0, 0.0]), ValueError, "tensor takes matrices, got shape (2,)"),
@@ -254,9 +240,15 @@ def test_inner_product_conjugates_first_slot():
     (lambda: relative_entropy(np.eye(2) / 2, np.eye(3) / 3), DimensionMismatch, "dimensions differ: 2 vs 3"),
     (lambda: random_density(3, np.random.default_rng(0), rank=4), ValueError,
      "rank must be in [1, 3], got 4"),
-], ids=["as-vector", "inner-product-dims", "shift-index", "tensor-one", "tensor-vector",
+    (lambda: partial_trace(np.eye(4) / 4, (HUGE, 2), [0]), DimensionMismatch,
+     f"matrix shape (4, 4) does not factor as ({HUGE_ECHO[:79]}..."),
+    (lambda: shift_unitary(HUGE, 3), ValueError, f"shift index must satisfy 0 <= k < 3, got {HUGE_ECHO}"),
+    (lambda: random_density(3, np.random.default_rng(0), rank=HUGE), ValueError,
+     f"rank must be in [1, 3], got {HUGE_ECHO}"),
+], ids=["as-vector", "shift-index", "tensor-one", "tensor-vector",
         "partial-trace-shape", "partial-trace-index", "from-pure-zero", "relative-entropy-dims",
-        "random-density-rank"])
+        "random-density-rank", "partial-trace-shape-huge", "shift-index-huge",
+        "random-density-rank-huge"])
 def test_hilbert_input_errors_name_the_problem(call, error, message):
     with pytest.raises(error) as err:
         call()
@@ -346,8 +338,8 @@ def test_density_operator_spectral_orders_descending():
     rho = DensityOperator(np.diag([0.25, 0.75]))
     assert np.allclose(rho.eigenvalues, [0.75, 0.25])
     dec = rho.spectral()
-    assert np.allclose(dec.reconstruct(), rho.matrix, atol=1e-12)
-    assert np.allclose(dec.projection(0), np.diag([0.0, 1.0]), atol=1e-12)
+    assert np.allclose((dec.vectors * dec.weights) @ dec.vectors.conj().T, rho.matrix, atol=1e-12)
+    assert np.allclose(np.abs(dec.vectors[:, 0]) ** 2, [0.0, 1.0], atol=1e-12)
 
 
 def test_density_operator_flags_degenerate():

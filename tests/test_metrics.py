@@ -25,8 +25,6 @@ from infodyn.metrics import (
     axiom_suite,
     chaos_degree,
     classify_dynamics,
-    compare_channels,
-    compare_signals,
     complexity,
     conjecture_batch,
     conjecture_experiment,
@@ -565,21 +563,11 @@ def test_value_rejects_a_purpose_operator_of_the_wrong_shape():
     assert str(err.value) == "purpose operator shape (3, 3), expected (4, 4)"
 
 
-def test_compare_signals_tie_on_identical_inputs():
+def test_identity_purpose_values_every_trace_preserving_channel_at_one():
+    # tr(channel(joint) 1) is the image's trace, so any two such channels tie.
     rho, gamma = random_density(2, RNG), random_density(2, RNG)
-    ch = random_kraus_channel(4, 2, RNG)
-    g = RNG.normal(size=(4, 4))
-    q = 0.5 * (g + g.T)
-    cmp = compare_signals(rho, rho, gamma, ch, q)
-    assert cmp.preferred == "tie"
-    assert cmp.value_first == cmp.value_second
-
-
-def test_compare_channels_identity_purpose_always_ties():
-    rho, gamma = random_density(2, RNG), random_density(2, RNG)
-    a = random_kraus_channel(4, 2, RNG)
-    b = random_kraus_channel(4, 3, RNG)
-    assert compare_channels(rho, gamma, a, b, np.eye(4)).preferred == "tie"
+    for channel in (random_kraus_channel(4, 2, RNG), random_kraus_channel(4, 3, RNG)):
+        assert value_of_information(rho, gamma, channel, np.eye(4)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_value_pair_builds_the_joint_state_once(monkeypatch):
@@ -592,11 +580,8 @@ def test_value_pair_builds_the_joint_state_once(monkeypatch):
     tensor = DensityOperator.tensor
     monkeypatch.setattr(DensityOperator, "tensor",
                         lambda self, other: joints.append(other) or tensor(self, other))
-    cmp = compare_channels(rho, gamma, a, b, q)
-    assert len(joints) == 1
     outcome = conjecture_experiment(rho, gamma, a, b, q)
-    assert len(joints) == 2
-    assert (cmp.value_first, cmp.value_second) == expected
+    assert len(joints) == 1
     assert (outcome.value_first, outcome.value_second) == expected
 
 
@@ -668,29 +653,12 @@ def test_value_functions_reject_a_non_channel():
     q = np.eye(4)
     calls = [
         lambda: value_of_information(rho, gamma, "x", q),
-        lambda: compare_signals(rho, rho, gamma, "x", q),
-        lambda: compare_channels(rho, gamma, "x", ch, q),
-        lambda: compare_channels(rho, gamma, ch, "x", q),
         lambda: conjecture_experiment(rho, gamma, "x", ch, q),
         lambda: conjecture_experiment(rho, gamma, ch, "x", q),
     ]
     for call in calls:
         with pytest.raises(TypeError, match="expected a Channel"):
             call()
-
-
-def test_compare_ordering_consistent_with_direct_values():
-    for _ in range(10):
-        rho_a, rho_b = random_density(2, RNG), random_density(2, RNG)
-        gamma = random_density(2, RNG)
-        ch = random_kraus_channel(4, 2, RNG)
-        g = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
-        q = 0.5 * (g + g.conj().T)
-        cmp = compare_signals(rho_a, rho_b, gamma, ch, q)
-        va = value_of_information(rho_a, gamma, ch, q)
-        vb = value_of_information(rho_b, gamma, ch, q)
-        expect = "first" if va > vb + 1e-10 else "second" if vb > va + 1e-10 else "tie"
-        assert cmp.preferred == expect
 
 
 def test_conjecture_identical_channels_agree_as_ties():

@@ -238,6 +238,18 @@ def test_every_size_cap_is_named_in_the_readme():
     assert [cap for cap in caps if not re.search(rf"\b{cap.partition('.')[2]}\b", readme)] == []
 
 
+def test_every_export_has_one_role_in_the_readme():
+    # The role table's rows are "| `module` | role | `name`, ... | use |".
+    readme = (Path(infodyn.__file__).parents[2] / "README.md").read_text()
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in readme.splitlines() if line.startswith("| `")]
+    roles = {"cli", "bench", "paper", "oracle"}
+    listed = [(row[0].strip("`"), name) for row in rows if len(row) > 2 and row[1] in roles
+              for name in re.findall(r"`(\w+)`", row[2])]
+    exports = [(module, name) for module, names in infodyn._EXPORTS.items() for name in names]
+    assert sorted(listed) == sorted(exports)
+
+
 def test_every_fixed_size_cap_goes_through_the_integer_rule():
     # These caps bound a value computed from several inputs, so each
     # keeps its own check.

@@ -271,6 +271,8 @@ def test_update_rejects_mismatched_dimensions():
     (0, 5, r"outcome indices must lie in \[0, 2\), got \(0, 5\)"),
     (-1, 0, "i must be a nonnegative integer, got -1"),
     (5, 0, r"outcome indices must lie in \[0, 2\), got \(5, 0\)"),
+    pytest.param(10**5000, 0, r"outcome indices must lie in \[0, 2\), got \(1" + "0" * 78 + r"\.\.\.",
+                 id="huge-i"),
 ])
 def test_transfer_operator_checks_its_outcome_indices(i, j, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -440,6 +442,13 @@ def test_recognize_checks_policy_and_memory_at_the_call(gamma_dim, policy, error
     # No signal is ever consumed, so each check must run before the first step.
     with pytest.raises(error):
         recognize_sequence(DensityOperator.maximally_mixed(gamma_dim), [], fourier_bell(2), policy)
+
+
+def test_an_unknown_policy_is_named_by_its_cut_repr():
+    for policy, shown in [("argmax", "'argmax'"), (10**5000, "1" + "0" * 79 + "...")]:
+        with pytest.raises(TypeError) as err:
+            recognize_sequence(DensityOperator.maximally_mixed(2), [], fourier_bell(2), policy)
+        assert str(err.value) == f"unknown policy {shown}"
 
 
 def test_recognize_yields_the_steps_before_a_failing_one():
