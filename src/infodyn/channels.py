@@ -343,8 +343,6 @@ class Channel(_Frozen):
         """Image of a state as a state; see the class docstring."""
         return DensityOperator(self.apply_matrix(as_density(rho).matrix))
 
-    def __call__(self, rho):
-        return self.apply(rho)
 
 def kraus_channel(operators) -> Channel:
     """Channel from a Kraus family; requires sum A*A <= identity."""

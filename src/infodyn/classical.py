@@ -274,11 +274,9 @@ class OrbitConfig:
     def __post_init__(self):
         _check_integer("samples", self.samples, 1)
         _check_integer("transient", self.transient, 0)
-        if self.transient + self.samples > MAX_ORBIT_STEPS:
-            raise ValueError(
-                f"orbit of transient + samples = {_brief(int(self.transient + self.samples))} steps "
-                f"exceeds the limit MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"
-            )
+        # Python ints, so that numpy integers cannot wrap past the cap here.
+        _check_integer("transient + samples", int(self.transient) + int(self.samples), None,
+                       "MAX_ORBIT_STEPS", MAX_ORBIT_STEPS)
         if self.x0 is not None:
             object.__setattr__(self, "x0", _reals("x0", self.x0))
         if self.param is not None:
@@ -336,10 +334,8 @@ class Partition:
         if not box:
             raise ValueError("partition box has no axes")
         # A Python int, so that a numpy integer `bins` cannot overflow here.
-        cells = int(self.bins) ** len(box)
-        if cells > MAX_PARTITION_CELLS:
-            raise ValueError(f"bins={_brief(int(self.bins))} gives {_brief(cells)} cells, more than the limit "
-                             f"MAX_PARTITION_CELLS={MAX_PARTITION_CELLS}")
+        _check_integer("bins ** dim", int(self.bins) ** len(box), None,
+                       "MAX_PARTITION_CELLS", MAX_PARTITION_CELLS)
         object.__setattr__(self, "box", box)
 
     def encode(self, points) -> np.ndarray:

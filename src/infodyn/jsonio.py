@@ -267,9 +267,7 @@ def parse_experiment(obj: dict):
         if signal.n != n:
             raise DimensionMismatch(f"signal {t} has dim {signal.n}, expected system dim {n}")
 
-    # The type alone first, so a non-integer seed "must be an integer".
-    seed = _check_integer("seed", obj.get("seed", 0))
-    _check_integer("seed", seed, 0)
+    seed = _check_integer("seed", obj.get("seed", 0), 0)
     policy_field = obj["policy"]
     if policy_field == "sample":
         policy = SamplePolicy(seed=seed)

@@ -37,10 +37,11 @@ degree. A single state is a stack of one.
 `conjecture_batch` and `axiom_suite` evaluate their pairs and trials in
 stacks: `_pair_outcomes` runs each step of the per-pair path
 (`conjecture_experiment`) once for a chunk, with its bits, and
-`_axiom_trials` evaluates every trial at its states' eigenbases, through
-what the per-item paths use: a "kraus" `Channel` holding one Kraus family
-per item, read through the same `image_spectra`, `kraus_vectors` and
-`apply_matrix`, `hilbert._density_spectra` for every state,
+`_axiom_trials` evaluates every trial at its states' eigenbases and its
+probe at the basis the probe is drawn from, through what the per-item
+paths use: a "kraus" `Channel` holding one Kraus family per item, read
+through the same `image_spectra`, `kraus_vectors` and `apply_matrix`,
+`hilbert._density_spectra` for every state but the probe and every image,
 `hilbert._kron` for the tensor product, `_eigenbasis_values` for the
 eigenbasis chaos degree, `_transmitted_stacks` for T and one
 `_rotation_chunks` call, with every trial's seed, for the probes'
@@ -532,8 +533,9 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
     at every extremal decomposition, and each check is evaluated at these:
     C >= 0, T >= 0 and D >= 0 at rho's eigenbasis; relabeling and
     additivity on the spectra; T <= C at rho's eigenbasis and at the
-    probe's eigenbasis and 20 rotations of its first tied pair of
-    eigenvectors, drawn with seed + t as `chaos_degree` draws them;
+    probe's basis (weights the probe spectrum, the tie in columns 0 and
+    1) and 20 rotations of its first two columns, drawn with seed + t as
+    `chaos_degree` draws them;
     identity recovery through the identity channel at rho's eigenbasis;
     the drift between rho's T and the relabeled state's, each at its
     eigenbasis. For a non-degenerate state the eigenbasis is the
@@ -591,11 +593,15 @@ def _axiom_trials(draws, terms: int, rotation_seeds, restarts: int) -> list:
     `axiom_suite`'s order, from which the states, Kraus stacks, unitaries
     and probes are built as the public samplers build them, with every
     check those run; a family that is not trace-preserving raises
-    ValueError. Every state is read at its eigenbasis, a valid extremal
-    decomposition whether or not its spectrum is degenerate. A trial's row
-    holds one Python float per check: the largest nonnegativity term, the
-    relabeling deviation, the additivity deviation, the largest T - C
-    term, the identity deviation and the transmitted drift.
+    ValueError. Every state but the probe is read at its eigenbasis, a
+    valid extremal decomposition whether or not its spectrum is
+    degenerate. The probe is read at (spectrum, basis), the decomposition
+    it is drawn from, with its tie in columns 0 and 1, so no eigensolver
+    picks a basis inside the tie; its image is checked as a state's. A
+    trial's row holds one Python float per check: the largest
+    nonnegativity term, the relabeling deviation, the additivity
+    deviation, the largest T - C term, the identity deviation and the
+    transmitted drift.
     """
     g_rho, g_sigma, g_kraus, g_u, raw, g_basis = draws
     n = g_rho.shape[1]
@@ -608,8 +614,7 @@ def _axiom_trials(draws, terms: int, rotation_seeds, restarts: int) -> list:
     raw[:, 1] = raw[:, 0]
     spectrum = raw / raw.sum(axis=-1, keepdims=True)
     basis = _haar_unitaries(g_basis)
-    probe, lam_probe, vec_probe = _density_spectra(
-        (basis * spectrum[:, None, :]) @ basis.conj().mT)
+    probe = (basis * spectrum[:, None, :]) @ basis.conj().mT
 
     def transmitted(channel, lam, vecs, state):  # T at `vecs` through `channel` against each state's checked image
         return _transmitted_stacks(lam, channel.kraus_vectors(vecs.mT),
@@ -622,20 +627,18 @@ def _axiom_trials(draws, terms: int, rotation_seeds, restarts: int) -> list:
     t_rel = transmitted(channel, lam_rel, vec_rel[:, None], relabeled)[:, 0]
     t_id = transmitted(identity_channel(n), lam, vec[:, None], rho)[:, 0]
 
-    # The probe's eigenbasis, then its first tied pair of columns (still
-    # eigenvectors within a larger block) rotated by each trial's
-    # `_rotation_chunks` stream (at one byte a candidate, usually one chunk).
+    # The probe's basis, then its tied columns 0 and 1 (still eigenvectors
+    # within a larger block) rotated by each trial's `_rotation_chunks`
+    # stream (at one byte a candidate, usually one chunk).
     chunks = _rotation_chunks([(0, 2)], restarts, rotation_seeds, 1)
     rotations = np.concatenate([r for r, in chunks], axis=1)
-    cols = np.argmin(_block_starts(lam_probe), axis=-1)[:, None] + np.arange(2)
-    block = np.take_along_axis(vec_probe, cols[:, None, :], axis=-1)
-    candidates = np.repeat(vec_probe[:, None], restarts + 1, axis=1)
-    np.put_along_axis(candidates[:, 1:], cols[:, None, None, :], block[:, None] @ rotations, axis=-1)
-    t_probe = transmitted(channel, lam_probe, candidates, probe)
+    candidates = np.repeat(basis[:, None], restarts + 1, axis=1)
+    candidates[:, 1:, :, :2] = basis[:, None, :, :2] @ rotations
+    t_probe = transmitted(channel, spectrum, candidates, probe)
 
     c_val, c_rel, c_sigma, c_joint, ceiling = (
         _entropy_of_spectrum(x)
-        for x in (lam, lam_rel, lam_sigma, _density_spectra(_kron(rho, sigma))[1], lam_probe))
+        for x in (lam, lam_rel, lam_sigma, _density_spectra(_kron(rho, sigma))[1], spectrum))
     # Row maxima over Python floats, as `axiom_suite` folds the rows.
     return list(zip(
         map(max, np.stack([-c_val, -t_val, -d_val], axis=-1).tolist()),

@@ -70,19 +70,15 @@ ARGMAX_TIE_TOL = 1e-12
 class SignalBasis(_Frozen):
     """Orthonormal family of n signal vectors in C^n.
 
-    Row k of `vectors` is the k-th signal. `uniform_modulus` records
-    whether every signal has constant component modulus, which is what
-    makes the first conditioning stage of the composed update total.
+    Row k of `vectors` is the k-th signal.
     """
 
-    __slots__ = ("vectors", "uniform_modulus")
+    __slots__ = ("vectors",)
 
     def __init__(self, vectors):
         v = _square(vectors, "basis")
         _check_orthonormal(v.T, BASIS_TOL, "basis", "rows are not orthonormal: Gram error")
-        mags = np.abs(v)
-        uniform = bool(np.max(mags.max(axis=1) - mags.min(axis=1)) <= BASIS_TOL)
-        self._set(vectors=v.copy(), uniform_modulus=uniform)
+        self._set(vectors=v.copy())
 
     @property
     def n(self) -> int:

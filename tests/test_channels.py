@@ -146,19 +146,19 @@ def test_normalized_schur_rejects_a_non_finite_trace_before_dividing():
 
 
 def test_shift_channel_moves_basis_state():
-    out = unitary_channel(shift_unitary(1, 2))(DensityOperator(np.diag([1.0, 0.0])))
+    out = unitary_channel(shift_unitary(1, 2)).apply(DensityOperator(np.diag([1.0, 0.0])))
     assert np.allclose(out.matrix, np.diag([0.0, 1.0]))
 
 
 def test_shift_channel_at_zero_is_identity():
     rho = random_density(3, RNG)
-    assert np.allclose(unitary_channel(shift_unitary(0, 3))(rho).matrix, rho.matrix)
+    assert np.allclose(unitary_channel(shift_unitary(0, 3)).apply(rho).matrix, rho.matrix)
 
 
 def test_unitary_conjugation_preserves_entropy():
     rho = random_density(3, RNG)
     ch = unitary_channel(random_unitary(3, RNG))
-    assert von_neumann_entropy(ch(rho)) == pytest.approx(von_neumann_entropy(rho), abs=1e-10)
+    assert von_neumann_entropy(ch.apply(rho)) == pytest.approx(von_neumann_entropy(rho), abs=1e-10)
 
 
 def test_unitary_channel_rejects_nonunitary():
@@ -304,7 +304,7 @@ def test_kraus_channel_matches_explicit_sum():
     ch = kraus_channel(ops)
     rho = random_density(3, RNG)
     expect = sum(a @ rho.matrix @ a.conj().T for a in ops)
-    assert np.allclose(ch(rho).matrix, expect, atol=1e-12)
+    assert np.allclose(ch.apply(rho).matrix, expect, atol=1e-12)
 
 
 def test_kraus_sum_check_of_a_stack_matches_each_channel():
@@ -367,12 +367,12 @@ def test_random_kraus_channel_is_trace_preserving():
         ch = random_kraus_channel(3, terms, RNG)
         assert ch.is_trace_preserving
         rho = random_density(3, RNG)
-        assert np.trace(ch(rho).matrix) == pytest.approx(1, abs=1e-12)
+        assert np.trace(ch.apply(rho).matrix) == pytest.approx(1, abs=1e-12)
 
 
 def test_stochastic_identity_fixes_distributions():
     rho = DensityOperator(np.diag([0.2, 0.3, 0.5]))
-    out = stochastic_channel(np.eye(3))(rho)
+    out = stochastic_channel(np.eye(3)).apply(rho)
     assert np.allclose(out.matrix, rho.matrix)
 
 
@@ -380,14 +380,14 @@ def test_stochastic_identical_rows_forget_input():
     r = np.array([0.1, 0.6, 0.3])
     ch = stochastic_channel(np.tile(r, (3, 1)))
     for _ in range(5):
-        out = ch(random_density(3, RNG))
+        out = ch.apply(random_density(3, RNG))
         assert np.allclose(out.matrix, np.diag(r), atol=1e-12)
 
 
 def test_stochastic_diagonal_action_is_row_vector_product():
     p = RNG.dirichlet(np.ones(4))
     rows = RNG.dirichlet(np.ones(4), size=4)
-    out = stochastic_channel(rows)(DensityOperator(np.diag(p)))
+    out = stochastic_channel(rows).apply(DensityOperator(np.diag(p)))
     assert np.allclose(np.diag(out.matrix), p @ rows, atol=1e-12)
 
 
@@ -531,13 +531,13 @@ def test_unitary_channel_conjugates_a_stack():
 def test_depolarizing_full_strength_outputs_maximally_mixed():
     for n in (2, 3, 4):
         ch = depolarizing_channel(n, 1.0)
-        out = ch(random_density(n, RNG))
+        out = ch.apply(random_density(n, RNG))
         assert np.max(np.abs(out.matrix - np.eye(n) / n)) <= 1e-12
 
 
 def test_depolarizing_zero_strength_is_identity():
     rho = random_density(3, RNG)
-    assert np.allclose(depolarizing_channel(3, 0.0)(rho).matrix, rho.matrix, atol=1e-12)
+    assert np.allclose(depolarizing_channel(3, 0.0).apply(rho).matrix, rho.matrix, atol=1e-12)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -617,7 +617,7 @@ def test_channel_dimension_guard():
     from infodyn.exceptions import DimensionMismatch
 
     with pytest.raises(DimensionMismatch):
-        identity_channel(2)(random_density(3, RNG))
+        identity_channel(2).apply(random_density(3, RNG))
 
 
 def test_apply_on_channel_not_preserving_trace_raises_naming_trace():

@@ -819,9 +819,12 @@ def test_partition_rejects_cell_counts_above_the_cap():
 def test_orbit_config_rejects_orbits_above_the_cap():
     OrbitConfig(transient=1, samples=MAX_ORBIT_STEPS - 1)
     for transient, samples in [(0, MAX_ORBIT_STEPS + 1), (MAX_ORBIT_STEPS, 1)]:
-        with pytest.raises(ValueError, match=f"= {MAX_ORBIT_STEPS + 1} steps exceeds the limit "
-                                             f"MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"):
+        with pytest.raises(ValueError, match=f"^transient \\+ samples={MAX_ORBIT_STEPS + 1} exceeds "
+                                             f"the limit MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}$"):
             OrbitConfig(transient=transient, samples=samples)
+    # Two int64 halves of 2**63 would wrap to a negative sum in numpy.
+    with pytest.raises(ValueError, match=f"^transient \\+ samples={2**63} exceeds"):
+        OrbitConfig(transient=np.int64(2**62), samples=np.int64(2**62))
 
 
 def test_partition_rejects_a_box_with_no_axes():

@@ -374,7 +374,7 @@ def test_quantum_ecd_rejects_non_finite_and_boolean_entries(tmp_path, capsys, te
 @pytest.mark.parametrize("field, value, message", [
     ("n", True, "n must be a positive integer, got True"),
     ("steps", True, "steps must be a nonnegative integer, got True"),
-    ("seed", False, "seed must be an integer, got False"),
+    ("seed", False, "seed must be a nonnegative integer, got False"),
     ("policy", {"fixed": [0, True]}, "got [0, True]"),
 ])
 def test_recognize_rejects_boolean_integer_fields(tmp_path, capsys, field, value, message):
@@ -444,7 +444,7 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--bins", "100000000000000000000", f"MAX_PARTITION_CELLS={MAX_PARTITION_CELLS}"),
-    ("--samples", str(MAX_ORBIT_STEPS), f"= {MAX_ORBIT_STEPS + 100} steps exceeds the limit "
+    ("--samples", str(MAX_ORBIT_STEPS), f"transient + samples={MAX_ORBIT_STEPS + 100} exceeds the limit "
                                         f"MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"),
     ("--transient", str(MAX_ORBIT_STEPS), f"MAX_ORBIT_STEPS={MAX_ORBIT_STEPS}"),
     ("--samples", "1", "samples must be an integer >= 2, got 1"),

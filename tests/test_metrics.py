@@ -1,5 +1,10 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +36,10 @@ from infodyn.metrics import (
     transmitted_complexity,
     value_of_information,
 )
+import infodyn
 from infodyn import channels, hilbert, jsonio, metrics
 from infodyn.channels import Channel, schur_channel
-from infodyn.hilbert import _degenerate_blocks, relative_entropy
+from infodyn.hilbert import _degenerate_blocks, _entropy_of_spectrum, relative_entropy
 from infodyn.metrics import AxiomResult, _rotated, _rotation_chunks, _transmitted
 
 RNG = np.random.default_rng(99)
@@ -822,14 +828,13 @@ def replayed_axioms(dim, trials, seed):
         spectrum[1] = spectrum[0]
         spectrum = spectrum / spectrum.sum()
         basis = random_unitary(dim, rng)
-        probe = DensityOperator((basis * spectrum) @ basis.conj().T)
-        lam, vec = probe.eigenvalues, probe.eigenvectors
-        blocks = _degenerate_blocks(lam)
-        out, ceiling = channel.apply(probe), complexity(probe)
-        chunks = _rotation_chunks(blocks, cfg.restarts, [seed + t], 16 * dim * dim * (1 + 4 * dim))
-        for vecs in (vec[None], *(_rotated(vec, blocks, [u[0] for u in r]) for r in chunks)):
+        probe = (basis * spectrum) @ basis.conj().T
+        out = DensityOperator(channel.apply_matrix(probe))
+        ceiling = float(_entropy_of_spectrum(spectrum))
+        chunks = _rotation_chunks([(0, 2)], cfg.restarts, [seed + t], 16 * dim * dim * (1 + 4 * dim))
+        for vecs in (basis[None], *(_rotated(basis, [(0, 2)], [u[0] for u in r]) for r in chunks)):
             worst_bound = max(worst_bound,
-                              float(np.max(_transmitted(lam, vecs, channel, out))) - ceiling)
+                              float(np.max(_transmitted(spectrum, vecs, channel, out))) - ceiling)
 
         worst_identity = max(worst_identity, abs(
             chaos_degree(rho, ident, cfg).transmitted - c_val))
@@ -902,35 +907,36 @@ def test_axiom_suite_runs_no_search(monkeypatch):
 def eigenbasis_row(g_rho, g_sigma, kraus, u, spectrum, basis, seed, restarts):
     """One `_axiom_trials` row, piece by piece through the public state and channel functions.
 
-    Every state is read at its eigenbasis over its weights above WEIGHT_FLOOR,
-    and the probe's first tied pair of eigenvectors at `restarts` rotations,
-    one `random_unitary` per rotation from the generator of `seed`.
+    Every state is read over its weights above WEIGHT_FLOOR: rho and the
+    relabeled state at their eigenbases, the probe at the basis it is drawn
+    from, weights `spectrum`, and at `restarts` rotations of that basis's
+    first two columns, one `random_unitary` per rotation from the generator
+    of `seed`.
     """
     rho, sigma = (DensityOperator(hilbert._normalized_grams(g)) for g in (g_rho, g_sigma))
     channel, n = kraus_channel(kraus), rho.n
 
-    def d_and_t(state, channel, vecs):
+    def d_and_t(state, channel, weights, vecs):
         out = channel.apply(state)
         images = [(w, channel.apply(np.outer(v, v.conj())))
-                  for w, v in zip(state.eigenvalues, vecs.T) if w > metrics.WEIGHT_FLOOR]
+                  for w, v in zip(weights, vecs.T) if w > metrics.WEIGHT_FLOOR]
         return (sum(w * von_neumann_entropy(image) for w, image in images),
                 sum(w * relative_entropy(image, out) for w, image in images))
 
     c = complexity(rho)
-    d, t = d_and_t(rho, channel, rho.eigenvectors)
+    d, t = d_and_t(rho, channel, rho.eigenvalues, rho.eigenvectors)
     relabeled = DensityOperator(u @ rho.matrix @ u.conj().T)
-    t_rel = d_and_t(relabeled, channel, relabeled.eigenvectors)[1]
-    t_id = d_and_t(rho, identity_channel(n), rho.eigenvectors)[1]
+    t_rel = d_and_t(relabeled, channel, relabeled.eigenvalues, relabeled.eigenvectors)[1]
+    t_id = d_and_t(rho, identity_channel(n), rho.eigenvalues, rho.eigenvectors)[1]
 
     probe = DensityOperator((basis * spectrum) @ basis.conj().T)
-    vecs, ceiling = probe.eigenvectors, complexity(probe)
-    lo = _degenerate_blocks(probe.eigenvalues)[0][0]
+    ceiling = complexity(probe)
     rng = np.random.default_rng(seed)
-    bounds = [t - c, d_and_t(probe, channel, vecs)[1] - ceiling]
+    bounds = [t - c, d_and_t(probe, channel, spectrum, basis)[1] - ceiling]
     for _ in range(restarts):
-        rotated = vecs.copy()
-        rotated[:, lo:lo + 2] = vecs[:, lo:lo + 2] @ random_unitary(2, rng)
-        bounds.append(d_and_t(probe, channel, rotated)[1] - ceiling)
+        rotated = basis.copy()
+        rotated[:, :2] = basis[:, :2] @ random_unitary(2, rng)
+        bounds.append(d_and_t(probe, channel, spectrum, rotated)[1] - ceiling)
     return (max(-c, -t, -d), abs(complexity(relabeled) - c),
             abs(complexity(rho.tensor(sigma)) - c - complexity(sigma)),
             max(bounds), abs(t_id - c), abs(t_rel - t))
@@ -980,6 +986,32 @@ def test_axiom_suite_raises_the_trace_preservation_error_through_the_per_trial_p
         replayed_axioms(3, 4, 0)
     with pytest.raises(ValueError, match=message):
         axiom_suite(3, 4, 0)
+
+
+def transmitted_bounded_under(coretype):
+    """`axiom_suite`'s T - C worst deviations at (2, 2, 0) and (6, 5, 1), in a fresh
+    interpreter whose OpenBLAS runs the kernels of `coretype` (None: the default)."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(infodyn.__file__).parents[1])
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    code = ("from infodyn.metrics import axiom_suite\n"
+            "for args in [(2, 2, 0), (6, 5, 1)]:\n"
+            "    print(repr(axiom_suite(*args)['transmitted_bounded'].worst_deviation))\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    return [float(line) for line in result.stdout.split()]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types are named for x86-64")
+def test_axiom_probe_does_not_depend_on_the_blas_kernel():
+    # Each probe is read at the basis it is drawn from, never at the basis
+    # that an eigensolver picks inside the probe's tied eigenspace.
+    default = transmitted_bounded_under(None)
+    for coretype in ("Haswell", "Prescott"):
+        assert np.allclose(transmitted_bounded_under(coretype), default, rtol=0.0, atol=1e-12), coretype
 
 
 def test_axiom_suite_passes_small():

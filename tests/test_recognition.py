@@ -43,12 +43,7 @@ def test_fourier_basis_is_orthonormal_and_uniform():
     basis = SignalBasis.fourier(5)
     gram = basis.vectors.conj() @ basis.vectors.T
     assert np.max(np.abs(gram - np.eye(5))) <= 1e-12
-    assert basis.uniform_modulus
-
-
-def test_standard_basis_not_uniform_modulus():
-    basis = SignalBasis.standard(3)
-    assert not basis.uniform_modulus
+    assert np.max(np.abs(np.abs(basis.vectors) - 1 / np.sqrt(5))) <= 1e-12
 
 
 def test_basis_rejects_nonorthonormal_rows():
@@ -59,7 +54,7 @@ def test_basis_rejects_nonorthonormal_rows():
 def test_basis_is_immutable():
     basis = SignalBasis.fourier(2)
     with pytest.raises(AttributeError):
-        basis.uniform_modulus = False
+        basis.vectors = np.eye(2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
