@@ -367,8 +367,8 @@ def unitary_channel(u) -> Channel:
 
 
 def identity_channel(n: int) -> Channel:
-    _check_integer("n", n, 1)
-    return unitary_channel(np.eye(n, dtype=complex))
+    """Conjugation by the identity, `shift_unitary(0, n)`, which checks `n` against MAX_MATRIX_DIM."""
+    return unitary_channel(shift_unitary(0, n))
 
 
 def stochastic_channel(p) -> Channel:

@@ -79,6 +79,17 @@ TRACE_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-10
 DEGENERACY_GAP = 1e-9
 SUPPORT_TOL = 1e-12
+# Largest dimensions of the constructors and samplers that build an array
+# from a dimension alone, each sized so that array holds at most
+# MAX_MATRIX_DIM^2 complex entries (64 MB). An n x n matrix
+# (`random_unitary`, `random_density`, `shift_unitary`,
+# `DensityOperator.maximally_mixed`, `channels.identity_channel`,
+# `recognition.SignalBasis.fourier` and `.standard`) is built and checked
+# in 2-5 s at 2048 (2-core x86-64 host, one BLAS thread), with a peak of
+# about 0.5 GB; `diag_embedding` builds n^2 x n and `random_state` n.
+MAX_MATRIX_DIM = 2048
+MAX_EMBEDDING_DIM = int(MAX_MATRIX_DIM ** (2 / 3))
+MAX_VECTOR_DIM = MAX_MATRIX_DIM ** 2
 
 
 def as_vector(f) -> np.ndarray:
@@ -95,7 +106,7 @@ def mult_operator(g) -> np.ndarray:
 
 def shift_unitary(k: int, n: int) -> np.ndarray:
     """Unitary U_k acting by (U_k f)(m) = f((k + m) mod n)."""
-    _check_integer("n", n, 1)
+    _check_integer("n", n, 1, "MAX_MATRIX_DIM", MAX_MATRIX_DIM)
     _check_integer("k", k, 0)
     if k >= n:
         raise ValueError(f"shift index must satisfy 0 <= k < {_brief(n)}, got {_brief(k)}")
@@ -112,7 +123,7 @@ def diag_embedding(n: int) -> np.ndarray:
     flattened row-major. The adjoint restricts a function on the square
     to its diagonal, so J.conj().T @ J is the identity on C^n.
     """
-    _check_integer("n", n, 1)
+    _check_integer("n", n, 1, "MAX_EMBEDDING_DIM", MAX_EMBEDDING_DIM)
     j = np.zeros((n * n, n), dtype=complex)
     for k in range(n):
         j[k * n + k, k] = 1.0
@@ -461,7 +472,7 @@ class DensityOperator(_Frozen):
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "DensityOperator":
-        _check_integer("n", n, 1)
+        _check_integer("n", n, 1, "MAX_MATRIX_DIM", MAX_MATRIX_DIM)
         return cls(np.eye(n, dtype=complex) / n)
 
     def spectral(self) -> SchattenDecomposition:
@@ -475,16 +486,16 @@ class DensityOperator(_Frozen):
 
 
 def _density_operators(matrices: np.ndarray) -> list[DensityOperator]:
-    """A DensityOperator for each matrix of a finite complex stack (T, n, m), checked as one.
+    """A DensityOperator for each matrix of a complex stack (T, n, m), checked as one.
 
     Each operator has the bits of `DensityOperator(matrices[t])`, and its
     slots are read-only views of the stack's spectral arrays. Raises
-    ValueError when the matrices are not square or any fails a check,
-    without naming which one.
+    ValueError when the matrices are not square, an entry is not finite
+    (through `_as_array`) or any fails a check, without naming which one.
     """
     if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {matrices.shape}")
-    m, lam, vec = _density_spectra(matrices)
+    m, lam, vec = _density_spectra(_as_array(matrices, "density operator"))
     operators = []
     for t in range(matrices.shape[0]):
         rho = DensityOperator.__new__(DensityOperator)
@@ -581,12 +592,12 @@ def _complex_gaussians(rng: np.random.Generator, count: int, shapes) -> list[np.
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    _check_integer("n", n, 1)
+    _check_integer("n", n, 1, "MAX_MATRIX_DIM", MAX_MATRIX_DIM)
     return _haar_unitaries(_complex_gaussians(rng, 1, [(n, n)])[0][0])
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    _check_integer("n", n, 1)
+    _check_integer("n", n, 1, "MAX_VECTOR_DIM", MAX_VECTOR_DIM)
     v = _complex_gaussians(rng, 1, [(n,)])[0][0]
     return v / np.linalg.norm(v)
 
@@ -599,7 +610,7 @@ def _normalized_grams(g) -> np.ndarray:
 
 def random_density(n: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
     """Random full-rank (or fixed-rank) density operator."""
-    _check_integer("n", n, 1)
+    _check_integer("n", n, 1, "MAX_MATRIX_DIM", MAX_MATRIX_DIM)
     k = n if rank is None else _check_integer("rank", rank, 1)
     if k > n:
         raise ValueError(f"rank must be in [1, {_brief(n)}], got {_brief(k)}")

@@ -9,8 +9,10 @@ display base of `quantum-ecd`'s entropies is checked by
 
 A complex number is a two-element array [re, im]; a matrix is a
 row-major array of rows of those. Plain numbers are accepted on input
-wherever a complex entry is expected. JSON booleans are never numbers,
-and NaN or infinite entries (which `json.load` accepts) are rejected.
+wherever a complex entry is expected. JSON booleans are never numbers.
+NaN and infinite entries, which `json.load` accepts, are read as they
+are; the matrix's constructor rejects them through `hilbert._as_array`,
+the package's one array rule, as "<name> has a non-finite entry".
 An experiment's signals come back as an iterable that is consumed once:
 a single `rho` is repeated lazily, so `steps` costs no memory.
 
@@ -19,18 +21,20 @@ through. `_object` reads an object: it must be an object, carry no
 unknown field and carry every required one, checked in that order.
 An integer field goes through `hilbert._check_integer`, the package's
 one integer rule, which rejects booleans, values below the field's
-lower bound and values above its cap. `json_to_matrix` reads a matrix:
-a non-empty array of rows of one length, each entry a finite number,
-where an integer beyond the float range counts as non-finite.
+lower bound and values above its cap; a fixed policy's [i, j] is read
+for its shape only, and `FixedPolicy` checks i and j by that rule.
+`json_to_matrix` reads a matrix: a non-empty array of rows of one
+length, each entry a number or a pair, where an integer beyond the
+float range maps to inf.
 
 Matrices are read array-first (`_numbers`): numpy converts the whole
 nest at once, and the result is kept when it is an integer or float
-array of bare entries or [re, im] pairs, every entry finite and none of
-them a boolean. Anything else, such as a ragged nest, a string, None, an
-integer beyond int64 or the float range, or a three-element "pair",
-defers to the per-entry rule (`json_to_complex` on each entry), which
-decides the result and words every message. So both paths return the
-same bits and raise the same errors. A list of signal states in an
+array of bare entries or [re, im] pairs, none of them a boolean.
+Anything else, such as a ragged nest, a string, None, an integer beyond
+int64 or the float range, or a three-element "pair", defers to the
+per-entry rule (`json_to_complex` on each entry), which decides the
+result and words every type error. So both paths return the same bits
+and raise the same errors. A list of signal states in an
 experiment file is read the same way, as one stack with one stacked
 density check (`_parse_states`); a list that is not regular, or a stack
 that fails the check, is read state by state, so the first faulty state
@@ -108,12 +112,9 @@ def json_to_complex(value) -> complex:
     else:
         raise ValueError(f"expected a number or [re, im] pair, got {_brief(value)}")
     try:
-        z = complex(*parts)
+        return complex(*parts)
     except OverflowError:  # an integer beyond the float range
-        z = complex(cmath.inf)
-    if not cmath.isfinite(z):
-        raise ValueError(f"expected a finite number, got {_brief(value)}")
-    return z
+        return complex(cmath.inf)
 
 
 def matrix_to_json(matrix) -> list[list[list[float]]]:
@@ -127,17 +128,17 @@ def _numbers(nest, depth: int) -> np.ndarray | None:
 
     The nest is accepted when numpy reads it as an integer or float
     array of `depth` axes, or of `depth` + 1 with a last axis of [re, im]
-    pairs, whose entries are finite and none of them a boolean. Numpy
-    reads a boolean among numbers as 0 or 1, so the types of the nest's
-    leaves are scanned once. Pairs become complex numbers through a view of
-    their float bits, so each part keeps its sign of zero.
+    pairs, none of whose entries is a boolean; a NaN or an infinity is kept
+    for the array rule. Numpy reads a boolean among numbers as 0 or 1, so
+    the types of the nest's leaves are scanned once. Pairs become complex
+    numbers through a view of their float bits, so each part keeps its
+    sign of zero.
     """
     try:
         a = np.array(nest)
     except (ValueError, OverflowError):  # a ragged nest, or an integer numpy cannot convert
         return None
-    if (a.dtype.kind not in "if" or a.ndim not in (depth, depth + 1)
-            or (a.ndim > depth and a.shape[-1] != 2) or not np.isfinite(a).all()):
+    if a.dtype.kind not in "if" or a.ndim not in (depth, depth + 1) or (a.ndim > depth and a.shape[-1] != 2):
         return None
     leaves = nest
     for _ in range(a.ndim - 1):
@@ -275,10 +276,9 @@ def parse_experiment(obj: dict):
         policy = ArgmaxPolicy()
     elif isinstance(policy_field, dict):
         pair = _object(policy_field, "policy", required=("fixed",))["fixed"]
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(_is_integer(v) for v in pair)):
-            raise ValueError(f"fixed policy must be {{'fixed': [i, j]}} with integers, got {_brief(pair)}")
-        policy = FixedPolicy(pair[0], pair[1])
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"fixed policy must be {{'fixed': [i, j]}}, got {_brief(pair)}")
+        policy = FixedPolicy(*pair)
     else:
         raise ValueError(f"policy must be 'sample', 'argmax', or {{'fixed': [i, j]}}, got {_brief(policy_field)}")
     return gamma0, signals, bell, policy

@@ -20,13 +20,20 @@ maximally mixed state the infimum is 0, yet 1000 restarts report about
 0.6, 1.5 and 2.3 nats at n = 4, 8 and 16, against output entropies of
 1.39, 2.08 and 2.77; sampling alone does not close that gap.
 
+Every value of a decomposition, D's sum_k lam_k S(channel(E_k)) and T's
+sum_k lam_k S(channel(E_k) || channel(rho)) alike, is summed by one rule,
+`_floor_sum`: a piece of weight at or below WEIGHT_FLOOR adds nothing,
+its term zeroed in place, so every path that sums one decomposition's
+terms gives the same bits.
+
 `_search` is the one search: `chaos_degree` reports from it, and
 `conjecture_experiment`, which reads only the chaos degree, calls it
-directly. It evaluates the eigenbasis once, then the rotations of
-`_rotation_chunks`, the one rotation stream (one generator per seed, one
-QR per block per chunk for all seeds), chunk by chunk (sized to
-CHUNK_BYTES), re-scoring only the degenerate blocks' live columns with
-the image entropies of `Channel.image_spectra`. The report does not
+directly. Like every decomposition function here, it takes the weights
+and eigenvector columns, not a state. It evaluates the eigenbasis once,
+then the rotations of `_rotation_chunks`, the one rotation stream (one
+generator per seed, one QR per block per chunk for all seeds), chunk by
+chunk (sized to CHUNK_BYTES), re-scoring only the degenerate blocks'
+live columns through `_eigenbasis_values`. The report does not
 depend on the chunk size. The transmitted value is that of
 `_transmitted_stacks`, the one T formula, which reads each piece's image
 from its Kraus vectors, as the search does, checks its spectrum as a
@@ -50,10 +57,11 @@ stacks become one `Channel` each, whose constructor derives the
 trace-preservation flag of every family, and a family that is not
 trace-preserving raises through `_require_trace_preserving`.
 A pair's chaos degree is its eigenbasis value unless its joint spectrum
-has a degenerate block or a weight at or below WEIGHT_FLOOR; only such a
-pair, where that value is not `_search`'s D, goes through `_search`
-itself, once per channel, on the state and channels that
-`conjecture_experiment` builds. No pair's cost depends on its chunk-mates.
+has a degenerate block; only such a pair goes through `_search` itself,
+once per channel, on its stacked joint spectrum and its own Kraus
+channel. A light weight needs no search, since `_search` sums the
+eigenbasis by the same `_floor_sum`. No pair's cost depends on its
+chunk-mates.
 
 Every function here that takes a channel checks it through
 `_check_channel` before any arithmetic: a non-`Channel` raises
@@ -195,6 +203,15 @@ def _rotated(vec: np.ndarray, blocks, rotations) -> np.ndarray:
     return out
 
 
+def _floor_sum(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_k lam_k s_k over the last axis: the one sum of a decomposition's value.
+
+    A piece of weight at or below WEIGHT_FLOOR adds nothing; its term is
+    zeroed before the product, so a light piece's +inf never meets its weight.
+    """
+    return np.sum(np.where(lam > WEIGHT_FLOOR, s, 0.0) * lam, axis=-1)
+
+
 def _transmitted_stacks(lam: np.ndarray, w: np.ndarray, mu: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_k lam_k S(W_k W_k* || sigma) for each decomposition of each state of a stack.
 
@@ -203,20 +220,17 @@ def _transmitted_stacks(lam: np.ndarray, w: np.ndarray, mu: np.ndarray, v: np.nd
     the spectral data of each state's sigma; returns (T, ...). Each image's
     spectrum is checked as `DensityOperator` checks a state's (a Gram image is
     self-adjoint by construction); an image whose support leaves sigma's gives
-    +inf. A piece of weight at or below WEIGHT_FLOOR adds nothing.
+    +inf. The pieces are summed by `_floor_sum`.
     """
     g = _gram_spectra(w)
     s = _relative_entropies(_unit_spectra(g.sum(axis=-1), g), w, mu, v)
-    lam = np.expand_dims(lam, tuple(range(1, s.ndim - 1)))
-    # Zeroed before the product, so a light piece's +inf never meets its weight.
-    return np.sum(np.where(lam > WEIGHT_FLOOR, s, 0.0) * lam, axis=-1)
+    return _floor_sum(np.expand_dims(lam, tuple(range(1, s.ndim - 1))), s)
 
 
 def _transmitted(lam: np.ndarray, vecs: np.ndarray, channel: Channel,
                  sigma: DensityOperator) -> np.ndarray:
-    """`_transmitted_stacks` for one state's decompositions (..., n, n), over its weights above WEIGHT_FLOOR."""
-    live = lam > WEIGHT_FLOOR
-    return _transmitted_stacks(lam[None, live], channel.kraus_vectors(vecs[..., live].mT)[None],
+    """`_transmitted_stacks` for one state's decompositions (..., n, n)."""
+    return _transmitted_stacks(lam[None], channel.kraus_vectors(vecs.mT)[None],
                                sigma.eigenvalues[None], sigma.eigenvectors[None])[0]
 
 
@@ -234,33 +248,31 @@ def _require_trace_preserving(*channels: Channel) -> None:
         raise ValueError("decomposition metrics require a trace-preserving channel")
 
 
-def _search(state: DensityOperator, channel: Channel, cfg: ComplexityConfig):
-    """Minimize sum p_k S(channel(E_k)) over the state's extremal decompositions.
+def _search(lam: np.ndarray, vec: np.ndarray, channel: Channel, cfg: ComplexityConfig):
+    """Minimize sum p_k S(channel(E_k)) over the extremal decompositions with weights `lam`, basis `vec`.
 
     The channel must be a trace-preserving `Channel` of the state's
     dimension. The eigenbasis is evaluated once; each chunk of rotated
     candidates then re-scores only the live columns of the degenerate
-    blocks, with image entropies from `Channel.image_spectra`. Returns
-    D, the worst value seen, the candidate count, the degenerate blocks
-    and the minimizing eigenvector columns.
+    blocks through `_eigenbasis_values` (a dead column adds nothing under
+    `_floor_sum`). Returns D, the worst value seen, the candidate count,
+    the degenerate blocks and the minimizing eigenvector columns.
     """
-    _check_channel(channel, state.n, "state")
+    _check_channel(channel, lam.size, "state")
     _require_trace_preserving(channel)
 
-    lam, vec = state.eigenvalues, state.eigenvectors
-    live = lam > WEIGHT_FLOOR
     base = _entropy_of_spectrum(channel.image_spectra(vec.T))
-    best_val = worst_val = float(np.sum(lam[live] * base[live]))
+    best_val = worst_val = float(_floor_sum(lam, base))
     best_rotations = None
     evaluated = 1
 
     blocks = _degenerate_blocks(lam)
     if blocks:
-        fixed = live.copy()
+        outside = np.ones(lam.size, dtype=bool)
         for lo, hi in blocks:
-            fixed[lo:hi] = False
-        constant = float(np.sum(lam[fixed] * base[fixed]))
-        scored = [np.flatnonzero(live[lo:hi]) for lo, hi in blocks]
+            outside[lo:hi] = False
+        constant = float(_floor_sum(lam[outside], base[outside]))
+        scored = [np.flatnonzero(lam[lo:hi] > WEIGHT_FLOOR) for lo, hi in blocks]
         n, width = channel.dim, channel.image_width
         candidate_bytes = 16 * sum(
             4 * (hi - lo) ** 2 + cols.size * n * (2 * width + 1)
@@ -271,9 +283,7 @@ def _search(state: DensityOperator, channel: Channel, cfg: ComplexityConfig):
             values = np.full(rotations[0].shape[0], constant)
             for (lo, hi), cols, u in zip(blocks, scored, rotations):
                 if cols.size:
-                    rows = np.swapaxes(vec[:, lo:hi] @ u, -1, -2)[:, cols]
-                    ents = _entropy_of_spectrum(channel.image_spectra(rows))
-                    values = values + np.sum(ents * lam[lo:hi][cols], axis=-1)
+                    values = values + _eigenbasis_values(lam[lo:hi][cols], (vec[:, lo:hi] @ u)[..., cols], channel)
             evaluated += values.size
             i = int(np.argmin(values))
             if values[i] < best_val:
@@ -292,7 +302,8 @@ def chaos_degree(rho, channel: Channel, config: ComplexityConfig | None = None) 
     """
     cfg = config or DEFAULT_CONFIG
     state = as_density(rho)
-    best_val, worst_val, evaluated, blocks, best_vec = _search(state, channel, cfg)
+    best_val, worst_val, evaluated, blocks, best_vec = _search(state.eigenvalues, state.eigenvectors,
+                                                               channel, cfg)
     sigma = channel.apply(state)
     return ChaosDegreeReport(
         chaos_degree=best_val,
@@ -420,7 +431,8 @@ def conjecture_experiment(rho_p, gamma_o, channel_a: Channel, channel_b: Channel
     joint, (v_a, v_b) = _joint_values(rho_p, gamma_o, (channel_a, channel_b), purpose)
     _require_trace_preserving(channel_a, channel_b)
     cfg = config or DEFAULT_CONFIG
-    return _outcome(_search(joint, channel_a, cfg)[0], _search(joint, channel_b, cfg)[0], v_a, v_b)
+    d_a, d_b = (_search(joint.eigenvalues, joint.eigenvectors, ch, cfg)[0] for ch in (channel_a, channel_b))
+    return _outcome(d_a, d_b, v_a, v_b)
 
 
 def _outcome(d_a: float, d_b: float, v_a: float, v_b: float) -> ConjectureOutcome:
@@ -442,7 +454,7 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
     that of `conjecture_experiment` on them. The pairs are evaluated in
     chunks by `_pair_outcomes`, with as many pairs as fit CHUNK_BYTES
     (at least one); the outcomes do not depend on the chunk size. Only a
-    pair whose joint spectrum is degenerate or light is searched, through
+    pair whose joint spectrum is degenerate is searched, through
     `_search`; a lossy channel raises.
     """
     if not isinstance(identical_channels, (bool, np.bool_)):
@@ -469,11 +481,12 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
 
 
 def _eigenbasis_values(lam: np.ndarray, vec: np.ndarray, channel: Channel) -> np.ndarray:
-    """The eigenbasis value of `_search` for each state of a stack through its family of `channel`.
+    """The value of `_search` at the decomposition (lam, vec), for a state or each state of a stack.
 
-    Each eigenvector's image entropy, weighted by its eigenvalue.
+    Each column's image entropy through the state's family of `channel`,
+    summed over the weights by `_floor_sum`.
     """
-    return np.sum(lam * _entropy_of_spectrum(channel.image_spectra(vec.mT)), axis=-1)
+    return _floor_sum(lam, _entropy_of_spectrum(channel.image_spectra(vec.mT)))
 
 
 def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
@@ -485,10 +498,11 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     them, with every check those run; a family that is not trace-preserving
     raises the search's ValueError before any value. Each step is the
     per-pair step applied to a stack, so each value has the bits of the
-    per-pair path. A pair whose joint spectrum has a degenerate block or
-    a weight at or below WEIGHT_FLOOR takes its chaos degrees from
-    `_search` on its own joint state and Kraus channels instead of the
-    stacked eigenbasis values.
+    per-pair path. A pair whose joint spectrum has a degenerate block
+    takes its chaos degrees from `_search` on its row of the stacked
+    spectral data and its own Kraus channels instead of the stacked
+    eigenbasis values; a light pair keeps its eigenbasis value, which is
+    `_search`'s D, since both sum through `_floor_sum`.
     """
     g_rho, g_gamma, *g_kraus, g_purpose = draws
     grams = [_normalized_grams(g) for g in (g_rho, g_gamma)]
@@ -500,11 +514,10 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     q = _self_adjoint_purposes(0.5 * (g_purpose + g_purpose.conj().mT))
     d = [_eigenbasis_values(lam, vec, ch) for ch in channels]
     v = [_real_values(ch.apply_matrix(joint), q).tolist() for ch in channels]
-    # Off their eigenbasis value: a degenerate block, or a weight the search leaves out.
-    for k in np.flatnonzero(~(_block_starts(lam).all(axis=-1) & (lam[:, -1] > WEIGHT_FLOOR))):
-        state = DensityOperator(_kron(rho[k], gamma[k]))
+    # Only a degenerate block takes D off the eigenbasis value.
+    for k in np.flatnonzero(~_block_starts(lam).all(axis=-1)):
         for values, ops in zip(d, kraus):
-            values[k] = _search(state, kraus_channel(ops[k]), DEFAULT_CONFIG)[0]
+            values[k] = _search(lam[k], vec[k], kraus_channel(ops[k]), DEFAULT_CONFIG)[0]
     d = [values.tolist() for values in d]
     return [_outcome(*values) for values in zip(d[0], d[-1], v[0], v[-1])]
 
@@ -568,14 +581,15 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
             g = _complex_gaussians(rng, 1, [(dim, dim), (dim, dim), ((2 + t % 2) * dim, dim), (dim, dim)])
             spectrum = rng.random((1, dim))
             draws.append((*g, spectrum, *_complex_gaussians(rng, 1, [(dim, dim)])))
-        deviations = {}
-        for terms in (2, 3):
-            group = [t for t in range(start, stop) if 2 + t % 2 == terms]
-            if group:
-                stacks = [np.concatenate(arrays) for arrays in zip(*(draws[t - start] for t in group))]
-                deviations.update(zip(group, _axiom_trials(stacks, terms, [seed + t for t in group], restarts)))
+        # `start` is even, so the trials of Kraus rank 2 + parity are draws[parity::2]
+        # (only the first group exists in a chunk of one trial).
+        rows = [None] * len(draws)
+        for parity in range(min(2, len(draws))):
+            stacks = [np.concatenate(arrays) for arrays in zip(*draws[parity::2])]
+            rows[parity::2] = _axiom_trials(stacks, 2 + parity,
+                                            range(seed + start + parity, seed + stop, 2), restarts)
         # Folded in trial order as Python floats, so a -0.0 never replaces 0.0.
-        worst = [max(column) for column in zip(worst, *(deviations[t] for t in range(start, stop)))]
+        worst = [max(column) for column in zip(worst, *rows)]
     *checked, t_drift = worst
 
     # Each check's tolerance, in `_axiom_trials`' row order; the last row, the drift, is not asserted.

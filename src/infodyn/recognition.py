@@ -52,6 +52,7 @@ import numpy as np
 from .channels import PROBABILITY_FLOOR, schur_channel_apply
 from .exceptions import DimensionMismatch, OutsideDomain, ZeroProbabilityOutcome
 from .hilbert import (
+    MAX_MATRIX_DIM,
     DensityOperator,
     _Frozen,
     _brief,
@@ -86,13 +87,13 @@ class SignalBasis(_Frozen):
 
     @classmethod
     def fourier(cls, n: int) -> "SignalBasis":
-        m = np.arange(_check_integer("n", n, 1))
+        m = np.arange(_check_integer("n", n, 1, "MAX_MATRIX_DIM", MAX_MATRIX_DIM))
         v = np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
         return cls(v)
 
     @classmethod
     def standard(cls, n: int) -> "SignalBasis":
-        return cls(np.eye(_check_integer("n", n, 1), dtype=complex))
+        return cls(np.eye(_check_integer("n", n, 1, "MAX_MATRIX_DIM", MAX_MATRIX_DIM), dtype=complex))
 
 
 class BellSystem(_Frozen):

@@ -358,24 +358,28 @@ def assert_usage_error(argv, capsys, message):
     assert message in capsys.readouterr().err
 
 
+# A boolean is no number to the reader; a non-finite number is a number, and
+# the array rule names the state. The ids name each case's input and the
+# value at fault.
 @pytest.mark.parametrize("text, message", [
-    ("[[NaN, 0], [0, 1]]", "nan"),
-    ("[[[0.5, Infinity], 0], [0, 0.5]]", "[0.5, inf]"),
-    ("[[true, false], [false, false]]", "True"),
-])
+    ("[[NaN, 0], [0, 1]]", "density operator has a non-finite entry"),
+    ("[[[0.5, Infinity], 0], [0, 0.5]]", "density operator has a non-finite entry"),
+    ("[[true, false], [false, false]]", "got True"),
+], ids=["[[NaN, 0], [0, 1]]-nan", "[[[0.5, Infinity], 0], [0, 0.5]]-[0.5, inf]",
+        "[[true, false], [false, false]]-True"])
 def test_quantum_ecd_rejects_non_finite_and_boolean_entries(tmp_path, capsys, text, message):
     state = tmp_path / "state.json"
     state.write_text(text)
     channel = channel_file(tmp_path, {"kind": "stochastic", "P": [[0.5, 0.5], [0.5, 0.5]]})
     assert_usage_error(["quantum-ecd", "--state", str(state), "--channel", channel],
-                       capsys, f"got {message}")
+                       capsys, message)
 
 
 @pytest.mark.parametrize("field, value, message", [
     ("n", True, "n must be a positive integer, got True"),
     ("steps", True, "steps must be a nonnegative integer, got True"),
     ("seed", False, "seed must be a nonnegative integer, got False"),
-    ("policy", {"fixed": [0, True]}, "got [0, True]"),
+    ("policy", {"fixed": [0, True]}, "j must be a nonnegative integer, got True"),
 ])
 def test_recognize_rejects_boolean_integer_fields(tmp_path, capsys, field, value, message):
     payload = {"n": 2, "basis": "fourier", "rho": [[0.5, 0.0], [0.0, 0.5]],
@@ -570,7 +574,7 @@ def test_value_dim_cap(tmp_path, capsys):
 @pytest.mark.parametrize("state, message", [
     ({}, "state is missing 'matrix'"),
     ([1.0, 2.0], "matrix must be a non-empty array of rows"),
-    ([[10**400]], "expected a finite number, got 1000"),
+    ([[10**400]], "density operator has a non-finite entry"),
 ], ids=["empty-object", "flat-array", "huge-integer"])
 def test_quantum_ecd_state_escapes_are_usage_errors(tmp_path, capsys, state, message):
     channel = channel_file(tmp_path, {"kind": "stochastic", "P": [[1.0]]})
@@ -655,6 +659,39 @@ def test_any_json_value_in_any_field_exits_with_an_input_code(tmp_path, capsys, 
         err = capsys.readouterr().err
         assert code in (0, 2, 4, 5), (value, code)
         assert err.count("\n") == (code != 0) and err.startswith("error: " if code else ""), (value, err)
+
+
+# Every JSON matrix field: the VALID_INPUTS entry whose file holds it, that
+# file's payload with one entry at SENTINEL, and the name under which the
+# field's constructor reads it through the array rule.
+SENTINEL = 0.123456789
+EXPERIMENT = VALID_INPUTS["experiment"][1]
+MATRIX_FIELDS = {
+    "state": ("state", {"matrix": [[SENTINEL, 0.0], [0.0, 0.3]]}, "density operator"),
+    "kraus_ops": ("kraus", {"kind": "kraus", "kraus_ops": [[[SENTINEL, 0.0], [0.0, 0.6]],
+                                                          [[0.0, 0.8], [0.6, 0.0]]]}, "Kraus operator"),
+    "unitary": ("unitary", {"kind": "unitary", "matrix": [[0.0, SENTINEL], [1.0, 0.0]]}, "unitary"),
+    "ktau": ("ktau", {"kind": "ktau", "matrix": [[SENTINEL, 0.5], [0.5, 1.0]]}, "weight"),
+    "P": ("stochastic", {"kind": "stochastic", "P": [[SENTINEL, 0.5], [0.25, 0.75]]}, "stochastic matrix"),
+    "custom": ("experiment", {**EXPERIMENT, "basis": {"custom": [[SENTINEL, 0.0], [0.0, 1.0]]}}, "basis"),
+    "gamma": ("experiment", {**EXPERIMENT, "gamma": [[SENTINEL, 0.0], [0.0, 0.5]]}, "density operator"),
+    "rho": ("experiment", {**EXPERIMENT, "rho": [[[SENTINEL, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+            "density operator"),
+    # A list of states, read as one stack first.
+    "rho-list": ("experiment", {**EXPERIMENT, "rho": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                                                      [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [SENTINEL, 0.0]]]]},
+                 "density operator"),
+}
+NON_FINITE = {"NaN": "NaN", "Infinity": "Infinity", "int-beyond-float": "1" + "0" * 400}
+
+
+@pytest.mark.parametrize("field, entry", [(field, entry) for field in MATRIX_FIELDS for entry in NON_FINITE])
+def test_a_non_finite_json_entry_is_named_by_its_field(tmp_path, capsys, field, entry):
+    name, payload, subject = MATRIX_FIELDS[field]
+    text = dump_json(payload)
+    assert text.count(repr(SENTINEL)) == 1
+    assert run_with_text(tmp_path, name, text.replace(repr(SENTINEL), NON_FINITE[entry])) == 2
+    assert capsys.readouterr().err == f"error: {subject} has a non-finite entry\n"
 
 
 # Each numeric flag, on a cheap valid run of its subcommand.

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infodyn import channels, classical, jsonio, metrics, recognition
+from infodyn import channels, classical, hilbert, jsonio, metrics, recognition
 from infodyn.exceptions import DimensionMismatch
 from infodyn.hilbert import (
     EIGENVALUE_FLOOR,
@@ -82,9 +82,9 @@ INTEGER_SITES = {
     "random_density.rank": ("rank", 1, None, lambda v: random_density(3, np.random.default_rng(0), v)),
     "choi_matrix.dim": ("dim", 1, None, lambda v: channels.choi_matrix(lambda m: m, v)),
     "shift_unitary.k": ("k", 0, None, lambda v: shift_unitary(v, 3)),
-    "shift_unitary.n": ("n", 1, None, lambda v: shift_unitary(0, v)),
-    "SignalBasis.fourier.n": ("n", 1, None, recognition.SignalBasis.fourier),
-    "SignalBasis.standard.n": ("n", 1, None, recognition.SignalBasis.standard),
+    "shift_unitary.n": ("n", 1, "MAX_MATRIX_DIM", lambda v: shift_unitary(0, v)),
+    "SignalBasis.fourier.n": ("n", 1, "MAX_MATRIX_DIM", recognition.SignalBasis.fourier),
+    "SignalBasis.standard.n": ("n", 1, "MAX_MATRIX_DIM", recognition.SignalBasis.standard),
     "outcome_probability.i": ("i", 0, None, lambda v: recognition.outcome_probability(v, 0, *_OUTCOME)),
     "outcome_probability.j": ("j", 0, None, lambda v: recognition.outcome_probability(0, v, *_OUTCOME)),
     "update_direct.i": ("i", 0, None, lambda v: recognition.update_direct(v, 1, *_OUTCOME)),
@@ -94,17 +94,18 @@ INTEGER_SITES = {
     "partial_trace.dims": ("dims", 1, None, lambda v: partial_trace(np.eye(4) / 4, (v, 2), [0])),
     "partial_trace.trace_out": ("trace_out", 0, None,
                                 lambda v: partial_trace(np.eye(4) / 4, (2, 2), [v])),
-    "random_unitary.n": ("n", 1, None, lambda v: random_unitary(v, np.random.default_rng(0))),
-    "random_state.n": ("n", 1, None, lambda v: random_state(v, np.random.default_rng(0))),
-    "random_density.n": ("n", 1, None, lambda v: random_density(v, np.random.default_rng(0))),
+    "random_unitary.n": ("n", 1, "MAX_MATRIX_DIM", lambda v: random_unitary(v, np.random.default_rng(0))),
+    "random_state.n": ("n", 1, "MAX_VECTOR_DIM", lambda v: random_state(v, np.random.default_rng(0))),
+    "random_density.n": ("n", 1, "MAX_MATRIX_DIM", lambda v: random_density(v, np.random.default_rng(0))),
     "random_kraus_channel.n": ("n", 1, None, lambda v: channels.random_kraus_channel(
         v, 2, np.random.default_rng(0))),
-    "depolarizing_channel.n": ("n", 1, None, channels.depolarizing_channel),
-    "identity_channel.n": ("n", 1, None, channels.identity_channel),
-    "diag_embedding.n": ("n", 1, None, diag_embedding),
-    "DensityOperator.maximally_mixed.n": ("n", 1, None, DensityOperator.maximally_mixed),
+    "depolarizing_channel.n": ("n", 1, "MAX_DEPOLARIZING_DIM", channels.depolarizing_channel),
+    "identity_channel.n": ("n", 1, "MAX_MATRIX_DIM", channels.identity_channel),
+    "diag_embedding.n": ("n", 1, "MAX_EMBEDDING_DIM", diag_embedding),
+    "DensityOperator.maximally_mixed.n": ("n", 1, "MAX_MATRIX_DIM", DensityOperator.maximally_mixed),
 }
-CAPS = {name: value for module in (classical, jsonio, metrics)
+# A call at its cap + 1 or at HUGE raises before it allocates anything.
+CAPS = {name: value for module in (classical, jsonio, metrics, hilbert, channels)
         for name, value in vars(module).items() if name.startswith("MAX_")}
 # More digits than `repr` converts (4300), with the echo of its first 80.
 HUGE = 10**5000
@@ -403,7 +404,9 @@ def test_density_operators_of_a_stack_have_the_bits_of_each_alone():
     np.eye(2) / 2,
     np.array([np.eye(2) / 2, np.diag([1.5, -0.5])]),
     np.array([np.eye(2) / 2, np.diag([np.nan, 0.5])]),
-], ids=["non-square", "one-matrix", "not-psd", "nan"])
+    # Rejected by the array rule, before inf - inf could warn in the hermiticity check.
+    np.array([np.eye(2) / 2, np.diag([np.inf, 0.5])]),
+], ids=["non-square", "one-matrix", "not-psd", "nan", "inf"])
 def test_density_operators_reject_a_stack_with_a_bad_matrix(stack):
     with pytest.raises(ValueError):
         _density_operators(stack)

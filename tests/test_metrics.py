@@ -766,12 +766,14 @@ def test_conjecture_batch_does_not_depend_on_chunk_size(monkeypatch):
 
 @pytest.mark.parametrize("module, name, value, searches", [
     (hilbert, "DEGENERACY_GAP", 1.0, 16),  # every joint spectrum is one block
-    (metrics, "WEIGHT_FLOOR", 0.01, 6),  # three of the pairs have a smaller weight
+    # Three of the pairs have a smaller weight, which `_floor_sum` drops on both paths.
+    (metrics, "WEIGHT_FLOOR", 0.01, 0),
 ], ids=["degenerate", "weight-floor"])
 def test_conjecture_batch_sends_degenerate_or_light_pairs_to_the_experiment(
         module, name, value, searches, batch_calls, monkeypatch):
-    # One chunk: only the pairs off their eigenbasis value go through the
+    # One chunk: only the pairs with a degenerate joint block go through the
     # experiment's search, once per channel, and their chunk-mates stay stacked.
+    # A light pair keeps its stacked eigenbasis value, which is the search's D.
     monkeypatch.setattr(metrics, "CHUNK_BYTES", 1 << 40)
     monkeypatch.setattr(module, name, value)
     calls = []
@@ -781,6 +783,25 @@ def test_conjecture_batch_sends_degenerate_or_light_pairs_to_the_experiment(
     assert len(calls) == searches  # counted before the replay, which searches too
     assert outcomes == replayed_batch(2, 8, 3, 2, False)
     assert batch_calls["chunks"] == 1
+    assert batch_calls["fallback"] == 0
+
+
+def test_a_light_pair_at_joint_dimension_nine_keeps_its_stacked_chaos_degree(batch_calls, monkeypatch):
+    # At n = 9 numpy's pairwise sum groups its terms by position, so the
+    # stacked D and the search's D share their bits only because both zero a
+    # light term in place (`_floor_sum`) instead of dropping it from the array.
+    monkeypatch.setattr(metrics, "WEIGHT_FLOOR", 0.02)
+    spectra, calls = [], []
+    values, search = metrics._eigenbasis_values, metrics._search
+    monkeypatch.setattr(metrics, "_eigenbasis_values",
+                        lambda lam, *args: spectra.append(lam) or values(lam, *args))
+    monkeypatch.setattr(metrics, "_search", lambda *args: calls.append(args) or search(*args))
+    outcomes = conjecture_batch(3, 6, 2)
+    lam = spectra[0]
+    light = (lam <= metrics.WEIGHT_FLOOR).any(axis=-1) & hilbert._block_starts(lam).all(axis=-1)
+    assert lam.shape == (6, 9) and light.sum() >= 2
+    assert calls == []  # counted before the replay, which searches too
+    assert outcomes == replayed_batch(3, 6, 2, 2, False)
     assert batch_calls["fallback"] == 0
 
 

@@ -140,6 +140,19 @@ def test_only_hilbert_knows_the_gram_bound():
     assert stray == []
 
 
+def test_jsonio_leaves_every_json_number_to_the_array_rule():
+    # `jsonio` has no finiteness test of its own: a NaN, an infinity or an
+    # integer beyond the float range reaches `hilbert._as_array`, which names
+    # the field. No `isfinite` of any module, and no raise that says "finite".
+    tree = ast.parse((Path(infodyn.__file__).parent / "jsonio.py").read_text())
+    stray = [
+        node.lineno for node in ast.walk(tree)
+        if "isfinite" in {getattr(node, field, None) for field in ("id", "attr", "name")}
+        or (isinstance(node, ast.Raise) and "finite" in ast.unparse(node))
+    ]
+    assert stray == []
+
+
 def test_only_channels_decides_trace_preservation():
     # A channel's flag is derived by its constructor: only `channels` calls
     # the Kraus-sum check, and only `hilbert` defines it.
