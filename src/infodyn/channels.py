@@ -65,6 +65,8 @@ import numpy as np
 from .exceptions import DimensionMismatch, OutsideDomain
 from .hilbert import (
     EIGENVALUE_FLOOR,
+    MAX_MATRIX_DIM,
+    MAX_VECTOR_DIM,
     DensityOperator,
     _Frozen,
     _as_array,
@@ -89,6 +91,11 @@ PROBABILITY_FLOOR = 1e-12
 # operators of n x n, so n^4 complex entries: 16 MB, built in about 0.1 s
 # at 32 (2-core x86-64 host, one BLAS thread).
 MAX_DEPOLARIZING_DIM = 32
+# Largest `choi_matrix` dimension: the Choi matrix is n^2 x n^2, so n^4
+# complex entries stay within the MAX_MATRIX_DIM^2 budget (64 MB) for
+# n^2 <= MAX_MATRIX_DIM. Its n^2 Kronecker blocks take about 5 s at 32
+# and 85 s at 45, with a 155 MB peak (2-core x86-64 host, one BLAS thread).
+MAX_CHOI_DIM = math.isqrt(MAX_MATRIX_DIM)
 UNITARY_TOL = 1e-10
 CP_EIGENVALUE_TOL = 1e-9
 
@@ -402,9 +409,15 @@ def depolarizing_channel(n: int, p: float = 1.0) -> Channel:
 
 
 def random_kraus_channel(n: int, terms: int, rng: np.random.Generator) -> Channel:
-    """Random trace-preserving channel with the given Kraus rank."""
-    _check_integer("n", n, 1)
+    """Random trace-preserving channel with the given Kraus rank.
+
+    Its `terms` Kraus operators hold terms * n^2 complex entries, which
+    must stay within the MAX_MATRIX_DIM^2 budget (MAX_VECTOR_DIM): a
+    million terms of 1 x 1 take about 9 s (2-core x86-64 host).
+    """
+    _check_integer("n", n, 1, "MAX_MATRIX_DIM", MAX_MATRIX_DIM)
     _check_integer("terms", terms, 1)
+    _check_integer("terms * n^2", terms * n * n, 1, "MAX_VECTOR_DIM", MAX_VECTOR_DIM)
     z = _complex_gaussians(rng, 1, [(terms * n, n)])[0][0]
     return kraus_channel(_isometry_blocks(z, terms))
 
@@ -419,8 +432,8 @@ class CompletePositivityReport:
 def choi_matrix(channel, dim: int | None = None) -> np.ndarray:
     """Choi matrix assembled column by column from matrix units.
 
-    `dim` is required for a bare callable; given with a Channel, it must
-    equal the channel's dimension.
+    `dim` is required for a bare callable, at most MAX_CHOI_DIM; given
+    with a Channel, it must equal the channel's dimension.
     """
     if isinstance(channel, Channel):
         n = channel.dim
@@ -430,7 +443,7 @@ def choi_matrix(channel, dim: int | None = None) -> np.ndarray:
     else:
         if dim is None:
             raise ValueError("dim is required for a bare callable")
-        n = _check_integer("dim", dim, 1)
+        n = _check_integer("dim", dim, 1, "MAX_CHOI_DIM", MAX_CHOI_DIM)
         action = channel
     c = np.zeros((n * n, n * n), dtype=complex)
     for a in range(n):

@@ -21,7 +21,7 @@ import sys
 
 from . import classical, jsonio, metrics, svgplot
 from .exceptions import DimensionMismatch, OrbitEscape, OutsideDomain
-from .recognition import recognize_sequence
+from .recognition import BLOCK_STEPS, recognize_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,12 +33,6 @@ EXIT_DOMAIN = 5
 # parse, as a ValueError "<path>: <reason>"). Any other exception is a fault.
 INPUT_ERRORS = {OrbitEscape: EXIT_DYNAMICS, DimensionMismatch: EXIT_DIMENSION,
                 OutsideDomain: EXIT_DOMAIN, ValueError: EXIT_USAGE, OSError: EXIT_USAGE}
-# Steps that `recognize` encodes and writes together. Encoding each step
-# as it is computed ran 40-step n = 3 calls 10-20 % slower than encoding
-# them all at the end, because the numpy and JSON work alternate; blocks
-# of this size cost a few percent and keep memory independent of the
-# run's length.
-RECOGNIZE_BLOCK_STEPS = 32
 
 
 def _parse_log_base(text: str) -> float:
@@ -174,7 +168,7 @@ def cmd_recognize(args) -> int:
         try:
             for step in steps:
                 block.append(step)
-                if len(block) == RECOGNIZE_BLOCK_STEPS:
+                if len(block) == BLOCK_STEPS:
                     out.write(jsonio.step_lines(block))
                     block.clear()
         finally:

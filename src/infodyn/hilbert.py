@@ -36,7 +36,10 @@ sampler, `_complex_gaussians`, the one Gaussian stream of every sampler,
 reads, `_self_adjoint_spectra`, the one eigendecomposition (the
 self-adjointness check within HERMITIAN_TOL, the symmetrization and the
 one `np.linalg.eigh`), which a state's and a Schur weight's eigenvectors
-both come from, `_density_spectra`, the one density-operator check,
+both come from, `_hermitian_part`, the one symmetrization, and
+`_unit_trace`, the one trace normalization, which a recognition step
+also applies to its new memory before the block of memories is
+checked, `_density_spectra`, the one density-operator check,
 which returns the trace-normalized matrices with their spectra and which
 `DensityOperator` reads for one matrix and `_density_operators` for a
 stack (one matrix takes a branch of scalar tests, and its spectrum is
@@ -314,8 +317,30 @@ def _self_adjoint_spectra(m: np.ndarray, subject: str):
     """
     adjoint = m.conj().swapaxes(-1, -2)
     _check_deviation(m - adjoint, HERMITIAN_TOL, subject, f"{subject} is not self-adjoint: deviation")
-    m = 0.5 * (m + adjoint)
+    m = _hermitian_part(m, adjoint)
     return (m, *np.linalg.eigh(m))
+
+
+def _hermitian_part(m: np.ndarray, adjoint=None) -> np.ndarray:
+    """(m + m*) / 2 of a complex square matrix or a stack (..., n, n): the one symmetrization.
+
+    `adjoint` is m* where the caller has it already.
+    """
+    return 0.5 * (m + (m.conj().swapaxes(-1, -2) if adjoint is None else adjoint))
+
+
+def _unit_trace(h: np.ndarray, tr=None) -> np.ndarray:
+    """Self-adjoint `h`, a matrix or a stack (..., n, n), divided by its real trace `tr`.
+
+    The one normalization of a state's matrix; `tr` is computed when not
+    given. `_density_spectra` returns it once the trace has passed the
+    state rule, and a recognition step conditions on it without a
+    decomposition, so the memory a step conditions on has the bits of the
+    one it reports.
+    """
+    if tr is None:
+        tr = h.trace(axis1=-2, axis2=-1).real
+    return h / tr[..., None, None]
 
 
 def _density_spectra(m: np.ndarray):
@@ -341,9 +366,9 @@ def _density_spectra(m: np.ndarray):
         _check_unit(float(tr), low)
         if not low > 0.0:
             lam = np.clip(lam, 0.0, None)
-        return m / tr, (lam / lam.sum())[::-1].copy(), vec[:, ::-1].copy()
+        return _unit_trace(m, tr), (lam / lam.sum())[::-1].copy(), vec[:, ::-1].copy()
     lam = _unit_spectra(tr, lam)
-    return m / tr[..., None, None], lam[..., ::-1].copy(), vec[..., ::-1].copy()
+    return _unit_trace(m, tr), lam[..., ::-1].copy(), vec[..., ::-1].copy()
 
 
 def _unit_spectra(tr, lam) -> np.ndarray:

@@ -59,9 +59,9 @@ from .hilbert import (
     _check_integer,
     _check_real,
     _density_operators,
+    _entropy_of_spectrum,
     _is_integer,
     as_density,
-    von_neumann_entropy,
 )
 from .recognition import (
     ArgmaxPolicy,
@@ -75,12 +75,13 @@ from .recognition import (
 _CHANNEL_DATA = {"ktau": "matrix", "unitary": "matrix", "kraus": "kraus_ops", "stochastic": "P"}
 CHANNEL_KINDS = tuple(_CHANNEL_DATA)
 # Largest `steps` of an experiment file. Steps are streamed, so memory
-# does not grow with it; the cap bounds run time only. A `recognize` step
-# costs about 0.15 ms at n = 3 and 16-22 ms at n = 64, output included;
-# at n = 64 the step itself takes about 1.5 ms and writing its JSON line
-# (8,192 floats at full precision) the rest (2-core x86-64 host whose
-# speed swings about 2x, one BLAS thread). So a run stays under about
-# 20 s at n = 3 and 40 min at n = 64.
+# does not grow with it; the cap bounds run time only. Steps are computed
+# and checked in blocks (`recognition.BLOCK_STEPS`), and a `recognize`
+# step costs about 0.07 ms at n = 3 and 16-22 ms at n = 64, output
+# included; at n = 64 the step itself takes about 1.5 ms and writing its
+# JSON line (8,192 floats at full precision) the rest (2-core x86-64 host
+# whose speed swings about 2x, one BLAS thread). So a run stays under
+# about 10 s at n = 3 and 40 min at n = 64.
 MAX_RECOGNITION_STEPS = 100_000
 # The one encoder of `recognize`'s lines; `json.dumps` with these options
 # would build an encoder for every step.
@@ -360,10 +361,18 @@ def value_json(outcomes, rate: float, dim: int, seed: int) -> str:
 
 
 def step_lines(steps) -> str:
-    """`recognize`'s JSON Lines of `recognition.RecognitionStep`s: one compact object per step."""
+    """`recognize`'s JSON Lines of a list of `recognition.RecognitionStep`s: one compact object per step.
+
+    The memories' matrices are converted by one `matrix_to_json` of their
+    stack, and their entropies taken by one `_entropy_of_spectrum` of their
+    stacked spectra, with the bits of `von_neumann_entropy` of each.
+    """
+    if not steps:
+        return ""
+    gammas = matrix_to_json(np.stack([step.memory.matrix for step in steps]))
+    entropies = _entropy_of_spectrum(np.stack([step.memory.eigenvalues for step in steps])).tolist()
     return "".join(
         _STEP_ENCODER.encode({"t": step.t, "i": step.i, "j": step.j, "probability": step.probability,
-                              "gamma": matrix_to_json(step.memory.matrix),
-                              "entropy_of_gamma": von_neumann_entropy(step.memory)}) + "\n"
-        for step in steps
+                              "gamma": gamma, "entropy_of_gamma": entropy}) + "\n"
+        for step, gamma, entropy in zip(steps, gammas, entropies)
     )

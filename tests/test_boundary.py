@@ -303,3 +303,30 @@ def test_a_value_type_names_the_field_of_a_bad_array(name):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+# Integers that pass the type rule but would build an array beyond the
+# budget of MAX_MATRIX_DIM^2 complex entries. Each call names the field it
+# reads, or the product of fields that sizes the array, before numpy is
+# asked for the array.
+OVERSIZED = {
+    "random_kraus_channel-n": (lambda: infodyn.random_kraus_channel(10**5000, 2, RNG.value),
+                               "n=1" + "0" * 79 + "... exceeds the limit MAX_MATRIX_DIM=2048"),
+    "random_kraus_channel-terms": (lambda: infodyn.random_kraus_channel(2, 10**5000, RNG.value),
+                                   "terms * n^2=4" + "0" * 79 + "... exceeds the limit "
+                                   "MAX_VECTOR_DIM=4194304"),
+    "random_kraus_channel-terms-cap": (lambda: infodyn.random_kraus_channel(2, 2**20 + 1, RNG.value),
+                                       "terms * n^2=4194308 exceeds the limit MAX_VECTOR_DIM=4194304"),
+    "choi_matrix-dim": (lambda: infodyn.choi_matrix(lambda m: m, 10**5000),
+                        "dim=1" + "0" * 79 + "... exceeds the limit MAX_CHOI_DIM=45"),
+    "choi_matrix-dim-cap": (lambda: infodyn.choi_matrix(lambda m: m, 46),
+                            "dim=46 exceeds the limit MAX_CHOI_DIM=45"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_an_oversized_dimension_names_its_field(name):
+    build, message = OVERSIZED[name]
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

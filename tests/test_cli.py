@@ -257,7 +257,7 @@ def test_recognize_rejects_a_fixed_outcome_out_of_range(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("failing_step", [0, 32, 40])
+@pytest.mark.parametrize("failing_step", [0, 31, 32, 33, 40, 64])
 def test_recognize_failure_keeps_the_lines_of_completed_steps(tmp_path, capsys, failing_step):
     # In the standard basis, outcome (0, 1) moves the memory onto e_1 and
     # then has the probability of e_0 in the signal: 1 until the last

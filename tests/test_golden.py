@@ -55,6 +55,13 @@ INPUTS = {
     "ktau_hat_channel.json": {"kind": "ktau_hat", "matrix": [[0.25] * 4] * 4},
     "recognize_argmax.json": {**RECOGNITION, "policy": "argmax"},
     "recognize_sample.json": {**RECOGNITION, "policy": "sample", "seed": 11},
+    # 70 steps span three of the library's step blocks.
+    "recognize_blocks.json": {
+        "n": 4, "basis": "fourier", "policy": "sample", "seed": 5, "steps": 70,
+        "rho": [[0.4, 0.1, 0, 0], [0.1, 0.3, 0, 0], [0, 0, 0.2, 0], [0, 0, 0, 0.1]],
+        "gamma": [[0.3, [0.05, 0.02], 0, 0], [[0.05, -0.02], 0.3, 0.05, 0],
+                  [0, 0.05, 0.2, 0.05], [0, 0, 0.05, 0.2]],
+    },
 }
 
 SWEEP = ["ecd-sweep", "--transient", "100", "--samples", "2000"]
@@ -77,6 +84,7 @@ CASES = {
                               "--channel", "{ktau_hat_channel.json}"], 2),
     "recognize_argmax": (["recognize", "--experiment", "{recognize_argmax.json}"], 0),
     "recognize_sample": (["recognize", "--experiment", "{recognize_sample.json}"], 0),
+    "recognize_blocks": (["recognize", "--experiment", "{recognize_blocks.json}"], 0),
     "axioms": (["axioms", "--dim", "2", "--trials", "2"], 0),
     "value": (["value", "--pairs", "3"], 0),
 }

@@ -80,7 +80,7 @@ INTEGER_SITES = {
     "FixedPolicy.i": ("i", 0, None, lambda v: recognition.FixedPolicy(v, 0)),
     "FixedPolicy.j": ("j", 0, None, lambda v: recognition.FixedPolicy(0, v)),
     "random_density.rank": ("rank", 1, None, lambda v: random_density(3, np.random.default_rng(0), v)),
-    "choi_matrix.dim": ("dim", 1, None, lambda v: channels.choi_matrix(lambda m: m, v)),
+    "choi_matrix.dim": ("dim", 1, "MAX_CHOI_DIM", lambda v: channels.choi_matrix(lambda m: m, v)),
     "shift_unitary.k": ("k", 0, None, lambda v: shift_unitary(v, 3)),
     "shift_unitary.n": ("n", 1, "MAX_MATRIX_DIM", lambda v: shift_unitary(0, v)),
     "SignalBasis.fourier.n": ("n", 1, "MAX_MATRIX_DIM", recognition.SignalBasis.fourier),
@@ -97,7 +97,7 @@ INTEGER_SITES = {
     "random_unitary.n": ("n", 1, "MAX_MATRIX_DIM", lambda v: random_unitary(v, np.random.default_rng(0))),
     "random_state.n": ("n", 1, "MAX_VECTOR_DIM", lambda v: random_state(v, np.random.default_rng(0))),
     "random_density.n": ("n", 1, "MAX_MATRIX_DIM", lambda v: random_density(v, np.random.default_rng(0))),
-    "random_kraus_channel.n": ("n", 1, None, lambda v: channels.random_kraus_channel(
+    "random_kraus_channel.n": ("n", 1, "MAX_MATRIX_DIM", lambda v: channels.random_kraus_channel(
         v, 2, np.random.default_rng(0))),
     "depolarizing_channel.n": ("n", 1, "MAX_DEPOLARIZING_DIM", channels.depolarizing_channel),
     "identity_channel.n": ("n", 1, "MAX_MATRIX_DIM", channels.identity_channel),

@@ -342,15 +342,75 @@ def test_recognize_fixed_zero_probability_names_the_step():
 @pytest.mark.parametrize("policy", [ArgmaxPolicy(), SamplePolicy(seed=3), FixedPolicy(1, 2)])
 def test_recognize_memory_is_block_over_step_probability(policy):
     # The step normalizes by the table entry p(i, j) it reports, not by
-    # a second evaluation of the same probability.
-    rng = np.random.default_rng(21)
-    bell = fourier_bell(4)
-    memory = random_density(4, rng)
-    signals = [random_density(4, rng) for _ in range(8)]
-    for signal, step in zip(signals, recognize_sequence(memory, signals, bell, policy)):
-        block = recognition._closed_form_block(step.i, step.j, signal, memory, bell)
-        assert np.array_equal(step.memory.matrix, DensityOperator(block / step.probability).matrix)
-        memory = step.memory
+    # a second evaluation of the same probability. 70 steps span three
+    # blocks; each memory, checked and decomposed with its block, has the
+    # bits of the one built from its own step and its predecessor.
+    for n in (3, 5, 8):
+        rng = np.random.default_rng(n)
+        bell = fourier_bell(n)
+        gamma = random_density(n, rng)
+        signals = [random_density(n, rng) for _ in range(70)]
+        steps = list(recognize_sequence(gamma, signals, bell, policy))
+        assert len(steps) == 70
+        memory = gamma.matrix
+        for signal, step in zip(signals, steps):
+            block = recognition._closed_form_block(step.i, step.j, signal.matrix, memory, bell)
+            alone = DensityOperator(block / step.probability)
+            for slot in ("matrix", "eigenvalues", "eigenvectors"):
+                assert np.array_equal(getattr(step.memory, slot), getattr(alone, slot)), (n, step.t, slot)
+            memory = step.memory.matrix
+
+
+def test_a_block_reads_its_signals_before_it_yields_its_first_step():
+    read = []
+
+    def signals():
+        for t in range(recognition.BLOCK_STEPS + 2):
+            read.append(t)
+            yield np.eye(2) / 2
+
+    steps = recognize_sequence(np.eye(2) / 2, signals(), fourier_bell(2), ArgmaxPolicy())
+    assert next(steps).t == 0 and len(read) == recognition.BLOCK_STEPS
+    assert [step.t for step in steps] == list(range(1, recognition.BLOCK_STEPS + 2))
+
+
+def test_a_lazy_signal_failing_in_the_second_block_raises_after_the_steps_before_it():
+    rng = np.random.default_rng(33)
+
+    def signals():
+        for _ in range(33):
+            yield random_density(3, rng)
+        yield np.eye(2) / 2
+        yield random_density(3, rng)
+
+    steps = recognize_sequence(random_density(3, rng), signals(), fourier_bell(3), SamplePolicy(seed=2))
+    assert [next(steps).t for _ in range(33)] == list(range(33))
+    with pytest.raises(DimensionMismatch, match="^signal dim 2 and memory dim 3 must equal system dim 3$"):
+        next(steps)
+
+
+def test_a_faulty_memory_in_a_block_raises_its_own_message_after_the_steps_before_it(monkeypatch):
+    # Steps 40 and 45 of the second block get memories that are not
+    # positive semidefinite. The block's stacked check would report the
+    # lower eigenvalue, of step 45; checked step by step, step 40 raises
+    # with its own.
+    faulty = {40: np.diag([1.2, -0.1, -0.1]), 45: np.diag([1.6, -0.3, -0.3])}
+    calls = itertools.count()
+    exact = recognition._closed_form_block
+
+    def block(i, j, r, g, bell):
+        t = next(calls)
+        out = exact(i, j, r, g, bell)
+        return faulty[t] * out.trace().real if t in faulty else out
+
+    monkeypatch.setattr(recognition, "_closed_form_block", block)
+    rng = np.random.default_rng(40)
+    signals = [random_density(3, rng) for _ in range(60)]
+    steps = recognize_sequence(random_density(3, rng), signals, fourier_bell(3), ArgmaxPolicy())
+    assert [next(steps).t for _ in range(40)] == list(range(40))
+    with pytest.raises(ValueError) as err:
+        next(steps)
+    assert str(err.value) == "matrix is not positive semidefinite: eigenvalue -1.000e-01"
 
 
 def test_recognize_empty_sequence():
@@ -515,3 +575,17 @@ def test_recognition_step_serializes():
     payload = json.loads(text)
     assert set(payload) == {"t", "i", "j", "probability", "gamma", "entropy_of_gamma"}
     json.dumps(payload)  # round-trippable without custom encoders
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_step_lines_of_a_block_write_each_memory_and_its_entropy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    signals = [random_density(n, rng) for _ in range(70)]
+    steps = list(recognize_sequence(random_density(n, rng), signals, fourier_bell(n),
+                                    SamplePolicy(seed=n)))
+    lines = [json.loads(line) for line in jsonio.step_lines(steps).splitlines()]
+    assert [line["t"] for line in lines] == list(range(70))
+    for line, step in zip(lines, steps):
+        assert line["entropy_of_gamma"] == von_neumann_entropy(step.memory)
+        assert line["gamma"] == jsonio.matrix_to_json(step.memory.matrix)
+    assert jsonio.step_lines([]) == ""
