@@ -41,15 +41,11 @@ both come from, `_hermitian_part`, the one symmetrization, and
 also applies to its new memory before the block of memories is
 checked, `_density_spectra`, the one density-operator check,
 which returns the trace-normalized matrices with their spectra and which
-`DensityOperator` reads for one matrix and `_density_operators` for a
-stack (one matrix takes a branch of scalar tests, and its spectrum is
-clipped at 0 only when its lowest eigenvalue is not positive, since the
-clip of a positive spectrum changes no bit; a stack goes through
-`_unit_spectra`, which also checks images' spectra), `_check_unit`, the
-one state rule on a trace and a lowest eigenvalue that both forms apply,
-`_kron`, the
-Kronecker product (of states, of `tensor`'s operators and of the blocks
-of `channels.choi_matrix`), and `_relative_entropies`, the one
+`DensityOperator` reads for one matrix (a stack of one) and
+`_density_operators` for a stack, `_unit_spectra`, the one state rule
+on traces and lowest eigenvalues, which also checks images' spectra,
+`_kron`, the Kronecker product (of states and of `tensor`'s
+operators), and `_relative_entropies`, the one
 relative-entropy formula, for a stack of states each against its own
 sigma, which `relative_entropy` (a stack of one) and the transmitted
 complexity share.
@@ -346,27 +342,20 @@ def _unit_trace(h: np.ndarray, tr=None) -> np.ndarray:
 def _density_spectra(m: np.ndarray):
     """Checked spectral data of a complex square density matrix or a stack (..., n, n) of them.
 
-    Every matrix goes through `_self_adjoint_spectra` and must then pass
-    `_check_unit`; for a stack the error names the worst matrix's
-    deviation. Returns (symmetrized matrices divided by their traces,
-    eigenvalues sorted descending, matching eigenvector columns); the
-    spectra are those of the symmetrized matrices before the division.
-    One matrix takes scalar tests and is clipped only when its lowest
-    eigenvalue is not positive: a clip of a positive spectrum changes no
-    bit, so both forms give every matrix the same bits.
+    Every matrix goes through `_self_adjoint_spectra`, and its spectrum
+    through `_unit_spectra`; for a stack the error names the worst
+    matrix's deviation. Returns (symmetrized matrices divided by their
+    traces, eigenvalues sorted descending, matching eigenvector columns);
+    the spectra are those of the symmetrized matrices before the division.
+    One matrix is checked as a stack of one, so it gets the bits it gets
+    in any stack.
     """
-    # Every comparison here and in `_check_unit` is written so that NaN
+    # Every comparison here and in `_unit_spectra` is written so that NaN
     # fails it; a non-finite entry is caught by the self-adjointness check.
     # eigh sorts ascending and clamping keeps the order, so reversed
     # (contiguous) copies are sorted descending.
     m, lam, vec = _self_adjoint_spectra(m, "matrix")
     tr = m.trace(axis1=-2, axis2=-1).real
-    if m.ndim == 2:
-        low = float(lam[0])
-        _check_unit(float(tr), low)
-        if not low > 0.0:
-            lam = np.clip(lam, 0.0, None)
-        return _unit_trace(m, tr), (lam / lam.sum())[::-1].copy(), vec[:, ::-1].copy()
     lam = _unit_spectra(tr, lam)
     return _unit_trace(m, tr), lam[..., ::-1].copy(), vec[..., ::-1].copy()
 
@@ -374,24 +363,20 @@ def _density_spectra(m: np.ndarray):
 def _unit_spectra(tr, lam) -> np.ndarray:
     """Ascending spectra `lam` (..., m) of matrices with traces `tr`, checked and normalized as states'.
 
-    The worst trace and the lowest eigenvalue must pass `_check_unit`;
-    the eigenvalues are clamped to 0 and renormalized to unit sum.
+    The one state rule, in this order: the worst trace must be 1 within
+    TRACE_TOL and the lowest eigenvalue at least EIGENVALUE_FLOOR, and a
+    NaN fails either test. The eigenvalues are then clamped to 0 and
+    renormalized to unit sum.
     """
-    _check_unit(float(tr.flat[np.argmax(np.abs(tr - 1.0))]), float(lam[..., 0].min()))
-    lam = np.clip(lam, 0.0, None)
-    return lam / lam.sum(axis=-1, keepdims=True)
-
-
-def _check_unit(trace: float, low: float) -> None:
-    """The state rule on a trace and a lowest eigenvalue, in that order.
-
-    The trace must be 1 within TRACE_TOL and the eigenvalue at least
-    EIGENVALUE_FLOOR; a NaN fails either test.
-    """
-    if not abs(trace - 1.0) <= TRACE_TOL:
-        raise ValueError(f"trace must be 1, got {trace!r}")
+    gap = np.abs(tr - 1.0)
+    if not gap.max() <= TRACE_TOL:
+        raise ValueError(f"trace must be 1, got {float(tr.flat[np.argmax(gap)])!r}")
+    low = float(lam[..., 0].min())
     if not low >= EIGENVALUE_FLOOR:
         raise ValueError(f"matrix is not positive semidefinite: eigenvalue {low:.3e}")
+    # The ufunc that np.clip(lam, 0.0, None) calls, without its wrapper.
+    lam = np.maximum(lam, 0.0)
+    return lam / lam.sum(axis=-1, keepdims=True)
 
 
 def _block_starts(lam: np.ndarray) -> np.ndarray:
@@ -465,10 +450,9 @@ class DensityOperator(_Frozen):
     Construction validates self-adjointness and positivity, clamps
     eigenvalues in [-1e-10, 0) to zero, and renormalizes the spectrum
     to unit sum. Eigenvalues are stored descending with matching
-    eigenvector columns. Instances are immutable. One matrix is checked
-    by scalar tests, and its spectrum is clipped only when its lowest
-    eigenvalue is not positive (a zero or -0.0 is clipped too), so every
-    slot has the bits of the same matrix checked in a stack.
+    eigenvector columns. Instances are immutable. The matrix is checked
+    by `_density_spectra` as a stack of one, so every slot has the bits
+    of the same matrix checked in any stack.
     """
 
     __slots__ = ("matrix", "eigenvalues", "eigenvectors")

@@ -82,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, identity_channel, kraus_channel
+from .channels import Channel, identity_channel
 from .exceptions import DimensionMismatch
 from .hilbert import (
     DensityOperator,
@@ -517,7 +517,7 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     # Only a degenerate block takes D off the eigenbasis value.
     for k in np.flatnonzero(~_block_starts(lam).all(axis=-1)):
         for values, ops in zip(d, kraus):
-            values[k] = _search(lam[k], vec[k], kraus_channel(ops[k]), DEFAULT_CONFIG)[0]
+            values[k] = _search(lam[k], vec[k], Channel("kraus", ops[k]), DEFAULT_CONFIG)[0]
     d = [values.tolist() for values in d]
     return [_outcome(*values) for values in zip(d[0], d[-1], v[0], v[-1])]
 

@@ -362,6 +362,20 @@ def test_kraus_sum_check_takes_eigenvalues_only_where_the_check_can_fail(monkeyp
         _check_kraus_sums(kraus_with_gap(np.full((3, 3), 4e-11)))
 
 
+@pytest.mark.parametrize("n, terms", [(1, 1), (1, 5), (3, 2), (4, 3)])
+def test_random_kraus_channel_is_the_channel_of_its_listed_operators(n, terms):
+    # The sampled stack goes to `Channel` whole; `kraus_channel` of its
+    # operators as a list gives the same channel, bit for bit.
+    from infodyn.hilbert import _complex_gaussians, _isometry_blocks
+
+    channel = random_kraus_channel(n, terms, np.random.default_rng(n + terms))
+    z = _complex_gaussians(np.random.default_rng(n + terms), 1, [(terms * n, n)])[0][0]
+    listed = kraus_channel(list(_isometry_blocks(z, terms)))
+    rho = random_density(n, RNG).matrix
+    assert np.array_equal(channel.apply_matrix(rho), listed.apply_matrix(rho))
+    assert channel.is_trace_preserving is listed.is_trace_preserving
+
+
 def test_random_kraus_channel_is_trace_preserving():
     for terms in (1, 2, 4):
         ch = random_kraus_channel(3, terms, RNG)
@@ -547,9 +561,10 @@ def test_depolarizing_zero_strength_is_identity():
      "operand must be a square matrix or a stack of them, got shape (2, 3)"),
     (lambda: kraus_channel([]), ValueError, "at least one Kraus operator is required"),
     (lambda: choi_matrix(np.trace, 2), ValueError, "image must be a square matrix, got shape ()"),
+    (lambda: choi_matrix(lambda m: m[:1, :1], 2), DimensionMismatch, "map dim 2 vs image dim 1"),
     (lambda: choi_matrix(identity_channel(2), 10**5000), DimensionMismatch,
      "channel dim 2 vs dim 1" + "0" * 79 + "..."),
-], ids=["schur-dim", "apply-non-square", "kraus-empty", "choi-image", "choi-dim-huge"])
+], ids=["schur-dim", "apply-non-square", "kraus-empty", "choi-image", "choi-image-dim", "choi-dim-huge"])
 def test_channel_input_errors_name_the_problem(call, error, message):
     with pytest.raises(error) as err:
         call()
@@ -590,13 +605,24 @@ def test_choi_matrix_of_identity_is_maximally_entangled():
 
 
 def test_choi_matrix_is_the_sum_of_numpy_kron_blocks_bit_for_bit():
-    channel = random_kraus_channel(3, 2, RNG)
-    expected = np.zeros((9, 9), dtype=complex)
-    for a, b in itertools.product(range(3), repeat=2):
-        unit = np.zeros((3, 3), dtype=complex)
-        unit[a, b] = 1.0
-        expected += np.kron(unit, channel.apply_matrix(unit))
-    assert np.array_equal(choi_matrix(channel), expected)
+    # Each channel kind and a bare callable, against a replay of the sum
+    # sum_ab E_ab (x) action(E_ab). The callable's images hold -0.0, which
+    # the sum reads as 0.0, so the signs of zeros are compared too.
+    for n in range(1, 5):
+        p = RNG.random((n, n))
+        maps = [random_kraus_channel(n, 2, RNG), unitary_channel(random_unitary(n, RNG)),
+                schur_channel(-random_density(n, RNG).matrix + np.eye(n)),
+                stochastic_channel(p / p.sum(axis=1, keepdims=True)), lambda m: -m.T]
+        for channel in maps:
+            action = channel.apply_matrix if isinstance(channel, Channel) else channel
+            expected = np.zeros((n * n, n * n), dtype=complex)
+            for a, b in itertools.product(range(n), repeat=2):
+                unit = np.zeros((n, n), dtype=complex)
+                unit[a, b] = 1.0
+                expected += np.kron(unit, action(unit))
+            got = choi_matrix(channel, n)
+            assert np.array_equal(got, expected), (n, channel)
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(expected.view(float)))
 
 
 def test_choi_requires_dim_for_bare_callable():

@@ -558,9 +558,9 @@ def _agreement_inputs():
                               *(f"pure-{n}" for n in (2, 3, 5, 8)),
                               "zeros", "negative-zero", "clamped"])
 def test_one_matrix_and_a_stack_of_one_give_the_same_bits(m):
-    # A DensityOperator takes the one-matrix branch of `_density_spectra`,
-    # a stack its stacked path: every slot must agree bit for bit, and every
-    # eigenvalue in its sign, whether it was clipped or not.
+    # A DensityOperator is checked as a stack of one by the same path as
+    # any stack: every slot must agree bit for bit, and every eigenvalue in
+    # its sign, whether it was clipped or not.
     alone, stacked = DensityOperator(m), _density_operators(m[None])[0]
     for name in DensityOperator.__slots__:
         assert np.array_equal(getattr(alone, name), getattr(stacked, name)), name
