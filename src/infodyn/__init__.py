@@ -41,7 +41,6 @@ _EXPORTS = {
     ),
     "hilbert": (
         "DensityOperator",
-        "SchattenDecomposition",
         "diag_embedding",
         "mult_operator",
         "partial_trace",

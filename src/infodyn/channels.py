@@ -77,6 +77,7 @@ from .hilbert import (
     _check_real,
     _complex_gaussians,
     _gram_spectra,
+    _hermitian_part,
     _isometry_blocks,
     _self_adjoint_spectra,
     _square,
@@ -467,6 +468,6 @@ def choi_check(channel, dim: int | None = None) -> CompletePositivityReport:
     herm = float(np.max(np.abs(c - c.conj().T)))
     if not herm <= 1e-8:  # NaN fails this too
         return CompletePositivityReport(False, float("nan"), herm)
-    lam = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+    lam = np.linalg.eigvalsh(_hermitian_part(c))
     low = float(lam[0])
     return CompletePositivityReport(low >= -CP_EIGENVALUE_TOL, low, herm)

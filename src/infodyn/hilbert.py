@@ -16,7 +16,7 @@ concern and lives with the report writers in `jsonio`, not here.
 
 The package-wide private helpers live here, one per rule:
 `_Frozen`, the one immutability rule, which `DensityOperator`,
-`SchattenDecomposition`, `channels.Channel`, `channels.SchurWeight`,
+`channels.Channel`, `channels.SchurWeight`,
 `classical.EmpiricalChannel`, `recognition.SignalBasis` and
 `recognition.BellSystem` derive from
 (each slot set once, an array slot read-only, any later assignment an
@@ -36,19 +36,21 @@ sampler, `_complex_gaussians`, the one Gaussian stream of every sampler,
 reads, `_self_adjoint_spectra`, the one eigendecomposition (the
 self-adjointness check within HERMITIAN_TOL, the symmetrization and the
 one `np.linalg.eigh`), which a state's and a Schur weight's eigenvectors
-both come from, `_hermitian_part`, the one symmetrization, and
-`_unit_trace`, the one trace normalization, which a recognition step
-also applies to its new memory before the block of memories is
-checked, `_density_spectra`, the one density-operator check,
+both come from, `_hermitian_part`, the one symmetrization (of a matrix
+before its eigendecomposition, of a Kraus sum's excess, of a Choi
+matrix and of a sampled purpose), and `_unit_trace`, the one trace
+normalization, which a recognition step also applies to its new memory
+before the block of memories is checked and a sampler to its Gram
+matrices g g*, `_density_spectra`, the one density-operator check,
 which returns the trace-normalized matrices with their spectra and which
 `DensityOperator` reads for one matrix (a stack of one) and
 `_density_operators` for a stack, `_unit_spectra`, the one state rule
 on traces and lowest eigenvalues, which also checks images' spectra,
-`_kron`, the Kronecker product (of states and of `tensor`'s
-operators), and `_relative_entropies`, the one
-relative-entropy formula, for a stack of states each against its own
-sigma, which `relative_entropy` (a stack of one) and the transmitted
-complexity share.
+`_kron`, the one Kronecker product (of states, of `tensor`'s
+operators and of the recognition oracles' factors), and
+`_relative_entropies`, the one relative-entropy formula, for a stack of
+states each against its own sigma, which `relative_entropy` (a stack of
+one) and the transmitted complexity share.
 The Kraus-form helpers that `channels` and the stacked kernels of
 `metrics` use live here too, each taking one operand or a stack:
 `_check_kraus_sums`, the one Kraus-sum check, which only the constructor
@@ -421,29 +423,6 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class SchattenDecomposition(_Frozen):
-    """Spectral resolution of a density operator into rank-one pieces.
-
-    `weights[k]` pairs with column k of `vectors`. Weights are sorted
-    descending and sum to 1. When the spectrum has a (near-)repeated
-    eigenvalue the eigenvectors span the right eigenspaces but are
-    otherwise an arbitrary orthonormal choice. Instances are immutable
-    and hold copies of the arrays they are given: `vectors` a non-empty
-    square matrix and `weights` a real vector of its column count, both
-    finite, or ValueError names the field.
-    """
-
-    __slots__ = ("weights", "vectors")
-
-    def __init__(self, weights, vectors):
-        vectors = _square(vectors, "vectors").copy()
-        weights = _as_array(weights, "weights")
-        if weights.shape != vectors.shape[1:] or weights.imag.any():
-            raise ValueError(f"weights must be a real vector of length {vectors.shape[1]}, "
-                             f"got shape {weights.shape}")
-        self._set(weights=weights.real.copy(), vectors=vectors)
-
-
 class DensityOperator(_Frozen):
     """Positive unit-trace operator with cached spectral data.
 
@@ -483,9 +462,6 @@ class DensityOperator(_Frozen):
     def maximally_mixed(cls, n: int) -> "DensityOperator":
         _check_integer("n", n, 1, "MAX_MATRIX_DIM", MAX_MATRIX_DIM)
         return cls(np.eye(n, dtype=complex) / n)
-
-    def spectral(self) -> SchattenDecomposition:
-        return SchattenDecomposition(weights=self.eigenvalues, vectors=self.eigenvectors)
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
         return DensityOperator(_kron(self.matrix, as_density(other).matrix))
@@ -611,19 +587,14 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _normalized_grams(g) -> np.ndarray:
-    """g g* divided by its trace, for a matrix g (n, k) or a stack (..., n, k)."""
-    m = g @ g.conj().mT
-    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
-
-
 def random_density(n: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
     """Random full-rank (or fixed-rank) density operator."""
     _check_integer("n", n, 1, "MAX_MATRIX_DIM", MAX_MATRIX_DIM)
     k = n if rank is None else _check_integer("rank", rank, 1)
     if k > n:
         raise ValueError(f"rank must be in [1, {_brief(n)}], got {_brief(k)}")
-    return DensityOperator(_normalized_grams(_complex_gaussians(rng, 1, [(n, k)])[0][0]))
+    g = _complex_gaussians(rng, 1, [(n, k)])[0][0]
+    return DensityOperator(_unit_trace(g @ g.conj().mT))
 
 
 def _isometry_blocks(z, terms: int) -> np.ndarray:
@@ -681,7 +652,7 @@ def _check_kraus_sums(ops) -> np.ndarray:
     # An n x n self-adjoint matrix has no eigenvalue above n times its
     # largest |entry|, so within 1e-10 / n the check cannot fail.
     if not dev.max() <= 1e-10 / ops.shape[-1]:
-        top = float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().mT)).max())
+        top = float(np.linalg.eigvalsh(_hermitian_part(gap)).max())
         if not top <= 1e-10:
             raise ValueError(f"Kraus sum exceeds identity by {top:.3e}")
     return dev <= 1e-10

@@ -86,7 +86,6 @@ from .channels import Channel, identity_channel
 from .exceptions import DimensionMismatch
 from .hilbert import (
     DensityOperator,
-    SchattenDecomposition,
     _block_starts,
     _brief,
     _check_deviation,
@@ -98,12 +97,13 @@ from .hilbert import (
     _entropy_of_spectrum,
     _gram_spectra,
     _haar_unitaries,
+    _hermitian_part,
     _isometry_blocks,
     _kron,
-    _normalized_grams,
     _relative_entropies,
     _square,
     _unit_spectra,
+    _unit_trace,
     as_density,
     von_neumann_entropy,
 )
@@ -164,7 +164,10 @@ class ChaosDegreeReport:
     """Chaos degree, transmitted complexity, and search statistics.
 
     `worst` is the largest chaos-degree value seen during the search;
-    for a unique decomposition it equals the chaos degree.
+    for a unique decomposition it equals the chaos degree. The
+    transmitted complexity is evaluated at the minimizing decomposition,
+    whose pieces the report does not keep: a state's spectral data live
+    in its `DensityOperator`.
     """
 
     chaos_degree: float
@@ -174,7 +177,6 @@ class ChaosDegreeReport:
     restarts: int
     seed: int
     worst: float
-    decomposition: SchattenDecomposition
 
 
 def _rotation_chunks(blocks, restarts: int, seeds, candidate_bytes: int):
@@ -313,7 +315,6 @@ def chaos_degree(rho, channel: Channel, config: ComplexityConfig | None = None) 
         restarts=evaluated,
         seed=cfg.seed,
         worst=worst_val,
-        decomposition=SchattenDecomposition(weights=state.eigenvalues, vectors=best_vec),
     )
 
 
@@ -505,13 +506,12 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     `_search`'s D, since both sum through `_floor_sum`.
     """
     g_rho, g_gamma, *g_kraus, g_purpose = draws
-    grams = [_normalized_grams(g) for g in (g_rho, g_gamma)]
-    rho, gamma = (_density_spectra(m)[0] for m in grams)
+    rho, gamma = (_density_spectra(_unit_trace(g @ g.conj().mT))[0] for g in (g_rho, g_gamma))
     joint, lam, vec = _density_spectra(_kron(rho, gamma))
     kraus = [_isometry_blocks(z, terms) for z in g_kraus]
     channels = [Channel("kraus", ops) for ops in kraus]
     _require_trace_preserving(*channels)
-    q = _self_adjoint_purposes(0.5 * (g_purpose + g_purpose.conj().mT))
+    q = _self_adjoint_purposes(_hermitian_part(g_purpose))
     d = [_eigenbasis_values(lam, vec, ch) for ch in channels]
     v = [_real_values(ch.apply_matrix(joint), q).tolist() for ch in channels]
     # Only a degenerate block takes D off the eigenbasis value.
@@ -552,7 +552,7 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
     identity recovery through the identity channel at rho's eigenbasis;
     the drift between rho's T and the relabeled state's, each at its
     eigenbasis. For a non-degenerate state the eigenbasis is the
-    decomposition that `chaos_degree` reports. The trials are evaluated
+    decomposition that `chaos_degree` finds. The trials are evaluated
     in chunks by `_axiom_trials`, one stack per Kraus rank, each stack
     with as many trials as fit CHUNK_BYTES (at least one); the results
     do not depend on the chunk size.
@@ -619,8 +619,8 @@ def _axiom_trials(draws, terms: int, rotation_seeds, restarts: int) -> list:
     """
     g_rho, g_sigma, g_kraus, g_u, raw, g_basis = draws
     n = g_rho.shape[1]
-    grams = [_normalized_grams(g) for g in (g_rho, g_sigma)]
-    (rho, lam, vec), (sigma, lam_sigma, _) = map(_density_spectra, grams)
+    (rho, lam, vec), (sigma, lam_sigma, _) = (_density_spectra(_unit_trace(g @ g.conj().mT))
+                                              for g in (g_rho, g_sigma))
     channel = Channel("kraus", _isometry_blocks(g_kraus, terms))
     _require_trace_preserving(channel)
     u = _haar_unitaries(g_u)
@@ -635,7 +635,7 @@ def _axiom_trials(draws, terms: int, rotation_seeds, restarts: int) -> list:
                                    *_density_spectra(channel.apply_matrix(state))[1:])
 
     # rho's D and T at its eigenbasis (for a unique spectrum, the decomposition
-    # `chaos_degree` reports); then the relabeled state's T and rho's T through the identity.
+    # `chaos_degree` finds); then the relabeled state's T and rho's T through the identity.
     d_val = _eigenbasis_values(lam, vec, channel)
     t_val = transmitted(channel, lam, vec[:, None], rho)[:, 0]
     t_rel = transmitted(channel, lam_rel, vec_rel[:, None], relabeled)[:, 0]

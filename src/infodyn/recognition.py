@@ -65,6 +65,7 @@ from .hilbert import (
     _check_orthonormal,
     _density_operators,
     _hermitian_part,
+    _kron,
     _square,
     _unit_trace,
     as_density,
@@ -233,8 +234,8 @@ def measured_operator(i: int, j: int, rho, gamma, bell: BellSystem) -> np.ndarra
     and as the reference for the contraction-based routes.
     """
     r, g = _check_inputs(rho, gamma, bell, i, j)
-    f = np.kron(bell.projection(i, j), np.eye(bell.n))
-    joint = np.kron(r.matrix, entangle(g).matrix)
+    f = _kron(bell.projection(i, j), np.eye(bell.n))
+    joint = _kron(r.matrix, entangle(g).matrix)
     return f @ joint @ f
 
 
@@ -292,18 +293,19 @@ def update_spectral(i: int, j: int, rho, gamma, bell: BellSystem) -> DensityOper
     r, g = _check_inputs(rho, gamma, bell, i, j)
     n = bell.n
     op = transfer_operator(bell, i, j)
-    rd, gd = r.spectral(), g.spectral()
+    # Column k * n + l is g_k (x) h_l.
+    products = _kron(r.eigenvectors, g.eigenvectors)
     acc = np.zeros((n, n), dtype=complex)
     weight = 0.0
     for k in range(n):
-        alpha = float(rd.weights[k])
+        alpha = float(r.eigenvalues[k])
         if alpha <= 1e-15:
             continue
         for l in range(n):
-            beta = float(gd.weights[l])
+            beta = float(g.eigenvalues[l])
             if beta <= 1e-15:
                 continue
-            image = op @ np.kron(rd.vectors[:, k], gd.vectors[:, l])
+            image = op @ products[:, k * n + l]
             acc += (alpha * beta) * np.outer(image, image.conj())
             weight += alpha * beta * float(np.vdot(image, image).real)
     if weight <= PROBABILITY_FLOOR:

@@ -133,9 +133,8 @@ def test_criterion_4_recognition_three_forms():
             gamma = infodyn.random_density(n, rng)
             probs = rec.outcome_probabilities(rho, gamma, bell)
             worst_prob = max(worst_prob, abs(float(probs.sum()) - 1.0))
-            rd, gd = rho.spectral(), gamma.spectral()
-            products = np.kron(rd.vectors, gd.vectors)  # column (k, l) is g_k (x) h_l
-            pair_weights = np.kron(rd.weights, gd.weights)
+            products = np.kron(rho.eigenvectors, gamma.eigenvectors)  # column (k, l) is g_k (x) h_l
+            pair_weights = np.kron(rho.eigenvalues, gamma.eigenvalues)
             for i in range(n):
                 for j in range(n):
                     a = rec.update_direct(i, j, rho, gamma, bell).matrix

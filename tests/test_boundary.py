@@ -92,7 +92,7 @@ CASES = {
     "ArgmaxPolicy": (),
     "AxiomResult": (True, 0.0, 1e-10, 1, ""),
     "BellSystem": (Fixed(SignalBasis.fourier(2)),),
-    "ChaosDegreeReport": (0.0, 0.0, 0.0, False, 1, 0, 0.0, None),
+    "ChaosDegreeReport": (0.0, 0.0, 0.0, False, 1, 0, 0.0),
     "CompletePositivityReport": (True, 0.0, 0.0),
     "ComplexityConfig": (2, 0),
     "ConjectureOutcome": (0.0, 0.0, 0.0, 0.0, True),
@@ -105,7 +105,6 @@ CASES = {
     "Partition": (((0.0, 1.0),), 4),
     "RecognitionStep": (0, 0, 0, 1.0, None),
     "SamplePolicy": (0,),
-    "SchattenDecomposition": (np.ones(1), np.eye(1)),
     "SchurWeight": (np.eye(2),),
     "SignalBasis": (np.eye(2),),
     "SweepRow": (3.9, 0.1, 0.1, "chaotic"),
@@ -258,16 +257,6 @@ def test_an_overflowing_product_is_named_without_a_warning(name):
 # and a box, `x0` or `default_x0` of the wrong shape would fail with an
 # unpacking or iteration error that names no field.
 REJECTED = {
-    "Schatten-string": (lambda: infodyn.SchattenDecomposition("abc", None),
-                        "vectors has a non-finite entry"),
-    "Schatten-nan-weight": (lambda: infodyn.SchattenDecomposition([np.nan], np.eye(1)),
-                            "weights has a non-finite entry"),
-    "Schatten-length": (lambda: infodyn.SchattenDecomposition(np.ones(2), np.eye(1)),
-                        "weights must be a real vector of length 1, got shape (2,)"),
-    "Schatten-complex-weight": (lambda: infodyn.SchattenDecomposition([1j], np.eye(1)),
-                                "weights must be a real vector of length 1, got shape (1,)"),
-    "Schatten-non-square": (lambda: infodyn.SchattenDecomposition(np.ones(2), np.ones((2, 3))),
-                            "vectors must be a square matrix, got shape (2, 3)"),
     "Channel-unknown-kind": (lambda: Channel("ktau", np.eye(2)),
                              "channel kind must be one of ('kraus', 'schur', 'unitary', "
                              "'stochastic'), got 'ktau'"),

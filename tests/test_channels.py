@@ -589,6 +589,16 @@ def test_choi_check_rejects_a_non_finite_image():
         choi_check(lambda m: m * np.nan, 2)
 
 
+def test_choi_check_of_a_map_with_a_non_self_adjoint_choi_matrix_has_no_spectrum():
+    # m -> m E_01 sends E_a0 to E_a1 and E_a1 to 0, so the Choi matrix has
+    # unit entries whose mirror images are 0: it is off its adjoint by 1,
+    # and its spectrum is not read.
+    report = choi_check(lambda m: m @ np.array([[0, 1], [0, 0]]), 2)
+    assert not report.is_cp
+    assert np.isnan(report.min_eigenvalue)
+    assert report.hermiticity_error == 1.0
+
+
 def test_choi_schur_channels_are_cp():
     for _ in range(5):
         w = SchurWeight(random_density(3, RNG).matrix)

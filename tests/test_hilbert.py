@@ -11,7 +11,6 @@ from infodyn.exceptions import DimensionMismatch
 from infodyn.hilbert import (
     EIGENVALUE_FLOOR,
     DensityOperator,
-    SchattenDecomposition,
     _brief,
     _check_real,
     _density_operators,
@@ -338,9 +337,9 @@ def test_tensor_is_numpy_kron_of_matrices_bit_for_bit():
 def test_density_operator_spectral_orders_descending():
     rho = DensityOperator(np.diag([0.25, 0.75]))
     assert np.allclose(rho.eigenvalues, [0.75, 0.25])
-    dec = rho.spectral()
-    assert np.allclose((dec.vectors * dec.weights) @ dec.vectors.conj().T, rho.matrix, atol=1e-12)
-    assert np.allclose(np.abs(dec.vectors[:, 0]) ** 2, [0.0, 1.0], atol=1e-12)
+    vec = rho.eigenvectors
+    assert np.allclose((vec * rho.eigenvalues) @ vec.conj().T, rho.matrix, atol=1e-12)
+    assert np.allclose(np.abs(vec[:, 0]) ** 2, [0.0, 1.0], atol=1e-12)
 
 
 def test_density_operator_flags_degenerate():
@@ -368,22 +367,6 @@ def test_density_operator_is_immutable():
     with pytest.raises(AttributeError):
         rho.n = 3
     assert not rho.matrix.flags.writeable
-
-
-def test_schatten_decomposition_is_immutable_and_compares_by_identity():
-    # As a frozen dataclass with array fields it could neither compare nor hash.
-    weights, vectors = np.array([0.5, 0.5]), np.eye(2, dtype=complex)
-    a, b = SchattenDecomposition(weights, vectors), SchattenDecomposition(weights, vectors)
-    assert a == a and a != b
-    assert len({a, b, a}) == 2
-    assert a.weights is not weights and a.vectors is not vectors
-    with pytest.raises(AttributeError, match="^SchattenDecomposition is immutable$"):
-        a.weights = weights
-    # The decomposition a degenerate state's search reports holds its own, read-only vectors.
-    report = metrics.chaos_degree(np.eye(2) / 2, channels.identity_channel(2),
-                                  metrics.ComplexityConfig(restarts=2, seed=0))
-    for dec in (a, report.decomposition, DensityOperator.maximally_mixed(2).spectral()):
-        assert not dec.weights.flags.writeable and not dec.vectors.flags.writeable
 
 
 def test_density_operators_of_a_stack_have_the_bits_of_each_alone():
@@ -420,8 +403,7 @@ def test_unitary_conjugation_preserves_spectrum():
 
 
 def test_spectral_decompose_accepts_bare_matrix():
-    dec = as_density(np.diag([0.75, 0.25])).spectral()
-    assert np.allclose(dec.weights, [0.75, 0.25])
+    assert np.allclose(as_density(np.diag([0.75, 0.25])).eigenvalues, [0.75, 0.25])
 
 
 def test_entropy_pure_state_is_zero():

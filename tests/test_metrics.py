@@ -241,7 +241,7 @@ def test_chaos_degree_report_does_not_depend_on_chunk_size(channel, monkeypatch)
         monkeypatch.setattr(metrics, "CHUNK_BYTES", budget)
         rep = chaos_degree(state, channel, cfg)
         return (rep.chaos_degree, rep.transmitted, rep.output_entropy, rep.worst,
-                rep.restarts, rep.decomposition.vectors.tobytes())
+                rep.restarts)
 
     # One candidate per chunk, several uneven chunks, and one chunk.
     reports = [report(1), report(20_000), report(1 << 30)]
@@ -567,6 +567,16 @@ def test_value_rejects_a_purpose_operator_of_the_wrong_shape():
     with pytest.raises(DimensionMismatch) as err:
         value_of_information(rho, gamma, identity_channel(4), np.eye(3))
     assert str(err.value) == "purpose operator shape (3, 3), expected (4, 4)"
+
+
+def test_value_rejects_a_non_real_residue():
+    # The purpose operator passes the 1e-10 self-adjointness check, but its
+    # imaginary part leaves a residue of 4 * 0.49e-10 in tr(image q).
+    rho = DensityOperator.from_pure([1, 1])
+    q = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.49e-10j * np.ones((4, 4))
+    with pytest.raises(ValueError) as err:
+        value_of_information(rho, rho, identity_channel(4), q)
+    assert str(err.value) == "value has non-real residue 1.960e-10"
 
 
 def test_identity_purpose_values_every_trace_preserving_channel_at_one():
@@ -934,7 +944,7 @@ def eigenbasis_row(g_rho, g_sigma, kraus, u, spectrum, basis, seed, restarts):
     first two columns, one `random_unitary` per rotation from the generator
     of `seed`.
     """
-    rho, sigma = (DensityOperator(hilbert._normalized_grams(g)) for g in (g_rho, g_sigma))
+    rho, sigma = (DensityOperator(hilbert._unit_trace(g @ g.conj().mT)) for g in (g_rho, g_sigma))
     channel, n = kraus_channel(kraus), rho.n
 
     def d_and_t(state, channel, weights, vecs):

@@ -96,35 +96,53 @@ def test_immutability_is_written_once():
     ]
     assert owners == ["hilbert._Frozen"]
 
-    def setflags_callers(node, owner):
+    callers = _owners(lambda node: isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", None) == "setflags")
+    assert callers == ["hilbert._Frozen._set"]
+
+
+def _owners(matches):
+    """The module-qualified function or class around each AST node of the package that `matches`."""
+    def walk(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "setflags":
+            if matches(child):
                 yield owner
             inner = (f"{owner}.{child.name}" if isinstance(child, (ast.ClassDef, ast.FunctionDef))
                      else owner)
-            yield from setflags_callers(child, inner)
+            yield from walk(child, inner)
 
-    callers = [caller for path in sorted(Path(infodyn.__file__).parent.glob("*.py"))
-               for caller in setflags_callers(ast.parse(path.read_text()), path.stem)]
-    assert callers == ["hilbert._Frozen._set"]
+    return [owner for path in sorted(Path(infodyn.__file__).parent.glob("*.py"))
+            for owner in walk(ast.parse(path.read_text()), path.stem)]
+
+
+def _reads(name):
+    """Whether an AST node reads `name`: as a name, an attribute or an imported alias."""
+    return lambda node: ((isinstance(node, ast.Attribute) and node.attr == name)
+                         or (isinstance(node, ast.Name) and node.id == name)
+                         or (isinstance(node, ast.alias) and node.name == name))
 
 
 def test_eigenvectors_are_made_in_one_function():
     # `hilbert._self_adjoint_spectra` is the one eigendecomposition, of a
     # state and of a Schur weight alike.
-    def eigh_readers(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if ((isinstance(child, ast.Attribute) and child.attr == "eigh")
-                    or (isinstance(child, ast.Name) and child.id == "eigh")
-                    or (isinstance(child, ast.alias) and child.name == "eigh")):
-                yield owner
-            inner = (f"{owner}.{child.name}" if isinstance(child, (ast.ClassDef, ast.FunctionDef))
-                     else owner)
-            yield from eigh_readers(child, inner)
+    assert _owners(_reads("eigh")) == ["hilbert._self_adjoint_spectra"]
 
-    readers = [reader for path in sorted(Path(infodyn.__file__).parent.glob("*.py"))
-               for reader in eigh_readers(ast.parse(path.read_text()), path.stem)]
-    assert readers == ["hilbert._self_adjoint_spectra"]
+
+def test_the_hermitian_part_is_formed_in_one_function():
+    # `hilbert._hermitian_part` is the one symmetrization: no other function
+    # adds an expression to its own adjoint.
+    def symmetrizes(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+            return False
+        left, right = ast.unparse(node.left), ast.unparse(node.right)
+        return f"{left}.conj()" in right or f"{right}.conj()" in left
+
+    assert _owners(symmetrizes) == ["hilbert._hermitian_part"]
+
+
+def test_kronecker_products_are_formed_by_one_function():
+    # `hilbert._kron` is the one Kronecker product; the package calls no `np.kron`.
+    assert _owners(_reads("kron")) == []
 
 
 def test_only_hilbert_knows_the_gram_bound():

@@ -143,7 +143,6 @@ def test_probability_matches_spectral_norm_formula():
         for basis in bases:
             bell = BellSystem(basis)
             for rho, gamma in states:
-                rd, gd = rho.spectral(), gamma.spectral()
                 probs = outcome_probabilities(rho, gamma, bell)
                 for i in range(n):
                     for j in range(n):
@@ -151,8 +150,9 @@ def test_probability_matches_spectral_norm_formula():
                         total = 0.0
                         for k in range(n):
                             for l in range(n):
-                                image = op @ np.kron(rd.vectors[:, k], gd.vectors[:, l])
-                                total += rd.weights[k] * gd.weights[l] * float(np.vdot(image, image).real)
+                                image = op @ np.kron(rho.eigenvectors[:, k], gamma.eigenvectors[:, l])
+                                total += (rho.eigenvalues[k] * gamma.eigenvalues[l]
+                                          * float(np.vdot(image, image).real))
                         assert probs[i, j] == pytest.approx(total, abs=1e-12)
                         assert outcome_probability(i, j, rho, gamma, bell) == pytest.approx(total, abs=1e-12)
 
