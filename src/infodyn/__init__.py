@@ -11,7 +11,7 @@ The package splits into five layers:
 - ``metrics``: chaos degree, transmitted complexity, axiom property
   suite, value of information and the chaos-versus-value batches.
 - ``classical``: iterated maps, orbit binning, empirical channels,
-  Lyapunov exponents, parameter sweeps.
+  Lyapunov exponents, parameter sweeps and their labels.
 - ``recognition``: signal bases, entangling lifts, and the recognition
   step in closed form, checked against three independent update routes.
 
@@ -75,7 +75,6 @@ _EXPORTS = {
         "ConjectureOutcome",
         "axiom_suite",
         "chaos_degree",
-        "classify_dynamics",
         "complexity",
         "conjecture_batch",
         "conjecture_experiment",

@@ -23,6 +23,10 @@ Largest Lyapunov exponents come from that Jacobian along the same
 orbit: the mean of ln|f'| in one dimension; in two, products of blocks
 of consecutive Jacobians, each applied to a running unit vector whose
 log growth is summed.
+
+A sweep labels each row from a trailing window of its own D column with
+`_label`: D = 0 stable, D at a constant positive level weakly stable,
+chaotic otherwise.
 """
 
 from __future__ import annotations
@@ -38,12 +42,16 @@ import numpy as np
 from .exceptions import OrbitEscape
 from .hilbert import DensityOperator, _Frozen, _brief, _check_integer, _check_real
 from .channels import Channel, stochastic_channel
-from .metrics import DEFAULT_EPS_CONST, DEFAULT_EPS_ZERO, classify_dynamics
 
 DEFAULT_TRANSIENT = 1000
 DEFAULT_SAMPLES = 100_000
 DEFAULT_BINS = 100
 DEFAULT_WINDOW = 5
+# Default `sweep` label thresholds: a window of D values is "stable"
+# within DEFAULT_EPS_ZERO of 0 and "weak_stable" within DEFAULT_EPS_CONST
+# of a constant.
+DEFAULT_EPS_ZERO = 1e-3
+DEFAULT_EPS_CONST = 1e-3
 MAX_SWEEP_ROWS = 1_000_000
 # Largest total work of one sweep, rows * (transient + samples) orbit
 # steps. A whole sweep point costs about 73 ns per step on the logistic
@@ -322,7 +330,9 @@ class Partition:
 
     Cells are half-open with the top edge closed, so every boundary
     point gets exactly one cell and the box is covered. More than
-    MAX_PARTITION_CELLS cells in all raise ValueError.
+    MAX_PARTITION_CELLS cells in all raise ValueError, as does an
+    interval whose width hi - lo or bins / width is not finite (a box
+    too wide, or too narrow, to scale into cells).
     """
 
     box: tuple[tuple[float, float], ...]
@@ -336,6 +346,10 @@ class Partition:
         # A Python int, so that a numpy integer `bins` cannot overflow here.
         _check_integer("bins ** dim", int(self.bins) ** len(box), None,
                        "MAX_PARTITION_CELLS", MAX_PARTITION_CELLS)
+        for lo, hi in box:
+            if not (math.isfinite(hi - lo) and math.isfinite(int(self.bins) / (hi - lo))):
+                raise ValueError(f"box interval [{lo}, {hi}] has a width or bins / width "
+                                 f"that is not finite")
         object.__setattr__(self, "box", box)
 
     def encode(self, points) -> np.ndarray:
@@ -608,8 +622,10 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     """Chaos degree and Lyapunov exponent over a parameter range.
 
     Produces one row per parameter value from `start` to `stop`
-    inclusive in increments of `step`, each labeled by classifying the
-    trailing `window` of chaos-degree values. Every row is one call of
+    inclusive in increments of `step`. Row i is labeled by `_label` from
+    the chaos degrees of rows max(0, i - window + 1) to i, a view of one
+    float64 array of the D column, so the labels cost one numpy pass per
+    row over min(window, rows) values. Every row is one call of
     the same per-point function on (system, config, partition). When
     `workers` and the row count both exceed 1 and `system` equals one of
     BUILTIN_MAPS, the calls go to a pool of min(workers, rows) processes,
@@ -654,12 +670,25 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     else:
         metrics = [_point_metrics(system, c, part) for c in cfgs]
 
-    d_values = [d for d, _ in metrics]
+    d_values = np.array([d for d, _ in metrics])
     return [
-        SweepRow(a, d, lam, classify_dynamics(d_values[max(0, i - window + 1):i + 1],
-                                              eps_zero, eps_const))
+        SweepRow(a, d, lam, _label(d_values[max(0, i - window + 1):i + 1], eps_zero, eps_const))
         for i, (a, (d, lam)) in enumerate(zip(params, metrics))
     ]
+
+
+def _label(d_values: np.ndarray, eps_zero: float, eps_const: float) -> str:
+    """The label of a non-empty float64 window of chaos-degree values:
+    "stable" when they all lie within `eps_zero` of 0, "weak_stable" when
+    they lie within `eps_const` of one another and their mean exceeds
+    `eps_zero`, "chaotic" otherwise. The values and thresholds are not
+    checked here; `sweep` checks the thresholds before any orbit.
+    """
+    if np.all(np.abs(d_values) <= eps_zero):
+        return "stable"
+    if float(d_values.max() - d_values.min()) <= eps_const and float(d_values.mean()) > eps_zero:
+        return "weak_stable"
+    return "chaotic"
 
 
 def sweep_to_csv(rows) -> str:

@@ -90,7 +90,6 @@ from .hilbert import (
     _brief,
     _check_deviation,
     _check_integer,
-    _check_real,
     _complex_gaussians,
     _degenerate_blocks,
     _density_spectra,
@@ -325,33 +324,6 @@ def transmitted_complexity(rho, channel: Channel, config: ComplexityConfig | Non
     otherwise (see module docstring).
     """
     return chaos_degree(rho, channel, config).transmitted
-
-
-# Default `classify_dynamics` thresholds: a window of D values is "stable"
-# within DEFAULT_EPS_ZERO of 0 and "weak_stable" within DEFAULT_EPS_CONST
-# of a constant.
-DEFAULT_EPS_ZERO = 1e-3
-DEFAULT_EPS_CONST = 1e-3
-
-
-def classify_dynamics(d_values, eps_zero: float = DEFAULT_EPS_ZERO,
-                      eps_const: float = DEFAULT_EPS_CONST) -> str:
-    """Label a window of chaos-degree values.
-
-    "stable" when the values all vanish, "weak_stable" when they sit at
-    a constant positive level, "chaotic" otherwise. Each value must be a
-    finite real number and each threshold one >= 0, or ValueError is raised.
-    """
-    eps_zero = _check_real("eps_zero", eps_zero, 0.0)
-    eps_const = _check_real("eps_const", eps_const, 0.0)
-    vals = np.asarray([_check_real("d_values", v) for v in d_values])
-    if vals.size == 0:
-        raise ValueError("classification needs at least one value")
-    if np.all(np.abs(vals) <= eps_zero):
-        return "stable"
-    if float(vals.max() - vals.min()) <= eps_const and float(vals.mean()) > eps_zero:
-        return "weak_stable"
-    return "chaotic"
 
 
 def _self_adjoint_purposes(m: np.ndarray) -> np.ndarray:

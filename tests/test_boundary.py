@@ -113,7 +113,6 @@ CASES = {
     "chaos_degree": (HALF, CHANNEL, FAST),
     "choi_check": (CHANNEL, 2),
     "choi_matrix": (CHANNEL, 2),
-    "classify_dynamics": ([0.1, 0.2], 1e-3, 1e-3),
     "complexity": (HALF,),
     "conjecture_batch": (2, 1, 0, 2, False),
     "conjecture_experiment": (HALF, [[1.0]], CHANNEL, CHANNEL, np.eye(2), FAST),

@@ -724,6 +724,55 @@ def test_sweep_pool_has_at_most_one_worker_per_point(started_pools):
     assert len(started) == 1
 
 
+def _label(values, eps_zero=classical.DEFAULT_EPS_ZERO, eps_const=classical.DEFAULT_EPS_CONST):
+    return classical._label(np.array(values, dtype=float), eps_zero, eps_const)
+
+
+def test_sweep_label_rules():
+    assert _label([0.0, 0.0, 0.0]) == "stable"
+    assert _label([0.4, 0.4, 0.4]) == "weak_stable"
+    assert _label([0.1, 0.5, 0.02, 0.7]) == "chaotic"
+
+
+def test_sweep_label_thresholds():
+    assert _label([5e-4, 9e-4]) == "stable"
+    assert _label([0.2, 0.2 + 5e-4]) == "weak_stable"
+    assert _label([0.2, 0.3]) == "chaotic"
+
+
+def _replayed_labels(d_values, window, eps_zero, eps_const):
+    """The trailing-window rule, written out: row i reads rows max(0, i - window + 1) to i."""
+    labels = []
+    for i in range(len(d_values)):
+        vals = np.asarray(d_values[max(0, i - window + 1):i + 1], dtype=float)
+        if np.all(np.abs(vals) <= eps_zero):
+            labels.append("stable")
+        elif float(vals.max() - vals.min()) <= eps_const and float(vals.mean()) > eps_zero:
+            labels.append("weak_stable")
+        else:
+            labels.append("chaotic")
+    return labels
+
+
+@pytest.mark.parametrize("window, expected", [
+    (1, {"stable", "weak_stable"}),
+    (3, {"stable", "weak_stable", "chaotic"}),
+    (16, {"stable", "chaotic"}),
+], ids=["one", "three", "beyond-rows"])
+def test_sweep_labels_replay_the_trailing_window_rule(window, expected):
+    # 15 rows from a = 3.3: D is 0 at the periodic points and spreads
+    # between 0.29 and 0.95 in the chaotic band, so at eps_const = 0.1 a
+    # window of 3 meets all three labels. A window of 1 cannot be chaotic.
+    eps_zero, eps_const = 1e-3, 0.1
+    rows = sweep(logistic_map(), 3.3, 4.0, 0.05, OrbitConfig(transient=200, samples=2000),
+                 Partition(((0.0, 1.0),), bins=20), eps_zero=eps_zero, eps_const=eps_const,
+                 window=window)
+    assert len(rows) == 15
+    labels = [row.label for row in rows]
+    assert labels == _replayed_labels([row.chaos_degree for row in rows], window, eps_zero, eps_const)
+    assert set(labels) == expected
+
+
 def test_sweep_to_csv_format():
     rows = sweep(
         logistic_map(), 3.95, 4.0, 0.05,
@@ -830,6 +879,15 @@ def test_orbit_config_rejects_orbits_above_the_cap():
 def test_partition_rejects_a_box_with_no_axes():
     with pytest.raises(ValueError, match="partition box has no axes"):
         Partition((), 5)
+    # Finite bounds whose width overflows, or whose bins / width does: unchecked,
+    # every interior point fell in cell 0 (bins / inf = 0) and the top edge or
+    # every point was coded INT64_MIN.
+    for lo, hi in [(-1e308, 1e308), (0.0, 2e-323)]:
+        with pytest.raises(ValueError) as err:
+            Partition(((0.0, 1.0), (lo, hi)), 10)
+        assert str(err.value) == f"box interval [{lo}, {hi}] has a width or bins / width that is not finite"
+    assert Partition(((-1e307, 1e307),), 10).encode([-1e307, 0.0, 1e307]).tolist() == [0, 5, 9]
+    assert Partition(((0.0, 1e-300),), 10).encode([0.0, 5e-301, 1e-300]).tolist() == [0, 5, 9]
 
 
 @pytest.fixture

@@ -145,10 +145,6 @@ REAL_SITES = {
         _LOGISTIC, 3.5, 3.6, 0.1, _SHORT_ORBIT, eps_zero=v)),
     "sweep.eps_const": ("eps_const", 0.0, None, lambda v: classical.sweep(
         _LOGISTIC, 3.5, 3.6, 0.1, _SHORT_ORBIT, eps_const=v)),
-    "classify_dynamics.eps_zero": ("eps_zero", 0.0, None,
-                                   lambda v: metrics.classify_dynamics([0.0], eps_zero=v)),
-    "classify_dynamics.eps_const": ("eps_const", 0.0, None,
-                                    lambda v: metrics.classify_dynamics([0.0], eps_const=v)),
     "depolarizing_channel.p": ("p", 0.0, 1.0, lambda v: channels.depolarizing_channel(2, v)),
     "OrbitConfig.x0": ("x0", None, None, lambda v: classical.OrbitConfig(x0=(v,))),
     "OrbitConfig.param": ("param", None, None, lambda v: classical.OrbitConfig(param=v)),

@@ -29,7 +29,6 @@ from infodyn.metrics import (
     ComplexityConfig,
     axiom_suite,
     chaos_degree,
-    classify_dynamics,
     complexity,
     conjecture_batch,
     conjecture_experiment,
@@ -491,39 +490,6 @@ def test_transmitted_equals_entropy_defect():
             terms += lam[k] * von_neumann_entropy(DensityOperator(img))
         expect = von_neumann_entropy(ch.apply(rho)) - terms
         assert t == pytest.approx(expect, abs=1e-8)
-
-
-def test_classify_dynamics_rules():
-    assert classify_dynamics([0.0, 0.0, 0.0]) == "stable"
-    assert classify_dynamics([0.4, 0.4, 0.4]) == "weak_stable"
-    assert classify_dynamics([0.1, 0.5, 0.02, 0.7]) == "chaotic"
-
-
-def test_classify_dynamics_thresholds():
-    assert classify_dynamics([5e-4, 9e-4]) == "stable"
-    assert classify_dynamics([0.2, 0.2 + 5e-4]) == "weak_stable"
-    assert classify_dynamics([0.2, 0.3]) == "chaotic"
-    with pytest.raises(ValueError):
-        classify_dynamics([])
-
-
-@pytest.mark.parametrize("thresholds, message", [
-    ({"eps_zero": -1.0}, "eps_zero must be a finite real number >= 0, got -1.0"),
-    ({"eps_const": float("nan")}, "eps_const must be a finite real number >= 0, got nan"),
-], ids=["eps_zero", "eps_const"])
-def test_classify_dynamics_rejects_negative_or_nan_thresholds(thresholds, message):
-    # At eps_zero = -1 a window of zeros would otherwise be labelled weak_stable.
-    with pytest.raises(ValueError, match=message):
-        classify_dynamics([0.0, 0.0], **thresholds)
-
-
-@pytest.mark.parametrize("values, shown", [
-    ([float("nan"), float("nan")], "nan"), ([True, True], "True"), ([0.1, float("inf")], "inf"),
-], ids=["nan", "bool", "inf"])
-def test_classify_dynamics_reads_each_value_as_a_finite_real(values, shown):
-    # Unchecked, a window of NaNs was "chaotic" and one of booleans "weak_stable".
-    with pytest.raises(ValueError, match=f"d_values must be a finite real number, got {shown}"):
-        classify_dynamics(values)
 
 
 def test_value_identity_purpose_gives_one():

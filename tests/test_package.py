@@ -101,18 +101,22 @@ def test_immutability_is_written_once():
     assert callers == ["hilbert._Frozen._set"]
 
 
-def _owners(matches):
-    """The module-qualified function or class around each AST node of the package that `matches`."""
+def _nodes():
+    """Each AST node of the package, with the module-qualified function or class around it."""
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
-            if matches(child):
-                yield owner
+            yield owner, child
             inner = (f"{owner}.{child.name}" if isinstance(child, (ast.ClassDef, ast.FunctionDef))
                      else owner)
             yield from walk(child, inner)
 
-    return [owner for path in sorted(Path(infodyn.__file__).parent.glob("*.py"))
-            for owner in walk(ast.parse(path.read_text()), path.stem)]
+    for path in sorted(Path(infodyn.__file__).parent.glob("*.py")):
+        yield from walk(ast.parse(path.read_text()), path.stem)
+
+
+def _owners(matches):
+    """The module-qualified function or class around each AST node of the package that `matches`."""
+    return [owner for owner, node in _nodes() if matches(node)]
 
 
 def _reads(name):
@@ -143,6 +147,25 @@ def test_the_hermitian_part_is_formed_in_one_function():
 def test_kronecker_products_are_formed_by_one_function():
     # `hilbert._kron` is the one Kronecker product; the package calls no `np.kron`.
     assert _owners(_reads("kron")) == []
+
+
+# The package's layers, lowest first: a module imports only modules of
+# earlier layers, so `metrics`, `classical` and `recognition` import none of
+# one another, and `svgplot` imports no module of the package. `__init__`
+# imports each layer lazily, by name.
+LAYER_ORDER = [{"exceptions", "svgplot"}, {"hilbert"}, {"channels"},
+               {"metrics", "classical", "recognition"}, {"jsonio"}, {"cli"}]
+
+
+def test_each_module_imports_only_earlier_layers():
+    level = {module: k for k, modules in enumerate(LAYER_ORDER) for module in modules}
+    package = Path(infodyn.__file__).parent
+    assert sorted(level) == sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
+    imports = [(owner.partition(".")[0], name) for owner, node in _nodes()
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for name in ([node.module] if node.module else [alias.name for alias in node.names])]
+    assert len(imports) >= 20
+    assert [f"{module} imports {name}" for module, name in imports if not level[name] < level[module]] == []
 
 
 def test_only_hilbert_knows_the_gram_bound():
