@@ -14,11 +14,15 @@ embedding, which the test suite exercises as a cross-module identity.
 Each map has one form: a coordinate stream `points`, which yields the
 orbit after its starting point as flat coordinates, and a `jacobian`
 evaluated once on the whole orbit array. An orbit is read from its
-stream into one array and checked against the domain box afterwards,
-in one vectorised pass. The built-in maps are built from module-level
-functions (their streams are generator functions), so they pickle: a
-parallel sweep sends each worker the map object itself, and only
-built-in maps use the pool.
+stream into one array in doubling chunks, each checked against the
+domain box as it arrives. Since a map is autonomous, an orbit whose last
+read point repeats an earlier one bit for bit has entered a cycle: the
+cycle is copied to fill the array, and the stream is read no further.
+In a periodic window the float orbit closes its cycle within a few
+hundred to a few thousand steps. The built-in maps are built from
+module-level functions (their streams are generator functions), so
+they pickle: a parallel sweep sends each worker the map object itself,
+and only built-in maps use the pool.
 Largest Lyapunov exponents come from that Jacobian along the same
 orbit: the mean of ln|f'| in one dimension; in two, products of blocks
 of consecutive Jacobians, each applied to a running unit vector whose
@@ -54,12 +58,13 @@ DEFAULT_EPS_ZERO = 1e-3
 DEFAULT_EPS_CONST = 1e-3
 MAX_SWEEP_ROWS = 1_000_000
 # Largest total work of one sweep, rows * (transient + samples) orbit
-# steps. A whole sweep point costs about 73 ns per step on the logistic
-# map and 244 ns on the Tinkerbell map (10**6 samples, one x86-64 core,
-# numpy 2.4.6), so a sweep at the cap runs about 12 minutes of logistic
-# points, or 41 of Tinkerbell ones, on one core. The cap bounds CPU work,
-# not wall time: `workers` processes share it. At the default orbit
-# (101,000 steps) it admits 99,009 rows.
+# steps. A whole sweep point whose orbit never repeats costs about 73 ns
+# per step on the logistic map and 244 ns on the Tinkerbell map (10**6
+# samples, one x86-64 core, numpy 2.4.6), so a sweep at the cap runs
+# about 12 minutes of logistic points, or 41 of Tinkerbell ones, on one
+# core; an orbit that closes a cycle costs less from there on. The cap
+# bounds CPU work, not wall time: `workers` processes share it. At the
+# default orbit (101,000 steps) it admits 99,009 rows.
 MAX_SWEEP_STEPS = 10**10
 # Largest sweep worker count. Each worker holds one sweep point at a
 # time, up to 700 MB at MAX_ORBIT_STEPS, and a fork-started pool forks all
@@ -67,22 +72,26 @@ MAX_SWEEP_STEPS = 10**10
 # Windows pool at 61.
 MAX_WORKERS = 64
 # Largest `transient + samples` of one orbit. `iterate_orbit` reads the
-# map's coordinate stream straight into the orbit array and peaks at
-# about 10 B per step in one dimension and 20 B in two. Binning and pair
-# counting bring a 1-D sweep point to 32 B per step at 100 bins and 39 B
-# at 1000 (logistic map, a = 3.9). In 2-D a point peaks at 48 B per step
-# on the baker map (100 bins) and at 56 B on the Tinkerbell map (30 bins),
-# whose Jacobian stack of 32 B per step sets the peak (tracemalloc, 10**6
-# steps, x86-64, numpy 2.4.6); the blocked Lyapunov products after it
-# hold a few MB per ORBIT_CHUNK slice. That is under 700 MB at the cap,
+# map's coordinate stream into the orbit array a chunk at a time and
+# peaks at about 9 B per step in one dimension and 17 B in two. Binning
+# and pair counting bring a 1-D sweep point to 32 B per step at 100 bins
+# and 39 B at 1000 (logistic map, a = 3.9). In 2-D a point peaks at 48 B
+# per step on the baker map (100 bins) and at 56 B on the Tinkerbell map
+# (30 bins), whose Jacobian stack of 32 B per step sets the peak
+# (tracemalloc, 10**6 steps, x86-64, numpy 2.4.6); the blocked Lyapunov
+# products after it hold a few MB per ORBIT_CHUNK slice. That is under 700 MB at the cap,
 # which admits 10**7 samples after the default transient. A sweep holds
 # one point per worker at a time.
 MAX_ORBIT_STEPS = 12_000_000
 # Jacobians per slice of the blocked Lyapunov products: a whole number of
 # _LYAPUNOV_BLOCK blocks, so blocks start at the same steps whatever the
 # slice length and the exponent's bits do not depend on it. One slice for
-# the whole orbit would raise the 2-D peak to 164 B per step.
+# the whole orbit would raise the 2-D peak to 164 B per step. It is also
+# the largest chunk of points `iterate_orbit` reads from a map's stream.
 ORBIT_CHUNK = 2**16
+# Points in the first chunk `iterate_orbit` reads, so that an orbit which
+# closes a cycle within a few hundred steps stops reading soon after.
+_FIRST_CHUNK = 2**10
 # Jacobians reduced to one product for each step of the Python loop.
 _LYAPUNOV_BLOCK = 2**6
 # Largest cell count bins ** dim of a Partition. Up to 2**53 the float
@@ -102,6 +111,9 @@ class MapSystem:
     orbit x_1, x_2, ... after `start`, the checked initial point as a
     tuple of floats: `dim` real numbers per point, flat and in order.
     It is read no further than the orbit's length, so it may be endless.
+    The map must be autonomous: each point's successor depends on that
+    point alone, so an orbit that repeats a point bit for bit repeats
+    all that follows it.
     `jacobian(orbit, a)` takes a whole (samples, dim) orbit array and
     returns the derivatives along it as an array broadcastable to
     (samples, dim, dim), with finite entries. `box` must be a sequence of
@@ -305,22 +317,50 @@ def _resolve(system: MapSystem, cfg: OrbitConfig) -> tuple[tuple[float, ...], fl
 def iterate_orbit(system: MapSystem, cfg: OrbitConfig) -> np.ndarray:
     """Post-transient orbit as an array of shape (samples, dim).
 
-    The whole orbit, transient included, is checked against the domain
-    box once it has been iterated; leaving the box (or turning NaN)
-    raises OrbitEscape at the first such step rather than clipping,
-    since clipped points would silently corrupt the transition
-    statistics. A stream that ends before `transient + samples` points
-    raises ValueError.
+    The map's stream is read in chunks of whole points into one
+    (transient + samples, dim) array: _FIRST_CHUNK points first, then
+    twice as many each time, up to ORBIT_CHUNK. Each chunk is checked
+    against the domain box as soon as it is read; leaving the box (or
+    turning NaN) raises OrbitEscape at the first such step rather than
+    clipping, since clipped points would silently corrupt the transition
+    statistics. Then the bit pattern of the chunk's last point is looked
+    up among the chunk's earlier points. If the nearest equal point is p
+    steps back, the orbit has entered a cycle of period p, since each
+    point's successor depends on that point alone: whole periods are
+    copied in place to fill the array, and the stream is read no further.
+    Bit patterns keep 0.0 and -0.0 apart, so the array equals the one a
+    single read of the whole stream gives. A stream that ends before
+    the orbit is read, or has closed a cycle, raises ValueError.
     """
     x0, a = _resolve(system, cfg)
     total = cfg.transient + cfg.samples
-    orbit = np.fromiter(system.points(x0, a), dtype=float,
-                        count=total * system.dim).reshape(total, system.dim)
-    los, his = np.array(system.box, dtype=float).T
-    escaped = np.flatnonzero(~((orbit >= los) & (orbit <= his)).all(axis=1))
-    if escaped.size:
-        t = int(escaped[0])
-        raise OrbitEscape(orbit[t], system.box, t)
+    orbit = np.empty((total, system.dim))
+    bits = orbit.view(np.int64)
+    stream = system.points(x0, a)
+    lo, size = 0, _FIRST_CHUNK
+    while lo < total:
+        hi = min(lo + size, total)
+        orbit[lo:hi] = np.fromiter(stream, dtype=float,
+                                   count=(hi - lo) * system.dim).reshape(hi - lo, system.dim)
+        # One axis at a time: numpy reduces a short inner axis slowly.
+        inside = np.ones(hi - lo, dtype=bool)
+        repeats = np.ones(hi - lo - 1, dtype=bool)
+        for axis, (low, high) in enumerate(system.box):
+            inside &= orbit[lo:hi, axis] >= low
+            inside &= orbit[lo:hi, axis] <= high
+            repeats &= bits[lo:hi - 1, axis] == bits[hi - 1, axis]
+        if not inside.all():
+            t = lo + int(np.argmin(inside))
+            raise OrbitEscape(orbit[t], system.box, t)
+        if repeats.any():
+            # orbit[start:end] holds whole periods; each copy doubles it.
+            start, end = lo + 1 + int(np.flatnonzero(repeats)[-1]), hi
+            while end < total:
+                n = min(end - start, total - end)
+                orbit[end:end + n] = orbit[start:start + n]
+                end += n
+            break
+        lo, size = hi, min(2 * size, ORBIT_CHUNK)
     return orbit[cfg.transient:]
 
 

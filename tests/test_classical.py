@@ -401,13 +401,139 @@ def test_orbit_takes_every_numeric_step_output(system, points):
     assert np.array_equal(orbit, expected)
 
 
-@pytest.mark.parametrize("system, length", [(logistic_map(), 29), (tinkerbell_map(), 59)],
-                         ids=["1d", "2d-mid-point"])
-def test_orbit_from_a_stream_that_ends_early_raises_value_error(system, length):
-    # 10 + 20 points need 30 coordinates in 1-D and 60 in 2-D.
+@pytest.mark.parametrize("system, length, samples", [
+    (logistic_map(), 29, 20),
+    (tinkerbell_map(), 59, 20),
+    (logistic_map(), 5000, 9990),
+], ids=["1d", "2d-mid-point", "1d-later-chunk"])
+def test_orbit_from_a_stream_that_ends_early_raises_value_error(system, length, samples):
+    # 10 + 20 points need 30 coordinates in 1-D and 60 in 2-D; a stream
+    # that ends after 5000 points of the chaotic default logistic orbit
+    # (which does not cycle) ends inside the third chunk of a 10**4-point orbit.
     short = replace(system, points=lambda s, a: itertools.islice(system.points(s, a), length))
     with pytest.raises(ValueError):
-        iterate_orbit(short, OrbitConfig(transient=10, samples=20))
+        iterate_orbit(short, OrbitConfig(transient=10, samples=samples))
+
+
+def _plain_orbit(system, cfg):
+    """The whole orbit, transient included, as one `np.fromiter` read of
+    the map's stream: the oracle of the chunked read."""
+    x0, a = classical._resolve(system, cfg)
+    total = cfg.transient + cfg.samples
+    return np.fromiter(system.points(x0, a), dtype=float,
+                       count=total * system.dim).reshape(total, system.dim)
+
+
+def _counting(system, limit=None):
+    """`system` with a stream that counts the coordinates it yields in
+    `reads[0]` and fails the test if asked for more than `limit`."""
+    reads = [0]
+
+    def points(start, a):
+        for value in system.points(start, a):
+            if reads[0] == limit:
+                pytest.fail(f"the stream was read past {limit} coordinates")
+            reads[0] += 1
+            yield value
+
+    return replace(system, points=points), reads
+
+
+def _drift_points(start, a):
+    (x,) = start
+    while True:
+        x += 2.0**-11
+        yield x
+
+
+def _negation_points(start, a):
+    (x,) = start
+    while True:
+        x = -x
+        yield x
+
+
+# Point t of DRIFT's orbit from 0 is (t + 1) / 2048, exactly: it leaves the
+# box at step 2048, inside the second chunk. NEGATION's orbit from 0.0 is
+# -0.0, 0.0, -0.0, ...: equal values, but a cycle of period 2 in bits.
+DRIFT = MapSystem(name="drift", box=((0.0, 1.0),), default_x0=(0.0,), default_param=0.0,
+                  points=_drift_points, jacobian=lambda orbit, a: np.ones((1, 1)))
+NEGATION = MapSystem(name="negation", box=((-1.0, 1.0),), default_x0=(0.0,), default_param=0.0,
+                     points=_negation_points, jacobian=lambda orbit, a: np.full((1, 1), -1.0))
+
+# (map, parameter) pairs whose float orbits close a cycle at the step and
+# with the period noted (first repeat of a point's bits, default start),
+# never repeat, or escape.
+ORBIT_CASES = [
+    (logistic_map(), 2.0),  # period 1 at step 6
+    (logistic_map(), 3.2),  # period 2 at step 53
+    (logistic_map(), 3.44),  # period 4 at step 1208, in the second chunk
+    (logistic_map(), 3.83),  # period 3 at step 130
+    (logistic_map(), 1.0),  # converges to 0 without repeating
+    (logistic_map(), 3.9),  # chaotic
+    (logistic_map(), 4.0),  # chaotic
+    (logistic_map(), 4.1),  # escapes at step 2
+    (tinkerbell_map(), 0.6),  # period 90 at step 1187, in the second chunk
+    (tinkerbell_map(), 0.7),  # period 16 at step 1006
+    (tinkerbell_map(), 0.9),  # chaotic
+    (tinkerbell_map(), 0.93),  # escapes at step 78
+    (baker_map(), 0.0),  # collapses to (0, 0): period 1 at step 1129
+    (RING2, 0.0),  # a 2-D cycle from the start
+    (DRIFT, 0.0),  # escapes at step 2048
+    (NEGATION, 0.0),  # period 2 in bits
+]
+
+
+@pytest.mark.parametrize("total", [100, 1023, 1024, 1025, 3072, 3073, 140_000])
+@pytest.mark.parametrize("system, param", ORBIT_CASES,
+                         ids=[f"{s.name}-{a}" for s, a in ORBIT_CASES])
+def test_a_chunked_orbit_equals_one_plain_read_of_its_stream(system, param, total):
+    # The chunks hold 1024, 2048, 4096, ... points, so the totals end
+    # below, at and past the first two chunk borders and past the largest
+    # chunk; an orbit that escapes fails at the same step with the same point.
+    cfg = OrbitConfig(transient=10, samples=total - 10, param=param)
+    plain = _plain_orbit(system, cfg)
+    outside = np.flatnonzero(~((plain >= [lo for lo, _ in system.box])
+                               & (plain <= [hi for _, hi in system.box])).all(axis=1))
+    if outside.size:
+        with pytest.raises(OrbitEscape) as err:
+            iterate_orbit(system, cfg)
+        assert err.value.step_index == outside[0]
+        assert err.value.point == tuple(plain[outside[0]])
+    else:
+        # Bytes, not values, so that -0.0 and 0.0 count as different.
+        assert iterate_orbit(system, cfg).tobytes() == plain[10:].tobytes()
+
+
+@pytest.mark.parametrize("param, least, most", [(3.2, 1, classical._FIRST_CHUNK),
+                                                (4.0, 10**5, 10**5)])
+def test_an_orbit_stops_reading_its_stream_once_it_cycles(param, least, most):
+    # At a = 3.2 the float orbit repeats a point 2 steps back at step 53,
+    # so the first chunk holds the cycle; at a = 4.0 it never repeats, and
+    # every point is read from the stream.
+    system, reads = _counting(logistic_map())
+    cfg = OrbitConfig(transient=1000, samples=99_000, param=param)
+    orbit = iterate_orbit(system, cfg)
+    assert least <= reads[0] <= most
+    assert np.array_equal(orbit, _plain_orbit(logistic_map(), cfg)[1000:])
+
+
+def test_a_cycle_of_signed_zeros_keeps_its_sign_bits():
+    # 0.0 == -0.0, so a cycle found by value would be of period 1 and
+    # repeat one sign; by bits it is of period 2 and the signs alternate.
+    orbit = iterate_orbit(NEGATION, OrbitConfig(transient=0, samples=5000))
+    assert np.array_equal(np.signbit(orbit[:, 0]), np.arange(5000) % 2 == 0)
+
+
+def test_an_escaping_orbit_stops_reading_at_the_chunk_of_its_first_escape():
+    # The second chunk holds points 1024-3071, and DRIFT leaves the box at
+    # point 2048: its stream is read no further than that chunk.
+    system, reads = _counting(DRIFT, limit=3 * classical._FIRST_CHUNK)
+    with pytest.raises(OrbitEscape) as err:
+        iterate_orbit(system, OrbitConfig(transient=0, samples=10**5))
+    assert err.value.step_index == 2048
+    assert err.value.point == (2049 / 2048,)
+    assert reads[0] == 3 * classical._FIRST_CHUNK
 
 
 def test_orbit_rejects_x0_outside_box():

@@ -149,6 +149,17 @@ def test_kronecker_products_are_formed_by_one_function():
     assert _owners(_reads("kron")) == []
 
 
+def test_a_map_stream_is_read_only_by_iterate_orbit():
+    # `classical.iterate_orbit` is the one reader of a map's coordinate
+    # stream: no other function calls a `.points(...)` or reads `fromiter`.
+    def calls_points(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "points")
+
+    assert _owners(calls_points) == ["classical.iterate_orbit"]
+    assert _owners(_reads("fromiter")) == ["classical.iterate_orbit"]
+
+
 # The package's layers, lowest first: a module imports only modules of
 # earlier layers, so `metrics`, `classical` and `recognition` import none of
 # one another, and `svgplot` imports no module of the package. `__init__`
