@@ -58,13 +58,13 @@ DEFAULT_EPS_ZERO = 1e-3
 DEFAULT_EPS_CONST = 1e-3
 MAX_SWEEP_ROWS = 1_000_000
 # Largest total work of one sweep, rows * (transient + samples) orbit
-# steps. A whole sweep point whose orbit never repeats costs about 73 ns
-# per step on the logistic map and 244 ns on the Tinkerbell map (10**6
-# samples, one x86-64 core, numpy 2.4.6), so a sweep at the cap runs
-# about 12 minutes of logistic points, or 41 of Tinkerbell ones, on one
-# core; an orbit that closes a cycle costs less from there on. The cap
-# bounds CPU work, not wall time: `workers` processes share it. At the
-# default orbit (101,000 steps) it admits 99,009 rows.
+# steps. A whole sweep point whose orbit never repeats costs about 65 ns
+# per step on the logistic map and 235 ns on the Tinkerbell map (10**6
+# samples, one x86-64 core at full speed, numpy 2.4.6), so a sweep at the
+# cap runs about 11 minutes of logistic points, or 39 of Tinkerbell ones,
+# on one core; an orbit that closes a cycle costs less from there on. The
+# cap bounds CPU work, not wall time: `workers` processes share it. At
+# the default orbit (101,000 steps) it admits 99,009 rows.
 MAX_SWEEP_STEPS = 10**10
 # Largest sweep worker count. Each worker holds one sweep point at a
 # time, up to 700 MB at MAX_ORBIT_STEPS, and a fork-started pool forks all
@@ -74,8 +74,8 @@ MAX_WORKERS = 64
 # Largest `transient + samples` of one orbit. `iterate_orbit` reads the
 # map's coordinate stream into the orbit array a chunk at a time and
 # peaks at about 9 B per step in one dimension and 17 B in two. Binning
-# and pair counting bring a 1-D sweep point to 32 B per step at 100 bins
-# and 39 B at 1000 (logistic map, a = 3.9). In 2-D a point peaks at 48 B
+# and pair counting bring a 1-D sweep point to 24 B per step at 100 bins
+# and 31 B at 1000 (logistic map, a = 3.9). In 2-D a point peaks at 40 B
 # per step on the baker map (100 bins) and at 56 B on the Tinkerbell map
 # (30 bins), whose Jacobian stack of 32 B per step sets the peak
 # (tracemalloc, 10**6 steps, x86-64, numpy 2.4.6); the blocked Lyapunov
@@ -179,7 +179,11 @@ def _logistic_points(start, a):
 
 
 def _logistic_jacobian(orbit, a):
-    return (a * (1.0 - 2.0 * orbit))[:, :, None]
+    # a (1 - 2x), computed in the one array 2x.
+    jac = 2.0 * orbit
+    np.subtract(1.0, jac, out=jac)
+    jac *= a
+    return jac[:, :, None]
 
 
 def logistic_map() -> MapSystem:
@@ -314,23 +318,32 @@ def _resolve(system: MapSystem, cfg: OrbitConfig) -> tuple[tuple[float, ...], fl
     return x0, a
 
 
+def _inside(values: np.ndarray, low: float, high: float) -> bool:
+    """Whether every entry of the non-empty array `values` lies in [low, high],
+    read from its min() and max(): two passes and no mask. Both are NaN
+    when an entry is, and NaN fails both comparisons."""
+    return bool(low <= values.min() and values.max() <= high)
+
+
 def iterate_orbit(system: MapSystem, cfg: OrbitConfig) -> np.ndarray:
     """Post-transient orbit as an array of shape (samples, dim).
 
     The map's stream is read in chunks of whole points into one
     (transient + samples, dim) array: _FIRST_CHUNK points first, then
     twice as many each time, up to ORBIT_CHUNK. Each chunk is checked
-    against the domain box as soon as it is read; leaving the box (or
-    turning NaN) raises OrbitEscape at the first such step rather than
-    clipping, since clipped points would silently corrupt the transition
-    statistics. Then the bit pattern of the chunk's last point is looked
-    up among the chunk's earlier points. If the nearest equal point is p
-    steps back, the orbit has entered a cycle of period p, since each
-    point's successor depends on that point alone: whole periods are
-    copied in place to fill the array, and the stream is read no further.
-    Bit patterns keep 0.0 and -0.0 apart, so the array equals the one a
-    single read of the whole stream gives. A stream that ends before
-    the orbit is read, or has closed a cycle, raises ValueError.
+    against the domain box as soon as it is read, by the min() and max()
+    of each axis; leaving the box (or turning NaN) raises OrbitEscape at
+    the first such step, which a per-step mask finds in a chunk that
+    fails, rather than clipping, since clipped points would silently
+    corrupt the transition statistics. Then the bit pattern of the
+    chunk's last point is looked up among the chunk's earlier points. If
+    the nearest equal point is p steps back, the orbit has entered a
+    cycle of period p, since each point's successor depends on that
+    point alone: whole periods are copied in place to fill the array,
+    and the stream is read no further. Bit patterns keep 0.0 and -0.0
+    apart, so the array equals the one a single read of the whole stream
+    gives. A stream that ends before the orbit is read, or has closed a
+    cycle, raises ValueError.
     """
     x0, a = _resolve(system, cfg)
     total = cfg.transient + cfg.samples
@@ -343,15 +356,17 @@ def iterate_orbit(system: MapSystem, cfg: OrbitConfig) -> np.ndarray:
         orbit[lo:hi] = np.fromiter(stream, dtype=float,
                                    count=(hi - lo) * system.dim).reshape(hi - lo, system.dim)
         # One axis at a time: numpy reduces a short inner axis slowly.
-        inside = np.ones(hi - lo, dtype=bool)
-        repeats = np.ones(hi - lo - 1, dtype=bool)
-        for axis, (low, high) in enumerate(system.box):
-            inside &= orbit[lo:hi, axis] >= low
-            inside &= orbit[lo:hi, axis] <= high
-            repeats &= bits[lo:hi - 1, axis] == bits[hi - 1, axis]
-        if not inside.all():
+        if not all(_inside(orbit[lo:hi, axis], low, high)
+                   for axis, (low, high) in enumerate(system.box)):
+            inside = np.ones(hi - lo, dtype=bool)
+            for axis, (low, high) in enumerate(system.box):
+                inside &= orbit[lo:hi, axis] >= low
+                inside &= orbit[lo:hi, axis] <= high
             t = lo + int(np.argmin(inside))
             raise OrbitEscape(orbit[t], system.box, t)
+        repeats = bits[lo:hi - 1, 0] == bits[hi - 1, 0]
+        for axis in range(1, system.dim):
+            repeats &= bits[lo:hi - 1, axis] == bits[hi - 1, axis]
         if repeats.any():
             # orbit[start:end] holds whole periods; each copy doubles it.
             start, end = lo + 1 + int(np.flatnonzero(repeats)[-1]), hi
@@ -393,7 +408,14 @@ class Partition:
         object.__setattr__(self, "box", box)
 
     def encode(self, points) -> np.ndarray:
-        """Flat cell codes (row-major across axes) for an array of points."""
+        """Flat int64 cell codes (row-major across axes) for an array of points.
+
+        Each axis is checked against the box by its min() and max(), so a
+        point outside it or a NaN raises ValueError naming the first such
+        axis, and is then shifted, scaled and truncated to cell indices;
+        the first axis's indices become the code array. No points give an
+        empty array.
+        """
         try:
             pts = np.asarray(points, dtype=float)
         except OverflowError:  # an integer beyond the float range
@@ -404,16 +426,21 @@ class Partition:
             pts = pts[:, None]
         if pts.shape[1] != len(self.box):
             raise ValueError(f"points have dimension {pts.shape[1]}, box has {len(self.box)}")
-        codes = np.zeros(pts.shape[0], dtype=np.int64)
+        if not pts.shape[0]:
+            return np.zeros(0, dtype=np.int64)
         for axis, (lo, hi) in enumerate(self.box):
             col = pts[:, axis]
-            # NaN compares false both ways, so it fails this test too.
-            if not ((col >= lo) & (col <= hi)).all():
+            if not _inside(col, lo, hi):
                 raise ValueError(f"points outside box [{lo}, {hi}] or NaN on axis {axis}")
-            idx = ((col - lo) * (self.bins / (hi - lo))).astype(np.int64)
+            scaled = col - lo
+            scaled *= self.bins / (hi - lo)
+            idx = scaled.astype(np.int64)
             np.minimum(idx, self.bins - 1, out=idx)
-            codes *= self.bins
-            codes += idx
+            if axis:
+                codes *= self.bins
+                codes += idx
+            else:
+                codes = idx
         return codes
 
 
@@ -424,15 +451,34 @@ def _unique_counts(keys: np.ndarray, size: int, inverse: bool = False) -> tuple:
 
     The keys are counted with `np.bincount` into a dense table when
     `size` is at most DENSE_COUNT_CELLS and at most DENSE_COUNT_RATIO
-    entries per key, and sorted by `np.unique` otherwise: zeroing and
-    scanning the table cost as much as the sort at about 8 entries per
-    key (x86-64, numpy 2.4.6). `np.flatnonzero` lists the table's keys in
-    the ascending order the sort gives, and with `inverse` the table is
-    read from then on as the key -> position lookup, so both paths give
-    the same arrays, dtypes included.
+    entries per key, and sorted otherwise: zeroing and scanning the table
+    cost as much as the sort at about 4 entries per key (x86-64, numpy
+    2.4.6). The sort takes `np.unique`'s steps on one copy of the keys,
+    where `np.unique` would flatten a second: int32 when `size` is at
+    most 2**31, so that every key fits, which sorts 10**5 keys in about
+    half the time of int64; the distinct keys are returned as int64.
+    `np.flatnonzero` lists the table's keys in the same ascending order,
+    and with `inverse` the table is read from then on as the key ->
+    position lookup, so both paths give the same arrays, dtypes included.
     """
     if size > min(DENSE_COUNT_CELLS, DENSE_COUNT_RATIO * keys.size):
-        return np.unique(keys, return_inverse=inverse, return_counts=True)
+        ordered = keys.astype(np.int32 if size <= 2**31 else np.int64)
+        if inverse:
+            order = ordered.argsort()
+            ordered = ordered[order]
+        else:
+            ordered.sort()
+        first = np.empty(ordered.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        unique = ordered[starts].astype(np.int64)
+        counts = np.diff(starts, append=ordered.size)
+        if not inverse:
+            return unique, counts
+        positions = np.empty(ordered.size, dtype=np.intp)
+        positions[order] = np.cumsum(first) - 1
+        return unique, positions, counts
     table = np.bincount(keys)
     # flatnonzero scans a bool array several times faster than int64.
     unique = np.flatnonzero(table != 0)
@@ -475,7 +521,10 @@ class EmpiricalChannel(_Frozen):
             raise ValueError("orbit must contain at least 2 points")
         cells, positions, cell_counts = _unique_counts(codes, partition.bins ** len(partition.box), inverse=True)
         m = cells.size
-        pairs, pair_counts = _unique_counts(positions[:-1].astype(np.int64) * m + positions[1:], m * m)
+        # The int64 pair keys overwrite the codes, which are read no further.
+        pair_keys = np.multiply(positions[:-1], m, out=codes[:-1])
+        pair_keys += positions[1:]
+        pairs, pair_counts = _unique_counts(pair_keys, m * m)
         source_counts = cell_counts.astype(np.int64)
         source_counts[positions[-1]] -= 1
         self._set(cells=cells, source_counts=source_counts, pair_counts=pair_counts,
@@ -555,9 +604,10 @@ def _lyapunov_from_orbit(system: MapSystem, orbit: np.ndarray, a: float) -> floa
         raise ValueError(f"jacobian of map {system.name!r} has a non-finite entry")
     if dim == 1:
         derivs = np.abs(jac.reshape(n))
-        if np.any(derivs == 0.0):
+        # The derivatives are finite and nonnegative, so none is 0 unless the least is.
+        if derivs.min() == 0.0:
             return -math.inf
-        return float(np.mean(np.log(derivs)))
+        return float(np.log(derivs, out=derivs).mean())
 
     v0, v1 = 1.0, 0.0
     acc, exponent = 0.0, 0
@@ -614,7 +664,7 @@ def _scaled(m: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     _, e = np.frexp(np.abs(m).max(axis=0))
     np.clip(e, -1021, 1021, out=e)
     exponents += e.sum(axis=0)
-    return m * np.ldexp(1.0, -e)
+    return np.ldexp(m, -e)
 
 
 def lyapunov_exponent(system: MapSystem, cfg: OrbitConfig | None = None) -> float:

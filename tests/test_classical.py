@@ -130,6 +130,26 @@ def test_orbit_escape_reports_first_escaping_step(system, cfg, step_index, point
     assert err.value.point == point
 
 
+def _diagonal_drift_points(start, a):
+    x, y = start
+    while True:
+        x, y = x + 0.125, y + 0.25
+        yield x
+        yield y
+
+
+def test_a_2d_orbit_escapes_at_its_first_step_outside_on_any_axis():
+    # Within the first chunk, y leaves [0, 2] at step 8 and x at step 16:
+    # the escape is the earlier step, though axis 0 is checked first.
+    drift = MapSystem(name="drift2", box=((0.0, 2.0), (0.0, 2.0)), default_x0=(0.0, 0.0),
+                      default_param=0.0, points=_diagonal_drift_points,
+                      jacobian=lambda orbit, a: np.eye(2))
+    with pytest.raises(OrbitEscape) as err:
+        iterate_orbit(drift, OrbitConfig(transient=0, samples=100))
+    assert err.value.step_index == 8
+    assert err.value.point == (1.125, 2.25)
+
+
 def test_orbit_nan_counts_as_escape():
     def points(start, a):
         (x,) = start
@@ -300,6 +320,33 @@ def test_blocked_lyapunov_at_extreme_jacobian_scales(scale):
     lam = lyapunov_exponent(system, cfg)
     assert abs(lam - math.log(scale)) < 2.0
     assert lam == pytest.approx(reference, rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_scaled_equals_the_multiply_by_a_power_of_two_bit_for_bit(seed):
+    # Entries span the float range, zeros included, so a matrix led by a
+    # huge entry scales its tiny ones to subnormals: ldexp and the multiply
+    # must round those the same way.
+    rng = np.random.default_rng(seed)
+    shape = (4, 8, 50)
+    m = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-320, 300, shape)
+    m[rng.random(shape) < 0.05] = 0.0
+    m[:, :, 0] = rng.uniform(-1.0, 1.0, (4, 8)) * 1e-310  # below 2**-1021: e is clipped
+    got_exponents, want_exponents = np.zeros(50, np.int64), np.zeros(50, np.int64)
+    got = classical._scaled(m, got_exponents)
+    _, e = np.frexp(np.abs(m).max(axis=0))
+    np.clip(e, -1021, 1021, out=e)
+    want_exponents += e.sum(axis=0)
+    want = m * np.ldexp(1.0, -e)
+    assert np.any((want != 0.0) & (np.abs(want) < np.finfo(float).tiny))
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got_exponents, want_exponents)
+
+
+def test_logistic_jacobian_equals_its_formula_bit_for_bit():
+    orbit = iterate_orbit(logistic_map(), OrbitConfig(transient=0, samples=5000, param=3.9))
+    want = (3.9 * (1.0 - 2.0 * orbit))[:, :, None]
+    assert classical._logistic_jacobian(orbit, 3.9).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dim, jacobian, message", [
@@ -576,6 +623,14 @@ def test_partition_encodes_edges():
     assert codes.tolist() == [0, 0, 1, 3, 3]
 
 
+@pytest.mark.parametrize("box, points", [(((0.0, 1.0),), []),
+                                         (((0.0, 1.0), (0.0, 1.0)), np.zeros((0, 2)))])
+def test_partition_encodes_no_points_as_an_empty_int64_array(box, points):
+    # min() of an empty array raises, so the box check must not reach it.
+    codes = Partition(box, bins=4).encode(points)
+    assert codes.dtype == np.int64 and codes.shape == (0,)
+
+
 def test_partition_rejects_outside_points():
     part = Partition(((0.0, 1.0),), bins=4)
     with pytest.raises(ValueError):
@@ -726,6 +781,32 @@ def test_unique_counts_is_np_unique_on_every_path(case, inverse):
         assert len(got) == len(expected)
         for x, y in zip(got, expected):
             assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+class _CastRecorder(np.ndarray):
+    """An int64 key array that records the dtype of each `astype` copy."""
+
+    casts: list = []
+
+    def astype(self, dtype, *args, **kwargs):
+        _CastRecorder.casts.append(np.dtype(dtype))
+        return super().astype(dtype, *args, **kwargs)
+
+
+@pytest.mark.parametrize("size, top, sort_dtype", [(2**31, 2**31 - 1, np.int32),
+                                                    (2**31 + 1, 2**31, np.int64)])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_unique_counts_sorts_int32_keys_up_to_size_2_to_the_31(size, top, sort_dtype, inverse):
+    # Keys below 2**31 fit int32, so they are sorted as int32 up to that
+    # size; the key 2**31 would wrap to -2**31 and must be sorted as int64.
+    keys = np.array([top, 0, 5, top, 5, 2**20], dtype=np.int64)
+    expected = np.unique(keys, return_inverse=inverse, return_counts=True)
+    _CastRecorder.casts = []
+    got = classical._unique_counts(keys.view(_CastRecorder), size, inverse)
+    assert _CastRecorder.casts[0] == sort_dtype
+    assert len(got) == len(expected)
+    for x, y in zip(got, expected):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 @settings(max_examples=200, deadline=None)
