@@ -55,7 +55,6 @@ _EXPORTS = {
     "channels": (
         "Channel",
         "CompletePositivityReport",
-        "SchurWeight",
         "choi_check",
         "choi_matrix",
         "depolarizing_channel",

@@ -30,21 +30,21 @@ of Kraus families, one per item, which only the stacked kernels of
 the per-item paths. A constructor that takes a dimension `n` checks it
 through `hilbert._check_integer` first.
 
-Linear damping by a weight has one public route, a Schur channel's
-`apply_matrix`; `schur_apply_from_terms` sums the same damping over
-explicit spectral terms and is kept only as its test oracle.
+A Schur weight is a channel's data, a plain matrix. One rule,
+`_schur_weight`, checks it (self-adjoint, no negative eigenvalue) and
+gives its factor rows, from `hilbert._self_adjoint_spectra`, the one
+eigendecomposition; a unitary is checked by `hilbert._check_orthonormal`,
+the one unitarity check. Linear damping by a weight has one route, a
+Schur channel's `apply_matrix`, which forms the one entrywise product
+with its overflow bound; `schur_apply_from_terms` sums the same damping
+over explicit spectral terms and is kept only as its test oracle.
 Trace-normalized damping, which conditions a state on a weight, is not
 a channel: it divides by the trace of the damped output, so it is
-nonlinear and partial. It lives in :func:`schur_channel_apply`, whose
-inputs with vanishing damped trace raise
-:class:`~infodyn.exceptions.OutsideDomain`. The damping itself has one
-entrywise product, `_damped`, with its overflow bound, which
-`schur_channel_apply` and a Schur channel's `apply_matrix` share. The
-damped trace has one sum, `_damped_trace`; a non-finite one raises
-ValueError, with no overflow warning. A Schur weight is
-decomposed by `hilbert._self_adjoint_spectra`, the one
-eigendecomposition, and a unitary is checked by
-`hilbert._check_orthonormal`, the one unitarity check.
+nonlinear and partial. :func:`schur_channel_apply` takes a Schur
+channel's `apply_matrix` and normalizes it, and its inputs with
+vanishing damped trace raise :class:`~infodyn.exceptions.OutsideDomain`.
+The damped trace has one sum, `_damped_trace`; a non-finite one raises
+ValueError, with no overflow warning.
 Every matrix or vector argument read here, from a state or a Kraus
 operator to the operand of `Channel.apply_matrix`, goes through
 `hilbert._as_array`, so a NaN, inf or too-large entry raises ValueError
@@ -101,48 +101,18 @@ UNITARY_TOL = 1e-10
 CP_EIGENVALUE_TOL = 1e-9
 
 
-class SchurWeight(_Frozen):
-    """Positive semidefinite weight for entrywise damping.
+def _schur_weight(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The one weight rule: a Schur weight's symmetrized matrix and its factor rows.
 
-    The null matrix is allowed; the weight need not have unit trace.
-    Instances are immutable.
+    The weight must be positive semidefinite; the null matrix is allowed,
+    and the weight need not have unit trace. The rows are sqrt(g_k) h_k,
+    one per eigenvalue g_k above 1e-14 with its eigenvector h_k.
     """
-
-    __slots__ = ("matrix", "_weights", "_vectors")
-
-    def __init__(self, matrix):
-        m, lam, vec = _self_adjoint_spectra(_square(matrix, "weight"), "weight")
-        if not float(lam[0]) >= EIGENVALUE_FLOOR:
-            raise ValueError(f"weight has negative eigenvalue {float(lam[0]):.3e}")
-        kept = lam > 1e-14
-        self._set(matrix=m, _weights=lam[kept], _vectors=vec[:, kept].T.copy())
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def spectral_terms(self) -> list[tuple[float, np.ndarray]]:
-        """One (coefficient, function) pair per positive eigenvalue."""
-        return [(float(g), h) for g, h in zip(self._weights, self._vectors)]
-
-
-def as_weight(obj) -> SchurWeight:
-    if isinstance(obj, SchurWeight):
-        return obj
-    return SchurWeight(obj)
-
-
-def _damped(weight: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The one damping product: `weight` times a matrix or each matrix of a stack (..., n, n), entrywise.
-
-    A product that could overflow raises ValueError "damped state has a
-    non-finite entry" before it is taken, with no warning.
-    """
-    # Entry by entry, |w| |m| within the float maximum, less 0.1 % for
-    # rounding, keeps both parts of the product finite.
-    if not (np.abs(m) <= 0.999 * np.finfo(float).max / np.maximum(np.abs(weight), 1.0)).all():
-        raise ValueError("damped state has a non-finite entry")
-    return weight * m
+    m, lam, vec = _self_adjoint_spectra(_square(matrix, "weight"), "weight")
+    if not float(lam[0]) >= EIGENVALUE_FLOOR:
+        raise ValueError(f"weight has negative eigenvalue {float(lam[0]):.3e}")
+    kept = lam > 1e-14
+    return m, np.sqrt(lam[kept])[:, None] * vec[:, kept].T
 
 
 def schur_apply_from_terms(terms, rho) -> np.ndarray:
@@ -179,17 +149,19 @@ def _damped_trace(raw: np.ndarray) -> float:
 def schur_channel_apply(weight, rho) -> DensityOperator:
     """Trace-normalized entrywise damping (w o rho) / tr(w o rho); nonlinear and partial.
 
-    A weight of another dimension than the state raises DimensionMismatch
+    The damping is `schur_channel(weight).apply_matrix(rho)`, so the weight
+    is checked as that channel checks it, before the state is read. A
+    weight of another dimension than the state raises DimensionMismatch
     "weight dim <n> vs state dim <m>". A state with a non-finite entry
     raises ValueError as it is read, and a non-finite damped trace before
     any division; a finite one at or below PROBABILITY_FLOOR raises
     OutsideDomain.
     """
-    w = as_weight(weight)
+    channel = schur_channel(weight)
     m = rho.matrix if isinstance(rho, DensityOperator) else _square(rho, "state")
-    if w.n != m.shape[0]:
-        raise DimensionMismatch(f"weight dim {w.n} vs state dim {m.shape[0]}")
-    raw = _damped(w.matrix, m)
+    if channel.dim != m.shape[0]:
+        raise DimensionMismatch(f"weight dim {channel.dim} vs state dim {m.shape[0]}")
+    raw = channel.apply_matrix(m)
     tr = _damped_trace(raw)
     if tr <= PROBABILITY_FLOOR:
         raise OutsideDomain(
@@ -204,7 +176,8 @@ class Channel(_Frozen):
 
     Built as `Channel(kind, data)`, with the data of its kind: "kraus", a
     Kraus stack (r, n, n); "unitary", an n x n unitary matrix; "schur", a
-    positive weight matrix or `SchurWeight`; "stochastic", a row-stochastic
+    positive semidefinite weight matrix, which the channel holds, made
+    exactly self-adjoint, as its data; "stochastic", a row-stochastic
     matrix. The constructor derives `dim` and `is_trace_preserving` from
     the data and raises ValueError on data of the wrong form, on data its
     kind's check rejects and on any other kind. A "kraus" channel with sum
@@ -248,9 +221,8 @@ class Channel(_Frozen):
             _check_orthonormal(data[0], UNITARY_TOL, "unitary", "matrix is not unitary: deviation")
             tp = True
         elif kind == "schur":
-            data = as_weight(data)
-            tp = bool(np.max(np.abs(np.diagonal(data.matrix).real - 1.0)) <= 1e-12)
-            factor = np.array([np.sqrt(g) * h for g, h in data.spectral_terms()]).reshape(-1, data.n)
+            data, factor = _schur_weight(data)
+            tp = bool(np.max(np.abs(np.diagonal(data).real - 1.0)) <= 1e-12)
             width = factor.shape[0]
         elif kind == "stochastic":
             p = _square(data, "stochastic matrix")
@@ -265,7 +237,7 @@ class Channel(_Frozen):
         else:
             raise ValueError("channel kind must be one of ('kraus', 'schur', 'unitary', "
                              f"'stochastic'), got {_brief(kind)}")
-        dim = data.n if kind == "schur" else data.shape[-1]
+        dim = data.shape[-1]
         if kind in ("kraus", "unitary"):
             # (..., r, i, j) -> (..., j, r, i), then r and i flattened.
             factor = data.swapaxes(-1, -3).swapaxes(-1, -2).reshape(data.shape[:-3] + (dim, -1))
@@ -291,7 +263,11 @@ class Channel(_Frozen):
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"channel dim {self.dim} vs operand {x.shape[-1]}")
         if self.kind == "schur":
-            return _damped(self._data.matrix, x)
+            # The one damping product. Entry by entry, |w| |x| within the float
+            # maximum, less 0.1 % for rounding, keeps both parts of it finite.
+            if not (np.abs(x) <= 0.999 * np.finfo(float).max / np.maximum(np.abs(self._data), 1.0)).all():
+                raise ValueError("damped state has a non-finite entry")
+            return self._data * x
         out = np.zeros_like(x)
         if self.kind == "stochastic":
             idx = np.arange(self.dim)

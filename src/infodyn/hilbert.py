@@ -16,9 +16,8 @@ concern and lives with the report writers in `jsonio`, not here.
 
 The package-wide private helpers live here, one per rule:
 `_Frozen`, the one immutability rule, which `DensityOperator`,
-`channels.Channel`, `channels.SchurWeight`,
-`classical.EmpiricalChannel`, `recognition.SignalBasis` and
-`recognition.BellSystem` derive from
+`channels.Channel`, `classical.EmpiricalChannel`,
+`recognition.SignalBasis` and `recognition.BellSystem` derive from
 (each slot set once, an array slot read-only, any later assignment an
 AttributeError), `_check_deviation`, the one tolerance check that a
 matrix equals its adjoint or the identity (a NaN deviation fails it as
@@ -272,7 +271,9 @@ def _check_integer(name: str, value, low: int | None = None,
                    limit_name: str | None = None, limit: int | None = None) -> int:
     """The one integer-input rule: an integer, at least `low` and at most `limit` if given.
 
-    The type and the lower bound are checked first, then the cap named `limit_name`.
+    The type and the lower bound are checked first, then the cap named
+    `limit_name`. Returns the value as a Python int, so that a numpy
+    integer stored from it reaches the JSON writers as a plain number.
     """
     if not _is_integer(value) or (low is not None and value < low):
         kind = {None: "an integer", 0: "a nonnegative integer",
@@ -280,7 +281,7 @@ def _check_integer(name: str, value, low: int | None = None,
         raise ValueError(f"{name} must be {kind}, got {_brief(value)}")
     if limit is not None and value > limit:
         raise ValueError(f"{name}={_brief(int(value))} exceeds the limit {limit_name}={limit}")
-    return value
+    return int(value)
 
 
 def _check_real(name: str, value, low: float | None = None, high: float | None = None) -> float:

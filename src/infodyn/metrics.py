@@ -151,8 +151,8 @@ class ComplexityConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integer("restarts", self.restarts, 1, "MAX_RESTARTS", MAX_RESTARTS)
-        _check_integer("seed", self.seed, 0)
+        object.__setattr__(self, "restarts", _check_integer("restarts", self.restarts, 1, "MAX_RESTARTS", MAX_RESTARTS))
+        object.__setattr__(self, "seed", _check_integer("seed", self.seed, 0))
 
 
 DEFAULT_CONFIG = ComplexityConfig()
@@ -530,7 +530,7 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
     do not depend on the chunk size.
     """
     _check_integer("dim", dim, 2, "MAX_AXIOM_DIM", MAX_AXIOM_DIM)
-    _check_integer("trials", trials, 1, "MAX_AXIOM_TRIALS", MAX_AXIOM_TRIALS)
+    trials = _check_integer("trials", trials, 1, "MAX_AXIOM_TRIALS", MAX_AXIOM_TRIALS)
     _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     restarts = 20

@@ -373,8 +373,8 @@ class FixedPolicy:
     j: int
 
     def __post_init__(self):
-        _check_integer("i", self.i, 0)
-        _check_integer("j", self.j, 0)
+        object.__setattr__(self, "i", _check_integer("i", self.i, 0))
+        object.__setattr__(self, "j", _check_integer("j", self.j, 0))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import pytest
 import infodyn
 from infodyn import classical, metrics
 from infodyn import recognition as rec
-from infodyn.channels import SchurWeight, schur_apply_from_terms, schur_channel
+from infodyn.channels import schur_apply_from_terms, schur_channel
 from infodyn.cli import main
 from infodyn.jsonio import dump_json, value_json
 
@@ -200,7 +200,7 @@ def test_criterion_6_weight_representation_independence():
             rho = infodyn.random_density(n, rng).matrix
             out_a = schur_apply_from_terms(standard, rho)
             out_b = schur_apply_from_terms(rotated, rho)
-            oracle = schur_channel(SchurWeight(tau)).apply_matrix(rho)
+            oracle = schur_channel(tau).apply_matrix(rho)
             worst_rep = max(worst_rep, float(np.max(np.abs(out_a - out_b))))
             worst_oracle = max(worst_oracle, float(np.max(np.abs(out_a - oracle))))
     ok = worst_rep <= 1e-12 and worst_oracle <= 1e-12

@@ -105,7 +105,6 @@ CASES = {
     "Partition": (((0.0, 1.0),), 4),
     "RecognitionStep": (0, 0, 0, 1.0, None),
     "SamplePolicy": (0,),
-    "SchurWeight": (np.eye(2),),
     "SignalBasis": (np.eye(2),),
     "SweepRow": (3.9, 0.1, 0.1, "chaotic"),
     "axiom_suite": (2, 1, 0),

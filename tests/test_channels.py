@@ -5,7 +5,6 @@ import pytest
 
 from infodyn.channels import (
     Channel,
-    SchurWeight,
     choi_check,
     choi_matrix,
     depolarizing_channel,
@@ -38,7 +37,7 @@ RNG = np.random.default_rng(77)
 
 
 def ones_weight(n):
-    return SchurWeight(np.ones((n, n)))
+    return np.ones((n, n))
 
 
 def test_schur_with_all_ones_weight_is_identity():
@@ -48,12 +47,12 @@ def test_schur_with_all_ones_weight_is_identity():
 
 def test_schur_with_zero_weight_annihilates():
     rho = random_density(3, RNG)
-    assert np.allclose(schur_channel(SchurWeight(np.zeros((3, 3)))).apply_matrix(rho.matrix), 0)
+    assert np.allclose(schur_channel(np.zeros((3, 3))).apply_matrix(rho.matrix), 0)
 
 
 def test_schur_weight_rejects_indefinite():
-    with pytest.raises(ValueError):
-        SchurWeight(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="^weight has negative eigenvalue -1.000e\\+00$"):
+        schur_channel(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_a_rank_zero_schur_weight_has_empty_image_spectra():
@@ -77,11 +76,14 @@ def test_schur_channel_decomposes_its_weight_once(monkeypatch):
 
 
 def test_schur_matches_expansion_over_spectral_terms():
-    w = SchurWeight(random_density(4, RNG).matrix)
+    # The oracle's terms come from an eigendecomposition of the test's own,
+    # not from the channel's.
+    w = random_density(4, RNG).matrix
+    lam, vec = np.linalg.eigh(w)
     rho = random_density(4, RNG).matrix
     assert np.allclose(
         schur_channel(w).apply_matrix(rho),
-        schur_apply_from_terms(w.spectral_terms(), rho),
+        schur_apply_from_terms(zip(lam, vec.T), rho),
         atol=1e-12,
     )
 
@@ -97,27 +99,46 @@ def test_schur_value_independent_of_spectral_representation():
     out_a = schur_apply_from_terms(standard, rho)
     out_b = schur_apply_from_terms(rotated, rho)
     assert np.max(np.abs(out_a - out_b)) <= 1e-12
-    assert np.allclose(out_a, schur_channel(SchurWeight(np.eye(n) / n)).apply_matrix(rho), atol=1e-12)
+    assert np.allclose(out_a, schur_channel(np.eye(n) / n).apply_matrix(rho), atol=1e-12)
 
 
 def test_normalized_schur_keeps_unimodular_weight_unitary():
     h = np.exp(1j * RNG.uniform(0, 2 * np.pi, size=3))
     rho = random_density(3, RNG)
-    out = schur_channel_apply(SchurWeight(np.outer(h, h.conj())), rho)
+    out = schur_channel_apply(np.outer(h, h.conj()), rho)
     direct = np.diag(h) @ rho.matrix @ np.diag(h).conj().T
     assert np.allclose(out.matrix, direct, atol=1e-12)
 
 
 def test_normalized_schur_identity_weight_gives_diagonal():
     rho = random_density(3, RNG)
-    out = schur_channel_apply(SchurWeight(np.eye(3) / 3), rho)
+    out = schur_channel_apply(np.eye(3) / 3, rho)
     assert np.allclose(out.matrix, np.diag(np.diag(rho.matrix)), atol=1e-12)
 
 
 def test_normalized_schur_zero_weight_raises():
     rho = random_density(2, RNG)
     with pytest.raises(OutsideDomain):
-        schur_channel_apply(SchurWeight(np.zeros((2, 2))), rho)
+        schur_channel_apply(np.zeros((2, 2)), rho)
+
+
+def test_normalized_schur_is_the_schur_channels_action_over_its_trace(monkeypatch):
+    # The conditioning takes its damping from the channel, bit for bit.
+    kinds = []
+    apply_matrix = Channel.apply_matrix
+
+    def recorded(channel, m):
+        kinds.append(channel.kind)
+        return apply_matrix(channel, m)
+
+    monkeypatch.setattr(Channel, "apply_matrix", recorded)
+    for n in (1, 2, 3, 5):
+        weight = n * random_density(n, RNG).matrix
+        rho = random_density(n, RNG)
+        raw = schur_channel(weight).apply_matrix(rho.matrix)
+        expect = DensityOperator(raw / float(raw.trace().real))
+        assert np.array_equal(schur_channel_apply(weight, rho).matrix, expect.matrix)
+    assert kinds == ["schur"] * 8
 
 
 def test_normalized_schur_names_an_overflowing_trace_without_a_warning():
@@ -142,7 +163,7 @@ def test_normalized_schur_rejects_a_non_finite_trace_before_dividing():
     # fail first; the state's NaN is named as the state is read.
     state = np.array([[np.nan, 0.0], [0.0, 0.5]])
     with pytest.raises(ValueError, match="^state has a non-finite entry$"):
-        schur_channel_apply(SchurWeight(np.eye(2)), state)
+        schur_channel_apply(np.eye(2), state)
 
 
 def test_shift_channel_moves_basis_state():
@@ -169,7 +190,7 @@ def test_unitary_channel_rejects_nonunitary():
 SQUARE_INPUTS = [
     (DensityOperator, "density operator"),
     (SignalBasis, "basis"),
-    (SchurWeight, "weight"),
+    (schur_channel, "weight"),
     (unitary_channel, "unitary"),
     (stochastic_channel, "stochastic matrix"),
 ]
@@ -245,10 +266,9 @@ def test_channel_is_immutable():
     kinds = [lossy, random_kraus_channel(3, 2, RNG), schur_channel(np.ones((3, 3))),
              unitary_channel(random_unitary(3, RNG)), stochastic_channel(np.full((3, 3), 1 / 3))]
     arrays = [getattr(ch, name) for ch in kinds for name in Channel.__slots__]
-    arrays += [ch._data.matrix for ch in kinds if ch.kind == "schur"]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    # `_data` and `_factor` of each; a Schur channel's data is its weight, and
-    # a stochastic channel has no factor.
+    # `_data` and `_factor` of each; a Schur channel's data is its weight
+    # matrix, and a stochastic channel has no factor.
     assert len(arrays) == 9
     assert not any(a.flags.writeable for a in arrays)
 
@@ -271,16 +291,17 @@ def test_a_raw_channel_leaves_the_callers_array_writable_and_its_own(kind, data)
 
 
 def test_weight_and_density_are_immutable_and_compare_by_identity():
-    # A frozen dataclass with array fields can neither compare nor hash.
-    for build in (lambda: SchurWeight(np.eye(2)), lambda: DensityOperator(np.eye(2) / 2)):
+    # A frozen dataclass with array fields can neither compare nor hash. A
+    # weight is a Schur channel's data, and its factor rows are read-only too.
+    for build, field in ((lambda: schur_channel(np.eye(2)), "_data"),
+                         (lambda: DensityOperator(np.eye(2) / 2), "matrix")):
         a, b = build(), build()
         assert a == a and a != b
         assert len({a, b, a}) == 2
-        assert not a.matrix.flags.writeable
+        assert not getattr(a, field).flags.writeable
         with pytest.raises(AttributeError, match=f"^{type(a).__name__} is immutable$"):
-            a.matrix = b.matrix
-    # A weight's terms are read-only too, since a Schur channel is built from them.
-    assert not any(h.flags.writeable for _, h in SchurWeight(np.eye(2)).spectral_terms())
+            setattr(a, field, getattr(b, field))
+    assert not schur_channel(np.eye(2))._factor.flags.writeable
 
 
 def test_kraus_channel_requires_completeness():
@@ -424,7 +445,8 @@ def _purpose_check(q):
 
 
 # Callables that read a square matrix through `hilbert._square` (a Schur
-# channel's `apply_matrix` through `_as_array` and its own square check).
+# channel's `apply_matrix` through `_as_array` and its own square check);
+# "weight" is the weight of a conditioning, "schur" a channel's.
 # Each must reject an inf and an integer beyond the float range by name,
 # before an OverflowError in conversion or a warning in arithmetic.
 SQUARE_READERS = {
@@ -436,7 +458,7 @@ SQUARE_READERS = {
                                                   identity_channel(2), np.eye(2)),
     "purpose": _purpose_check,
     "basis": SignalBasis,
-    "weight": SchurWeight,
+    "weight": lambda m: schur_channel_apply(m, np.eye(2) / 2),
     "schur": schur_channel,
     "unitary": unitary_channel,
     "schur-apply": lambda m: schur_channel(np.eye(2)).apply_matrix(m),
@@ -494,7 +516,7 @@ def test_density_operator_names_a_value_that_is_no_array_of_numbers(kind):
     (DensityOperator, [[0.5, NAN], [NAN, 0.5]]),
     (DensityOperator, [[INF, 0.0], [0.0, 0.5]]),
     (SignalBasis, [[1.0, 0.0], [NAN, 1.0]]),
-    (SchurWeight, [[1.0, NAN], [NAN, 1.0]]),
+    (schur_channel, [[1.0, NAN], [NAN, 1.0]]),
     (schur_channel, [[NAN, 0.0], [0.0, 1.0]]),
     (lambda m: kraus_channel([np.array(m)]), [[1.0, 0.0], [0.0, NAN]]),
     (unitary_channel, [[1.0, 0.0], [0.0, NAN]]),
@@ -512,7 +534,7 @@ def test_constructors_reject_non_finite_entries(build, entries):
 @pytest.mark.parametrize("build, subject, bad, complaint", [
     (DensityOperator, "density operator", [[0.5, 0.1], [0.0, 0.5]],
      "matrix is not self-adjoint: deviation 1.000e-01"),
-    (SchurWeight, "weight", [[1.0, 0.1], [0.0, 1.0]],
+    (schur_channel, "weight", [[1.0, 0.1], [0.0, 1.0]],
      "weight is not self-adjoint: deviation 1.000e-01"),
     (unitary_channel, "unitary", 2.0 * np.eye(2),
      "matrix is not unitary: deviation 3.000e+00"),
@@ -601,8 +623,7 @@ def test_choi_check_of_a_map_with_a_non_self_adjoint_choi_matrix_has_no_spectrum
 
 def test_choi_schur_channels_are_cp():
     for _ in range(5):
-        w = SchurWeight(random_density(3, RNG).matrix)
-        assert choi_check(schur_channel(w)).is_cp
+        assert choi_check(schur_channel(random_density(3, RNG).matrix)).is_cp
 
 
 def test_choi_matrix_of_identity_is_maximally_entangled():

@@ -1165,9 +1165,9 @@ def test_sweep_rejects_nonpositive_workers(workers):
 # 10**6 samples, where the orbit-sized arrays dominate the fixed tables
 # (at 2 * 10**5 samples the tables still add 20-30 B per step).
 POINT_PEAKS = {
-    "logistic-100": ("logistic", 100, 32),
-    "logistic-1000": ("logistic", 1000, 39),
-    "baker-100": ("baker", 100, 48),
+    "logistic-100": ("logistic", 100, 24),
+    "logistic-1000": ("logistic", 1000, 31),
+    "baker-100": ("baker", 100, 40),
     "tinkerbell-30": ("tinkerbell", 30, 56),
 }
 # Allowed excess over the documented peak, for allocator and library noise.

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,8 +21,16 @@ from infodyn.jsonio import (
     parse_state,
     parse_value_batch,
 )
-from infodyn.metrics import conjecture_batch
-from infodyn.recognition import ArgmaxPolicy, FixedPolicy, SamplePolicy, SignalBasis
+from infodyn.channels import identity_channel
+from infodyn.metrics import ComplexityConfig, axiom_suite, chaos_degree, conjecture_batch
+from infodyn.recognition import (
+    ArgmaxPolicy,
+    BellSystem,
+    FixedPolicy,
+    SamplePolicy,
+    SignalBasis,
+    recognize_sequence,
+)
 
 RNG = np.random.default_rng(13)
 
@@ -512,3 +521,22 @@ def test_an_unknown_wrapper_key_after_a_bad_signal_reports_the_earlier_fault():
     with pytest.raises(ValueError) as info:
         listed_signals(rho)
     assert str(info.value) == "expected a number or [re, im] pair, got [None, 0.0]"
+
+
+# Each writer's text of inputs whose integer arguments are made by `k`.
+INTEGER_WRITERS = {
+    "chaos-degree": lambda k: jsonio.chaos_degree_json(
+        chaos_degree(np.diag([0.75, 0.25]), identity_channel(2), ComplexityConfig(k(3), k(1))), math.e),
+    "axioms": lambda k: jsonio.axioms_json(axiom_suite(2, k(2), 0)),
+    "steps": lambda k: jsonio.step_lines(list(recognize_sequence(
+        np.eye(2) / 2, [np.diag([0.75, 0.25])] * 2, BellSystem(SignalBasis.fourier(2)),
+        FixedPolicy(k(0), k(1))))),
+}
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+@pytest.mark.parametrize("writer", sorted(INTEGER_WRITERS))
+def test_a_writer_gives_the_same_bytes_for_numpy_integer_inputs(writer, integer):
+    # The integer rule returns a Python int, which the settings and results store.
+    write = INTEGER_WRITERS[writer]
+    assert write(integer) == write(int)

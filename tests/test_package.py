@@ -160,6 +160,19 @@ def test_a_map_stream_is_read_only_by_iterate_orbit():
     assert _owners(_reads("fromiter")) == ["classical.iterate_orbit"]
 
 
+def test_a_schur_weight_is_a_channels_data():
+    # A Schur channel holds its weight as a plain matrix: no module defines
+    # or reads a weight type or a coercion to one. The entrywise damping
+    # product, with its overflow guard, is formed in `Channel.apply_matrix`
+    # alone.
+    gone = {"SchurWeight", "as_weight", "_damped"}
+    assert _owners(lambda node: (isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in gone)
+                   or any(_reads(name)(node) for name in gone)) == []
+    guard = "damped state has a non-finite entry"
+    assert _owners(lambda node: isinstance(node, ast.Constant) and node.value == guard) == [
+        "channels.Channel.apply_matrix"]
+
+
 # The package's layers, lowest first: a module imports only modules of
 # earlier layers, so `metrics`, `classical` and `recognition` import none of
 # one another, and `svgplot` imports no module of the package. `__init__`
