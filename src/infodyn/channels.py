@@ -393,8 +393,9 @@ def random_kraus_channel(n: int, terms: int, rng: np.random.Generator) -> Channe
     terms of 1 x 1 take about 4 s (2-core x86-64 host), most of it in the
     term-by-term sum of `hilbert._check_kraus_sums`.
     """
-    _check_integer("n", n, 1, "MAX_MATRIX_DIM", MAX_MATRIX_DIM)
-    _check_integer("terms", terms, 1)
+    n = _check_integer("n", n, 1, "MAX_MATRIX_DIM", MAX_MATRIX_DIM)
+    terms = _check_integer("terms", terms, 1)
+    # Python ints, so the product cannot wrap as a numpy integer's would.
     _check_integer("terms * n^2", terms * n * n, 1, "MAX_VECTOR_DIM", MAX_VECTOR_DIM)
     z = _complex_gaussians(rng, 1, [(terms * n, n)])[0][0]
     return Channel("kraus", _isometry_blocks(z, terms))

@@ -160,7 +160,8 @@ def partial_trace(x, dims, trace_out) -> np.ndarray:
     """
     xm = _as_array(x, "matrix")
     dims = tuple(_check_integer("dims", d, 1) for d in dims)
-    total = int(np.prod(dims))
+    # Python ints: np.prod would wrap in int64.
+    total = math.prod(dims)
     if xm.shape != (total, total):
         raise DimensionMismatch(
             f"matrix shape {xm.shape} does not factor as {_brief(dims)}"
@@ -178,7 +179,7 @@ def partial_trace(x, dims, trace_out) -> np.ndarray:
         col_sub[i] = row_sub[i]
     out_sub = [row_sub[i] for i in keep] + [col_sub[i] for i in keep]
     reduced = np.einsum(tensor_view, row_sub + col_sub, out_sub)
-    side = int(np.prod([dims[i] for i in keep])) if keep else 1
+    side = math.prod(dims[i] for i in keep)
     return reduced.reshape(side, side)
 
 

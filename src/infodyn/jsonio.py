@@ -355,8 +355,8 @@ def value_json(outcomes, rate: float, dim: int, seed: int) -> str:
         "pairs": [{"D": o.d_first, "D_prime": o.d_second, "V": o.value_first,
                    "V_prime": o.value_second, "agree": o.agree} for o in outcomes],
         "agreement_rate": rate,
-        "dim": dim,
-        "seed": seed,
+        "dim": int(dim),
+        "seed": int(seed),
     })
 
 

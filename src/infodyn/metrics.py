@@ -42,20 +42,25 @@ whole stack of states; it is never the output entropy minus the chaos
 degree. A single state is a stack of one.
 
 `conjecture_batch` and `axiom_suite` evaluate their pairs and trials in
-stacks: `_pair_outcomes` runs each step of the per-pair path
-(`conjecture_experiment`) once for a chunk, with its bits, and
-`_axiom_trials` evaluates every trial at its states' eigenbases and its
-probe at the basis the probe is drawn from, through what the per-item
-paths use: a "kraus" `Channel` holding one Kraus family per item, read
-through the same `image_spectra`, `kraus_vectors` and `apply_matrix`,
-`hilbert._density_spectra` for every state but the probe and every image,
-`hilbert._kron` for the tensor product, `_eigenbasis_values` for the
-eigenbasis chaos degree, `_transmitted_stacks` for T and one
-`_rotation_chunks` call, with every trial's seed, for the probes'
-rotations; no step loops over the items of a stack. In both, the Kraus
-stacks become one `Channel` each, whose constructor derives the
-trace-preservation flag of every family, and a family that is not
-trace-preserving raises through `_require_trace_preserving`.
+stacks, one pass per chunk: `_pair_outcomes` runs each step of the
+per-pair path (`conjecture_experiment`) once for a chunk, with its bits,
+and `_axiom_trials` evaluates every trial at its states' eigenbases and
+its probe at the basis the probe is drawn from, through what the
+per-item paths use: a "kraus" `Channel` holding one Kraus family per
+item, read through the same `image_spectra`, `kraus_vectors` and
+`apply_matrix`, `hilbert._density_spectra` for every state but the probe
+and every image, `hilbert._kron` for the tensor product,
+`_eigenbasis_values` for the eigenbasis chaos degree, `_transmitted_stacks`
+for T and one `_rotation_chunks` call, with every trial's seed, for the
+probes' rotations; no step loops over the items of a stack. A stacked
+kernel gives an item the bits it gets alone, so items that share a call
+(rho and sigma, a trial's states of one Kraus rank, a pair's two
+channels) share it without changing a value. `_pair_outcomes` holds both
+channels' Kraus families in one `Channel`; `_axiom_trials` builds what no
+channel touches once for the chunk and one `Channel` per Kraus rank. Each
+constructor derives the trace-preservation flag of every family, and a
+family that is not trace-preserving raises through
+`_require_trace_preserving`.
 A pair's chaos degree is its eigenbasis value unless its joint spectrum
 has a degenerate block; only such a pair goes through `_search` itself,
 once per channel, on its stacked joint spectrum and its own Kraus
@@ -114,22 +119,23 @@ ORDER_TOL = 1e-10
 # host, one BLAS thread), so the cap bounds a search at about 10 s there.
 MAX_RESTARTS = 1_000_000
 # Largest `axiom_suite` trial count and dimension. Evaluated in stacks, a
-# trial costs about 0.4 ms at dim 2, 0.6 ms at dim 4, 1.5 ms at dim 6 and
-# 3.5 ms at dim 8 (same host), so the caps bound a suite at about 4 s at
-# dim 2 and 35 s at dim 8.
+# trial costs about 0.16 ms at dim 2, 0.38 ms at dim 4, 0.74 ms at dim 6
+# and 1.7 ms at dim 8 (same host at full speed; the best of 3 suites of
+# 400 to 60 trials), so the caps bound a suite at about 1.6 s at dim 2
+# and 17 s at dim 8, and at twice that on a slow phase of the host.
 MAX_AXIOM_TRIALS = 10_000
 MAX_AXIOM_DIM = 8
 # Largest `conjecture_batch` pair count and dimension. A pair works on
 # the dim^2-dimensional joint space; evaluated in stacks, it costs about
-# 0.04 ms at dim 2, 0.15 ms at dim 3, 0.5 ms at dim 4, 2.5 ms at dim 6,
-# 7 ms at dim 8 and 45 ms at dim 12 (same host), so the caps bound a
-# batch at about 0.5 s at dim 2 and 75 s at dim 8.
+# 0.03 ms at dim 2, 0.09 ms at dim 3, 0.22 ms at dim 4, 1.3 ms at dim 6,
+# 4 ms at dim 8 and 26 ms at dim 12 (same host, as above), so the caps
+# bound a batch at about 0.3 s at dim 2 and 40 s at dim 8.
 MAX_VALUE_PAIRS = 10_000
 MAX_VALUE_DIM = 8
-# Largest `conjecture_batch` Kraus rank. Each term adds about 3.5 ms to a
-# pair at MAX_VALUE_DIM: 7 ms at 2 terms, 86 ms at 32, 0.23 s at 64 and
-# 0.36 s at 128 (same host; at this dim every chunk holds one pair), so
-# the cap keeps one pair under a second.
+# Largest `conjecture_batch` Kraus rank. Each term adds about 2.7 ms to a
+# pair at MAX_VALUE_DIM: 4 ms at 2 terms, 64 ms at 32 and 0.17 s at 64
+# (same host, as above; at this dim every chunk holds one pair), so the
+# cap keeps one pair under a second.
 MAX_KRAUS_TERMS = 64
 # Working memory of one chunk of search candidates, value pairs or axiom
 # trials. A chunk holds as many as fit, and at least one; the candidate
@@ -432,17 +438,18 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
     """
     if not isinstance(identical_channels, (bool, np.bool_)):
         raise ValueError(f"identical_channels must be a boolean, got {_brief(identical_channels)}")
-    _check_integer("dim", dim, 2, "MAX_VALUE_DIM", MAX_VALUE_DIM)
-    _check_integer("pairs", pairs, 1, "MAX_VALUE_PAIRS", MAX_VALUE_PAIRS)
-    _check_integer("kraus_terms", kraus_terms, 1, "MAX_KRAUS_TERMS", MAX_KRAUS_TERMS)
-    _check_integer("seed", seed, 0)
+    dim = _check_integer("dim", dim, 2, "MAX_VALUE_DIM", MAX_VALUE_DIM)
+    pairs = _check_integer("pairs", pairs, 1, "MAX_VALUE_PAIRS", MAX_VALUE_PAIRS)
+    kraus_terms = _check_integer("kraus_terms", kraus_terms, 1, "MAX_KRAUS_TERMS", MAX_KRAUS_TERMS)
+    seed = _check_integer("seed", seed, 0)
     n = dim * dim
     channels = 1 if identical_channels else 2
     shapes = [(dim, dim), (dim, dim), *[(kraus_terms * n, n)] * channels, (n, n)]
-    # A pair's working set: per channel its draws, Kraus stack, factor and
-    # image vectors, and the Gram matrices; the joint state's few matrices.
+    # A pair's working set: per channel its draws, their copy in the stack
+    # of both channels, the Kraus stack, its factor and the image vectors,
+    # and the Gram matrices; the joint state's few matrices.
     width = min(kraus_terms, n)
-    pair_bytes = 16 * (channels * (4 * kraus_terms * n * n + n * width * width) + 8 * n * n)
+    pair_bytes = 16 * (channels * (5 * kraus_terms * n * n + n * width * width) + 8 * n * n)
     chunk = max(1, CHUNK_BYTES // pair_bytes)
     rng = np.random.default_rng(seed)
     outcomes = []
@@ -469,7 +476,10 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     order, from which the pairs' states, Kraus stacks (one per distinct
     channel) and purpose operators are built as the public samplers build
     them, with every check those run; a family that is not trace-preserving
-    raises the search's ValueError before any value. Each step is the
+    raises the search's ValueError before any value. rho and gamma come
+    from one `_density_spectra`, and every channel's Kraus family from one
+    `_isometry_blocks` on a (channels, pairs, terms * n, n) stack, held by
+    one `Channel` through which D and V are read. Each step is the
     per-pair step applied to a stack, so each value has the bits of the
     per-pair path. A pair whose joint spectrum has a degenerate block
     takes its chaos degrees from `_search` on its row of the stacked
@@ -478,19 +488,22 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     `_search`'s D, since both sum through `_floor_sum`.
     """
     g_rho, g_gamma, *g_kraus, g_purpose = draws
-    rho, gamma = (_density_spectra(_unit_trace(g @ g.conj().mT))[0] for g in (g_rho, g_gamma))
+    g = np.concatenate([g_rho, g_gamma])
+    states = _density_spectra(_unit_trace(g @ g.conj().mT))[0]
+    rho, gamma = states[:len(g_rho)], states[len(g_rho):]
     joint, lam, vec = _density_spectra(_kron(rho, gamma))
-    kraus = [_isometry_blocks(z, terms) for z in g_kraus]
-    channels = [Channel("kraus", ops) for ops in kraus]
-    _require_trace_preserving(*channels)
+    # One family per channel and pair: (channels, pairs, terms, n, n).
+    kraus = _isometry_blocks(np.stack(g_kraus), terms)
+    channel = Channel("kraus", kraus)
+    _require_trace_preserving(channel)
     q = _self_adjoint_purposes(_hermitian_part(g_purpose))
-    d = [_eigenbasis_values(lam, vec, ch) for ch in channels]
-    v = [_real_values(ch.apply_matrix(joint), q).tolist() for ch in channels]
+    d = _eigenbasis_values(lam, vec, channel)
+    v = _real_values(channel.apply_matrix(joint), q).tolist()
     # Only a degenerate block takes D off the eigenbasis value.
     for k in np.flatnonzero(~_block_starts(lam).all(axis=-1)):
         for values, ops in zip(d, kraus):
             values[k] = _search(lam[k], vec[k], Channel("kraus", ops[k]), DEFAULT_CONFIG)[0]
-    d = [values.tolist() for values in d]
+    d = d.tolist()
     return [_outcome(*values) for values in zip(d[0], d[-1], v[0], v[-1])]
 
 
@@ -525,22 +538,27 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
     the drift between rho's T and the relabeled state's, each at its
     eigenbasis. For a non-degenerate state the eigenbasis is the
     decomposition that `chaos_degree` finds. The trials are evaluated
-    in chunks by `_axiom_trials`, one stack per Kraus rank, each stack
-    with as many trials as fit CHUNK_BYTES (at least one); the results
-    do not depend on the chunk size.
+    in chunks by `_axiom_trials`, one pass per chunk of an even number of
+    trials, as many as fit CHUNK_BYTES (at least two); the results do not
+    depend on the chunk size.
     """
-    _check_integer("dim", dim, 2, "MAX_AXIOM_DIM", MAX_AXIOM_DIM)
+    dim = _check_integer("dim", dim, 2, "MAX_AXIOM_DIM", MAX_AXIOM_DIM)
     trials = _check_integer("trials", trials, 1, "MAX_AXIOM_TRIALS", MAX_AXIOM_TRIALS)
-    _check_integer("seed", seed, 0)
+    seed = _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     restarts = 20
-    # A chunk is two stacks, one per Kraus rank, evaluated in turn. A
-    # trial's working set peaks while its probe's candidates are
-    # evaluated: about ten complex dim-vectors for each of their
+    # A chunk is one pass over an even number of trials. Each trial holds
+    # its draws, states, unitaries and rotations throughout, about 640
+    # complex numbers of small arrays. The peak comes in one Kraus rank's
+    # pass over every other trial: while its probes' candidates are
+    # evaluated, about eight complex dim-vectors for each of their
     # (restarts + 1) * dim pieces (the piece, its two or three Kraus
-    # vectors and their overlaps), and 10 KB of small arrays.
-    trial_bytes = 16 * (10 * (restarts + 1) * dim ** 2 + 640)
-    chunk = 2 * max(1, CHUNK_BYTES // trial_bytes)
+    # vectors and their overlaps), four per trial of the chunk; or while
+    # its joint states are decomposed, about two dim^2 x dim^2 matrices
+    # each, one per trial of the chunk. A full chunk peaks at 0.74 to 0.93
+    # MiB at dim 2 to 8 (tracemalloc).
+    trial_bytes = 16 * (4 * (restarts + 1) * dim ** 2 + dim ** 4 + 640)
+    chunk = 2 * max(1, CHUNK_BYTES // (2 * trial_bytes))
 
     # One entry per check, in `_axiom_trials`' row order.
     worst = [0.0, 0.0, 0.0, -math.inf, 0.0, 0.0]
@@ -553,13 +571,7 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
             g = _complex_gaussians(rng, 1, [(dim, dim), (dim, dim), ((2 + t % 2) * dim, dim), (dim, dim)])
             spectrum = rng.random((1, dim))
             draws.append((*g, spectrum, *_complex_gaussians(rng, 1, [(dim, dim)])))
-        # `start` is even, so the trials of Kraus rank 2 + parity are draws[parity::2]
-        # (only the first group exists in a chunk of one trial).
-        rows = [None] * len(draws)
-        for parity in range(min(2, len(draws))):
-            stacks = [np.concatenate(arrays) for arrays in zip(*draws[parity::2])]
-            rows[parity::2] = _axiom_trials(stacks, 2 + parity,
-                                            range(seed + start + parity, seed + stop, 2), restarts)
+        rows = _axiom_trials(draws, range(seed + start, seed + stop), restarts)
         # Folded in trial order as Python floats, so a -0.0 never replaces 0.0.
         worst = [max(column) for column in zip(worst, *rows)]
     *checked, t_drift = worst
@@ -572,15 +584,27 @@ def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:
             for (name, tol), deviation in zip(tolerances.items(), checked)}
 
 
-def _axiom_trials(draws, terms: int, rotation_seeds, restarts: int) -> list:
-    """The rows of the `axiom_suite` trials of a stack with one Kraus rank, evaluated as stacks.
+def _axiom_trials(draws, rotation_seeds, restarts: int) -> list:
+    """The rows of a chunk of `axiom_suite` trials, evaluated as stacks in one pass.
 
-    `draws` are the trials' Gaussian stacks and probe spectra in
-    `axiom_suite`'s order, from which the states, Kraus stacks, unitaries
-    and probes are built as the public samplers build them, with every
-    check those run; a family that is not trace-preserving raises
-    ValueError. Every state but the probe is read at its eigenbasis, a
-    valid extremal decomposition whether or not its spectrum is
+    `draws` are the trials' Gaussian stacks and probe spectra, one tuple
+    per trial in `axiom_suite`'s order, the chunk starting on an even
+    trial, so trial i has Kraus rank 2 + i % 2. The states, Kraus stacks,
+    unitaries and probes are built from them as the public samplers build
+    them, with every check those run; a family that is not
+    trace-preserving raises ValueError before anything is evaluated.
+    What no channel touches is built once for the chunk: rho and sigma
+    through one `_density_spectra`, the relabelings and probe bases
+    through one `_haar_unitaries`, the relabeled states and rho's image
+    through the identity through one `_density_spectra`, the probes, the
+    probes' rotations (one `_rotation_chunks` call with `rotation_seeds`,
+    one seed per trial) and T through the identity. Each Kraus rank,
+    every other trial, has one `Channel`, the joint states'
+    `_density_spectra`, one `apply_matrix` and one `_density_spectra` of
+    the images of rho, the relabeled state and the probe, one
+    `_transmitted_stacks` of the probe's candidates and one of rho and the
+    relabeled state. Every state but the probe is read at its eigenbasis,
+    a valid extremal decomposition whether or not its spectrum is
     degenerate. The probe is read at (spectrum, basis), the decomposition
     it is drawn from, with its tie in columns 0 and 1, so no eigensolver
     picks a basis inside the tie; its image is checked as a state's. A
@@ -589,42 +613,62 @@ def _axiom_trials(draws, terms: int, rotation_seeds, restarts: int) -> list:
     deviation, the largest T - C term, the identity deviation and the
     transmitted drift.
     """
-    g_rho, g_sigma, g_kraus, g_u, raw, g_basis = draws
-    n = g_rho.shape[1]
-    (rho, lam, vec), (sigma, lam_sigma, _) = (_density_spectra(_unit_trace(g @ g.conj().mT))
-                                              for g in (g_rho, g_sigma))
-    channel = Channel("kraus", _isometry_blocks(g_kraus, terms))
-    _require_trace_preserving(channel)
-    u = _haar_unitaries(g_u)
-    relabeled, lam_rel, vec_rel = _density_spectra(u @ rho @ u.conj().mT)
+    g_rho, g_sigma, g_kraus, g_u, raw, g_basis = zip(*draws)
+    count, n = len(draws), g_rho[0].shape[-1]
+    # Kraus rank 2 + parity: every other trial.
+    ranks = [slice(parity, None, 2) for parity in range(min(2, count))]
+    channels = [Channel("kraus", _isometry_blocks(np.concatenate(g_kraus[rank]), terms))
+                for terms, rank in enumerate(ranks, 2)]
+    _require_trace_preserving(*channels)
+    g = np.concatenate(g_rho + g_sigma)
+    states, lam_both, vec_both = _density_spectra(_unit_trace(g @ g.conj().mT))
+    rho, sigma, lam, lam_sigma, vec = (states[:count], states[count:], lam_both[:count],
+                                       lam_both[count:], vec_both[:count])
+    # The joint states, n^2 x n^2, are decomposed one Kraus rank's trials at
+    # a time, while the chunk holds few other stacks.
+    c_joint = np.empty(count)
+    for rank in ranks:
+        c_joint[rank] = _entropy_of_spectrum(_density_spectra(_kron(rho[rank], sigma[rank]))[1])
+    unitaries = _haar_unitaries(np.concatenate(g_u + g_basis))
+    u, basis = unitaries[:count], unitaries[count:]
+    # The relabeled states and rho's image through the identity, decomposed as one stack.
+    ident = identity_channel(n)
+    (relabeled, _), (lam_rel, mu_id), (vec_rel, v_id) = _density_spectra(
+        np.stack([u @ rho @ u.conj().mT, ident.apply_matrix(rho)]))
+    raw = np.concatenate(raw)
     raw[:, 1] = raw[:, 0]
     spectrum = raw / raw.sum(axis=-1, keepdims=True)
-    basis = _haar_unitaries(g_basis)
     probe = (basis * spectrum[:, None, :]) @ basis.conj().mT
+    # rho's T through the identity, at its eigenbasis.
+    t_id = _transmitted_stacks(lam, ident.kraus_vectors(vec[:, None].mT), mu_id, v_id)[:, 0]
 
-    def transmitted(channel, lam, vecs, state):  # T at `vecs` through `channel` against each state's checked image
-        return _transmitted_stacks(lam, channel.kraus_vectors(vecs.mT),
-                                   *_density_spectra(channel.apply_matrix(state))[1:])
-
-    # rho's D and T at its eigenbasis (for a unique spectrum, the decomposition
-    # `chaos_degree` finds); then the relabeled state's T and rho's T through the identity.
-    d_val = _eigenbasis_values(lam, vec, channel)
-    t_val = transmitted(channel, lam, vec[:, None], rho)[:, 0]
-    t_rel = transmitted(channel, lam_rel, vec_rel[:, None], relabeled)[:, 0]
-    t_id = transmitted(identity_channel(n), lam, vec[:, None], rho)[:, 0]
-
-    # The probe's basis, then its tied columns 0 and 1 (still eigenvectors
-    # within a larger block) rotated by each trial's `_rotation_chunks`
-    # stream (at one byte a candidate, usually one chunk).
+    # The rotations of the probes' tied columns 0 and 1, from each trial's
+    # `_rotation_chunks` stream (at one byte a candidate, usually one chunk).
     chunks = _rotation_chunks([(0, 2)], restarts, rotation_seeds, 1)
     rotations = np.concatenate([r for r, in chunks], axis=1)
-    candidates = np.repeat(basis[:, None], restarts + 1, axis=1)
-    candidates[:, 1:, :, :2] = basis[:, None, :, :2] @ rotations
-    t_probe = transmitted(channel, spectrum, candidates, probe)
 
-    c_val, c_rel, c_sigma, c_joint, ceiling = (
-        _entropy_of_spectrum(x)
-        for x in (lam, lam_rel, lam_sigma, _density_spectra(_kron(rho, sigma))[1], spectrum))
+    d_val, t_val, t_rel = (np.empty(count) for _ in range(3))
+    t_probe = np.empty((count, restarts + 1))
+    for rank, channel in zip(ranks, channels):
+        size = len(g_kraus[rank])
+        # rho's D at its eigenbasis (for a unique spectrum, the decomposition
+        # `chaos_degree` finds); then the checked images of rho, the relabeled
+        # state and the probe, against which T is read.
+        d_val[rank] = _eigenbasis_values(lam[rank], vec[rank], channel)
+        mu, v = _density_spectra(channel.apply_matrix(np.stack([rho[rank], relabeled[rank], probe[rank]])))[1:]
+        # The probe's basis, then its tied columns (still eigenvectors within a larger block) rotated.
+        candidates = np.repeat(basis[rank, None], restarts + 1, axis=1)
+        candidates[:, 1:, :, :2] = basis[rank, None, :, :2] @ rotations[rank]
+        t_probe[rank] = _transmitted_stacks(spectrum[rank], channel.kraus_vectors(candidates.mT), mu[2], v[2])
+        # rho's T and the relabeled state's, each at its eigenbasis: 2 * size states, each trial's in turn.
+        w = channel.kraus_vectors(np.stack([vec[rank], vec_rel[rank]], axis=1).mT)
+        both = _transmitted_stacks(np.stack([lam[rank], lam_rel[rank]], axis=1).reshape(2 * size, n),
+                                   w.reshape(2 * size, 1, *w.shape[2:]),
+                                   mu[:2].swapaxes(0, 1).reshape(2 * size, n),
+                                   v[:2].swapaxes(0, 1).reshape(2 * size, n, n))
+        t_val[rank], t_rel[rank] = both.reshape(size, 2).T
+
+    c_val, c_rel, c_sigma, ceiling = (_entropy_of_spectrum(x) for x in (lam, lam_rel, lam_sigma, spectrum))
     # Row maxima over Python floats, as `axiom_suite` folds the rows.
     return list(zip(
         map(max, np.stack([-c_val, -t_val, -d_val], axis=-1).tolist()),

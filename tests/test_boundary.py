@@ -304,6 +304,13 @@ OVERSIZED = {
                                    "MAX_VECTOR_DIM=4194304"),
     "random_kraus_channel-terms-cap": (lambda: infodyn.random_kraus_channel(2, 2**20 + 1, RNG.value),
                                        "terms * n^2=4194308 exceeds the limit MAX_VECTOR_DIM=4194304"),
+    # Products that wrap past the cap in int64.
+    "random_kraus_channel-int64-terms": (
+        lambda: infodyn.random_kraus_channel(np.int64(4), np.int64(2**60 + 1), RNG.value),
+        "terms * n^2=18446744073709551632 exceeds the limit MAX_VECTOR_DIM=4194304"),
+    "random_kraus_channel-int64-n": (
+        lambda: infodyn.random_kraus_channel(np.int64(2048), np.int64(2**43), RNG.value),
+        "terms * n^2=36893488147419103232 exceeds the limit MAX_VECTOR_DIM=4194304"),
     "choi_matrix-dim": (lambda: infodyn.choi_matrix(lambda m: m, 10**5000),
                         "dim=1" + "0" * 79 + "... exceeds the limit MAX_CHOI_DIM=45"),
     "choi_matrix-dim-cap": (lambda: infodyn.choi_matrix(lambda m: m, 46),
@@ -317,3 +324,10 @@ def test_an_oversized_dimension_names_its_field(name):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_partial_trace_names_dims_whose_product_wraps_in_int64():
+    # 2^62 * 4 is 0 in int64, which an empty matrix's shape would match.
+    with pytest.raises(infodyn.DimensionMismatch) as err:
+        infodyn.partial_trace(np.zeros((0, 0)), (2**62, 4), [0])
+    assert str(err.value) == "matrix shape (0, 0) does not factor as (4611686018427387904, 4)"

@@ -527,7 +527,8 @@ def test_an_unknown_wrapper_key_after_a_bad_signal_reports_the_earlier_fault():
 INTEGER_WRITERS = {
     "chaos-degree": lambda k: jsonio.chaos_degree_json(
         chaos_degree(np.diag([0.75, 0.25]), identity_channel(2), ComplexityConfig(k(3), k(1))), math.e),
-    "axioms": lambda k: jsonio.axioms_json(axiom_suite(2, k(2), 0)),
+    "axioms": lambda k: jsonio.axioms_json(axiom_suite(k(2), k(2), k(0))),
+    "value": lambda k: jsonio.value_json(*conjecture_batch(k(2), k(3), k(1)), k(2), k(1)),
     "steps": lambda k: jsonio.step_lines(list(recognize_sequence(
         np.eye(2) / 2, [np.diag([0.75, 0.25])] * 2, BellSystem(SignalBasis.fourier(2)),
         FixedPolicy(k(0), k(1))))),

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -853,13 +855,13 @@ def axiom_bytes(results):
 
 @pytest.fixture
 def axiom_calls(monkeypatch):
-    """The count of the suite's stacks."""
-    calls = {"stacks": 0}
+    """The trial counts of the suite's `_axiom_trials` calls, one call per chunk."""
+    calls = {"stacks": []}
     stacks = metrics._axiom_trials
 
-    def counted(*args):
-        calls["stacks"] += 1
-        return stacks(*args)
+    def counted(draws, *args):
+        calls["stacks"].append(len(draws))
+        return stacks(draws, *args)
 
     monkeypatch.setattr(metrics, "_axiom_trials", counted)
     return calls
@@ -871,19 +873,83 @@ def test_axiom_suite_equals_the_per_trial_replay(dim, trials, axiom_calls):
     for seed in (0, 1, 7):
         assert axiom_bytes(axiom_suite(dim, trials, seed)) == axiom_bytes(
             replayed_axioms(dim, trials, seed))
-    # Each chunk evaluates its trials of each Kraus rank as one stack.
-    assert axiom_calls["stacks"] >= 3 * min(trials, 2)
+    # Each chunk, an even number of trials but a suite's last, is one call.
+    chunk = max(axiom_calls["stacks"])
+    assert axiom_calls["stacks"] == 3 * ([chunk] * (trials // chunk) + [trials % chunk] * (trials % chunk > 0))
+    assert chunk % 2 == 0 or chunk == trials
 
 
 def test_axiom_suite_does_not_depend_on_chunk_size(axiom_calls, monkeypatch):
     expected = axiom_bytes(replayed_axioms(3, 7, 5))
-    # One trial per stack (four chunks), two (two chunks), the default chunks, and one chunk.
-    two_trials = 2 * 16 * (10 * 21 * 9 + 640)
-    for budget, stacks in [(1, 7), (two_trials, 4), (metrics.CHUNK_BYTES, 2), (1 << 40, 2)]:
+    # Two trials per chunk, four, the default chunk, and one chunk.
+    four_trials = 4 * 16 * (4 * 21 * 9 + 81 + 640)
+    for budget, stacks in [(1, [2, 2, 2, 1]), (four_trials, [4, 3]), (metrics.CHUNK_BYTES, [7]),
+                           (1 << 40, [7])]:
         monkeypatch.setattr(metrics, "CHUNK_BYTES", budget)
-        axiom_calls["stacks"] = 0
+        axiom_calls["stacks"] = []
         assert axiom_bytes(axiom_suite(3, 7, 5)) == expected
         assert axiom_calls["stacks"] == stacks
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the eigensolver and QR calls, of `_haar_unitaries`, `_rotation_chunks` and `Channel`s built."""
+    calls = dict.fromkeys(["eigh", "qr", "haar", "rotation_chunks", "channels"], 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class CountedChannel(Channel):
+        def __init__(self, kind, data):
+            calls["channels"] += 1
+            super().__init__(kind, data)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    monkeypatch.setattr(metrics, "_haar_unitaries", counted("haar", metrics._haar_unitaries))
+    monkeypatch.setattr(metrics, "_rotation_chunks", counted("rotation_chunks", metrics._rotation_chunks))
+    monkeypatch.setattr(metrics, "Channel", CountedChannel)
+    monkeypatch.setattr(channels, "Channel", CountedChannel)
+    return calls
+
+
+@pytest.mark.parametrize("dim, trials", [(2, 13), (4, 5), (6, 5)])
+def test_a_chunk_of_axiom_trials_builds_what_no_kraus_rank_changes_once(dim, trials, kernel_calls):
+    # One chunk: rho and sigma are decomposed in one call, the relabeled
+    # states and the identity's image of rho in another, the joint states
+    # and the images of each rank once per rank; the relabelings and probe
+    # bases take one QR, the rotations one and each rank's Kraus families
+    # one. Three channels: the identity and one per rank.
+    results = axiom_suite(dim, trials, 4)
+    assert kernel_calls == {"eigh": 6, "qr": 4, "haar": 2, "rotation_chunks": 1, "channels": 3}
+    assert axiom_bytes(results) == axiom_bytes(replayed_axioms(dim, trials, 4))
+
+
+def test_a_chunk_of_value_pairs_reads_both_channels_as_one_stack(kernel_calls):
+    # Two chunks of non-degenerate pairs: rho and gamma, then the joint
+    # states, are decomposed once per chunk, and both channels' Kraus
+    # families come from one QR and are held by one `Channel`.
+    outcomes = conjecture_batch(3, 40, 5)
+    assert kernel_calls == {"eigh": 4, "qr": 2, "haar": 0, "rotation_chunks": 0, "channels": 2}
+    assert outcomes == replayed_batch(3, 40, 5, 2, False)
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_a_full_chunk_of_axiom_trials_stays_within_its_budget(dim, axiom_calls):
+    axiom_suite(dim, 100, 0)
+    chunk = axiom_calls["stacks"][0]
+    assert chunk >= 5  # the suites of 5 trials at these dims are one chunk
+    axiom_suite(dim, chunk, 0)  # numpy's one-time set-up is not the chunk's
+    tracemalloc.start()
+    try:
+        axiom_suite(dim, chunk, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * metrics.CHUNK_BYTES, peak
 
 
 def test_axiom_suite_runs_no_search(monkeypatch):
@@ -945,21 +1011,25 @@ def test_axiom_trials_evaluate_non_generic_trials_at_their_eigenbases():
     # 3-fold tie. Trial 3: a diagonal rho with an exact 0 weight, whose
     # piece leaves rho's support (T +inf through the identity, times 0).
     # Warnings are errors in this suite.
-    dim, terms, restarts, seeds = 4, 2, 20, [3, 4, 5, 6]
+    # Trial i has Kraus rank 2 + i % 2: the first (2 + i % 2) * dim rows of its Gaussians.
+    dim, restarts, seeds = 4, 20, [3, 4, 5, 6]
+    terms = [2, 3, 2, 3]
     rng = np.random.default_rng(11)
-    draws = hilbert._complex_gaussians(rng, 4, [(dim, dim), (dim, dim), (terms * dim, dim), (dim, dim)])
+    g_rho, g_sigma, g_kraus, g_u = hilbert._complex_gaussians(
+        rng, 4, [(dim, dim), (dim, dim), (3 * dim, dim), (dim, dim)])
     raw = rng.random((4, dim))
-    draws.insert(4, raw)
-    draws += hilbert._complex_gaussians(rng, 4, [(dim, dim)])
-    draws[0][0] = np.eye(dim)
-    draws[0][1, :, -1] = 0.0
-    draws[0][3] = np.diag([1.0, 2.0, 3.0, 0.0])
+    (g_basis,) = hilbert._complex_gaussians(rng, 4, [(dim, dim)])
+    g_rho[0] = np.eye(dim)
+    g_rho[1, :, -1] = 0.0
+    g_rho[3] = np.diag([1.0, 2.0, 3.0, 0.0])
     raw[1, -1] = 0.0
     raw[2, 2] = raw[2, 0]
-    g_rho, g_sigma, g_kraus, g_u, _, g_basis = draws
-    rows = metrics._axiom_trials([d.copy() for d in draws], terms, seeds, restarts)
+    g_kraus = [g_kraus[i, :r * dim] for i, r in enumerate(terms)]
+    draws = [tuple(x[i:i + 1].copy() for x in (g_rho, g_sigma)) + (g_kraus[i][None].copy(),)
+             + tuple(x[i:i + 1].copy() for x in (g_u, raw, g_basis)) for i in range(4)]
+    rows = metrics._axiom_trials(draws, seeds, restarts)
 
-    kraus = hilbert._isometry_blocks(g_kraus, terms)
+    kraus = [hilbert._isometry_blocks(z, r) for z, r in zip(g_kraus, terms)]
     u, basis = hilbert._haar_unitaries(g_u), hilbert._haar_unitaries(g_basis)
     raw[:, 1] = raw[:, 0]
     spectra = raw / raw.sum(axis=-1, keepdims=True)
