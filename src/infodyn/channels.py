@@ -19,16 +19,21 @@ A `Channel` acts on one matrix or on a stack (..., n, n) of them.
 `Channel.kraus_vectors` gives the images of a stack of pure states as
 their Kraus vectors, which the chaos degree (through the Gram spectra of
 `Channel.image_spectra`) and the transmitted complexity in
-:mod:`infodyn.metrics` both read. A Gram side of at most 2, as for a
-unitary, a rank-2 Kraus family or any channel at dimension 2, has its
-spectrum in closed form (`hilbert._gram_spectra`). A Schur channel's Kraus operators are
+:mod:`infodyn.metrics` both read. The decomposition search reads the
+images of a block's rotated columns through
+`Channel.rotated_image_spectra`, which rotates the block's Kraus vectors
+instead of its columns where the vectors are a product with the Kraus
+operators. A Gram side of at most 2, as for a unitary, a rank-2 Kraus
+family or any channel at dimension 2, has its spectrum in closed form
+(`hilbert._gram_spectra`). A Schur channel's Kraus operators are
 diagonal, so its vectors are entrywise products of the state with the
 rows sqrt(g) h of its weight's spectral terms. The Kraus-form
 arithmetic lives in `Channel` alone. A "kraus" channel may hold a stack
 of Kraus families, one per item, which only the stacked kernels of
 :mod:`infodyn.metrics` build; they read it through the same methods as
-the per-item paths. A constructor that takes a dimension `n` checks it
-through `hilbert._check_integer` first.
+the per-item paths, and its `families`, the stack's leading shape, lets
+the single-channel functions refuse it. A constructor that takes a
+dimension `n` checks it through `hilbert._check_integer` first.
 
 A Schur weight is a channel's data, a plain matrix. One rule,
 `_schur_weight`, checks it (self-adjoint, no negative eigenvalue) and
@@ -52,7 +57,9 @@ naming it before any arithmetic. A finite entry large enough for a Kraus
 or unitary Gram sum, a damping product or a stochastic row sum to
 overflow raises the error of the rule it breaks before that arithmetic,
 with no RuntimeWarning first; so does a row of `kraus_vectors` or
-`image_spectra` above the channel's row bound (see `Channel._rows`).
+`image_spectra` above the channel's row bound (see `Channel._rows`), and
+a row of a block whose norm is above it, where a Kraus or unitary
+channel's `rotated_image_spectra` rotates the block's Kraus vectors.
 """
 
 from __future__ import annotations
@@ -191,18 +198,23 @@ class Channel(_Frozen):
     families instead; it then acts on matrices (L, n, n) and on rows
     (L, ..., k, n), family by family, and preserves trace only if every
     family does. Only the stacked kernels of :mod:`infodyn.metrics` build
-    one.
+    one. `families` is the leading shape of such a stack, () for one
+    channel of any kind.
 
     `apply_matrix` acts on one matrix or on a stack of them. A pure
     state's image is never formed as an n x n matrix: the image of
     |v><v| is W W* for the Kraus vectors W = [A_1 v ... A_r v] of a
     Kraus form {A_k} of the channel, which `kraus_vectors` returns for a
     stack of states, and `image_spectra` reads its spectrum from the
-    Gram matrix W* W. Instances are immutable and hold a copy of their
-    data, so a caller's array stays the caller's.
+    Gram matrix W* W. `rotated_image_spectra` reads the spectra of the
+    columns of a block rotated by a stack of unitaries, rotating the
+    block's W where W is linear in v through the factor (kraus, unitary).
+    Instances are immutable and hold a copy of their data, so a caller's
+    array stays the caller's.
     """
 
-    __slots__ = ("kind", "dim", "is_trace_preserving", "image_width", "_data", "_factor", "_row_bound")
+    __slots__ = ("kind", "dim", "is_trace_preserving", "image_width", "families", "_data", "_factor",
+                 "_row_bound")
 
     def __init__(self, kind, data):
         # Each kind reads its data, derives the trace-preservation flag, and
@@ -249,8 +261,8 @@ class Channel(_Frozen):
         # sixteenth of the float maximum.
         scale = float(np.abs(data if factor is None else factor).max(initial=0.0))
         bound = math.sqrt(np.finfo(float).max / (4 * max(width, 1) * dim)) / (2 * dim * max(scale, 1.0))
-        self._set(kind=kind, dim=dim, is_trace_preserving=tp,
-                  image_width=width, _data=data, _factor=factor, _row_bound=bound)
+        self._set(kind=kind, dim=dim, is_trace_preserving=tp, image_width=width,
+                  families=data.shape[:-3], _data=data, _factor=factor, _row_bound=bound)
 
     def __repr__(self):
         return f"Channel(kind={self.kind!r}, dim={self.dim})"
@@ -322,6 +334,38 @@ class Channel(_Frozen):
         if self.kind == "stochastic":
             return (np.abs(self._rows(vectors)) ** 2) @ self._data
         return _gram_spectra(self.kraus_vectors(vectors))
+
+    def rotated_image_spectra(self, block, rotations, columns) -> np.ndarray:
+        """`image_spectra` of columns `columns` of block @ u, for each unitary u of `rotations` (..., k, k).
+
+        `block` (n, k) holds k vectors as its columns, and `columns`, an
+        index array, picks the k' rotated columns read; returns (..., k', s)
+        for the side s of `image_spectra`. A Kraus vector is linear in its
+        vector, A_a (block @ u)_j = sum_i u_ij A_a b_i, so a "kraus" or
+        "unitary" channel rotates the block's Kraus vectors B, W = u^T B, in
+        one (k' x k)(k x r n) product for the whole stack and forms no
+        rotated vector; its spectra agree with `image_spectra` of the
+        rotated columns to rounding. A unitary keeps the norm of each
+        row of the block, which bounds every entry of block @ u, so there a
+        row whose norm is above the row bound raises ValueError "vector has
+        a non-finite entry". A Schur or stochastic channel reads the
+        rotated columns through `image_spectra`, with its bits. A stack of
+        Kraus families raises ValueError.
+        """
+        if self.families:
+            raise ValueError(f"expected one channel, got a stack of {self.families} Kraus families")
+        v = _as_array(block, "vector")
+        if self.kind in ("schur", "stochastic"):
+            return self.image_spectra((v @ rotations)[..., columns].mT)
+        b = self.kraus_vectors(v.T)
+        if not float(np.sqrt(np.vecdot(v, v).real).max(initial=0.0)) <= self._row_bound:
+            raise ValueError("vector has a non-finite entry")
+        u = rotations[..., columns]
+        k = b.shape[0]
+        if u.shape[-2] != k:
+            raise DimensionMismatch(f"block of {k} columns vs rotations of shape {u.shape}")
+        w = u.mT.reshape(-1, k) @ b.reshape(k, -1)
+        return _gram_spectra(w.reshape(u.shape[:-2] + (u.shape[-1],) + b.shape[1:]))
 
     def apply(self, rho) -> DensityOperator:
         """Image of a state as a state; see the class docstring."""

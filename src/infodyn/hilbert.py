@@ -571,7 +571,9 @@ def _complex_gaussians(rng: np.random.Generator, count: int, shapes) -> list[np.
     g = rng.normal(size=(count, 2 * sum(sizes)))
     out, off = [], 0
     for shape, k in zip(shapes, sizes):
-        z = g[:, off:off + k] + 1j * g[:, off + k:off + 2 * k]
+        # Both parts written into one complex array, one pass each.
+        z = np.empty((count, k), dtype=complex)
+        z.real, z.imag = g[:, off:off + k], g[:, off + k:off + 2 * k]
         out.append(z.reshape((count, *shape)))
         off += 2 * k
     return out

@@ -33,9 +33,12 @@ and eigenvector columns, not a state. It evaluates the eigenbasis once,
 then the rotations of `_rotation_chunks`, the one rotation stream (one
 generator per seed, one QR per block per chunk for all seeds), chunk by
 chunk (sized to CHUNK_BYTES), re-scoring only the degenerate blocks'
-live columns through `_eigenbasis_values`. The report does not
-depend on the chunk size. The transmitted value is that of
-`_transmitted_stacks`, the one T formula, which reads each piece's image
+live columns through `Channel.rotated_image_spectra`. A Kraus vector is
+linear in its vector, so a Kraus or unitary channel forms a block's
+Kraus vectors once per chunk and rotates them, with no rotated column
+formed; a Schur or stochastic channel reads the rotated columns. The
+report does not depend on the chunk size. The transmitted value is that
+of `_transmitted_stacks`, the one T formula, which reads each piece's image
 from its Kraus vectors, as the search does, checks its spectrum as a
 density operator's, and takes `hilbert._relative_entropies` once for a
 whole stack of states; it is never the output entropy minus the chaos
@@ -70,11 +73,12 @@ chunk-mates.
 
 Every function here that takes a channel checks it through
 `_check_channel` before any arithmetic: a non-`Channel` raises
-TypeError and a channel of another dimension than the state (or the
-joint state, for the value functions) raises DimensionMismatch. The
-search then requires a trace-preserving channel, as `Channel` decides it
-from its data; `conjecture_experiment` requires it of both channels
-before it searches either.
+TypeError, a "kraus" `Channel` holding a stack of families (which only
+the stacked kernels build) raises ValueError, and a channel of another
+dimension than the state (or the joint state, for the value functions)
+raises DimensionMismatch. The search then requires a trace-preserving
+channel, as `Channel` decides it from its data; `conjecture_experiment`
+requires it of both channels before it searches either.
 
 All values are in nats; `jsonio` writes the reports, in a display base
 for `quantum-ecd`.
@@ -114,9 +118,10 @@ from .hilbert import (
 
 WEIGHT_FLOOR = 1e-15
 ORDER_TOL = 1e-10
-# Largest search budget. A candidate costs about 3 us at n = 4 (one 4-fold
+# Largest search budget. A candidate costs about 2.8 us at n = 4 (one 4-fold
 # block) and 9 us at n = 16 (one 8-fold block), Kraus rank 2 (2-core x86-64
-# host, one BLAS thread), so the cap bounds a search at about 10 s there.
+# host, one BLAS thread; the best of 7 searches of 20,000 candidates), so the
+# cap bounds a search at about 10 s there.
 MAX_RESTARTS = 1_000_000
 # Largest `axiom_suite` trial count and dimension. Evaluated in stacks, a
 # trial costs about 0.16 ms at dim 2, 0.38 ms at dim 4, 0.74 ms at dim 6
@@ -242,9 +247,11 @@ def _transmitted(lam: np.ndarray, vecs: np.ndarray, channel: Channel,
 
 
 def _check_channel(channel, n: int, subject: str) -> None:
-    """The one channel check: a `Channel` whose dimension is the subject's `n`."""
+    """The one channel check: a `Channel` of one family whose dimension is the subject's `n`."""
     if not isinstance(channel, Channel):
         raise TypeError("expected a Channel")
+    if channel.families:
+        raise ValueError(f"expected one channel, got a stack of {channel.families} Kraus families")
     if n != channel.dim:
         raise DimensionMismatch(f"{subject} dim {n} vs channel dim {channel.dim}")
 
@@ -261,9 +268,13 @@ def _search(lam: np.ndarray, vec: np.ndarray, channel: Channel, cfg: ComplexityC
     The channel must be a trace-preserving `Channel` of the state's
     dimension. The eigenbasis is evaluated once; each chunk of rotated
     candidates then re-scores only the live columns of the degenerate
-    blocks through `_eigenbasis_values` (a dead column adds nothing under
-    `_floor_sum`). Returns D, the worst value seen, the candidate count,
-    the degenerate blocks and the minimizing eigenvector columns.
+    blocks (a dead column adds nothing under `_floor_sum`), block by
+    block, through `Channel.rotated_image_spectra` of the block's
+    eigenvector columns and the chunk's rotations: a Kraus or unitary
+    channel rotates the block's Kraus vectors, so its values agree with
+    those of the rotated columns to rounding. Returns D, the worst value
+    seen, the candidate count, the degenerate blocks and the minimizing
+    eigenvector columns, which `_rotated` forms once.
     """
     _check_channel(channel, lam.size, "state")
     _require_trace_preserving(channel)
@@ -280,6 +291,14 @@ def _search(lam: np.ndarray, vec: np.ndarray, channel: Channel, cfg: ComplexityC
             outside[lo:hi] = False
         constant = float(_floor_sum(lam[outside], base[outside]))
         scored = [np.flatnonzero(lam[lo:hi] > WEIGHT_FLOOR) for lo, hi in blocks]
+        # A candidate's working set, per block of side k: its Gaussians,
+        # their stack, the QR and the rotation, about four k x k matrices; and
+        # for each live column at most (2r + 1) n complex numbers, for r
+        # Kraus vectors per state: the rotated column and its Kraus vectors
+        # (Schur, stochastic), or its rotated Kraus vectors and their Gram
+        # data (Kraus, unitary). A full chunk of one block peaks at 0.19 to
+        # 0.94 MiB at n = 4 to 16 for Kraus, unitary and stochastic channels,
+        # and at 1.02 MiB for a rank-3 Schur weight (tracemalloc).
         n, width = channel.dim, channel.image_width
         candidate_bytes = 16 * sum(
             4 * (hi - lo) ** 2 + cols.size * n * (2 * width + 1)
@@ -290,7 +309,8 @@ def _search(lam: np.ndarray, vec: np.ndarray, channel: Channel, cfg: ComplexityC
             values = np.full(rotations[0].shape[0], constant)
             for (lo, hi), cols, u in zip(blocks, scored, rotations):
                 if cols.size:
-                    values = values + _eigenbasis_values(lam[lo:hi][cols], (vec[:, lo:hi] @ u)[..., cols], channel)
+                    entropies = _entropy_of_spectrum(channel.rotated_image_spectra(vec[:, lo:hi], u, cols))
+                    values = values + _floor_sum(lam[lo:hi][cols], entropies)
             evaluated += values.size
             i = int(np.argmin(values))
             if values[i] < best_val:

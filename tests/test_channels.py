@@ -764,6 +764,42 @@ def test_a_stack_of_kraus_families_acts_as_each_family_alone(terms):
         assert np.array_equal(spectra[t], ch.image_spectra(vecs[t]))
 
 
+@pytest.mark.parametrize("columns", [[0, 1, 2], [0, 2]], ids=["all-columns", "column-subset"])
+@pytest.mark.parametrize("channel", [c for _, c in STACK_CASES],
+                         ids=[name for name, _ in STACK_CASES])
+def test_rotated_image_spectra_are_the_image_spectra_of_the_rotated_columns(channel, columns):
+    # A 2 x 3 stack of rotations of three orthonormal columns; the subset
+    # reads columns 0 and 2, as a search skips a dead column.
+    rng = np.random.default_rng(14)
+    block = random_unitary(channel.dim, rng)[:, 1:]
+    rotations = np.stack([[random_unitary(3, rng) for _ in range(3)] for _ in range(2)])
+    explicit = channel.image_spectra((block @ rotations)[..., columns].mT)
+    spectra = channel.rotated_image_spectra(block, rotations, columns)
+    assert spectra.shape == explicit.shape == (2, 3, len(columns), explicit.shape[-1])
+    if channel.kind in ("schur", "stochastic"):
+        assert np.array_equal(spectra, explicit)
+    else:
+        assert np.max(np.abs(spectra - explicit)) <= 1e-14
+
+
+def test_rotated_image_spectra_name_what_they_refuse():
+    rng = np.random.default_rng(15)
+    channel = random_kraus_channel(4, 2, rng)
+    block, rotations = random_unitary(4, rng)[:, :3], random_unitary(3, rng)
+    stack = Channel("kraus", np.stack([channel._data, channel._data]))
+    with pytest.raises(ValueError, match=r"^expected one channel, got a stack of \(2,\) Kraus families$"):
+        stack.rotated_image_spectra(block, rotations, [0, 1, 2])
+    with pytest.raises(DimensionMismatch, match="block of 3 columns"):
+        channel.rotated_image_spectra(block, random_unitary(2, rng), [0, 1])
+    # Every entry within the row bound, but a row's norm above it: a
+    # rotation could move that norm into one entry. Warnings are errors
+    # in this suite, so an overflow before the check would fail here.
+    wide = np.full((4, 3), 0.9 * channel._row_bound)
+    assert channel.kraus_vectors(wide.T).shape == (3, 2, 4)
+    with pytest.raises(ValueError, match="^vector has a non-finite entry$"):
+        channel.rotated_image_spectra(wide, rotations, [0, 1, 2])
+
+
 def test_unitary_channel_keeps_its_own_copy_of_the_matrix():
     u = np.eye(2, dtype=complex)
     ch = unitary_channel(u)

@@ -250,6 +250,85 @@ def test_chaos_degree_report_does_not_depend_on_chunk_size(channel, monkeypatch)
     assert reports[0][4] == 51
 
 
+def one_block_state(n, k, rng):
+    """A state of dimension n whose k largest eigenvalues are equal, in a random basis."""
+    spectrum = np.concatenate([np.full(k, 3.0), 1.0 + np.arange(n - k) / n])
+    u = random_unitary(n, rng)
+    return DensityOperator((u * (spectrum / spectrum.sum())) @ u.conj().T)
+
+
+def test_a_kraus_search_rotates_its_blocks_kraus_vectors(monkeypatch):
+    # One chunk of 40 candidates at n = 8 with a 4-fold block: the block's
+    # 4 columns pass `kraus_vectors` once, never the 40 x 4 rotated columns;
+    # the eigenbasis and T at the minimizer each pass all 8 columns.
+    rng = np.random.default_rng(31)
+    rho, channel = one_block_state(8, 4, rng), random_kraus_channel(8, 2, rng)
+    seen = []
+    kraus_vectors = Channel.kraus_vectors
+
+    def recorded(self, vectors):
+        seen.append(np.shape(vectors))
+        return kraus_vectors(self, vectors)
+
+    monkeypatch.setattr(Channel, "kraus_vectors", recorded)
+    rep = chaos_degree(rho, channel, ComplexityConfig(restarts=40, seed=2))
+    assert rep.degenerate and rep.restarts == 41
+    assert seen == [(8, 8), (4, 8), (8, 8)]
+
+
+@pytest.mark.parametrize("n, k, kind", [(4, 4, "kraus"), (8, 8, "kraus"), (16, 8, "kraus"),
+                                        (16, 8, "unitary"), (8, 4, "stochastic")])
+def test_a_full_chunk_of_search_candidates_stays_within_its_budget(n, k, kind, monkeypatch):
+    rng = np.random.default_rng(n + k)
+    rho = one_block_state(n, k, rng)
+    channel = {"kraus": lambda: random_kraus_channel(n, 2, rng),
+               "unitary": lambda: unitary_channel(random_unitary(n, rng)),
+               "stochastic": lambda: stochastic_channel(rng.dirichlet(np.ones(n), size=n))}[kind]()
+    sizes, stream = [], metrics._rotation_chunks
+
+    def recorded(*args):
+        for chunk in stream(*args):
+            sizes.append(chunk[0].shape[1])
+            yield chunk
+
+    monkeypatch.setattr(metrics, "_rotation_chunks", recorded)
+    chaos_degree(rho, channel, ComplexityConfig(restarts=10_000))
+    full = ComplexityConfig(restarts=sizes[0])
+    chaos_degree(rho, channel, full)  # numpy's one-time set-up is not the chunk's
+    sizes.clear()
+    tracemalloc.start()
+    try:
+        chaos_degree(rho, channel, full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) == 1
+    assert peak <= 1.1 * metrics.CHUNK_BYTES, peak
+
+
+def kraus_family_stack():
+    """A "kraus" channel of dimension 4 holding two rank-2 families."""
+    a, b = random_kraus_channel(4, 2, RNG), random_kraus_channel(4, 2, RNG)
+    return Channel("kraus", np.stack([a._data, b._data]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda stack, rho, gamma: chaos_degree(rho.tensor(gamma), stack, FAST),
+    lambda stack, rho, gamma: transmitted_complexity(rho.tensor(gamma), stack, FAST),
+    lambda stack, rho, gamma: value_of_information(rho, gamma, stack, np.eye(4)),
+    lambda stack, rho, gamma: conjecture_experiment(rho, gamma, random_kraus_channel(4, 2, RNG),
+                                                    stack, np.eye(4), FAST),
+], ids=["chaos_degree", "transmitted_complexity", "value_of_information", "conjecture_experiment"])
+def test_a_stack_of_kraus_families_is_refused_before_any_arithmetic(call, monkeypatch):
+    stack = kraus_family_stack()
+    assert stack.families == (2,)
+    rho, gamma = random_density(2, RNG), random_density(2, RNG)
+    for method in ("apply_matrix", "kraus_vectors", "image_spectra", "rotated_image_spectra"):
+        monkeypatch.setattr(Channel, method, lambda *args: pytest.fail("evaluated"))
+    with pytest.raises(ValueError, match=r"^expected one channel, got a stack of \(2,\) Kraus families$"):
+        call(stack, rho, gamma)
+
+
 def test_transmitted_stacks_equals_each_state_transmitted_call():
     # Four states, each with its own Kraus stack, sigma and three decompositions.
     rng = np.random.default_rng(17)
