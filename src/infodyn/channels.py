@@ -17,9 +17,10 @@ preserve trace.
 
 A `Channel` acts on one matrix or on a stack (..., n, n) of them.
 `Channel.kraus_vectors` gives the images of a stack of pure states as
-their Kraus vectors, which the chaos degree (through the Gram spectra of
-`Channel.image_spectra`) and the transmitted complexity in
-:mod:`infodyn.metrics` both read. The decomposition search reads the
+their Kraus vectors, which the chaos degree and the transmitted
+complexity in :mod:`infodyn.metrics` both read, through one kernel that
+forms their Gram spectra once (the spectra `Channel.image_spectra`
+gives). The decomposition search reads the
 images of a block's rotated columns through
 `Channel.rotated_image_spectra`, which rotates the block's Kraus vectors
 instead of its columns where the vectors are a product with the Kraus

@@ -47,9 +47,10 @@ which returns the trace-normalized matrices with their spectra and which
 on traces and lowest eigenvalues, which also checks images' spectra,
 `_kron`, the one Kronecker product (of states, of `tensor`'s
 operators and of the recognition oracles' factors), and
-`_relative_entropies`, the one relative-entropy formula, for a stack of
-states each against its own sigma, which `relative_entropy` (a stack of
-one) and the transmitted complexity share.
+`_relative_entropies`, the one relative-entropy formula, for images
+each against its own sigma (a sigma broadcasts over the images that
+share it), which `relative_entropy` (one image) and the transmitted
+complexity share.
 The Kraus-form helpers that `channels` and the stacked kernels of
 `metrics` use live here too, each taking one operand or a stack:
 `_check_kraus_sums`, the one Kraus-sum check, which only the constructor
@@ -513,14 +514,15 @@ def von_neumann_entropy(rho) -> float:
 
 
 def _relative_entropies(g, w, mu, v) -> np.ndarray:
-    """S(W W* || sigma_t) for each W of each state t, rows w (T, ..., k, r, n) with spectra `g` (T, ..., k, m).
+    """S(W W* || sigma) for each W of rows w (..., k, r, n) with spectra `g` (..., k, m).
 
-    sigma_t is given by `mu[t]` (n,) and eigenvector columns `v[t]` (n, n). S is
-    -H(g) - sum_j (sum_a |<v_j, w_a>|^2) ln mu_j; a W whose weight outside the
-    support of its sigma exceeds 1e-10 gets +inf. No value depends on another state.
+    Each W's sigma is given by its eigenvalues `mu` (..., n) and eigenvector
+    columns `v` (..., n, n), which broadcast against w's leading axes, those
+    before the k pieces. S is -H(g) - sum_j (sum_a |<v_j, w_a>|^2) ln mu_j; a
+    W whose weight outside the support of its sigma exceeds 1e-10 gets +inf.
+    No value depends on another W.
     """
-    lead = tuple(range(1, w.ndim - 2))  # w's axes between a state and its rows
-    mu, v = np.expand_dims(mu, lead), np.expand_dims(v, lead)
+    mu, v = mu[..., None, :], v[..., None, :, :]
     # Column-major: BLAS then sums the products with ln mu in the order that gave T its golden bits.
     weight = np.sum(np.abs(w @ v.conj()) ** 2, axis=-2).mT.copy().mT
     null = mu <= SUPPORT_TOL
@@ -542,8 +544,7 @@ def relative_entropy(rho, sigma) -> float:
         raise DimensionMismatch(f"dimensions differ: {r.n} vs {s.n}")
     # rho = W W* for the rows sqrt(lam_k) u_k of its spectral pieces: one state, one W.
     w = np.sqrt(r.eigenvalues)[:, None] * r.eigenvectors.T
-    return _relative_entropies(r.eigenvalues[None, None], w[None, None], s.eigenvalues[None],
-                               s.eigenvectors[None]).item()
+    return _relative_entropies(r.eigenvalues[None], w[None], s.eigenvalues, s.eigenvectors).item()
 
 
 def _haar_unitaries(z) -> np.ndarray:

@@ -26,10 +26,22 @@ sum_k lam_k S(channel(E_k) || channel(rho)) alike, is summed by one rule,
 its term zeroed in place, so every path that sums one decomposition's
 terms gives the same bits.
 
+`_piece_terms` is the one decomposition kernel. It reads the pieces of
+one or more decompositions through a channel, forms their Kraus vectors
+and Gram spectra once, and returns each piece's term of D, the entropy
+of its image, and, given the output state's spectral data, its term of T,
+the relative entropy of its image to the output, through
+`hilbert._relative_entropies` with the image's spectrum checked as a
+density operator's; T is never the output entropy minus the chaos
+degree. A stochastic channel's D reads its image's distribution
+|v|^2 P as `Channel.image_spectra` gives it, and its Kraus vectors are
+formed for T alone.
+
 `_search` is the one search: `chaos_degree` reports from it, and
 `conjecture_experiment`, which reads only the chaos degree, calls it
 directly. Like every decomposition function here, it takes the weights
 and eigenvector columns, not a state. It evaluates the eigenbasis once,
+through `_piece_terms`, with T's terms when `chaos_degree` asks for them,
 then the rotations of `_rotation_chunks`, the one rotation stream (one
 generator per seed, one QR per block per chunk for all seeds), chunk by
 chunk (sized to CHUNK_BYTES), re-scoring only the degenerate blocks'
@@ -37,12 +49,9 @@ live columns through `Channel.rotated_image_spectra`. A Kraus vector is
 linear in its vector, so a Kraus or unitary channel forms a block's
 Kraus vectors once per chunk and rotates them, with no rotated column
 formed; a Schur or stochastic channel reads the rotated columns. The
-report does not depend on the chunk size. The transmitted value is that
-of `_transmitted_stacks`, the one T formula, which reads each piece's image
-from its Kraus vectors, as the search does, checks its spectrum as a
-density operator's, and takes `hilbert._relative_entropies` once for a
-whole stack of states; it is never the output entropy minus the chaos
-degree. A single state is a stack of one.
+report does not depend on the chunk size. A non-degenerate state, or
+one whose eigenbasis no rotation beats, has D and T from one kernel
+call; only a rotated minimizer is read by the kernel again.
 
 `conjecture_batch` and `axiom_suite` evaluate their pairs and trials in
 stacks, one pass per chunk: `_pair_outcomes` runs each step of the
@@ -50,13 +59,13 @@ per-pair path (`conjecture_experiment`) once for a chunk, with its bits,
 and `_axiom_trials` evaluates every trial at its states' eigenbases and
 its probe at the basis the probe is drawn from, through what the
 per-item paths use: a "kraus" `Channel` holding one Kraus family per
-item, read through the same `image_spectra`, `kraus_vectors` and
-`apply_matrix`, `hilbert._density_spectra` for every state but the probe
-and every image, `hilbert._kron` for the tensor product,
-`_eigenbasis_values` for the eigenbasis chaos degree, `_transmitted_stacks`
-for T and one `_rotation_chunks` call, with every trial's seed, for the
-probes' rotations; no step loops over the items of a stack. A stacked
-kernel gives an item the bits it gets alone, so items that share a call
+item, read through the same `_piece_terms` and `apply_matrix`,
+`hilbert._density_spectra` for every state but the probe and every
+image, `hilbert._kron` for the tensor product, and one `_rotation_chunks`
+call, with every trial's seed, for the probes' rotations; no step loops
+over the items of a stack. A Kraus rank's trials read rho's D and T and
+the relabeled state's T from one `_piece_terms` call. A stacked kernel
+gives an item the bits it gets alone, so items that share a call
 (rho and sigma, a trial's states of one Kraus rank, a pair's two
 channels) share it without changing a value. `_pair_outcomes` holds both
 channels' Kraus families in one `Channel`; `_axiom_trials` builds what no
@@ -76,9 +85,10 @@ Every function here that takes a channel checks it through
 TypeError, a "kraus" `Channel` holding a stack of families (which only
 the stacked kernels build) raises ValueError, and a channel of another
 dimension than the state (or the joint state, for the value functions)
-raises DimensionMismatch. The search then requires a trace-preserving
-channel, as `Channel` decides it from its data; `conjecture_experiment`
-requires it of both channels before it searches either.
+raises DimensionMismatch. A decomposition metric then requires a
+trace-preserving channel, as `Channel` decides it from its data:
+`chaos_degree` before it forms the output state, `conjecture_experiment`
+of both channels before it searches either.
 
 All values are in nats; `jsonio` writes the reports, in a display base
 for `quantum-ecd`.
@@ -224,26 +234,31 @@ def _floor_sum(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.sum(np.where(lam > WEIGHT_FLOOR, s, 0.0) * lam, axis=-1)
 
 
-def _transmitted_stacks(lam: np.ndarray, w: np.ndarray, mu: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_k lam_k S(W_k W_k* || sigma) for each decomposition of each state of a stack.
+def _piece_terms(channel: Channel, pieces: np.ndarray, sigma=None):
+    """Each piece's term of D and, given sigma, of T: the one decomposition kernel.
 
-    `lam` (T, k) are the states' weights, `w` (T, ..., k, r, n) the Kraus
-    vectors of their decompositions' pieces, and `mu` (T, n), `v` (T, n, n)
-    the spectral data of each state's sigma; returns (T, ...). Each image's
-    spectrum is checked as `DensityOperator` checks a state's (a Gram image is
-    self-adjoint by construction); an image whose support leaves sigma's gives
-    +inf. The pieces are summed by `_floor_sum`.
+    `pieces` (..., k, n) holds the vectors p_k of the pieces |p_k><p_k| of
+    one or more decompositions, read through `channel`, whose families (a
+    "kraus" stack) meet them on their leading axes. `sigma`, when T is
+    wanted, is the spectral data (mu (..., n), v (..., n, n)) of each
+    decomposition's output state, broadcast against the pieces' leading
+    axes. The pieces' Kraus vectors w and their Gram spectra g are formed
+    once: D's term S(channel(E_k)) is the entropy of g, and T's term
+    S(channel(E_k) || sigma) is `hilbert._relative_entropies` of w with g
+    checked as a state's spectrum (a Gram image is self-adjoint by
+    construction), +inf for an image whose support leaves sigma's. A
+    stochastic channel's D reads the distribution |p_k|^2 P of its image,
+    as `Channel.image_spectra` gives it, and forms w only for T. Returns
+    (D's terms, T's terms or None), each (..., k); `_floor_sum` sums them.
     """
+    stochastic = channel.kind == "stochastic"
+    d = _entropy_of_spectrum(channel.image_spectra(pieces)) if stochastic else None
+    if stochastic and sigma is None:
+        return d, None
+    w = channel.kraus_vectors(pieces)
     g = _gram_spectra(w)
-    s = _relative_entropies(_unit_spectra(g.sum(axis=-1), g), w, mu, v)
-    return _floor_sum(np.expand_dims(lam, tuple(range(1, s.ndim - 1))), s)
-
-
-def _transmitted(lam: np.ndarray, vecs: np.ndarray, channel: Channel,
-                 sigma: DensityOperator) -> np.ndarray:
-    """`_transmitted_stacks` for one state's decompositions (..., n, n)."""
-    return _transmitted_stacks(lam[None], channel.kraus_vectors(vecs.mT)[None],
-                               sigma.eigenvalues[None], sigma.eigenvectors[None])[0]
+    t = None if sigma is None else _relative_entropies(_unit_spectra(g.sum(axis=-1), g), w, *sigma)
+    return (_entropy_of_spectrum(g) if d is None else d), t
 
 
 def _check_channel(channel, n: int, subject: str) -> None:
@@ -262,24 +277,24 @@ def _require_trace_preserving(*channels: Channel) -> None:
         raise ValueError("decomposition metrics require a trace-preserving channel")
 
 
-def _search(lam: np.ndarray, vec: np.ndarray, channel: Channel, cfg: ComplexityConfig):
+def _search(lam: np.ndarray, vec: np.ndarray, channel: Channel, cfg: ComplexityConfig, sigma=None):
     """Minimize sum p_k S(channel(E_k)) over the extremal decompositions with weights `lam`, basis `vec`.
 
-    The channel must be a trace-preserving `Channel` of the state's
-    dimension. The eigenbasis is evaluated once; each chunk of rotated
-    candidates then re-scores only the live columns of the degenerate
-    blocks (a dead column adds nothing under `_floor_sum`), block by
-    block, through `Channel.rotated_image_spectra` of the block's
-    eigenvector columns and the chunk's rotations: a Kraus or unitary
-    channel rotates the block's Kraus vectors, so its values agree with
-    those of the rotated columns to rounding. Returns D, the worst value
-    seen, the candidate count, the degenerate blocks and the minimizing
-    eigenvector columns, which `_rotated` forms once.
+    The caller has checked that the channel is a trace-preserving `Channel`
+    of the state's dimension. The eigenbasis is evaluated once, by
+    `_piece_terms`, with T's terms when `sigma`, the output state's
+    spectral data, is given; each chunk of rotated candidates then
+    re-scores only the live columns of the degenerate blocks (a dead
+    column adds nothing under `_floor_sum`), block by block, through
+    `Channel.rotated_image_spectra` of the block's eigenvector columns and
+    the chunk's rotations: a Kraus or unitary channel rotates the block's
+    Kraus vectors, so its values agree with those of the rotated columns
+    to rounding. Returns D, the worst value seen, the candidate count, the
+    degenerate blocks and T's terms at the minimizer (None without
+    `sigma`); a rotated minimizer's columns are formed once, by `_rotated`,
+    and read by `_piece_terms` again.
     """
-    _check_channel(channel, lam.size, "state")
-    _require_trace_preserving(channel)
-
-    base = _entropy_of_spectrum(channel.image_spectra(vec.T))
+    base, rel = _piece_terms(channel, vec.T, sigma)
     best_val = worst_val = float(_floor_sum(lam, base))
     best_rotations = None
     evaluated = 1
@@ -293,17 +308,19 @@ def _search(lam: np.ndarray, vec: np.ndarray, channel: Channel, cfg: ComplexityC
         scored = [np.flatnonzero(lam[lo:hi] > WEIGHT_FLOOR) for lo, hi in blocks]
         # A candidate's working set, per block of side k: its Gaussians,
         # their stack, the QR and the rotation, about four k x k matrices; and
-        # for each live column at most (2r + 1) n complex numbers, for r
-        # Kraus vectors per state: the rotated column and its Kraus vectors
-        # (Schur, stochastic), or its rotated Kraus vectors and their Gram
-        # data (Kraus, unitary). A full chunk of one block peaks at 0.19 to
-        # 0.94 MiB at n = 4 to 16 for Kraus, unitary and stochastic channels,
-        # and at 1.02 MiB for a rank-3 Schur weight (tracemalloc).
-        n, width = channel.dim, channel.image_width
-        candidate_bytes = 16 * sum(
-            4 * (hi - lo) ** 2 + cols.size * n * (2 * width + 1)
-            for (lo, hi), cols in zip(blocks, scored)
-        )
+        # for each live column the arrays its image's spectrum is read from.
+        # A Kraus or unitary channel forms its rotated Kraus vectors and their
+        # Gram data, a Schur channel the rotated column and its Kraus vectors:
+        # at most (2r + 1) n complex numbers, for r Kraus vectors per state. A
+        # stochastic channel forms the rotated column, its copy and the real
+        # arrays of its distribution, about 3n. A full chunk of one block peaks
+        # at 0.19 to 0.94 MiB at n = 4 to 16 for Kraus and unitary channels,
+        # at 0.62 to 0.88 MiB for stochastic ones, and at 1.02 MiB for a
+        # rank-3 Schur weight (tracemalloc).
+        n = channel.dim
+        per_column = 3 * n if channel.kind == "stochastic" else n * (2 * channel.image_width + 1)
+        candidate_bytes = 16 * sum(4 * (hi - lo) ** 2 + cols.size * per_column
+                                   for (lo, hi), cols in zip(blocks, scored))
         for chunk in _rotation_chunks(blocks, cfg.restarts, [cfg.seed], candidate_bytes):
             rotations = [u[0] for u in chunk]
             values = np.full(rotations[0].shape[0], constant)
@@ -317,24 +334,28 @@ def _search(lam: np.ndarray, vec: np.ndarray, channel: Channel, cfg: ComplexityC
                 best_val, best_rotations = float(values[i]), [u[i] for u in rotations]
             worst_val = max(worst_val, float(values.max()))
 
-    best_vec = vec if best_rotations is None else _rotated(vec, blocks, best_rotations)
-    return best_val, worst_val, evaluated, blocks, best_vec
+    if best_rotations is not None and sigma is not None:
+        rel = _piece_terms(channel, _rotated(vec, blocks, best_rotations).T, sigma)[1]
+    return best_val, worst_val, evaluated, blocks, rel
 
 
 def chaos_degree(rho, channel: Channel, config: ComplexityConfig | None = None) -> ChaosDegreeReport:
     """Chaos degree of a state under a trace-preserving linear channel.
 
-    `_search` finds the minimizing decomposition; the transmitted
-    complexity is evaluated there through its own relative-entropy formula.
+    `_search` finds the minimizing decomposition and reads T's terms there
+    through their own relative-entropy formula: from the same
+    `_piece_terms` call as D when the eigenbasis is the minimizer.
     """
     cfg = config or DEFAULT_CONFIG
     state = as_density(rho)
-    best_val, worst_val, evaluated, blocks, best_vec = _search(state.eigenvalues, state.eigenvectors,
-                                                               channel, cfg)
+    _check_channel(channel, state.n, "state")
+    _require_trace_preserving(channel)
     sigma = channel.apply(state)
+    best_val, worst_val, evaluated, blocks, rel = _search(state.eigenvalues, state.eigenvectors, channel, cfg,
+                                                          (sigma.eigenvalues, sigma.eigenvectors))
     return ChaosDegreeReport(
         chaos_degree=best_val,
-        transmitted=float(_transmitted(state.eigenvalues, best_vec, channel, sigma)),
+        transmitted=float(_floor_sum(state.eigenvalues, rel)),
         output_entropy=von_neumann_entropy(sigma),
         degenerate=bool(blocks),
         restarts=evaluated,
@@ -465,37 +486,28 @@ def conjecture_batch(dim: int, pairs: int, seed: int,
     n = dim * dim
     channels = 1 if identical_channels else 2
     shapes = [(dim, dim), (dim, dim), *[(kraus_terms * n, n)] * channels, (n, n)]
-    # A pair's working set: per channel its draws, their copy in the stack
-    # of both channels, the Kraus stack, its factor and the image vectors,
-    # and the Gram matrices; the joint state's few matrices.
+    # A pair's working set: per channel its draws (or the stack of both
+    # channels' draws, which replaces them), the Kraus stack, its factor and
+    # the image vectors, and the Gram matrices; the joint state's few matrices.
     width = min(kraus_terms, n)
-    pair_bytes = 16 * (channels * (5 * kraus_terms * n * n + n * width * width) + 8 * n * n)
+    pair_bytes = 16 * (channels * (4 * kraus_terms * n * n + n * width * width) + 8 * n * n)
     chunk = max(1, CHUNK_BYTES // pair_bytes)
     rng = np.random.default_rng(seed)
     outcomes = []
     for start in range(0, pairs, chunk):
-        draws = _complex_gaussians(rng, min(chunk, pairs - start), shapes)
-        outcomes += _pair_outcomes(draws, kraus_terms)
+        outcomes += _pair_outcomes(rng, min(chunk, pairs - start), shapes, kraus_terms)
     rate = sum(o.agree for o in outcomes) / len(outcomes)
     return outcomes, rate
 
 
-def _eigenbasis_values(lam: np.ndarray, vec: np.ndarray, channel: Channel) -> np.ndarray:
-    """The value of `_search` at the decomposition (lam, vec), for a state or each state of a stack.
-
-    Each column's image entropy through the state's family of `channel`,
-    summed over the weights by `_floor_sum`.
-    """
-    return _floor_sum(lam, _entropy_of_spectrum(channel.image_spectra(vec.mT)))
-
-
-def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
+def _pair_outcomes(rng, count: int, shapes, terms: int) -> list[ConjectureOutcome]:
     """`conjecture_experiment` on each pair of a chunk, evaluated as stacks.
 
-    `draws` are the chunk's Gaussian stacks in `conjecture_batch`'s
-    order, from which the pairs' states, Kraus stacks (one per distinct
-    channel) and purpose operators are built as the public samplers build
-    them, with every check those run; a family that is not trace-preserving
+    The chunk's `count` pairs draw their Gaussian stacks of `shapes` from
+    `rng` in `conjecture_batch`'s order, and the pairs' states, Kraus stacks
+    (one per distinct channel) and purpose operators are built from them as
+    the public samplers build them, with every check those run; the Kraus
+    draws are held once, as one stack. A family that is not trace-preserving
     raises the search's ValueError before any value. rho and gamma come
     from one `_density_spectra`, and every channel's Kraus family from one
     `_isometry_blocks` on a (channels, pairs, terms * n, n) stack, held by
@@ -507,17 +519,20 @@ def _pair_outcomes(draws, terms: int) -> list[ConjectureOutcome]:
     eigenbasis values; a light pair keeps its eigenbasis value, which is
     `_search`'s D, since both sum through `_floor_sum`.
     """
-    g_rho, g_gamma, *g_kraus, g_purpose = draws
+    g_rho, g_gamma, *g_kraus, g_purpose = _complex_gaussians(rng, count, shapes)
     g = np.concatenate([g_rho, g_gamma])
     states = _density_spectra(_unit_trace(g @ g.conj().mT))[0]
     rho, gamma = states[:len(g_rho)], states[len(g_rho):]
     joint, lam, vec = _density_spectra(_kron(rho, gamma))
-    # One family per channel and pair: (channels, pairs, terms, n, n).
-    kraus = _isometry_blocks(np.stack(g_kraus), terms)
+    # One family per channel and pair: (channels, pairs, terms, n, n). The
+    # stack is the draws' one copy: they go before the QR, and it after.
+    kraus = np.stack(g_kraus)
+    del g_kraus
+    kraus = _isometry_blocks(kraus, terms)
     channel = Channel("kraus", kraus)
     _require_trace_preserving(channel)
     q = _self_adjoint_purposes(_hermitian_part(g_purpose))
-    d = _eigenbasis_values(lam, vec, channel)
+    d = _floor_sum(lam, _piece_terms(channel, vec.mT)[0])
     v = _real_values(channel.apply_matrix(joint), q).tolist()
     # Only a degenerate block takes D off the eigenbasis value.
     for k in np.flatnonzero(~_block_starts(lam).all(axis=-1)):
@@ -622,10 +637,10 @@ def _axiom_trials(draws, rotation_seeds, restarts: int) -> list:
     every other trial, has one `Channel`, the joint states'
     `_density_spectra`, one `apply_matrix` and one `_density_spectra` of
     the images of rho, the relabeled state and the probe, one
-    `_transmitted_stacks` of the probe's candidates and one of rho and the
-    relabeled state. Every state but the probe is read at its eigenbasis,
-    a valid extremal decomposition whether or not its spectrum is
-    degenerate. The probe is read at (spectrum, basis), the decomposition
+    `_piece_terms` call for the probe's candidates and one for rho's D and
+    T and the relabeled state's T. Every state but the probe is read at
+    its eigenbasis, a valid extremal decomposition whether or not its
+    spectrum is degenerate. The probe is read at (spectrum, basis), the decomposition
     it is drawn from, with its tie in columns 0 and 1, so no eigensolver
     picks a basis inside the tie; its image is checked as a state's. A
     trial's row holds one Python float per check: the largest
@@ -660,7 +675,7 @@ def _axiom_trials(draws, rotation_seeds, restarts: int) -> list:
     spectrum = raw / raw.sum(axis=-1, keepdims=True)
     probe = (basis * spectrum[:, None, :]) @ basis.conj().mT
     # rho's T through the identity, at its eigenbasis.
-    t_id = _transmitted_stacks(lam, ident.kraus_vectors(vec[:, None].mT), mu_id, v_id)[:, 0]
+    t_id = _floor_sum(lam, _piece_terms(ident, vec.mT, (mu_id, v_id))[1])
 
     # The rotations of the probes' tied columns 0 and 1, from each trial's
     # `_rotation_chunks` stream (at one byte a candidate, usually one chunk).
@@ -670,23 +685,20 @@ def _axiom_trials(draws, rotation_seeds, restarts: int) -> list:
     d_val, t_val, t_rel = (np.empty(count) for _ in range(3))
     t_probe = np.empty((count, restarts + 1))
     for rank, channel in zip(ranks, channels):
-        size = len(g_kraus[rank])
-        # rho's D at its eigenbasis (for a unique spectrum, the decomposition
-        # `chaos_degree` finds); then the checked images of rho, the relabeled
-        # state and the probe, against which T is read.
-        d_val[rank] = _eigenbasis_values(lam[rank], vec[rank], channel)
+        # The checked images of rho, the relabeled state and the probe, against which T is read.
         mu, v = _density_spectra(channel.apply_matrix(np.stack([rho[rank], relabeled[rank], probe[rank]])))[1:]
         # The probe's basis, then its tied columns (still eigenvectors within a larger block) rotated.
         candidates = np.repeat(basis[rank, None], restarts + 1, axis=1)
         candidates[:, 1:, :, :2] = basis[rank, None, :, :2] @ rotations[rank]
-        t_probe[rank] = _transmitted_stacks(spectrum[rank], channel.kraus_vectors(candidates.mT), mu[2], v[2])
-        # rho's T and the relabeled state's, each at its eigenbasis: 2 * size states, each trial's in turn.
-        w = channel.kraus_vectors(np.stack([vec[rank], vec_rel[rank]], axis=1).mT)
-        both = _transmitted_stacks(np.stack([lam[rank], lam_rel[rank]], axis=1).reshape(2 * size, n),
-                                   w.reshape(2 * size, 1, *w.shape[2:]),
-                                   mu[:2].swapaxes(0, 1).reshape(2 * size, n),
-                                   v[:2].swapaxes(0, 1).reshape(2 * size, n, n))
-        t_val[rank], t_rel[rank] = both.reshape(size, 2).T
+        t_probe[rank] = _floor_sum(spectrum[rank, None],
+                                   _piece_terms(channel, candidates.mT, (mu[2, :, None], v[2, :, None]))[1])
+        # rho's D and T and the relabeled state's T, each at its eigenbasis
+        # (for a unique spectrum, the decomposition `chaos_degree` finds), from
+        # one call: one decomposition per state, each trial's in turn.
+        s, rel = _piece_terms(channel, np.stack([vec[rank], vec_rel[rank]], axis=1).mT,
+                              (mu[:2].swapaxes(0, 1), v[:2].swapaxes(0, 1)))
+        d_val[rank] = _floor_sum(lam[rank], s[:, 0])
+        t_val[rank], t_rel[rank] = _floor_sum(np.stack([lam[rank], lam_rel[rank]], axis=1), rel).T
 
     c_val, c_rel, c_sigma, ceiling = (_entropy_of_spectrum(x) for x in (lam, lam_rel, lam_sigma, spectrum))
     # Row maxima over Python floats, as `axiom_suite` folds the rows.

@@ -132,6 +132,14 @@ def test_eigenvectors_are_made_in_one_function():
     assert _owners(_reads("eigh")) == ["hilbert._self_adjoint_spectra"]
 
 
+def test_metrics_reads_gram_spectra_and_relative_entropies_in_one_kernel():
+    # `metrics._piece_terms` forms a decomposition's Gram spectra once, for D
+    # and T alike: no other function of `metrics` reads either kernel.
+    for name in ("_gram_spectra", "_relative_entropies"):
+        assert [owner for owner in _owners(_reads(name)) if owner.startswith("metrics.")] == [
+            "metrics._piece_terms"], name
+
+
 def test_the_hermitian_part_is_formed_in_one_function():
     # `hilbert._hermitian_part` is the one symmetrization: no other function
     # adds an expression to its own adjoint.
