@@ -66,7 +66,6 @@ channel's `rotated_image_spectra` rotates the block's Kraus vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,6 +76,7 @@ from .hilbert import (
     MAX_VECTOR_DIM,
     DensityOperator,
     _Frozen,
+    _Record,
     _as_array,
     _brief,
     _check_integer,
@@ -349,15 +349,16 @@ class Channel(_Frozen):
         rotated columns to rounding. A unitary keeps the norm of each
         row of the block, which bounds every entry of block @ u, so there a
         row whose norm is above the row bound raises ValueError "vector has
-        a non-finite entry". A Schur or stochastic channel reads the
-        rotated columns through `image_spectra`, with its bits. A stack of
-        Kraus families raises ValueError.
+        a non-finite entry". A Schur or stochastic channel reads a C-ordered
+        copy of the rotated columns through `image_spectra`, with its bits,
+        so a candidate's spectrum is summed in one order at any chunk size.
+        A stack of Kraus families raises ValueError.
         """
         if self.families:
             raise ValueError(f"expected one channel, got a stack of {self.families} Kraus families")
         v = _as_array(block, "vector")
         if self.kind in ("schur", "stochastic"):
-            return self.image_spectra((v @ rotations)[..., columns].mT)
+            return self.image_spectra(np.ascontiguousarray((v @ rotations)[..., columns].mT))
         b = self.kraus_vectors(v.T)
         if not float(np.sqrt(np.vecdot(v, v).real).max(initial=0.0)) <= self._row_bound:
             raise ValueError("vector has a non-finite entry")
@@ -446,11 +447,12 @@ def random_kraus_channel(n: int, terms: int, rng: np.random.Generator) -> Channe
     return Channel("kraus", _isometry_blocks(z, terms))
 
 
-@dataclass(frozen=True)
-class CompletePositivityReport:
-    is_cp: bool
-    min_eigenvalue: float
-    hermiticity_error: float
+class CompletePositivityReport(_Record):
+    """`is_cp` (bool), the lowest Choi eigenvalue `min_eigenvalue` (NaN
+    when the Choi matrix is not self-adjoint) and `hermiticity_error`,
+    the largest entry of its deviation from self-adjoint (floats)."""
+
+    __slots__ = ("is_cp", "min_eigenvalue", "hermiticity_error")
 
 
 def choi_matrix(channel, dim: int | None = None) -> np.ndarray:

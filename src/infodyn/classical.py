@@ -38,13 +38,12 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import OrbitEscape
-from .hilbert import DensityOperator, _Frozen, _brief, _check_integer, _check_real
+from .hilbert import DensityOperator, _Frozen, _Record, _brief, _check_integer, _check_real
 from .channels import Channel, stochastic_channel
 
 DEFAULT_TRANSIENT = 1000
@@ -103,8 +102,7 @@ DENSE_COUNT_CELLS = 2**20
 DENSE_COUNT_RATIO = 4
 
 
-@dataclass(frozen=True)
-class MapSystem:
+class MapSystem(_Record):
     """A parameterized iterated map on a rectangular domain box.
 
     `points(start, a)` returns an iterator over the coordinates of the
@@ -124,21 +122,19 @@ class MapSystem:
     floats, so maps given arrays still compare.
     """
 
-    name: str
-    box: tuple[tuple[float, float], ...]
-    default_x0: tuple[float, ...]
-    default_param: float
-    points: Callable
-    jacobian: Callable
+    __slots__ = ("name", "box", "default_x0", "default_param", "points", "jacobian")
 
-    def __post_init__(self):
-        object.__setattr__(self, "box", _check_box(self.box))
-        object.__setattr__(self, "default_x0", _reals("default_x0", self.default_x0))
-        object.__setattr__(self, "default_param", _check_real("default_param", self.default_param))
-        if self.dim not in (1, 2):
-            raise ValueError(f"only 1- and 2-dimensional maps are supported, got {self.dim}")
-        if len(self.default_x0) != self.dim:
+    def __init__(self, name: str, box, default_x0, default_param: float, points: Callable,
+                 jacobian: Callable):
+        box = _check_box(box)
+        default_x0 = _reals("default_x0", default_x0)
+        default_param = _check_real("default_param", default_param)
+        if len(box) not in (1, 2):
+            raise ValueError(f"only 1- and 2-dimensional maps are supported, got {len(box)}")
+        if len(default_x0) != len(box):
             raise ValueError("default_x0 must match the box dimension")
+        self._set(name=name, box=box, default_x0=default_x0, default_param=default_param,
+                  points=points, jacobian=jacobian)
 
     @property
     def dim(self) -> int:
@@ -280,8 +276,7 @@ BUILTIN_MAPS: dict[str, MapSystem] = {
 }
 
 
-@dataclass(frozen=True)
-class OrbitConfig:
+class OrbitConfig(_Record):
     """Initial point, transient length, sample length, and parameter.
 
     `x0` and `param` default to the map's own defaults when None; given,
@@ -290,21 +285,16 @@ class OrbitConfig:
     orbit longer than MAX_ORBIT_STEPS in all raises ValueError.
     """
 
-    x0: tuple[float, ...] | None = None
-    transient: int = DEFAULT_TRANSIENT
-    samples: int = DEFAULT_SAMPLES
-    param: float | None = None
+    __slots__ = ("x0", "transient", "samples", "param")
 
-    def __post_init__(self):
-        _check_integer("samples", self.samples, 1)
-        _check_integer("transient", self.transient, 0)
+    def __init__(self, x0=None, transient: int = DEFAULT_TRANSIENT, samples: int = DEFAULT_SAMPLES,
+                 param: float | None = None):
         # Python ints, so that numpy integers cannot wrap past the cap here.
-        _check_integer("transient + samples", int(self.transient) + int(self.samples), None,
-                       "MAX_ORBIT_STEPS", MAX_ORBIT_STEPS)
-        if self.x0 is not None:
-            object.__setattr__(self, "x0", _reals("x0", self.x0))
-        if self.param is not None:
-            object.__setattr__(self, "param", _check_real("param", self.param))
+        samples = _check_integer("samples", samples, 1)
+        transient = _check_integer("transient", transient, 0)
+        _check_integer("transient + samples", transient + samples, None, "MAX_ORBIT_STEPS", MAX_ORBIT_STEPS)
+        self._set(x0=None if x0 is None else _reals("x0", x0), transient=transient, samples=samples,
+                  param=None if param is None else _check_real("param", param))
 
 
 def _resolve(system: MapSystem, cfg: OrbitConfig) -> tuple[tuple[float, ...], float]:
@@ -379,8 +369,7 @@ def iterate_orbit(system: MapSystem, cfg: OrbitConfig) -> np.ndarray:
     return orbit[cfg.transient:]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """Equal-width binning of a rectangular box, bins per axis.
 
     Cells are half-open with the top edge closed, so every boundary
@@ -390,22 +379,20 @@ class Partition:
     too wide, or too narrow, to scale into cells).
     """
 
-    box: tuple[tuple[float, float], ...]
-    bins: int = DEFAULT_BINS
+    __slots__ = ("box", "bins")
 
-    def __post_init__(self):
-        _check_integer("bins", self.bins, 2)
-        box = _check_box(self.box)
+    def __init__(self, box, bins: int = DEFAULT_BINS):
+        # A Python int, so that a numpy integer `bins` cannot overflow here.
+        bins = _check_integer("bins", bins, 2)
+        box = _check_box(box)
         if not box:
             raise ValueError("partition box has no axes")
-        # A Python int, so that a numpy integer `bins` cannot overflow here.
-        _check_integer("bins ** dim", int(self.bins) ** len(box), None,
-                       "MAX_PARTITION_CELLS", MAX_PARTITION_CELLS)
+        _check_integer("bins ** dim", bins ** len(box), None, "MAX_PARTITION_CELLS", MAX_PARTITION_CELLS)
         for lo, hi in box:
-            if not (math.isfinite(hi - lo) and math.isfinite(int(self.bins) / (hi - lo))):
+            if not (math.isfinite(hi - lo) and math.isfinite(bins / (hi - lo))):
                 raise ValueError(f"box interval [{lo}, {hi}] has a width or bins / width "
                                  f"that is not finite")
-        object.__setattr__(self, "box", box)
+        self._set(box=box, bins=bins)
 
     def encode(self, points) -> np.ndarray:
         """Flat int64 cell codes (row-major across axes) for an array of points.
@@ -681,12 +668,11 @@ def lyapunov_exponent(system: MapSystem, cfg: OrbitConfig | None = None) -> floa
     return _lyapunov_from_orbit(system, orbit, a)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    param: float
-    chaos_degree: float
-    lyapunov: float
-    label: str
+class SweepRow(_Record):
+    """One grid point of a sweep: `param`, `chaos_degree` and `lyapunov`
+    (floats) and its `label` (str)."""
+
+    __slots__ = ("param", "chaos_degree", "lyapunov", "label")
 
 
 def _point_metrics(system: MapSystem, cfg: OrbitConfig, partition: Partition) -> tuple[float, float]:
@@ -749,7 +735,7 @@ def sweep(system: MapSystem, start: float, stop: float, step: float,
     _check_integer("rows * (transient + samples)", count * (cfg.transient + cfg.samples), 1,
                    "MAX_SWEEP_STEPS", MAX_SWEEP_STEPS)
     params = [start + k * step for k in range(count)]
-    cfgs = [replace(cfg, param=a) for a in params]
+    cfgs = [OrbitConfig(cfg.x0, cfg.transient, cfg.samples, a) for a in params]
     pool_size = min(workers, len(cfgs))
     if pool_size > 1 and system in BUILTIN_MAPS.values():
         # Read as a module attribute, so a class set there (as the benchmark's

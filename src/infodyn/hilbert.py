@@ -17,9 +17,15 @@ concern and lives with the report writers in `jsonio`, not here.
 The package-wide private helpers live here, one per rule:
 `_Frozen`, the one immutability rule, which `DensityOperator`,
 `channels.Channel`, `classical.EmpiricalChannel`,
-`recognition.SignalBasis` and `recognition.BellSystem` derive from
-(each slot set once, an array slot read-only, any later assignment an
-AttributeError), `_check_deviation`, the one tolerance check that a
+`recognition.SignalBasis`, `recognition.BellSystem` and every `_Record`
+derive from (each slot set once, an array slot read-only, any later
+assignment an AttributeError, a copy or an unpickled value filled the
+same way), `_Record`, the records that compare, hash and print by their
+fields (`channels.CompletePositivityReport`, `classical.MapSystem`,
+`OrbitConfig`, `Partition` and `SweepRow`, `metrics.ComplexityConfig`,
+`ChaosDegreeReport`, `ConjectureOutcome` and `AxiomResult`, and
+`recognition.SamplePolicy`, `ArgmaxPolicy`, `FixedPolicy` and
+`RecognitionStep`), `_check_deviation`, the one tolerance check that a
 matrix equals its adjoint or the identity (a NaN deviation fails it as
 "<subject> has a non-finite entry"), `_as_array`, the one conversion of
 an array argument, `_square`, `_as_array` plus the check that it is one
@@ -411,19 +417,59 @@ class _Frozen:
     A subclass declares its `__slots__` and fills them once through
     `_set`, which makes an ndarray value read-only, so it is handed a
     fresh array, never one a caller passed in. Any other assignment
-    raises AttributeError "<Type> is immutable".
+    raises AttributeError "<Type> is immutable". `pickle` and `copy`
+    restore a value's slots through `_set` as well.
     """
 
     __slots__ = ()
 
     def _set(self, **fields) -> None:
+        # Bound once per call, not per field: each recognition step builds two values here.
+        store = object.__setattr__
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-            object.__setattr__(self, name, value)
+            store(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state) -> None:
+        # The state of a value with slots and no __dict__ is (None, slots).
+        self._set(**state[1])
+
+
+class _Record(_Frozen):
+    """Base of the package's records: `_Frozen` values that compare, hash
+    and print by their fields, the slots in order, as a dataclass does.
+
+    Positional and keyword arguments fill the slots in order, each slot
+    once; any other set of arguments raises TypeError. A record that
+    checks a field or has a default, and `recognition.RecognitionStep`,
+    define their own `__init__`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        fields = dict(zip(names, values), **named)
+        if len(values) + len(named) != len(names) or fields.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names) or 'none'}")
+        self._set(**fields)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class DensityOperator(_Frozen):

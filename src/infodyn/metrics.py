@@ -97,7 +97,6 @@ for `quantum-ecd`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,6 +104,7 @@ from .channels import Channel, identity_channel
 from .exceptions import DimensionMismatch
 from .hilbert import (
     DensityOperator,
+    _Record,
     _block_starts,
     _brief,
     _check_deviation,
@@ -164,39 +164,32 @@ def complexity(rho) -> float:
     return von_neumann_entropy(rho)
 
 
-@dataclass(frozen=True)
-class ComplexityConfig:
+class ComplexityConfig(_Record):
     """Budget and seed for the decomposition search."""
 
-    restarts: int = 1000
-    seed: int = 0
+    __slots__ = ("restarts", "seed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "restarts", _check_integer("restarts", self.restarts, 1, "MAX_RESTARTS", MAX_RESTARTS))
-        object.__setattr__(self, "seed", _check_integer("seed", self.seed, 0))
+    def __init__(self, restarts: int = 1000, seed: int = 0):
+        self._set(restarts=_check_integer("restarts", restarts, 1, "MAX_RESTARTS", MAX_RESTARTS),
+                  seed=_check_integer("seed", seed, 0))
 
 
 DEFAULT_CONFIG = ComplexityConfig()
 
 
-@dataclass(frozen=True)
-class ChaosDegreeReport:
+class ChaosDegreeReport(_Record):
     """Chaos degree, transmitted complexity, and search statistics.
 
     `worst` is the largest chaos-degree value seen during the search;
     for a unique decomposition it equals the chaos degree. The
     transmitted complexity is evaluated at the minimizing decomposition,
     whose pieces the report does not keep: a state's spectral data live
-    in its `DensityOperator`.
+    in its `DensityOperator`. The fields: `chaos_degree`, `transmitted`
+    and `output_entropy` (floats), `degenerate` (bool), `restarts` and
+    `seed` (ints) and `worst` (float).
     """
 
-    chaos_degree: float
-    transmitted: float
-    output_entropy: float
-    degenerate: bool
-    restarts: int
-    seed: int
-    worst: float
+    __slots__ = ("chaos_degree", "transmitted", "output_entropy", "degenerate", "restarts", "seed", "worst")
 
 
 def _rotation_chunks(blocks, restarts: int, seeds, candidate_bytes: int):
@@ -429,20 +422,17 @@ def _preference(v_first: float, v_second: float) -> str:
     return "tie"
 
 
-@dataclass(frozen=True)
-class ConjectureOutcome:
+class ConjectureOutcome(_Record):
     """One exploratory check of the chaos-versus-value ordering.
 
     `agree` records whether the lower-chaos channel is the higher-value
     channel (ties matching ties). Informational only; no invariant of
-    the package asserts anything about the agreement rate.
+    the package asserts anything about the agreement rate. The fields:
+    `d_first`, `d_second`, `value_first` and `value_second` (floats) and
+    `agree` (bool).
     """
 
-    d_first: float
-    d_second: float
-    value_first: float
-    value_second: float
-    agree: bool
+    __slots__ = ("d_first", "d_second", "value_first", "value_second", "agree")
 
 
 def conjecture_experiment(rho_p, gamma_o, channel_a: Channel, channel_b: Channel,
@@ -542,13 +532,15 @@ def _pair_outcomes(rng, count: int, shapes, terms: int) -> list[ConjectureOutcom
     return [_outcome(*values) for values in zip(d[0], d[-1], v[0], v[-1])]
 
 
-@dataclass(frozen=True)
-class AxiomResult:
-    passed: bool
-    worst_deviation: float
-    tolerance: float
-    trials: int
-    note: str = ""
+class AxiomResult(_Record):
+    """One axiom's check: whether it passed, its worst deviation against
+    its tolerance over `trials` trials, and a note."""
+
+    __slots__ = ("passed", "worst_deviation", "tolerance", "trials", "note")
+
+    def __init__(self, passed: bool, worst_deviation: float, tolerance: float, trials: int, note: str = ""):
+        self._set(passed=passed, worst_deviation=worst_deviation, tolerance=tolerance, trials=trials,
+                  note=note)
 
 
 def axiom_suite(dim: int, trials: int, seed: int) -> dict[str, AxiomResult]:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +59,7 @@ from .hilbert import (
     MAX_MATRIX_DIM,
     DensityOperator,
     _Frozen,
+    _Record,
     _brief,
     _check_integer,
     _check_orthonormal,
@@ -341,18 +341,16 @@ def update_composed(i: int, j: int, rho, gamma, bell: BellSystem) -> DensityOper
         ) from exc
 
 
-@dataclass(frozen=True)
-class SamplePolicy:
+class SamplePolicy(_Record):
     """Draw outcomes from their probabilities with a seeded generator."""
 
-    seed: int = 0
+    __slots__ = ("seed",)
 
-    def __post_init__(self):
-        _check_integer("seed", self.seed, 0)
+    def __init__(self, seed: int = 0):
+        self._set(seed=_check_integer("seed", seed, 0))
 
 
-@dataclass(frozen=True)
-class ArgmaxPolicy:
+class ArgmaxPolicy(_Record):
     """Always take the most probable outcome.
 
     Outcomes within ARGMAX_TIE_TOL of the maximum probability count as
@@ -360,30 +358,32 @@ class ArgmaxPolicy:
     between mathematically equal probabilities never decides.
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class FixedPolicy:
+
+class FixedPolicy(_Record):
     """Force one outcome every step; zero-probability selection raises.
 
     `i` and `j` are nonnegative integers; their range against the system
     dimension is checked when a trajectory starts.
     """
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
 
-    def __post_init__(self):
-        object.__setattr__(self, "i", _check_integer("i", self.i, 0))
-        object.__setattr__(self, "j", _check_integer("j", self.j, 0))
+    def __init__(self, i: int, j: int):
+        self._set(i=_check_integer("i", i, 0), j=_check_integer("j", j, 0))
 
 
-@dataclass(frozen=True)
-class RecognitionStep:
-    t: int
-    i: int
-    j: int
-    probability: float
-    memory: DensityOperator
+class RecognitionStep(_Record):
+    """Step `t` of a trajectory: its outcome (`i`, `j`), the outcome's
+    `probability` and the conditioned `memory`."""
+
+    __slots__ = ("t", "i", "j", "probability", "memory")
+
+    # A signature of its own: a step is built once per step of a trajectory,
+    # and the generic mapping of `_Record` costs about twice as much.
+    def __init__(self, t: int, i: int, j: int, probability: float, memory: DensityOperator):
+        self._set(t=t, i=i, j=j, probability=probability, memory=memory)
 
 
 def recognize_sequence(gamma0, signals, bell: BellSystem, policy) -> Iterator[RecognitionStep]:
@@ -460,7 +460,7 @@ def _steps(memory: DensityOperator, signals, bell: BellSystem, choose) -> Iterat
                 # Checked one by one, the first faulty memory raises its own message.
                 memories = map(DensityOperator, raws)
             for (t, i, j, p), memory in zip(picks, memories):
-                yield RecognitionStep(t=t, i=i, j=j, probability=p, memory=memory)
+                yield RecognitionStep(t, i, j, p, memory)
         if failure is not None:
             raise failure
         if len(raws) < BLOCK_STEPS:

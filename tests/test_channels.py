@@ -291,7 +291,7 @@ def test_a_raw_channel_leaves_the_callers_array_writable_and_its_own(kind, data)
 
 
 def test_weight_and_density_are_immutable_and_compare_by_identity():
-    # A frozen dataclass with array fields can neither compare nor hash. A
+    # A `_Frozen` value with array fields compares and hashes by identity. A
     # weight is a Schur channel's data, and its factor rows are read-only too.
     for build, field in ((lambda: schur_channel(np.eye(2)), "_data"),
                          (lambda: DensityOperator(np.eye(2) / 2), "matrix")):

@@ -3,7 +3,6 @@ import itertools
 import math
 import pickle
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -52,6 +51,19 @@ def constant_map(c=0.5):
         points=points,
         jacobian=lambda orbit, a: np.zeros((1, 1)),
     )
+
+
+def with_points(system, points):
+    """`system` with its point stream replaced by `points`."""
+    return MapSystem(system.name, system.box, system.default_x0, system.default_param, points,
+                     system.jacobian)
+
+
+def logistic_with(box, default_x0=(0.3,)):
+    """The logistic map's stream and Jacobian on another box and start point."""
+    logistic = logistic_map()
+    return MapSystem("logistic", box, default_x0, logistic.default_param, logistic.points,
+                     logistic.jacobian)
 
 
 def test_builtin_registry_names():
@@ -182,16 +194,16 @@ def test_map_dimension_derives_from_box():
 def test_map_and_partition_reject_a_box_interval_without_positive_width(box):
     # One rule for both: a map with such a box used to construct, then fail
     # (reversed) or report a Lyapunov exponent of 0.0 (zero width).
-    for build in (lambda: replace(logistic_map(), box=box), lambda: Partition(box, 10)):
+    for build in (lambda: logistic_with(box), lambda: Partition(box, 10)):
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == "box intervals must have positive width"
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: replace(logistic_map(), box=((0.0, 1.0),) * 3, default_x0=(0.3,) * 3),
+    (lambda: logistic_with(((0.0, 1.0),) * 3, (0.3,) * 3),
      "only 1- and 2-dimensional maps are supported, got 3"),
-    (lambda: replace(logistic_map(), default_x0=(0.3, 0.3)), "default_x0 must match the box dimension"),
+    (lambda: logistic_with(((0.0, 1.0),), (0.3, 0.3)), "default_x0 must match the box dimension"),
     (lambda: Partition(((0.0, 1.0),), 4).encode(np.full((3, 2), 0.5)), "points have dimension 2, box has 1"),
     (lambda: empirical_channel(np.array([0.5]), Partition(((0.0, 1.0),), 4)),
      "orbit must contain at least 2 points"),
@@ -443,7 +455,7 @@ def test_orbit_takes_every_numeric_step_output(system, points):
     # the orbit equals the one its float form gives.
     cfg = OrbitConfig(transient=10, samples=500)
     expected = iterate_orbit(system, cfg)
-    orbit = iterate_orbit(replace(system, points=points), cfg)
+    orbit = iterate_orbit(with_points(system, points), cfg)
     assert orbit.dtype == float and orbit.shape == (500, system.dim)
     assert np.array_equal(orbit, expected)
 
@@ -457,7 +469,7 @@ def test_orbit_from_a_stream_that_ends_early_raises_value_error(system, length, 
     # 10 + 20 points need 30 coordinates in 1-D and 60 in 2-D; a stream
     # that ends after 5000 points of the chaotic default logistic orbit
     # (which does not cycle) ends inside the third chunk of a 10**4-point orbit.
-    short = replace(system, points=lambda s, a: itertools.islice(system.points(s, a), length))
+    short = with_points(system, lambda s, a: itertools.islice(system.points(s, a), length))
     with pytest.raises(ValueError):
         iterate_orbit(short, OrbitConfig(transient=10, samples=samples))
 
@@ -483,7 +495,7 @@ def _counting(system, limit=None):
             reads[0] += 1
             yield value
 
-    return replace(system, points=points), reads
+    return with_points(system, points), reads
 
 
 def _drift_points(start, a):
@@ -684,7 +696,7 @@ def test_empirical_channel_source_counts():
 
 
 def test_empirical_channel_is_immutable_and_compares_by_identity():
-    # As a frozen dataclass with array fields it could neither compare nor hash.
+    # A `_Frozen` value with array fields compares and hashes by identity.
     orbit = np.array([[0.1], [0.9], [0.1], [0.9], [0.1]])
     part = Partition(((0.0, 1.0),), bins=2)
     a, b = empirical_channel(orbit, part), empirical_channel(orbit, part)

@@ -1,5 +1,4 @@
 import fractions
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,10 +148,12 @@ REAL_SITES = {
     "OrbitConfig.x0": ("x0", None, None, lambda v: classical.OrbitConfig(x0=(v,))),
     "OrbitConfig.param": ("param", None, None, lambda v: classical.OrbitConfig(param=v)),
     "Partition.box": ("box", None, None, lambda v: classical.Partition(((0.0, v),), 10)),
-    "MapSystem.box": ("box", None, None, lambda v: replace(_LOGISTIC, box=((v, 1.0),))),
-    "MapSystem.default_x0": ("default_x0", None, None, lambda v: replace(_LOGISTIC, default_x0=(v,))),
-    "MapSystem.default_param": ("default_param", None, None,
-                                lambda v: replace(_LOGISTIC, default_param=v)),
+    "MapSystem.box": ("box", None, None, lambda v: classical.MapSystem(
+        "logistic", ((v, 1.0),), (0.3,), 3.8, _LOGISTIC.points, _LOGISTIC.jacobian)),
+    "MapSystem.default_x0": ("default_x0", None, None, lambda v: classical.MapSystem(
+        "logistic", ((0.0, 1.0),), (v,), 3.8, _LOGISTIC.points, _LOGISTIC.jacobian)),
+    "MapSystem.default_param": ("default_param", None, None, lambda v: classical.MapSystem(
+        "logistic", ((0.0, 1.0),), (0.3,), v, _LOGISTIC.points, _LOGISTIC.jacobian)),
     "jsonio.chaos_degree_json.log_base": ("log_base", None, None, lambda v: jsonio.chaos_degree_json(
         metrics.chaos_degree(np.diag([0.7, 0.3]), channels.identity_channel(2)), v)),
 }

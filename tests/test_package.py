@@ -1,15 +1,21 @@
 import argparse
 import ast
+import copy
 import importlib
 import importlib.util
 import os
+import pickle
 import re
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import infodyn
+from infodyn import channels, classical, hilbert, metrics, recognition
 from infodyn.cli import build_parser, main
 
 
@@ -99,6 +105,117 @@ def test_immutability_is_written_once():
     callers = _owners(lambda node: isinstance(node, ast.Call)
                       and getattr(node.func, "attr", None) == "setflags")
     assert callers == ["hilbert._Frozen._set"]
+
+    # `_set` alone writes a slot, and no record is a dataclass.
+    writers = _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                      and getattr(node.value, "id", None) == "object")
+    assert writers == ["hilbert._Frozen._set"]
+    importers = _owners(lambda node: isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+    assert importers == []
+
+
+def _frozen_values():
+    """Two values of each `_Frozen` type, by type name; a record's two have equal fields."""
+    rho = np.diag([0.75, 0.25])
+    memory = hilbert.DensityOperator(rho)
+    orbit = np.array([[0.1], [0.9], [0.1], [0.9], [0.4]])
+    builds = {
+        "DensityOperator": lambda: hilbert.DensityOperator(rho),
+        "Channel": lambda: channels.random_kraus_channel(3, 2, np.random.default_rng(1)),
+        "EmpiricalChannel": lambda: classical.empirical_channel(orbit, classical.Partition(((0.0, 1.0),), 2)),
+        "SignalBasis": lambda: recognition.SignalBasis.fourier(3),
+        "BellSystem": lambda: recognition.BellSystem(recognition.SignalBasis.fourier(3)),
+        "CompletePositivityReport": lambda: channels.choi_check(channels.identity_channel(2)),
+        "MapSystem": classical.logistic_map,
+        "OrbitConfig": lambda: classical.OrbitConfig((0.3,), 5, 10, 3.7),
+        "Partition": lambda: classical.Partition(((0.0, 1.0),), 4),
+        "SweepRow": lambda: classical.SweepRow(3.9, 0.5, 0.25, "chaotic"),
+        "ComplexityConfig": lambda: metrics.ComplexityConfig(restarts=5, seed=1),
+        "ChaosDegreeReport": lambda: metrics.chaos_degree(rho, channels.identity_channel(2)),
+        "ConjectureOutcome": lambda: metrics.ConjectureOutcome(0.5, 0.25, 0.1, 0.2, True),
+        "AxiomResult": lambda: metrics.AxiomResult(True, 0.0, 1e-10, 3),
+        "SamplePolicy": lambda: recognition.SamplePolicy(seed=3),
+        "ArgmaxPolicy": recognition.ArgmaxPolicy,
+        "FixedPolicy": lambda: recognition.FixedPolicy(1, 0),
+        "RecognitionStep": lambda: recognition.RecognitionStep(0, 1, 0, 0.5, memory),
+    }
+    return {name: (build(), build()) for name, build in builds.items()}
+
+
+FROZEN = _frozen_values()
+RECORDS = [name for name, (value, _) in FROZEN.items() if isinstance(value, hilbert._Record)]
+
+
+def test_every_frozen_type_is_covered():
+    def below(cls):
+        return {name for sub in cls.__subclasses__() for name in (sub.__name__, *below(sub))}
+    assert below(hilbert._Frozen) == set(FROZEN) | {"_Record"}
+    assert len(RECORDS) == 13
+
+
+def _same(a, b):
+    """Whether `a` and `b` hold the same data, `_Frozen` values slot by slot and arrays by their bits."""
+    if isinstance(a, hilbert._Frozen):
+        return type(a) is type(b) and all(_same(getattr(a, name), getattr(b, name)) for name in a.__slots__)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+def _arrays(value):
+    """Every array held by a `_Frozen` value, through the `_Frozen` values it holds."""
+    for name in value.__slots__:
+        field = getattr(value, name)
+        if isinstance(field, np.ndarray):
+            yield field
+        elif isinstance(field, hilbert._Frozen):
+            yield from _arrays(field)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("restore", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_every_frozen_value_pickles_and_copies(name, restore):
+    # A parallel sweep pickles its map, config and partition; a restored
+    # value fills its slots through `_set`, so its arrays are read-only.
+    value = FROZEN[name][0]
+    restored = restore(value)
+    assert type(restored) is type(value) and _same(restored, value)
+    assert not any(array.flags.writeable for array in _arrays(restored))
+    if isinstance(value, hilbert._Record) and not any(
+            isinstance(field, hilbert._Frozen) for field in value._fields()):
+        assert restored == value and hash(restored) == hash(value)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        restored.anything = 0
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_and_compare_by_their_fields(name):
+    a, b = FROZEN[name]
+    for field in (*a.__slots__, "anything"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(a, field, 0)
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert repr(a) == repr(b) == f"{name}({', '.join(f'{f}={getattr(a, f)!r}' for f in a.__slots__)})"
+    assert a != (*a._fields(),)
+
+
+def test_records_print_and_take_their_fields_as_a_dataclass_does():
+    assert repr(recognition.FixedPolicy(1, 0)) == "FixedPolicy(i=1, j=0)"
+    assert repr(recognition.ArgmaxPolicy()) == "ArgmaxPolicy()"
+    assert metrics.AxiomResult(True, 0.0, 1e-10, 3) == metrics.AxiomResult(True, 0.0, 1e-10, 3, "")
+    row = classical.SweepRow(param=3.9, chaos_degree=0.5, lyapunov=0.25, label="chaotic")
+    assert row == classical.SweepRow(3.9, 0.5, lyapunov=0.25, label="chaotic")
+    assert row != classical.SweepRow(3.9, 0.5, 0.25, "stable")
+    assert repr(row) == "SweepRow(param=3.9, chaos_degree=0.5, lyapunov=0.25, label='chaotic')"
+    # A field left out, one too many, one given twice, and an unknown one.
+    for values, named in [((3.9, 0.5, 0.25), {}), ((3.9, 0.5, 0.25, "chaotic", 1), {}),
+                          ((3.9, 0.5, 0.25, "chaotic"), {"param": 3.9}),
+                          ((3.9, 0.5, 0.25), {"colour": "red"})]:
+        with pytest.raises(TypeError, match="^SweepRow takes the fields param, chaos_degree, lyapunov, label$"):
+            classical.SweepRow(*values, **named)
 
 
 def _nodes():
@@ -364,11 +481,12 @@ def test_every_fixed_size_cap_goes_through_the_integer_rule():
 def test_cli_import_loads_no_process_pool():
     # `import infodyn` loads no layer. Only a parallel sweep makes a
     # process pool; the modules behind one load multiprocessing, which
-    # no other command uses.
+    # no other command uses. No record is a dataclass, so the parser's
+    # start loads no `dataclasses` either.
     code = "import sys; import infodyn; print(sorted(m for m in sys.modules if m.startswith('infodyn')))"
     assert _fresh(code) == "['infodyn']\n"
     code = ("import sys; import infodyn.cli; infodyn.cli.build_parser(); "
-            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+            "print(sorted({'concurrent.futures.process', 'dataclasses', 'multiprocessing'} & set(sys.modules)))")
     assert _fresh(code) == "[]\n"
 
 
