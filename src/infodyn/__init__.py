@@ -62,10 +62,7 @@ _EXPORTS = {
         "kraus_channel",
         "random_kraus_channel",
         "schur_apply_from_terms",
-        "schur_channel",
         "schur_channel_apply",
-        "stochastic_channel",
-        "unitary_channel",
     ),
     "metrics": (
         "AxiomResult",

@@ -8,8 +8,11 @@ row-stochastic push-forward embedded on diagonal densities.
 A `Channel` is built from its kind and its data alone. The constructor
 derives the dimension and the trace-preservation flag from the data, by
 the rule of each kind, and checks the data as that kind requires, so the
-flag is decided here and nowhere else; each factory below only shapes its
-argument. A "kraus" stack preserves trace when `hilbert._check_kraus_sums`
+flag is decided here and nowhere else. Every kind is built by that one
+call; the functions below that return a channel build its data first:
+`kraus_channel` stacks a list of operators, `identity_channel`,
+`depolarizing_channel` and `random_kraus_channel` form theirs from a
+dimension. A "kraus" stack preserves trace when `hilbert._check_kraus_sums`
 passes every family of it, a Schur channel when its weight's diagonal is
 1 within 1e-12; a unitary must pass `hilbert._check_orthonormal` and a
 stochastic matrix must be real, nonnegative and row-stochastic, and both
@@ -157,7 +160,7 @@ def _damped_trace(raw: np.ndarray) -> float:
 def schur_channel_apply(weight, rho) -> DensityOperator:
     """Trace-normalized entrywise damping (w o rho) / tr(w o rho); nonlinear and partial.
 
-    The damping is `schur_channel(weight).apply_matrix(rho)`, so the weight
+    The damping is `Channel("schur", weight).apply_matrix(rho)`, so the weight
     is checked as that channel checks it, before the state is read. A
     weight of another dimension than the state raises DimensionMismatch
     "weight dim <n> vs state dim <m>". A state with a non-finite entry
@@ -165,7 +168,7 @@ def schur_channel_apply(weight, rho) -> DensityOperator:
     any division; a finite one at or below PROBABILITY_FLOOR raises
     OutsideDomain.
     """
-    channel = schur_channel(weight)
+    channel = Channel("schur", weight)
     m = rho.matrix if isinstance(rho, DensityOperator) else _square(rho, "state")
     if channel.dim != m.shape[0]:
         raise DimensionMismatch(f"weight dim {channel.dim} vs state dim {m.shape[0]}")
@@ -186,12 +189,13 @@ class Channel(_Frozen):
     Kraus stack (r, n, n); "unitary", an n x n unitary matrix; "schur", a
     positive semidefinite weight matrix, which the channel holds, made
     exactly self-adjoint, as its data; "stochastic", a row-stochastic
-    matrix. The constructor derives `dim` and `is_trace_preserving` from
-    the data and raises ValueError on data of the wrong form, on data its
-    kind's check rejects and on any other kind. A "kraus" channel with sum
-    A*A below the identity, or a "schur" channel whose weight has a
-    diagonal entry other than 1, does not preserve trace. `apply`
-    always returns a DensityOperator, so on such a channel it raises
+    matrix P, which maps a state's diagonal p to the diagonal state p P
+    and reads nothing else of it. The constructor derives `dim` and
+    `is_trace_preserving` from the data and raises ValueError on data of
+    the wrong form, on data its kind's check rejects and on any other
+    kind. A "kraus" channel with sum A*A below the identity, or a "schur"
+    channel whose weight has a diagonal entry other than 1, does not
+    preserve trace. `apply` always returns a DensityOperator, so on such a channel it raises
     when the image's trace is not 1; `apply_matrix` gives the raw image.
     A unitary channel is the rank-one Kraus form {U}: "kraus" and
     "unitary" channels both hold a Kraus stack (r, n, n) and share one
@@ -387,27 +391,9 @@ def kraus_channel(operators) -> Channel:
     return Channel("kraus", np.stack(ops))
 
 
-def schur_channel(weight) -> Channel:
-    return Channel("schur", weight)
-
-
-def unitary_channel(u) -> Channel:
-    """Conjugation by a unitary, stored as its one-operator Kraus form."""
-    return Channel("unitary", u)
-
-
 def identity_channel(n: int) -> Channel:
     """Conjugation by the identity, `shift_unitary(0, n)`, which checks `n` against MAX_MATRIX_DIM."""
-    return unitary_channel(shift_unitary(0, n))
-
-
-def stochastic_channel(p) -> Channel:
-    """Classical push-forward by a row-stochastic matrix.
-
-    Acts on diagonal densities as the distribution map p -> p P and
-    extends linearly to all matrices by reading only the diagonal.
-    """
-    return Channel("stochastic", p)
+    return Channel("unitary", shift_unitary(0, n))
 
 
 def depolarizing_channel(n: int, p: float = 1.0) -> Channel:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .exceptions import OrbitEscape
 from .hilbert import DensityOperator, _Frozen, _Record, _brief, _check_integer, _check_real
-from .channels import Channel, stochastic_channel
+from .channels import Channel
 
 DEFAULT_TRANSIENT = 1000
 DEFAULT_SAMPLES = 100_000
@@ -547,7 +547,7 @@ class EmpiricalChannel(_Frozen):
         """Diagonal density and stochastic channel over the visited cells."""
         return (
             DensityOperator(np.diag(self.occupation).astype(complex)),
-            stochastic_channel(self.transition_matrix()),
+            Channel("stochastic", self.transition_matrix()),
         )
 
 

@@ -549,9 +549,12 @@ def _entropy_of_spectrum(lam) -> np.ndarray:
     """-sum lam ln lam over the last axis of a spectrum or a stack of them."""
     lam = np.asarray(lam)
     # 0 ln 0 = 0 by continuity: a zero (or rounding-negative) eigenvalue
-    # meets ln 1 and adds a zero term. Adding 0.0 turns the -0.0 of a
-    # pure spectrum into plain 0.0.
-    return -(lam * np.log(np.where(lam > 0, lam, 1.0))).sum(axis=-1) + 0.0
+    # meets ln 1 and adds a zero term. So does an entry at or above 1, as
+    # 1 ln 1 = 0: a pure image's unnormalized Gram spectrum reads 1 + 1 ulp,
+    # whose term would take an entropy below 0. A state's spectrum, checked
+    # by `_unit_spectra`, has no entry above 1. Adding 0.0 turns the -0.0
+    # of a pure spectrum into plain 0.0.
+    return -(lam * np.log(np.where((lam > 0) & (lam < 1), lam, 1.0))).sum(axis=-1) + 0.0
 
 
 def von_neumann_entropy(rho) -> float:

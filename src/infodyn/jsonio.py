@@ -51,7 +51,7 @@ from typing import Any
 
 import numpy as np
 
-from .channels import Channel, kraus_channel, schur_channel, stochastic_channel, unitary_channel
+from .channels import Channel, kraus_channel
 from .exceptions import DimensionMismatch
 from .hilbert import (
     DensityOperator,
@@ -71,8 +71,9 @@ from .recognition import (
     SignalBasis,
 )
 
-# The field that holds each channel kind's data.
-_CHANNEL_DATA = {"ktau": "matrix", "unitary": "matrix", "kraus": "kraus_ops", "stochastic": "P"}
+# Each JSON channel kind's data field and `Channel` kind.
+_CHANNEL_DATA = {"ktau": ("matrix", "schur"), "unitary": ("matrix", "unitary"),
+                 "kraus": ("kraus_ops", "kraus"), "stochastic": ("P", "stochastic")}
 CHANNEL_KINDS = tuple(_CHANNEL_DATA)
 # Largest `steps` of an experiment file. Steps are streamed, so memory
 # does not grow with it; the cap bounds run time only. Steps are computed
@@ -199,7 +200,12 @@ def _parse_states(objs: list) -> list[DensityOperator]:
 
 
 def parse_channel(obj: dict) -> Channel:
-    """Channel descriptor: {"kind": ..., "matrix"/"kraus_ops"/"P": ...}."""
+    """Channel descriptor: {"kind": ..., "matrix"/"kraus_ops"/"P": ...}.
+
+    A "kraus" list of operators goes through `kraus_channel`; the matrix of
+    any other kind is the data of `Channel(kind, matrix)`, where a "ktau"
+    channel is a "schur" one.
+    """
     # The first call lets every key pass and checks only that `obj` is an
     # object: the kind decides which data field is allowed, so it comes
     # before the field check. Membership in a tuple, not a dict lookup,
@@ -207,14 +213,13 @@ def parse_channel(obj: dict) -> Channel:
     kind = _object(obj, "channel", optional=obj).get("kind")
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}, got {_brief(kind)}")
-    field = _CHANNEL_DATA[kind]
+    field, channel_kind = _CHANNEL_DATA[kind]
     data = _object(obj, "channel", required=("kind", field))[field]
     if kind == "kraus":
         if not isinstance(data, list) or not data:
             raise ValueError("kraus channel requires a non-empty kraus_ops array")
         return kraus_channel([json_to_matrix(op) for op in data])
-    factory = {"unitary": unitary_channel, "ktau": schur_channel, "stochastic": stochastic_channel}[kind]
-    return factory(json_to_matrix(data))
+    return Channel(channel_kind, json_to_matrix(data))
 
 
 def parse_basis(obj, n: int) -> SignalBasis:

@@ -48,10 +48,14 @@ chunk (sized to CHUNK_BYTES), re-scoring only the degenerate blocks'
 live columns through `Channel.rotated_image_spectra`. A Kraus vector is
 linear in its vector, so a Kraus or unitary channel forms a block's
 Kraus vectors once per chunk and rotates them, with no rotated column
-formed; a Schur or stochastic channel reads the rotated columns. The
-report does not depend on the chunk size. A non-degenerate state, or
-one whose eigenbasis no rotation beats, has D and T from one kernel
-call; only a rotated minimizer is read by the kernel again.
+formed; a Schur or stochastic channel reads the rotated columns. On
+the default OpenBLAS kernel the report does not depend on the chunk
+size. Under the `Haswell` kernel a Kraus or unitary channel's report
+moves in the last bits with it, since the bits of a row of that
+kernel's product depend on the row count (ROADMAP direction 29). A
+non-degenerate state, or one whose eigenbasis no rotation beats, has D
+and T from one kernel call; only a rotated minimizer is read by the
+kernel again.
 
 `conjecture_batch` and `axiom_suite` evaluate their pairs and trials in
 stacks, one pass per chunk: `_pair_outcomes` runs each step of the
@@ -155,7 +159,9 @@ MAX_KRAUS_TERMS = 64
 # Working memory of one chunk of search candidates, value pairs or axiom
 # trials. A chunk holds as many as fit, and at least one; the candidate
 # stream, the report, the batch outcomes and the axiom results do not
-# depend on the chunk size.
+# depend on the chunk size on the default OpenBLAS kernel. Under the
+# `Haswell` kernel a Kraus or unitary search report moves in the last bits
+# with it (ROADMAP direction 29).
 CHUNK_BYTES = 1 << 20
 
 

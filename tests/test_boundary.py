@@ -1,6 +1,7 @@
 """Every public callable rejects a bad value with a named exception.
 
-Each positional argument of each callable in `infodyn.__all__`, and of
+Each positional argument of each callable in `infodyn.__all__`, the
+data of `Channel(kind, data)` for each kind, and the argument of
 `Channel.apply_matrix`, `kraus_vectors` and `image_spectra` on a channel
 of each kind, is fed each value of BAD_VALUES in turn while the other
 arguments keep the valid values of CASES. The call must return, or raise
@@ -35,8 +36,6 @@ from infodyn import (
     identity_channel,
     kraus_channel,
     logistic_map,
-    schur_channel,
-    stochastic_channel,
 )
 
 BAD_VALUES = {
@@ -137,32 +136,34 @@ CASES = {
     "recognize_sequence": (HALF, [HALF], BELL, Fixed(ArgmaxPolicy())),
     "relative_entropy": (HALF, HALF),
     "schur_apply_from_terms": ([(1.0, [1.0, 1.0])], HALF),
-    "schur_channel": (np.eye(2),),
     "schur_channel_apply": (np.eye(2), HALF),
     "shift_unitary": (1, 2),
-    "stochastic_channel": (np.eye(2),),
     "sweep": (MAP, 3.9, 4.0, 0.1, ORBIT, PARTITION),
     "sweep_to_csv": (Fixed([SweepRow(3.9, 0.1, 0.1, "chaotic")]),),
     "tensor": (np.eye(2), np.eye(2)),
     "tinkerbell_map": (),
     "transfer_operator": (BELL, 0, 0),
     "transmitted_complexity": (HALF, CHANNEL, FAST),
-    "unitary_channel": (np.eye(2),),
     "update_composed": UPDATE,
     "update_direct": UPDATE,
     "update_spectral": UPDATE,
     "value_of_information": (HALF, [[1.0]], CHANNEL, np.eye(2)),
     "von_neumann_entropy": (HALF,),
 }
+# `Channel` of each kind other than "kraus", fed its data as "Channel" above
+# is fed a Kraus stack.
+KINDS = {f"{kind}_channel": (lambda data, kind=kind: Channel(kind, data), (np.eye(2),))
+         for kind in ("schur", "stochastic", "unitary")}
 CHANNELS = {
     "unitary": identity_channel(2),
     "kraus": kraus_channel([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.diag([1.0, -1.0])]),
-    "schur": schur_channel(np.ones((2, 2))),
-    "stochastic": stochastic_channel([[0.5, 0.5], [0.25, 0.75]]),
+    "schur": Channel("schur", np.ones((2, 2))),
+    "stochastic": Channel("stochastic", [[0.5, 0.5], [0.25, 0.75]]),
 }
 METHODS = {"apply_matrix": (HALF,), "kraus_vectors": ([[1.0, 0.0]],), "image_spectra": ([[1.0, 0.0]],)}
 TARGETS = {
     **{name: (getattr(infodyn, name), args) for name, args in CASES.items()},
+    **KINDS,
     **{f"{kind}.{method}": (getattr(channel, method), args)
        for (kind, channel), (method, args) in itertools.product(CHANNELS.items(), METHODS.items())},
 }
@@ -223,20 +224,20 @@ OVERFLOWING = {
        for kind, channel in CHANNELS.items()},
     "stochastic.kraus_vectors": (CHANNELS["stochastic"].kraus_vectors, [1e200, 1.0],
                                  "vector has a non-finite entry"),
-    "schur_channel.apply_matrix": (infodyn.schur_channel(1e200 * np.eye(2)).apply_matrix,
+    "schur_channel.apply_matrix": (Channel("schur", 1e200 * np.eye(2)).apply_matrix,
                                    [[1e200, 0.0], [0.0, 1.0]], "damped state has a non-finite entry"),
     "kraus_channel": (infodyn.kraus_channel, [1e200 * np.eye(3)],
                       "Kraus operators have a non-finite entry"),
     "schur_channel_apply": (lambda rho: infodyn.schur_channel_apply(1e200 * np.eye(2), rho),
                             [[1e200, 0.0], [0.0, 1.0]], "damped state has a non-finite entry"),
-    "unitary_channel": (infodyn.unitary_channel, 1e200 * np.eye(2),
+    "unitary_channel": (lambda u: Channel("unitary", u), 1e200 * np.eye(2),
                         "matrix is not unitary: deviation inf"),
     "SignalBasis": (SignalBasis, 1e200 * np.eye(2), "rows are not orthonormal: Gram error inf"),
-    "stochastic_channel": (stochastic_channel, [[1e308, 1e308], [0.5, 0.5]],
+    "stochastic_channel": (lambda p: Channel("stochastic", p), [[1e308, 1e308], [0.5, 0.5]],
                            "stochastic matrix rows must sum to 1"),
     "kraus_channel-under": (infodyn.kraus_channel, [1e150 * np.eye(3)],
                             "Kraus sum exceeds identity by 1.000e+300"),
-    "unitary_channel-under": (infodyn.unitary_channel, 1e150 * np.eye(2),
+    "unitary_channel-under": (lambda u: Channel("unitary", u), 1e150 * np.eye(2),
                               "matrix is not unitary: deviation 1.000e+300"),
 }
 

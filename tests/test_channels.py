@@ -12,10 +12,7 @@ from infodyn.channels import (
     kraus_channel,
     random_kraus_channel,
     schur_apply_from_terms,
-    schur_channel,
     schur_channel_apply,
-    stochastic_channel,
-    unitary_channel,
 )
 from infodyn.exceptions import DimensionMismatch, OutsideDomain
 from infodyn.hilbert import (
@@ -42,22 +39,22 @@ def ones_weight(n):
 
 def test_schur_with_all_ones_weight_is_identity():
     rho = random_density(3, RNG)
-    assert np.allclose(schur_channel(ones_weight(3)).apply_matrix(rho.matrix), rho.matrix)
+    assert np.allclose(Channel("schur", ones_weight(3)).apply_matrix(rho.matrix), rho.matrix)
 
 
 def test_schur_with_zero_weight_annihilates():
     rho = random_density(3, RNG)
-    assert np.allclose(schur_channel(np.zeros((3, 3))).apply_matrix(rho.matrix), 0)
+    assert np.allclose(Channel("schur", np.zeros((3, 3))).apply_matrix(rho.matrix), 0)
 
 
 def test_schur_weight_rejects_indefinite():
     with pytest.raises(ValueError, match="^weight has negative eigenvalue -1.000e\\+00$"):
-        schur_channel(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        Channel("schur", np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_a_rank_zero_schur_weight_has_empty_image_spectra():
     # No spectral term, so no Kraus vector: each image is 0 with an empty spectrum.
-    assert schur_channel(np.zeros((2, 2))).image_spectra(np.eye(2)).shape == (2, 0)
+    assert Channel("schur", np.zeros((2, 2))).image_spectra(np.eye(2)).shape == (2, 0)
 
 
 def test_schur_channel_decomposes_its_weight_once(monkeypatch):
@@ -71,7 +68,7 @@ def test_schur_channel_decomposes_its_weight_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(np.linalg, "eigvalsh", None)
-    schur_channel(weight)
+    Channel("schur", weight)
     assert calls == [(3, 3)]
 
 
@@ -82,7 +79,7 @@ def test_schur_matches_expansion_over_spectral_terms():
     lam, vec = np.linalg.eigh(w)
     rho = random_density(4, RNG).matrix
     assert np.allclose(
-        schur_channel(w).apply_matrix(rho),
+        Channel("schur", w).apply_matrix(rho),
         schur_apply_from_terms(zip(lam, vec.T), rho),
         atol=1e-12,
     )
@@ -99,7 +96,7 @@ def test_schur_value_independent_of_spectral_representation():
     out_a = schur_apply_from_terms(standard, rho)
     out_b = schur_apply_from_terms(rotated, rho)
     assert np.max(np.abs(out_a - out_b)) <= 1e-12
-    assert np.allclose(out_a, schur_channel(np.eye(n) / n).apply_matrix(rho), atol=1e-12)
+    assert np.allclose(out_a, Channel("schur", np.eye(n) / n).apply_matrix(rho), atol=1e-12)
 
 
 def test_normalized_schur_keeps_unimodular_weight_unitary():
@@ -135,7 +132,7 @@ def test_normalized_schur_is_the_schur_channels_action_over_its_trace(monkeypatc
     for n in (1, 2, 3, 5):
         weight = n * random_density(n, RNG).matrix
         rho = random_density(n, RNG)
-        raw = schur_channel(weight).apply_matrix(rho.matrix)
+        raw = Channel("schur", weight).apply_matrix(rho.matrix)
         expect = DensityOperator(raw / float(raw.trace().real))
         assert np.array_equal(schur_channel_apply(weight, rho).matrix, expect.matrix)
     assert kinds == ["schur"] * 8
@@ -167,32 +164,33 @@ def test_normalized_schur_rejects_a_non_finite_trace_before_dividing():
 
 
 def test_shift_channel_moves_basis_state():
-    out = unitary_channel(shift_unitary(1, 2)).apply(DensityOperator(np.diag([1.0, 0.0])))
+    out = Channel("unitary", shift_unitary(1, 2)).apply(DensityOperator(np.diag([1.0, 0.0])))
     assert np.allclose(out.matrix, np.diag([0.0, 1.0]))
 
 
 def test_shift_channel_at_zero_is_identity():
     rho = random_density(3, RNG)
-    assert np.allclose(unitary_channel(shift_unitary(0, 3)).apply(rho).matrix, rho.matrix)
+    assert np.allclose(Channel("unitary", shift_unitary(0, 3)).apply(rho).matrix, rho.matrix)
 
 
 def test_unitary_conjugation_preserves_entropy():
     rho = random_density(3, RNG)
-    ch = unitary_channel(random_unitary(3, RNG))
+    ch = Channel("unitary", random_unitary(3, RNG))
     assert von_neumann_entropy(ch.apply(rho)) == pytest.approx(von_neumann_entropy(rho), abs=1e-10)
 
 
 def test_unitary_channel_rejects_nonunitary():
     with pytest.raises(ValueError):
-        unitary_channel(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        Channel("unitary", np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 SQUARE_INPUTS = [
     (DensityOperator, "density operator"),
     (SignalBasis, "basis"),
-    (schur_channel, "weight"),
-    (unitary_channel, "unitary"),
-    (stochastic_channel, "stochastic matrix"),
+    pytest.param(lambda m: Channel("schur", m), "weight", id="schur_channel-weight"),
+    pytest.param(lambda m: Channel("unitary", m), "unitary", id="unitary_channel-unitary"),
+    pytest.param(lambda m: Channel("stochastic", m), "stochastic matrix",
+                 id="stochastic_channel-stochastic matrix"),
 ]
 
 
@@ -214,22 +212,19 @@ def test_an_empty_matrix_is_named_before_any_arithmetic(build, name):
 
 
 # Raw data of each kind, with the dimension and trace-preservation flag that
-# the constructor derives from it; a factory given the same data agrees.
+# the constructor derives from it; `kraus_channel` given the same operators agrees.
 LOSSY_KRAUS = np.stack([0.5 * np.eye(3)])
 DERIVED = {
     "lossy-kraus": (("kraus", LOSSY_KRAUS), 3, False, lambda: kraus_channel(list(LOSSY_KRAUS))),
     "kraus": (("kraus", np.stack([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.diag([1.0, -1.0])])),
               2, True, None),
-    "schur-off-diagonal-one": (("schur", [[1.0, 0.5], [0.5, 0.8]]), 2, False,
-                               lambda: schur_channel([[1.0, 0.5], [0.5, 0.8]])),
-    "schur": (("schur", np.ones((2, 2))), 2, True, lambda: schur_channel(np.ones((2, 2)))),
+    "schur-off-diagonal-one": (("schur", [[1.0, 0.5], [0.5, 0.8]]), 2, False, None),
+    "schur": (("schur", np.ones((2, 2))), 2, True, None),
     "stack-with-one-lossy-family": (
         ("kraus", np.stack([np.eye(3)[None], LOSSY_KRAUS, np.eye(3)[None]])), 3, False, None),
     "stack": (("kraus", np.stack([np.eye(3)[None]] * 3)), 3, True, None),
-    "unitary": (("unitary", [[0.0, 1.0], [1.0, 0.0]]), 2, True,
-                lambda: unitary_channel([[0.0, 1.0], [1.0, 0.0]])),
-    "stochastic": (("stochastic", [[0.5, 0.5], [0.25, 0.75]]), 2, True,
-                   lambda: stochastic_channel([[0.5, 0.5], [0.25, 0.75]])),
+    "unitary": (("unitary", [[0.0, 1.0], [1.0, 0.0]]), 2, True, None),
+    "stochastic": (("stochastic", [[0.5, 0.5], [0.25, 0.75]]), 2, True, None),
 }
 
 
@@ -263,8 +258,8 @@ def test_channel_is_immutable():
     with pytest.raises(AttributeError, match="^Channel is immutable$"):
         lossy.is_trace_preserving = True
     assert not lossy.is_trace_preserving
-    kinds = [lossy, random_kraus_channel(3, 2, RNG), schur_channel(np.ones((3, 3))),
-             unitary_channel(random_unitary(3, RNG)), stochastic_channel(np.full((3, 3), 1 / 3))]
+    kinds = [lossy, random_kraus_channel(3, 2, RNG), Channel("schur", np.ones((3, 3))),
+             Channel("unitary", random_unitary(3, RNG)), Channel("stochastic", np.full((3, 3), 1 / 3))]
     arrays = [getattr(ch, name) for ch in kinds for name in Channel.__slots__]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
     # `_data` and `_factor` of each; a Schur channel's data is its weight
@@ -293,7 +288,7 @@ def test_a_raw_channel_leaves_the_callers_array_writable_and_its_own(kind, data)
 def test_weight_and_density_are_immutable_and_compare_by_identity():
     # A `_Frozen` value with array fields compares and hashes by identity. A
     # weight is a Schur channel's data, and its factor rows are read-only too.
-    for build, field in ((lambda: schur_channel(np.eye(2)), "_data"),
+    for build, field in ((lambda: Channel("schur", np.eye(2)), "_data"),
                          (lambda: DensityOperator(np.eye(2) / 2), "matrix")):
         a, b = build(), build()
         assert a == a and a != b
@@ -301,7 +296,7 @@ def test_weight_and_density_are_immutable_and_compare_by_identity():
         assert not getattr(a, field).flags.writeable
         with pytest.raises(AttributeError, match=f"^{type(a).__name__} is immutable$"):
             setattr(a, field, getattr(b, field))
-    assert not schur_channel(np.eye(2))._factor.flags.writeable
+    assert not Channel("schur", np.eye(2))._factor.flags.writeable
 
 
 def test_kraus_channel_requires_completeness():
@@ -407,13 +402,13 @@ def test_random_kraus_channel_is_trace_preserving():
 
 def test_stochastic_identity_fixes_distributions():
     rho = DensityOperator(np.diag([0.2, 0.3, 0.5]))
-    out = stochastic_channel(np.eye(3)).apply(rho)
+    out = Channel("stochastic", np.eye(3)).apply(rho)
     assert np.allclose(out.matrix, rho.matrix)
 
 
 def test_stochastic_identical_rows_forget_input():
     r = np.array([0.1, 0.6, 0.3])
-    ch = stochastic_channel(np.tile(r, (3, 1)))
+    ch = Channel("stochastic", np.tile(r, (3, 1)))
     for _ in range(5):
         out = ch.apply(random_density(3, RNG))
         assert np.allclose(out.matrix, np.diag(r), atol=1e-12)
@@ -422,18 +417,18 @@ def test_stochastic_identical_rows_forget_input():
 def test_stochastic_diagonal_action_is_row_vector_product():
     p = RNG.dirichlet(np.ones(4))
     rows = RNG.dirichlet(np.ones(4), size=4)
-    out = stochastic_channel(rows).apply(DensityOperator(np.diag(p)))
+    out = Channel("stochastic", rows).apply(DensityOperator(np.diag(p)))
     assert np.allclose(np.diag(out.matrix), p @ rows, atol=1e-12)
 
 
 def test_stochastic_rejects_bad_rows():
     with pytest.raises(ValueError):
-        stochastic_channel(np.array([[0.5, 0.4], [0.5, 0.5]]))
+        Channel("stochastic", np.array([[0.5, 0.4], [0.5, 0.5]]))
 
 
 def test_stochastic_rejects_a_complex_matrix():
     with pytest.raises(ValueError, match="^stochastic matrix must be real$"):
-        stochastic_channel([[1.0, 0.0], [0.5j, 1.0]])
+        Channel("stochastic", [[1.0, 0.0], [0.5j, 1.0]])
 
 
 NAN, INF, BIG = float("nan"), float("inf"), 10**400  # BIG overflows a float
@@ -459,9 +454,9 @@ SQUARE_READERS = {
     "purpose": _purpose_check,
     "basis": SignalBasis,
     "weight": lambda m: schur_channel_apply(m, np.eye(2) / 2),
-    "schur": schur_channel,
-    "unitary": unitary_channel,
-    "schur-apply": lambda m: schur_channel(np.eye(2)).apply_matrix(m),
+    "schur": lambda m: Channel("schur", m),
+    "unitary": lambda m: Channel("unitary", m),
+    "schur-apply": lambda m: Channel("schur", np.eye(2)).apply_matrix(m),
     "schur-normalized": lambda m: schur_channel_apply(np.eye(2), m),
     "choi-image": lambda m: choi_matrix(lambda unit: m, 2),
 }
@@ -479,9 +474,9 @@ NEW_ROWS = [
     *[(build, [[1.0, 0.0], [bad, 1.0]], f"{name}-{tag}")
       for name, build in SQUARE_READERS.items() for tag, bad in [("inf", INF), ("big", BIG)]],
     (lambda m: kraus_channel([np.array(m)]), [[1.0, 0.0], [0.0, INF]], "kraus-inf"),
-    (stochastic_channel, [[INF, 1.0], [0.0, 1.0]], "stochastic-inf"),
+    (lambda m: Channel("stochastic", m), [[INF, 1.0], [0.0, 1.0]], "stochastic-inf"),
     (lambda m: kraus_channel([m]), [[1.0, 0.0], [0.0, BIG]], "kraus-big"),
-    (stochastic_channel, [[BIG, 1.0], [0.0, 1.0]], "stochastic-big"),
+    (lambda m: Channel("stochastic", m), [[BIG, 1.0], [0.0, 1.0]], "stochastic-big"),
     *[(build, [[1.0, 0.0], [bad, 1.0]], f"{name}-{tag}")
       for name, build in ARRAY_READERS.items()
       for tag, bad in [("nan", NAN), ("inf", INF), ("big", BIG)]],
@@ -516,11 +511,11 @@ def test_density_operator_names_a_value_that_is_no_array_of_numbers(kind):
     (DensityOperator, [[0.5, NAN], [NAN, 0.5]]),
     (DensityOperator, [[INF, 0.0], [0.0, 0.5]]),
     (SignalBasis, [[1.0, 0.0], [NAN, 1.0]]),
-    (schur_channel, [[1.0, NAN], [NAN, 1.0]]),
-    (schur_channel, [[NAN, 0.0], [0.0, 1.0]]),
+    (lambda m: Channel("schur", m), [[1.0, NAN], [NAN, 1.0]]),
+    (lambda m: Channel("schur", m), [[NAN, 0.0], [0.0, 1.0]]),
     (lambda m: kraus_channel([np.array(m)]), [[1.0, 0.0], [0.0, NAN]]),
-    (unitary_channel, [[1.0, 0.0], [0.0, NAN]]),
-    (stochastic_channel, [[NAN, 1.0], [0.0, 1.0]]),
+    (lambda m: Channel("unitary", m), [[1.0, 0.0], [0.0, NAN]]),
+    (lambda m: Channel("stochastic", m), [[NAN, 1.0], [0.0, 1.0]]),
     *[row[:2] for row in NEW_ROWS],
 ], ids=["density-diagonal", "density-offdiagonal", "density-inf", "basis", "weight",
         "schur", "kraus", "unitary", "stochastic",
@@ -534,9 +529,9 @@ def test_constructors_reject_non_finite_entries(build, entries):
 @pytest.mark.parametrize("build, subject, bad, complaint", [
     (DensityOperator, "density operator", [[0.5, 0.1], [0.0, 0.5]],
      "matrix is not self-adjoint: deviation 1.000e-01"),
-    (schur_channel, "weight", [[1.0, 0.1], [0.0, 1.0]],
+    (lambda m: Channel("schur", m), "weight", [[1.0, 0.1], [0.0, 1.0]],
      "weight is not self-adjoint: deviation 1.000e-01"),
-    (unitary_channel, "unitary", 2.0 * np.eye(2),
+    (lambda m: Channel("unitary", m), "unitary", 2.0 * np.eye(2),
      "matrix is not unitary: deviation 3.000e+00"),
     (_purpose_check, "purpose operator", [[0.0, 0.1], [0.0, 0.0]],
      "purpose operator is not self-adjoint: deviation 1.000e-01"),
@@ -554,7 +549,7 @@ def test_tolerance_check_messages(build, subject, bad, complaint):
 
 def test_unitary_channel_conjugates_a_stack():
     u = random_unitary(3, RNG)
-    ch = unitary_channel(u)
+    ch = Channel("unitary", u)
     stack = np.stack([random_density(3, RNG).matrix for _ in range(4)])
     assert np.allclose(ch.apply_matrix(stack), u @ stack @ u.conj().T, atol=1e-14)
     vectors = np.stack([random_state(3, RNG) for _ in range(5)])
@@ -623,7 +618,7 @@ def test_choi_check_of_a_map_with_a_non_self_adjoint_choi_matrix_has_no_spectrum
 
 def test_choi_schur_channels_are_cp():
     for _ in range(5):
-        assert choi_check(schur_channel(random_density(3, RNG).matrix)).is_cp
+        assert choi_check(Channel("schur", random_density(3, RNG).matrix)).is_cp
 
 
 def test_choi_matrix_of_identity_is_maximally_entangled():
@@ -641,9 +636,9 @@ def test_choi_matrix_is_the_sum_of_numpy_kron_blocks_bit_for_bit():
     # the sum reads as 0.0, so the signs of zeros are compared too.
     for n in range(1, 5):
         p = RNG.random((n, n))
-        maps = [random_kraus_channel(n, 2, RNG), unitary_channel(random_unitary(n, RNG)),
-                schur_channel(-random_density(n, RNG).matrix + np.eye(n)),
-                stochastic_channel(p / p.sum(axis=1, keepdims=True)), lambda m: -m.T]
+        maps = [random_kraus_channel(n, 2, RNG), Channel("unitary", random_unitary(n, RNG)),
+                Channel("schur", -random_density(n, RNG).matrix + np.eye(n)),
+                Channel("stochastic", p / p.sum(axis=1, keepdims=True)), lambda m: -m.T]
         for channel in maps:
             action = channel.apply_matrix if isinstance(channel, Channel) else channel
             expected = np.zeros((n * n, n * n), dtype=complex)
@@ -681,7 +676,7 @@ def test_apply_on_channel_not_preserving_trace_raises_naming_trace():
     # A weight with diagonal 0.5 halves the trace: `apply` has one return
     # type, a state, so it refuses; `apply_matrix` gives the raw image.
     w = np.array([[0.5, 0.25], [0.25, 0.5]])
-    damping = schur_channel(w)
+    damping = Channel("schur", w)
     rho = random_density(2, RNG)
     with pytest.raises(ValueError, match="trace"):
         damping.apply(rho)
@@ -695,7 +690,7 @@ def _stack_cases():
     u = random_unitary(n, rng)
     g = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     unit_rows = g / np.linalg.norm(g, axis=1, keepdims=True)
-    damping = schur_channel(0.5 * (g @ g.conj().T))
+    damping = Channel("schur", 0.5 * (g @ g.conj().T))
     assert not damping.is_trace_preserving
     return [
         ("kraus", random_kraus_channel(n, 3, rng)),
@@ -703,10 +698,10 @@ def _stack_cases():
         ("kraus-rank-deficient", kraus_channel([np.sqrt(0.3) * u, np.sqrt(0.7) * u])),
         # r = 16 > n: the spectrum comes from the n x n side.
         ("kraus-wide", depolarizing_channel(n, 0.6)),
-        ("unitary", unitary_channel(u)),
-        ("schur", schur_channel(unit_rows @ unit_rows.conj().T)),
+        ("unitary", Channel("unitary", u)),
+        ("schur", Channel("schur", unit_rows @ unit_rows.conj().T)),
         ("schur-not-trace-preserving", damping),
-        ("stochastic", stochastic_channel(rng.dirichlet(np.ones(n), size=n))),
+        ("stochastic", Channel("stochastic", rng.dirichlet(np.ones(n), size=n))),
     ]
 
 
@@ -802,7 +797,7 @@ def test_rotated_image_spectra_name_what_they_refuse():
 
 def test_unitary_channel_keeps_its_own_copy_of_the_matrix():
     u = np.eye(2, dtype=complex)
-    ch = unitary_channel(u)
+    ch = Channel("unitary", u)
     u *= 2
     image = ch.apply_matrix(np.diag([0.7, 0.3]))
     assert np.array_equal(image, np.diag([0.7, 0.3]).astype(complex))

@@ -298,6 +298,23 @@ def test_a_schur_weight_is_a_channels_data():
         "channels.Channel.apply_matrix"]
 
 
+def test_a_channel_kind_has_one_constructor():
+    # A unitary, Schur or stochastic channel is built as `Channel(kind, data)`:
+    # no module defines, reads or exports a factory that only forwards to it.
+    # `jsonio.parse_channel` builds its channels through `Channel` and
+    # `kraus_channel`, which stacks a list of operators, alone.
+    gone = {"schur_channel", "unitary_channel", "stochastic_channel"}
+    assert _owners(lambda node: (isinstance(node, ast.FunctionDef) and node.name in gone)
+                   or any(_reads(name)(node) for name in gone)) == []
+    assert sorted(gone & set(infodyn.__all__)) == []
+    constructors = {name for name, value in vars(channels).items()
+                if getattr(value, "__module__", None) == channels.__name__}
+    called = {node.func.id for owner, node in _nodes()
+              if owner == "jsonio.parse_channel" and isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)}
+    assert sorted(called & constructors) == ["Channel", "kraus_channel"]
+
+
 # The package's layers, lowest first: a module imports only modules of
 # earlier layers, so `metrics`, `classical` and `recognition` import none of
 # one another, and `svgplot` imports no module of the package. `__init__`
@@ -532,10 +549,7 @@ def test_float_flags_exit_2_on_non_finite_values_naming_their_field(capsys):
 
 
 def test_the_code_line_counter_skips_docstrings_comments_and_blank_lines():
-    path = Path(__file__).parents[1] / "tools" / "code_lines.py"
-    spec = importlib.util.spec_from_file_location("code_lines", path)
-    counter = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(counter)
+    counter = _tool("code_lines")
     source = ('"""Module docstring."""\n'
               "\n"
               "class A:\n"
@@ -547,3 +561,58 @@ def test_the_code_line_counter_skips_docstrings_comments_and_blank_lines():
               "        return (x +  # a trailing comment\n"
               "                1)\n")
     assert counter.code_lines(source) == 4
+
+
+def _tool(name):
+    """The module of `tools/<name>.py`, loaded from its file."""
+    path = Path(__file__).parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_kernel_runner_sets_each_kernel_in_its_childs_environment_alone(monkeypatch, capsys):
+    # `subprocess.run` is replaced by a recorder, so no child pytest starts.
+    kernels = _tool("kernels")
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    before = dict(os.environ)
+    summary = "1 failed, 9 passed in 1.00s\n"
+    outputs = {"SkylakeX": "FAILED tests/a.py::t[x - y] - AssertionError: assert 1 == 2\n" + summary,
+               "Haswell": "FAILED tests/a.py::t[x - y]\nFAILED tests/b.py::u - ValueError\nERROR tests/c.py\n"
+                          "2 failed, 8 passed, 1 error in 1.00s\n",
+               "Prescott": "FAILED tests/a.py::t[x - y] - AssertionError\n" + summary}
+    calls = []
+
+    def recorder(command, **kwargs):
+        calls.append((command, kwargs))
+        return subprocess.CompletedProcess(command, 1, outputs[kwargs["env"]["OPENBLAS_CORETYPE"]], "")
+
+    monkeypatch.setattr(kernels.subprocess, "run", recorder)
+    assert kernels.main([]) == 1
+    assert dict(os.environ) == before
+    root = Path(__file__).parents[1].resolve()
+    assert [command for command, _ in calls] == [
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]] * 3
+    assert [kwargs["cwd"] for _, kwargs in calls] == [root] * 3
+    envs = [kwargs["env"] for _, kwargs in calls]
+    assert [env["OPENBLAS_CORETYPE"] for env in envs] == ["SkylakeX", "Haswell", "Prescott"]
+    assert {(env["OPENBLAS_NUM_THREADS"], env["PYTHONPATH"]) for env in envs} == {
+        ("1", f"{root / 'src'}{os.pathsep}elsewhere")}
+    assert len({id(env) for env in envs}) == 3 and all(env is not os.environ for env in envs)
+    assert capsys.readouterr().out == ("SkylakeX: 9 passed, 1 failed\n"
+                                       "Haswell: 8 passed, 3 failed\n"
+                                       "  + tests/b.py::u\n"
+                                       "  + tests/c.py\n"
+                                       "Prescott: 9 passed, 1 failed\n")
+    # Arguments replace the tier-1 ones; agreeing failure sets exit 0.
+    outputs["Haswell"] = outputs["SkylakeX"]
+    calls.clear()
+    assert kernels.main(["tests/a.py", "-x"]) == 0
+    assert [command[3:] for command, _ in calls] == [["tests/a.py", "-x"]] * 3
+    # A run that ends without a test report stops the comparison.
+    monkeypatch.setattr(kernels.subprocess, "run",
+                        lambda command, **kwargs: subprocess.CompletedProcess(command, 4, "", "usage\n"))
+    assert kernels.main(["--no-such-flag"]) == 2
+    assert capsys.readouterr().out.endswith("SkylakeX: pytest exited 4 without a test report\nusage\n")
