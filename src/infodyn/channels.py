@@ -23,12 +23,9 @@ A `Channel` acts on one matrix or on a stack (..., n, n) of them.
 their Kraus vectors, which the chaos degree and the transmitted
 complexity in :mod:`infodyn.metrics` both read, through one kernel that
 forms their Gram spectra once (the spectra `Channel.image_spectra`
-gives). The decomposition search reads the
-images of a block's rotated columns through
-`Channel.rotated_image_spectra`, which rotates the block's Kraus vectors
-instead of its columns where the vectors are a product with the Kraus
-operators. A Gram side of at most 2, as for a unitary, a rank-2 Kraus
-family or any channel at dimension 2, has its spectrum in closed form
+gives), at a decomposition's pieces and at the search's rotated
+candidates alike. A Gram side of at most 2, as for a unitary, a rank-2
+Kraus family or any channel at dimension 2, has its spectrum in closed form
 (`hilbert._gram_spectra`). A Schur channel's Kraus operators are
 diagonal, so its vectors are entrywise products of the state with the
 rows sqrt(g) h of its weight's spectral terms. The Kraus-form
@@ -61,9 +58,7 @@ naming it before any arithmetic. A finite entry large enough for a Kraus
 or unitary Gram sum, a damping product or a stochastic row sum to
 overflow raises the error of the rule it breaks before that arithmetic,
 with no RuntimeWarning first; so does a row of `kraus_vectors` or
-`image_spectra` above the channel's row bound (see `Channel._rows`), and
-a row of a block whose norm is above it, where a Kraus or unitary
-channel's `rotated_image_spectra` rotates the block's Kraus vectors.
+`image_spectra` above the channel's row bound (see `Channel._rows`).
 """
 
 from __future__ import annotations
@@ -211,11 +206,8 @@ class Channel(_Frozen):
     |v><v| is W W* for the Kraus vectors W = [A_1 v ... A_r v] of a
     Kraus form {A_k} of the channel, which `kraus_vectors` returns for a
     stack of states, and `image_spectra` reads its spectrum from the
-    Gram matrix W* W. `rotated_image_spectra` reads the spectra of the
-    columns of a block rotated by a stack of unitaries, rotating the
-    block's W where W is linear in v through the factor (kraus, unitary).
-    Instances are immutable and hold a copy of their data, so a caller's
-    array stays the caller's.
+    Gram matrix W* W. Instances are immutable and hold a copy of their
+    data, so a caller's array stays the caller's.
     """
 
     __slots__ = ("kind", "dim", "is_trace_preserving", "image_width", "families", "_data", "_factor",
@@ -339,39 +331,6 @@ class Channel(_Frozen):
         if self.kind == "stochastic":
             return (np.abs(self._rows(vectors)) ** 2) @ self._data
         return _gram_spectra(self.kraus_vectors(vectors))
-
-    def rotated_image_spectra(self, block, rotations, columns) -> np.ndarray:
-        """`image_spectra` of columns `columns` of block @ u, for each unitary u of `rotations` (..., k, k).
-
-        `block` (n, k) holds k vectors as its columns, and `columns`, an
-        index array, picks the k' rotated columns read; returns (..., k', s)
-        for the side s of `image_spectra`. A Kraus vector is linear in its
-        vector, A_a (block @ u)_j = sum_i u_ij A_a b_i, so a "kraus" or
-        "unitary" channel rotates the block's Kraus vectors B, W = u^T B, in
-        one (k' x k)(k x r n) product for the whole stack and forms no
-        rotated vector; its spectra agree with `image_spectra` of the
-        rotated columns to rounding. A unitary keeps the norm of each
-        row of the block, which bounds every entry of block @ u, so there a
-        row whose norm is above the row bound raises ValueError "vector has
-        a non-finite entry". A Schur or stochastic channel reads a C-ordered
-        copy of the rotated columns through `image_spectra`, with its bits,
-        so a candidate's spectrum is summed in one order at any chunk size.
-        A stack of Kraus families raises ValueError.
-        """
-        if self.families:
-            raise ValueError(f"expected one channel, got a stack of {self.families} Kraus families")
-        v = _as_array(block, "vector")
-        if self.kind in ("schur", "stochastic"):
-            return self.image_spectra(np.ascontiguousarray((v @ rotations)[..., columns].mT))
-        b = self.kraus_vectors(v.T)
-        if not float(np.sqrt(np.vecdot(v, v).real).max(initial=0.0)) <= self._row_bound:
-            raise ValueError("vector has a non-finite entry")
-        u = rotations[..., columns]
-        k = b.shape[0]
-        if u.shape[-2] != k:
-            raise DimensionMismatch(f"block of {k} columns vs rotations of shape {u.shape}")
-        w = u.mT.reshape(-1, k) @ b.reshape(k, -1)
-        return _gram_spectra(w.reshape(u.shape[:-2] + (u.shape[-1],) + b.shape[1:]))
 
     def apply(self, rho) -> DensityOperator:
         """Image of a state as a state; see the class docstring."""

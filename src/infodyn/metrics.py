@@ -26,11 +26,12 @@ sum_k lam_k S(channel(E_k) || channel(rho)) alike, is summed by one rule,
 its term zeroed in place, so every path that sums one decomposition's
 terms gives the same bits.
 
-`_piece_terms` is the one decomposition kernel. It reads the pieces of
-one or more decompositions through a channel, forms their Kraus vectors
-and Gram spectra once, and returns each piece's term of D, the entropy
-of its image, and, given the output state's spectral data, its term of T,
-the relative entropy of its image to the output, through
+`_piece_terms` is the one decomposition kernel, at an eigenbasis and at
+a rotated search candidate alike. It reads the pieces of one or more
+decompositions through a channel, forms their Kraus vectors and Gram
+spectra once, and returns each piece's term of D, the entropy of its
+image, and, given the output state's spectral data, its term of T, the
+relative entropy of its image to the output, through
 `hilbert._relative_entropies` with the image's spectrum checked as a
 density operator's; T is never the output entropy minus the chaos
 degree. A stochastic channel's D reads its image's distribution
@@ -45,10 +46,11 @@ through `_piece_terms`, with T's terms when `chaos_degree` asks for them,
 then the rotations of `_rotation_chunks`, the one rotation stream (one
 generator per seed, one QR per block per chunk for all seeds), chunk by
 chunk (sized to CHUNK_BYTES), re-scoring only the degenerate blocks'
-live columns through `Channel.rotated_image_spectra`. A Kraus vector is
-linear in its vector, so a Kraus or unitary channel forms a block's
-Kraus vectors once per chunk and rotates them, with no rotated column
-formed; a Schur or stochastic channel reads the rotated columns. On
+live columns through `_piece_terms` too, given the block's columns and
+the chunk's rotations of them. A Kraus vector is linear in its vector,
+so there a Kraus or unitary channel forms a block's Kraus vectors once
+per chunk and rotates them, with no rotated column formed; a Schur or
+stochastic channel reads the rotated columns. On
 the default OpenBLAS kernel the report does not depend on the chunk
 size. Under the `Haswell` kernel a Kraus or unitary channel's report
 moves in the last bits with it, since the bits of a row of that
@@ -122,6 +124,7 @@ from .hilbert import (
     _hermitian_part,
     _isometry_blocks,
     _kron,
+    _nonnegative,
     _relative_entropies,
     _square,
     _unit_spectra,
@@ -233,7 +236,7 @@ def _floor_sum(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.sum(np.where(lam > WEIGHT_FLOOR, s, 0.0) * lam, axis=-1)
 
 
-def _piece_terms(channel: Channel, pieces: np.ndarray, sigma=None):
+def _piece_terms(channel: Channel, pieces: np.ndarray, sigma=None, rotations=None):
     """Each piece's term of D and, given sigma, of T: the one decomposition kernel.
 
     `pieces` (..., k, n) holds the vectors p_k of the pieces |p_k><p_k| of
@@ -249,12 +252,29 @@ def _piece_terms(channel: Channel, pieces: np.ndarray, sigma=None):
     stochastic channel's D reads the distribution |p_k|^2 P of its image,
     as `Channel.image_spectra` gives it, and forms w only for T. Returns
     (D's terms, T's terms or None), each (..., k); `_floor_sum` sums them.
+
+    `rotations` (..., k, k'), given by the search for a rotated candidate,
+    rotates one block's pieces (k, n): the pieces read are then the k'
+    columns of pieces^T u for each u of the stack, and the terms are
+    (..., k'). A Kraus vector is linear in its vector, A_a (sum_i u_ij p_i)
+    = sum_i u_ij A_a p_i, so a "kraus" or "unitary" channel rotates the
+    block's w in one (k' x k)(k x r n) product for the whole stack and forms
+    no rotated piece; its terms agree with those of the rotated pieces to
+    rounding. A Schur or stochastic channel reads a C-ordered copy of the
+    rotated pieces, with their bits, so a candidate's spectrum is summed in
+    one order at any chunk size.
     """
+    if rotations is not None and channel.kind in ("schur", "stochastic"):
+        pieces, rotations = np.ascontiguousarray((pieces.mT @ rotations).mT), None
     stochastic = channel.kind == "stochastic"
     d = _entropy_of_spectrum(channel.image_spectra(pieces)) if stochastic else None
     if stochastic and sigma is None:
         return d, None
     w = channel.kraus_vectors(pieces)
+    if rotations is not None:
+        k = w.shape[-3]
+        w = (rotations.mT.reshape(-1, k) @ w.reshape(k, -1)).reshape(
+            rotations.shape[:-2] + rotations.shape[-1:] + w.shape[-2:])
     g = _gram_spectra(w)
     t = None if sigma is None else _relative_entropies(_unit_spectra(g.sum(axis=-1), g), w, *sigma)
     return (_entropy_of_spectrum(g) if d is None else d), t
@@ -284,14 +304,14 @@ def _search(lam: np.ndarray, vec: np.ndarray, channel: Channel, cfg: ComplexityC
     `_piece_terms`, with T's terms when `sigma`, the output state's
     spectral data, is given; each chunk of rotated candidates then
     re-scores only the live columns of the degenerate blocks (a dead
-    column adds nothing under `_floor_sum`), block by block, through
-    `Channel.rotated_image_spectra` of the block's eigenvector columns and
-    the chunk's rotations: a Kraus or unitary channel rotates the block's
-    Kraus vectors, so its values agree with those of the rotated columns
-    to rounding. Returns D, the worst value seen, the candidate count, the
-    degenerate blocks and T's terms at the minimizer (None without
-    `sigma`); a rotated minimizer's columns are formed once, by `_rotated`,
-    and read by `_piece_terms` again.
+    column adds nothing under `_floor_sum`), block by block, through the
+    same kernel, given the block's eigenvector columns and the chunk's
+    rotations of its live columns: a Kraus or unitary channel rotates the
+    block's Kraus vectors, so its values agree with those of the rotated
+    columns to rounding. Returns D, the worst value seen, the candidate
+    count, the degenerate blocks and T's terms at the minimizer (None
+    without `sigma`); a rotated minimizer's columns are formed once, by
+    `_rotated`, and read by `_piece_terms` again.
     """
     base, rel = _piece_terms(channel, vec.T, sigma)
     best_val = worst_val = float(_floor_sum(lam, base))
@@ -325,7 +345,7 @@ def _search(lam: np.ndarray, vec: np.ndarray, channel: Channel, cfg: ComplexityC
             values = np.full(rotations[0].shape[0], constant)
             for (lo, hi), cols, u in zip(blocks, scored, rotations):
                 if cols.size:
-                    entropies = _entropy_of_spectrum(channel.rotated_image_spectra(vec[:, lo:hi], u, cols))
+                    entropies = _piece_terms(channel, vec[:, lo:hi].T, rotations=u[..., cols])[0]
                     values = values + _floor_sum(lam[lo:hi][cols], entropies)
             evaluated += values.size
             i = int(np.argmin(values))
@@ -343,7 +363,9 @@ def chaos_degree(rho, channel: Channel, config: ComplexityConfig | None = None) 
 
     `_search` finds the minimizing decomposition and reads T's terms there
     through their own relative-entropy formula: from the same
-    `_piece_terms` call as D when the eigenbasis is the minimizer.
+    `_piece_terms` call as D when the eigenbasis is the minimizer. The
+    reported T reads its rounding below 0 as 0.0 (`hilbert._nonnegative`);
+    the axiom suite reads T's sums as they are.
     """
     cfg = config or DEFAULT_CONFIG
     state = as_density(rho)
@@ -354,7 +376,7 @@ def chaos_degree(rho, channel: Channel, config: ComplexityConfig | None = None) 
                                                           (sigma.eigenvalues, sigma.eigenvectors))
     return ChaosDegreeReport(
         chaos_degree=best_val,
-        transmitted=float(_floor_sum(state.eigenvalues, rel)),
+        transmitted=_nonnegative(float(_floor_sum(state.eigenvalues, rel))),
         output_entropy=von_neumann_entropy(sigma),
         degenerate=bool(blocks),
         restarts=evaluated,

@@ -17,6 +17,7 @@ from infodyn.channels import (
 from infodyn.exceptions import DimensionMismatch, OutsideDomain
 from infodyn.hilbert import (
     DensityOperator,
+    _entropy_of_spectrum,
     mult_operator,
     partial_trace,
     random_density,
@@ -27,7 +28,7 @@ from infodyn.hilbert import (
     tensor,
     von_neumann_entropy,
 )
-from infodyn.metrics import chaos_degree, conjecture_experiment, value_of_information
+from infodyn.metrics import _piece_terms, chaos_degree, conjecture_experiment, value_of_information
 from infodyn.recognition import SignalBasis
 
 RNG = np.random.default_rng(77)
@@ -763,36 +764,29 @@ def test_a_stack_of_kraus_families_acts_as_each_family_alone(terms):
 @pytest.mark.parametrize("channel", [c for _, c in STACK_CASES],
                          ids=[name for name, _ in STACK_CASES])
 def test_rotated_image_spectra_are_the_image_spectra_of_the_rotated_columns(channel, columns):
-    # A 2 x 3 stack of rotations of three orthonormal columns; the subset
-    # reads columns 0 and 2, as a search skips a dead column.
+    # The decomposition kernel given a 2 x 3 stack of rotations of three
+    # orthonormal columns scores the rotated columns, as the search does;
+    # the subset reads columns 0 and 2, as a search skips a dead column.
     rng = np.random.default_rng(14)
     block = random_unitary(channel.dim, rng)[:, 1:]
-    rotations = np.stack([[random_unitary(3, rng) for _ in range(3)] for _ in range(2)])
-    explicit = channel.image_spectra((block @ rotations)[..., columns].mT)
-    spectra = channel.rotated_image_spectra(block, rotations, columns)
-    assert spectra.shape == explicit.shape == (2, 3, len(columns), explicit.shape[-1])
-    if channel.kind in ("schur", "stochastic"):
-        assert np.array_equal(spectra, explicit)
-    else:
-        assert np.max(np.abs(spectra - explicit)) <= 1e-14
-
-
-def test_rotated_image_spectra_name_what_they_refuse():
-    rng = np.random.default_rng(15)
-    channel = random_kraus_channel(4, 2, rng)
-    block, rotations = random_unitary(4, rng)[:, :3], random_unitary(3, rng)
-    stack = Channel("kraus", np.stack([channel._data, channel._data]))
-    with pytest.raises(ValueError, match=r"^expected one channel, got a stack of \(2,\) Kraus families$"):
-        stack.rotated_image_spectra(block, rotations, [0, 1, 2])
-    with pytest.raises(DimensionMismatch, match="block of 3 columns"):
-        channel.rotated_image_spectra(block, random_unitary(2, rng), [0, 1])
-    # Every entry within the row bound, but a row's norm above it: a
-    # rotation could move that norm into one entry. Warnings are errors
-    # in this suite, so an overflow before the check would fail here.
-    wide = np.full((4, 3), 0.9 * channel._row_bound)
-    assert channel.kraus_vectors(wide.T).shape == (3, 2, 4)
-    with pytest.raises(ValueError, match="^vector has a non-finite entry$"):
-        channel.rotated_image_spectra(wide, rotations, [0, 1, 2])
+    rotations = np.stack([[random_unitary(3, rng) for _ in range(3)] for _ in range(2)])[..., columns]
+    rotated = np.ascontiguousarray((block @ rotations).mT)
+    # T's terms need an output state, so a channel that loses trace gives D's alone.
+    sigma = None
+    if channel.is_trace_preserving:
+        image = channel.apply(random_density(channel.dim, rng))
+        sigma = (image.eigenvalues, image.eigenvectors)
+    terms = _piece_terms(channel, block.T, sigma, rotations)
+    explicit = _piece_terms(channel, rotated, sigma)
+    assert terms[0].shape == explicit[0].shape == (2, 3, len(columns))
+    assert np.array_equal(explicit[0], _entropy_of_spectrum(channel.image_spectra(rotated)))
+    if sigma is None:
+        terms, explicit = terms[:1], explicit[:1]
+    for got, want in zip(terms, explicit):
+        if channel.kind in ("schur", "stochastic"):
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_unitary_channel_keeps_its_own_copy_of_the_matrix():

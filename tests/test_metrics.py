@@ -91,6 +91,39 @@ def test_a_pure_image_reads_no_chaos_degree_below_zero():
     assert [(rep.chaos_degree, rep.worst) for rep in reports if min(rep.chaos_degree, rep.worst) < 0] == []
 
 
+def test_a_vanishing_transmitted_complexity_reads_no_value_below_zero():
+    # Through the full depolarizing channel every image is I / n, so T is 0,
+    # and so is S(rho || rho); both are differences of sums, and 23 and 29
+    # of these 60 states read down to -1.7e-14 and -2.7e-15 when their
+    # rounding below 0 was reported as it is.
+    rng = np.random.default_rng(4)
+    cfg = ComplexityConfig(restarts=10, seed=0)
+    states = [(random_density(n, rng), depolarizing_channel(n)) for n in range(2, 17) for _ in range(4)]
+    values = [v for rho, ch in states for v in (chaos_degree(rho, ch, cfg).transmitted, relative_entropy(rho, rho))]
+    assert [v for v in values if math.copysign(1.0, v) < 0] == []
+    assert max(values) <= 1e-12
+
+
+def test_a_transmitted_complexity_below_its_rounding_reads_as_it_is(monkeypatch):
+    # `hilbert._nonnegative` reads [-1e-12, 0] as 0.0 and nothing else, so a
+    # sign error in the relative entropies shows in both reports, and the
+    # axiom suite, which reads T's sums as they are, still fails on it.
+    assert [hilbert._nonnegative(v) for v in (-1e-12, -0.0, 0.5, np.inf)] == [0.0, 0.0, 0.5, np.inf]
+    assert math.copysign(1.0, hilbert._nonnegative(-0.0)) == 1.0
+    assert hilbert._nonnegative(-1.1e-12) == -1.1e-12
+    rng = np.random.default_rng(6)
+    rho, channel = random_density(3, rng), random_kraus_channel(3, 2, rng)
+    sigma = random_density(3, rng)
+    t, s = chaos_degree(rho, channel, FAST).transmitted, relative_entropy(rho, sigma)
+    assert t > 1e-3 and s > 1e-3
+    for module in (metrics, hilbert):
+        monkeypatch.setattr(module, "_relative_entropies",
+                            lambda *args, exact=hilbert._relative_entropies: -exact(*args))
+    assert chaos_degree(rho, channel, FAST).transmitted == pytest.approx(-t, abs=1e-12)
+    assert relative_entropy(rho, sigma) == pytest.approx(-s, abs=1e-12)
+    assert not axiom_suite(2, 4, 0)["nonnegativity"].passed
+
+
 def test_chaos_degree_full_depolarizing_is_log_dim():
     for n in (2, 3, 4):
         rep = chaos_degree(random_density(n, RNG), depolarizing_channel(n, 1.0), FAST)
@@ -390,7 +423,7 @@ def test_a_stack_of_kraus_families_is_refused_before_any_arithmetic(call, monkey
     stack = kraus_family_stack()
     assert stack.families == (2,)
     rho, gamma = random_density(2, RNG), random_density(2, RNG)
-    for method in ("apply_matrix", "kraus_vectors", "image_spectra", "rotated_image_spectra"):
+    for method in ("apply_matrix", "kraus_vectors", "image_spectra"):
         monkeypatch.setattr(Channel, method, lambda *args: pytest.fail("evaluated"))
     with pytest.raises(ValueError, match=r"^expected one channel, got a stack of \(2,\) Kraus families$"):
         call(stack, rho, gamma)

@@ -257,6 +257,19 @@ def test_metrics_reads_gram_spectra_and_relative_entropies_in_one_kernel():
             "metrics._piece_terms"], name
 
 
+def test_rotated_search_candidates_are_scored_by_the_decomposition_kernel():
+    # `metrics._piece_terms` scores a rotated candidate as it scores an
+    # eigenbasis: no module defines or reads a channel method of its own for
+    # rotated spectra, and package-wide only the channel's `image_spectra`
+    # and the kernel read the Gram spectra (module-level imports aside).
+    def defines(node):
+        return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "rotated_image_spectra"
+
+    assert _owners(defines) == _owners(_reads("rotated_image_spectra")) == []
+    assert [owner for owner in _owners(_reads("_gram_spectra")) if "." in owner] == [
+        "channels.Channel.image_spectra", "metrics._piece_terms"]
+
+
 def test_the_hermitian_part_is_formed_in_one_function():
     # `hilbert._hermitian_part` is the one symmetrization: no other function
     # adds an expression to its own adjoint.
